@@ -30,121 +30,166 @@ pub fn deep_clones_total() -> u64 {
     DEEP_CLONES.load(Ordering::Relaxed)
 }
 
-/// Shared, thread-safe counters incremented by the engine and operators.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Declares every counter exactly once. One `doc comment + name` entry
+/// generates the [`Metrics`] field, its `reset` and `snapshot` lines,
+/// the [`MetricsSnapshot`] field and its `counters()` row — so a metric
+/// is one line here and nowhere else.
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $name:ident, )*) => {
+        /// Shared, thread-safe counters incremented by the engine and operators.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $( $(#[$doc])* pub $name: AtomicU64, )*
+        }
+
+        impl Metrics {
+            /// Reset every counter to zero.
+            pub fn reset(&self) {
+                $( self.$name.store(0, Ordering::Relaxed); )*
+            }
+
+            /// Snapshot all counters, for printing in the bench harness.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: Metrics::get(&self.$name), )*
+                }
+            }
+        }
+
+        /// A plain-value snapshot of [`Metrics`]: one `u64` per counter,
+        /// under the same name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl MetricsSnapshot {
+            /// Number of counters declared.
+            pub const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// Every counter as a `(name, value)` pair, in declaration order.
+            /// Lets callers aggregate snapshots from several engines (the serve
+            /// subsystem sums one per shard) without naming each field.
+            pub fn counters(&self) -> [(&'static str, u64); Self::COUNT] {
+                [$( (stringify!($name), self.$name), )*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Tuples read from input datasets (counts repeated scans).
-    pub tuples_scanned: AtomicU64,
+    tuples_scanned,
     /// Candidate units/pairs emitted by Iterate-style operators.
-    pub pairs_generated: AtomicU64,
+    pairs_generated,
     /// Detect invocations.
-    pub detect_calls: AtomicU64,
+    detect_calls,
     /// Violations produced.
-    pub violations: AtomicU64,
+    violations,
     /// Records moved through a shuffle (group-by / co-group / repartition).
-    pub records_shuffled: AtomicU64,
+    records_shuffled,
     /// Partition pairs pruned by OCJoin's min/max check.
-    pub partitions_pruned: AtomicU64,
+    partitions_pruned,
     /// Partition pairs actually joined by OCJoin.
-    pub partitions_joined: AtomicU64,
+    partitions_joined,
     /// Bytes written by the disk-backed (Hadoop-style) execution mode.
-    pub bytes_spilled: AtomicU64,
+    bytes_spilled,
     /// Task attempts re-executed after a failure (panic or I/O error).
-    pub tasks_retried: AtomicU64,
+    tasks_retried,
     /// Worker panics caught and isolated by the task runner.
-    pub panics_caught: AtomicU64,
+    panics_caught,
     /// Spill read/write attempts that failed (before any retry).
-    pub spill_failures: AtomicU64,
+    spill_failures,
     /// Checkpoints that degraded from disk-backed to in-memory because
     /// the spill directory was unusable.
-    pub stages_degraded: AtomicU64,
+    stages_degraded,
     /// Jobs cancelled cooperatively (user, deadline, or memory ceiling).
-    pub jobs_cancelled: AtomicU64,
+    jobs_cancelled,
     /// Deadline watchdog firings that actually tripped a job's token.
-    pub deadline_trips: AtomicU64,
+    deadline_trips,
     /// Encoded bytes registered in the engine's memory ledger.
-    pub bytes_tracked: AtomicU64,
+    bytes_tracked,
     /// Checkpointed datasets evicted to disk by memory-budget pressure.
-    pub pressure_spills: AtomicU64,
+    pressure_spills,
     /// Jobs that waited in the admission queue before starting.
-    pub jobs_queued: AtomicU64,
+    jobs_queued,
     /// Jobs refused admission by the concurrent-job gate.
-    pub jobs_rejected: AtomicU64,
+    jobs_rejected,
     /// Malformed input rows diverted to a quarantine report by the
     /// lenient parsers instead of aborting the load.
-    pub rows_quarantined: AtomicU64,
+    rows_quarantined,
     /// Physical passes over partitioned data executed by the fused
     /// stage-graph path (shuffle map/merge/reduce and narrow passes).
-    pub passes_executed: AtomicU64,
+    passes_executed,
     /// Logical operators that fused into an already-open physical pass
     /// instead of running as their own pass.
-    pub stages_fused: AtomicU64,
+    stages_fused,
     /// Tuples touched by incremental delta detection (delta tuples plus
     /// the base tuples probed as candidate partners).
-    pub tuples_reprocessed: AtomicU64,
+    tuples_reprocessed,
     /// Distinct (rule, blocking-key) blocks marked dirty by a delta batch.
-    pub blocks_dirty: AtomicU64,
+    blocks_dirty,
     /// Stored violations retracted because a contributing row was
     /// deleted or updated.
-    pub violations_retracted: AtomicU64,
+    violations_retracted,
     /// Violation-graph connected components re-repaired incrementally.
-    pub components_rerepaired: AtomicU64,
+    components_rerepaired,
     /// Deep row/key payload copies (fresh `Vec<Value>` materialized from
     /// an existing tuple or blocking key) attributed to this job. The
     /// zero-copy detect path keeps this at 0: shuffles and pair
     /// enumeration move `Arc` handles and `KeyId`s, never row payloads.
-    pub tuples_cloned: AtomicU64,
+    tuples_cloned,
     /// Bytes moved across wide boundaries (shuffle / co-group /
     /// range-repartition), computed as record size × records routed.
-    pub bytes_shuffled: AtomicU64,
+    bytes_shuffled,
     /// Transient durable-IO failures (spill, checkpoint, WAL, snapshot)
     /// retried with backoff instead of surfacing.
-    pub io_retries: AtomicU64,
+    io_retries,
     /// Delta batches appended (and fsync'd) to a session write-ahead log.
-    pub wal_appends: AtomicU64,
+    wal_appends,
     /// Durable session snapshots written atomically.
-    pub snapshots_written: AtomicU64,
+    snapshots_written,
     /// Retry attempts skipped because the failure was classified
     /// deterministic (same panic payload twice on one partition, or a
     /// typed deterministic error) — backoff budget not burned.
-    pub retries_short_circuited: AtomicU64,
+    retries_short_circuited,
     /// Per-rule circuit breakers that transitioned closed → open.
-    pub breaker_trips: AtomicU64,
+    breaker_trips,
     /// Rules quarantined for the rest of a job (or session) by an open
     /// breaker.
-    pub rules_quarantined: AtomicU64,
+    rules_quarantined,
     /// Candidate units skipped by the outlier-block guard in partial
     /// mode instead of failing the rule.
-    pub units_skipped: AtomicU64,
+    units_skipped,
     /// Connected components found in the violation hypergraph by a
     /// repair round (each repaired independently).
-    pub components_found: AtomicU64,
+    components_found,
     /// Components that exceeded `max_component_size` and took the
     /// k-way partitioned master/slave path.
-    pub components_partitioned: AtomicU64,
+    components_partitioned,
     /// BSP supersteps executed by the semi-naive connected-components
     /// label propagation until its frontier drained.
-    pub cc_supersteps: AtomicU64,
+    cc_supersteps,
     /// Cell assignments produced by repair rounds (before the cleanse
     /// loop's freeze/no-op filtering).
-    pub repair_cells_assigned: AtomicU64,
+    repair_cells_assigned,
     /// Malformed streamed ingest records diverted to a quarantine
     /// report by the serve front-end's lenient delta parse (the
     /// streaming counterpart of `rows_quarantined`).
-    pub records_quarantined: AtomicU64,
+    records_quarantined,
     /// Tuples retired from windowed sessions because the watermark
     /// passed their last containing window (their violations are
     /// retracted through the provenance path).
-    pub tuples_expired: AtomicU64,
+    tuples_expired,
     /// Candidate pairs actually compared by LSH blocking (after the
     /// cross-band first-shared-band dedup).
-    pub lsh_candidate_pairs: AtomicU64,
+    lsh_candidate_pairs,
     /// Within-bucket pairs skipped by LSH because the pair shares an
     /// earlier band (it is compared exactly once, there).
-    pub lsh_pairs_pruned: AtomicU64,
+    lsh_pairs_pruned,
     /// LSH band buckets enumerated (batch) or probed by delta tuples
     /// (incremental sessions).
-    pub lsh_bands_probed: AtomicU64,
+    lsh_bands_probed,
 }
 
 impl Metrics {
@@ -162,251 +207,9 @@ impl Metrics {
     pub fn get(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
     }
-
-    /// Reset every counter to zero.
-    pub fn reset(&self) {
-        for c in [
-            &self.tuples_scanned,
-            &self.pairs_generated,
-            &self.detect_calls,
-            &self.violations,
-            &self.records_shuffled,
-            &self.partitions_pruned,
-            &self.partitions_joined,
-            &self.bytes_spilled,
-            &self.tasks_retried,
-            &self.panics_caught,
-            &self.spill_failures,
-            &self.stages_degraded,
-            &self.jobs_cancelled,
-            &self.deadline_trips,
-            &self.bytes_tracked,
-            &self.pressure_spills,
-            &self.jobs_queued,
-            &self.jobs_rejected,
-            &self.rows_quarantined,
-            &self.passes_executed,
-            &self.stages_fused,
-            &self.tuples_reprocessed,
-            &self.blocks_dirty,
-            &self.violations_retracted,
-            &self.components_rerepaired,
-            &self.tuples_cloned,
-            &self.bytes_shuffled,
-            &self.io_retries,
-            &self.wal_appends,
-            &self.snapshots_written,
-            &self.retries_short_circuited,
-            &self.breaker_trips,
-            &self.rules_quarantined,
-            &self.units_skipped,
-            &self.components_found,
-            &self.components_partitioned,
-            &self.cc_supersteps,
-            &self.repair_cells_assigned,
-            &self.records_quarantined,
-            &self.tuples_expired,
-            &self.lsh_candidate_pairs,
-            &self.lsh_pairs_pruned,
-            &self.lsh_bands_probed,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot all counters, for printing in the bench harness.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            tuples_scanned: Metrics::get(&self.tuples_scanned),
-            pairs_generated: Metrics::get(&self.pairs_generated),
-            detect_calls: Metrics::get(&self.detect_calls),
-            violations: Metrics::get(&self.violations),
-            records_shuffled: Metrics::get(&self.records_shuffled),
-            partitions_pruned: Metrics::get(&self.partitions_pruned),
-            partitions_joined: Metrics::get(&self.partitions_joined),
-            bytes_spilled: Metrics::get(&self.bytes_spilled),
-            tasks_retried: Metrics::get(&self.tasks_retried),
-            panics_caught: Metrics::get(&self.panics_caught),
-            spill_failures: Metrics::get(&self.spill_failures),
-            stages_degraded: Metrics::get(&self.stages_degraded),
-            jobs_cancelled: Metrics::get(&self.jobs_cancelled),
-            deadline_trips: Metrics::get(&self.deadline_trips),
-            bytes_tracked: Metrics::get(&self.bytes_tracked),
-            pressure_spills: Metrics::get(&self.pressure_spills),
-            jobs_queued: Metrics::get(&self.jobs_queued),
-            jobs_rejected: Metrics::get(&self.jobs_rejected),
-            rows_quarantined: Metrics::get(&self.rows_quarantined),
-            passes_executed: Metrics::get(&self.passes_executed),
-            stages_fused: Metrics::get(&self.stages_fused),
-            tuples_reprocessed: Metrics::get(&self.tuples_reprocessed),
-            blocks_dirty: Metrics::get(&self.blocks_dirty),
-            violations_retracted: Metrics::get(&self.violations_retracted),
-            components_rerepaired: Metrics::get(&self.components_rerepaired),
-            tuples_cloned: Metrics::get(&self.tuples_cloned),
-            bytes_shuffled: Metrics::get(&self.bytes_shuffled),
-            io_retries: Metrics::get(&self.io_retries),
-            wal_appends: Metrics::get(&self.wal_appends),
-            snapshots_written: Metrics::get(&self.snapshots_written),
-            retries_short_circuited: Metrics::get(&self.retries_short_circuited),
-            breaker_trips: Metrics::get(&self.breaker_trips),
-            rules_quarantined: Metrics::get(&self.rules_quarantined),
-            units_skipped: Metrics::get(&self.units_skipped),
-            components_found: Metrics::get(&self.components_found),
-            components_partitioned: Metrics::get(&self.components_partitioned),
-            cc_supersteps: Metrics::get(&self.cc_supersteps),
-            repair_cells_assigned: Metrics::get(&self.repair_cells_assigned),
-            records_quarantined: Metrics::get(&self.records_quarantined),
-            tuples_expired: Metrics::get(&self.tuples_expired),
-            lsh_candidate_pairs: Metrics::get(&self.lsh_candidate_pairs),
-            lsh_pairs_pruned: Metrics::get(&self.lsh_pairs_pruned),
-            lsh_bands_probed: Metrics::get(&self.lsh_bands_probed),
-        }
-    }
-}
-
-/// A plain-value snapshot of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::tuples_scanned`].
-    pub tuples_scanned: u64,
-    /// See [`Metrics::pairs_generated`].
-    pub pairs_generated: u64,
-    /// See [`Metrics::detect_calls`].
-    pub detect_calls: u64,
-    /// See [`Metrics::violations`].
-    pub violations: u64,
-    /// See [`Metrics::records_shuffled`].
-    pub records_shuffled: u64,
-    /// See [`Metrics::partitions_pruned`].
-    pub partitions_pruned: u64,
-    /// See [`Metrics::partitions_joined`].
-    pub partitions_joined: u64,
-    /// See [`Metrics::bytes_spilled`].
-    pub bytes_spilled: u64,
-    /// See [`Metrics::tasks_retried`].
-    pub tasks_retried: u64,
-    /// See [`Metrics::panics_caught`].
-    pub panics_caught: u64,
-    /// See [`Metrics::spill_failures`].
-    pub spill_failures: u64,
-    /// See [`Metrics::stages_degraded`].
-    pub stages_degraded: u64,
-    /// See [`Metrics::jobs_cancelled`].
-    pub jobs_cancelled: u64,
-    /// See [`Metrics::deadline_trips`].
-    pub deadline_trips: u64,
-    /// See [`Metrics::bytes_tracked`].
-    pub bytes_tracked: u64,
-    /// See [`Metrics::pressure_spills`].
-    pub pressure_spills: u64,
-    /// See [`Metrics::jobs_queued`].
-    pub jobs_queued: u64,
-    /// See [`Metrics::jobs_rejected`].
-    pub jobs_rejected: u64,
-    /// See [`Metrics::rows_quarantined`].
-    pub rows_quarantined: u64,
-    /// See [`Metrics::passes_executed`].
-    pub passes_executed: u64,
-    /// See [`Metrics::stages_fused`].
-    pub stages_fused: u64,
-    /// See [`Metrics::tuples_reprocessed`].
-    pub tuples_reprocessed: u64,
-    /// See [`Metrics::blocks_dirty`].
-    pub blocks_dirty: u64,
-    /// See [`Metrics::violations_retracted`].
-    pub violations_retracted: u64,
-    /// See [`Metrics::components_rerepaired`].
-    pub components_rerepaired: u64,
-    /// See [`Metrics::tuples_cloned`].
-    pub tuples_cloned: u64,
-    /// See [`Metrics::bytes_shuffled`].
-    pub bytes_shuffled: u64,
-    /// See [`Metrics::io_retries`].
-    pub io_retries: u64,
-    /// See [`Metrics::wal_appends`].
-    pub wal_appends: u64,
-    /// See [`Metrics::snapshots_written`].
-    pub snapshots_written: u64,
-    /// See [`Metrics::retries_short_circuited`].
-    pub retries_short_circuited: u64,
-    /// See [`Metrics::breaker_trips`].
-    pub breaker_trips: u64,
-    /// See [`Metrics::rules_quarantined`].
-    pub rules_quarantined: u64,
-    /// See [`Metrics::units_skipped`].
-    pub units_skipped: u64,
-    /// See [`Metrics::components_found`].
-    pub components_found: u64,
-    /// See [`Metrics::components_partitioned`].
-    pub components_partitioned: u64,
-    /// See [`Metrics::cc_supersteps`].
-    pub cc_supersteps: u64,
-    /// See [`Metrics::repair_cells_assigned`].
-    pub repair_cells_assigned: u64,
-    /// See [`Metrics::records_quarantined`].
-    pub records_quarantined: u64,
-    /// See [`Metrics::tuples_expired`].
-    pub tuples_expired: u64,
-    /// See [`Metrics::lsh_candidate_pairs`].
-    pub lsh_candidate_pairs: u64,
-    /// See [`Metrics::lsh_pairs_pruned`].
-    pub lsh_pairs_pruned: u64,
-    /// See [`Metrics::lsh_bands_probed`].
-    pub lsh_bands_probed: u64,
 }
 
 impl MetricsSnapshot {
-    /// Every counter as a `(name, value)` pair, in declaration order.
-    /// Lets callers aggregate snapshots from several engines (the serve
-    /// subsystem sums one per shard) without naming each field.
-    pub fn counters(&self) -> [(&'static str, u64); 43] {
-        [
-            ("tuples_scanned", self.tuples_scanned),
-            ("pairs_generated", self.pairs_generated),
-            ("detect_calls", self.detect_calls),
-            ("violations", self.violations),
-            ("records_shuffled", self.records_shuffled),
-            ("partitions_pruned", self.partitions_pruned),
-            ("partitions_joined", self.partitions_joined),
-            ("bytes_spilled", self.bytes_spilled),
-            ("tasks_retried", self.tasks_retried),
-            ("panics_caught", self.panics_caught),
-            ("spill_failures", self.spill_failures),
-            ("stages_degraded", self.stages_degraded),
-            ("jobs_cancelled", self.jobs_cancelled),
-            ("deadline_trips", self.deadline_trips),
-            ("bytes_tracked", self.bytes_tracked),
-            ("pressure_spills", self.pressure_spills),
-            ("jobs_queued", self.jobs_queued),
-            ("jobs_rejected", self.jobs_rejected),
-            ("rows_quarantined", self.rows_quarantined),
-            ("passes_executed", self.passes_executed),
-            ("stages_fused", self.stages_fused),
-            ("tuples_reprocessed", self.tuples_reprocessed),
-            ("blocks_dirty", self.blocks_dirty),
-            ("violations_retracted", self.violations_retracted),
-            ("components_rerepaired", self.components_rerepaired),
-            ("tuples_cloned", self.tuples_cloned),
-            ("bytes_shuffled", self.bytes_shuffled),
-            ("io_retries", self.io_retries),
-            ("wal_appends", self.wal_appends),
-            ("snapshots_written", self.snapshots_written),
-            ("retries_short_circuited", self.retries_short_circuited),
-            ("breaker_trips", self.breaker_trips),
-            ("rules_quarantined", self.rules_quarantined),
-            ("units_skipped", self.units_skipped),
-            ("components_found", self.components_found),
-            ("components_partitioned", self.components_partitioned),
-            ("cc_supersteps", self.cc_supersteps),
-            ("repair_cells_assigned", self.repair_cells_assigned),
-            ("records_quarantined", self.records_quarantined),
-            ("tuples_expired", self.tuples_expired),
-            ("lsh_candidate_pairs", self.lsh_candidate_pairs),
-            ("lsh_pairs_pruned", self.lsh_pairs_pruned),
-            ("lsh_bands_probed", self.lsh_bands_probed),
-        ]
-    }
-
     /// Render every counter as one flat JSON object (the serve
     /// subsystem's `GET /stats` payload; the workspace deliberately has
     /// no serde dependency).
@@ -451,5 +254,17 @@ mod tests {
             }
         });
         assert_eq!(Metrics::get(&m.records_shuffled), 8000);
+    }
+
+    #[test]
+    fn every_counter_is_declared_once() {
+        let names: Vec<&str> = MetricsSnapshot::default()
+            .counters()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(names.len(), MetricsSnapshot::COUNT);
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate counter name");
     }
 }

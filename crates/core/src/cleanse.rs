@@ -1,20 +1,16 @@
-//! The iterative detect ⇄ repair loop (§2.2 of the paper).
-//!
-//! "An iterative process terminates if there are no more violations or
-//! there are only violations with no corresponding possible fixes. The
-//! repair step may introduce new violations … to ensure termination, the
-//! algorithm puts a special variable on such units after a fixed number
-//! of iterations" — here a per-cell change counter; cells that exceed it
-//! are *frozen* and excluded from further updates.
+//! The batch cleanse loop (§2.2 of the paper): isolation-aware full
+//! detect rounds driven through the shared detect ⇄ repair rounds
+//! driver, [`bigdansing_repair::rounds`], which owns the freeze-counter
+//! termination rule and the change accounting.
 
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Value};
 use bigdansing_dataflow::bulkhead::{Bulkhead, IsolationOptions, RuleGuard};
-use bigdansing_plan::physical::{pipeline_for_rule, IterateStrategy};
+use bigdansing_plan::physical::{choose_strategy_with, pipeline_for_rule};
 use bigdansing_plan::{DetectOutput, Executor};
-use bigdansing_repair::{blackbox::RepairOptions, run_repair, Assignment};
+use bigdansing_repair::blackbox::RepairOptions;
+use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
 use bigdansing_rules::Rule;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 // Strategy selection lives in the repair crate so the incremental
@@ -157,6 +153,7 @@ pub struct CleanseResult {
 }
 
 /// Book-keeping for one rule across a job's detect rounds.
+#[derive(Default)]
 struct RuleTracker {
     name: String,
     units_processed: u64,
@@ -190,17 +187,7 @@ fn detect_round(
             continue;
         }
         let mut pipeline = pipeline_for_rule(Arc::clone(rule), table.name());
-        if let (
-            Some(p),
-            IterateStrategy::LshBlocks {
-                bands,
-                rows_per_band,
-            },
-        ) = (options.lsh, &mut pipeline.strategy)
-        {
-            *bands = p.bands;
-            *rows_per_band = p.rows_per_band;
-        }
+        pipeline.strategy = choose_strategy_with(rule.as_ref(), options.lsh);
         let guard = RuleGuard::arm(&name, iso);
         let run = executor.run_pipeline_guarded(data.try_duplicate()?, &pipeline, Some(&guard));
         trackers[i].units_processed += guard.units_processed();
@@ -264,6 +251,41 @@ fn health_report(bulkhead: &Bulkhead, trackers: &[RuleTracker]) -> CleanseOutcom
     }
 }
 
+/// The batch side of the shared rounds driver: every (re-)detect is a
+/// full isolation-aware [`detect_round`] over the current table, and a
+/// round's updates rebuild the table.
+struct BatchTarget<'a> {
+    executor: &'a Executor,
+    rules: &'a [Arc<dyn Rule>],
+    options: &'a CleanseOptions,
+    bulkhead: Bulkhead,
+    trackers: Vec<RuleTracker>,
+    table: Table,
+}
+
+impl RepairTarget for BatchTarget<'_> {
+    fn detect(&mut self) -> Result<Vec<Detected>> {
+        detect_round(
+            self.executor,
+            &self.table,
+            self.rules,
+            self.options,
+            &self.bulkhead,
+            &mut self.trackers,
+        )
+        .map(|out| out.detected)
+    }
+
+    fn cell_value(&self, cell: Cell) -> Option<&Value> {
+        self.table.cell_value(cell)
+    }
+
+    fn apply(&mut self, updates: &Assignment) -> Result<()> {
+        self.table = self.table.apply(updates)?;
+        Ok(())
+    }
+}
+
 /// Run the full cleansing process over `table`.
 ///
 /// With [`IsolationOptions::partial`] in the options, rule faults
@@ -281,102 +303,44 @@ pub fn cleanse_loop(
         return Err(Error::Repair("no rules registered".into()));
     }
     validate_lsh_override(&options, rules)?;
-    let bulkhead = Bulkhead::new(
-        options.isolation.breaker,
-        options.isolation.mode,
-        executor.engine().metrics().clone(),
-    );
-    let mut trackers: Vec<RuleTracker> = rules
-        .iter()
-        .map(|r| RuleTracker {
-            name: r.name().to_string(),
-            units_processed: 0,
-            units_skipped: 0,
-            rounds_ok: 0,
-            rounds_failed: 0,
-        })
-        .collect();
-    let mut current = table.clone();
-    let mut change_count: HashMap<Cell, usize> = HashMap::new();
-    let mut result = CleanseResult {
-        table: current.clone(),
-        iterations: 0,
-        total_violations: 0,
-        cells_changed: 0,
-        frozen_cells: 0,
-        repair_cost: 0.0,
-        converged: false,
-        outcome: CleanseOutcome::default(),
+    let mut target = BatchTarget {
+        executor,
+        rules,
+        options: &options,
+        bulkhead: Bulkhead::new(
+            options.isolation.breaker,
+            options.isolation.mode,
+            executor.engine().metrics().clone(),
+        ),
+        trackers: rules
+            .iter()
+            .map(|r| RuleTracker {
+                name: r.name().to_string(),
+                ..RuleTracker::default()
+            })
+            .collect(),
+        table: table.clone(),
     };
-    for _ in 0..options.max_iterations.max(1) {
-        // a deadline/cancellation that trips mid-repair is honoured at
-        // the next iteration boundary
-        executor.engine().check_cancelled()?;
-        let detected = detect_round(
-            executor,
-            &current,
-            rules,
-            &options,
-            &bulkhead,
-            &mut trackers,
-        )?;
-        if detected.is_clean() {
-            result.converged = true;
-            break;
-        }
-        result.iterations += 1;
-        result.total_violations += detected.violation_count();
-
-        let assignment: Assignment = run_repair(
-            executor.engine(),
-            &detected.detected,
-            &options.strategy,
-            options.repair_options,
-        )?;
-
-        // apply, honoring frozen cells and counting changes
-        let mut applicable: HashMap<Cell, Value> = HashMap::new();
-        for (cell, value) in assignment {
-            let count = change_count.entry(cell).or_insert(0);
-            if *count >= options.max_changes_per_cell {
-                continue; // frozen
-            }
-            if current.cell_value(cell) == Some(&value) {
-                continue; // no-op
-            }
-            *count += 1;
-            if *count == options.max_changes_per_cell {
-                result.frozen_cells += 1;
-            }
-            applicable.insert(cell, value);
-        }
-        if applicable.is_empty() {
-            // only violations with no (applicable) fixes remain: the
-            // paper's second termination condition
-            break;
-        }
-        for (cell, value) in &applicable {
-            if let Some(old) = current.cell_value(*cell) {
-                result.repair_cost += old.distance(value);
-            }
-        }
-        result.cells_changed += applicable.len();
-        current = current.apply(&applicable)?;
-    }
-    if !result.converged {
-        result.converged = detect_round(
-            executor,
-            &current,
-            rules,
-            &options,
-            &bulkhead,
-            &mut trackers,
-        )?
-        .is_clean();
-    }
-    result.table = current;
-    result.outcome = health_report(&bulkhead, &trackers);
-    Ok(result)
+    let rounds = run_rounds(
+        executor.engine(),
+        &mut target,
+        RoundsOptions {
+            max_iterations: options.max_iterations,
+            max_changes_per_cell: options.max_changes_per_cell,
+            strategy: &options.strategy,
+            repair_options: options.repair_options,
+        },
+    )?;
+    Ok(CleanseResult {
+        outcome: health_report(&target.bulkhead, &target.trackers),
+        table: target.table,
+        iterations: rounds.iterations,
+        total_violations: rounds.total_violations,
+        cells_changed: rounds.cells_changed,
+        frozen_cells: rounds.frozen_cells,
+        repair_cost: rounds.repair_cost,
+        converged: rounds.converged,
+    })
 }
 
 #[cfg(test)]
@@ -386,6 +350,7 @@ mod tests {
     use bigdansing_dataflow::Engine;
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{DcRule, DedupRule, FdRule, UdfRule, UnitKind};
+    use std::collections::HashMap;
 
     fn fd_table() -> Table {
         let schema = Schema::parse("zipcode,city");

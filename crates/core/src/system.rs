@@ -281,6 +281,21 @@ impl BigDansing {
         })
     }
 
+    /// The session-side form of `options`, after checking that a
+    /// job-level LSH override has a similarity rule to apply to.
+    fn session_options(&self, options: CleanseOptions) -> Result<SessionOptions> {
+        crate::cleanse::validate_lsh_override(&options, &self.rules)?;
+        Ok(SessionOptions {
+            max_iterations: options.max_iterations,
+            max_changes_per_cell: options.max_changes_per_cell,
+            strategy: options.strategy,
+            repair_options: options.repair_options,
+            isolation: options.isolation,
+            window: options.window,
+            lsh: options.lsh,
+        })
+    }
+
     /// Open an incremental cleansing [`Session`] over `table` with the
     /// registered rules. The session keeps a persistent block index and
     /// violation store so later [`Self::apply_delta`] calls reprocess
@@ -288,20 +303,11 @@ impl BigDansing {
     /// detect as a governed job (admission, deadline, cancellation).
     pub fn open_session(&self, table: &Table, options: CleanseOptions) -> Result<Session> {
         self.governed("session-open", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
             Session::new(
                 self.executor.clone(),
                 self.rules.clone(),
                 table,
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
+                self.session_options(options)?,
             )
         })
     }
@@ -320,20 +326,11 @@ impl BigDansing {
         durability: DurabilityOptions,
     ) -> Result<Session> {
         self.governed("session-open", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
             Session::open_durable(
                 self.executor.clone(),
                 self.rules.clone(),
                 table,
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
+                self.session_options(options)?,
                 durability,
             )
         })
@@ -349,19 +346,10 @@ impl BigDansing {
         durability: DurabilityOptions,
     ) -> Result<(Session, RecoverStats)> {
         self.governed("session-recover", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
             Session::recover(
                 self.executor.clone(),
                 self.rules.clone(),
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
+                self.session_options(options)?,
                 durability,
             )
         })

@@ -178,18 +178,19 @@ fn parse_delta_line(line: &str, schema: &Schema) -> std::result::Result<DeltaOp,
     })
 }
 
+/// The index of every tuple in `table`, by id.
+pub(crate) fn positions(table: &Table) -> HashMap<TupleId, usize> {
+    let by_id = table.tuples().iter().enumerate();
+    by_id.map(|(i, t)| (t.id(), i)).collect()
+}
+
 /// Materialize `batch` against `table`: deletes remove the row, updates
 /// replace values in place (the tuple keeps its position), inserts
 /// append at the end in batch order. This is the from-scratch oracle
 /// the incremental [`crate::Session`] must agree with.
 pub fn apply_batch_to_table(table: &Table, batch: &DeltaBatch) -> Result<Table> {
     let mut tuples: Vec<Option<Tuple>> = table.tuples().iter().cloned().map(Some).collect();
-    let mut pos: HashMap<TupleId, usize> = table
-        .tuples()
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.id(), i))
-        .collect();
+    let mut pos = positions(table);
     for op in &batch.ops {
         match op {
             DeltaOp::Insert(t) => {

@@ -9,11 +9,12 @@
 //! tuples changed since the last run. This crate keeps a cleansing
 //! [`Session`] alive across delta batches:
 //!
-//! * a **persistent block index** per rule (blocking-key → scoped
+//! * a **persistent candidate index** per rule (bucket key → scoped
 //!   tuples, or the partitioned sorted lists of
 //!   [`bigdansing_ocjoin::OcIndex`] for inequality rules) survives
-//!   between batches, so candidate generation touches only the blocks a
-//!   delta dirties;
+//!   between batches, so candidate generation touches only the buckets
+//!   a delta dirties — enumerated by the same index-key and pair-rule
+//!   core ([`bigdansing_plan::enumerate`]) the batch reducers use;
 //! * a **violation store** records, for every live violation, the data
 //!   units that produced it, so violations whose contributing rows were
 //!   deleted or updated are *retracted* instead of recomputed;
@@ -46,7 +47,11 @@
 //! the durable snapshot, so recovery resumes the watermark exactly.
 
 pub mod delta;
+mod durable;
+mod index;
+mod report;
 pub mod session;
+mod store;
 pub mod wal;
 pub mod window;
 
@@ -54,3 +59,27 @@ pub use delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
 pub use session::{DeltaReport, Session, SessionOptions};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};
 pub use window::WindowSpec;
+
+#[cfg(test)]
+pub(crate) mod fixtures {
+    //! The two-row FD workload the session, durability and window tests
+    //! share.
+    use bigdansing_common::{Schema, Table, Value};
+    use bigdansing_rules::{FdRule, Rule};
+    use std::sync::Arc;
+
+    pub(crate) fn fd_rules(schema: &Schema) -> Vec<Arc<dyn Rule>> {
+        vec![Arc::new(FdRule::parse("zipcode -> city", schema).unwrap())]
+    }
+
+    pub(crate) fn base_table(schema: &Schema) -> Table {
+        Table::from_rows(
+            "t",
+            schema.clone(),
+            vec![
+                vec![Value::Int(1), Value::str("LA")],
+                vec![Value::Int(2), Value::str("NY")],
+            ],
+        )
+    }
+}

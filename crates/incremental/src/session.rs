@@ -1,53 +1,51 @@
 //! The incremental cleansing [`Session`]: delta-driven detection over
-//! persistent per-rule indexes, violation retraction, and a repair loop
-//! that mirrors the batch `cleanse_loop` exactly.
+//! persistent per-rule indexes, violation retraction, and re-repair
+//! through the same rounds driver as the batch `cleanse_loop`.
 //!
 //! # Oracle equivalence
 //!
 //! The session maintains one invariant: **after every index update, the
 //! violation store equals a full `Executor::detect` over the current
-//! table, as a multiset**. The argument, per iterate strategy:
+//! table, as a multiset**. Batch and session enumerate candidates with
+//! the same core ([`bigdansing_plan::enumerate`]) — the batch reducers
+//! with every bucket member fresh, the session with the delta as the
+//! freshness mask over buckets kept in table order (the `index`
+//! module). When a tuple changes, every violation whose
+//! generating unit involved it is retracted and exactly the units that
+//! involve its new version (`delta×resident ∪ delta×delta`) are
+//! re-detected; units among untouched residents are unchanged by
+//! construction.
 //!
-//! * block membership order equals global table order (the engine's
-//!   `group_by_key` concatenates map-side buckets in partition order),
-//!   so orienting unordered candidate pairs by a persistent per-tuple
-//!   sequence number reproduces the batch enumeration byte for byte;
-//! * when a tuple changes, every violation whose generating unit
-//!   involved it is retracted and exactly the units that involve its
-//!   new version (`delta×resident ∪ delta×delta`, within the dirtied
-//!   blocks) are re-detected — units among untouched residents are
-//!   unchanged by construction;
-//! * inequality rules probe the persistent [`OcIndex`] from both sides,
-//!   which yields precisely the delta-involving subset of the batch
-//!   OCJoin's ordered pairs.
-//!
-//! The repair phase then replays the batch loop: full-store repair per
-//! round with a fresh per-cell change counter, the same frozen/no-op
-//! filters, and the changed cells of each round fed back through the
-//! incremental detection path. The one *scoped* shortcut — skipping
-//! repair entirely when a batch adds and retracts nothing and the
-//! previous loop ended stably (every surviving fix filtered as a no-op)
-//! — is sound because repair input depends only on the stored
-//! violations, which are untouched, so the batch loop would break on an
-//! empty applicable set in its first round too.
+//! The repair phase runs [`bigdansing_repair::run_rounds`] — the one
+//! detect ⇄ repair driver — with the store as its detect and the
+//! changed cells of each round fed back through the incremental
+//! detection path. The one *scoped* shortcut — skipping repair entirely
+//! when a batch adds and retracts nothing and the previous run ended
+//! stably (every surviving fix filtered as a no-op) — is sound because
+//! repair input depends only on the stored violations, which are
+//! untouched, so the driver would break on an empty applicable set in
+//! its first round too.
 
-use crate::delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
-use crate::wal::{
-    self, DurabilityOptions, ProvState, RecoverStats, SessionState, StoredState, Wal, WindowState,
-};
-use crate::window::WindowSpec;
+use crate::delta::{apply_batch_to_table, positions, DeltaBatch, DeltaOp};
+use crate::durable::Durable;
+use crate::index::RuleIndex;
+use crate::report::ApplyStats;
+pub use crate::report::DeltaReport;
+use crate::store::Store;
+use crate::wal::{ProvState, StoredState};
+use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::bulkhead::IsolationOptions;
-use bigdansing_dataflow::{Dio, Engine, PDataset};
-use bigdansing_ocjoin::{try_ocjoin, OcIndex, OcJoinConfig};
-use bigdansing_plan::physical::choose_strategy;
-use bigdansing_plan::{Executor, IterateStrategy};
+use bigdansing_dataflow::{Engine, PDataset};
+use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
-use bigdansing_repair::{run_repair, Detected, RepairStrategy};
-use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use bigdansing_repair::{
+    run_rounds, Assignment, Detected, RepairStrategy, RepairTarget, RoundsOptions,
+};
+use bigdansing_rules::{DetectUnit, Fix, Rule, Violation};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Options governing a [`Session`]'s repair loop — the same knobs as the
@@ -97,402 +95,85 @@ impl Default for SessionOptions {
     }
 }
 
-/// What one [`Session::apply`] did.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaReport {
-    /// Inserts in the batch.
-    pub inserted: usize,
-    /// Updates in the batch.
-    pub updated: usize,
-    /// Deletes in the batch.
-    pub deleted: usize,
-    /// Distinct tuples that participated in re-detected units (delta
-    /// tuples, their block partners, and repair-touched tuples).
-    pub tuples_reprocessed: u64,
-    /// Distinct `(rule, block key)` pairs dirtied by the batch.
-    pub blocks_dirty: u64,
-    /// Violations newly added to the store.
-    pub violations_added: u64,
-    /// Violations retracted because a contributing row was deleted,
-    /// updated, or re-blocked.
-    pub violations_retracted: u64,
-    /// Connected components of the violation graph touched by added or
-    /// retracted violations (the scope of re-repair).
-    pub components_rerepaired: u64,
-    /// Repair iterations executed.
-    pub iterations: usize,
-    /// Violations seen across all repair iterations.
-    pub total_violations: usize,
-    /// Distinct cell updates applied by repair.
-    pub cells_changed: usize,
-    /// Cells frozen by the termination rule.
-    pub frozen_cells: usize,
-    /// Σ distance(old, new) over applied updates.
-    pub repair_cost: f64,
-    /// Violations still live after the apply.
-    pub violations_remaining: usize,
-    /// True when the table ended violation-free.
-    pub converged: bool,
-    /// True when the scoped-re-repair shortcut skipped the repair loop
-    /// (no violations added or retracted, previous loop ended stably).
-    pub repair_skipped: bool,
-    /// Rules quarantined so far (this apply and earlier ones): in
-    /// partial isolation mode, a rule whose detection faults is
-    /// excluded for the rest of the session instead of poisoning it.
-    pub rules_quarantined: u64,
-    /// Tuples retired by the violation window because the watermark
-    /// passed their last containing window (windowed sessions only).
-    pub tuples_expired: usize,
-}
-
-/// How a rule's candidate units are generated incrementally — the
-/// session-side mirror of [`IterateStrategy`].
-#[derive(Debug, Clone)]
-enum Kind {
-    /// One unit per scoped tuple.
-    Single,
-    /// Pairs within blocks. `keyed`: use the rule's Block operator
-    /// (otherwise everything shares one global block). `ordered`: emit
-    /// both orientations. `distinct_ids`: skip same-id pairs (the
-    /// CrossProduct diagonal filter).
-    Blocked {
-        keyed: bool,
-        ordered: bool,
-        distinct_ids: bool,
-    },
-    /// Whole blocks as units.
-    List,
-    /// Inequality joins through the persistent [`OcIndex`].
-    Ordered,
-    /// MinHash/LSH banding for similarity rules: the block index holds
-    /// every tuple under each of its `(band, bucket hash)` keys, delta
-    /// tuples probe all their band buckets, and a cross-band seen-set
-    /// keeps each candidate pair single-shot — mirroring the batch
-    /// executor's first-shared-band dedup.
-    Lsh { bands: usize, rows_per_band: usize },
-}
-
-fn kind_of(strategy: &IterateStrategy) -> Kind {
-    match strategy {
-        IterateStrategy::SingleUnits => Kind::Single,
-        IterateStrategy::BlockPairs { ordered } => Kind::Blocked {
-            keyed: true,
-            ordered: *ordered,
-            distinct_ids: false,
-        },
-        IterateStrategy::BlockList => Kind::List,
-        IterateStrategy::UCrossProduct => Kind::Blocked {
-            keyed: false,
-            ordered: false,
-            distinct_ids: false,
-        },
-        IterateStrategy::CrossProduct => Kind::Blocked {
-            keyed: false,
-            ordered: true,
-            distinct_ids: true,
-        },
-        IterateStrategy::OcJoin(_) => Kind::Ordered,
-        IterateStrategy::LshBlocks {
-            bands,
-            rows_per_band,
-        } => Kind::Lsh {
-            bands: *bands,
-            rows_per_band: *rows_per_band,
-        },
-    }
-}
-
-/// [`kind_of`] with the session-level LSH geometry override applied —
-/// the incremental mirror of the batch loop rewriting its pipeline
-/// strategy from [`SessionOptions::lsh`].
-fn kind_for(rule: &dyn Rule, lsh: Option<LshParams>) -> Kind {
-    let mut strategy = choose_strategy(rule);
-    if let (
-        Some(p),
-        IterateStrategy::LshBlocks {
-            bands,
-            rows_per_band,
-        },
-    ) = (lsh, &mut strategy)
-    {
-        *bands = p.bands;
-        *rows_per_band = p.rows_per_band;
-    }
-    kind_of(&strategy)
-}
-
-/// One scoped tuple resident in a block, with its enumeration position:
-/// `seq` is the owning tuple's table-order sequence number, `rep` the
-/// index among that tuple's Scope outputs.
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
-    rep: u32,
-    tuple: Tuple,
-}
-
-impl Entry {
-    fn pos(&self) -> (u64, u32) {
-        (self.seq, self.rep)
-    }
-}
-
-/// Per-rule persistent state: the scoped tuples by source id and the
-/// rule's candidate-generation index.
-struct RuleState {
-    rule: Arc<dyn Rule>,
-    kind: Kind,
-    /// Scope outputs per source tuple (`rep` order), keyed by the seq
-    /// the entries were indexed under. Removal must use this recorded
-    /// seq, not the live one: a delete-then-reinsert batch reassigns
-    /// `Session::seqs[id]` before the indexes are cleaned up.
-    scoped: HashMap<TupleId, (u64, Vec<(u32, Tuple)>)>,
-    /// Block index (blocking key → members in table order). Used by
-    /// `Blocked` (key `[]` when unkeyed) and `List`.
-    blocks: HashMap<BlockKey, Vec<Entry>>,
-    /// The inequality index, built lazily on first ingest.
-    oc: Option<OcIndex>,
-    /// The fault that quarantined this rule (partial isolation mode):
-    /// its indexes are dropped and redetection skips it for the rest of
-    /// the session. `None` while healthy.
-    quarantined: Option<String>,
-}
-
-/// Where a stored violation came from: the tuple ids of the unit that
-/// produced it, or — for list rules — the whole block.
-#[derive(Debug, Clone)]
-enum Provenance {
-    Tuples(Vec<TupleId>),
-    Block(BlockKey),
-}
-
-struct Stored {
-    rule: usize,
-    violation: Violation,
-    fixes: Vec<Fix>,
-    prov: Provenance,
-}
-
-/// The violation store: live violations with provenance indexes for
-/// retraction by tuple and by block.
-#[derive(Default)]
-struct Store {
-    items: BTreeMap<u64, Stored>,
-    next: u64,
-    by_tuple: HashMap<TupleId, BTreeSet<u64>>,
-    by_block: HashMap<(usize, BlockKey), BTreeSet<u64>>,
-}
-
-impl Store {
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    fn add(&mut self, rule: usize, violation: Violation, fixes: Vec<Fix>, prov: Provenance) {
-        let id = self.next;
-        self.next += 1;
-        match &prov {
-            Provenance::Tuples(ids) => {
-                for t in ids {
-                    self.by_tuple.entry(*t).or_default().insert(id);
-                }
-            }
-            Provenance::Block(key) => {
-                self.by_block
-                    .entry((rule, key.clone()))
-                    .or_default()
-                    .insert(id);
-            }
-        }
-        self.items.insert(
-            id,
-            Stored {
-                rule,
-                violation,
-                fixes,
-                prov,
-            },
-        );
-    }
-
-    /// Re-insert a stored violation under a known id (snapshot
-    /// recovery), maintaining the provenance indexes and keeping
-    /// `next` ahead of every live id.
-    fn insert_raw(&mut self, id: u64, stored: Stored) {
-        match &stored.prov {
-            Provenance::Tuples(ids) => {
-                for t in ids {
-                    self.by_tuple.entry(*t).or_default().insert(id);
-                }
-            }
-            Provenance::Block(key) => {
-                self.by_block
-                    .entry((stored.rule, key.clone()))
-                    .or_default()
-                    .insert(id);
-            }
-        }
-        self.items.insert(id, stored);
-        self.next = self.next.max(id + 1);
-    }
-
-    fn remove(&mut self, id: u64) -> Option<Stored> {
-        let stored = self.items.remove(&id)?;
-        match &stored.prov {
-            Provenance::Tuples(ids) => {
-                for t in ids {
-                    if let Some(set) = self.by_tuple.get_mut(t) {
-                        set.remove(&id);
-                        if set.is_empty() {
-                            self.by_tuple.remove(t);
-                        }
-                    }
-                }
-            }
-            Provenance::Block(key) => {
-                let k = (stored.rule, key.clone());
-                if let Some(set) = self.by_block.get_mut(&k) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.by_block.remove(&k);
-                    }
-                }
-            }
-        }
-        Some(stored)
-    }
-
-    /// Retract every violation whose generating unit involved a dirty
-    /// tuple. Returns the removed items.
-    fn retract_tuples(&mut self, dirty: &BTreeSet<TupleId>) -> Vec<Stored> {
-        let mut ids: BTreeSet<u64> = BTreeSet::new();
-        for t in dirty {
-            if let Some(set) = self.by_tuple.get(t) {
-                ids.extend(set.iter().copied());
-            }
-        }
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
-    }
-
-    /// Retract every violation detected by rule `rule` (quarantine:
-    /// a faulted rule's stored violations must not feed repair).
-    fn retract_rule(&mut self, rule: usize) -> Vec<Stored> {
-        let ids: Vec<u64> = self
-            .items
-            .iter()
-            .filter(|(_, s)| s.rule == rule)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
-    }
-
-    /// Retract every violation attributed to `(rule, key)`.
-    fn retract_block(&mut self, rule: usize, key: &BlockKey) -> Vec<Stored> {
-        let ids: Vec<u64> = self
-            .by_block
-            .get(&(rule, key.clone()))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
-    }
-
-    /// The `(violation, fixes)` snapshot handed to repair, in insertion
-    /// order (repair strategies used here are order-independent).
-    fn detected(&self) -> Vec<Detected> {
-        self.items
-            .values()
-            .map(|s| (s.violation.clone(), s.fixes.clone()))
-            .collect()
-    }
-}
-
-/// Per-apply bookkeeping feeding the new metrics.
-#[derive(Default)]
-struct ApplyStats {
-    reprocessed: BTreeSet<TupleId>,
-    blocks: BTreeSet<(usize, BlockKey)>,
-    added: u64,
-    retracted: u64,
-    /// Tuple ids of violations added or retracted (component markers).
-    markers: BTreeSet<TupleId>,
-}
-
-impl ApplyStats {
-    fn mark_stored(&mut self, s: &Stored) {
-        self.markers.extend(s.violation.tuple_ids());
-        if let Provenance::Tuples(ids) = &s.prov {
-            self.markers.extend(ids.iter().copied());
-        }
-    }
-}
-
-/// The durability attachment of a session: the open WAL, the snapshot
-/// cadence, and the watermarks tying both to the apply sequence.
-struct Durable {
-    dir: std::path::PathBuf,
-    wal: Wal,
-    snapshot_every: u64,
-    /// Batch sequence covered by the latest on-disk snapshot.
-    last_snapshot_seq: u64,
-    /// Sequence of the last *successfully applied* batch. A batch that
-    /// reached the WAL but failed mid-apply is excluded — recovery
-    /// replays it.
-    last_seq: u64,
-    dio: Dio,
-}
-
-/// Violation-window state: the logical clock handing out event times
-/// and the event time of every live tuple. Event times are arrival
-/// ordinals — assigned in batch op order — so WAL replay reproduces
-/// the exact same expirations a live run performed.
-struct Win {
-    spec: WindowSpec,
-    /// Next event time to assign; the watermark is `clock - 1`.
-    clock: u64,
-    times: HashMap<TupleId, u64>,
-}
-
 /// A long-lived incremental cleansing session over one base table.
 pub struct Session {
-    executor: Executor,
-    rules: Vec<Arc<dyn Rule>>,
-    options: SessionOptions,
-    table: Table,
+    pub(crate) executor: Executor,
+    pub(crate) rules: Vec<Arc<dyn Rule>>,
+    pub(crate) options: SessionOptions,
+    pub(crate) table: Table,
     /// Table-order sequence number per live tuple: base tuples keep
     /// their position, inserts get fresh increasing numbers (they append
     /// at the end), updates keep theirs, deletes drop theirs. Relative
     /// order always matches the materialized table.
-    seqs: HashMap<TupleId, u64>,
+    pub(crate) seqs: HashMap<TupleId, u64>,
     /// Current index of each live tuple in [`Session::table`] — lets
     /// delta-free-of-delete batches and repair rounds mutate the table
     /// in place instead of rebuilding its O(n) tuple vector. Rebuilt
     /// after deletes (positions shift).
-    pos: HashMap<TupleId, usize>,
-    next_seq: u64,
-    states: Vec<RuleState>,
-    store: Store,
+    pub(crate) pos: HashMap<TupleId, usize>,
+    pub(crate) next_seq: u64,
+    pub(crate) states: Vec<RuleIndex>,
+    pub(crate) store: Store,
     /// True when the last repair loop ended stably: violation-free, or
     /// with every surviving fix filtered as a no-op (never by the freeze
     /// counter or the iteration cap). Gates the skip-repair shortcut.
-    stable: bool,
+    pub(crate) stable: bool,
     /// True when an earlier [`Session::apply`] failed *after* the table
     /// was materialized (cancellation, deadline, memory ceiling, or a
     /// stage failure mid-redetect/repair): the indexes and violation
     /// store no longer match the table, so further applies are refused.
-    poisoned: bool,
-    applies: u64,
+    pub(crate) poisoned: bool,
+    pub(crate) applies: u64,
     /// Durability state when the session was opened with
     /// [`Session::open_durable`] or [`Session::recover`].
-    durable: Option<Durable>,
+    pub(crate) durable: Option<Durable>,
     /// Window state when [`SessionOptions::window`] was set.
-    win: Option<Win>,
+    pub(crate) win: Option<Win>,
 }
 
 impl Session {
+    /// A session skeleton over `table` — sequence numbers (`seqs`,
+    /// aligned with the table's tuples), position index, empty per-rule
+    /// indexes and store — before any detection or index build.
+    /// `duplicate` words the error for a tuple id that occurs twice.
+    pub(crate) fn skeleton(
+        executor: Executor,
+        rules: Vec<Arc<dyn Rule>>,
+        options: SessionOptions,
+        table: Table,
+        seqs: impl Iterator<Item = u64>,
+        duplicate: fn(TupleId) -> Error,
+    ) -> Result<Session> {
+        if rules.is_empty() {
+            return Err(Error::Repair("no rules registered".into()));
+        }
+        let ids = || table.tuples().iter().map(Tuple::id);
+        let seqs: HashMap<TupleId, u64> = ids().zip(seqs).collect();
+        if seqs.len() != table.len() {
+            let mut seen = HashSet::new();
+            let short = || Error::Corrupt("sequence numbers do not cover the table".into());
+            return Err(ids()
+                .find(|id| !seen.insert(*id))
+                .map_or_else(short, duplicate));
+        }
+        Ok(Session {
+            states: RuleIndex::for_rules(&rules, options.lsh),
+            executor,
+            rules,
+            options,
+            next_seq: table.len() as u64,
+            pos: positions(&table),
+            table,
+            seqs,
+            store: Store::default(),
+            stable: false,
+            poisoned: false,
+            applies: 0,
+            durable: None,
+            win: None,
+        })
+    }
+
     /// Open a session over `table`: builds the per-rule indexes and the
     /// initial violation store (a full detect's worth of violations,
     /// with provenance). The base table is *not* repaired — the first
@@ -504,350 +185,23 @@ impl Session {
         table: &Table,
         options: SessionOptions,
     ) -> Result<Session> {
-        if rules.is_empty() {
-            return Err(Error::Repair("no rules registered".into()));
-        }
-        let mut seqs = HashMap::with_capacity(table.len());
-        let mut pos = HashMap::with_capacity(table.len());
-        for (i, t) in table.tuples().iter().enumerate() {
-            if seqs.insert(t.id(), i as u64).is_some() {
-                return Err(Error::Repair(format!(
-                    "duplicate tuple id {} in base table",
-                    t.id()
-                )));
-            }
-            pos.insert(t.id(), i);
-        }
-        let states = rules
-            .iter()
-            .map(|r| RuleState {
-                rule: Arc::clone(r),
-                kind: kind_for(r.as_ref(), options.lsh),
-                scoped: HashMap::new(),
-                blocks: HashMap::new(),
-                oc: None,
-                quarantined: None,
-            })
-            .collect();
-        // Base rows get event times in table order, as if they streamed
-        // in one at a time before the session opened.
-        let win = options.window.map(|spec| Win {
-            spec,
-            clock: table.len() as u64,
-            times: table
-                .tuples()
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.id(), i as u64))
-                .collect(),
-        });
-        let mut session = Session {
-            executor,
-            rules,
-            options,
-            table: table.clone(),
-            next_seq: table.len() as u64,
-            seqs,
-            pos,
-            states,
-            store: Store::default(),
-            stable: false,
-            poisoned: false,
-            applies: 0,
-            durable: None,
-            win,
-        };
-        let dirty: BTreeSet<TupleId> = table.tuples().iter().map(Tuple::id).collect();
-        let fresh: HashMap<TupleId, Tuple> =
-            table.tuples().iter().map(|t| (t.id(), t.clone())).collect();
+        let win = options.window.map(|spec| Win::over_base(spec, table));
+        let seqs = 0..table.len() as u64;
+        let mut session = Session::skeleton(executor, rules, options, table.clone(), seqs, |id| {
+            Error::Repair(format!("duplicate tuple id {id} in base table"))
+        })?;
+        session.win = win;
         let mut stats = ApplyStats::default();
-        session.redetect(&dirty, &fresh, &mut stats)?;
+        let all: BTreeSet<TupleId> = table.tuples().iter().map(Tuple::id).collect();
+        session.redetect(&all, &mut stats)?;
         // A base table longer than the window already has closed
         // windows behind its watermark: retire them now so the session
         // starts with only live-window rows.
-        let mut expired_dirty = BTreeSet::new();
-        if session.expire_past_watermark(&mut expired_dirty)? > 0 {
-            let fresh = session.snapshot_tuples(&expired_dirty);
-            session.redetect(&expired_dirty, &fresh, &mut stats)?;
+        let mut expired = BTreeSet::new();
+        if session.expire_past_watermark(&mut expired)? > 0 {
+            session.redetect(&expired, &mut stats)?;
         }
         Ok(session)
-    }
-
-    /// Open a **durable** session: like [`Session::new`], but every
-    /// applied batch is WAL-logged before mutation and the full state
-    /// is snapshotted atomically every `durability.snapshot_every`
-    /// batches (plus a baseline snapshot now, so the directory is
-    /// recoverable from the start). Refuses a directory that already
-    /// holds a snapshot — recover it with [`Session::recover`] or
-    /// clear it explicitly.
-    pub fn open_durable(
-        executor: Executor,
-        rules: Vec<Arc<dyn Rule>>,
-        table: &Table,
-        options: SessionOptions,
-        durability: DurabilityOptions,
-    ) -> Result<Session> {
-        if wal::snapshot_path(&durability.dir).exists() {
-            return Err(Error::Io(format!(
-                "{}: already a durable session directory; use Session::recover \
-                 (or remove it) instead of opening over it",
-                durability.dir.display()
-            )));
-        }
-        let mut session = Session::new(executor, rules, table, options)?;
-        wal::sweep_dir(&durability.dir);
-        let w = Wal::create(&durability.dir)?;
-        let dio = Dio::from_engine(session.executor.engine());
-        session.durable = Some(Durable {
-            dir: durability.dir,
-            wal: w,
-            snapshot_every: durability.snapshot_every,
-            last_snapshot_seq: 0,
-            last_seq: 0,
-            dio,
-        });
-        session.snapshot()?;
-        Ok(session)
-    }
-
-    /// Rebuild a session from a durable directory: load the latest
-    /// snapshot, verify it was produced by the same rule set, rebuild
-    /// the per-rule indexes deterministically, then replay the WAL
-    /// records past the snapshot watermark (truncating any torn tail
-    /// left by a crash mid-append). A batch that was WAL-logged but
-    /// whose apply never finished — including one that *poisoned* the
-    /// previous session — is applied now. If anything was replayed, a
-    /// fresh snapshot is written so the next recovery starts hot.
-    pub fn recover(
-        executor: Executor,
-        rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
-        durability: DurabilityOptions,
-    ) -> Result<(Session, RecoverStats)> {
-        wal::sweep_dir(&durability.dir);
-        let state = wal::read_snapshot(&durability.dir)?.ok_or_else(|| {
-            Error::Io(format!(
-                "{}: no snapshot to recover from",
-                durability.dir.display()
-            ))
-        })?;
-        let names: Vec<String> = rules.iter().map(|r| r.name().to_string()).collect();
-        if names != state.rule_names {
-            return Err(Error::Repair(format!(
-                "recover: rule set mismatch — snapshot was written with [{}], \
-                 session opened with [{}]",
-                state.rule_names.join(", "),
-                names.join(", ")
-            )));
-        }
-        let mut session = Session::from_state(executor, rules, options, &state)?;
-        let (w, records) = Wal::open(&durability.dir)?;
-        let dio = Dio::from_engine(session.executor.engine());
-        session.durable = Some(Durable {
-            dir: durability.dir,
-            wal: w,
-            snapshot_every: durability.snapshot_every,
-            last_snapshot_seq: state.last_seq,
-            last_seq: state.last_seq,
-            dio,
-        });
-        let mut stats = RecoverStats {
-            snapshot_seq: state.last_seq,
-            replayed: 0,
-            last_seq: state.last_seq,
-        };
-        for (seq, batch) in records {
-            if seq <= state.last_seq {
-                continue;
-            }
-            session.apply_impl(batch, false)?;
-            let d = session.durable.as_mut().expect("durable was just attached");
-            d.last_seq = seq;
-            stats.last_seq = seq;
-            stats.replayed += 1;
-        }
-        if stats.replayed > 0 {
-            session.snapshot()?;
-        }
-        Ok((session, stats))
-    }
-
-    /// Rebuild a session skeleton from snapshot state: table, sequence
-    /// numbers, violation store (ids preserved), and freshly re-scoped
-    /// per-rule indexes — no detection runs, the store is trusted.
-    fn from_state(
-        executor: Executor,
-        rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
-        state: &SessionState,
-    ) -> Result<Session> {
-        if rules.is_empty() {
-            return Err(Error::Repair("no rules registered".into()));
-        }
-        let table = state.table();
-        let mut seqs = HashMap::with_capacity(table.len());
-        let mut pos = HashMap::with_capacity(table.len());
-        for (i, t) in table.tuples().iter().enumerate() {
-            if seqs.insert(t.id(), state.seqs[i]).is_some() {
-                return Err(Error::Corrupt(format!(
-                    "snapshot: duplicate tuple id {}",
-                    t.id()
-                )));
-            }
-            pos.insert(t.id(), i);
-        }
-        let states = rules
-            .iter()
-            .map(|r| RuleState {
-                rule: Arc::clone(r),
-                kind: kind_for(r.as_ref(), options.lsh),
-                scoped: HashMap::new(),
-                blocks: HashMap::new(),
-                oc: None,
-                quarantined: None,
-            })
-            .collect();
-        let mut store = Store::default();
-        for item in &state.items {
-            let rule = item.rule as usize;
-            if rule >= rules.len() {
-                return Err(Error::Corrupt(format!(
-                    "snapshot: violation references rule {rule} of {}",
-                    rules.len()
-                )));
-            }
-            let prov = match &item.prov {
-                ProvState::Tuples(ids) => Provenance::Tuples(ids.clone()),
-                ProvState::Block(vals) => {
-                    let mut key = BlockKey::new();
-                    for v in vals {
-                        key.push(v.clone());
-                    }
-                    Provenance::Block(key)
-                }
-            };
-            store.insert_raw(
-                item.id,
-                Stored {
-                    rule,
-                    violation: item.violation.clone(),
-                    fixes: item.fixes.clone(),
-                    prov,
-                },
-            );
-        }
-        store.next = store.next.max(state.store_next);
-        let win = match (&options.window, &state.window) {
-            (None, None) => None,
-            (Some(spec), Some(ws)) if spec.size == ws.size && spec.slide == ws.slide => Some(Win {
-                spec: *spec,
-                clock: ws.clock,
-                times: table
-                    .tuples()
-                    .iter()
-                    .zip(&ws.times)
-                    .map(|(t, ts)| (t.id(), *ts))
-                    .collect(),
-            }),
-            (opt, snap) => {
-                let show_opt = opt.map(|w| w.to_string()).unwrap_or_else(|| "none".into());
-                let show_snap = snap
-                    .as_ref()
-                    .map(|w| format!("{}:{}", w.size, w.slide))
-                    .unwrap_or_else(|| "none".into());
-                return Err(Error::Repair(format!(
-                    "recover: window mismatch — snapshot has {show_snap}, \
-                     session opened with {show_opt}"
-                )));
-            }
-        };
-        let mut session = Session {
-            executor,
-            rules,
-            options,
-            table,
-            seqs,
-            pos,
-            next_seq: state.next_seq,
-            states,
-            store,
-            stable: state.stable,
-            poisoned: false,
-            applies: state.applies,
-            durable: None,
-            win,
-        };
-        session.rebuild_indexes();
-        Ok(session)
-    }
-
-    /// Re-scope every live tuple into the per-rule indexes, in table
-    /// order — the same entries incremental maintenance would have
-    /// accumulated, rebuilt in one pass.
-    fn rebuild_indexes(&mut self) {
-        let engine = self.executor.engine().clone();
-        for state in &mut self.states {
-            let kind = state.kind.clone();
-            let mut entries: Vec<Entry> = Vec::new();
-            for t in self.table.tuples() {
-                let seq = *self.seqs.get(&t.id()).expect("live tuple has a seq");
-                let reps = state.rule.scope(t);
-                state.scoped.insert(
-                    t.id(),
-                    (
-                        seq,
-                        reps.iter()
-                            .cloned()
-                            .enumerate()
-                            .map(|(i, s)| (i as u32, s))
-                            .collect(),
-                    ),
-                );
-                for (i, s) in reps.into_iter().enumerate() {
-                    entries.push(Entry {
-                        seq,
-                        rep: i as u32,
-                        tuple: s,
-                    });
-                }
-            }
-            entries.sort_by_key(Entry::pos);
-            match kind {
-                Kind::Single => {}
-                Kind::Blocked { keyed, .. } => {
-                    for e in entries {
-                        let key = block_key(state.rule.as_ref(), &e.tuple, keyed);
-                        state.blocks.entry(key).or_default().push(e);
-                    }
-                }
-                Kind::List => {
-                    for e in entries {
-                        let key = block_key(state.rule.as_ref(), &e.tuple, true);
-                        state.blocks.entry(key).or_default().push(e);
-                    }
-                }
-                Kind::Lsh {
-                    bands,
-                    rows_per_band,
-                } => {
-                    // One slot per band key; entries are shallow Arc
-                    // handles, so the b-fold replication is O(1) each.
-                    for e in entries {
-                        for key in state.rule.lsh_keys(&e.tuple, bands, rows_per_band) {
-                            state.blocks.entry(key).or_default().push(e.clone());
-                        }
-                    }
-                }
-                Kind::Ordered => {
-                    // Always materialize the index (even when empty):
-                    // a None here would make the next apply batch-build
-                    // from the delta alone and miss delta×base pairs.
-                    let conds = state.rule.ordering_conditions();
-                    let tuples: Vec<Tuple> = entries.into_iter().map(|e| e.tuple).collect();
-                    state.oc = Some(OcIndex::build(conds, &tuples, engine.default_partitions()));
-                }
-            }
-        }
     }
 
     /// The session's current (repaired-so-far) table.
@@ -892,33 +246,6 @@ impl Session {
         self.poisoned
     }
 
-    /// The violation-window geometry, when this session is windowed.
-    pub fn window(&self) -> Option<WindowSpec> {
-        self.win.as_ref().map(|w| w.spec)
-    }
-
-    /// The watermark: the highest logical event time assigned so far.
-    /// `None` for unwindowed sessions and for a windowed session that
-    /// has seen no events yet.
-    pub fn watermark(&self) -> Option<u64> {
-        self.win
-            .as_ref()
-            .filter(|w| w.clock > 0)
-            .map(|w| w.clock - 1)
-    }
-
-    /// The logical event time of a live tuple (windowed sessions only).
-    pub fn event_time(&self, id: TupleId) -> Option<u64> {
-        self.win.as_ref().and_then(|w| w.times.get(&id).copied())
-    }
-
-    /// Number of tuples inside the live window — equal to the table
-    /// length, since expired tuples are retired eagerly. `None` for
-    /// unwindowed sessions.
-    pub fn window_live(&self) -> Option<usize> {
-        self.win.as_ref().map(|w| w.times.len())
-    }
-
     /// Rules quarantined by partial-mode fault isolation, as
     /// `(rule name, cause)` pairs in registration order. Empty in
     /// strict mode and for healthy sessions.
@@ -947,7 +274,7 @@ impl Session {
         self.apply_impl(batch, true)
     }
 
-    fn apply_impl(&mut self, batch: DeltaBatch, log: bool) -> Result<DeltaReport> {
+    pub(crate) fn apply_impl(&mut self, batch: DeltaBatch, log: bool) -> Result<DeltaReport> {
         if self.poisoned {
             return Err(Error::Repair(
                 "session poisoned: an earlier apply failed after mutation began; \
@@ -974,31 +301,21 @@ impl Session {
 
         // The batch is valid: make it durable before the mutation it
         // describes begins.
-        let wal_seq = if log {
-            match &mut self.durable {
-                Some(d) => {
-                    let seq = d.last_seq + 1;
-                    d.wal.append(seq, &batch, &d.dio)?;
-                    Metrics::add(&engine.metrics().wal_appends, 1);
-                    Some(seq)
-                }
-                None => None,
+        let wal_seq = match &mut self.durable {
+            Some(d) if log => {
+                let seq = d.last_seq + 1;
+                d.wal.append(seq, &batch, &d.dio)?;
+                Metrics::add(&engine.metrics().wal_appends, 1);
+                Some(seq)
             }
-        } else {
-            None
+            _ => None,
         };
 
         // Materialize.
         match staged {
             Some(table) => {
+                self.pos = positions(&table);
                 self.table = table;
-                self.pos = self
-                    .table
-                    .tuples()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (t.id(), i))
-                    .collect();
             }
             None => {
                 for op in &batch.ops {
@@ -1027,8 +344,12 @@ impl Session {
                     let d = self.durable.as_mut().expect("wal_seq implies durable");
                     d.last_seq = seq;
                     let due = d.snapshot_every > 0 && seq - d.last_snapshot_seq >= d.snapshot_every;
+                    // The batch is applied and in the WAL: a failed
+                    // snapshot must not turn the apply into an error
+                    // (a retry would hit duplicate ids). The snapshot
+                    // watermark stays put, so the next apply retries.
                     if due {
-                        self.snapshot()?;
+                        let _ = self.snapshot();
                     }
                 }
                 Ok(report)
@@ -1037,78 +358,6 @@ impl Session {
                 self.poisoned = true;
                 Err(e)
             }
-        }
-    }
-
-    /// Write an atomic snapshot of the full session state (table,
-    /// sequence numbers, violation store) and truncate the WAL it
-    /// supersedes. Returns the batch sequence the snapshot covers.
-    /// Errors if the session is not durable; a failed write leaves the
-    /// previous snapshot intact and the session usable.
-    pub fn snapshot(&mut self) -> Result<u64> {
-        if self.durable.is_none() {
-            return Err(Error::Io(
-                "session has no durable directory; open it with open_durable".into(),
-            ));
-        }
-        let state = self.capture_state();
-        let engine = self.executor.engine().clone();
-        let d = self.durable.as_mut().expect("checked above");
-        wal::write_snapshot(&d.dir, &state, &d.dio)?;
-        Metrics::add(&engine.metrics().snapshots_written, 1);
-        d.last_snapshot_seq = state.last_seq;
-        d.wal.truncate_all()?;
-        Ok(state.last_seq)
-    }
-
-    /// Serialize the session's logical state. Per-rule indexes are
-    /// omitted — they are a deterministic function of the table and
-    /// sequence numbers and are rebuilt on recovery.
-    fn capture_state(&self) -> SessionState {
-        let seqs = self
-            .table
-            .tuples()
-            .iter()
-            .map(|t| *self.seqs.get(&t.id()).expect("live tuple has a seq"))
-            .collect();
-        let items = self
-            .store
-            .items
-            .iter()
-            .map(|(id, s)| StoredState {
-                id: *id,
-                rule: s.rule as u64,
-                violation: s.violation.clone(),
-                fixes: s.fixes.clone(),
-                prov: match &s.prov {
-                    Provenance::Tuples(ids) => ProvState::Tuples(ids.clone()),
-                    Provenance::Block(key) => ProvState::Block(key.values().to_vec()),
-                },
-            })
-            .collect();
-        SessionState {
-            table_name: self.table.name().to_string(),
-            attrs: self.table.schema().attrs().to_vec(),
-            tuples: self.table.tuples().to_vec(),
-            seqs,
-            next_seq: self.next_seq,
-            applies: self.applies,
-            stable: self.stable,
-            last_seq: self.durable.as_ref().map_or(0, |d| d.last_seq),
-            rule_names: self.rules.iter().map(|r| r.name().to_string()).collect(),
-            store_next: self.store.next,
-            items,
-            window: self.win.as_ref().map(|w| WindowState {
-                size: w.spec.size,
-                slide: w.spec.slide,
-                clock: w.clock,
-                times: self
-                    .table
-                    .tuples()
-                    .iter()
-                    .map(|t| *w.times.get(&t.id()).expect("live tuple has an event time"))
-                    .collect(),
-            }),
         }
     }
 
@@ -1139,24 +388,13 @@ impl Session {
         // expired ids join `touched`, so the redetect below retracts
         // their violations exactly like an explicit delete's.
         if let Some(win) = &mut self.win {
-            for op in &batch.ops {
-                match op {
-                    DeltaOp::Insert(t) | DeltaOp::Update(t) => {
-                        win.times.insert(t.id(), win.clock);
-                        win.clock += 1;
-                    }
-                    DeltaOp::Delete(id) => {
-                        win.times.remove(id);
-                    }
-                }
-            }
+            win.arrive(batch);
         }
         report.tuples_expired = self.expire_past_watermark(&mut touched)?;
-        let fresh = self.snapshot_tuples(&touched);
 
         // Delta-driven detection + retraction.
         let mut stats = ApplyStats::default();
-        self.redetect(&touched, &fresh, &mut stats)?;
+        self.redetect(&touched, &mut stats)?;
         report.components_rerepaired = self.touched_components(&stats);
 
         // Scoped re-repair: when the batch left the store untouched and
@@ -1167,7 +405,28 @@ impl Session {
         if skip {
             report.converged = self.store.is_empty();
         } else {
-            self.repair_loop(engine, &mut report, &mut stats)?;
+            let options = self.options.clone();
+            let mut target = SessionTarget {
+                session: self,
+                stats: &mut stats,
+            };
+            let rounds = run_rounds(
+                engine,
+                &mut target,
+                RoundsOptions {
+                    max_iterations: options.max_iterations,
+                    max_changes_per_cell: options.max_changes_per_cell,
+                    strategy: &options.strategy,
+                    repair_options: options.repair_options,
+                },
+            )?;
+            report.iterations = rounds.iterations;
+            report.total_violations = rounds.total_violations;
+            report.cells_changed = rounds.cells_changed;
+            report.frozen_cells = rounds.frozen_cells;
+            report.repair_cost = rounds.repair_cost;
+            report.converged = rounds.converged;
+            self.stable = rounds.stable;
         }
 
         report.tuples_reprocessed = stats.reprocessed.len() as u64;
@@ -1222,60 +481,6 @@ impl Session {
         Ok(())
     }
 
-    /// Clone the named tuples out of the current table through the
-    /// position index (absent ids were deleted).
-    fn snapshot_tuples(&self, ids: &BTreeSet<TupleId>) -> HashMap<TupleId, Tuple> {
-        ids.iter()
-            .filter_map(|id| {
-                self.pos
-                    .get(id)
-                    .map(|&p| (*id, self.table.tuples()[p].clone()))
-            })
-            .collect()
-    }
-
-    /// Retire every tuple whose last containing window closed behind
-    /// the watermark: remove it from the table (compacting positions,
-    /// like an explicit delete), drop its sequence number and event
-    /// time, and add its id to `touched` so the caller's redetect
-    /// retracts its violations through the provenance indexes. Returns
-    /// how many tuples were retired. No-op for unwindowed sessions.
-    fn expire_past_watermark(&mut self, touched: &mut BTreeSet<TupleId>) -> Result<usize> {
-        let expired: BTreeSet<TupleId> = match &self.win {
-            Some(win) if win.clock > 0 => {
-                let watermark = win.clock - 1;
-                win.times
-                    .iter()
-                    .filter(|(_, &ts)| win.spec.expired(ts, watermark))
-                    .map(|(&id, _)| id)
-                    .collect()
-            }
-            _ => return Ok(0),
-        };
-        if expired.is_empty() {
-            return Ok(0);
-        }
-        let mut deletes = DeltaBatch::new();
-        for id in &expired {
-            deletes = deletes.delete(*id);
-        }
-        self.table = apply_batch_to_table(&self.table, &deletes)?;
-        self.pos = self
-            .table
-            .tuples()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.id(), i))
-            .collect();
-        let win = self.win.as_mut().expect("windowed: expired is non-empty");
-        for id in &expired {
-            self.seqs.remove(id);
-            win.times.remove(id);
-            touched.insert(*id);
-        }
-        Ok(expired.len())
-    }
-
     /// The current value of `cell`, resolved through the position index
     /// (`Table::cell_value` falls back to an O(n) scan once ids and
     /// positions diverge).
@@ -1286,87 +491,20 @@ impl Session {
             .and_then(|t| t.get(cell.attr as usize))
     }
 
-    /// The batch cleanse loop, with per-round re-detection going through
-    /// the incremental path (only repair-changed tuples are dirty).
-    fn repair_loop(
-        &mut self,
-        engine: &Engine,
-        report: &mut DeltaReport,
-        stats: &mut ApplyStats,
-    ) -> Result<()> {
-        let mut change_count: HashMap<Cell, usize> = HashMap::new();
-        let mut converged = false;
-        let mut froze = false;
-        let mut broke_stable = false;
-        for _ in 0..self.options.max_iterations.max(1) {
-            engine.check_cancelled()?;
-            if self.store.is_empty() {
-                converged = true;
-                break;
-            }
-            report.iterations += 1;
-            report.total_violations += self.store.len();
-            let detected = self.store.detected();
-            let assignment = run_repair(
-                engine,
-                &detected,
-                &self.options.strategy,
-                self.options.repair_options,
-            )?;
-            let mut applicable: HashMap<Cell, Value> = HashMap::new();
-            for (cell, value) in assignment {
-                let count = change_count.entry(cell).or_insert(0);
-                if *count >= self.options.max_changes_per_cell {
-                    froze = true;
-                    continue;
-                }
-                if self.cell_value(cell) == Some(&value) {
-                    continue;
-                }
-                *count += 1;
-                if *count == self.options.max_changes_per_cell {
-                    report.frozen_cells += 1;
-                }
-                applicable.insert(cell, value);
-            }
-            if applicable.is_empty() {
-                broke_stable = !froze;
-                break;
-            }
-            for (cell, value) in &applicable {
-                if let Some(old) = self.cell_value(*cell) {
-                    report.repair_cost += old.distance(value);
-                }
-            }
-            report.cells_changed += applicable.len();
-            self.table.apply_at(&applicable, &self.pos)?;
-            let dirty: BTreeSet<TupleId> = applicable.keys().map(|c| c.tuple).collect();
-            let fresh = self.snapshot_tuples(&dirty);
-            self.redetect(&dirty, &fresh, stats)?;
-        }
-        if !converged {
-            converged = self.store.is_empty();
-        }
-        report.converged = converged;
-        self.stable = converged || broke_stable;
-        Ok(())
-    }
-
     /// Re-detect everything the dirty tuples can influence: remove their
     /// old scoped entries from the indexes, retract their violations,
     /// enumerate `delta×resident ∪ delta×delta` units, and run Detect +
     /// GenFix over those units through the lazy Stage API.
-    fn redetect(
-        &mut self,
-        dirty: &BTreeSet<TupleId>,
-        fresh: &HashMap<TupleId, Tuple>,
-        stats: &mut ApplyStats,
-    ) -> Result<()> {
+    fn redetect(&mut self, dirty: &BTreeSet<TupleId>, stats: &mut ApplyStats) -> Result<()> {
         let engine = self.executor.engine().clone();
+        // The live versions of the dirty tuples (absent ids were deleted).
+        let fresh: HashMap<TupleId, Tuple> = dirty
+            .iter()
+            .filter_map(|id| Some((*id, self.table.tuples()[*self.pos.get(id)?].clone())))
+            .collect();
         // Rule-agnostic retraction by generating-unit tuple ids.
         for stored in self.store.retract_tuples(dirty) {
-            stats.retracted += 1;
-            stats.mark_stored(&stored);
+            stats.retract(&stored);
         }
         let partial = self.options.isolation.is_partial();
         for ri in 0..self.states.len() {
@@ -1374,8 +512,12 @@ impl Session {
             if self.states[ri].quarantined.is_some() {
                 continue;
             }
-            let run = self
-                .enumerate_rule(ri, dirty, fresh, stats, &engine)
+            let index = &mut self.states[ri];
+            let changes = dirty.iter().map(|id| (*id, fresh.get(id)));
+            let delta = index.reindex(changes, &self.seqs);
+            let is_fresh = |id: TupleId| fresh.contains_key(&id);
+            let run = index
+                .units(ri, delta, is_fresh, &mut self.store, stats, &engine)
                 .and_then(|units| {
                     if units.is_empty() {
                         Ok(())
@@ -1404,336 +546,13 @@ impl Session {
     /// retract its stored violations so repair never acts on a faulted
     /// rule's stale detections. The other rules' state is untouched.
     fn quarantine_rule(&mut self, ri: usize, cause: &str, stats: &mut ApplyStats, engine: &Engine) {
-        let state = &mut self.states[ri];
-        state.quarantined = Some(cause.to_string());
-        state.scoped.clear();
-        state.blocks.clear();
-        state.oc = None;
+        self.states[ri].quarantine(cause);
         for stored in self.store.retract_rule(ri) {
-            stats.retracted += 1;
-            stats.mark_stored(&stored);
+            stats.retract(&stored);
         }
         let m = engine.metrics();
         Metrics::add(&m.breaker_trips, 1);
         Metrics::add(&m.rules_quarantined, 1);
-    }
-
-    /// Update rule `ri`'s index for the dirty tuples and enumerate the
-    /// candidate units to re-detect.
-    fn enumerate_rule(
-        &mut self,
-        ri: usize,
-        dirty: &BTreeSet<TupleId>,
-        fresh: &HashMap<TupleId, Tuple>,
-        stats: &mut ApplyStats,
-        engine: &Engine,
-    ) -> Result<Vec<(Provenance, DetectUnit)>> {
-        let state = &mut self.states[ri];
-        let kind = state.kind.clone();
-        let mut dirty_keys: BTreeSet<BlockKey> = BTreeSet::new();
-
-        // Remove old scoped entries from the index, by the seq they
-        // were inserted under (the live seq may differ by now).
-        for id in dirty {
-            let Some((old_seq, reps)) = state.scoped.remove(id) else {
-                continue;
-            };
-            match &kind {
-                Kind::Single => {}
-                Kind::Blocked { keyed, .. } => {
-                    for (rep, t) in &reps {
-                        let key = block_key(state.rule.as_ref(), t, *keyed);
-                        remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                        dirty_keys.insert(key);
-                    }
-                }
-                Kind::List => {
-                    for (rep, t) in &reps {
-                        let key = block_key(state.rule.as_ref(), t, true);
-                        remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                        dirty_keys.insert(key);
-                    }
-                }
-                Kind::Lsh {
-                    bands,
-                    rows_per_band,
-                } => {
-                    for (rep, t) in &reps {
-                        for key in state.rule.lsh_keys(t, *bands, *rows_per_band) {
-                            remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                            dirty_keys.insert(key);
-                        }
-                    }
-                }
-                Kind::Ordered => {
-                    if let Some(oc) = &mut state.oc {
-                        for (_, t) in &reps {
-                            oc.remove(t);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Scope the new versions, in table order.
-        let mut new_entries: Vec<Entry> = Vec::new();
-        for id in dirty {
-            let Some(t) = fresh.get(id) else { continue };
-            let reps = state.rule.scope(t);
-            let seq = *self.seqs.get(id).expect("live tuple has a seq");
-            state.scoped.insert(
-                *id,
-                (
-                    seq,
-                    reps.iter()
-                        .cloned()
-                        .enumerate()
-                        .map(|(i, s)| (i as u32, s))
-                        .collect(),
-                ),
-            );
-            for (i, s) in reps.into_iter().enumerate() {
-                new_entries.push(Entry {
-                    seq,
-                    rep: i as u32,
-                    tuple: s,
-                });
-            }
-        }
-        new_entries.sort_by_key(Entry::pos);
-
-        let mut units: Vec<(Provenance, DetectUnit)> = Vec::new();
-        match kind {
-            Kind::Single => {
-                for e in new_entries {
-                    stats.reprocessed.insert(e.tuple.id());
-                    units.push((
-                        Provenance::Tuples(vec![e.tuple.id()]),
-                        DetectUnit::Single(e.tuple),
-                    ));
-                }
-            }
-            Kind::Blocked {
-                keyed,
-                ordered,
-                distinct_ids,
-            } => {
-                let mut by_key: BTreeMap<BlockKey, Vec<Entry>> = BTreeMap::new();
-                for e in new_entries {
-                    let key = block_key(state.rule.as_ref(), &e.tuple, keyed);
-                    dirty_keys.insert(key.clone());
-                    by_key.entry(key).or_default().push(e);
-                }
-                let mut pairs = 0u64;
-                let mut emit = |a: &Entry, b: &Entry, units: &mut Vec<(Provenance, DetectUnit)>| {
-                    if distinct_ids && a.tuple.id() == b.tuple.id() {
-                        return;
-                    }
-                    stats.reprocessed.insert(a.tuple.id());
-                    stats.reprocessed.insert(b.tuple.id());
-                    if ordered {
-                        pairs += 2;
-                        units.push((
-                            Provenance::Tuples(vec![a.tuple.id(), b.tuple.id()]),
-                            DetectUnit::Pair(a.tuple.clone(), b.tuple.clone()),
-                        ));
-                        units.push((
-                            Provenance::Tuples(vec![b.tuple.id(), a.tuple.id()]),
-                            DetectUnit::Pair(b.tuple.clone(), a.tuple.clone()),
-                        ));
-                    } else {
-                        pairs += 1;
-                        let (lo, hi) = if a.pos() <= b.pos() { (a, b) } else { (b, a) };
-                        units.push((
-                            Provenance::Tuples(vec![lo.tuple.id(), hi.tuple.id()]),
-                            DetectUnit::Pair(lo.tuple.clone(), hi.tuple.clone()),
-                        ));
-                    }
-                };
-                for (key, news) in by_key {
-                    if let Some(residents) = state.blocks.get(&key) {
-                        for e in &news {
-                            for r in residents {
-                                emit(e, r, &mut units);
-                            }
-                        }
-                    }
-                    for i in 0..news.len() {
-                        for j in (i + 1)..news.len() {
-                            emit(&news[i], &news[j], &mut units);
-                        }
-                    }
-                    let slot = state.blocks.entry(key).or_default();
-                    for e in news {
-                        let at = slot.partition_point(|x| x.pos() < e.pos());
-                        slot.insert(at, e);
-                    }
-                }
-                Metrics::add(&engine.metrics().pairs_generated, pairs);
-            }
-            Kind::List => {
-                for e in new_entries {
-                    let key = block_key(state.rule.as_ref(), &e.tuple, true);
-                    dirty_keys.insert(key.clone());
-                    let slot = state.blocks.entry(key).or_default();
-                    let at = slot.partition_point(|x| x.pos() < e.pos());
-                    slot.insert(at, e);
-                }
-                for key in &dirty_keys {
-                    for stored in self.store.retract_block(ri, key) {
-                        stats.retracted += 1;
-                        stats.mark_stored(&stored);
-                    }
-                    let Some(entries) = self.states[ri].blocks.get(key) else {
-                        continue;
-                    };
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    let block: Vec<Tuple> = entries.iter().map(|e| e.tuple.clone()).collect();
-                    for t in &block {
-                        stats.reprocessed.insert(t.id());
-                    }
-                    units.push((Provenance::Block(key.clone()), DetectUnit::List(block)));
-                }
-            }
-            Kind::Lsh {
-                bands,
-                rows_per_band,
-            } => {
-                // Band keys are computed once per delta entry, then the
-                // entry probes every one of its band buckets. A pair
-                // can meet in several bands (delta×resident) or via
-                // several shared keys (delta×delta); the `seen` set
-                // keeps each unordered pair single-shot, mirroring the
-                // batch executor's first-shared-band rule. Pairs are
-                // oriented (lo, hi) by enumeration position — the same
-                // orientation the batch reducer produces from its
-                // table-ordered buckets — so violations come out
-                // byte-identical to a from-scratch run.
-                let keyed: Vec<(Entry, Vec<BlockKey>)> = new_entries
-                    .into_iter()
-                    .map(|e| {
-                        let keys = state.rule.lsh_keys(&e.tuple, bands, rows_per_band);
-                        (e, keys)
-                    })
-                    .collect();
-                let mut seen: BTreeSet<((u64, u32), (u64, u32))> = BTreeSet::new();
-                let (mut pairs, mut pruned, mut probed) = (0u64, 0u64, 0u64);
-                let mut emit = |a: &Entry, b: &Entry, units: &mut Vec<(Provenance, DetectUnit)>| {
-                    stats.reprocessed.insert(a.tuple.id());
-                    stats.reprocessed.insert(b.tuple.id());
-                    pairs += 1;
-                    let (lo, hi) = if a.pos() <= b.pos() { (a, b) } else { (b, a) };
-                    units.push((
-                        Provenance::Tuples(vec![lo.tuple.id(), hi.tuple.id()]),
-                        DetectUnit::Pair(lo.tuple.clone(), hi.tuple.clone()),
-                    ));
-                };
-                // delta × resident
-                for (e, keys) in &keyed {
-                    for key in keys {
-                        dirty_keys.insert(key.clone());
-                        let Some(residents) = state.blocks.get(key) else {
-                            continue;
-                        };
-                        if !residents.is_empty() {
-                            probed += 1;
-                        }
-                        for r in residents {
-                            let pr = pair_key(e.pos(), r.pos());
-                            if seen.insert(pr) {
-                                emit(e, r, &mut units);
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
-                }
-                // delta × delta: bucket the news by band key
-                let mut delta_buckets: BTreeMap<&BlockKey, Vec<usize>> = BTreeMap::new();
-                for (idx, (_, keys)) in keyed.iter().enumerate() {
-                    for key in keys {
-                        delta_buckets.entry(key).or_default().push(idx);
-                    }
-                }
-                for members in delta_buckets.values() {
-                    if members.len() > 1 {
-                        probed += 1;
-                    }
-                    for x in 0..members.len() {
-                        for y in (x + 1)..members.len() {
-                            let a = &keyed[members[x]].0;
-                            let b = &keyed[members[y]].0;
-                            let pr = pair_key(a.pos(), b.pos());
-                            if seen.insert(pr) {
-                                emit(a, b, &mut units);
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
-                }
-                // index the new entries under every band key
-                for (e, keys) in keyed {
-                    for key in keys {
-                        let slot = state.blocks.entry(key).or_default();
-                        let at = slot.partition_point(|x| x.pos() < e.pos());
-                        slot.insert(at, e.clone());
-                    }
-                }
-                let metrics = engine.metrics();
-                Metrics::add(&metrics.pairs_generated, pairs);
-                Metrics::add(&metrics.lsh_candidate_pairs, pairs);
-                Metrics::add(&metrics.lsh_pairs_pruned, pruned);
-                Metrics::add(&metrics.lsh_bands_probed, probed);
-            }
-            Kind::Ordered => {
-                let conds = self.states[ri].rule.ordering_conditions();
-                let delta: Vec<Tuple> = new_entries.iter().map(|e| e.tuple.clone()).collect();
-                let state = &mut self.states[ri];
-                let pairs = match &mut state.oc {
-                    Some(oc) => {
-                        let pairs = oc.probe(engine, &delta);
-                        for t in &delta {
-                            oc.insert(t.clone());
-                        }
-                        pairs
-                    }
-                    None => {
-                        // First ingest: batch-build the index and take
-                        // the pairs from a batch OCJoin, exactly like a
-                        // full-detect pipeline would.
-                        state.oc = Some(OcIndex::build(
-                            conds.clone(),
-                            &delta,
-                            engine.default_partitions(),
-                        ));
-                        try_ocjoin(
-                            PDataset::from_vec(engine.clone(), delta.clone()),
-                            &conds,
-                            OcJoinConfig::default(),
-                        )?
-                        .try_collect()?
-                    }
-                };
-                if !delta.is_empty() {
-                    dirty_keys.insert(BlockKey::new());
-                }
-                for (a, b) in pairs {
-                    stats.reprocessed.insert(a.id());
-                    stats.reprocessed.insert(b.id());
-                    units.push((
-                        Provenance::Tuples(vec![a.id(), b.id()]),
-                        DetectUnit::Pair(a, b),
-                    ));
-                }
-            }
-        }
-        for key in dirty_keys {
-            stats.blocks.insert((ri, key));
-        }
-        Ok(units)
     }
 
     /// Run Detect + GenFix over the enumerated units as one fused lazy
@@ -1742,17 +561,17 @@ impl Session {
     fn detect_units(
         &mut self,
         ri: usize,
-        units: Vec<(Provenance, DetectUnit)>,
+        units: Vec<(ProvState, DetectUnit)>,
         stats: &mut ApplyStats,
         engine: &Engine,
     ) -> Result<()> {
         let rule = Arc::clone(&self.states[ri].rule);
         let metrics = engine.metrics().clone();
         let op = format!("delta-detect+genfix({})", rule.name());
-        let found: Vec<(Provenance, Violation, Vec<Fix>)> =
+        let found: Vec<(ProvState, Violation, Vec<Fix>)> =
             PDataset::from_vec(engine.clone(), units)
                 .stage()
-                .map_parts(op, move |part: Vec<(Provenance, DetectUnit)>| {
+                .map_parts(op, move |part: Vec<(ProvState, DetectUnit)>| {
                     Metrics::add(&metrics.detect_calls, part.len() as u64);
                     let mut out = Vec::new();
                     for (prov, unit) in part {
@@ -1768,15 +587,15 @@ impl Session {
         Metrics::add(&engine.metrics().violations, found.len() as u64);
         for (prov, violation, fixes) in found {
             stats.added += 1;
-            let stored = Stored {
-                rule: ri,
+            let stored = StoredState {
+                id: 0, // assigned by the store
+                rule: ri as u64,
                 violation,
                 fixes,
                 prov,
             };
-            stats.mark_stored(&stored);
-            self.store
-                .add(stored.rule, stored.violation, stored.fixes, stored.prov);
+            stats.mark(&stored);
+            self.store.add(stored);
         }
         Ok(())
     }
@@ -1791,7 +610,7 @@ impl Session {
         let mut uf = UnionFind::new();
         for stored in self.store.items.values() {
             let mut ids: Vec<TupleId> = stored.violation.tuple_ids();
-            if let Provenance::Tuples(unit) = &stored.prov {
+            if let ProvState::Tuples(unit) = &stored.prov {
                 ids.extend(unit.iter().copied());
             }
             for w in ids.windows(2) {
@@ -1803,56 +622,33 @@ impl Session {
     }
 }
 
-/// The blocking key for a scoped tuple (`[]` when the rule has no Block
-/// operator and everything shares one global block).
-fn block_key(rule: &dyn Rule, t: &Tuple, keyed: bool) -> BlockKey {
-    if keyed {
-        rule.block(t).unwrap_or_default()
-    } else {
-        BlockKey::new()
-    }
+/// The session side of the shared rounds driver: detect is a read of
+/// the violation store, and a round's updates edit the table in place
+/// and flow back through incremental re-detection (only repair-changed
+/// tuples are dirty).
+struct SessionTarget<'a> {
+    session: &'a mut Session,
+    stats: &'a mut ApplyStats,
 }
 
-/// Canonical unordered identity of a candidate pair, by enumeration
-/// position — the LSH seen-set key that keeps a pair meeting in several
-/// bands single-shot.
-fn pair_key(a: (u64, u32), b: (u64, u32)) -> ((u64, u32), (u64, u32)) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+impl RepairTarget for SessionTarget<'_> {
+    fn detect(&mut self) -> Result<Vec<Detected>> {
+        Ok(self.session.store.detected())
     }
-}
 
-/// Drop the `(seq, rep)` entry for tuple `id` from `blocks[key]`.
-/// `seq` is the sequence number recorded when the entry was indexed, so
-/// the binary search lands on it even when the tuple's live seq has
-/// since changed (delete-then-reinsert) or is gone (plain delete); the
-/// linear scan is a defensive fallback only.
-fn remove_entry(
-    blocks: &mut HashMap<BlockKey, Vec<Entry>>,
-    key: &BlockKey,
-    seq: u64,
-    id: TupleId,
-    rep: u32,
-    t: &Tuple,
-) {
-    let Some(slot) = blocks.get_mut(key) else {
-        return;
-    };
-    let idx = slot
-        .binary_search_by(|e| e.pos().cmp(&(seq, rep)))
-        .ok()
-        .filter(|&i| slot[i].tuple.id() == id)
-        .or_else(|| {
-            slot.iter()
-                .position(|e| e.tuple.id() == id && e.rep == rep && e.tuple == *t)
-        });
-    if let Some(i) = idx {
-        slot.remove(i);
+    fn is_clean(&mut self) -> Result<bool> {
+        Ok(self.session.store.is_empty())
     }
-    if slot.is_empty() {
-        blocks.remove(key);
+
+    fn cell_value(&self, cell: Cell) -> Option<&Value> {
+        self.session.cell_value(cell)
+    }
+
+    fn apply(&mut self, updates: &Assignment) -> Result<()> {
+        let session = &mut *self.session;
+        session.table.apply_at(updates, &session.pos)?;
+        let dirty: BTreeSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
+        session.redetect(&dirty, self.stats)
     }
 }
 
@@ -2178,468 +974,5 @@ mod tests {
             SessionOptions::default(),
         )
         .is_err());
-    }
-
-    // --- durability ----------------------------------------------------
-
-    fn err_of<T>(r: Result<T>) -> Error {
-        match r {
-            Ok(_) => panic!("expected an error"),
-            Err(e) => e,
-        }
-    }
-
-    fn durable_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("bd-durable-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    fn fd_rules(schema: &Schema) -> Vec<Arc<dyn Rule>> {
-        vec![Arc::new(FdRule::parse("zipcode -> city", schema).unwrap())]
-    }
-
-    fn base_table(schema: &Schema) -> Table {
-        Table::from_rows(
-            "t",
-            schema.clone(),
-            vec![
-                vec![Value::Int(1), Value::str("LA")],
-                vec![Value::Int(2), Value::str("NY")],
-            ],
-        )
-    }
-
-    fn batches() -> Vec<DeltaBatch> {
-        vec![
-            DeltaBatch::new().insert(10, vec![Value::Int(1), Value::str("SF")]),
-            DeltaBatch::new()
-                .insert(11, vec![Value::Int(3), Value::str("CH")])
-                .update(10, vec![Value::Int(2), Value::str("NY")]),
-            DeltaBatch::new().delete(1),
-            DeltaBatch::new().insert(12, vec![Value::Int(3), Value::str("AU")]),
-        ]
-    }
-
-    fn assert_same(a: &Session, b: &Session) {
-        assert_eq!(a.table().tuples(), b.table().tuples());
-        assert_eq!(a.table().schema().attrs(), b.table().schema().attrs());
-        assert_eq!(a.detected(), b.detected());
-        assert_eq!(a.violation_count(), b.violation_count());
-    }
-
-    #[test]
-    fn durable_session_matches_plain_session() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("parity");
-        let mut durable = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(2),
-        )
-        .unwrap();
-        let mut plain = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-        )
-        .unwrap();
-        for b in batches() {
-            durable.apply(b.clone()).unwrap();
-            plain.apply(b).unwrap();
-            assert_same(&durable, &plain);
-        }
-        let m = durable.executor().engine().metrics().snapshot();
-        assert_eq!(m.wal_appends, 4);
-        assert!(m.snapshots_written >= 2, "baseline + cadence snapshots");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recover_replays_wal_suffix_and_matches_uninterrupted() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("replay");
-        // Cadence 100: nothing beyond the baseline snapshot, so every
-        // batch must come back from the WAL.
-        let mut durable = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        for b in batches() {
-            durable.apply(b).unwrap();
-        }
-        drop(durable); // "crash" — recovery sees only the disk state
-
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        assert_eq!(stats.snapshot_seq, 0);
-        assert_eq!(stats.replayed, 4);
-        assert_eq!(stats.last_seq, 4);
-
-        let mut oracle = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-        )
-        .unwrap();
-        for b in batches() {
-            oracle.apply(b).unwrap();
-        }
-        assert_same(&recovered, &oracle);
-
-        // Recovery wrote a catch-up snapshot: a second recovery replays
-        // nothing and still matches.
-        let (again, stats2) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        assert_eq!(stats2.replayed, 0);
-        assert_eq!(stats2.snapshot_seq, 4);
-        assert_same(&again, &oracle);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovered_session_keeps_cleansing_correctly() {
-        // Indexes are rebuilt, not restored — later deltas must still
-        // pair against pre-crash residents.
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("cont");
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
-        s.apply(DeltaBatch::new().insert(10, vec![Value::Int(3), Value::str("CH")]))
-            .unwrap();
-        drop(s);
-        let (mut recovered, _) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        // Conflicts with resident tuple 10 (zip 3 → CH): detection must
-        // see the delta×base pair and repair it.
-        let r = recovered
-            .apply(DeltaBatch::new().insert(11, vec![Value::Int(3), Value::str("AU")]))
-            .unwrap();
-        assert!(r.violations_added >= 1, "delta×resident pair detected");
-        assert!(r.converged);
-        assert!(recovered.is_clean());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_durable_session_is_recoverable() {
-        use bigdansing_dataflow::{ExecMode, FaultInjector, FaultPolicy};
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("poison");
-        let table = Table::from_rows("t", schema.clone(), vec![]);
-        let engine = Engine::builder(ExecMode::Parallel)
-            .workers(2)
-            .fault_policy(FaultPolicy::fail_fast())
-            .fault_injector(FaultInjector::seeded(1).with_task_panics(1.0))
-            .build();
-        let mut s = Session::open_durable(
-            Executor::new(engine),
-            fd_rules(&schema),
-            &table,
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        let batch = DeltaBatch::new()
-            .insert(0, vec![Value::Int(1), Value::str("LA")])
-            .insert(1, vec![Value::Int(1), Value::str("SF")]);
-        assert!(s.apply(batch.clone()).is_err());
-        assert!(s.is_poisoned());
-        drop(s);
-
-        // The batch reached the WAL before the failing detect stage;
-        // recovery with a healthy engine replays it to completion.
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        assert_eq!(stats.replayed, 1);
-        assert_eq!(recovered.table().len(), 2);
-        assert!(recovered.is_clean(), "replay repaired the FD violation");
-
-        let mut oracle = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &table,
-            SessionOptions::default(),
-        )
-        .unwrap();
-        oracle.apply(batch).unwrap();
-        assert_same(&recovered, &oracle);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_durable_refuses_existing_snapshot() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("refuse");
-        let open = |dir: &std::path::Path| {
-            Session::open_durable(
-                Executor::new(Engine::sequential()),
-                fd_rules(&schema),
-                &base_table(&schema),
-                SessionOptions::default(),
-                DurabilityOptions::new(dir),
-            )
-        };
-        assert!(open(&dir).is_ok());
-        let err = err_of(open(&dir));
-        assert!(err.to_string().contains("recover"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recover_rejects_rule_mismatch_and_missing_dir() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("mismatch");
-        Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        let other: Vec<Arc<dyn Rule>> =
-            vec![Arc::new(FdRule::parse("city -> zipcode", &schema).unwrap())];
-        let err = err_of(Session::recover(
-            Executor::new(Engine::sequential()),
-            other,
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        ));
-        assert!(err.to_string().contains("rule set mismatch"), "{err}");
-
-        let empty = durable_dir("mismatch-empty");
-        let err = err_of(Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&empty),
-        ));
-        assert!(err.to_string().contains("no snapshot"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&empty);
-    }
-
-    #[test]
-    fn malformed_batch_never_reaches_the_wal() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("badbatch");
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        assert!(s
-            .apply(DeltaBatch::new().update(99, vec![Value::Int(1), Value::str("X")]))
-            .is_err());
-        assert!(s.apply(DeltaBatch::new().delete(42).delete(42)).is_err());
-        s.apply(DeltaBatch::new().insert(5, vec![Value::Int(9), Value::str("TK")]))
-            .unwrap();
-        drop(s);
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        assert_eq!(stats.replayed, 1, "only the valid batch was logged");
-        assert_eq!(recovered.table().len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn windowed_session(spec: WindowSpec) -> Session {
-        let schema = Schema::parse("zipcode,city");
-        Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions {
-                window: Some(spec),
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    }
-
-    /// Session-level oracle: after every apply, the windowed session's
-    /// violation count must match a from-scratch detect over its table.
-    fn assert_window_invariant(s: &Session) {
-        let schema = Schema::parse("zipcode,city");
-        let fresh = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            s.table(),
-            SessionOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            s.violation_count(),
-            fresh.violation_count(),
-            "windowed store must equal full detect over the live table"
-        );
-    }
-
-    #[test]
-    fn unwindowed_session_has_no_watermark() {
-        let s = fd_session(vec![vec![Value::Int(1), Value::str("LA")]]);
-        assert!(s.window().is_none());
-        assert!(s.watermark().is_none());
-        assert!(s.window_live().is_none());
-    }
-
-    #[test]
-    fn tumbling_window_expires_closed_window_tuples() {
-        let mut s = windowed_session(WindowSpec::tumbling(4).unwrap());
-        // base rows carry event times 0 and 1 → watermark 1, window [0,4) open
-        assert_eq!(s.watermark(), Some(1));
-        assert_eq!(s.window_live(), Some(2));
-        assert_eq!(s.event_time(0), Some(0));
-
-        let insert = |s: &mut Session, id: u64, zip: i64, city: &str| {
-            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(zip), Value::str(city)]))
-                .unwrap()
-        };
-        // ts 2 and 3 keep the watermark inside [0,4): nothing expires yet
-        let r = insert(&mut s, 10, 3, "CH");
-        assert_eq!((r.tuples_expired, s.watermark()), (0, Some(2)));
-        let r = insert(&mut s, 11, 4, "SE");
-        assert_eq!((r.tuples_expired, s.watermark()), (0, Some(3)));
-        assert_eq!(s.window_live(), Some(4));
-
-        // ts 4 closes the [0,4) window: all four earlier tuples retire
-        let r = insert(&mut s, 12, 5, "DC");
-        assert_eq!(r.tuples_expired, 4);
-        assert_eq!(s.watermark(), Some(4));
-        assert_eq!(s.window_live(), Some(1));
-        assert_eq!(s.table().len(), 1);
-        assert_window_invariant(&s);
-    }
-
-    #[test]
-    fn sliding_window_keeps_trailing_span() {
-        let mut s = windowed_session(WindowSpec::sliding(4, 2).unwrap());
-        let insert = |s: &mut Session, id: u64, zip: i64| {
-            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(zip), Value::str("X")]))
-                .unwrap()
-        };
-        // base ts {0,1}; ts 2,3,4 arrive → wm 4 expires ts 0,1 (their last
-        // window [0,4) closed); live = {2,3,4}
-        insert(&mut s, 10, 3);
-        insert(&mut s, 11, 4);
-        let r = insert(&mut s, 12, 5);
-        assert_eq!(r.tuples_expired, 2);
-        assert_eq!(s.window_live(), Some(3));
-        // ts 5 → wm 5: no window boundary crossed
-        let r = insert(&mut s, 13, 6);
-        assert_eq!(r.tuples_expired, 0);
-        assert_eq!(s.window_live(), Some(4));
-        // ts 6 → wm 6 expires ts 2,3 ([2,6) closed); live = {4,5,6}
-        let r = insert(&mut s, 14, 7);
-        assert_eq!(r.tuples_expired, 2);
-        assert_eq!(s.window_live(), Some(3));
-        assert_window_invariant(&s);
-    }
-
-    #[test]
-    fn expiry_retracts_violations_of_expired_tuples() {
-        let mut s = windowed_session(WindowSpec::tumbling(4).unwrap());
-        // conflicting duplicate zipcode: a violation among live tuples
-        s.apply(DeltaBatch::new().insert(10, vec![Value::Int(1), Value::str("SF")]))
-            .unwrap();
-        assert!(s.is_clean(), "repair resolves the FD conflict");
-        // push the watermark past the first window; expired tuples must
-        // leave no dangling violations behind
-        for (i, id) in [(6, 20u64), (7, 21), (8, 22)] {
-            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(i), Value::str("Y")]))
-                .unwrap();
-        }
-        assert!(s.table().len() <= 4);
-        assert_window_invariant(&s);
-    }
-
-    #[test]
-    fn windowed_durable_session_recovers_watermark() {
-        let schema = Schema::parse("zipcode,city");
-        let dir = durable_dir("window");
-        let opts = || SessionOptions {
-            window: Some(WindowSpec::tumbling(3).unwrap()),
-            ..Default::default()
-        };
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            opts(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
-        s.apply(DeltaBatch::new().insert(10, vec![Value::Int(3), Value::str("CH")]))
-            .unwrap();
-        assert_eq!(s.watermark(), Some(2));
-        drop(s);
-
-        // window spec must match the snapshot
-        let err = err_of(Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        ));
-        assert!(err.to_string().contains("window mismatch"), "{err}");
-
-        let (mut s, _) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            opts(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        assert_eq!(s.watermark(), Some(2));
-        assert_eq!(s.window_live(), Some(3));
-        // the very next arrival closes [0,3): recovery resumed the clock
-        let r = s
-            .apply(DeltaBatch::new().insert(11, vec![Value::Int(4), Value::str("SE")]))
-            .unwrap();
-        assert_eq!(r.tuples_expired, 3);
-        assert_eq!(s.window_live(), Some(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

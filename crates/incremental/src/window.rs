@@ -4,8 +4,8 @@
 //! detection to a sliding window over the record stream: a violation
 //! only matters while every contributing record is still inside some
 //! live window, and closing a window *retracts* the violations it
-//! carried. This module defines the window geometry; the mechanics live
-//! in [`crate::Session`], which assigns each arriving record a logical
+//! carried. This module defines the window geometry and the session's
+//! window state: each arriving record is assigned a logical
 //! event time (its arrival ordinal — deterministic, so WAL replay
 //! reproduces the exact same expirations) and, after every applied
 //! batch, retires the tuples whose last containing window closed. The
@@ -21,7 +21,10 @@
 //! a live window again and is expired. `slide == size` gives tumbling
 //! windows, `slide < size` sliding ones.
 
-use bigdansing_common::{Error, Result};
+use crate::delta::{apply_batch_to_table, positions, DeltaBatch, DeltaOp};
+use crate::session::Session;
+use bigdansing_common::{Error, Result, Table, TupleId};
+use std::collections::{BTreeSet, HashMap};
 
 /// Geometry of a violation window, counted in logical events
 /// (arrival ordinals), not wall-clock time.
@@ -95,9 +98,128 @@ impl std::fmt::Display for WindowSpec {
     }
 }
 
+/// Violation-window state: the logical clock handing out event times
+/// and the event time of every live tuple. Event times are arrival
+/// ordinals — assigned in batch op order — so WAL replay reproduces
+/// the exact same expirations a live run performed.
+pub(crate) struct Win {
+    pub(crate) spec: WindowSpec,
+    /// Next event time to assign; the watermark is `clock - 1`.
+    pub(crate) clock: u64,
+    pub(crate) times: HashMap<TupleId, u64>,
+}
+
+impl Win {
+    /// Window state over a base table: base rows get event times in
+    /// table order, as if they streamed in one at a time before the
+    /// session opened.
+    pub(crate) fn over_base(spec: WindowSpec, table: &Table) -> Win {
+        Win {
+            spec,
+            clock: table.len() as u64,
+            times: table
+                .tuples()
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.id(), i as u64))
+                .collect(),
+        }
+    }
+
+    /// Account a batch's arrivals: every insert/update is a fresh
+    /// arrival (it gets the next event time and advances the
+    /// watermark); explicit deletes leave the window.
+    pub(crate) fn arrive(&mut self, batch: &DeltaBatch) {
+        for op in &batch.ops {
+            match op {
+                DeltaOp::Insert(t) | DeltaOp::Update(t) => {
+                    self.times.insert(t.id(), self.clock);
+                    self.clock += 1;
+                }
+                DeltaOp::Delete(id) => {
+                    self.times.remove(id);
+                }
+            }
+        }
+    }
+}
+
+impl Session {
+    /// The violation-window geometry, when this session is windowed.
+    pub fn window(&self) -> Option<WindowSpec> {
+        self.win.as_ref().map(|w| w.spec)
+    }
+
+    /// The watermark: the highest logical event time assigned so far.
+    /// `None` for unwindowed sessions and for a windowed session that
+    /// has seen no events yet.
+    pub fn watermark(&self) -> Option<u64> {
+        self.win
+            .as_ref()
+            .filter(|w| w.clock > 0)
+            .map(|w| w.clock - 1)
+    }
+
+    /// The logical event time of a live tuple (windowed sessions only).
+    pub fn event_time(&self, id: TupleId) -> Option<u64> {
+        self.win.as_ref().and_then(|w| w.times.get(&id).copied())
+    }
+
+    /// Number of tuples inside the live window — equal to the table
+    /// length, since expired tuples are retired eagerly. `None` for
+    /// unwindowed sessions.
+    pub fn window_live(&self) -> Option<usize> {
+        self.win.as_ref().map(|w| w.times.len())
+    }
+
+    /// Retire every tuple whose last containing window closed behind
+    /// the watermark: remove it from the table (compacting positions,
+    /// like an explicit delete), drop its sequence number and event
+    /// time, and add its id to `touched` so the caller's redetect
+    /// retracts its violations through the provenance indexes. Returns
+    /// how many tuples were retired. No-op for unwindowed sessions.
+    pub(crate) fn expire_past_watermark(
+        &mut self,
+        touched: &mut BTreeSet<TupleId>,
+    ) -> Result<usize> {
+        let expired: BTreeSet<TupleId> = match &self.win {
+            Some(win) if win.clock > 0 => {
+                let watermark = win.clock - 1;
+                win.times
+                    .iter()
+                    .filter(|(_, &ts)| win.spec.expired(ts, watermark))
+                    .map(|(&id, _)| id)
+                    .collect()
+            }
+            _ => return Ok(0),
+        };
+        if expired.is_empty() {
+            return Ok(0);
+        }
+        let mut deletes = DeltaBatch::new();
+        for id in &expired {
+            deletes = deletes.delete(*id);
+        }
+        self.table = apply_batch_to_table(&self.table, &deletes)?;
+        self.pos = positions(&self.table);
+        let win = self.win.as_mut().expect("windowed: expired is non-empty");
+        for id in &expired {
+            self.seqs.remove(id);
+            win.times.remove(id);
+            touched.insert(*id);
+        }
+        Ok(expired.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{base_table, fd_rules};
+    use crate::SessionOptions;
+    use bigdansing_common::{Schema, Value};
+    use bigdansing_dataflow::Engine;
+    use bigdansing_plan::Executor;
 
     #[test]
     fn constructors_validate_geometry() {
@@ -152,5 +274,122 @@ mod tests {
             WindowSpec::parse("16:4").unwrap().to_string(),
             "sliding(16:4)"
         );
+    }
+
+    fn windowed_session(spec: WindowSpec) -> Session {
+        let schema = Schema::parse("zipcode,city");
+        Session::new(
+            Executor::new(Engine::sequential()),
+            fd_rules(&schema),
+            &base_table(&schema),
+            SessionOptions {
+                window: Some(spec),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// Session-level oracle: after every apply, the windowed session's
+    /// violation count must match a from-scratch detect over its table.
+    fn assert_window_invariant(s: &Session) {
+        let schema = Schema::parse("zipcode,city");
+        let fresh = Session::new(
+            Executor::new(Engine::sequential()),
+            fd_rules(&schema),
+            s.table(),
+            SessionOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            s.violation_count(),
+            fresh.violation_count(),
+            "windowed store must equal full detect over the live table"
+        );
+    }
+
+    #[test]
+    fn unwindowed_session_has_no_watermark() {
+        let schema = Schema::parse("zipcode,city");
+        let s = Session::new(
+            Executor::new(Engine::sequential()),
+            fd_rules(&schema),
+            &base_table(&schema),
+            SessionOptions::default(),
+        )
+        .unwrap();
+        assert!(s.window().is_none());
+        assert!(s.watermark().is_none());
+        assert!(s.window_live().is_none());
+    }
+
+    #[test]
+    fn tumbling_window_expires_closed_window_tuples() {
+        let mut s = windowed_session(WindowSpec::tumbling(4).unwrap());
+        // base rows carry event times 0 and 1 → watermark 1, window [0,4) open
+        assert_eq!(s.watermark(), Some(1));
+        assert_eq!(s.window_live(), Some(2));
+        assert_eq!(s.event_time(0), Some(0));
+
+        let insert = |s: &mut Session, id: u64, zip: i64, city: &str| {
+            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(zip), Value::str(city)]))
+                .unwrap()
+        };
+        // ts 2 and 3 keep the watermark inside [0,4): nothing expires yet
+        let r = insert(&mut s, 10, 3, "CH");
+        assert_eq!((r.tuples_expired, s.watermark()), (0, Some(2)));
+        let r = insert(&mut s, 11, 4, "SE");
+        assert_eq!((r.tuples_expired, s.watermark()), (0, Some(3)));
+        assert_eq!(s.window_live(), Some(4));
+
+        // ts 4 closes the [0,4) window: all four earlier tuples retire
+        let r = insert(&mut s, 12, 5, "DC");
+        assert_eq!(r.tuples_expired, 4);
+        assert_eq!(s.watermark(), Some(4));
+        assert_eq!(s.window_live(), Some(1));
+        assert_eq!(s.table().len(), 1);
+        assert_window_invariant(&s);
+    }
+
+    #[test]
+    fn sliding_window_keeps_trailing_span() {
+        let mut s = windowed_session(WindowSpec::sliding(4, 2).unwrap());
+        let insert = |s: &mut Session, id: u64, zip: i64| {
+            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(zip), Value::str("X")]))
+                .unwrap()
+        };
+        // base ts {0,1}; ts 2,3,4 arrive → wm 4 expires ts 0,1 (their last
+        // window [0,4) closed); live = {2,3,4}
+        insert(&mut s, 10, 3);
+        insert(&mut s, 11, 4);
+        let r = insert(&mut s, 12, 5);
+        assert_eq!(r.tuples_expired, 2);
+        assert_eq!(s.window_live(), Some(3));
+        // ts 5 → wm 5: no window boundary crossed
+        let r = insert(&mut s, 13, 6);
+        assert_eq!(r.tuples_expired, 0);
+        assert_eq!(s.window_live(), Some(4));
+        // ts 6 → wm 6 expires ts 2,3 ([2,6) closed); live = {4,5,6}
+        let r = insert(&mut s, 14, 7);
+        assert_eq!(r.tuples_expired, 2);
+        assert_eq!(s.window_live(), Some(3));
+        assert_window_invariant(&s);
+    }
+
+    #[test]
+    fn expiry_retracts_violations_of_expired_tuples() {
+        let mut s = windowed_session(WindowSpec::tumbling(4).unwrap());
+        // conflicting duplicate zipcode: a violation among live tuples
+        s.apply(DeltaBatch::new().insert(10, vec![Value::Int(1), Value::str("SF")]))
+            .unwrap();
+        assert!(s.is_clean(), "repair resolves the FD conflict");
+        // push the watermark past the first window; expired tuples must
+        // leave no dangling violations behind
+        for (i, id) in [(6, 20u64), (7, 21), (8, 22)] {
+            s.apply(DeltaBatch::new().insert(id, vec![Value::Int(i), Value::str("Y")]))
+                .unwrap();
+        }
+        assert!(s.table().len() <= 4);
+        assert_window_invariant(&s);
     }
 }

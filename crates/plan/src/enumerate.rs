@@ -1,0 +1,370 @@
+//! The candidate-enumeration core: the two decisions every
+//! [`IterateStrategy`] makes, each defined exactly once and shared by
+//! the batch reducers in [`crate::executor`] and the incremental
+//! session's persistent index.
+//!
+//! * **Index keys** ([`IterateStrategy::index_keys`]) — under which
+//!   buckets a scoped unit is indexed: none, its Block key, the single
+//!   global key, or one `(band, bucket hash)` key per LSH band.
+//! * **The pair rule** ([`PairRule::pairs`]) — which pairs of a
+//!   bucket's members are candidates and how they are oriented:
+//!   `(earlier, later)` only or both orientations, the CrossProduct
+//!   diagonal filter, and LSH's "compare a pair only in the first band
+//!   it shares".
+//!
+//! Enumeration is semi-naive: [`PairRule::pairs`] takes a freshness
+//! predicate and yields exactly the pairs with at least one fresh
+//! member (`Δ×R ∪ Δ×Δ`). Batch detection is the same enumeration with
+//! everything fresh — the reducers pass `|_| true`, which monomorphises
+//! to the plain nested loop — and a session passes its delta mask over
+//! `residents ∪ news`.
+
+use crate::physical::IterateStrategy;
+use bigdansing_common::metrics::Metrics;
+use bigdansing_common::{Tuple, Value};
+use bigdansing_rules::{BlockKey, Rule};
+use std::sync::Arc;
+
+/// The LSH tag of a bucket member: the band of the bucket this copy of
+/// the unit sits in, and the unit's bucket hash for every band.
+pub type Band = (u32, Arc<[u64]>);
+
+/// The buckets one scoped unit is indexed under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IndexKeys {
+    /// Not bucketed: single-unit rules detect unit by unit, and
+    /// inequality rules use the sorted OCJoin index instead.
+    None,
+    /// One bucket: the rule's Block key, or the empty *global* key
+    /// shared by every unit of an unblocked pair strategy.
+    One(BlockKey),
+    /// One bucket per LSH band: band `k` uses the key `(k, hashes[k])`.
+    Bands(Arc<[u64]>),
+}
+
+impl IndexKeys {
+    /// Every bucket as an owned key plus the member's [`Band`] tag —
+    /// the form a persistent index stores. Band keys embed the band
+    /// index next to the bucket hash, so buckets of different bands can
+    /// never be confused.
+    pub fn buckets(self) -> Vec<(BlockKey, Option<Band>)> {
+        match self {
+            IndexKeys::None => Vec::new(),
+            IndexKeys::One(key) => vec![(key, None)],
+            IndexKeys::Bands(hashes) => (0..hashes.len())
+                .map(|k| {
+                    let key = vec![Value::Int(k as i64), Value::Int(hashes[k] as i64)];
+                    (BlockKey::from(key), Some((k as u32, Arc::clone(&hashes))))
+                })
+                .collect(),
+        }
+    }
+}
+
+impl IterateStrategy {
+    /// The buckets `unit` (a Scope output of `rule`) is indexed under.
+    pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> IndexKeys {
+        match self {
+            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => IndexKeys::None,
+            IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList => {
+                IndexKeys::One(rule.block(unit).unwrap_or_default())
+            }
+            IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
+                IndexKeys::One(BlockKey::new())
+            }
+            IterateStrategy::LshBlocks {
+                bands,
+                rows_per_band,
+            } => IndexKeys::Bands(rule.lsh_band_hashes(unit, *bands, *rows_per_band).into()),
+        }
+    }
+
+    /// How candidate pairs are drawn from a bucket, or `None` for
+    /// strategies whose units are not pairs of bucket members (single
+    /// units, whole-bucket lists, OCJoin).
+    pub fn pair_rule(&self) -> Option<PairRule> {
+        let rule = |both_orientations, distinct_ids, first_shared_band| {
+            Some(PairRule {
+                both_orientations,
+                distinct_ids,
+                first_shared_band,
+            })
+        };
+        match self {
+            IterateStrategy::BlockPairs { ordered } => rule(*ordered, false, false),
+            IterateStrategy::UCrossProduct => rule(false, false, false),
+            IterateStrategy::CrossProduct => rule(true, true, false),
+            IterateStrategy::LshBlocks { .. } => rule(false, false, true),
+            IterateStrategy::SingleUnits
+            | IterateStrategy::BlockList
+            | IterateStrategy::OcJoin(_) => None,
+        }
+    }
+}
+
+/// One member of a candidate bucket.
+pub trait Member {
+    /// The scoped unit.
+    fn tuple(&self) -> &Tuple;
+
+    /// The band of the bucket this member sits in and the unit's bucket
+    /// hash per band (LSH buckets only).
+    fn band(&self) -> Option<(u32, &[u64])> {
+        None
+    }
+}
+
+impl Member for Tuple {
+    fn tuple(&self) -> &Tuple {
+        self
+    }
+}
+
+/// The batch LSH shuffle record: `(band, band hashes, unit)`.
+impl Member for (u32, Arc<[u64]>, Tuple) {
+    fn tuple(&self) -> &Tuple {
+        &self.2
+    }
+
+    fn band(&self) -> Option<(u32, &[u64])> {
+        Some((self.0, &self.1))
+    }
+}
+
+/// Running totals over [`PairRule::pairs`] calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairCounts {
+    /// Pairs handed to `emit` (each orientation counts).
+    pub emitted: u64,
+    /// Pairs skipped by the first-shared-band rule: they are compared
+    /// exactly once, in the bucket of an earlier band.
+    pub pruned: u64,
+    /// Buckets of two or more members enumerated.
+    pub buckets: u64,
+}
+
+/// Which pairs of a bucket's members are candidate units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRule {
+    /// Emit `(a, b)` and `(b, a)` (order-sensitive Detect) instead of
+    /// only `(earlier, later)` by bucket position.
+    pub both_orientations: bool,
+    /// Never pair two scoped units of the same source tuple — the
+    /// CrossProduct diagonal filter.
+    pub distinct_ids: bool,
+    /// LSH: a pair colliding in several bands is a candidate only in
+    /// the bucket of the first band both members agree on.
+    pub first_shared_band: bool,
+}
+
+impl PairRule {
+    /// Whether `(a, b)` may be a candidate at all (the diagonal
+    /// filter). Applied by [`PairRule::pairs`]; exposed for enumerators
+    /// that draw pairs from an engine cartesian instead of a bucket.
+    #[inline]
+    pub fn admits(&self, a: &Tuple, b: &Tuple) -> bool {
+        !(self.distinct_ids && a.id() == b.id())
+    }
+
+    /// True when this bucket is the one `a` and `b` are compared in.
+    #[inline]
+    fn compared_here<M: Member>(&self, a: &M, b: &M) -> bool {
+        if !self.first_shared_band {
+            return true;
+        }
+        match (a.band(), b.band()) {
+            (Some((band, ha)), Some((_, hb))) => {
+                ha.iter().zip(hb).position(|(x, y)| x == y) == Some(band as usize)
+            }
+            _ => true,
+        }
+    }
+
+    /// Apply the rule to one pair, `a` before `b` in bucket order.
+    #[inline]
+    fn visit<M: Member, E>(
+        &self,
+        a: &M,
+        b: &M,
+        counts: &mut PairCounts,
+        emit: &mut impl FnMut(&Tuple, &Tuple) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if !self.admits(a.tuple(), b.tuple()) {
+            return Ok(());
+        }
+        if !self.compared_here(a, b) {
+            counts.pruned += 1;
+            return Ok(());
+        }
+        counts.emitted += 1;
+        emit(a.tuple(), b.tuple())?;
+        if self.both_orientations {
+            counts.emitted += 1;
+            emit(b.tuple(), a.tuple())?;
+        }
+        Ok(())
+    }
+
+    /// Enumerate the candidate pairs of `bucket` (members in table
+    /// order) that involve at least one fresh member, each exactly
+    /// once, calling `emit(a, b)` per candidate unit and adding to
+    /// `counts`.
+    ///
+    /// With everything fresh this is the plain `i < j` nested loop;
+    /// otherwise only the fresh members drive the outer loop, so a
+    /// bucket of `n` with `k` fresh members costs `O(k·n)`.
+    pub fn pairs<M: Member, E>(
+        &self,
+        bucket: &[M],
+        is_fresh: impl Fn(&M) -> bool,
+        counts: &mut PairCounts,
+        mut emit: impl FnMut(&Tuple, &Tuple) -> Result<(), E>,
+    ) -> Result<(), E> {
+        counts.buckets += u64::from(bucket.len() > 1);
+        if bucket.iter().all(&is_fresh) {
+            for i in 0..bucket.len() {
+                for j in (i + 1)..bucket.len() {
+                    self.visit(&bucket[i], &bucket[j], counts, &mut emit)?;
+                }
+            }
+            return Ok(());
+        }
+        let fresh: Vec<bool> = bucket.iter().map(is_fresh).collect();
+        for (f, a) in bucket.iter().enumerate().filter(|(f, _)| fresh[*f]) {
+            for (j, b) in bucket.iter().enumerate() {
+                // fresh×fresh pairs belong to the earlier of the two
+                if j == f || (fresh[j] && j < f) {
+                    continue;
+                }
+                let (lo, hi) = if j < f { (b, a) } else { (a, b) };
+                self.visit(lo, hi, counts, &mut emit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold enumeration totals into the engine counters:
+    /// `pairs_generated` always; for LSH also the candidate pairs
+    /// actually compared, the cross-band encounters pruned, and the
+    /// band buckets enumerated.
+    pub fn record(&self, counts: &PairCounts, metrics: &Metrics) {
+        Metrics::add(&metrics.pairs_generated, counts.emitted);
+        if self.first_shared_band {
+            Metrics::add(&metrics.lsh_candidate_pairs, counts.emitted);
+            Metrics::add(&metrics.lsh_pairs_pruned, counts.pruned);
+            Metrics::add(&metrics.lsh_bands_probed, counts.buckets);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bigdansing_common::LshParams;
+    use bigdansing_rules::{DedupRule, FdRule};
+    use std::convert::Infallible;
+
+    fn t(id: u64, name: &str) -> Tuple {
+        Tuple::new(id, vec![Value::str(name), Value::str("LA")])
+    }
+
+    fn collect<M: Member>(
+        rule: PairRule,
+        bucket: &[M],
+        fresh: impl Fn(&M) -> bool,
+    ) -> (Vec<(u64, u64)>, PairCounts) {
+        let (mut out, mut counts) = (Vec::new(), PairCounts::default());
+        rule.pairs(bucket, fresh, &mut counts, |a, b| {
+            out.push((a.id(), b.id()));
+            Ok::<(), Infallible>(())
+        })
+        .unwrap();
+        (out, counts)
+    }
+
+    #[test]
+    fn index_keys_per_strategy() {
+        let schema = bigdansing_common::Schema::parse("name,city");
+        let fd = FdRule::parse("name -> city", &schema).unwrap();
+        let row = t(1, "Robert");
+        let scoped = &fd.scope(&row)[0];
+        let blocked = IterateStrategy::BlockPairs { ordered: false };
+        assert_eq!(
+            blocked.index_keys(&fd, scoped),
+            IndexKeys::One(fd.block(scoped).unwrap())
+        );
+        assert_eq!(
+            IterateStrategy::UCrossProduct.index_keys(&fd, scoped),
+            IndexKeys::One(BlockKey::new())
+        );
+        assert_eq!(
+            IterateStrategy::SingleUnits.index_keys(&fd, scoped),
+            IndexKeys::None
+        );
+        assert!(IndexKeys::None.buckets().is_empty());
+    }
+
+    #[test]
+    fn band_buckets_embed_the_band_index() {
+        let p = LshParams::default();
+        let r = DedupRule::new("udf:dedup", 0, 0.8).with_lsh(p);
+        let strategy = IterateStrategy::LshBlocks {
+            bands: p.bands,
+            rows_per_band: p.rows_per_band,
+        };
+        let buckets = strategy.index_keys(&r, &t(1, "Robert")).buckets();
+        assert_eq!(buckets.len(), p.bands);
+        for (k, (key, band)) in buckets.iter().enumerate() {
+            assert_eq!(key.values()[0], Value::Int(k as i64));
+            let (band, hashes) = band.as_ref().unwrap();
+            assert_eq!(*band as usize, k);
+            assert_eq!(key.values()[1], Value::Int(hashes[k] as i64));
+        }
+    }
+
+    #[test]
+    fn orientation_and_diagonal() {
+        let bucket = vec![t(1, "a"), t(1, "a2"), t(2, "b")];
+        let unordered = IterateStrategy::UCrossProduct.pair_rule().unwrap();
+        let (pairs, counts) = collect(unordered, &bucket, |_| true);
+        assert_eq!(pairs, vec![(1, 1), (1, 2), (1, 2)]);
+        assert_eq!(counts.emitted, 3);
+        let cross = IterateStrategy::CrossProduct.pair_rule().unwrap();
+        let (pairs, _) = collect(cross, &bucket, |_| true);
+        assert_eq!(pairs, vec![(1, 2), (2, 1), (1, 2), (2, 1)]);
+    }
+
+    #[test]
+    fn only_pairs_with_a_fresh_member() {
+        let bucket: Vec<Tuple> = (0..5).map(|i| t(i, "x")).collect();
+        let rule = IterateStrategy::BlockPairs { ordered: false }
+            .pair_rule()
+            .unwrap();
+        let (mut pairs, _) = collect(rule, &bucket, |m| m.id() == 1 || m.id() == 3);
+        pairs.sort_unstable();
+        assert_eq!(
+            pairs,
+            vec![(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+        );
+        let (none, _) = collect(rule, &bucket, |_| false);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn first_shared_band_compares_each_pair_once() {
+        let rule = IterateStrategy::LshBlocks {
+            bands: 3,
+            rows_per_band: 1,
+        }
+        .pair_rule()
+        .unwrap();
+        // a and b agree on bands 0 and 2: compared in band 0's bucket,
+        // pruned in band 2's.
+        let (ha, hb): (Arc<[u64]>, Arc<[u64]>) = (vec![7, 1, 9].into(), vec![7, 2, 9].into());
+        let bucket = |band: u32| vec![(band, ha.clone(), t(1, "a")), (band, hb.clone(), t(2, "b"))];
+        let (first, counts) = collect(rule, &bucket(0), |_| true);
+        assert_eq!((first, counts.pruned), (vec![(1, 2)], 0));
+        let (later, counts) = collect(rule, &bucket(2), |_| true);
+        assert_eq!((later, counts.pruned), (vec![], 1));
+    }
+}

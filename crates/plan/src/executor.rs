@@ -11,10 +11,11 @@
 //! [`Engine::explain`] shows which logical operators landed in which
 //! physical passes.
 
+use crate::enumerate::{IndexKeys, Member, PairCounts, PairRule};
 use crate::physical::{IterateStrategy, RulePipeline};
-use bigdansing_common::error::Result;
+use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
-use bigdansing_common::{KeyDict, Table, Tuple};
+use bigdansing_common::{KeyDict, KeyId, Table, Tuple};
 use bigdansing_dataflow::bulkhead::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, ExecMode, PDataset, PassKind, Stage};
 use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
@@ -62,6 +63,61 @@ impl DetectOutput {
     pub fn fix_count(&self) -> usize {
         self.detected.iter().map(|(_, fs)| fs.len()).sum()
     }
+}
+
+/// The fused reducer body of every bucketed strategy: gate each bucket
+/// through the guard, then run Detect over its candidate units — the
+/// pairs the shared [`PairRule`] draws from it (all members fresh:
+/// batch detection is the delta enumeration with an empty resident
+/// side), or the whole bucket as one list unit when there is no pair
+/// rule.
+fn detect_buckets<M: Member>(
+    groups: &[(KeyId, Vec<M>)],
+    pair_rule: Option<PairRule>,
+    rule: &Arc<dyn Rule>,
+    guard: Option<&RuleGuard>,
+    metrics: &Metrics,
+) -> Result<Vec<Violation>> {
+    let mut vs = Vec::new();
+    let mut lists = 0u64;
+    let mut counts = PairCounts::default();
+    for (_, bucket) in groups {
+        if let Some(g) = guard {
+            g.check_budget()?;
+            let expected =
+                pair_rule.map_or(1, |r| pairs_in_block(bucket.len(), r.both_orientations));
+            if !g.admit_block(bucket.len(), expected)? {
+                continue;
+            }
+        }
+        let Some(pairs) = pair_rule else {
+            let block = bucket.iter().map(|m| m.tuple().clone()).collect();
+            vs.extend(rule.detect(&DetectUnit::List(block)));
+            lists += 1;
+            continue;
+        };
+        pairs.pairs(
+            bucket,
+            |_| true,
+            &mut counts,
+            |a, b| {
+                if let Some(g) = guard {
+                    g.check_budget()?;
+                }
+                vs.extend(rule.detect_pair(a, b));
+                Ok::<(), Error>(())
+            },
+        )?;
+    }
+    if let Some(pairs) = pair_rule {
+        pairs.record(&counts, metrics);
+    }
+    let units = lists + counts.emitted;
+    Metrics::add(&metrics.detect_calls, units);
+    if let Some(g) = guard {
+        g.count_units(units);
+    }
+    Ok(vs)
 }
 
 /// Runs physical pipelines on a dataflow engine.
@@ -131,10 +187,10 @@ impl Executor {
         };
         let detect_op = format!("iterate+detect+genfix({})", rule.name());
         let block_op = format!("block({})", rule.name());
+        let guard = guard.cloned();
         match strategy {
             IterateStrategy::SingleUnits => {
                 let r = Arc::clone(rule);
-                let guard = guard.cloned();
                 scoped
                     .map_parts(detect_op, move |part: Vec<Tuple>| {
                         Metrics::add(&metrics.detect_calls, part.len() as u64);
@@ -152,106 +208,46 @@ impl Executor {
                     })
                     .run()
             }
-            IterateStrategy::BlockList => {
-                let r = Arc::clone(rule);
-                let rb = Arc::clone(rule);
+            IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
+                let (rb, st) = (Arc::clone(rule), strategy.clone());
+                let rd = Arc::clone(rule);
+                let pair_rule = strategy.pair_rule();
                 // Blocking keys are dictionary-encoded once per pass:
                 // downstream routing/grouping moves 8-byte `KeyId`s, not
                 // `Value` payloads.
                 let dict = Arc::new(KeyDict::new());
-                let guard = guard.cloned();
                 scoped
                     .group_by_key(&block_op, move |t| {
-                        Ok(dict.encode(rb.block(t).unwrap_or_default()))
+                        let IndexKeys::One(key) = st.index_keys(rb.as_ref(), t) else {
+                            unreachable!("block strategies index under one key");
+                        };
+                        Ok(dict.encode(key))
                     })?
                     .map_parts(detect_op, move |groups| {
-                        let mut vs = Vec::new();
-                        let mut units = 0u64;
-                        for (_, block) in &groups {
-                            if let Some(g) = &guard {
-                                g.check_budget()?;
-                                if !g.admit_block(block.len(), 1)? {
-                                    continue;
-                                }
-                            }
-                            units += 1;
-                            vs.extend(r.detect(&DetectUnit::List(block.clone())));
-                        }
-                        Metrics::add(&metrics.detect_calls, units);
-                        if let Some(g) = &guard {
-                            g.count_units(units);
-                        }
-                        Ok(finish(&r, vs))
-                    })
-                    .run()
-            }
-            IterateStrategy::BlockPairs { ordered } => {
-                let rb = Arc::clone(rule);
-                let rd = Arc::clone(rule);
-                let ordered = *ordered;
-                let dict = Arc::new(KeyDict::new());
-                let guard = guard.cloned();
-                scoped
-                    .group_by_key(&block_op, move |t| {
-                        Ok(dict.encode(rb.block(t).unwrap_or_default()))
-                    })?
-                    .map_parts(detect_op, move |groups| {
-                        let mut vs = Vec::new();
-                        let mut pairs = 0u64;
-                        for (_, block) in &groups {
-                            if let Some(g) = &guard {
-                                g.check_budget()?;
-                                if !g.admit_block(
-                                    block.len(),
-                                    pairs_in_block(block.len(), ordered),
-                                )? {
-                                    continue;
-                                }
-                            }
-                            for i in 0..block.len() {
-                                let j0 = if ordered { 0 } else { i + 1 };
-                                for j in j0..block.len() {
-                                    if i == j {
-                                        continue;
-                                    }
-                                    if let Some(g) = &guard {
-                                        g.check_budget()?;
-                                    }
-                                    pairs += 1;
-                                    vs.extend(rd.detect_pair(&block[i], &block[j]));
-                                }
-                            }
-                        }
-                        Metrics::add(&metrics.pairs_generated, pairs);
-                        Metrics::add(&metrics.detect_calls, pairs);
-                        if let Some(g) = &guard {
-                            g.count_units(pairs);
-                        }
+                        let vs =
+                            detect_buckets(&groups, pair_rule, &rd, guard.as_deref(), &metrics)?;
                         Ok(finish(&rd, vs))
                     })
                     .run()
             }
-            IterateStrategy::LshBlocks {
-                bands,
-                rows_per_band,
-            } => {
+            IterateStrategy::LshBlocks { .. } => {
                 // MinHash/LSH banding: each scoped tuple fans out into
                 // one record per band (an O(1) handle clone — the Arc'd
                 // payload is shared), keyed by the dictionary-encoded
-                // `(band, bucket hash)` pair so the PR-5 KeyId
-                // shuffle path is reused verbatim. The reducer then
-                // enumerates pairs within each bucket, comparing a pair
-                // only in the *first* band its signatures share — a
-                // pair colliding in k bands is detected exactly once.
-                let rb = Arc::clone(rule);
+                // `(band, bucket hash)` pair so the KeyId shuffle path
+                // is reused verbatim. The `(band, bucket hash)` pair is
+                // interned directly as a `Copy` key — no per-record
+                // `Vec<Value>` payload on the hot path.
+                let (rb, st) = (Arc::clone(rule), strategy.clone());
                 let rd = Arc::clone(rule);
-                let (bands, rows) = (*bands, *rows_per_band);
+                let pair_rule = strategy.pair_rule();
                 let dict = Arc::new(KeyDict::new());
-                let guard = guard.cloned();
                 let sig_op = format!("lsh-signature({})", rule.name());
                 scoped
                     .flat_map(sig_op, move |t: Tuple| {
-                        let hashes: Arc<[u64]> = rb.lsh_band_hashes(&t, bands, rows).into();
+                        let IndexKeys::Bands(hashes) = st.index_keys(rb.as_ref(), &t) else {
+                            unreachable!("LshBlocks indexes under band keys");
+                        };
                         Ok((0..hashes.len() as u32)
                             .map(move |k| (k, Arc::clone(&hashes), t.clone()))
                             .collect::<Vec<_>>())
@@ -259,96 +255,39 @@ impl Executor {
                     .group_by_key(
                         &block_op,
                         move |(k, hashes, _): &(u32, Arc<[u64]>, Tuple)| {
-                            // The `(band, bucket hash)` pair is interned
-                            // directly as a `Copy` key — no per-record
-                            // `Vec<Value>` payload on the hot path.
                             Ok(dict.encode((*k, hashes[*k as usize])))
                         },
                     )?
                     .map_parts(detect_op, move |groups| {
-                        let mut vs = Vec::new();
-                        let (mut pairs, mut pruned, mut probed) = (0u64, 0u64, 0u64);
-                        for (_, bucket) in &groups {
-                            if bucket.len() < 2 {
-                                continue;
-                            }
-                            probed += 1;
-                            let band = bucket[0].0;
-                            if let Some(g) = &guard {
-                                g.check_budget()?;
-                                if !g.admit_block(
-                                    bucket.len(),
-                                    pairs_in_block(bucket.len(), false),
-                                )? {
-                                    continue;
-                                }
-                            }
-                            for i in 0..bucket.len() {
-                                for j in (i + 1)..bucket.len() {
-                                    let (_, ha, a) = &bucket[i];
-                                    let (_, hb, b) = &bucket[j];
-                                    let first_shared =
-                                        ha.iter().zip(hb.iter()).position(|(x, y)| x == y);
-                                    if first_shared != Some(band as usize) {
-                                        pruned += 1;
-                                        continue;
-                                    }
-                                    if let Some(g) = &guard {
-                                        g.check_budget()?;
-                                    }
-                                    pairs += 1;
-                                    vs.extend(rd.detect_pair(a, b));
-                                }
-                            }
-                        }
-                        Metrics::add(&metrics.pairs_generated, pairs);
-                        Metrics::add(&metrics.detect_calls, pairs);
-                        Metrics::add(&metrics.lsh_candidate_pairs, pairs);
-                        Metrics::add(&metrics.lsh_pairs_pruned, pruned);
-                        Metrics::add(&metrics.lsh_bands_probed, probed);
-                        if let Some(g) = &guard {
-                            g.count_units(pairs);
-                        }
+                        let vs =
+                            detect_buckets(&groups, pair_rule, &rd, guard.as_deref(), &metrics)?;
                         Ok(finish(&rd, vs))
                     })
                     .run()
             }
-            IterateStrategy::UCrossProduct => {
+            IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
+                // Unblocked pair strategies draw their pairs from the
+                // engine's parallel cartesian primitives rather than one
+                // global bucket; the pair rule picks the primitive and
+                // supplies the diagonal filter.
                 let rd = Arc::clone(rule);
-                let guard = guard.cloned();
-                scoped
-                    .into_dataset()?
-                    .try_self_cartesian()?
-                    .stage()
-                    .map_parts(detect_op, move |part: Vec<(Tuple, Tuple)>| {
-                        Metrics::add(&metrics.detect_calls, part.len() as u64);
-                        let mut vs = Vec::new();
-                        for (a, b) in &part {
-                            if let Some(g) = &guard {
-                                g.check_budget()?;
-                            }
-                            vs.extend(rd.detect_pair(a, b));
-                        }
-                        if let Some(g) = &guard {
-                            g.count_units(part.len() as u64);
-                        }
-                        Ok(finish(&rd, vs))
-                    })
-                    .run()
-            }
-            IterateStrategy::CrossProduct => {
-                let rd = Arc::clone(rule);
-                let guard = guard.cloned();
-                scoped
-                    .into_dataset()?
-                    .try_self_cross_product()?
+                let pair_rule = strategy
+                    .pair_rule()
+                    .expect("cross products enumerate pairs");
+                let data = scoped.into_dataset()?;
+                let pairs = if pair_rule.both_orientations {
+                    data.try_self_cross_product()?
+                } else {
+                    data.try_self_cartesian()?
+                };
+                pairs
                     .stage()
                     .map_parts(detect_op, move |part: Vec<(Tuple, Tuple)>| {
                         Metrics::add(&metrics.detect_calls, part.len() as u64);
                         let mut vs = Vec::new();
                         let mut units = 0u64;
                         for (a, b) in &part {
-                            if a.id() == b.id() {
+                            if !pair_rule.admits(a, b) {
                                 continue;
                             }
                             if let Some(g) = &guard {
@@ -369,7 +308,6 @@ impl Executor {
                 // into Detect (+GenFix) inside the join task — the pair
                 // list is never materialized.
                 let rd = Arc::clone(rule);
-                let guard = guard.cloned();
                 let pairs_before = Metrics::get(&metrics.pairs_generated);
                 let detected = try_ocjoin_sink(
                     scoped.into_dataset()?,
@@ -423,7 +361,6 @@ impl Executor {
     ) -> Result<DetectOutput> {
         self.engine.check_cancelled()?;
         let rule = Arc::clone(&pipeline.rule);
-        let metrics = self.engine.metrics().clone();
         let clones_before = deep_clones_total();
 
         // PScope: queued as a narrow op — no pass of its own.
@@ -446,6 +383,19 @@ impl Executor {
             pipeline.use_genfix,
             guard,
         )?;
+        self.collect_detected(detected_ds, clones_before)
+    }
+
+    /// The final stage-boundary materialization of a detect pass, with
+    /// its accounting: violations found, and the pass's deep-copy
+    /// activity (tuple materializations, key clones) attributed to the
+    /// engine's `tuples_cloned` counter.
+    fn collect_detected(
+        &self,
+        detected_ds: PDataset<(Violation, Vec<Fix>)>,
+        clones_before: u64,
+    ) -> Result<DetectOutput> {
+        let metrics = self.engine.metrics();
         let nparts = detected_ds.num_partitions();
         let materializes =
             self.engine.mode() == ExecMode::DiskBacked || self.engine.memory_budget().is_some();
@@ -455,8 +405,6 @@ impl Executor {
                 .record_pass(PassKind::Checkpoint, Vec::new(), nparts);
         }
         Metrics::add(&metrics.violations, detected.len() as u64);
-        // Attribute this pipeline's deep-copy activity (tuple
-        // materializations, key clones) to the engine's counter.
         Metrics::add(&metrics.tuples_cloned, deep_clones_total() - clones_before);
         Ok(DetectOutput { detected })
     }
@@ -517,7 +465,6 @@ impl Executor {
     ) -> Result<DetectOutput> {
         self.engine.check_cancelled()?;
         let metrics = self.engine.metrics().clone();
-        let inner = metrics.clone();
         let clones_before = deep_clones_total();
         let rl = Arc::clone(&rule);
         let rr = Arc::clone(&rule);
@@ -566,22 +513,12 @@ impl Executor {
                         }
                     }
                 }
-                Metrics::add(&inner.pairs_generated, pairs);
-                Metrics::add(&inner.detect_calls, pairs);
+                Metrics::add(&metrics.pairs_generated, pairs);
+                Metrics::add(&metrics.detect_calls, pairs);
                 Ok(out)
             })
             .run()?;
-        let nparts = detected_ds.num_partitions();
-        let materializes =
-            self.engine.mode() == ExecMode::DiskBacked || self.engine.memory_budget().is_some();
-        let detected = detected_ds.checkpoint()?.try_collect()?;
-        if materializes {
-            self.engine
-                .record_pass(PassKind::Checkpoint, Vec::new(), nparts);
-        }
-        Metrics::add(&metrics.violations, detected.len() as u64);
-        Metrics::add(&metrics.tuples_cloned, deep_clones_total() - clones_before);
-        Ok(DetectOutput { detected })
+        self.collect_detected(detected_ds, clones_before)
     }
 }
 

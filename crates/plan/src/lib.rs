@@ -21,13 +21,19 @@
 //! 3. **Execution layer** ([`executor`]): pipelines run on the
 //!    [`bigdansing_dataflow`] engine (the Spark/Hadoop stand-in),
 //!    checkpointing at stage boundaries under the disk-backed mode.
+//!
+//! [`enumerate`] holds the candidate-enumeration core — index keys and
+//! the pair rule per Iterate strategy — that the executor's reducers and
+//! the incremental session's persistent index both call.
 
 pub mod consolidate;
+pub mod enumerate;
 pub mod executor;
 pub mod job;
 pub mod logical;
 pub mod physical;
 
+pub use enumerate::{IndexKeys, Member, PairCounts, PairRule};
 pub use executor::{DetectOutput, Executor};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};

@@ -17,7 +17,7 @@
 
 use crate::consolidate::consolidate;
 use crate::logical::{LogicalPlan, OpKind};
-use bigdansing_common::Result;
+use bigdansing_common::{LshParams, Result};
 use bigdansing_rules::{OrderCond, Rule, UnitKind};
 use std::sync::Arc;
 
@@ -96,11 +96,20 @@ pub struct PhysicalPlan {
 
 /// Pick the Iterate implementation for a rule (§4.2's enhancer rules).
 pub fn choose_strategy(rule: &dyn Rule) -> IterateStrategy {
+    choose_strategy_with(rule, None)
+}
+
+/// [`choose_strategy`] under a job-level override of the MinHash/LSH
+/// banding geometry — the strategy both the batch cleanse loop and an
+/// incremental session run a rule with. The override only touches rules
+/// routed to [`IterateStrategy::LshBlocks`].
+pub fn choose_strategy_with(rule: &dyn Rule, lsh: Option<LshParams>) -> IterateStrategy {
     match rule.unit_kind() {
         UnitKind::Single => IterateStrategy::SingleUnits,
         UnitKind::List => IterateStrategy::BlockList,
         UnitKind::Pair => {
-            if let Some(p) = rule.lsh() {
+            if let Some(declared) = rule.lsh() {
+                let p = lsh.unwrap_or(declared);
                 IterateStrategy::LshBlocks {
                     bands: p.bands,
                     rows_per_band: p.rows_per_band,
@@ -185,7 +194,7 @@ pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> Rule
 mod tests {
     use super::*;
     use crate::job::Job;
-    use bigdansing_common::{LshParams, Schema, Tuple, Value};
+    use bigdansing_common::{Schema, Tuple, Value};
     use bigdansing_rules::{CfdRule, DcRule, DedupRule, FdRule};
 
     fn schema() -> Schema {

@@ -19,6 +19,9 @@
 //! The supported centralized algorithms are the equivalence-class
 //! algorithm ([`equivalence`]) and a hypergraph-based greedy algorithm
 //! for DCs with numeric/inequality fixes ([`hyper`]).
+//!
+//! [`rounds`] is the iterative detect ⇄ repair driver (§2.2) that both
+//! the batch cleanse loop and incremental sessions run through.
 
 pub mod blackbox;
 pub mod cc;
@@ -28,11 +31,13 @@ pub mod fixeval;
 pub mod hyper;
 pub mod hypergraph;
 pub mod partition;
+pub mod rounds;
 pub mod strategy;
 
 pub use blackbox::{repair_parallel, repair_serial, RepairAlgorithm};
 pub use equivalence::EquivalenceClassRepair;
 pub use hyper::HypergraphRepair;
+pub use rounds::{run_rounds, RepairTarget, RoundsOptions, RoundsReport};
 pub use strategy::{run_repair, RepairStrategy};
 
 use bigdansing_common::{Cell, Value};

@@ -256,18 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn lsh_keys_embed_the_band_index() {
-        use crate::rule::RuleExt;
-        let r = DedupRule::new("udf:dedup", 0, 0.8).with_lsh(LshParams::default());
-        let p = LshParams::default();
-        let keys = r.lsh_keys(&t(1, "Robert", "LA"), p.bands, p.rows_per_band);
-        assert_eq!(keys.len(), p.bands);
-        for (k, key) in keys.iter().enumerate() {
-            assert_eq!(key.values()[0], Value::Int(k as i64));
-        }
-    }
-
-    #[test]
     fn identical_tuples_produce_no_fixes() {
         let r = DedupRule::new("udf:dedup", 0, 0.9);
         let vs = r.detect_pair(&t(1, "Mary", "LA"), &t(2, "Mary", "LA"));

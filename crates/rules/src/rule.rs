@@ -180,21 +180,6 @@ pub trait RuleExt: Rule {
         let fixes = vs.iter().flat_map(|v| self.gen_fix(v)).collect();
         (vs, fixes)
     }
-
-    /// The LSH band keys for `unit`: one [`BlockKey`] per band, each
-    /// embedding the band index alongside the band's bucket hash so
-    /// buckets from different bands can never be confused. This is the
-    /// canonical key construction shared by the batch executor and the
-    /// incremental session's persistent LSH index — both sides must
-    /// bucket identically for delta detection to reproduce batch
-    /// results byte-for-byte.
-    fn lsh_keys(&self, unit: &Tuple, bands: usize, rows_per_band: usize) -> Vec<BlockKey> {
-        self.lsh_band_hashes(unit, bands, rows_per_band)
-            .into_iter()
-            .enumerate()
-            .map(|(k, h)| BlockKey::from(vec![Value::Int(k as i64), Value::Int(h as i64)]))
-            .collect()
-    }
 }
 
 impl<R: Rule + ?Sized> RuleExt for R {}

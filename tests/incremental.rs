@@ -6,11 +6,13 @@
 //!
 //! The suite covers every Iterate strategy the planner can choose: FD
 //! (BlockPairs), CFD (BlockPairs with conditioned detect), DC with
-//! inequalities (OCJoin), and a dedup UDF both blocked (BlockPairs) and
-//! unblocked (UCrossProduct).
+//! inequalities (OCJoin), a dedup UDF both blocked (BlockPairs) and
+//! unblocked (UCrossProduct), a whole-block list UDF (BlockList) and an
+//! order-sensitive unblocked pair UDF (CrossProduct).
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, CleanseOptions, DedupRule, DeltaBatch, Session,
+    apply_batch_to_table, BigDansing, BlockKey, CleanseOptions, DedupRule, DeltaBatch, DetectUnit,
+    Fix, Session, Tuple, UdfRule, UnitKind, Violation,
 };
 use bigdansing_common::{Schema, Table, Value};
 use std::sync::Arc;
@@ -217,6 +219,69 @@ fn dedup_udf_session_matches_full_recompute() {
         DedupRule::new("udf:dedup", 0, 0.8).with_block_prefix(0),
     ));
     assert_oracle_parity(&unblocked, &base, batches);
+}
+
+/// "Two rows disagree on `city`": the violation over both city cells
+/// and the fix equating them, as the FD rule would emit.
+fn city_conflict(rule: &str, a: &Tuple, b: &Tuple) -> Violation {
+    Violation::new(rule)
+        .with_cell(a.cell(1), a.value(1).clone())
+        .with_cell(b.cell(1), b.value(1).clone())
+}
+
+fn equate_cities(v: &Violation) -> Vec<Fix> {
+    let [(c1, v1), (c2, v2)] = v.cells() else {
+        panic!("city conflicts span two cells, got {v:?}");
+    };
+    vec![Fix::assign_cell(*c1, v1.clone(), *c2, v2.clone())]
+}
+
+/// `zipcode -> city` as a whole-block list UDF (BlockList): every row
+/// is compared against its block's *first* row, so the detections
+/// depend on the session keeping buckets in table order.
+#[test]
+fn list_udf_session_matches_full_recompute() {
+    let base = tax_table();
+    let rule = UdfRule::builder("udf:zip-list", |unit| {
+        let DetectUnit::List(block) = unit else {
+            panic!("list rule fed {unit:?}");
+        };
+        let mut rows = block.iter();
+        let first = rows.next().expect("blocks are never empty");
+        rows.filter(|t| t.value(1) != first.value(1))
+            .map(|t| city_conflict("udf:zip-list", first, t))
+            .collect()
+    })
+    .unit_kind(UnitKind::List)
+    .block(|t| Some(BlockKey::single(t.value(0).clone())))
+    .gen_fix(equate_cities)
+    .build();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(rule));
+    assert_oracle_parity(&sys, &base, mixed_batches());
+}
+
+/// An order-sensitive unblocked pair UDF (CrossProduct): `(a, b)`
+/// violates only when `a`'s city sorts before `b`'s, so each conflict
+/// is caught in exactly one of the two orientations — and only if both
+/// are enumerated.
+#[test]
+fn asymmetric_pair_udf_session_matches_full_recompute() {
+    let base = tax_table();
+    let rule = UdfRule::builder("udf:zip-ordered", |unit| {
+        let (a, b) = unit.as_pair();
+        if a.value(0) == b.value(0) && a.value(1) < b.value(1) {
+            vec![city_conflict("udf:zip-ordered", a, b)]
+        } else {
+            Vec::new()
+        }
+    })
+    .symmetric(false)
+    .gen_fix(equate_cities)
+    .build();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(rule));
+    assert_oracle_parity(&sys, &base, mixed_batches());
 }
 
 #[test]

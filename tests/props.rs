@@ -371,3 +371,67 @@ proptest! {
         prop_assert!(cursor.is_empty());
     }
 }
+
+// ---------------------------------------------------------------------
+// The shared pair rule: delta enumeration is a filter of the batch one.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For every pair rule, enumerating a bucket under a freshness mask
+    /// yields exactly the all-fresh (batch) enumeration filtered to the
+    /// pairs with at least one fresh member — and no rule ever emits a
+    /// candidate unit twice.
+    #[test]
+    fn masked_pairs_are_the_fresh_subset_of_all_pairs(
+        // (source tuple id, freshness, hash in each of the 2 free bands)
+        members in prop::collection::vec((0u64..5, any::<bool>(), 0u64..3, 0u64..3), 0..12),
+        band in 0u32..3,
+    ) {
+        use bigdansing_plan::IterateStrategy as S;
+        // Bucket of LSH band `band`: every member agrees on that band's
+        // hash (7); the other bands collide at random. Column 0 tags a
+        // member with its bucket position, ids repeat (Scope replicas).
+        let bucket: Vec<(u32, Arc<[u64]>, bigdansing::Tuple)> = members
+            .iter()
+            .enumerate()
+            .map(|(pos, (id, _, h1, h2))| {
+                let mut hashes = vec![*h1, *h2];
+                hashes.insert(band as usize, 7);
+                let tuple = bigdansing::Tuple::new(*id, vec![Value::Int(pos as i64)]);
+                (band, hashes.into(), tuple)
+            })
+            .collect();
+        let pos = |t: &bigdansing::Tuple| t.value(0).as_i64().unwrap() as usize;
+        let fresh = |m: &(u32, Arc<[u64]>, bigdansing::Tuple)| members[pos(&m.2)].1;
+        for strategy in [
+            S::BlockPairs { ordered: false },
+            S::BlockPairs { ordered: true },
+            S::UCrossProduct,
+            S::CrossProduct,
+            S::LshBlocks { bands: 3, rows_per_band: 1 },
+        ] {
+            let rule = strategy.pair_rule().unwrap();
+            let (mut all, mut masked) = (Vec::new(), Vec::new());
+            let mut all_counts = bigdansing_plan::PairCounts::default();
+            rule.pairs(&bucket, |_| true, &mut all_counts, |a, b| {
+                all.push((pos(a), pos(b)));
+                Ok::<(), bigdansing::Error>(())
+            })
+            .unwrap();
+            rule.pairs(&bucket, fresh, &mut Default::default(), |a, b| {
+                masked.push((pos(a), pos(b)));
+                Ok::<(), bigdansing::Error>(())
+            })
+            .unwrap();
+            prop_assert_eq!(all_counts.emitted as usize, all.len());
+            all.sort_unstable();
+            masked.sort_unstable();
+            let unique: std::collections::BTreeSet<_> = all.iter().copied().collect();
+            prop_assert_eq!(unique.len(), all.len(), "{:?} emitted a pair twice", strategy);
+            all.retain(|(a, b)| members[*a].1 || members[*b].1);
+            prop_assert_eq!(&masked, &all, "{:?} under mask", strategy);
+        }
+    }
+}
