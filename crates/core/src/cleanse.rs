@@ -1,16 +1,18 @@
-//! The batch cleanse loop (§2.2 of the paper): isolation-aware full
-//! detect rounds driven through the shared detect ⇄ repair rounds
-//! driver, [`bigdansing_repair::rounds`], which owns the freeze-counter
-//! termination rule and the change accounting.
+//! The batch cleanse loop (§2.2 of the paper): isolation-aware,
+//! semi-naive detect rounds driven through the shared detect ⇄ repair
+//! rounds driver, [`bigdansing_repair::rounds`], which owns the
+//! freeze-counter termination rule and the change accounting.
 
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Cell, Error, LshParams, Result, Table, Value};
+use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::bulkhead::{Bulkhead, IsolationOptions, RuleGuard};
+use bigdansing_dataflow::PDataset;
 use bigdansing_plan::physical::{choose_strategy_with, pipeline_for_rule};
-use bigdansing_plan::{DetectOutput, Executor};
+use bigdansing_plan::{Delta, Executor, IterateStrategy, Origin, RulePipeline};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
 use bigdansing_rules::Rule;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 // Strategy selection lives in the repair crate so the incremental
@@ -162,56 +164,6 @@ struct RuleTracker {
     rounds_failed: u32,
 }
 
-/// One isolation-aware detect round: a shared scan, then every
-/// non-quarantined rule's pipeline under its own [`RuleGuard`]. In
-/// partial mode a failing rule is counted against its breaker and
-/// contributes nothing this round; strict mode propagates the first
-/// failure. Cancellation and admission errors always propagate — they
-/// are about the job, not a rule.
-fn detect_round(
-    executor: &Executor,
-    table: &Table,
-    rules: &[Arc<dyn Rule>],
-    options: &CleanseOptions,
-    bulkhead: &Bulkhead,
-    trackers: &mut [RuleTracker],
-) -> Result<DetectOutput> {
-    let iso = &options.isolation;
-    let metrics = executor.engine().metrics().clone();
-    let data = executor.load(table);
-    let mut out = DetectOutput::default();
-    for (i, rule) in rules.iter().enumerate() {
-        executor.engine().check_cancelled()?;
-        let name = rule.name().to_string();
-        if !bulkhead.admit(&name) {
-            continue;
-        }
-        let mut pipeline = pipeline_for_rule(Arc::clone(rule), table.name());
-        pipeline.strategy = choose_strategy_with(rule.as_ref(), options.lsh);
-        let guard = RuleGuard::arm(&name, iso);
-        let run = executor.run_pipeline_guarded(data.try_duplicate()?, &pipeline, Some(&guard));
-        trackers[i].units_processed += guard.units_processed();
-        trackers[i].units_skipped += guard.units_skipped();
-        Metrics::add(&metrics.units_skipped, guard.units_skipped());
-        match run {
-            Ok(o) => {
-                trackers[i].rounds_ok += 1;
-                bulkhead.record_success(&name);
-                out.extend(o);
-            }
-            Err(e @ Error::Cancelled { .. }) | Err(e @ Error::Rejected { .. }) => return Err(e),
-            Err(e) => {
-                if !iso.is_partial() {
-                    return Err(e);
-                }
-                trackers[i].rounds_failed += 1;
-                bulkhead.record_failure(&name, e.class(), &e.to_string());
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Summarize tracker + breaker state into the per-rule health report
 /// and the job completeness fraction.
 fn health_report(bulkhead: &Bulkhead, trackers: &[RuleTracker]) -> CleanseOutcome {
@@ -251,29 +203,111 @@ fn health_report(bulkhead: &Bulkhead, trackers: &[RuleTracker]) -> CleanseOutcom
     }
 }
 
-/// The batch side of the shared rounds driver: every (re-)detect is a
-/// full isolation-aware [`detect_round`] over the current table, and a
-/// round's updates rebuild the table.
+/// The batch side of the shared rounds driver. Detection is
+/// semi-naive: the target keeps the detections of the current table
+/// with the candidate unit each came from, `apply` retracts the ones a
+/// round's updates invalidate and records which tuples changed, and the
+/// next detect re-evaluates only the candidate units with a changed
+/// member. The first detect is the same pass with nothing carried and
+/// every tuple fresh.
 struct BatchTarget<'a> {
     executor: &'a Executor,
-    rules: &'a [Arc<dyn Rule>],
+    pipelines: Vec<RulePipeline>,
     options: &'a CleanseOptions,
     bulkhead: Bulkhead,
     trackers: Vec<RuleTracker>,
     table: Table,
+    /// The detections of the table as of the last detect…
+    detected: Vec<Detected>,
+    /// …and, index for index, the rule and candidate unit behind each.
+    origins: Vec<(usize, Origin)>,
+    /// Per rule: `detected` holds its complete detections as of the
+    /// last detect. A rule that was skipped or failed carries nothing
+    /// and is next detected in full.
+    current: Vec<bool>,
+    /// What `apply` changed since the last detect (`None`: nothing).
+    pending: Option<Delta>,
+}
+
+impl BatchTarget<'_> {
+    /// The versions of the `ids` tuples in the current table.
+    fn versions<'t>(&'t self, ids: &'t HashSet<TupleId>) -> impl Iterator<Item = Tuple> + 't {
+        let hit = move |t: &&Tuple| ids.contains(&t.id());
+        self.table.tuples().iter().filter(hit).cloned()
+    }
+
+    /// Drop the carried detections whose origin fails `stands`.
+    fn retract(&mut self, stands: impl Fn(&(usize, Origin)) -> bool) {
+        let keep: Vec<bool> = self.origins.iter().map(stands).collect();
+        let mut kept = keep.iter();
+        self.detected
+            .retain(|_| *kept.next().expect("one origin per detection"));
+        let mut kept = keep.iter();
+        self.origins
+            .retain(|_| *kept.next().expect("one origin per detection"));
+    }
 }
 
 impl RepairTarget for BatchTarget<'_> {
-    fn detect(&mut self) -> Result<Vec<Detected>> {
-        detect_round(
-            self.executor,
-            &self.table,
-            self.rules,
-            self.options,
-            &self.bulkhead,
-            &mut self.trackers,
-        )
-        .map(|out| out.detected)
+    /// One isolation-aware detect round: a shared scan, then every
+    /// non-quarantined rule's pipeline under its own [`RuleGuard`]. In
+    /// partial mode a failing rule is counted against its breaker and
+    /// contributes nothing this round — what it carried is dropped with
+    /// it; strict mode propagates the first failure. Cancellation and
+    /// admission errors always propagate — they are about the job, not
+    /// a rule.
+    fn detect(&mut self) -> Result<&[Detected]> {
+        let (executor, iso) = (self.executor, &self.options.isolation);
+        let engine = executor.engine();
+        let metrics = engine.metrics().clone();
+        // a re-detect counts what it touches as reprocessed, not scanned
+        let data = match self.pending {
+            None => executor.load(&self.table),
+            Some(_) => PDataset::from_vec(engine.clone(), self.table.tuples().to_vec()),
+        };
+        let delta = Arc::new(self.pending.take().unwrap_or_default());
+        for (i, pipeline) in self.pipelines.iter().enumerate() {
+            engine.check_cancelled()?;
+            let name = pipeline.rule.name();
+            // a rule carrying nothing is detected in full
+            let delta = std::mem::take(&mut self.current[i]).then_some(&delta);
+            if !self.bulkhead.admit(name) {
+                continue;
+            }
+            let guard = RuleGuard::arm(name, iso);
+            let data = data.try_duplicate()?;
+            let run = executor.run_pipeline_guarded(data, pipeline, Some(&guard), delta);
+            self.trackers[i].units_processed += guard.units_processed();
+            self.trackers[i].units_skipped += guard.units_skipped();
+            Metrics::add(&metrics.units_skipped, guard.units_skipped());
+            match run {
+                Ok(o) => {
+                    self.trackers[i].rounds_ok += 1;
+                    self.bulkhead.record_success(name);
+                    self.current[i] = true;
+                    self.detected.extend(o.detected);
+                    self.origins
+                        .extend(o.origins.into_iter().map(|unit| (i, unit)));
+                }
+                Err(e @ Error::Cancelled { .. }) | Err(e @ Error::Rejected { .. }) => {
+                    return Err(e)
+                }
+                Err(e) => {
+                    if !iso.is_partial() {
+                        return Err(e);
+                    }
+                    self.trackers[i].rounds_failed += 1;
+                    self.bulkhead
+                        .record_failure(name, e.class(), &e.to_string());
+                }
+            }
+        }
+        // a rule that was skipped or failed contributes nothing
+        if !self.current.iter().all(|c| *c) {
+            let current = self.current.clone();
+            self.retract(|(rule, _)| current[*rule]);
+        }
+        Ok(&self.detected)
     }
 
     fn cell_value(&self, cell: Cell) -> Option<&Value> {
@@ -281,7 +315,31 @@ impl RepairTarget for BatchTarget<'_> {
     }
 
     fn apply(&mut self, updates: &Assignment) -> Result<()> {
+        let ids: HashSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
+        let mut versions: Vec<Tuple> = self.versions(&ids).collect();
         self.table = self.table.apply(updates)?;
+        versions.extend(self.versions(&ids));
+        let delta = Delta { ids, versions };
+
+        // Retract what the delta invalidates right away, so the next
+        // detect's output never sits in memory next to what it replaces.
+        let dirty_buckets = |pipeline: &RulePipeline| match pipeline.strategy {
+            IterateStrategy::BlockList => delta.dirty_buckets(pipeline.rule.as_ref()),
+            _ => HashSet::new(),
+        };
+        let dirty: Vec<HashSet<u64>> = self.pipelines.iter().map(dirty_buckets).collect();
+        self.retract(|(rule, origin)| match origin {
+            Origin::Unit(a, b) => !delta.ids.contains(a) && !delta.ids.contains(b),
+            Origin::Bucket(hash) => !dirty[*rule].contains(hash),
+        });
+
+        match &mut self.pending {
+            None => self.pending = Some(delta),
+            Some(pending) => {
+                pending.ids.extend(delta.ids);
+                pending.versions.extend(delta.versions);
+            }
+        }
         Ok(())
     }
 }
@@ -303,9 +361,14 @@ pub fn cleanse_loop(
         return Err(Error::Repair("no rules registered".into()));
     }
     validate_lsh_override(&options, rules)?;
+    let pipeline = |rule: &Arc<dyn Rule>| {
+        let mut pipeline = pipeline_for_rule(Arc::clone(rule), table.name());
+        pipeline.strategy = choose_strategy_with(rule.as_ref(), options.lsh);
+        pipeline
+    };
     let mut target = BatchTarget {
         executor,
-        rules,
+        pipelines: rules.iter().map(pipeline).collect(),
         options: &options,
         bulkhead: Bulkhead::new(
             options.isolation.breaker,
@@ -320,6 +383,10 @@ pub fn cleanse_loop(
             })
             .collect(),
         table: table.clone(),
+        detected: Vec::new(),
+        origins: Vec::new(),
+        current: vec![false; rules.len()],
+        pending: None,
     };
     let rounds = run_rounds(
         executor.engine(),
@@ -349,7 +416,7 @@ mod tests {
     use bigdansing_common::Schema;
     use bigdansing_dataflow::Engine;
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
-    use bigdansing_rules::{DcRule, DedupRule, FdRule, UdfRule, UnitKind};
+    use bigdansing_rules::{DcRule, DedupRule, DetectUnit, FdRule, UdfRule, UnitKind, Violation};
     use std::collections::HashMap;
 
     fn fd_table() -> Table {
@@ -530,6 +597,91 @@ mod tests {
         )
         .unwrap();
         assert_eq!(res.table.diff_cells(&oracle.table), 0);
+    }
+
+    /// A rule whose breaker opens in a later round takes its carried
+    /// detections with it: the job ends exactly as if the rule had never
+    /// been registered, apart from the violations it reported while
+    /// healthy.
+    #[test]
+    fn rule_quarantined_in_a_later_round_drops_its_carried_detections() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let t = fd_table();
+        // healthy for the first round's four calls; the re-detect calls
+        // it on the repaired tuple, and from then on it panics
+        let calls = AtomicUsize::new(0);
+        let rows = t.len();
+        let flaky = UdfRule::builder("udf:flaky", move |unit| {
+            if calls.fetch_add(1, Ordering::SeqCst) >= rows {
+                panic!("flaky udf tripped");
+            }
+            let DetectUnit::Single(t) = unit else {
+                panic!("unexpected unit {unit:?}");
+            };
+            // an unfixable complaint about a row the FD never touches
+            match t.id() {
+                3 => vec![Violation::new("udf:flaky").with_cell(t.cell(1), t.value(1).clone())],
+                _ => Vec::new(),
+            }
+        })
+        .unit_kind(UnitKind::Single)
+        .build();
+        let mut rules = fd_rules(t.schema());
+        rules.push(Arc::new(flaky));
+        let opts = CleanseOptions {
+            isolation: IsolationOptions::partial(),
+            ..Default::default()
+        };
+        let exec = Executor::new(Engine::sequential());
+        let res = cleanse_loop(&exec, &rules, &t, opts).unwrap();
+        assert_eq!(res.outcome.quarantined().count(), 1);
+
+        let oracle_exec = Executor::new(Engine::sequential());
+        let oracle = cleanse_loop(
+            &oracle_exec,
+            &fd_rules(t.schema()),
+            &t,
+            CleanseOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(res.table.diff_cells(&oracle.table), 0);
+        assert_eq!(res.iterations, oracle.iterations);
+        assert_eq!(res.total_violations, oracle.total_violations + 1);
+        assert!(
+            res.converged,
+            "the stale complaint must not outlive its rule"
+        );
+    }
+
+    /// The re-detect after a repair touches only what the repair
+    /// changed, and says so with the counters and labels that exist.
+    #[test]
+    fn redetect_reprocesses_only_the_dirty_blocks() {
+        // 50 zip codes × 4 rows, one garbled city in every tenth zip
+        let schema = Schema::parse("zipcode,city");
+        let rows = (0..200i64).map(|i| {
+            let city = if i % 40 == 1 { "??" } else { "ok" };
+            vec![Value::Int(i / 4), Value::str(city)]
+        });
+        let t = Table::from_rows("t", schema.clone(), rows.collect());
+        let rules = fd_rules(&schema);
+        let exec = Executor::new(Engine::parallel(2));
+        let res = cleanse_loop(&exec, &rules, &t, CleanseOptions::default()).unwrap();
+        assert!(res.converged);
+        assert_eq!((res.iterations, res.cells_changed), (1, 5));
+
+        let m = exec.engine().metrics().snapshot();
+        let n = t.len() as u64;
+        assert_eq!(m.tuples_scanned, n, "only the first detect scans");
+        assert_eq!((m.tuples_reprocessed, m.blocks_dirty), (5 * 4, 5));
+        assert!(m.tuples_scanned + m.tuples_reprocessed < 2 * n);
+        let full = Executor::new(Engine::parallel(2));
+        full.detect(&t, &rules).unwrap();
+        let full_pairs = full.engine().metrics().snapshot().pairs_generated;
+        assert_eq!(m.pairs_generated, full_pairs + 5 * 3, "Δ×R pairs only");
+        assert!(m.pairs_generated < 2 * full_pairs);
+        let plan = exec.engine().explain();
+        assert!(plan.contains("redetect(fd:zipcode->city)"), "{plan}");
     }
 
     #[test]

@@ -409,6 +409,7 @@ impl Session {
             let mut target = SessionTarget {
                 session: self,
                 stats: &mut stats,
+                detected: Vec::new(),
             };
             let rounds = run_rounds(
                 engine,
@@ -629,11 +630,14 @@ impl Session {
 struct SessionTarget<'a> {
     session: &'a mut Session,
     stats: &'a mut ApplyStats,
+    /// The store's detections as of the last [`RepairTarget::detect`].
+    detected: Vec<Detected>,
 }
 
 impl RepairTarget for SessionTarget<'_> {
-    fn detect(&mut self) -> Result<Vec<Detected>> {
-        Ok(self.session.store.detected())
+    fn detect(&mut self) -> Result<&[Detected]> {
+        self.detected = self.session.store.detected();
+        Ok(&self.detected)
     }
 
     fn is_clean(&mut self) -> Result<bool> {

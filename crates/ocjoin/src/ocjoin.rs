@@ -176,11 +176,31 @@ struct Part {
     /// Indices into `tuples`, sorted by the primary right attribute.
     order: Vec<u32>,
     tree: Option<MergeTree>,
+    /// What a resident (non-fresh) `t1` joins against.
+    fresh: FreshSide,
     min_left: Value,
     max_left: Value,
     min_right: Value,
     max_right: Value,
 }
+
+/// The fresh members of a [`Part`] as a right side of their own: a
+/// semi-naive join pairs a resident `t1` only with fresh `t2`s.
+enum FreshSide {
+    /// Every member is fresh: the part itself.
+    Whole,
+    /// The fresh members, sorted and indexed like any part.
+    Some(Box<Part>),
+    /// No member is fresh.
+    Empty,
+}
+
+/// The freshness mask of a semi-naive join: pairs of two tuples it
+/// rejects are not enumerated. A full join passes [`ALL_FRESH`].
+pub type IsFresh<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
+
+/// Everything is fresh: the mask of a full join.
+pub const ALL_FRESH: IsFresh<'static> = &|_| true;
 
 /// The secondary attribute a merge-sort tree should index, if the
 /// rule's second condition is an ordering comparison.
@@ -192,10 +212,17 @@ fn secondary_tree_attr(conds: &[OrderCond]) -> Option<usize> {
 }
 
 impl Part {
-    fn build(tuples: Vec<Tuple>, conds: &[OrderCond]) -> Option<Part> {
+    fn build(tuples: Vec<Tuple>, conds: &[OrderCond], is_fresh: IsFresh) -> Option<Part> {
         if tuples.is_empty() {
             return None;
         }
+        let fresh = if tuples.iter().all(is_fresh) {
+            FreshSide::Whole
+        } else {
+            let fresh = tuples.iter().filter(|t| is_fresh(t)).cloned().collect();
+            Part::build(fresh, conds, ALL_FRESH)
+                .map_or(FreshSide::Empty, |p| FreshSide::Some(Box::new(p)))
+        };
         let left_attr = conds[0].left_attr;
         let right_attr = conds[0].right_attr;
         let mut order: Vec<u32> = (0..tuples.len() as u32).collect();
@@ -224,6 +251,7 @@ impl Part {
             tuples,
             order,
             tree,
+            fresh,
             min_left: min_l,
             max_left: max_l,
             min_right: min_r,
@@ -303,14 +331,27 @@ fn feasible_tasks(op: Op, parts: &[Part]) -> (Vec<(usize, usize)>, u64) {
 /// that satisfy both) or verify-scan the range. Remaining conditions
 /// are verified per emitted pair. Pairs stream into `emit`; nothing is
 /// materialized here.
-fn enumerate_pair<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
+fn enumerate_pair<E>(
+    left: &Part,
+    right: &Part,
+    conds: &[OrderCond],
+    is_fresh: IsFresh,
+    emit: &mut E,
+) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
 {
     let primary = conds[0];
     let rest = &conds[1..];
-    let ord = &right.order;
     for t1 in &left.tuples {
+        // semi-naive: a fresh t1 meets every t2, a resident one only
+        // the fresh t2s
+        let right = match &right.fresh {
+            FreshSide::Some(fresh) if !is_fresh(t1) => fresh,
+            FreshSide::Empty if !is_fresh(t1) => continue,
+            _ => right,
+        };
+        let ord = &right.order;
         let v1 = t1.value(primary.left_attr);
         let val = |i: &u32| right.tuples[*i as usize].value(primary.right_attr);
         // candidate index range in `order` satisfying the primary op
@@ -396,7 +437,7 @@ pub fn ocjoin(
 
     // Sorting phase (parallel, local to each partition).
     let parts: Vec<Part> = par_map_indexed(workers, partitioned.into_partitions(), |_, p| {
-        Part::build(p, conds)
+        Part::build(p, conds, ALL_FRESH)
     })
     .into_iter()
     .flatten()
@@ -411,10 +452,16 @@ pub fn ocjoin(
     let parts_ref = &parts;
     let partitions = par_map_indexed(workers, tasks, |_, (i, j)| {
         let mut out = Vec::new();
-        enumerate_pair(&parts_ref[i], &parts_ref[j], conds, &mut |a, b| {
-            out.push((a.clone(), b.clone()));
-            Ok(())
-        })
+        enumerate_pair(
+            &parts_ref[i],
+            &parts_ref[j],
+            conds,
+            ALL_FRESH,
+            &mut |a, b| {
+                out.push((a.clone(), b.clone()));
+                Ok(())
+            },
+        )
         .expect("infallible emit");
         out
     });
@@ -433,6 +480,7 @@ fn try_prepare(
     input: PDataset<Tuple>,
     conds: &[OrderCond],
     config: OcJoinConfig,
+    is_fresh: IsFresh,
 ) -> Result<Prepared> {
     if conds.is_empty() {
         return Err(Error::InvalidPlan(
@@ -462,7 +510,9 @@ fn try_prepare(
         raw.len(),
     );
     let parts: Vec<Part> = engine
-        .run_stage(&raw, |_, p: &Vec<Tuple>| Ok(Part::build(p.clone(), conds)))?
+        .run_stage(&raw, |_, p: &Vec<Tuple>| {
+            Ok(Part::build(p.clone(), conds, is_fresh))
+        })?
         .into_iter()
         .flatten()
         .collect();
@@ -484,14 +534,20 @@ pub fn try_ocjoin(
     conds: &[OrderCond],
     config: OcJoinConfig,
 ) -> Result<PDataset<(Tuple, Tuple)>> {
-    let (engine, parts, tasks) = try_prepare(input, conds, config)?;
+    let (engine, parts, tasks) = try_prepare(input, conds, config, ALL_FRESH)?;
     let parts_ref = &parts;
     let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
         let mut out = Vec::new();
-        enumerate_pair(&parts_ref[i], &parts_ref[j], conds, &mut |a, b| {
-            out.push((a.clone(), b.clone()));
-            Ok(())
-        })?;
+        enumerate_pair(
+            &parts_ref[i],
+            &parts_ref[j],
+            conds,
+            ALL_FRESH,
+            &mut |a, b| {
+                out.push((a.clone(), b.clone()));
+                Ok(())
+            },
+        )?;
         Ok(out)
     })?;
     let produced: usize = partitions.iter().map(Vec::len).sum();
@@ -510,10 +566,14 @@ pub fn try_ocjoin(
 /// pair list is never materialized. `label` names the fused consumer in
 /// the recorded pass. `pairs_generated` counts every enumerated pair,
 /// attributed once per successfully completed task.
+///
+/// The join is semi-naive under `is_fresh`: only pairs with a fresh
+/// member are enumerated, each once. [`ALL_FRESH`] is the full join.
 pub fn try_ocjoin_sink<R, F>(
     input: PDataset<Tuple>,
     conds: &[OrderCond],
     config: OcJoinConfig,
+    is_fresh: IsFresh,
     label: &str,
     sink: F,
 ) -> Result<PDataset<R>>
@@ -521,16 +581,22 @@ where
     R: Send,
     F: Fn(&Tuple, &Tuple, &mut Vec<R>) -> Result<()> + Sync,
 {
-    let (engine, parts, tasks) = try_prepare(input, conds, config)?;
+    let (engine, parts, tasks) = try_prepare(input, conds, config, is_fresh)?;
     let parts_ref = &parts;
     let pairs_seen = AtomicU64::new(0);
     let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
         let mut out = Vec::new();
         let mut local = 0u64;
-        enumerate_pair(&parts_ref[i], &parts_ref[j], conds, &mut |a, b| {
-            local += 1;
-            sink(a, b, &mut out)
-        })?;
+        enumerate_pair(
+            &parts_ref[i],
+            &parts_ref[j],
+            conds,
+            is_fresh,
+            &mut |a, b| {
+                local += 1;
+                sink(a, b, &mut out)
+            },
+        )?;
         // Counted only when the attempt completes, so retried tasks do
         // not double-count.
         pairs_seen.fetch_add(local, Ordering::Relaxed);
@@ -659,6 +725,7 @@ mod tests {
                     op: Op::Lt,
                     right_attr: 0,
                 }],
+                ALL_FRESH,
             )
             .unwrap()
         };
@@ -847,6 +914,7 @@ mod tests {
             PDataset::from_vec(sink_engine.clone(), data),
             &conds,
             OcJoinConfig { nb_parts: 4 },
+            ALL_FRESH,
             "collect-ids",
             |a, b, out| {
                 out.push((a.id(), b.id()));
@@ -891,6 +959,51 @@ mod tests {
             let fast = pair_ids(ocjoin(PDataset::from_vec(e.clone(), data.clone()), &conds, OcJoinConfig { nb_parts }).collect());
             let slow = pair_ids(cross_join_filter(PDataset::from_vec(e, data), &conds).collect());
             prop_assert_eq!(fast, slow);
+        }
+
+        /// The semi-naive join under a mask is exactly the full join's
+        /// pairs with at least one fresh member, each emitted once.
+        #[test]
+        fn masked_join_is_the_fresh_subset_of_the_full_join(
+            rows in prop::collection::vec((0i64..40, 0i64..40, any::<bool>()), 0..200),
+            op1 in prop::sample::select(vec![Op::Lt, Op::Gt, Op::Le, Op::Ge]),
+            op2 in prop::sample::select(vec![Op::Lt, Op::Gt, Op::Le, Op::Ge]),
+            nb_parts in 1usize..8,
+        ) {
+            let data: Vec<Tuple> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, (s, r, _))| tup(i as u64, *s, *r))
+                .collect();
+            let conds = vec![
+                OrderCond { left_attr: 0, op: op1, right_attr: 0 },
+                OrderCond { left_attr: 1, op: op2, right_attr: 1 },
+            ];
+            let fresh = |t: &Tuple| rows[t.id() as usize].2;
+            let e = Engine::parallel(3);
+            let masked: Vec<(u64, u64)> = try_ocjoin_sink(
+                PDataset::from_vec(e.clone(), data.clone()),
+                &conds,
+                OcJoinConfig { nb_parts },
+                &fresh,
+                "collect-ids",
+                |a, b, out| {
+                    out.push((a.id(), b.id()));
+                    Ok(())
+                },
+            )
+            .unwrap()
+            .collect();
+            let mut expected: Vec<(u64, u64)> = cross_join_filter(PDataset::from_vec(e, data), &conds)
+                .collect()
+                .iter()
+                .filter(|(a, b)| fresh(a) || fresh(b))
+                .map(|(a, b)| (a.id(), b.id()))
+                .collect();
+            let mut masked = masked;
+            masked.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(masked, expected);
         }
     }
 }

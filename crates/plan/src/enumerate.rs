@@ -14,15 +14,19 @@
 //!
 //! Enumeration is semi-naive: [`PairRule::pairs`] takes a freshness
 //! predicate and yields exactly the pairs with at least one fresh
-//! member (`Δ×R ∪ Δ×Δ`). Batch detection is the same enumeration with
-//! everything fresh — the reducers pass `|_| true`, which monomorphises
-//! to the plain nested loop — and a session passes its delta mask over
+//! member (`Δ×R ∪ Δ×Δ`). A full detect is the same enumeration with
+//! everything fresh; the batch loop's re-detects pass the tuples repair
+//! changed (a [`Delta`]) as the mask over the dirty buckets of the
+//! table, carrying the earlier detections whose [`Origin`] the delta
+//! left untouched, and a session passes its delta mask over
 //! `residents ∪ news`.
 
 use crate::physical::IterateStrategy;
+use bigdansing_common::codec::Codec;
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Tuple, Value};
+use bigdansing_common::{stable_hash_of, Error, Tuple, TupleId, Value};
 use bigdansing_rules::{BlockKey, Rule};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The LSH tag of a bucket member: the band of the bucket this copy of
@@ -58,6 +62,74 @@ impl IndexKeys {
                 })
                 .collect(),
         }
+    }
+}
+
+/// The candidate unit a detection came from — what a later delta needs
+/// to know to decide whether the detection still stands: it is
+/// retracted when a tuple of its generating unit changes, or (list
+/// rules, whose unit is the whole bucket) when its bucket loses or
+/// gains a member. `Copy`, so recording it costs a detect pass no
+/// allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// A single unit (both ids equal) or a pair of units.
+    Unit(TupleId, TupleId),
+    /// A whole bucket, by its [`bucket_hash`].
+    Bucket(u64),
+}
+
+/// The hash that names the Block bucket `unit` sits in. Buckets are
+/// marked dirty and whole-bucket detections retracted by this hash, so
+/// a collision only ever makes two buckets dirty together: the pass
+/// that re-detects dirty buckets and the caller that retracts their
+/// earlier detections agree on which those are.
+pub fn bucket_hash(rule: &dyn Rule, unit: &Tuple) -> u64 {
+    stable_hash_of(&rule.block(unit).unwrap_or_default())
+}
+
+impl Codec for Origin {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let tagged = match *self {
+            Origin::Unit(a, b) => (0u64, (a, b)),
+            Origin::Bucket(hash) => (1, (hash, 0)),
+        };
+        tagged.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> bigdansing_common::Result<Self> {
+        match <(u64, (u64, u64))>::decode(buf)? {
+            (0, (a, b)) => Ok(Origin::Unit(a, b)),
+            (1, (hash, _)) => Ok(Origin::Bucket(hash)),
+            (tag, _) => Err(Error::Parse(format!("origin codec: bad tag {tag}"))),
+        }
+    }
+}
+
+/// The semi-naive delta of a re-detect: what changed since the
+/// detections being extended were produced. A pass given a delta
+/// evaluates only the candidate units with at least one changed member
+/// (`Δ×R ∪ Δ×Δ`; whole dirty buckets for list rules); a pass given none
+/// treats every tuple as fresh — a full detect.
+#[derive(Debug, Clone, Default)]
+pub struct Delta {
+    /// Ids of the changed tuples: the freshness mask.
+    pub ids: HashSet<TupleId>,
+    /// Their versions before and after the change — every bucket either
+    /// version is indexed under is dirty.
+    pub versions: Vec<Tuple>,
+}
+
+impl Delta {
+    /// Whether `unit` is (a Scope output of) a changed tuple.
+    pub fn is_fresh(&self, unit: &Tuple) -> bool {
+        self.ids.contains(&unit.id())
+    }
+
+    /// The dirty Block buckets of `rule`, by [`bucket_hash`]: those a
+    /// scoped unit of either version of a changed tuple sits in.
+    pub fn dirty_buckets(&self, rule: &dyn Rule) -> HashSet<u64> {
+        let scoped = self.versions.iter().flat_map(|t| rule.scope(t));
+        scoped.map(|unit| bucket_hash(rule, &unit)).collect()
     }
 }
 

@@ -11,7 +11,7 @@
 //! [`Engine::explain`] shows which logical operators landed in which
 //! physical passes.
 
-use crate::enumerate::{IndexKeys, Member, PairCounts, PairRule};
+use crate::enumerate::{bucket_hash, Delta, IndexKeys, Member, Origin, PairCounts, PairRule};
 use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
@@ -22,6 +22,10 @@ use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
 use bigdansing_rules::{DetectUnit, Fix, Rule, RuleExt, Violation};
 use std::sync::Arc;
 
+/// One detection as a detect pass produces it: where it came from, the
+/// violation, and its possible fixes.
+type Found = (Origin, (Violation, Vec<Fix>));
+
 /// The result of running detection: each violation paired with its
 /// possible fixes (the input to the repair stage). The association is
 /// preserved because hypergraph-style repair algorithms resolve
@@ -30,12 +34,16 @@ use std::sync::Arc;
 pub struct DetectOutput {
     /// `(violation, possible fixes)` pairs, across all rules run.
     pub detected: Vec<(Violation, Vec<Fix>)>,
+    /// The candidate unit each entry of `detected` came from, index for
+    /// index — what a later semi-naive pass retracts by.
+    pub origins: Vec<Origin>,
 }
 
 impl DetectOutput {
     /// Merge another output into this one.
     pub fn extend(&mut self, other: DetectOutput) {
         self.detected.extend(other.detected);
+        self.origins.extend(other.origins);
     }
 
     /// True when no violations were found.
@@ -67,17 +75,19 @@ impl DetectOutput {
 
 /// The fused reducer body of every bucketed strategy: gate each bucket
 /// through the guard, then run Detect over its candidate units — the
-/// pairs the shared [`PairRule`] draws from it (all members fresh:
-/// batch detection is the delta enumeration with an empty resident
-/// side), or the whole bucket as one list unit when there is no pair
-/// rule.
+/// pairs the shared [`PairRule`] draws from it with the delta as the
+/// freshness mask (no delta: all members fresh — a full detect is the
+/// delta enumeration with an empty resident side), or the whole bucket
+/// as one list unit when there is no pair rule (under a delta only
+/// dirty buckets reach the reducer).
 fn detect_buckets<M: Member>(
     groups: &[(KeyId, Vec<M>)],
     pair_rule: Option<PairRule>,
     rule: &Arc<dyn Rule>,
     guard: Option<&RuleGuard>,
+    delta: Option<&Delta>,
     metrics: &Metrics,
-) -> Result<Vec<Violation>> {
+) -> Result<Vec<(Origin, Violation)>> {
     let mut vs = Vec::new();
     let mut lists = 0u64;
     let mut counts = PairCounts::default();
@@ -91,23 +101,31 @@ fn detect_buckets<M: Member>(
             }
         }
         let Some(pairs) = pair_rule else {
-            let block = bucket.iter().map(|m| m.tuple().clone()).collect();
-            vs.extend(rule.detect(&DetectUnit::List(block)));
+            let block: Vec<Tuple> = bucket.iter().map(|m| m.tuple().clone()).collect();
+            let origin = Origin::Bucket(bucket_hash(rule.as_ref(), &block[0]));
+            let found = rule.detect(&DetectUnit::List(block));
+            vs.extend(found.into_iter().map(|v| (origin, v)));
             lists += 1;
             continue;
         };
         pairs.pairs(
             bucket,
-            |_| true,
+            |m| delta.is_none_or(|d| d.is_fresh(m.tuple())),
             &mut counts,
             |a, b| {
                 if let Some(g) = guard {
                     g.check_budget()?;
                 }
-                vs.extend(rule.detect_pair(a, b));
+                let unit = Origin::Unit(a.id(), b.id());
+                vs.extend(rule.detect_pair(a, b).into_iter().map(|v| (unit, v)));
                 Ok::<(), Error>(())
             },
         )?;
+    }
+    if delta.is_some() {
+        let members: usize = groups.iter().map(|(_, bucket)| bucket.len()).sum();
+        Metrics::add(&metrics.tuples_reprocessed, members as u64);
+        Metrics::add(&metrics.blocks_dirty, groups.len() as u64);
     }
     if let Some(pairs) = pair_rule {
         pairs.record(&counts, metrics);
@@ -153,6 +171,12 @@ impl Executor {
     /// materialized as a whole. Metrics (`pairs_generated`,
     /// `detect_calls`) are kept via per-partition batched atomics.
     ///
+    /// With a [`Delta`] the pass is semi-naive — only candidate units
+    /// with a changed member are evaluated, each arm below says how —
+    /// is labelled `redetect(<rule>)` in the plan trace, and counts what
+    /// it touched in `tuples_reprocessed` / `blocks_dirty`. Without one
+    /// everything is fresh: the same pass, as a full detect.
+    ///
     /// Every forced pass runs fault-tolerantly: partition tasks execute
     /// under panic isolation and are retried per the engine's
     /// [`bigdansing_dataflow::FaultPolicy`] — a retry re-runs the whole
@@ -171,35 +195,46 @@ impl Executor {
         strategy: &IterateStrategy,
         use_genfix: bool,
         guard: Option<&Arc<RuleGuard>>,
-    ) -> Result<PDataset<(Violation, Vec<Fix>)>> {
+        delta: Option<&Arc<Delta>>,
+    ) -> Result<PDataset<Found>> {
         let metrics = self.engine.metrics().clone();
-        let finish = move |r: &Arc<dyn Rule>, vs: Vec<Violation>| -> Vec<(Violation, Vec<Fix>)> {
+        let finish = move |r: &Arc<dyn Rule>, vs: Vec<(Origin, Violation)>| -> Vec<Found> {
             vs.into_iter()
-                .map(|v| {
+                .map(|(unit, v)| {
                     let fixes = if use_genfix {
                         r.gen_fix(&v)
                     } else {
                         Vec::new()
                     };
-                    (v, fixes)
+                    (unit, (v, fixes))
                 })
                 .collect()
         };
-        let detect_op = format!("iterate+detect+genfix({})", rule.name());
+        let detect_op = match delta {
+            None => format!("iterate+detect+genfix({})", rule.name()),
+            Some(_) => format!("redetect({})", rule.name()),
+        };
         let block_op = format!("block({})", rule.name());
         let guard = guard.cloned();
+        let delta = delta.cloned();
         match strategy {
             IterateStrategy::SingleUnits => {
                 let r = Arc::clone(rule);
                 scoped
-                    .map_parts(detect_op, move |part: Vec<Tuple>| {
+                    .map_parts(detect_op, move |mut part: Vec<Tuple>| {
+                        if let Some(d) = &delta {
+                            part.retain(|t| d.is_fresh(t));
+                            Metrics::add(&metrics.tuples_reprocessed, part.len() as u64);
+                        }
                         Metrics::add(&metrics.detect_calls, part.len() as u64);
                         let mut vs = Vec::new();
                         for t in &part {
                             if let Some(g) = &guard {
                                 g.check_budget()?;
                             }
-                            vs.extend(r.detect(&DetectUnit::Single(t.clone())));
+                            let found = r.detect(&DetectUnit::Single(t.clone()));
+                            let unit = Origin::Unit(t.id(), t.id());
+                            vs.extend(found.into_iter().map(|v| (unit, v)));
                         }
                         if let Some(g) = &guard {
                             g.count_units(part.len() as u64);
@@ -212,6 +247,17 @@ impl Executor {
                 let (rb, st) = (Arc::clone(rule), strategy.clone());
                 let rd = Arc::clone(rule);
                 let pair_rule = strategy.pair_rule();
+                // Under a delta only the dirty buckets are regrouped.
+                let scoped = match &delta {
+                    Some(d) => {
+                        let r = Arc::clone(rule);
+                        let dirty = d.dirty_buckets(r.as_ref());
+                        scoped.filter("dirty-blocks", move |t| {
+                            Ok(dirty.contains(&bucket_hash(r.as_ref(), t)))
+                        })
+                    }
+                    None => scoped,
+                };
                 // Blocking keys are dictionary-encoded once per pass:
                 // downstream routing/grouping moves 8-byte `KeyId`s, not
                 // `Value` payloads.
@@ -224,8 +270,8 @@ impl Executor {
                         Ok(dict.encode(key))
                     })?
                     .map_parts(detect_op, move |groups| {
-                        let vs =
-                            detect_buckets(&groups, pair_rule, &rd, guard.as_deref(), &metrics)?;
+                        let (guard, delta) = (guard.as_deref(), delta.as_deref());
+                        let vs = detect_buckets(&groups, pair_rule, &rd, guard, delta, &metrics)?;
                         Ok(finish(&rd, vs))
                     })
                     .run()
@@ -238,6 +284,9 @@ impl Executor {
                 // is reused verbatim. The `(band, bucket hash)` pair is
                 // interned directly as a `Copy` key — no per-record
                 // `Vec<Value>` payload on the hot path.
+                // A delta does not thin this shuffle: the signature, not
+                // the shuffle, is what a record costs, and it is needed
+                // to know the buckets. The mask skips the clean ones.
                 let (rb, st) = (Arc::clone(rule), strategy.clone());
                 let rd = Arc::clone(rule);
                 let pair_rule = strategy.pair_rule();
@@ -259,8 +308,8 @@ impl Executor {
                         },
                     )?
                     .map_parts(detect_op, move |groups| {
-                        let vs =
-                            detect_buckets(&groups, pair_rule, &rd, guard.as_deref(), &metrics)?;
+                        let (guard, delta) = (guard.as_deref(), delta.as_deref());
+                        let vs = detect_buckets(&groups, pair_rule, &rd, guard, delta, &metrics)?;
                         Ok(finish(&rd, vs))
                     })
                     .run()
@@ -269,7 +318,8 @@ impl Executor {
                 // Unblocked pair strategies draw their pairs from the
                 // engine's parallel cartesian primitives rather than one
                 // global bucket; the pair rule picks the primitive and
-                // supplies the diagonal filter.
+                // supplies the diagonal filter, the delta the
+                // freshness filter.
                 let rd = Arc::clone(rule);
                 let pair_rule = strategy
                     .pair_rule()
@@ -283,19 +333,23 @@ impl Executor {
                 pairs
                     .stage()
                     .map_parts(detect_op, move |part: Vec<(Tuple, Tuple)>| {
-                        Metrics::add(&metrics.detect_calls, part.len() as u64);
                         let mut vs = Vec::new();
                         let mut units = 0u64;
                         for (a, b) in &part {
-                            if !pair_rule.admits(a, b) {
+                            let fresh = delta
+                                .as_ref()
+                                .is_none_or(|d| d.is_fresh(a) || d.is_fresh(b));
+                            if !fresh || !pair_rule.admits(a, b) {
                                 continue;
                             }
                             if let Some(g) = &guard {
                                 g.check_budget()?;
                             }
                             units += 1;
-                            vs.extend(rd.detect_pair(a, b));
+                            let unit = Origin::Unit(a.id(), b.id());
+                            vs.extend(rd.detect_pair(a, b).into_iter().map(|v| (unit, v)));
                         }
+                        Metrics::add(&metrics.detect_calls, units);
                         if let Some(g) = &guard {
                             g.count_units(units);
                         }
@@ -309,12 +363,14 @@ impl Executor {
                 // list is never materialized.
                 let rd = Arc::clone(rule);
                 let pairs_before = Metrics::get(&metrics.pairs_generated);
+                let is_fresh = |t: &Tuple| delta.as_ref().is_none_or(|d| d.is_fresh(t));
                 let detected = try_ocjoin_sink(
                     scoped.into_dataset()?,
                     conds,
                     OcJoinConfig::default(),
+                    &is_fresh,
                     &detect_op,
-                    move |a, b, out| {
+                    |a, b, out| {
                         if let Some(g) = &guard {
                             g.check_budget()?;
                             g.count_units(1);
@@ -325,7 +381,7 @@ impl Executor {
                             } else {
                                 Vec::new()
                             };
-                            out.push((v, fixes));
+                            out.push((Origin::Unit(a.id(), b.id()), (v, fixes)));
                         }
                         Ok(())
                     },
@@ -345,7 +401,7 @@ impl Executor {
         data: PDataset<Tuple>,
         pipeline: &RulePipeline,
     ) -> Result<DetectOutput> {
-        self.run_pipeline_guarded(data, pipeline, None)
+        self.run_pipeline_guarded(data, pipeline, None, None)
     }
 
     /// [`run_pipeline`](Executor::run_pipeline) under a [`RuleGuard`]:
@@ -353,11 +409,17 @@ impl Executor {
     /// Detect/GenFix invocations and gates blocks through its straggler
     /// threshold. The isolation-aware cleanse loop arms one guard per
     /// rule pass and reads its processed/skipped counters afterwards.
+    ///
+    /// With a [`Delta`] the pass is semi-naive: it returns only the
+    /// detections of candidate units with a changed member, which the
+    /// caller adds to the earlier detections the delta left standing
+    /// (see [`DetectOutput::origins`]). `None` is a full detect.
     pub fn run_pipeline_guarded(
         &self,
         data: PDataset<Tuple>,
         pipeline: &RulePipeline,
         guard: Option<&Arc<RuleGuard>>,
+        delta: Option<&Arc<Delta>>,
     ) -> Result<DetectOutput> {
         self.engine.check_cancelled()?;
         let rule = Arc::clone(&pipeline.rule);
@@ -382,6 +444,7 @@ impl Executor {
             &pipeline.strategy,
             pipeline.use_genfix,
             guard,
+            delta,
         )?;
         self.collect_detected(detected_ds, clones_before)
     }
@@ -392,21 +455,22 @@ impl Executor {
     /// engine's `tuples_cloned` counter.
     fn collect_detected(
         &self,
-        detected_ds: PDataset<(Violation, Vec<Fix>)>,
+        detected_ds: PDataset<Found>,
         clones_before: u64,
     ) -> Result<DetectOutput> {
         let metrics = self.engine.metrics();
         let nparts = detected_ds.num_partitions();
         let materializes =
             self.engine.mode() == ExecMode::DiskBacked || self.engine.memory_budget().is_some();
-        let detected = detected_ds.checkpoint()?.try_collect()?;
+        let found = detected_ds.checkpoint()?.try_collect()?;
         if materializes {
             self.engine
                 .record_pass(PassKind::Checkpoint, Vec::new(), nparts);
         }
-        Metrics::add(&metrics.violations, detected.len() as u64);
+        Metrics::add(&metrics.violations, found.len() as u64);
         Metrics::add(&metrics.tuples_cloned, deep_clones_total() - clones_before);
-        Ok(DetectOutput { detected })
+        let (origins, detected) = found.into_iter().unzip();
+        Ok(DetectOutput { detected, origins })
     }
 
     /// Detect with a **shared scan**: the table is loaded once and every
@@ -508,7 +572,7 @@ impl Executor {
                             pairs += 1;
                             for v in rd.detect(&DetectUnit::Pair(a.clone(), b.clone())) {
                                 let fixes = rd.gen_fix(&v);
-                                out.push((v, fixes));
+                                out.push((Origin::Unit(a.id(), b.id()), (v, fixes)));
                             }
                         }
                     }
@@ -693,7 +757,7 @@ mod tests {
         };
         let guard = RuleGuard::arm(rule.name(), &iso);
         let out = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard))
+            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap();
         assert!(out.is_clean(), "the violating block was skipped");
         assert_eq!(guard.units_skipped(), pairs_in_block(3, false));
@@ -716,7 +780,7 @@ mod tests {
         };
         let guard = RuleGuard::arm(rule.name(), &iso);
         let err = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard))
+            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap_err();
         match err {
             Error::Rule { rule: name, cause } => {
@@ -736,7 +800,7 @@ mod tests {
         let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name());
         let guard = RuleGuard::arm(rule.name(), &IsolationOptions::default());
         let out = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard))
+            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap();
         assert_eq!(out.violation_count(), 2);
         // 90210 has 3 tuples → 3 unordered pairs; every other block is

@@ -33,7 +33,7 @@ pub mod job;
 pub mod logical;
 pub mod physical;
 
-pub use enumerate::{IndexKeys, Member, PairCounts, PairRule};
+pub use enumerate::{Delta, IndexKeys, Member, Origin, PairCounts, PairRule};
 pub use executor::{DetectOutput, Executor};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};

@@ -11,9 +11,12 @@
 //! The driver owns the round body — repair, the freeze / no-op filter,
 //! cost and change accounting — and is parameterised only by a
 //! [`RepairTarget`]: how the caller (re-)detects and how it mutates its
-//! table. The batch loop re-detects with a full fused detect over the
-//! whole table; a session feeds the changed cells back through its
-//! incremental index.
+//! table. Both targets re-detect semi-naively — only the candidate
+//! units a round's updates touched — and differ in where the resident
+//! side lives: the batch loop filters the table for the dirty buckets
+//! each round, a session probes its persistent index. The driver never
+//! asks for a detect it can answer itself: a verdict on the final table
+//! costs a detect only when something was applied since the last one.
 
 use crate::blackbox::RepairOptions;
 use crate::{run_repair, Assignment, Detected, RepairStrategy};
@@ -25,7 +28,9 @@ use std::collections::HashMap;
 /// What the rounds driver needs from the table it repairs.
 pub trait RepairTarget {
     /// The violations of the current table, with their possible fixes.
-    fn detect(&mut self) -> Result<Vec<Detected>>;
+    /// The slice is the target's own: it may be carried into the next
+    /// round instead of being recomputed.
+    fn detect(&mut self) -> Result<&[Detected]>;
 
     /// Whether the current table is violation-free.
     fn is_clean(&mut self) -> Result<bool> {
@@ -87,18 +92,21 @@ pub fn run_rounds(
     let mut change_count: HashMap<Cell, usize> = HashMap::new();
     let mut froze = false;
     let mut only_noops_left = false;
+    // updates applied since the last detect: the table's verdict is open
+    let mut unverified = false;
     for _ in 0..options.max_iterations.max(1) {
         // a deadline/cancellation that trips mid-repair is honoured at
         // the next iteration boundary
         engine.check_cancelled()?;
         let detected = target.detect()?;
+        unverified = false;
         if detected.is_empty() {
             report.converged = true;
             break;
         }
         report.iterations += 1;
         report.total_violations += detected.len();
-        let assignment = run_repair(engine, &detected, options.strategy, options.repair_options)?;
+        let assignment = run_repair(engine, detected, options.strategy, options.repair_options)?;
 
         // honour frozen cells, drop no-ops, count changes
         let mut applicable: Assignment = HashMap::new();
@@ -130,10 +138,121 @@ pub fn run_rounds(
         }
         report.cells_changed += applicable.len();
         target.apply(&applicable)?;
+        unverified = true;
     }
-    if !report.converged {
+    // a loop that stopped on violations it could not fix holds their
+    // detections: the table is known not to be clean
+    if unverified {
         report.converged = target.is_clean()?;
     }
     report.stable = report.converged || only_noops_left;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bigdansing_rules::{Fix, Violation};
+
+    /// One two-cell table whose single violation asks cell 0 to take
+    /// cell 1's value. `clean_after` applies make it clean; until then
+    /// every apply leaves a violation behind.
+    struct Stub {
+        values: [Value; 2],
+        dirty: bool,
+        clean_after: usize,
+        applies: usize,
+        detects: usize,
+        detected: Vec<Detected>,
+    }
+
+    impl Stub {
+        fn new(dirty: bool, clean_after: usize) -> Stub {
+            Stub {
+                values: [Value::Int(0), Value::Int(1)],
+                dirty,
+                clean_after,
+                applies: 0,
+                detects: 0,
+                detected: Vec::new(),
+            }
+        }
+    }
+
+    impl RepairTarget for Stub {
+        fn detect(&mut self) -> Result<&[Detected]> {
+            self.detects += 1;
+            let (a, b) = (Cell::new(0, 0), Cell::new(1, 0));
+            let [va, vb] = self.values.clone();
+            let violation = Violation::new("stub")
+                .with_cell(a, va.clone())
+                .with_cell(b, vb.clone());
+            self.detected = match self.dirty {
+                true => vec![(violation, vec![Fix::assign_cell(a, va, b, vb)])],
+                false => Vec::new(),
+            };
+            Ok(&self.detected)
+        }
+
+        fn cell_value(&self, cell: Cell) -> Option<&Value> {
+            self.values.get(cell.tuple as usize)
+        }
+
+        fn apply(&mut self, updates: &Assignment) -> Result<()> {
+            for (cell, value) in updates {
+                self.values[cell.tuple as usize] = value.clone();
+            }
+            self.applies += 1;
+            self.dirty = self.applies < self.clean_after;
+            // an unresolved violation keeps asking for a different value
+            if self.dirty {
+                self.values[1] = Value::Int(self.applies as i64 + 1);
+            }
+            Ok(())
+        }
+    }
+
+    fn run(stub: &mut Stub, max_iterations: usize) -> RoundsReport {
+        let options = RoundsOptions {
+            max_iterations,
+            max_changes_per_cell: usize::MAX,
+            strategy: &RepairStrategy::default(),
+            repair_options: RepairOptions::default(),
+        };
+        run_rounds(&Engine::sequential(), stub, options).unwrap()
+    }
+
+    /// The driver asks for a detect only when it cannot answer itself:
+    /// once per round, plus a final one only if something was applied
+    /// since the last.
+    #[test]
+    fn detects_are_never_repeated_without_an_apply_in_between() {
+        // (a) clean input: the first detect is the verdict
+        let mut clean = Stub::new(false, 0);
+        let report = run(&mut clean, 10);
+        assert_eq!((clean.detects, report.iterations), (1, 0));
+        assert!(report.converged);
+
+        // (b) one-round repair: detect, apply, detect confirms
+        let mut one_round = Stub::new(true, 1);
+        let report = run(&mut one_round, 10);
+        assert_eq!((one_round.detects, report.iterations), (2, 1));
+        assert!(report.converged);
+
+        // (c) only no-ops left: the violation stays but its fix changes
+        // nothing, so the detections in hand already say "not clean"
+        let mut noops = Stub::new(true, usize::MAX);
+        noops.values = [Value::Int(7), Value::Int(7)];
+        let report = run(&mut noops, 10);
+        assert_eq!((noops.detects, noops.applies), (1, 0));
+        assert!(!report.converged && report.stable);
+
+        // (d) iteration cap: every round applies, so the table after
+        // the last apply needs one more detect for its verdict
+        let mut capped = Stub::new(true, usize::MAX);
+        let report = run(&mut capped, 3);
+        assert_eq!((capped.detects, capped.applies), (4, 3));
+        assert_eq!(report.iterations, 3);
+        assert!(!report.converged && !report.stable);
+    }
 }

@@ -505,3 +505,204 @@ fn shared_scan_and_unconsolidated_detection_agree() {
         keys(separate.detected.iter().map(|(v, _)| v).collect())
     );
 }
+
+// --- the cleanse loop against a full-re-detect oracle -------------------
+
+mod cleanse_loop_vs_full_redetect {
+    use super::*;
+    use bigdansing::cleanse::{cleanse_loop, CleanseResult};
+    use bigdansing::HypergraphRepair;
+    use bigdansing_common::{csv, LshParams, Tuple};
+    use bigdansing_repair::{
+        run_rounds, Assignment, Detected, RepairTarget, RoundsOptions, RoundsReport,
+    };
+    use bigdansing_rules::{BlockKey, DetectUnit, Fix, UdfRule, UnitKind};
+    use proptest::prelude::*;
+
+    /// The oracle: the shared rounds driver over a target that
+    /// re-detects the whole table every round through the public
+    /// [`Executor::detect`] — what `cleanse_loop` did before its
+    /// re-detects became semi-naive.
+    struct FullRedetect<'a> {
+        exec: &'a Executor,
+        rules: &'a [Arc<dyn Rule>],
+        table: Table,
+        detected: Vec<Detected>,
+    }
+
+    impl RepairTarget for FullRedetect<'_> {
+        fn detect(&mut self) -> bigdansing_common::Result<&[Detected]> {
+            self.detected = self.exec.detect(&self.table, self.rules)?.detected;
+            Ok(&self.detected)
+        }
+
+        fn cell_value(&self, cell: Cell) -> Option<&Value> {
+            self.table.cell_value(cell)
+        }
+
+        fn apply(&mut self, updates: &Assignment) -> bigdansing_common::Result<()> {
+            self.table = self.table.apply(updates)?;
+            Ok(())
+        }
+    }
+
+    const SCHEMA: &str = "a,b,c,d,name";
+    const A: usize = 0;
+    const C: usize = 2;
+    const D: usize = 3;
+    const NAME: usize = 4;
+
+    /// `target := source` for a violation whose first two cells are the
+    /// target and the source.
+    fn copy_fix(v: &Violation) -> Vec<Fix> {
+        let [(target, old), (source, new)] = [v.cells()[0].clone(), v.cells()[1].clone()];
+        vec![Fix::assign_cell(target, old, source, new)]
+    }
+
+    fn complain(rule: &str, target: &Tuple, source: &Tuple, attr: usize) -> Violation {
+        Violation::new(rule)
+            .with_cell(target.cell(attr), target.value(attr).clone())
+            .with_cell(source.cell(attr), source.value(attr).clone())
+    }
+
+    fn int(t: &Tuple, attr: usize) -> i64 {
+        t.value(attr).as_i64().unwrap_or(0)
+    }
+
+    /// One rule per [`IterateStrategy`], with `a -> b` / `b -> a`
+    /// re-breaking each other so the loop runs long enough to freeze
+    /// cells.
+    fn rule_pool(schema: &Schema) -> Vec<(IterateStrategy, Arc<dyn Rule>)> {
+        let fd = |spec: &str| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, schema).unwrap()) };
+        // BlockList: within a block of equal `a`, every `c` must equal
+        // the first row's
+        let list = UdfRule::builder("udf:list", |unit| {
+            let DetectUnit::List(block) = unit else {
+                panic!("list rule fed {unit:?}");
+            };
+            let odd = block.iter().filter(|t| t.value(C) != block[0].value(C));
+            odd.map(|t| complain("udf:list", t, &block[0], C)).collect()
+        })
+        .unit_kind(UnitKind::List)
+        .block(|t| Some(BlockKey::single(t.value(A).clone())))
+        .gen_fix(copy_fix);
+        // UCrossProduct: rows with equal `d` must agree on `c`
+        let unordered = UdfRule::builder("udf:unordered", |unit| {
+            let (x, y) = unit.as_pair();
+            let clash = x.value(D) == y.value(D) && x.value(C) != y.value(C);
+            Vec::from_iter(clash.then(|| complain("udf:unordered", y, x, C)))
+        })
+        .gen_fix(copy_fix);
+        // CrossProduct: order-sensitive and unfixable
+        let ordered = UdfRule::builder("udf:ordered", |unit| {
+            let (x, y) = unit.as_pair();
+            let hit = int(x, D) == int(y, C) + 3;
+            Vec::from_iter(hit.then(|| complain("udf:ordered", x, y, D)))
+        })
+        .symmetric(false);
+        // SingleUnits: `d` may not be negative
+        let single = UdfRule::builder("udf:single", |unit| {
+            let DetectUnit::Single(t) = unit else {
+                panic!("single rule fed {unit:?}");
+            };
+            let bad = int(t, D) < 0;
+            Vec::from_iter(
+                bad.then(|| Violation::new("udf:single").with_cell(t.cell(D), t.value(D).clone())),
+            )
+        })
+        .unit_kind(UnitKind::Single)
+        .gen_fix(|v| {
+            let (cell, old) = v.cells()[0].clone();
+            vec![Fix::assign_const(cell, old, Value::Int(0))]
+        });
+        let dc = DcRule::parse("t1.c > t2.c & t1.d < t2.d", schema).unwrap();
+        let dedup = DedupRule::new("udf:dedup", NAME, 0.7).with_lsh(LshParams::default());
+        let pool: Vec<Arc<dyn Rule>> = vec![
+            fd("a -> b"),
+            fd("b -> a"),
+            Arc::new(list.build()),
+            Arc::new(dc),
+            Arc::new(dedup),
+            Arc::new(unordered.build()),
+            Arc::new(ordered.build()),
+            Arc::new(single.build()),
+        ];
+        let strategy = |r: &Arc<dyn Rule>| bigdansing_plan::physical::choose_strategy(r.as_ref());
+        pool.into_iter().map(|r| (strategy(&r), r)).collect()
+    }
+
+    /// What a cleanse run is compared on.
+    fn outcome(table: &Table, r: RoundsReport) -> (String, [usize; 4], bool) {
+        let counts = [
+            r.iterations,
+            r.total_violations,
+            r.cells_changed,
+            r.frozen_cells,
+        ];
+        (csv::to_string(table), counts, r.converged)
+    }
+
+    #[test]
+    fn the_pool_covers_every_iterate_strategy() {
+        let pool = rule_pool(&Schema::parse(SCHEMA));
+        let has = |want: fn(&IterateStrategy) -> bool| pool.iter().any(|(s, _)| want(s));
+        assert!(has(|s| matches!(s, IterateStrategy::SingleUnits)));
+        assert!(has(|s| matches!(s, IterateStrategy::BlockPairs { .. })));
+        assert!(has(|s| matches!(s, IterateStrategy::BlockList)));
+        assert!(has(|s| matches!(s, IterateStrategy::LshBlocks { .. })));
+        assert!(has(|s| matches!(s, IterateStrategy::UCrossProduct)));
+        assert!(has(|s| matches!(s, IterateStrategy::CrossProduct)));
+        assert!(has(|s| matches!(s, IterateStrategy::OcJoin(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `cleanse_loop` — semi-naive re-detects, carried detections —
+        /// ends exactly where full re-detection every round ends, on
+        /// every engine.
+        #[test]
+        fn semi_naive_rounds_match_full_redetect_rounds(
+            rows in prop::collection::vec((0i64..3, 0i64..3, 0i64..5, -1i64..5, "[ab]{2,5}"), 0..14),
+            picked in prop::collection::vec(any::<bool>(), 8),
+            hypergraph in any::<bool>(),
+        ) {
+            let schema = Schema::parse(SCHEMA);
+            let cells = |(a, b, c, d, name): (i64, i64, i64, i64, String)| {
+                vec![Value::Int(a), Value::Int(b), Value::Int(c), Value::Int(d), Value::str(&name)]
+            };
+            let table = Table::from_rows("t", schema.clone(), rows.into_iter().map(cells).collect());
+            let pool = rule_pool(&schema);
+            let mut rules: Vec<Arc<dyn Rule>> =
+                pool.iter().zip(&picked).filter(|(_, on)| **on).map(|((_, r), _)| Arc::clone(r)).collect();
+            if rules.is_empty() {
+                rules.extend(pool.iter().take(2).map(|(_, r)| Arc::clone(r)));
+            }
+            let options = CleanseOptions {
+                max_iterations: 6,
+                max_changes_per_cell: 2,
+                strategy: match hypergraph {
+                    true => RepairStrategy::ParallelBlackBox(Arc::new(HypergraphRepair::default())),
+                    false => RepairStrategy::default(),
+                },
+                ..Default::default()
+            };
+            for engine in [Engine::sequential, || Engine::parallel(2), || Engine::disk_backed(2)] {
+                let exec = Executor::new(engine());
+                let CleanseResult { table: cleansed, iterations, total_violations, cells_changed, frozen_cells, repair_cost, converged, .. } =
+                    cleanse_loop(&exec, &rules, &table, options.clone()).unwrap();
+                let got = RoundsReport { iterations, total_violations, cells_changed, frozen_cells, repair_cost, converged, stable: false };
+
+                let exec = Executor::new(engine());
+                let mut oracle = FullRedetect { exec: &exec, rules: &rules, table: table.clone(), detected: Vec::new() };
+                let rounds = run_rounds(exec.engine(), &mut oracle, RoundsOptions {
+                    max_iterations: options.max_iterations,
+                    max_changes_per_cell: options.max_changes_per_cell,
+                    strategy: &options.strategy,
+                    repair_options: options.repair_options,
+                }).unwrap();
+                prop_assert_eq!(outcome(&cleansed, got), outcome(&oracle.table, rounds), "{:?}", exec.engine().mode());
+            }
+        }
+    }
+}
