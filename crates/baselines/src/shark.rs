@@ -6,36 +6,24 @@
 //! product with a post-filter, in parallel. UDF rules (the §6.5 dedup
 //! experiment implements Levenshtein as a Shark UDF) take the same path.
 
-use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Table, Tuple};
-use bigdansing_dataflow::{Engine, PDataset};
-use bigdansing_rules::{Rule, RuleExt, Violation};
+use bigdansing_common::error::Result;
+use bigdansing_common::Table;
+use bigdansing_dataflow::Engine;
+use bigdansing_rules::{Rule, Violation};
 use std::sync::Arc;
 
 /// Detect a rule's violations with a parallel cross product + filter —
-/// the only join strategy this baseline has.
-pub fn detect(engine: &Engine, table: &Table, rule: &Arc<dyn Rule>) -> Vec<Violation> {
-    Metrics::add(&engine.metrics().tuples_scanned, 2 * table.len() as u64);
-    let r = Arc::clone(rule);
-    let scoped: PDataset<Tuple> =
-        PDataset::from_vec(engine.clone(), table.tuples().to_vec()).flat_map(move |t| r.scope(&t));
-    let rd = Arc::clone(rule);
-    scoped
-        .self_cross_product()
-        .flat_map(move |(a, b)| {
-            if a.id() == b.id() {
-                Vec::new()
-            } else {
-                rd.detect_pair(&a, &b)
-            }
-        })
-        .collect()
+/// the only join strategy this baseline has, and the plan Spark SQL
+/// falls back to for inequality rules.
+pub fn detect(engine: &Engine, table: &Table, rule: &Arc<dyn Rule>) -> Result<Vec<Violation>> {
+    crate::sparksql::detect_cross_product(engine, table, rule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dedup_violations;
+    use bigdansing_common::metrics::Metrics;
     use bigdansing_common::{Schema, Value};
     use bigdansing_rules::{DedupRule, FdRule};
 
@@ -53,7 +41,7 @@ mod tests {
         );
         let fd: Arc<dyn Rule> = Arc::new(FdRule::parse("zipcode -> city", &schema).unwrap());
         let e = Engine::parallel(2);
-        let out = detect(&e, &t, &fd);
+        let out = detect(&e, &t, &fd).unwrap();
         assert_eq!(dedup_violations(out).len(), 1);
         // 3×3 ordered candidates were generated despite one tiny block
         assert!(Metrics::get(&e.metrics().pairs_generated) >= 9);
@@ -73,7 +61,7 @@ mod tests {
         );
         let dedup: Arc<dyn Rule> = Arc::new(DedupRule::new("udf:dedup", 0, 0.8));
         let e = Engine::parallel(2);
-        let out = dedup_violations(detect(&e, &t, &dedup));
+        let out = dedup_violations(detect(&e, &t, &dedup).unwrap());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuple_ids(), vec![0, 1]);
     }

@@ -7,6 +7,7 @@
 //! reads/shuffles the input twice for a self-join — the two costs the
 //! paper calls out when explaining BigDansing's edge (§6.2-6.3).
 
+use bigdansing_common::error::Result;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Table, Tuple};
 use bigdansing_dataflow::{Engine, PDataset};
@@ -19,17 +20,18 @@ pub fn detect_equality_join(
     engine: &Engine,
     table: &Table,
     rule: &Arc<dyn Rule>,
-) -> Vec<Violation> {
+) -> Result<Vec<Violation>> {
     // a self-join reads the input twice
     Metrics::add(&engine.metrics().tuples_scanned, 2 * table.len() as u64);
     let r = Arc::clone(rule);
-    let scoped: PDataset<Tuple> =
-        PDataset::from_vec(engine.clone(), table.tuples().to_vec()).flat_map(move |t| r.scope(&t));
+    let scoped = PDataset::from_vec(engine.clone(), table.tuples().to_vec())
+        .stage()
+        .flat_map("scope", move |t: Tuple| Ok(r.scope(&t)));
     let rk = Arc::clone(rule);
     let rd = Arc::clone(rule);
     scoped
-        .group_by_key(move |t| rk.block(t).unwrap_or_default())
-        .flat_map(move |(_, block)| {
+        .group_by_key("join", move |t| Ok(rk.block(t).unwrap_or_default()))?
+        .flat_map("pairs", move |(_, block)| {
             let mut out = Vec::new();
             for i in 0..block.len() {
                 for j in 0..block.len() {
@@ -38,7 +40,7 @@ pub fn detect_equality_join(
                     }
                 }
             }
-            out
+            Ok(out)
         })
         .collect()
 }
@@ -48,27 +50,30 @@ pub fn detect_cross_product(
     engine: &Engine,
     table: &Table,
     rule: &Arc<dyn Rule>,
-) -> Vec<Violation> {
+) -> Result<Vec<Violation>> {
     Metrics::add(&engine.metrics().tuples_scanned, 2 * table.len() as u64);
     let r = Arc::clone(rule);
-    let scoped: PDataset<Tuple> =
-        PDataset::from_vec(engine.clone(), table.tuples().to_vec()).flat_map(move |t| r.scope(&t));
+    let scoped = PDataset::from_vec(engine.clone(), table.tuples().to_vec())
+        .stage()
+        .flat_map("scope", move |t: Tuple| Ok(r.scope(&t)));
     let rd = Arc::clone(rule);
     scoped
-        .self_cross_product()
-        .flat_map(move |(a, b)| {
-            if a.id() == b.id() {
-                Vec::new()
-            } else {
-                rd.detect_pair(&a, &b)
-            }
+        .run()?
+        .self_cross_product()?
+        .stage()
+        .map_parts("post-select", move |pairs: Vec<(Tuple, Tuple)>| {
+            Ok(pairs
+                .iter()
+                .filter(|(a, b)| a.id() != b.id())
+                .flat_map(|(a, b)| rd.detect_pair(a, b))
+                .collect())
         })
         .collect()
 }
 
 /// Route like Spark SQL's planner: shuffle join for equality predicates,
 /// cross product otherwise.
-pub fn detect(engine: &Engine, table: &Table, rule: &Arc<dyn Rule>) -> Vec<Violation> {
+pub fn detect(engine: &Engine, table: &Table, rule: &Arc<dyn Rule>) -> Result<Vec<Violation>> {
     if rule.blocks() {
         detect_equality_join(engine, table, rule)
     } else {
@@ -117,7 +122,7 @@ mod tests {
         let fd: Arc<dyn Rule> = Arc::new(FdRule::parse("zipcode -> city", t.schema()).unwrap());
         let par = Engine::parallel(4);
         let seq = Engine::sequential();
-        let a = dedup_violations(detect(&par, &t, &fd));
+        let a = dedup_violations(detect(&par, &t, &fd).unwrap());
         let b = dedup_violations(crate::sqlengine::detect(&seq, &t, &fd));
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), 1);
@@ -130,7 +135,7 @@ mod tests {
             DcRule::parse("t1.salary > t2.salary & t1.rate < t2.rate", t.schema()).unwrap(),
         );
         let e = Engine::parallel(2);
-        let out = detect(&e, &t, &dc);
+        let out = detect(&e, &t, &dc).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuple_ids(), vec![0, 1]);
         // the quadratic candidate count is observable

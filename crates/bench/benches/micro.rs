@@ -14,7 +14,7 @@ use bigdansing_common::sim;
 use bigdansing_dataflow::{Engine, PDataset};
 use bigdansing_datagen::tax;
 use bigdansing_ocjoin::naive::{cross_join_filter, ucross_join_filter};
-use bigdansing_ocjoin::{ocjoin, OcJoinConfig};
+use bigdansing_ocjoin::{try_ocjoin, OcJoinConfig};
 use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::{components_bsp_edges, components_union_find};
@@ -38,19 +38,23 @@ fn bench_inequality_join(c: &mut Criterion) {
     g.bench_function("ocjoin", |b| {
         b.iter(|| {
             let ds = PDataset::from_vec(Engine::parallel(2), scoped.clone());
-            black_box(ocjoin(ds, &conds, OcJoinConfig::default()).count())
+            black_box(
+                try_ocjoin(ds, &conds, OcJoinConfig::default())
+                    .unwrap()
+                    .count(),
+            )
         })
     });
     g.bench_function("ucross_product", |b| {
         b.iter(|| {
             let ds = PDataset::from_vec(Engine::parallel(2), scoped.clone());
-            black_box(ucross_join_filter(ds, &conds).count())
+            black_box(ucross_join_filter(ds, &conds).unwrap().count())
         })
     });
     g.bench_function("cross_product", |b| {
         b.iter(|| {
             let ds = PDataset::from_vec(Engine::parallel(2), scoped.clone());
-            black_box(cross_join_filter(ds, &conds).count())
+            black_box(cross_join_filter(ds, &conds).unwrap().count())
         })
     });
     g.finish();
@@ -155,7 +159,8 @@ fn bench_shuffle(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
             b.iter(|| {
                 let ds = PDataset::from_vec(Engine::parallel(w), data.clone());
-                black_box(ds.group_by_key(|x| x % 1000).count())
+                let grouped = ds.stage().group_by_key("block", |x| Ok(x % 1000));
+                black_box(grouped.unwrap().run().unwrap().count())
             })
         });
     }

@@ -14,7 +14,7 @@ use bigdansing_dataflow::Engine;
 use bigdansing_dataflow::PDataset;
 use bigdansing_datagen::{customer, hai, ncvoter, tax, tpch};
 use bigdansing_ocjoin::naive::{cross_join_filter, ucross_join_filter};
-use bigdansing_ocjoin::{ocjoin, OcJoinConfig};
+use bigdansing_ocjoin::{try_ocjoin, OcJoinConfig};
 use bigdansing_plan::Executor;
 use bigdansing_repair::{
     blackbox::RepairOptions, repair_parallel, repair_serial, EquivalenceClassRepair,
@@ -526,14 +526,18 @@ pub fn fig11c() -> Report {
         let conds = dc.ordering_conditions();
         let scoped: Vec<_> = gt.dirty.tuples().iter().flat_map(|t| dc.scope(t)).collect();
         let mk = || PDataset::from_vec(Engine::parallel(w), scoped.clone());
-        let (oc_count, oc) = time(|| ocjoin(mk(), &conds, OcJoinConfig::default()).count());
+        let (oc_count, oc) = time(|| {
+            try_ocjoin(mk(), &conds, OcJoinConfig::default())
+                .unwrap()
+                .count()
+        });
         let uc = if n <= cap {
-            Cell::Secs(time(|| ucross_join_filter(mk(), &conds).count()).1)
+            Cell::Secs(time(|| ucross_join_filter(mk(), &conds).unwrap().count()).1)
         } else {
             Cell::Dnf
         };
         let cp = if n <= cap {
-            Cell::Secs(time(|| cross_join_filter(mk(), &conds).count()).1)
+            Cell::Secs(time(|| cross_join_filter(mk(), &conds).unwrap().count()).1)
         } else {
             Cell::Dnf
         };

@@ -70,13 +70,15 @@ pub fn postgres_detect(table: &Table, rule: &Arc<dyn Rule>) -> (usize, f64) {
 
 /// Spark-SQL-style detection (parallel SQL plans).
 pub fn sparksql_detect(engine: Engine, table: &Table, rule: &Arc<dyn Rule>) -> (usize, f64) {
-    let (out, secs) = time_best(|| bigdansing_baselines::sparksql::detect(&engine, table, rule));
+    let (out, secs) =
+        time_best(|| bigdansing_baselines::sparksql::detect(&engine, table, rule).unwrap());
     (out.len(), secs)
 }
 
 /// Shark-style detection (parallel cross products only).
 pub fn shark_detect(engine: Engine, table: &Table, rule: &Arc<dyn Rule>) -> (usize, f64) {
-    let (out, secs) = time_best(|| bigdansing_baselines::shark::detect(&engine, table, rule));
+    let (out, secs) =
+        time_best(|| bigdansing_baselines::shark::detect(&engine, table, rule).unwrap());
     (out.len(), secs)
 }
 
@@ -96,7 +98,10 @@ pub fn bd_detect_with_strategy(
         strategy,
         use_genfix: false,
     };
-    let (out, secs) = time_best(|| exec.run_pipeline(exec.load(table), &pipeline).unwrap());
+    let (out, secs) = time_best(|| {
+        exec.run_pipeline(exec.load(table), &pipeline, None, None)
+            .unwrap()
+    });
     (out.violation_count(), secs)
 }
 

@@ -275,8 +275,8 @@ impl RepairTarget for BatchTarget<'_> {
                 continue;
             }
             let guard = RuleGuard::arm(name, iso);
-            let data = data.try_duplicate()?;
-            let run = executor.run_pipeline_guarded(data, pipeline, Some(&guard), delta);
+            let data = data.duplicate()?;
+            let run = executor.run_pipeline(data, pipeline, Some(&guard), delta);
             self.trackers[i].units_processed += guard.units_processed();
             self.trackers[i].units_skipped += guard.units_skipped();
             Metrics::add(&metrics.units_skipped, guard.units_skipped());

@@ -378,10 +378,8 @@ impl BigDansing {
                         pipeline.source
                     ))
                 })?;
-                out.extend(
-                    self.executor
-                        .run_pipeline(self.executor.load(table), pipeline)?,
-                );
+                let data = self.executor.load(table);
+                out.extend(self.executor.run_pipeline(data, pipeline, None, None)?);
             }
             Ok(out)
         })

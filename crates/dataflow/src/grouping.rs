@@ -1,16 +1,13 @@
-//! Key-based shuffles: `groupByKey`, `coGroup`, `reduceByKey`.
-//!
-//! These back the physical Block and CoBlock operators (Appendix G:
+//! The hash shuffle's routing and reducer-side merge, shared by
+//! [`crate::Stage::group_by_key`] and [`crate::Stage::co_group`] — the
+//! substrate of the physical Block and CoBlock operators (Appendix G:
 //! Spark-PBlock uses `groupBy()`, Spark-CoBlock adds a key `join()`).
 
 use crate::engine::Engine;
-use crate::pdataset::PDataset;
 use crate::pool::par_map_indexed;
-use bigdansing_common::error::Result;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::stable_hash_of;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 // The hasher moved to `bigdansing_common::hash` so key dictionaries can
@@ -23,17 +20,6 @@ pub use bigdansing_common::StableHasher;
 /// route without re-hashing the key payload.
 pub(crate) fn bucket_of<K: Hash>(key: &K, nbuckets: usize) -> usize {
     (stable_hash_of(key) as usize) % nbuckets
-}
-
-/// Map-side half of the shuffle: split one mapped partition into
-/// per-reducer buckets.
-pub(crate) fn bucketize<K: Hash, T>(part: Vec<(K, T)>, reducers: usize) -> Vec<Vec<(K, T)>> {
-    let mut buckets: Vec<Vec<(K, T)>> = (0..reducers).map(|_| Vec::new()).collect();
-    for (k, t) in part {
-        let b = bucket_of(&k, reducers);
-        buckets[b].push((k, t));
-    }
-    buckets
 }
 
 /// Reducer-side half of the shuffle: transpose per-partition bucket
@@ -81,238 +67,6 @@ where
             bucket
         },
     )
-}
-
-/// Hash-shuffle `(K, T)` pairs from map-side partitions into reducer
-/// buckets — parallel on both sides.
-fn shuffle<K, T>(engine: &Engine, mapped: Vec<Vec<(K, T)>>, reducers: usize) -> Vec<Vec<(K, T)>>
-where
-    K: Hash + Send,
-    T: Send,
-{
-    let bucketed = par_map_indexed(engine.workers(), mapped, |_, part| {
-        bucketize(part, reducers)
-    });
-    merge_buckets(engine, bucketed, reducers)
-}
-
-impl<T: Send> PDataset<T> {
-    /// Group records by a key: the Block operator's substrate.
-    ///
-    /// Returns one `(key, group)` record per distinct key, hash
-    /// partitioned across `engine.default_partitions()` reducers.
-    pub fn group_by_key<K, F>(self, key: F) -> PDataset<(K, Vec<T>)>
-    where
-        K: Hash + Eq + Send,
-        F: Fn(&T) -> K + Sync,
-    {
-        let engine = self.engine().clone();
-        let reducers = engine.default_partitions();
-        let workers = engine.workers();
-        let mapped = par_map_indexed(workers, self.into_partitions(), |_, part: Vec<T>| {
-            part.into_iter().map(|t| (key(&t), t)).collect::<Vec<_>>()
-        });
-        let buckets = shuffle(&engine, mapped, reducers);
-        let partitions = par_map_indexed(workers, buckets, |_, bucket| {
-            let mut groups: HashMap<K, Vec<T>> = HashMap::new();
-            for (k, t) in bucket {
-                groups.entry(k).or_default().push(t);
-            }
-            groups.into_iter().collect::<Vec<_>>()
-        });
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// Reduce values per key with a binary fold.
-    pub fn reduce_by_key<K, V, KF, VF, RF>(self, key: KF, value: VF, reduce: RF) -> PDataset<(K, V)>
-    where
-        K: Hash + Eq + Send,
-        V: Send,
-        KF: Fn(&T) -> K + Sync,
-        VF: Fn(T) -> V + Sync,
-        RF: Fn(V, V) -> V + Sync,
-    {
-        let engine = self.engine().clone();
-        let reducers = engine.default_partitions();
-        let workers = engine.workers();
-        // map-side combine, then shuffle the combined pairs
-        let mapped = par_map_indexed(workers, self.into_partitions(), |_, part: Vec<T>| {
-            let mut local: HashMap<K, V> = HashMap::new();
-            for t in part {
-                let k = key(&t);
-                let v = value(t);
-                match local.remove(&k) {
-                    Some(prev) => {
-                        local.insert(k, reduce(prev, v));
-                    }
-                    None => {
-                        local.insert(k, v);
-                    }
-                }
-            }
-            local.into_iter().collect::<Vec<_>>()
-        });
-        let buckets = shuffle(&engine, mapped, reducers);
-        let partitions = par_map_indexed(workers, buckets, |_, bucket| {
-            let mut acc: HashMap<K, V> = HashMap::new();
-            for (k, v) in bucket {
-                match acc.remove(&k) {
-                    Some(prev) => {
-                        acc.insert(k, reduce(prev, v));
-                    }
-                    None => {
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            acc.into_iter().collect::<Vec<_>>()
-        });
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// Co-group two datasets on a shared key type: the CoBlock enhancer's
-    /// substrate. Keys present in either input appear in the output with
-    /// both groups (one possibly empty) — "all keys from both inputs are
-    /// collected into bags" (§4.2).
-    pub fn co_group<U, K, FT, FU>(
-        self,
-        other: PDataset<U>,
-        key_left: FT,
-        key_right: FU,
-    ) -> PDataset<(K, Vec<T>, Vec<U>)>
-    where
-        U: Send,
-        K: Hash + Eq + Send,
-        FT: Fn(&T) -> K + Sync,
-        FU: Fn(&U) -> K + Sync,
-    {
-        let engine = self.engine().clone();
-        let reducers = engine.default_partitions();
-        let workers = engine.workers();
-        let mapped_l = par_map_indexed(workers, self.into_partitions(), |_, part: Vec<T>| {
-            part.into_iter()
-                .map(|t| (key_left(&t), t))
-                .collect::<Vec<_>>()
-        });
-        let mapped_r = par_map_indexed(workers, other.into_partitions(), |_, part: Vec<U>| {
-            part.into_iter()
-                .map(|u| (key_right(&u), u))
-                .collect::<Vec<_>>()
-        });
-        let buckets_l = shuffle(&engine, mapped_l, reducers);
-        let buckets_r = shuffle(&engine, mapped_r, reducers);
-        #[allow(clippy::type_complexity)]
-        let zipped: Vec<(Vec<(K, T)>, Vec<(K, U)>)> =
-            buckets_l.into_iter().zip(buckets_r).collect();
-        let partitions = par_map_indexed(workers, zipped, |_, (bl, br)| {
-            let mut groups: HashMap<K, (Vec<T>, Vec<U>)> = HashMap::new();
-            for (k, t) in bl {
-                groups.entry(k).or_default().0.push(t);
-            }
-            for (k, u) in br {
-                groups.entry(k).or_default().1.push(u);
-            }
-            groups
-                .into_iter()
-                .map(|(k, (l, r))| (k, l, r))
-                .collect::<Vec<_>>()
-        });
-        PDataset::from_partitions(engine, partitions)
-    }
-}
-
-impl<T: Send + Sync + Clone> PDataset<T> {
-    /// Fault-tolerant [`Self::group_by_key`]: map and reduce stages run
-    /// under the engine's retry policy with panic isolation, and the
-    /// key extractor may fail per record. Records are cloned out of the
-    /// borrowed partitions so failed attempts can be re-run.
-    pub fn try_group_by_key<K, F>(self, key: F) -> Result<PDataset<(K, Vec<T>)>>
-    where
-        K: Hash + Eq + Send + Sync + Clone,
-        F: Fn(&T) -> Result<K> + Sync,
-    {
-        let (engine, parts) = self.take_parts()?;
-        let reducers = engine.default_partitions();
-        let mapped = engine.run_stage(&parts, |_, part: &Vec<T>| {
-            part.iter().map(|t| Ok((key(t)?, t.clone()))).collect()
-        })?;
-        let buckets = shuffle(&engine, mapped, reducers);
-        let partitions = engine.run_stage(&buckets, |_, bucket: &Vec<(K, T)>| {
-            let mut groups: HashMap<K, Vec<T>> = HashMap::new();
-            for (k, t) in bucket {
-                // `run_stage` borrows the bucket (retries re-run it), so
-                // records are cloned in — but the key only once per
-                // distinct key, not once per record.
-                match groups.get_mut(k) {
-                    Some(g) => g.push(t.clone()),
-                    None => {
-                        groups.insert(k.clone(), vec![t.clone()]);
-                    }
-                }
-            }
-            Ok(groups.into_iter().collect::<Vec<_>>())
-        })?;
-        Ok(PDataset::from_partitions(engine, partitions))
-    }
-
-    /// Fault-tolerant [`Self::co_group`].
-    #[allow(clippy::type_complexity)]
-    pub fn try_co_group<U, K, FT, FU>(
-        self,
-        other: PDataset<U>,
-        key_left: FT,
-        key_right: FU,
-    ) -> Result<PDataset<(K, Vec<T>, Vec<U>)>>
-    where
-        U: Send + Sync + Clone,
-        K: Hash + Eq + Send + Sync + Clone,
-        FT: Fn(&T) -> Result<K> + Sync,
-        FU: Fn(&U) -> Result<K> + Sync,
-    {
-        let (engine, parts) = self.take_parts()?;
-        let (_, other_parts) = other.take_parts()?;
-        let reducers = engine.default_partitions();
-        let mapped_l = engine.run_stage(&parts, |_, part: &Vec<T>| {
-            part.iter().map(|t| Ok((key_left(t)?, t.clone()))).collect()
-        })?;
-        let mapped_r = engine.run_stage(&other_parts, |_, part: &Vec<U>| {
-            part.iter()
-                .map(|u| Ok((key_right(u)?, u.clone())))
-                .collect()
-        })?;
-        let buckets_l = shuffle(&engine, mapped_l, reducers);
-        let buckets_r = shuffle(&engine, mapped_r, reducers);
-        #[allow(clippy::type_complexity)]
-        let zipped: Vec<(Vec<(K, T)>, Vec<(K, U)>)> =
-            buckets_l.into_iter().zip(buckets_r).collect();
-        let partitions = engine.run_stage(&zipped, |_, (bl, br)| {
-            let mut groups: HashMap<K, (Vec<T>, Vec<U>)> = HashMap::new();
-            // One key clone per distinct key (the bucket is borrowed so
-            // retries can re-run it); the old `entry(k.clone())` pattern
-            // cloned the key for every record on both sides.
-            for (k, t) in bl {
-                match groups.get_mut(k) {
-                    Some(g) => g.0.push(t.clone()),
-                    None => {
-                        groups.insert(k.clone(), (vec![t.clone()], Vec::new()));
-                    }
-                }
-            }
-            for (k, u) in br {
-                match groups.get_mut(k) {
-                    Some(g) => g.1.push(u.clone()),
-                    None => {
-                        groups.insert(k.clone(), (Vec::new(), vec![u.clone()]));
-                    }
-                }
-            }
-            Ok(groups
-                .into_iter()
-                .map(|(k, (l, r))| (k, l, r))
-                .collect::<Vec<_>>())
-        })?;
-        Ok(PDataset::from_partitions(engine, partitions))
-    }
 }
 
 #[cfg(test)]
@@ -368,156 +122,5 @@ mod tests {
             hit[bucket_of(&format!("zip-{i}"), 8)] = true;
         }
         assert!(hit.iter().all(|h| *h), "all buckets should be reachable");
-    }
-
-    #[test]
-    fn group_by_key_collects_all_members() {
-        let e = Engine::parallel(4);
-        let ds = PDataset::from_vec(e, (0..100i64).collect());
-        let mut groups: Vec<(i64, Vec<i64>)> = ds.group_by_key(|x| x % 7).collect();
-        groups.sort_by_key(|(k, _)| *k);
-        assert_eq!(groups.len(), 7);
-        for (k, mut members) in groups {
-            members.sort();
-            let expect: Vec<i64> = (0..100).filter(|x| x % 7 == k).collect();
-            assert_eq!(members, expect);
-        }
-    }
-
-    #[test]
-    fn group_by_key_counts_shuffled_records() {
-        let e = Engine::parallel(2);
-        let ds = PDataset::from_vec(e.clone(), (0..40i64).collect());
-        let _ = ds.group_by_key(|x| x % 3).collect();
-        assert_eq!(Metrics::get(&e.metrics().records_shuffled), 40);
-    }
-
-    #[test]
-    fn reduce_by_key_matches_groupwise_fold() {
-        let e = Engine::parallel(4);
-        let data: Vec<i64> = (0..1000).collect();
-        let ds = PDataset::from_vec(e, data.clone());
-        let mut sums: Vec<(i64, i64)> = ds.reduce_by_key(|x| x % 5, |x| x, |a, b| a + b).collect();
-        sums.sort();
-        let mut expect: HashMap<i64, i64> = HashMap::new();
-        for x in data {
-            *expect.entry(x % 5).or_default() += x;
-        }
-        let mut expect: Vec<(i64, i64)> = expect.into_iter().collect();
-        expect.sort();
-        assert_eq!(sums, expect);
-    }
-
-    #[test]
-    fn co_group_aligns_both_sides() {
-        let e = Engine::parallel(3);
-        let left = PDataset::from_vec(e.clone(), vec![(1i64, "a"), (1, "b"), (2, "c")]);
-        let right = PDataset::from_vec(e, vec![(1i64, 10), (3, 30)]);
-        #[allow(clippy::type_complexity)]
-        let mut out: Vec<(i64, Vec<(i64, &str)>, Vec<(i64, i32)>)> =
-            left.co_group(right, |l| l.0, |r| r.0).collect();
-        out.sort_by_key(|(k, _, _)| *k);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, 1);
-        assert_eq!(out[0].1.len(), 2);
-        assert_eq!(out[0].2.len(), 1);
-        assert_eq!(out[1].0, 2);
-        assert!(out[1].2.is_empty());
-        assert_eq!(out[2].0, 3);
-        assert!(out[2].1.is_empty());
-    }
-
-    #[test]
-    fn try_group_by_key_matches_infallible() {
-        let e = Engine::parallel(4);
-        let data: Vec<i64> = (0..200).collect();
-        let norm = |mut g: Vec<(i64, Vec<i64>)>| {
-            for (_, v) in g.iter_mut() {
-                v.sort();
-            }
-            g.sort();
-            g
-        };
-        let a = norm(
-            PDataset::from_vec(e.clone(), data.clone())
-                .try_group_by_key(|x| Ok(x % 9))
-                .unwrap()
-                .collect(),
-        );
-        let b = norm(
-            PDataset::from_vec(e, data)
-                .group_by_key(|x| x % 9)
-                .collect(),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn try_group_by_key_recovers_from_injected_panics() {
-        use crate::fault::{FaultInjector, FaultPolicy};
-        use crate::ExecMode;
-        let e = Engine::builder(ExecMode::Parallel)
-            .workers(4)
-            .fault_policy(FaultPolicy::with_max_attempts(6))
-            .fault_injector(FaultInjector::seeded(31).with_task_panics(0.3))
-            .build();
-        let data: Vec<i64> = (0..200).collect();
-        let mut groups: Vec<(i64, Vec<i64>)> = PDataset::from_vec(e.clone(), data)
-            .try_group_by_key(|x| Ok(x % 7))
-            .unwrap()
-            .collect();
-        groups.sort_by_key(|(k, _)| *k);
-        assert_eq!(groups.len(), 7);
-        assert_eq!(groups.iter().map(|(_, v)| v.len()).sum::<usize>(), 200);
-        assert!(Metrics::get(&e.metrics().panics_caught) > 0);
-    }
-
-    #[test]
-    fn try_co_group_matches_infallible() {
-        let e = Engine::parallel(3);
-        let l: Vec<(i64, i64)> = (0..60).map(|x| (x % 5, x)).collect();
-        let r: Vec<(i64, i64)> = (0..40).map(|x| (x % 7, x)).collect();
-        type Grouped = Vec<(i64, Vec<(i64, i64)>, Vec<(i64, i64)>)>;
-        let norm = |mut out: Grouped| {
-            for (_, a, b) in out.iter_mut() {
-                a.sort();
-                b.sort();
-            }
-            out.sort_by_key(|(k, _, _)| *k);
-            out
-        };
-        let a = norm(
-            PDataset::from_vec(e.clone(), l.clone())
-                .try_co_group(
-                    PDataset::from_vec(e.clone(), r.clone()),
-                    |x| Ok(x.0),
-                    |x| Ok(x.0),
-                )
-                .unwrap()
-                .collect(),
-        );
-        let b = norm(
-            PDataset::from_vec(e.clone(), l)
-                .co_group(PDataset::from_vec(e, r), |x| x.0, |x| x.0)
-                .collect(),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sequential_and_parallel_grouping_agree() {
-        let data: Vec<i64> = (0..500).map(|x| x * 31 % 97).collect();
-        let run = |e: Engine| {
-            let mut g: Vec<(i64, Vec<i64>)> = PDataset::from_vec(e, data.clone())
-                .group_by_key(|x| x % 11)
-                .map(|(k, mut v)| {
-                    v.sort();
-                    (k, v)
-                })
-                .collect();
-            g.sort();
-            g
-        };
-        assert_eq!(run(Engine::sequential()), run(Engine::parallel(8)));
     }
 }

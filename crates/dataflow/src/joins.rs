@@ -6,10 +6,12 @@
 //! n·(n−1)/2 instead of n² (§4.2). `cartesian` backs the plain
 //! CrossProduct wrapper and the cross-input Iterate. `range_partition_by`
 //! is the partitioning phase of OCJoin (Algorithm 2, line 2).
+//!
+//! The pair primitives run their tasks through [`Engine::run_stage`]
+//! (panic isolation, retries, cancellation) and record a `Join` pass.
 
 use crate::engine::Engine;
 use crate::pdataset::PDataset;
-use crate::pool::par_map_indexed;
 use crate::stage::PassKind;
 use bigdansing_common::error::Result;
 use bigdansing_common::metrics::Metrics;
@@ -17,157 +19,10 @@ use bigdansing_common::metrics::Metrics;
 impl<T: Send + Sync + Clone> PDataset<T> {
     /// Every unordered pair `(a, b)` with `a` strictly before `b` in the
     /// dataset, produced exactly once. Parallelized over chunk pairs.
-    pub fn self_cartesian(self) -> PDataset<(T, T)> {
+    pub fn self_cartesian(self) -> Result<PDataset<(T, T)>> {
         let engine = self.engine().clone();
-        let workers = engine.workers();
-        let all: Vec<T> = self.collect();
+        let all: Vec<T> = self.collect()?;
         // chunk so we get enough tasks for the pool: c*(c+1)/2 tasks
-        let chunks = (workers * 2).max(1);
-        let parts = Engine::split(all, chunks);
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        for i in 0..parts.len() {
-            for j in i..parts.len() {
-                tasks.push((i, j));
-            }
-        }
-        let parts_ref = &parts;
-        let partitions = par_map_indexed(workers, tasks, |_, (i, j)| {
-            let a = &parts_ref[i];
-            let b = &parts_ref[j];
-            let mut out = Vec::new();
-            if i == j {
-                for x in 0..a.len() {
-                    for y in (x + 1)..a.len() {
-                        out.push((a[x].clone(), a[y].clone()));
-                    }
-                }
-            } else {
-                out.reserve(a.len() * b.len());
-                for x in a {
-                    for y in b {
-                        out.push((x.clone(), y.clone()));
-                    }
-                }
-            }
-            out
-        });
-        let total: usize = partitions.iter().map(Vec::len).sum();
-        Metrics::add(&engine.metrics().pairs_generated, total as u64);
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// Full cross product with `other` (n·m ordered pairs).
-    pub fn cartesian<U: Send + Sync + Clone>(self, other: PDataset<U>) -> PDataset<(T, U)> {
-        let engine = self.engine().clone();
-        let workers = engine.workers();
-        let left: Vec<Vec<T>> = self.into_partitions();
-        let right: Vec<U> = other.collect();
-        let right_ref = &right;
-        let partitions = par_map_indexed(workers, left, |_, lp| {
-            let mut out = Vec::with_capacity(lp.len() * right_ref.len());
-            for a in &lp {
-                for b in right_ref {
-                    out.push((a.clone(), b.clone()));
-                }
-            }
-            out
-        });
-        let total: usize = partitions.iter().map(Vec::len).sum();
-        Metrics::add(&engine.metrics().pairs_generated, total as u64);
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// Full *self* cross product over ordered pairs with distinct ids is
-    /// what a SQL self-join produces; baselines build it from
-    /// [`PDataset::cartesian`] on a duplicate. This helper exists for the
-    /// CrossProduct physical operator: all n² ordered pairs.
-    pub fn self_cross_product(self) -> PDataset<(T, T)> {
-        let dup = self.duplicate();
-        self.cartesian(dup)
-    }
-
-    /// Range partition by `key` into `nparts` ordered ranges
-    /// (partition `i` holds keys ≤ every key in partition `i+1`).
-    ///
-    /// Cut points come from sorting a deterministic sample of the keys,
-    /// mirroring how the paper's underlying platforms implement
-    /// `sortByKey`-style partitioning.
-    pub fn range_partition_by<K, F>(self, key: F, nparts: usize) -> PDataset<T>
-    where
-        K: Ord + Clone + Send,
-        F: Fn(&T) -> K + Sync,
-    {
-        let engine = self.engine().clone();
-        let nparts = nparts.max(1);
-        let all: Vec<T> = self.collect();
-        Metrics::add(&engine.metrics().records_shuffled, all.len() as u64);
-        Metrics::add(
-            &engine.metrics().bytes_shuffled,
-            (std::mem::size_of::<T>() * all.len()) as u64,
-        );
-        if nparts == 1 || all.len() <= 1 {
-            return PDataset::from_partitions(engine, vec![all]);
-        }
-        // deterministic sample: every k-th key, capped at 4096 samples
-        let stride = (all.len() / 4096).max(1);
-        let mut sample: Vec<K> = all.iter().step_by(stride).map(&key).collect();
-        sample.sort();
-        let mut cuts: Vec<K> = Vec::with_capacity(nparts - 1);
-        for i in 1..nparts {
-            let idx = i * sample.len() / nparts;
-            cuts.push(sample[idx.min(sample.len() - 1)].clone());
-        }
-        let mut partitions: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        for t in all {
-            let k = key(&t);
-            // first partition whose cut is >= k
-            let idx = cuts.partition_point(|c| *c < k);
-            partitions[idx].push(t);
-        }
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// [`Self::range_partition_by`] with a *borrowing* key function: the
-    /// key is read in place from each record, so routing constructs no
-    /// per-record key value — only the bounded cut-point sample (at most
-    /// 4096 keys) is cloned.
-    pub fn range_partition_by_ref<K, F>(self, key: F, nparts: usize) -> PDataset<T>
-    where
-        K: Ord + Clone + Send,
-        F: for<'a> Fn(&'a T) -> &'a K + Sync,
-    {
-        let engine = self.engine().clone();
-        let nparts = nparts.max(1);
-        let all: Vec<T> = self.collect();
-        Metrics::add(&engine.metrics().records_shuffled, all.len() as u64);
-        Metrics::add(
-            &engine.metrics().bytes_shuffled,
-            (std::mem::size_of::<T>() * all.len()) as u64,
-        );
-        if nparts == 1 || all.len() <= 1 {
-            return PDataset::from_partitions(engine, vec![all]);
-        }
-        let stride = (all.len() / 4096).max(1);
-        let mut sample: Vec<K> = all.iter().step_by(stride).map(|t| key(t).clone()).collect();
-        sample.sort();
-        let mut cuts: Vec<K> = Vec::with_capacity(nparts - 1);
-        for i in 1..nparts {
-            let idx = i * sample.len() / nparts;
-            cuts.push(sample[idx.min(sample.len() - 1)].clone());
-        }
-        let mut partitions: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        for t in all {
-            let idx = cuts.partition_point(|c| c < key(&t));
-            partitions[idx].push(t);
-        }
-        PDataset::from_partitions(engine, partitions)
-    }
-
-    /// Fault-tolerant [`Self::self_cartesian`]: chunk-pair tasks run
-    /// under the engine's retry policy with panic isolation.
-    pub fn try_self_cartesian(self) -> Result<PDataset<(T, T)>> {
-        let engine = self.engine().clone();
-        let all: Vec<T> = self.try_collect()?;
         let chunks = (engine.workers() * 2).max(1);
         let parts = Engine::split(all, chunks);
         let mut tasks: Vec<(usize, usize)> = Vec::new();
@@ -207,13 +62,10 @@ impl<T: Send + Sync + Clone> PDataset<T> {
         Ok(PDataset::from_partitions(engine, partitions))
     }
 
-    /// Fault-tolerant [`Self::cartesian`].
-    pub fn try_cartesian<U: Send + Sync + Clone>(
-        self,
-        other: PDataset<U>,
-    ) -> Result<PDataset<(T, U)>> {
+    /// Full cross product with `other` (n·m ordered pairs).
+    pub fn cartesian<U: Send + Sync + Clone>(self, other: PDataset<U>) -> Result<PDataset<(T, U)>> {
         let (engine, left) = self.take_parts()?;
-        let right: Vec<U> = other.try_collect()?;
+        let right: Vec<U> = other.collect()?;
         let right_ref = &right;
         let partitions = engine.run_stage(&left, |_, lp: &Vec<T>| {
             let mut out = Vec::with_capacity(lp.len() * right_ref.len());
@@ -230,10 +82,54 @@ impl<T: Send + Sync + Clone> PDataset<T> {
         Ok(PDataset::from_partitions(engine, partitions))
     }
 
-    /// Fault-tolerant [`Self::self_cross_product`].
-    pub fn try_self_cross_product(self) -> Result<PDataset<(T, T)>> {
-        let dup = self.try_duplicate()?;
-        self.try_cartesian(dup)
+    /// All n² ordered pairs of the dataset with itself — what a SQL
+    /// self-join produces, and the CrossProduct physical operator.
+    pub fn self_cross_product(self) -> Result<PDataset<(T, T)>> {
+        let dup = self.duplicate()?;
+        self.cartesian(dup)
+    }
+
+    /// Range partition by `key` into `nparts` ordered ranges
+    /// (partition `i` holds keys ≤ every key in partition `i+1`).
+    ///
+    /// Cut points come from sorting a deterministic sample of the keys,
+    /// mirroring how the paper's underlying platforms implement
+    /// range partitioning. The key function *borrows*: the key is read
+    /// in place from each record, so routing constructs no per-record
+    /// key value — only the bounded cut-point sample (at most 4096
+    /// keys) is cloned.
+    pub fn range_partition_by<K, F>(self, key: F, nparts: usize) -> Result<PDataset<T>>
+    where
+        K: Ord + Clone + Send,
+        F: for<'a> Fn(&'a T) -> &'a K + Sync,
+    {
+        let engine = self.engine().clone();
+        let nparts = nparts.max(1);
+        let all: Vec<T> = self.collect()?;
+        Metrics::add(&engine.metrics().records_shuffled, all.len() as u64);
+        Metrics::add(
+            &engine.metrics().bytes_shuffled,
+            (std::mem::size_of::<T>() * all.len()) as u64,
+        );
+        if nparts == 1 || all.len() <= 1 {
+            return Ok(PDataset::from_partitions(engine, vec![all]));
+        }
+        // deterministic sample: every k-th key, capped at 4096 samples
+        let stride = (all.len() / 4096).max(1);
+        let mut sample: Vec<K> = all.iter().step_by(stride).map(|t| key(t).clone()).collect();
+        sample.sort();
+        let mut cuts: Vec<K> = Vec::with_capacity(nparts - 1);
+        for i in 1..nparts {
+            let idx = i * sample.len() / nparts;
+            cuts.push(sample[idx.min(sample.len() - 1)].clone());
+        }
+        let mut partitions: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
+        for t in all {
+            // first partition whose cut is >= the key
+            let idx = cuts.partition_point(|c| c < key(&t));
+            partitions[idx].push(t);
+        }
+        Ok(PDataset::from_partitions(engine, partitions))
     }
 }
 
@@ -247,7 +143,7 @@ mod tests {
         let e = Engine::parallel(4);
         let n = 40i64;
         let ds = PDataset::from_vec(e, (0..n).collect());
-        let pairs: Vec<(i64, i64)> = ds.self_cartesian().collect();
+        let pairs: Vec<(i64, i64)> = ds.self_cartesian().unwrap().collect().unwrap();
         assert_eq!(pairs.len() as i64, n * (n - 1) / 2);
         let set: HashSet<(i64, i64)> = pairs.iter().map(|(a, b)| (*a.min(b), *a.max(b))).collect();
         assert_eq!(set.len(), pairs.len(), "duplicate unordered pair produced");
@@ -257,7 +153,7 @@ mod tests {
     fn self_cartesian_counts_pairs_metric() {
         let e = Engine::parallel(2);
         let ds = PDataset::from_vec(e.clone(), (0..10i64).collect());
-        let _ = ds.self_cartesian().collect();
+        let _ = ds.self_cartesian().unwrap();
         assert_eq!(Metrics::get(&e.metrics().pairs_generated), 45);
     }
 
@@ -266,7 +162,7 @@ mod tests {
         let e = Engine::parallel(3);
         let a = PDataset::from_vec(e.clone(), vec![1i64, 2, 3]);
         let b = PDataset::from_vec(e, vec!["x", "y"]);
-        let mut out: Vec<(i64, &str)> = a.cartesian(b).collect();
+        let mut out: Vec<(i64, &str)> = a.cartesian(b).unwrap().collect().unwrap();
         out.sort();
         assert_eq!(out.len(), 6);
         assert_eq!(out[0], (1, "x"));
@@ -277,52 +173,37 @@ mod tests {
     fn self_cross_product_is_n_squared() {
         let e = Engine::sequential();
         let ds = PDataset::from_vec(e, (0..7i64).collect());
-        assert_eq!(ds.self_cross_product().count(), 49);
+        assert_eq!(ds.self_cross_product().unwrap().count(), 49);
     }
 
     #[test]
-    fn try_self_cartesian_matches_infallible_under_faults() {
+    fn self_cartesian_is_unchanged_under_faults() {
         use crate::fault::{FaultInjector, FaultPolicy};
         use crate::ExecMode;
-        let data: Vec<i64> = (0..30).collect();
-        let norm = |mut v: Vec<(i64, i64)>| {
-            let mut v: Vec<(i64, i64)> = v.drain(..).map(|(a, b)| (a.min(b), a.max(b))).collect();
-            v.sort();
-            v
-        };
-        let plain = norm(
-            PDataset::from_vec(Engine::parallel(4), data.clone())
-                .self_cartesian()
-                .collect(),
-        );
+        let n = 30i64;
+        let mut expect: Vec<(i64, i64)> = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                expect.push((a, b));
+            }
+        }
         let faulty_engine = Engine::builder(ExecMode::Parallel)
             .workers(4)
             .fault_policy(FaultPolicy::with_max_attempts(6))
             .fault_injector(FaultInjector::seeded(13).with_task_panics(0.3))
             .build();
-        let faulty = norm(
-            PDataset::from_vec(faulty_engine.clone(), data)
-                .try_self_cartesian()
+        let mut faulty: Vec<(i64, i64)> =
+            PDataset::from_vec(faulty_engine.clone(), (0..n).collect())
+                .self_cartesian()
                 .unwrap()
-                .collect(),
-        );
-        assert_eq!(plain, faulty);
+                .collect()
+                .unwrap()
+                .into_iter()
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+        faulty.sort();
+        assert_eq!(faulty, expect);
         assert!(Metrics::get(&faulty_engine.metrics().panics_caught) > 0);
-    }
-
-    #[test]
-    fn try_cartesian_matches_infallible() {
-        let e = Engine::parallel(3);
-        let mut a: Vec<(i64, i64)> = PDataset::from_vec(e.clone(), (0..12i64).collect())
-            .try_cartesian(PDataset::from_vec(e.clone(), (0..5i64).collect()))
-            .unwrap()
-            .collect();
-        a.sort();
-        let mut b: Vec<(i64, i64)> = PDataset::from_vec(e.clone(), (0..12i64).collect())
-            .cartesian(PDataset::from_vec(e, (0..5i64).collect()))
-            .collect();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -330,7 +211,11 @@ mod tests {
         let e = Engine::parallel(4);
         let data: Vec<i64> = (0..500).map(|x| (x * 7919) % 1000).collect();
         let ds = PDataset::from_vec(e, data.clone());
-        let parts = ds.range_partition_by(|x| *x, 8).into_partitions();
+        let parts = ds
+            .range_partition_by(|x| x, 8)
+            .unwrap()
+            .into_partitions()
+            .unwrap();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), data.len());
         // max of partition i <= min of partition i+1 (non-empty ones)
         let mut last_max: Option<i64> = None;
@@ -347,12 +232,12 @@ mod tests {
     #[test]
     fn range_partition_single_part_and_tiny_input() {
         let e = Engine::sequential();
-        let ds = PDataset::from_vec(e.clone(), vec![5i64]);
-        let parts = ds.range_partition_by(|x| *x, 4).into_partitions();
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1);
-        let ds = PDataset::from_vec(e, Vec::<i64>::new());
-        let parts = ds.range_partition_by(|x| *x, 3).into_partitions();
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 0);
+        let count = |ds: PDataset<i64>, nparts| {
+            let parts = ds.range_partition_by(|x| x, nparts).unwrap();
+            parts.into_partitions().unwrap().concat().len()
+        };
+        assert_eq!(count(PDataset::from_vec(e.clone(), vec![5i64]), 4), 1);
+        assert_eq!(count(PDataset::from_vec(e, Vec::new()), 3), 0);
     }
 
     #[test]
@@ -360,7 +245,7 @@ mod tests {
         let e = Engine::parallel(2);
         let data: Vec<i64> = std::iter::repeat_n(42, 100).chain(0..10).collect();
         let ds = PDataset::from_vec(e, data.clone());
-        let parts = ds.range_partition_by(|x| *x, 5).into_partitions();
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), data.len());
+        let parts = ds.range_partition_by(|x| x, 5).unwrap();
+        assert_eq!(parts.count(), data.len());
     }
 }

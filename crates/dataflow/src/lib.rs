@@ -5,16 +5,19 @@
 //! The parallel data-processing substrate that BigDansing's execution
 //! layer targets. The paper runs on Spark (in-memory) and Hadoop
 //! MapReduce (disk-backed, stage-materializing); this crate provides a
-//! faithful laptop-scale stand-in: an in-memory, partitioned dataset
-//! abstraction ([`PDataset`]) whose transformations execute across a
-//! configurable number of worker threads.
+//! faithful laptop-scale stand-in: a partitioned dataset handle
+//! ([`PDataset`]) and one lazy dataflow API ([`Stage`]) whose passes
+//! execute across a configurable number of worker threads.
 //!
-//! The operation set mirrors what Appendix G of the paper uses to
-//! translate physical operators: `map`, `filter`, `flatMap`,
-//! `mapPartitions`, `groupByKey`, `coGroup` (for the CoBlock enhancer),
-//! `selfCartesian` (the paper's custom Spark extension backing
-//! UCrossProduct), `cartesian`, `rangePartition` + per-partition sorting
-//! (backing OCJoin), `union`, `reduceByKey`, and `collect`.
+//! The operation set is what Appendix G of the paper uses to translate
+//! physical operators. Narrow and keyed operators live on [`Stage`]:
+//! `map`, `filter`, `flat_map`, `map_parts` (Scope, Iterate, Detect,
+//! GenFix), `group_by_key` (Block) and `co_group` (CoBlock). The wide
+//! pair primitives live on [`PDataset`] ([`joins`]): `self_cartesian`
+//! (the paper's custom `selfCartesian()` Spark extension backing
+//! UCrossProduct), `cartesian` / `self_cross_product`, and
+//! `range_partition_by` (the partitioning phase of OCJoin). Each
+//! operation exists once, and every one of them is fallible.
 //!
 //! Execution modes ([`ExecMode`]):
 //! * `Sequential` — one worker; used as the correctness oracle.
@@ -23,11 +26,6 @@
 //!   at stage boundaries, which serializes every partition to disk and
 //!   reads it back ([`PDataset::checkpoint`]).
 //!
-//! Fault tolerance ([`fault`]): every `try_*` stage runs its partition
-//! tasks under panic isolation with bounded retries ([`FaultPolicy`]),
-//! spill I/O is retried and can degrade gracefully, and a deterministic
-//! [`FaultInjector`] lets tests prove recovery end-to-end.
-//!
 //! Lazy fused execution ([`stage`]): [`Stage`] wraps a dataset in a
 //! stage-graph IR where narrow transforms accumulate into one fused
 //! per-partition closure, forced as a single physical pass at wide
@@ -35,6 +33,12 @@
 //! behind `group_by_key`/`co_group` runs map-side bucketing and the
 //! reducer-side merge in parallel. [`Engine::explain`] renders which
 //! logical operators fused into which physical passes.
+//!
+//! Fault tolerance ([`fault`]): every pass runs its partition tasks
+//! through [`Engine::run_stage`] — panic isolation with bounded retries
+//! ([`FaultPolicy`]) against borrowed input — spill I/O is retried and
+//! can degrade gracefully, and a deterministic [`FaultInjector`] lets
+//! tests prove recovery end-to-end.
 //!
 //! Resource governance ([`govern`]): jobs opened with
 //! [`Engine::begin_job`] carry a [`CancellationToken`] checked between

@@ -1,16 +1,15 @@
 //! The stage-graph IR: lazy, fused, per-partition execution.
 //!
-//! The eager [`PDataset`](crate::PDataset) combinators run every
+//! [`Stage`] is the one way to transform a [`PDataset`]. Running every
 //! logical operator as its own physical pass (materializing a full
-//! `Vec<Vec<T>>` between passes). That mirrors how the paper describes
-//! naive plans — and is exactly the redundancy its planner exists to
-//! remove (Algorithm 1 consolidates shared scans; Appendix G fuses
-//! logical operators into platform stages). [`Stage`] is the lazy
-//! counterpart: narrow transforms (`map`, `filter`, `flat_map`,
-//! `map_parts`) accumulate into one per-partition closure chain, and a
-//! wide boundary — shuffle ([`Stage::group_by_key`] /
-//! [`Stage::co_group`]), checkpoint, or collect — forces the whole
-//! chain as a **single** pass per partition.
+//! `Vec<Vec<T>>` between passes) is how the paper describes naive
+//! plans — and exactly the redundancy its planner exists to remove
+//! (Algorithm 1 consolidates shared scans; Appendix G fuses logical
+//! operators into platform stages). So a stage is lazy: narrow
+//! transforms (`map`, `filter`, `flat_map`, `map_parts`) accumulate
+//! into one per-partition closure chain, and a wide boundary — shuffle
+//! ([`Stage::group_by_key`] / [`Stage::co_group`]), checkpoint, or
+//! collect — forces the whole chain as a **single** pass per partition.
 //!
 //! Governance compatibility falls out of the design: every forced pass
 //! executes through [`Engine::run_stage`], so cancellation checks,
@@ -23,7 +22,7 @@
 //! [`Engine::explain`] renders the trace so the fusion win is
 //! observable (`passes_executed` / `stages_fused` count it).
 
-use crate::engine::{Engine, ExecMode};
+use crate::engine::Engine;
 use crate::grouping::{bucket_of, merge_buckets};
 use crate::pdataset::PDataset;
 use bigdansing_common::codec::Codec;
@@ -146,8 +145,8 @@ where
     S: Clone + Send + Sync + 'static,
 {
     /// Start a lazy pipeline over `data` (the identity chain — records
-    /// are cloned out of the borrowed partitions when forced, exactly
-    /// like the `try_*` combinators).
+    /// are cloned out of the borrowed partitions when forced, so a
+    /// retried task re-reads intact input).
     pub fn over(data: PDataset<S>) -> Stage<S, S> {
         Stage {
             data,
@@ -306,20 +305,16 @@ where
 
     /// Force and gather every record on the "driver".
     pub fn collect(self) -> Result<Vec<T>> {
-        self.run()?.try_collect()
+        self.run()?.collect()
     }
 
-    /// Shuffle boundary: force the chain and group its output by a
-    /// key, in two parallel passes — a **shuffle-map** pass running
-    /// the fused chain + key extraction + per-reducer bucketing over
-    /// every input partition, and a move-based **merge** transposing
-    /// the buckets to the reducers. The per-reducer group construction
-    /// is queued as a narrow op on the returned stage, so it fuses
-    /// with whatever runs next (e.g. Iterate→Detect).
-    pub fn group_by_key<K, KF>(self, name: &str, key: KF) -> Result<GroupedStage<K, T>>
+    /// Map side of a shuffle, recorded as one **shuffle-map** pass named
+    /// `op`: run the fused chain over every input partition, key each
+    /// record, and bucket it by the reducer its key hashes to.
+    #[allow(clippy::type_complexity)]
+    fn shuffle_map<K, KF>(self, op: String, key: KF) -> Result<(Engine, Vec<Vec<Vec<(K, T)>>>)>
     where
-        T: Clone + Sync,
-        K: Hash + Eq + Clone + Send + Sync + 'static,
+        K: Hash + Send,
         KF: Fn(&T) -> Result<K> + Sync,
     {
         let Stage {
@@ -339,8 +334,26 @@ where
             }
             Ok(buckets)
         })?;
-        ops.push(format!("{name}.key"));
+        ops.push(op);
         engine.record_pass(PassKind::ShuffleMap, ops, parts.len());
+        Ok((engine, bucketed))
+    }
+
+    /// Shuffle boundary: force the chain and group its output by a
+    /// key, in two parallel passes — a **shuffle-map** pass running
+    /// the fused chain + key extraction + per-reducer bucketing over
+    /// every input partition, and a move-based **merge** transposing
+    /// the buckets to the reducers. The per-reducer group construction
+    /// is queued as a narrow op on the returned stage, so it fuses
+    /// with whatever runs next (e.g. Iterate→Detect).
+    pub fn group_by_key<K, KF>(self, name: &str, key: KF) -> Result<GroupedStage<K, T>>
+    where
+        T: Clone + Sync,
+        K: Hash + Eq + Clone + Send + Sync + 'static,
+        KF: Fn(&T) -> Result<K> + Sync,
+    {
+        let (engine, bucketed) = self.shuffle_map(format!("{name}.key"), key)?;
+        let reducers = engine.default_partitions();
         let buckets = merge_buckets(&engine, bucketed, reducers);
         engine.record_pass(PassKind::ShuffleMerge, Vec::new(), reducers);
         let ds = PDataset::from_partitions(engine, buckets);
@@ -375,43 +388,9 @@ where
         KL: Fn(&T) -> Result<K> + Sync,
         KR: Fn(&U) -> Result<K> + Sync,
     {
-        let Stage {
-            data,
-            mut ops,
-            chain,
-        } = self;
-        let Stage {
-            data: rdata,
-            ops: mut rops,
-            chain: rchain,
-        } = other;
-        let (engine, parts) = data.take_parts()?;
-        let (_, rparts) = rdata.take_parts()?;
+        let (engine, bucketed_l) = self.shuffle_map(format!("{name}.key-left"), key_left)?;
+        let (_, bucketed_r) = other.shuffle_map(format!("{name}.key-right"), key_right)?;
         let reducers = engine.default_partitions();
-        let bucketed_l = engine.run_stage(&parts, |_, part: &Vec<S>| {
-            let mut buckets: Vec<Vec<(K, T)>> = (0..reducers).map(|_| Vec::new()).collect();
-            for r in chain(part) {
-                let t = r?;
-                let k = key_left(&t)?;
-                let b = bucket_of(&k, reducers);
-                buckets[b].push((k, t));
-            }
-            Ok(buckets)
-        })?;
-        ops.push(format!("{name}.key-left"));
-        engine.record_pass(PassKind::ShuffleMap, ops, parts.len());
-        let bucketed_r = engine.run_stage(&rparts, |_, part: &Vec<S2>| {
-            let mut buckets: Vec<Vec<(K, U)>> = (0..reducers).map(|_| Vec::new()).collect();
-            for r in rchain(part) {
-                let u = r?;
-                let k = key_right(&u)?;
-                let b = bucket_of(&k, reducers);
-                buckets[b].push((k, u));
-            }
-            Ok(buckets)
-        })?;
-        rops.push(format!("{name}.key-right"));
-        engine.record_pass(PassKind::ShuffleMap, rops, rparts.len());
         let buckets_l = merge_buckets(&engine, bucketed_l, reducers);
         let buckets_r = merge_buckets(&engine, bucketed_r, reducers);
         engine.record_pass(PassKind::ShuffleMerge, Vec::new(), reducers);
@@ -460,25 +439,16 @@ where
 {
     /// Checkpoint boundary: force the chain, then materialize through
     /// [`PDataset::checkpoint`] (disk round-trip under DiskBacked;
-    /// ledger-tracked under a memory budget). Recorded as its own pass
-    /// only when it actually materializes.
+    /// ledger-tracked under a memory budget).
     pub fn checkpoint(self) -> Result<Stage<T, T>> {
-        let ds = self.run()?;
-        let engine = ds.engine().clone();
-        let nparts = ds.num_partitions();
-        let materializes =
-            engine.mode() == ExecMode::DiskBacked || engine.memory_budget().is_some();
-        let ds = ds.checkpoint()?;
-        if materializes {
-            engine.record_pass(PassKind::Checkpoint, Vec::new(), nparts);
-        }
-        Ok(Stage::over(ds))
+        Ok(Stage::over(self.run()?.checkpoint()?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecMode;
     use crate::fault::{FaultInjector, FaultPolicy};
     use bigdansing_common::error::Error;
     use bigdansing_common::metrics::Metrics;
@@ -489,21 +459,26 @@ mod tests {
     }
 
     #[test]
-    fn fused_chain_matches_eager_combinators() {
+    fn fused_chain_matches_iterator_oracle() {
         let e = Engine::parallel(4);
         let data: Vec<i64> = (0..200).collect();
-        let fused = Stage::over(PDataset::from_vec(e.clone(), data.clone()))
+        let fused = Stage::over(PDataset::from_vec(e, data.clone()))
             .map("double", |x: i64| Ok(x * 2))
             .filter("mod4", |x: &i64| Ok(x % 4 == 0))
             .flat_map("expand", |x: i64| Ok(vec![x, x + 1]))
+            .map_parts("negate", |p: Vec<i64>| {
+                Ok(p.into_iter().map(|x| -x).collect())
+            })
             .collect()
             .unwrap();
-        let eager = PDataset::from_vec(e, data)
+        let oracle: Vec<i64> = data
+            .into_iter()
             .map(|x| x * 2)
             .filter(|x| x % 4 == 0)
             .flat_map(|x| vec![x, x + 1])
+            .map(|x| -x)
             .collect();
-        assert_eq!(sorted(fused), sorted(eager));
+        assert_eq!(sorted(fused), sorted(oracle));
     }
 
     #[test]
@@ -523,30 +498,72 @@ mod tests {
         assert_eq!(plan[0].ops, vec!["a", "b", "c"]);
     }
 
+    /// Every group's members, sorted, in key order.
+    fn norm_groups(mut g: Vec<(i64, Vec<i64>)>) -> Vec<(i64, Vec<i64>)> {
+        for (_, v) in g.iter_mut() {
+            v.sort();
+        }
+        g.sort();
+        g
+    }
+
+    fn group_oracle(data: &[i64], key: impl Fn(i64) -> i64) -> Vec<(i64, Vec<i64>)> {
+        let mut groups: HashMap<i64, Vec<i64>> = HashMap::new();
+        for &x in data {
+            groups.entry(key(x)).or_default().push(x);
+        }
+        norm_groups(groups.into_iter().collect())
+    }
+
     #[test]
-    fn group_by_key_matches_eager_grouping() {
+    fn group_by_key_matches_hashmap_oracle() {
         let e = Engine::parallel(4);
         let data: Vec<i64> = (0..300).collect();
-        let norm = |mut g: Vec<(i64, Vec<i64>)>| {
-            for (_, v) in g.iter_mut() {
-                v.sort();
-            }
-            g.sort();
-            g
-        };
-        let fused = norm(
-            Stage::over(PDataset::from_vec(e.clone(), data.clone()))
+        let fused = norm_groups(
+            Stage::over(PDataset::from_vec(e, data.clone()))
                 .group_by_key("block", |x: &i64| Ok(x % 13))
                 .unwrap()
                 .collect()
                 .unwrap(),
         );
-        let eager = norm(
-            PDataset::from_vec(e, data)
-                .group_by_key(|x| x % 13)
-                .collect(),
+        assert_eq!(fused.len(), 13);
+        assert_eq!(fused, group_oracle(&data, |x| x % 13));
+    }
+
+    #[test]
+    fn group_by_key_recovers_from_injected_panics() {
+        let e = Engine::builder(ExecMode::Parallel)
+            .workers(4)
+            .fault_policy(FaultPolicy::with_max_attempts(6))
+            .fault_injector(FaultInjector::seeded(31).with_task_panics(0.3))
+            .build();
+        let data: Vec<i64> = (0..200).collect();
+        let groups = norm_groups(
+            Stage::over(PDataset::from_vec(e.clone(), data.clone()))
+                .group_by_key("block", |x: &i64| Ok(x % 7))
+                .unwrap()
+                .collect()
+                .unwrap(),
         );
-        assert_eq!(fused, eager);
+        assert_eq!(groups, group_oracle(&data, |x| x % 7));
+        assert!(Metrics::get(&e.metrics().panics_caught) > 0);
+    }
+
+    #[test]
+    fn sequential_and_parallel_agree() {
+        let data: Vec<i64> = (0..1000).rev().map(|x| x * 31 % 97).collect();
+        let run = |e: Engine| {
+            norm_groups(
+                Stage::over(PDataset::from_vec(e, data.clone()))
+                    .map("mod37", |x: i64| Ok(x % 37))
+                    .filter("odd", |x: &i64| Ok(x % 2 == 1))
+                    .group_by_key("block", |x: &i64| Ok(x % 11))
+                    .unwrap()
+                    .collect()
+                    .unwrap(),
+            )
+        };
+        assert_eq!(run(Engine::sequential()), run(Engine::parallel(8)));
     }
 
     #[test]
@@ -590,7 +607,7 @@ mod tests {
             })
             .collect()
             .unwrap_err();
-        assert!(matches!(err, Error::Task { .. }), "{err:?}");
+        assert!(matches!(err, Error::Task { attempts: 1, .. }), "{err:?}");
     }
 
     #[test]
@@ -639,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn co_group_matches_eager_cogroup() {
+    fn co_group_matches_hashmap_oracle() {
         let e = Engine::parallel(3);
         let l: Vec<(i64, i64)> = (0..60).map(|x| (x % 5, x)).collect();
         let r: Vec<(i64, i64)> = (0..40).map(|x| (x % 7, x)).collect();
@@ -655,7 +672,7 @@ mod tests {
         let fused = norm(
             Stage::over(PDataset::from_vec(e.clone(), l.clone()))
                 .co_group(
-                    Stage::over(PDataset::from_vec(e.clone(), r.clone())),
+                    Stage::over(PDataset::from_vec(e, r.clone())),
                     "coblock",
                     |x: &(i64, i64)| Ok(x.0),
                     |x: &(i64, i64)| Ok(x.0),
@@ -664,28 +681,47 @@ mod tests {
                 .collect()
                 .unwrap(),
         );
-        let eager = norm(
-            PDataset::from_vec(e.clone(), l)
-                .co_group(PDataset::from_vec(e, r), |x| x.0, |x| x.0)
-                .collect(),
-        );
-        assert_eq!(fused, eager);
+        #[allow(clippy::type_complexity)]
+        let mut bags: HashMap<i64, (Vec<(i64, i64)>, Vec<(i64, i64)>)> = HashMap::new();
+        for x in l {
+            bags.entry(x.0).or_default().0.push(x);
+        }
+        for x in r {
+            bags.entry(x.0).or_default().1.push(x);
+        }
+        let oracle = norm(bags.into_iter().map(|(k, (a, b))| (k, a, b)).collect());
+        assert_eq!(fused, oracle);
+        // keys 5 and 6 exist on the right only: present, with an empty
+        // left bag (§4.2: all keys from both inputs are collected)
+        assert_eq!(fused.len(), 7);
+        assert!(fused[5].1.is_empty() && !fused[5].2.is_empty());
     }
 
     #[test]
     fn explain_renders_the_trace() {
-        let e = Engine::parallel(2);
+        let e = Engine::disk_backed(2);
         let _ = Stage::over(PDataset::from_vec(e.clone(), (0..50i64).collect()))
             .map("scope", |x: i64| Ok(x))
             .group_by_key("block", |x: &i64| Ok(x % 5))
             .unwrap()
             .map_parts("detect", Ok)
-            .run()
+            .checkpoint()
             .unwrap();
         let plan = e.explain();
         assert!(plan.contains("stage graph:"), "{plan}");
         assert!(plan.contains("scope + block.key"), "{plan}");
         assert!(plan.contains("block.group + detect"), "{plan}");
+        // the materializing checkpoint is a pass of its own, recorded once
+        let kinds: Vec<PassKind> = e.stage_plan().iter().map(|p| p.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                PassKind::ShuffleMap,
+                PassKind::ShuffleMerge,
+                PassKind::Narrow,
+                PassKind::Checkpoint
+            ]
+        );
         e.clear_stage_plan();
         assert!(e.explain().contains("no fused passes"));
     }

@@ -215,7 +215,7 @@ impl RuleIndex {
                         let parts = engine.default_partitions();
                         self.oc = Some(OcIndex::build(conds.clone(), &news, parts));
                         let data = PDataset::from_vec(engine.clone(), news.clone());
-                        try_ocjoin(data, conds, OcJoinConfig::default())?.try_collect()?
+                        try_ocjoin(data, conds, OcJoinConfig::default())?.collect()?
                     }
                 };
                 if !news.is_empty() {

@@ -583,8 +583,7 @@ impl Session {
                     }
                     Ok(out)
                 })
-                .run()?
-                .try_collect()?;
+                .collect()?;
         Metrics::add(&engine.metrics().violations, found.len() as u64);
         for (prov, violation, fixes) in found {
             stats.added += 1;

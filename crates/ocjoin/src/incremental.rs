@@ -286,7 +286,7 @@ fn feasible_range(op: Op, lmin: &Value, lmax: &Value, rmin: &Value, rmax: &Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ocjoin, OcJoinConfig};
+    use crate::{try_ocjoin, OcJoinConfig};
     use bigdansing_dataflow::PDataset;
     use std::collections::HashSet;
 
@@ -324,12 +324,13 @@ mod tests {
         let mut all: Vec<Tuple> = base.to_vec();
         all.extend(delta.iter().cloned());
         let delta_ids: HashSet<u64> = delta.iter().map(Tuple::id).collect();
-        ocjoin(
+        try_ocjoin(
             PDataset::from_vec(engine.clone(), all),
             conds,
             OcJoinConfig::default(),
         )
-        .collect()
+        .and_then(PDataset::collect)
+        .unwrap()
         .iter()
         .map(|(a, b)| (a.id(), b.id()))
         .filter(|(a, b)| delta_ids.contains(a) || delta_ids.contains(b))

@@ -31,4 +31,4 @@ pub mod naive;
 pub mod ocjoin;
 
 pub use incremental::OcIndex;
-pub use ocjoin::{ocjoin, try_ocjoin, try_ocjoin_sink, IsFresh, OcJoinConfig, ALL_FRESH};
+pub use ocjoin::{try_ocjoin, try_ocjoin_sink, IsFresh, OcJoinConfig, ALL_FRESH};

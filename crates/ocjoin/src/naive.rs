@@ -6,20 +6,28 @@
 //! ablation (CrossProduct vs UCrossProduct vs OCJoin) and the SQL-engine
 //! baselines have something honest to run.
 
+use bigdansing_common::error::Result;
 use bigdansing_common::Tuple;
 use bigdansing_dataflow::PDataset;
 use bigdansing_rules::OrderCond;
 
 /// All ordered pairs (full n² cross product, minus same-id pairs)
 /// satisfying every condition — the *CrossProduct* physical operator.
-pub fn cross_join_filter(input: PDataset<Tuple>, conds: &[OrderCond]) -> PDataset<(Tuple, Tuple)> {
+pub fn cross_join_filter(
+    input: PDataset<Tuple>,
+    conds: &[OrderCond],
+) -> Result<PDataset<(Tuple, Tuple)>> {
     let conds = conds.to_vec();
-    input.self_cross_product().filter(move |(a, b)| {
-        a.id() != b.id()
-            && conds
-                .iter()
-                .all(|c| c.op.holds(a.value(c.left_attr), b.value(c.right_attr)))
-    })
+    input
+        .self_cross_product()?
+        .stage()
+        .filter("post-select", move |(a, b)| {
+            Ok(a.id() != b.id()
+                && conds
+                    .iter()
+                    .all(|c| c.op.holds(a.value(c.left_attr), b.value(c.right_attr))))
+        })
+        .run()
 }
 
 /// The *UCrossProduct* variant: each unordered pair is materialized once
@@ -27,24 +35,32 @@ pub fn cross_join_filter(input: PDataset<Tuple>, conds: &[OrderCond]) -> PDatase
 /// any condition set because a satisfied orientation is emitted
 /// explicitly. Halves the candidate count relative to
 /// [`cross_join_filter`] but is still quadratic (Figure 11(c)).
-pub fn ucross_join_filter(input: PDataset<Tuple>, conds: &[OrderCond]) -> PDataset<(Tuple, Tuple)> {
+pub fn ucross_join_filter(
+    input: PDataset<Tuple>,
+    conds: &[OrderCond],
+) -> Result<PDataset<(Tuple, Tuple)>> {
     let conds = conds.to_vec();
-    input.self_cartesian().flat_map(move |(a, b)| {
-        let mut out = Vec::new();
-        if conds
-            .iter()
-            .all(|c| c.op.holds(a.value(c.left_attr), b.value(c.right_attr)))
-        {
-            out.push((a.clone(), b.clone()));
-        }
-        if conds
-            .iter()
-            .all(|c| c.op.holds(b.value(c.left_attr), a.value(c.right_attr)))
-        {
-            out.push((b, a));
-        }
-        out
-    })
+    input
+        .self_cartesian()?
+        .stage()
+        .map_parts("post-select", move |pairs: Vec<(Tuple, Tuple)>| {
+            let holds = |a: &Tuple, b: &Tuple| {
+                conds
+                    .iter()
+                    .all(|c| c.op.holds(a.value(c.left_attr), b.value(c.right_attr)))
+            };
+            let mut out = Vec::new();
+            for (a, b) in pairs {
+                if holds(&a, &b) {
+                    out.push((a.clone(), b.clone()));
+                }
+                if holds(&b, &a) {
+                    out.push((b, a));
+                }
+            }
+            Ok(out)
+        })
+        .run()
 }
 
 #[cfg(test)]
@@ -74,7 +90,8 @@ mod tests {
         ]
     }
 
-    fn ids(pairs: Vec<(Tuple, Tuple)>) -> HashSet<(u64, u64)> {
+    fn ids(pairs: Result<PDataset<(Tuple, Tuple)>>) -> HashSet<(u64, u64)> {
+        let pairs = pairs.unwrap().collect().unwrap();
         pairs.into_iter().map(|(x, y)| (x.id(), y.id())).collect()
     }
 
@@ -84,9 +101,11 @@ mod tests {
             .map(|i| tup(i, (i as i64 * 13) % 7, (i as i64 * 5) % 11))
             .collect();
         let e = Engine::parallel(2);
-        let a =
-            ids(cross_join_filter(PDataset::from_vec(e.clone(), data.clone()), &conds()).collect());
-        let b = ids(ucross_join_filter(PDataset::from_vec(e, data), &conds()).collect());
+        let a = ids(cross_join_filter(
+            PDataset::from_vec(e.clone(), data.clone()),
+            &conds(),
+        ));
+        let b = ids(ucross_join_filter(PDataset::from_vec(e, data), &conds()));
         assert_eq!(a, b);
     }
 
@@ -94,7 +113,7 @@ mod tests {
     fn ucross_generates_half_the_candidates() {
         let data: Vec<Tuple> = (0..20).map(|i| tup(i, i as i64, i as i64)).collect();
         let e = Engine::parallel(2);
-        let _ = ucross_join_filter(PDataset::from_vec(e.clone(), data), &conds()).collect();
+        ucross_join_filter(PDataset::from_vec(e.clone(), data), &conds()).unwrap();
         // selfCartesian materializes n(n-1)/2 = 190 candidates, not 400
         assert_eq!(
             bigdansing_common::metrics::Metrics::get(&e.metrics().pairs_generated),
@@ -106,7 +125,7 @@ mod tests {
     fn known_violating_pair_found() {
         let data = vec![tup(1, 100, 30), tup(2, 200, 10)];
         let e = Engine::sequential();
-        let out = ids(cross_join_filter(PDataset::from_vec(e, data), &conds()).collect());
+        let out = ids(cross_join_filter(PDataset::from_vec(e, data), &conds()));
         assert_eq!(out, HashSet::from([(2, 1)]));
     }
 }

@@ -17,7 +17,7 @@ use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
 use bigdansing_common::{KeyDict, KeyId, Table, Tuple};
 use bigdansing_dataflow::bulkhead::{pairs_in_block, RuleGuard};
-use bigdansing_dataflow::{Engine, ExecMode, PDataset, PassKind, Stage};
+use bigdansing_dataflow::{Engine, PDataset, Stage};
 use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
 use bigdansing_rules::{DetectUnit, Fix, Rule, RuleExt, Violation};
 use std::sync::Arc;
@@ -326,9 +326,9 @@ impl Executor {
                     .expect("cross products enumerate pairs");
                 let data = scoped.into_dataset()?;
                 let pairs = if pair_rule.both_orientations {
-                    data.try_self_cross_product()?
+                    data.self_cross_product()?
                 } else {
-                    data.try_self_cartesian()?
+                    data.self_cartesian()?
                 };
                 pairs
                     .stage()
@@ -396,25 +396,18 @@ impl Executor {
     /// Run one pipeline over an already-loaded dataset, built lazily so
     /// Scope fuses into the shuffle-map (or detect) pass instead of
     /// running as its own materialized stage.
-    pub fn run_pipeline(
-        &self,
-        data: PDataset<Tuple>,
-        pipeline: &RulePipeline,
-    ) -> Result<DetectOutput> {
-        self.run_pipeline_guarded(data, pipeline, None, None)
-    }
-
-    /// [`run_pipeline`](Executor::run_pipeline) under a [`RuleGuard`]:
-    /// the fused reducer polls the guard's soft time budget between
-    /// Detect/GenFix invocations and gates blocks through its straggler
-    /// threshold. The isolation-aware cleanse loop arms one guard per
-    /// rule pass and reads its processed/skipped counters afterwards.
+    ///
+    /// Under a [`RuleGuard`] the fused reducer polls the guard's soft
+    /// time budget between Detect/GenFix invocations and gates blocks
+    /// through its straggler threshold. The isolation-aware cleanse loop
+    /// arms one guard per rule pass and reads its processed/skipped
+    /// counters afterwards.
     ///
     /// With a [`Delta`] the pass is semi-naive: it returns only the
     /// detections of candidate units with a changed member, which the
     /// caller adds to the earlier detections the delta left standing
     /// (see [`DetectOutput::origins`]). `None` is a full detect.
-    pub fn run_pipeline_guarded(
+    pub fn run_pipeline(
         &self,
         data: PDataset<Tuple>,
         pipeline: &RulePipeline,
@@ -459,14 +452,7 @@ impl Executor {
         clones_before: u64,
     ) -> Result<DetectOutput> {
         let metrics = self.engine.metrics();
-        let nparts = detected_ds.num_partitions();
-        let materializes =
-            self.engine.mode() == ExecMode::DiskBacked || self.engine.memory_budget().is_some();
-        let found = detected_ds.checkpoint()?.try_collect()?;
-        if materializes {
-            self.engine
-                .record_pass(PassKind::Checkpoint, Vec::new(), nparts);
-        }
+        let found = detected_ds.checkpoint()?.collect()?;
         Metrics::add(&metrics.violations, found.len() as u64);
         Metrics::add(&metrics.tuples_cloned, deep_clones_total() - clones_before);
         let (origins, detected) = found.into_iter().unzip();
@@ -482,24 +468,7 @@ impl Executor {
         for rule in rules {
             self.engine.check_cancelled()?;
             let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name());
-            out.extend(self.run_pipeline(data.try_duplicate()?, &pipeline)?);
-        }
-        Ok(out)
-    }
-
-    /// Detect reloading the table for every rule — the unconsolidated
-    /// baseline used by the shared-scan ablation.
-    pub fn detect_unconsolidated(
-        &self,
-        table: &Table,
-        rules: &[Arc<dyn Rule>],
-    ) -> Result<DetectOutput> {
-        let mut out = DetectOutput::default();
-        for rule in rules {
-            self.engine.check_cancelled()?;
-            let data = self.load(table);
-            let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name());
-            out.extend(self.run_pipeline(data, &pipeline)?);
+            out.extend(self.run_pipeline(data.duplicate()?, &pipeline, None, None)?);
         }
         Ok(out)
     }
@@ -515,7 +484,7 @@ impl Executor {
             strategy: IterateStrategy::UCrossProduct,
             use_genfix: true,
         };
-        self.run_pipeline(self.load(table), &pipeline)
+        self.run_pipeline(self.load(table), &pipeline, None, None)
     }
 
     /// The CoBlock path (Figure 6): two datasets, blocked with the same
@@ -695,7 +664,9 @@ mod tests {
         let _ = exec.detect(&table, &rules).unwrap();
         let shared = Metrics::get(&exec.engine().metrics().tuples_scanned);
         exec.engine().metrics().reset();
-        let _ = exec.detect_unconsolidated(&table, &rules).unwrap();
+        for rule in &rules {
+            let _ = exec.detect(&table, std::slice::from_ref(rule)).unwrap();
+        }
         let unshared = Metrics::get(&exec.engine().metrics().tuples_scanned);
         assert_eq!(shared, table.len() as u64);
         assert_eq!(unshared, 2 * table.len() as u64);
@@ -757,7 +728,7 @@ mod tests {
         };
         let guard = RuleGuard::arm(rule.name(), &iso);
         let out = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
+            .run_pipeline(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap();
         assert!(out.is_clean(), "the violating block was skipped");
         assert_eq!(guard.units_skipped(), pairs_in_block(3, false));
@@ -780,7 +751,7 @@ mod tests {
         };
         let guard = RuleGuard::arm(rule.name(), &iso);
         let err = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
+            .run_pipeline(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap_err();
         match err {
             Error::Rule { rule: name, cause } => {
@@ -800,7 +771,7 @@ mod tests {
         let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name());
         let guard = RuleGuard::arm(rule.name(), &IsolationOptions::default());
         let out = exec
-            .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard), None)
+            .run_pipeline(exec.load(&table), &pipeline, Some(&guard), None)
             .unwrap();
         assert_eq!(out.violation_count(), 2);
         // 90210 has 3 tuples → 3 unordered pairs; every other block is

@@ -26,9 +26,53 @@ use crate::{Assignment, Detected};
 use bigdansing_common::error::Result;
 use bigdansing_common::keys::KeyDict;
 use bigdansing_common::{Cell, Value};
-use bigdansing_dataflow::{Engine, PDataset};
+use bigdansing_dataflow::{Engine, PDataset, Stage};
 use bigdansing_rules::{FixRhs, Op};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
+
+/// Fold the values of equal keys into one `(key, value)` per key.
+fn fold_by_key<K: Hash + Eq, V>(
+    pairs: impl IntoIterator<Item = (K, V)>,
+    fold: fn(V, V) -> V,
+) -> Vec<(K, V)> {
+    let mut acc: HashMap<K, V> = HashMap::new();
+    for (k, v) in pairs {
+        let v = match acc.remove(&k) {
+            Some(prev) => fold(prev, v),
+            None => v,
+        };
+        acc.insert(k, v);
+    }
+    acc.into_iter().collect()
+}
+
+/// One map-reduce round, queued on `records`: map-side combine per
+/// input partition, hash shuffle on the key, reducer-side fold. `fold`
+/// must be associative and commutative.
+#[allow(clippy::type_complexity)]
+fn reduce_round<S, K, V>(
+    records: Stage<S, (K, V)>,
+    round: &str,
+    fold: fn(V, V) -> V,
+) -> Result<Stage<(K, (K, V)), (K, V)>>
+where
+    S: Send + Sync + 'static,
+    K: Hash + Eq + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    Ok(records
+        .map_parts(format!("{round}.combine"), move |part| {
+            Ok(fold_by_key(part, fold))
+        })
+        .group_by_key(round, |(k, _)| Ok(k.clone()))?
+        .map_parts(format!("{round}.fold"), move |groups| {
+            Ok(fold_by_key(
+                groups.into_iter().flat_map(|(_, pairs)| pairs),
+                fold,
+            ))
+        }))
+}
 
 /// Run the distributed equivalence-class repair on `engine`.
 pub fn repair_distributed_equivalence(
@@ -86,31 +130,29 @@ pub fn repair_distributed_equivalence(
             .iter()
             .map(|(n, k)| ((labels[*n as usize], k.clone()), 1u64)),
     );
-    let counted: PDataset<((u32, Value), u64)> = PDataset::from_vec(engine.clone(), records)
-        .reduce_by_key(|(k, _)| k.clone(), |(_, n)| n, |a, b| a + b);
+    let counted = reduce_round(
+        PDataset::from_vec(engine.clone(), records).stage(),
+        "count",
+        |a, b| a + b,
+    )?;
 
     // -- map-reduce round 2: ⟨ccid, (value, count)⟩ → max-frequency -----
-    let targets: Vec<(u32, (Value, u64))> = counted
-        .map(|((cc, value), count)| (cc, (value, count)))
-        .reduce_by_key(
-            |(cc, _)| *cc,
-            |(_, vc)| vc,
-            |(va, ca), (vb, cb)| {
-                // higher count wins; ties toward the smaller value
-                match ca.cmp(&cb) {
-                    std::cmp::Ordering::Less => (vb, cb),
-                    std::cmp::Ordering::Greater => (va, ca),
-                    std::cmp::Ordering::Equal => {
-                        if va <= vb {
-                            (va, ca)
-                        } else {
-                            (vb, cb)
-                        }
-                    }
+    let rekeyed = counted.map("rekey", |((cc, value), count)| Ok((cc, (value, count))));
+    let targets = reduce_round(rekeyed, "max", |(va, ca), (vb, cb)| {
+        // higher count wins; ties toward the smaller value
+        match ca.cmp(&cb) {
+            std::cmp::Ordering::Less => (vb, cb),
+            std::cmp::Ordering::Greater => (va, ca),
+            std::cmp::Ordering::Equal => {
+                if va <= vb {
+                    (va, ca)
+                } else {
+                    (vb, cb)
                 }
-            },
-        )
-        .collect();
+            }
+        }
+    })?
+    .collect()?;
     let targ: HashMap<u32, Value> = targets.into_iter().map(|(cc, (v, _))| (cc, v)).collect();
 
     // -- final assignment: every element moves to its class target ------

@@ -91,6 +91,38 @@ mod tests {
         }
     }
 
+    /// §5.2's two map-reduce rounds are engine passes: injected task
+    /// panics are retried and the assignment is the clean run's. The
+    /// input has constant fixes only, so class formation has no edge to
+    /// propagate over and every retry seen comes from the rounds.
+    #[test]
+    fn distributed_equivalence_is_unchanged_under_injected_faults() {
+        use bigdansing_common::metrics::Metrics;
+        use bigdansing_dataflow::{ExecMode, FaultInjector, FaultPolicy};
+        let detected: Vec<Detected> = (0..200u64)
+            .map(|i| {
+                let cell = Cell::new(i, 0);
+                let seen = Value::str("M");
+                let mut v = Violation::new("cfd");
+                v.add_cell(cell, seen.clone());
+                let fixes = ["Z", ["A", "N", "Q"][i as usize % 3]]
+                    .map(|k| Fix::assign_const(cell, seen.clone(), Value::str(k)));
+                (v, fixes.to_vec())
+            })
+            .collect();
+        let strategy = RepairStrategy::DistributedEquivalence;
+        let run = |e: &Engine| run_repair(e, &detected, &strategy, RepairOptions::default());
+        let clean = run(&Engine::parallel(4)).unwrap();
+        assert_eq!(clean.len(), 67, "ties go to the smaller value: only A < M");
+        let faulty = Engine::builder(ExecMode::Parallel)
+            .workers(4)
+            .fault_policy(FaultPolicy::with_max_attempts(6))
+            .fault_injector(FaultInjector::seeded(0xB16D).with_task_panics(0.15))
+            .build();
+        assert_eq!(run(&faulty).unwrap(), clean);
+        assert!(Metrics::get(&faulty.metrics().tasks_retried) > 0);
+    }
+
     #[test]
     fn debug_names_the_algorithm() {
         let s = format!("{:?}", RepairStrategy::default());

@@ -5,6 +5,7 @@
 //! blocking key. As a result, BigDansing can push down the Block
 //! operator to the storage manager", eliminating the detection shuffle.
 
+use bigdansing_common::error::Result;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Table, Tuple, Value};
 use bigdansing_dataflow::{Engine, PDataset};
@@ -89,14 +90,15 @@ impl PartitionedStore {
         &self,
         engine: &Engine,
         rule: &Arc<dyn Rule>,
-    ) -> Vec<(Violation, Vec<Fix>)> {
+    ) -> Result<Vec<(Violation, Vec<Fix>)>> {
         let blocks: Vec<Vec<Tuple>> = self.blocks.values().cloned().collect();
         let r = Arc::clone(rule);
         let metrics = engine.metrics().clone();
         Metrics::add(&metrics.tuples_scanned, self.len() as u64);
         let symmetric = rule.symmetric();
         PDataset::from_vec(engine.clone(), blocks)
-            .map_partitions(move |part| {
+            .stage()
+            .map_parts("iterate+detect+genfix", move |part: Vec<Vec<Tuple>>| {
                 let mut out = Vec::new();
                 let mut pairs = 0u64;
                 for block in part {
@@ -117,7 +119,7 @@ impl PartitionedStore {
                 }
                 Metrics::add(&metrics.pairs_generated, pairs);
                 Metrics::add(&metrics.detect_calls, pairs);
-                out
+                Ok(out)
             })
             .collect()
     }
@@ -175,7 +177,7 @@ mod tests {
         let store = PartitionedStore::build(&t, rule_blocking_attrs());
         // pushdown path
         let engine = Engine::parallel(2);
-        let pushed = store.detect_pushdown(&engine, &rule);
+        let pushed = store.detect_pushdown(&engine, &rule).unwrap();
         assert_eq!(
             Metrics::get(&engine.metrics().records_shuffled),
             0,

@@ -61,7 +61,9 @@ fn main() {
     .unwrap();
     let exec = Executor::new(Engine::sequential());
     for pipeline in &physical::translate(plan).unwrap().pipelines {
-        let out = exec.run_pipeline(exec.load(&table), pipeline).unwrap();
+        let out = exec
+            .run_pipeline(exec.load(&table), pipeline, None, None)
+            .unwrap();
         println!(
             "executed {} → {} violation(s)",
             pipeline.rule.name(),

@@ -209,9 +209,9 @@ fn bigdansing_matches_every_baseline_on_fd() {
     let pg = dedup_violations(sqlengine::detect(&e, &table, &rule));
     assert_eq!(bd, owned_keys(&pg));
     let e = Engine::parallel(2);
-    let ss = dedup_violations(sparksql::detect(&e, &table, &rule));
+    let ss = dedup_violations(sparksql::detect(&e, &table, &rule).unwrap());
     assert_eq!(bd, owned_keys(&ss));
-    let sh = dedup_violations(shark::detect(&e, &table, &rule));
+    let sh = dedup_violations(shark::detect(&e, &table, &rule).unwrap());
     assert_eq!(bd, owned_keys(&sh));
 }
 
@@ -236,7 +236,7 @@ fn bigdansing_matches_every_baseline_on_inequality_dc() {
     let pg = sqlengine::detect(&e, &table, &rule);
     assert_eq!(bd, owned_keys(&pg), "PostgreSQL-sim disagrees");
     let e = Engine::parallel(2);
-    let sh = shark::detect(&e, &table, &rule);
+    let sh = shark::detect(&e, &table, &rule).unwrap();
     assert_eq!(bd, owned_keys(&sh), "Shark-sim disagrees");
 }
 
@@ -253,7 +253,9 @@ fn ocjoin_pipeline_matches_cross_product_pipeline() {
             strategy,
             use_genfix: false,
         };
-        let out = exec.run_pipeline(exec.load(&table), &p).unwrap();
+        let out = exec
+            .run_pipeline(exec.load(&table), &p, None, None)
+            .unwrap();
         keys(out.detected.iter().map(|(v, _)| v).collect())
     };
     let oc = run(IterateStrategy::OcJoin(conds));
@@ -499,7 +501,10 @@ fn shared_scan_and_unconsolidated_detection_agree() {
     ];
     let exec = Executor::new(Engine::parallel(2));
     let shared = exec.detect(&gt.dirty, &rules).unwrap();
-    let separate = exec.detect_unconsolidated(&gt.dirty, &rules).unwrap();
+    let mut separate = DetectOutput::default();
+    for rule in &rules {
+        separate.extend(exec.detect(&gt.dirty, std::slice::from_ref(rule)).unwrap());
+    }
     assert_eq!(
         keys(shared.detected.iter().map(|(v, _)| v).collect()),
         keys(separate.detected.iter().map(|(v, _)| v).collect())

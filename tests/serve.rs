@@ -177,6 +177,47 @@ fn malformed_records_quarantine_instead_of_failing() {
     server.shutdown();
 }
 
+/// One JSONL line of 100k `[` is far inside the body limit, and the
+/// recursive-descent reader used to recurse once per bracket: the
+/// handler thread's stack overflowed and took the whole server process
+/// down. Nesting is bounded now, so the line is an ordinary parse error.
+#[test]
+fn deeply_nested_json_is_quarantined_and_the_server_survives() {
+    let mut server = Server::start("127.0.0.1:0", base_opts()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    let hostile = format!(
+        "{{\"op\":\"insert\",\"id\":1,\"values\":{}\n",
+        "[".repeat(100_000)
+    );
+    let body = format!("{hostile}{{\"op\":\"insert\",\"id\":2,\"values\":[\"94105\",\"SF\"]}}\n");
+    let r = c
+        .request(
+            "POST",
+            "/tenant/acme/records?wait=1",
+            "application/x-ndjson",
+            &body,
+        )
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(json_u64(&r.body, "accepted"), 1);
+    assert_eq!(json_u64(&r.body, "quarantined"), 1);
+    let report = c.get("/tenant/acme/report").unwrap();
+    assert!(
+        report.body.contains("nesting deeper than"),
+        "{}",
+        report.body
+    );
+
+    // the next request gets a normal reply
+    let r = c
+        .post("/tenant/acme/records?wait=1", "insert,3,10001,NY\n")
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(json_u64(&r.body, "table_rows"), 2);
+    server.shutdown();
+}
+
 #[test]
 fn windowed_retraction_matches_window_aware_oracle() {
     let spec = WindowSpec::tumbling(4).unwrap();

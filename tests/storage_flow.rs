@@ -71,7 +71,7 @@ fn replicated_store_serves_multiple_rules_without_shuffles() {
         let rule: Arc<dyn Rule> = Arc::new(FdRule::parse(spec, gt.dirty.schema()).unwrap());
         let replica = store.replica_for(&key).expect("replica exists");
         let engine = Engine::parallel(2);
-        let pushed = replica.detect_pushdown(&engine, &rule);
+        let pushed = replica.detect_pushdown(&engine, &rule).unwrap();
         assert_eq!(Metrics::get(&engine.metrics().records_shuffled), 0);
         let mut sys = BigDansing::parallel(2);
         sys.add_rule(Arc::clone(&rule));
@@ -108,7 +108,7 @@ fn partitioned_store_keeps_singleton_blocks() {
         Arc::new(FdRule::parse("zipcode -> city", gt.dirty.schema()).unwrap());
     let engine = Engine::sequential();
     assert!(
-        store.detect_pushdown(&engine, &rule).is_empty(),
+        store.detect_pushdown(&engine, &rule).unwrap().is_empty(),
         "clean data"
     );
 }
