@@ -130,16 +130,24 @@ impl Table {
         self.tuples.push(tuple);
     }
 
-    /// In-place counterpart of [`Table::apply`] for callers that
-    /// maintain a `tuple id → position` index: mutates only the
-    /// targeted rows instead of rebuilding the whole tuple vector.
+    /// Remove the rows at the given positions (strictly ascending) in
+    /// one compaction pass; the survivors keep their relative order.
+    /// Panics if a position is out of range or the list is not
+    /// ascending.
+    pub fn remove_at(&mut self, positions: &[usize]) {
+        remove_sorted(&mut self.tuples, positions);
+    }
+
+    /// In-place counterpart of [`Table::apply`] for callers that can
+    /// resolve a tuple id to its position (`position_of`): mutates only
+    /// the targeted rows instead of rebuilding the whole tuple vector.
     /// Every assignment is validated before anything is touched, so an
     /// error leaves the table unchanged (the same all-or-nothing
     /// behavior as `apply`).
     pub fn apply_at(
         &mut self,
         assignments: &HashMap<Cell, Value>,
-        positions: &HashMap<TupleId, usize>,
+        position_of: impl Fn(TupleId) -> Option<usize>,
     ) -> Result<()> {
         let mut by_tuple: HashMap<TupleId, Vec<(usize, &Value)>> = HashMap::new();
         for (cell, v) in assignments {
@@ -149,22 +157,21 @@ impl Table {
                 .push((cell.attr as usize, v));
         }
         let mut missing = 0usize;
-        for (&id, edits) in &by_tuple {
-            let target = positions
-                .get(&id)
-                .and_then(|&p| self.tuples.get(p))
-                .filter(|t| t.id() == id);
+        let mut targets = Vec::with_capacity(by_tuple.len());
+        for (id, edits) in by_tuple {
+            let target =
+                position_of(id).filter(|&p| self.tuples.get(p).is_some_and(|t| t.id() == id));
             match target {
-                Some(t) => {
-                    for (attr, _) in edits {
-                        if *attr >= t.arity() {
+                Some(p) => {
+                    let arity = self.tuples[p].arity();
+                    for (attr, _) in &edits {
+                        if *attr >= arity {
                             return Err(Error::Repair(format!(
-                                "fix targets attribute {attr} of arity-{} tuple {}",
-                                t.arity(),
-                                id
+                                "fix targets attribute {attr} of arity-{arity} tuple {id}"
                             )));
                         }
                     }
+                    targets.push((p, id, edits));
                 }
                 None => missing += 1,
             }
@@ -175,8 +182,7 @@ impl Table {
                 self.name
             )));
         }
-        for (id, edits) in by_tuple {
-            let p = positions[&id];
+        for (p, id, edits) in targets {
             let mut values = self.tuples[p].to_values();
             for (attr, v) in edits {
                 values[attr] = v.clone();
@@ -200,6 +206,25 @@ impl Table {
             })
             .sum()
     }
+}
+
+/// Remove the elements of `items` at the strictly ascending `positions`
+/// in one `retain` pass — the compaction a table and the columns kept
+/// beside it share, so they stay aligned.
+pub fn remove_sorted<T>(items: &mut Vec<T>, positions: &[usize]) {
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1])
+            && positions.last().is_none_or(|&p| p < items.len()),
+        "remove_sorted: positions must ascend within 0..{}",
+        items.len()
+    );
+    let mut dead = positions.iter().copied().peekable();
+    let mut at = 0usize;
+    items.retain(|_| {
+        let hit = dead.next_if_eq(&at).is_some();
+        at += 1;
+        !hit
+    });
 }
 
 #[cfg(test)]
@@ -264,7 +289,9 @@ mod tests {
         fixes.insert(Cell::new(2, 0), Value::Int(60602));
         let rebuilt = t.apply(&fixes).unwrap();
         let mut in_place = t;
-        in_place.apply_at(&fixes, &positions).unwrap();
+        in_place
+            .apply_at(&fixes, |id| positions.get(&id).copied())
+            .unwrap();
         assert_eq!(rebuilt.diff_cells(&in_place), 0);
     }
 
@@ -281,7 +308,8 @@ mod tests {
         bad.insert(Cell::new(0, 0), Value::Int(1));
         bad.insert(Cell::new(77, 0), Value::Null);
         let mut scratch = t.clone();
-        assert!(scratch.apply_at(&bad, &positions).is_err());
+        let position_of = |id| positions.get(&id).copied();
+        assert!(scratch.apply_at(&bad, position_of).is_err());
         assert_eq!(
             t.diff_cells(&scratch),
             0,
@@ -289,8 +317,22 @@ mod tests {
         );
         let mut bad = HashMap::new();
         bad.insert(Cell::new(0, 9), Value::Null);
-        assert!(scratch.apply_at(&bad, &positions).is_err());
+        assert!(scratch.apply_at(&bad, position_of).is_err());
         assert_eq!(t.diff_cells(&scratch), 0);
+    }
+
+    #[test]
+    fn remove_at_compacts_in_order() {
+        let mut t = sample();
+        t.push(Tuple::new(9, vec![Value::Int(11111), Value::str("SJ")]));
+        t.remove_at(&[0, 2]);
+        let ids: Vec<TupleId> = t.tuples().iter().map(Tuple::id).collect();
+        assert_eq!(ids, vec![1, 9]);
+        t.remove_at(&[]);
+        assert_eq!(t.len(), 2);
+        let mut col = vec![10u64, 20, 30, 40];
+        remove_sorted(&mut col, &[1, 3]);
+        assert_eq!(col, vec![10, 30]);
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn parse_delta_line(line: &str, schema: &Schema) -> std::result::Result<DeltaOp,
 }
 
 /// The index of every tuple in `table`, by id.
-pub(crate) fn positions(table: &Table) -> HashMap<TupleId, usize> {
+fn positions(table: &Table) -> HashMap<TupleId, usize> {
     let by_id = table.tuples().iter().enumerate();
     by_id.map(|(i, t)| (t.id(), i)).collect()
 }

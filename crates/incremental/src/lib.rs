@@ -34,10 +34,12 @@
 //!
 //! Sessions can additionally be made **durable**: with
 //! [`DurabilityOptions`] every applied batch is appended to a
-//! checksummed write-ahead log before any in-memory mutation, periodic
-//! atomic snapshots bound replay time, and [`Session::recover`]
-//! rebuilds an equivalent session after a crash — or after an apply
-//! error that would otherwise leave the session poisoned.
+//! checksummed write-ahead log before any in-memory mutation, a
+//! snapshot file — one full base plus appended delta frames holding
+//! what changed since — is brought up to date periodically to bound
+//! replay time, and [`Session::recover`] rebuilds an equivalent session
+//! after a crash — or after an apply error that would otherwise leave
+//! the session poisoned.
 //!
 //! Streaming sessions can bound their working set with a **violation
 //! window** ([`WindowSpec`]): each arriving record gets a logical event

@@ -26,7 +26,7 @@
 //! untouched, so the driver would break on an empty applicable set in
 //! its first round too.
 
-use crate::delta::{apply_batch_to_table, positions, DeltaBatch, DeltaOp};
+use crate::delta::{check_arity, DeltaBatch, DeltaOp};
 use crate::durable::Durable;
 use crate::index::RuleIndex;
 use crate::report::ApplyStats;
@@ -35,6 +35,7 @@ use crate::store::Store;
 use crate::wal::{ProvState, StoredState};
 use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
+use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::bulkhead::IsolationOptions;
 use bigdansing_dataflow::{Engine, PDataset};
@@ -45,7 +46,7 @@ use bigdansing_repair::{
     run_rounds, Assignment, Detected, RepairStrategy, RepairTarget, RoundsOptions,
 };
 use bigdansing_rules::{DetectUnit, Fix, Rule, Violation};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Options governing a [`Session`]'s repair loop — the same knobs as the
@@ -100,17 +101,21 @@ pub struct Session {
     pub(crate) executor: Executor,
     pub(crate) rules: Vec<Arc<dyn Rule>>,
     pub(crate) options: SessionOptions,
+    /// The materialized table, always in ascending order of its tuples'
+    /// sequence numbers.
     pub(crate) table: Table,
-    /// Table-order sequence number per live tuple: base tuples keep
-    /// their position, inserts get fresh increasing numbers (they append
-    /// at the end), updates keep theirs, deletes drop theirs. Relative
-    /// order always matches the materialized table.
+    /// Sequence number per live tuple: base tuples keep their position,
+    /// inserts get fresh increasing numbers (they append at the end),
+    /// updates keep theirs, deletes drop theirs. The per-rule indexes
+    /// order bucket members by it.
     pub(crate) seqs: HashMap<TupleId, u64>,
-    /// Current index of each live tuple in [`Session::table`] — lets
-    /// delta-free-of-delete batches and repair rounds mutate the table
-    /// in place instead of rebuilding its O(n) tuple vector. Rebuilt
-    /// after deletes (positions shift).
-    pub(crate) pos: HashMap<TupleId, usize>,
+    /// The sequence numbers again, as a column beside the table:
+    /// `seq_col[i]` belongs to `table.tuples()[i]`. Strictly increasing,
+    /// so a tuple's position is a binary search for its sequence number
+    /// ([`Session::position`]) and no id → position map has to be kept
+    /// current when deletes shift rows.
+    pub(crate) seq_col: Vec<u64>,
+    /// The next sequence number; above everything in `seq_col`.
     pub(crate) next_seq: u64,
     pub(crate) states: Vec<RuleIndex>,
     pub(crate) store: Store,
@@ -132,39 +137,48 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session skeleton over `table` — sequence numbers (`seqs`,
-    /// aligned with the table's tuples), position index, empty per-rule
-    /// indexes and store — before any detection or index build.
-    /// `duplicate` words the error for a tuple id that occurs twice.
+    /// A session skeleton over `table` with `seq_col` beside it — id
+    /// lookup, empty per-rule indexes and store — before any detection
+    /// or index build. Everything position lookup rests on is checked
+    /// here: one sequence number per tuple, strictly increasing, no
+    /// tuple id twice (`duplicate` words that error).
     pub(crate) fn skeleton(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         options: SessionOptions,
         table: Table,
-        seqs: impl Iterator<Item = u64>,
+        seq_col: Vec<u64>,
         duplicate: fn(TupleId) -> Error,
     ) -> Result<Session> {
         if rules.is_empty() {
             return Err(Error::Repair("no rules registered".into()));
         }
-        let ids = || table.tuples().iter().map(Tuple::id);
-        let seqs: HashMap<TupleId, u64> = ids().zip(seqs).collect();
-        if seqs.len() != table.len() {
-            let mut seen = HashSet::new();
-            let short = || Error::Corrupt("sequence numbers do not cover the table".into());
-            return Err(ids()
-                .find(|id| !seen.insert(*id))
-                .map_or_else(short, duplicate));
+        if seq_col.len() != table.len() {
+            return Err(Error::Corrupt(
+                "sequence numbers do not cover the table".into(),
+            ));
+        }
+        if let Some(w) = seq_col.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(Error::Corrupt(format!(
+                "sequence numbers out of table order: {} before {}",
+                w[0], w[1]
+            )));
+        }
+        let mut seqs: HashMap<TupleId, u64> = HashMap::with_capacity(table.len());
+        for (t, &seq) in table.tuples().iter().zip(&seq_col) {
+            if seqs.insert(t.id(), seq).is_some() {
+                return Err(duplicate(t.id()));
+            }
         }
         Ok(Session {
             states: RuleIndex::for_rules(&rules, options.lsh),
             executor,
             rules,
             options,
-            next_seq: table.len() as u64,
-            pos: positions(&table),
+            next_seq: seq_col.last().map_or(0, |last| last + 1),
             table,
             seqs,
+            seq_col,
             store: Store::default(),
             stable: false,
             poisoned: false,
@@ -185,11 +199,18 @@ impl Session {
         table: &Table,
         options: SessionOptions,
     ) -> Result<Session> {
-        let win = options.window.map(|spec| Win::over_base(spec, table));
-        let seqs = 0..table.len() as u64;
-        let mut session = Session::skeleton(executor, rules, options, table.clone(), seqs, |id| {
-            Error::Repair(format!("duplicate tuple id {id} in base table"))
-        })?;
+        // Base rows get sequence numbers — and, windowed, event times —
+        // in table order, as if they had streamed in one at a time.
+        let ordinals = 0..table.len() as u64;
+        let ids = table.tuples().iter().map(Tuple::id);
+        let win = options
+            .window
+            .map(|spec| Win::new(spec, table.len() as u64, ids.zip(ordinals.clone())));
+        let seq_col = ordinals.collect();
+        let mut session =
+            Session::skeleton(executor, rules, options, table.clone(), seq_col, |id| {
+                Error::Repair(format!("duplicate tuple id {id} in base table"))
+            })?;
         session.win = win;
         let mut stats = ApplyStats::default();
         let all: BTreeSet<TupleId> = table.tuples().iter().map(Tuple::id).collect();
@@ -198,7 +219,7 @@ impl Session {
         // windows behind its watermark: retire them now so the session
         // starts with only live-window rows.
         let mut expired = BTreeSet::new();
-        if session.expire_past_watermark(&mut expired)? > 0 {
+        if session.expire_past_watermark(&mut expired) > 0 {
             session.redetect(&expired, &mut stats)?;
         }
         Ok(session)
@@ -288,16 +309,7 @@ impl Session {
 
         // Validate the whole batch before mutating anything: a
         // malformed batch must corrupt neither the session nor the WAL.
-        // Delete-free batches (the common trickle) are checked up front
-        // and later edit the table in place through the position index;
-        // batches with deletes stage the compacted table through the
-        // from-scratch oracle (which validates as it goes).
-        let staged = if batch.ops.iter().any(|op| matches!(op, DeltaOp::Delete(_))) {
-            Some(apply_batch_to_table(&self.table, &batch)?)
-        } else {
-            self.validate_delete_free(&batch)?;
-            None
-        };
+        self.validate(&batch)?;
 
         // The batch is valid: make it durable before the mutation it
         // describes begins.
@@ -311,25 +323,7 @@ impl Session {
             _ => None,
         };
 
-        // Materialize.
-        match staged {
-            Some(table) => {
-                self.pos = positions(&table);
-                self.table = table;
-            }
-            None => {
-                for op in &batch.ops {
-                    match op {
-                        DeltaOp::Insert(t) => {
-                            self.pos.insert(t.id(), self.table.len());
-                            self.table.push(t.clone());
-                        }
-                        DeltaOp::Update(t) => self.table.set_at(self.pos[&t.id()], t.clone()),
-                        DeltaOp::Delete(_) => unreachable!("delete-free path"),
-                    }
-                }
-            }
-        }
+        self.materialize(&batch);
 
         // The table is mutated; everything below must finish for the
         // indexes and violation store to match it again. A governed
@@ -369,16 +363,9 @@ impl Session {
         for op in &batch.ops {
             touched.insert(op.id());
             match op {
-                DeltaOp::Insert(t) => {
-                    report.inserted += 1;
-                    self.seqs.insert(t.id(), self.next_seq);
-                    self.next_seq += 1;
-                }
+                DeltaOp::Insert(_) => report.inserted += 1,
                 DeltaOp::Update(_) => report.updated += 1,
-                DeltaOp::Delete(id) => {
-                    report.deleted += 1;
-                    self.seqs.remove(id);
-                }
+                DeltaOp::Delete(_) => report.deleted += 1,
             }
         }
         // Window bookkeeping: every insert/update is a fresh arrival
@@ -390,7 +377,7 @@ impl Session {
         if let Some(win) = &mut self.win {
             win.arrive(batch);
         }
-        report.tuples_expired = self.expire_past_watermark(&mut touched)?;
+        report.tuples_expired = self.expire_past_watermark(&mut touched);
 
         // Delta-driven detection + retraction.
         let mut stats = ApplyStats::default();
@@ -450,46 +437,108 @@ impl Session {
         Ok(report)
     }
 
-    /// Check a delete-free batch against the live id set without
-    /// mutating anything, replaying [`apply_batch_to_table`]'s op-order
-    /// semantics (an update may target an id inserted earlier in the
-    /// same batch, but not one inserted later).
-    fn validate_delete_free(&self, batch: &DeltaBatch) -> Result<()> {
-        let mut added: HashSet<TupleId> = HashSet::new();
+    /// Check a batch against the live id set without mutating anything,
+    /// replaying [`crate::apply_batch_to_table`]'s op-order semantics: an
+    /// op sees the ids as the ops before it left them, so an update or
+    /// delete may target an id inserted earlier in the same batch (never
+    /// later), and a deleted id may be inserted again.
+    fn validate(&self, batch: &DeltaBatch) -> Result<()> {
+        // liveness of the ids earlier ops of this batch changed
+        let mut staged: HashMap<TupleId, bool> = HashMap::new();
         for op in &batch.ops {
+            let id = op.id();
+            let live = match staged.get(&id) {
+                Some(&live) => live,
+                None => self.seqs.contains_key(&id),
+            };
+            let refuse = |what: &str| Err(Error::Parse(format!("delta {what}")));
             match op {
+                DeltaOp::Insert(_) if live => {
+                    return refuse(&format!("inserts tuple {id} which already exists"))
+                }
+                DeltaOp::Update(_) if !live => {
+                    return refuse(&format!("updates missing tuple {id}"))
+                }
+                DeltaOp::Delete(_) if !live => {
+                    return refuse(&format!("deletes missing tuple {id}"))
+                }
                 DeltaOp::Insert(t) => {
-                    if self.pos.contains_key(&t.id()) || !added.insert(t.id()) {
-                        return Err(Error::Parse(format!(
-                            "delta inserts tuple {} which already exists",
-                            t.id()
-                        )));
-                    }
-                    crate::delta::check_arity(&self.table, t)?;
+                    check_arity(&self.table, t)?;
+                    staged.insert(id, true);
                 }
-                DeltaOp::Update(t) => {
-                    if !self.pos.contains_key(&t.id()) && !added.contains(&t.id()) {
-                        return Err(Error::Parse(format!(
-                            "delta updates missing tuple {}",
-                            t.id()
-                        )));
-                    }
-                    crate::delta::check_arity(&self.table, t)?;
+                DeltaOp::Update(t) => check_arity(&self.table, t)?,
+                DeltaOp::Delete(_) => {
+                    staged.insert(id, false);
                 }
-                DeltaOp::Delete(_) => unreachable!("delete-free path"),
             }
         }
         Ok(())
     }
 
-    /// The current value of `cell`, resolved through the position index
-    /// (`Table::cell_value` falls back to an O(n) scan once ids and
-    /// positions diverge).
+    /// Edit a validated batch into the table in place: inserts append
+    /// under the next sequence numbers, updates replace their row, and
+    /// the rows deletes leave behind are compacted away in one pass at
+    /// the end (until then positions hold, so later ops of the batch
+    /// still resolve).
+    fn materialize(&mut self, batch: &DeltaBatch) {
+        let mut dead = Vec::new();
+        for op in &batch.ops {
+            match op {
+                DeltaOp::Insert(t) => {
+                    self.seqs.insert(t.id(), self.next_seq);
+                    self.seq_col.push(self.next_seq);
+                    self.next_seq += 1;
+                    self.table.push(t.clone());
+                }
+                DeltaOp::Update(t) => {
+                    let at = self
+                        .position(t.id())
+                        .expect("validated: update of a live id");
+                    self.table.set_at(at, t.clone());
+                }
+                DeltaOp::Delete(id) => dead.push(self.unlink(*id)),
+            }
+        }
+        self.remove_rows(dead);
+    }
+
+    /// The position of live tuple `id` in the table: its sequence number,
+    /// found in the sorted column beside the table.
+    pub(crate) fn position(&self, id: TupleId) -> Option<usize> {
+        position_in(&self.seqs, &self.seq_col, id)
+    }
+
+    /// Forget live tuple `id`'s sequence number (telling a durable
+    /// session's next delta frame the row is gone) and return the
+    /// position of its row, which the caller hands to
+    /// [`Session::remove_rows`].
+    pub(crate) fn unlink(&mut self, id: TupleId) -> usize {
+        let seq = self.seqs.remove(&id).expect("unlink of a live id");
+        if let Some(d) = &mut self.durable {
+            d.removed.push(seq);
+        }
+        let at = self.seq_col.binary_search(&seq);
+        at.expect("a live tuple's sequence number is in the column")
+    }
+
+    /// Drop the rows at `dead` — explicit deletes and window expiry both
+    /// end here — compacting the table and the sequence column in one
+    /// pass each over their handles. The only table-sized step of an
+    /// apply, taken only when rows actually leave.
+    pub(crate) fn remove_rows(&mut self, mut dead: Vec<usize>) {
+        if dead.is_empty() {
+            return;
+        }
+        dead.sort_unstable();
+        self.table.remove_at(&dead);
+        remove_sorted(&mut self.seq_col, &dead);
+    }
+
+    /// The current value of `cell` (`Table::cell_value` falls back to an
+    /// O(n) scan once ids and positions diverge).
     fn cell_value(&self, cell: Cell) -> Option<&Value> {
-        self.pos
-            .get(&cell.tuple)
-            .and_then(|&p| self.table.tuples().get(p))
-            .and_then(|t| t.get(cell.attr as usize))
+        let t = &self.table.tuples()[self.position(cell.tuple)?];
+        t.get(cell.attr as usize)
     }
 
     /// Re-detect everything the dirty tuples can influence: remove their
@@ -498,10 +547,15 @@ impl Session {
     /// GenFix over those units through the lazy Stage API.
     fn redetect(&mut self, dirty: &BTreeSet<TupleId>, stats: &mut ApplyStats) -> Result<()> {
         let engine = self.executor.engine().clone();
+        // Every table mutation comes through here, so this is where a
+        // durable session learns what its next delta frame must carry.
+        if let Some(d) = &mut self.durable {
+            d.dirty.extend(dirty);
+        }
         // The live versions of the dirty tuples (absent ids were deleted).
         let fresh: HashMap<TupleId, Tuple> = dirty
             .iter()
-            .filter_map(|id| Some((*id, self.table.tuples()[*self.pos.get(id)?].clone())))
+            .filter_map(|id| Some((*id, self.table.tuples()[self.position(*id)?].clone())))
             .collect();
         // Rule-agnostic retraction by generating-unit tuple ids.
         for stored in self.store.retract_tuples(dirty) {
@@ -622,6 +676,12 @@ impl Session {
     }
 }
 
+/// [`Session::position`] over the two fields it reads, for callers that
+/// hold the table mutably at the same time.
+fn position_in(seqs: &HashMap<TupleId, u64>, seq_col: &[u64], id: TupleId) -> Option<usize> {
+    seq_col.binary_search(seqs.get(&id)?).ok()
+}
+
 /// The session side of the shared rounds driver: detect is a read of
 /// the violation store, and a round's updates edit the table in place
 /// and flow back through incremental re-detection (only repair-changed
@@ -648,8 +708,14 @@ impl RepairTarget for SessionTarget<'_> {
     }
 
     fn apply(&mut self, updates: &Assignment) -> Result<()> {
+        let Session {
+            table,
+            seqs,
+            seq_col,
+            ..
+        } = &mut *self.session;
+        table.apply_at(updates, |id| position_in(seqs, seq_col, id))?;
         let session = &mut *self.session;
-        session.table.apply_at(updates, &session.pos)?;
         let dirty: BTreeSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
         session.redetect(&dirty, self.stats)
     }

@@ -21,10 +21,10 @@
 //! a live window again and is expired. `slide == size` gives tumbling
 //! windows, `slide < size` sliding ones.
 
-use crate::delta::{apply_batch_to_table, positions, DeltaBatch, DeltaOp};
+use crate::delta::{DeltaBatch, DeltaOp};
 use crate::session::Session;
-use bigdansing_common::{Error, Result, Table, TupleId};
-use std::collections::{BTreeSet, HashMap};
+use bigdansing_common::{Error, Result, TupleId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Geometry of a violation window, counted in logical events
 /// (arrival ordinals), not wall-clock time.
@@ -106,23 +106,30 @@ pub(crate) struct Win {
     pub(crate) spec: WindowSpec,
     /// Next event time to assign; the watermark is `clock - 1`.
     pub(crate) clock: u64,
-    pub(crate) times: HashMap<TupleId, u64>,
+    times: HashMap<TupleId, u64>,
+    /// The same pairs by event time. Event times are unique and a
+    /// tuple's last window start never decreases with its event time,
+    /// so the expired tuples are always a prefix of this map.
+    by_time: BTreeMap<u64, TupleId>,
 }
 
 impl Win {
-    /// Window state over a base table: base rows get event times in
+    /// Window state from `(tuple id, event time)` pairs with the clock
+    /// at `clock`. A base table passes its rows with event times in
     /// table order, as if they streamed in one at a time before the
-    /// session opened.
-    pub(crate) fn over_base(spec: WindowSpec, table: &Table) -> Win {
+    /// session opened; recovery passes the snapshot's.
+    pub(crate) fn new(
+        spec: WindowSpec,
+        clock: u64,
+        times: impl Iterator<Item = (TupleId, u64)>,
+    ) -> Win {
+        let times: HashMap<TupleId, u64> = times.collect();
+        let by_time = times.iter().map(|(&id, &ts)| (ts, id)).collect();
         Win {
             spec,
-            clock: table.len() as u64,
-            times: table
-                .tuples()
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.id(), i as u64))
-                .collect(),
+            clock,
+            times,
+            by_time,
         }
     }
 
@@ -131,16 +138,43 @@ impl Win {
     /// watermark); explicit deletes leave the window.
     pub(crate) fn arrive(&mut self, batch: &DeltaBatch) {
         for op in &batch.ops {
-            match op {
+            let left = match op {
                 DeltaOp::Insert(t) | DeltaOp::Update(t) => {
-                    self.times.insert(t.id(), self.clock);
+                    let ts = self.clock;
                     self.clock += 1;
+                    self.by_time.insert(ts, t.id());
+                    self.times.insert(t.id(), ts)
                 }
-                DeltaOp::Delete(id) => {
-                    self.times.remove(id);
-                }
+                DeltaOp::Delete(id) => self.times.remove(id),
+            };
+            if let Some(old) = left {
+                self.by_time.remove(&old);
             }
         }
+    }
+
+    /// The event time of a live tuple.
+    pub(crate) fn time_of(&self, id: TupleId) -> Option<u64> {
+        self.times.get(&id).copied()
+    }
+
+    /// Retire every tuple whose last containing window closed behind
+    /// the watermark — the front of the time order — and return their
+    /// ids.
+    fn pop_expired(&mut self) -> Vec<TupleId> {
+        let mut expired = Vec::new();
+        let Some(watermark) = self.clock.checked_sub(1) else {
+            return expired;
+        };
+        while let Some(first) = self.by_time.first_entry() {
+            if !self.spec.expired(*first.key(), watermark) {
+                break;
+            }
+            let id = first.remove();
+            self.times.remove(&id);
+            expired.push(id);
+        }
+        expired
     }
 }
 
@@ -162,7 +196,7 @@ impl Session {
 
     /// The logical event time of a live tuple (windowed sessions only).
     pub fn event_time(&self, id: TupleId) -> Option<u64> {
-        self.win.as_ref().and_then(|w| w.times.get(&id).copied())
+        self.win.as_ref().and_then(|w| w.time_of(id))
     }
 
     /// Number of tuples inside the live window — equal to the table
@@ -173,42 +207,20 @@ impl Session {
     }
 
     /// Retire every tuple whose last containing window closed behind
-    /// the watermark: remove it from the table (compacting positions,
-    /// like an explicit delete), drop its sequence number and event
+    /// the watermark: remove it from the table (the same compaction an
+    /// explicit delete goes through), drop its sequence number and event
     /// time, and add its id to `touched` so the caller's redetect
     /// retracts its violations through the provenance indexes. Returns
     /// how many tuples were retired. No-op for unwindowed sessions.
-    pub(crate) fn expire_past_watermark(
-        &mut self,
-        touched: &mut BTreeSet<TupleId>,
-    ) -> Result<usize> {
-        let expired: BTreeSet<TupleId> = match &self.win {
-            Some(win) if win.clock > 0 => {
-                let watermark = win.clock - 1;
-                win.times
-                    .iter()
-                    .filter(|(_, &ts)| win.spec.expired(ts, watermark))
-                    .map(|(&id, _)| id)
-                    .collect()
-            }
-            _ => return Ok(0),
+    pub(crate) fn expire_past_watermark(&mut self, touched: &mut BTreeSet<TupleId>) -> usize {
+        let expired = match &mut self.win {
+            Some(win) => win.pop_expired(),
+            None => return 0,
         };
-        if expired.is_empty() {
-            return Ok(0);
-        }
-        let mut deletes = DeltaBatch::new();
-        for id in &expired {
-            deletes = deletes.delete(*id);
-        }
-        self.table = apply_batch_to_table(&self.table, &deletes)?;
-        self.pos = positions(&self.table);
-        let win = self.win.as_mut().expect("windowed: expired is non-empty");
-        for id in &expired {
-            self.seqs.remove(id);
-            win.times.remove(id);
-            touched.insert(*id);
-        }
-        Ok(expired.len())
+        let dead = expired.iter().map(|id| self.unlink(*id)).collect();
+        self.remove_rows(dead);
+        touched.extend(&expired);
+        expired.len()
     }
 }
 

@@ -4,8 +4,10 @@
 //! `BIGDANSING_CRASH_AT=<point>[:N]` set, so the child process aborts
 //! itself at a seeded durability crash point — mid-WAL-append (torn
 //! frame on disk), after the WAL fsync but before any in-memory
-//! mutation, or mid-snapshot-rename (complete temp file, old snapshot
-//! still visible). The parent then recovers the durable directory
+//! mutation, mid-append of a snapshot delta frame (torn frame tailing
+//! `snapshot.bin`), after that frame's fsync but before the WAL is
+//! truncated, or mid-rename of a base rewrite (complete temp file, old
+//! base and its delta frames still visible). The parent then recovers the durable directory
 //! through the library, applies whatever batches the crash swallowed,
 //! and asserts the result is identical to an uninterrupted sequential
 //! session over the same inputs.
@@ -174,45 +176,78 @@ fn assert_parity(recovered: &Session, oracle: &Session, context: &str) {
     );
 }
 
-fn run_case(tag: &str, crash_at: &str, min_replayed: u64, max_last_seq: u64) {
+/// Crash the child at `crash_at`, recover, finish the stream, and
+/// compare with the uninterrupted run. `expect` is what recovery itself
+/// must report (before the catch-up applies): the batch the snapshot
+/// file covered, how many WAL records were replayed on top, and the
+/// batch the recovered session stood at.
+fn run_case(tag: &str, crash_at: &str, expect: RecoverStats) {
     let scenario = Scenario::new(tag);
     scenario.crash_child(crash_at);
     let (recovered, stats) = scenario.recover_and_finish();
-    assert!(
-        stats.replayed >= min_replayed,
-        "{crash_at}: expected >= {min_replayed} replayed, got {stats:?}"
-    );
-    assert!(
-        stats.last_seq <= max_last_seq,
-        "{crash_at}: crash point leaked later batches: {stats:?}"
-    );
+    assert_eq!(stats, expect, "{crash_at}");
     let oracle = scenario.oracle();
     assert_parity(&recovered, &oracle, crash_at);
+    // what the catch-up left on disk recovers to the same state again
+    drop(recovered);
+    let (again, stats) = scenario.recover_and_finish();
+    assert_eq!(stats.last_seq, DELTA_CSVS.len() as u64, "{crash_at}");
+    assert_parity(&again, &oracle, crash_at);
     scenario.cleanup();
 }
+
+fn stats(snapshot_seq: u64, replayed: u64, last_seq: u64) -> RecoverStats {
+    RecoverStats {
+        snapshot_seq,
+        replayed,
+        last_seq,
+    }
+}
+
+// With `--snapshot-every 2` over the two-row base, batch 2 appends a
+// delta frame to the baseline and batch 4 rewrites the base (that one
+// frame plus the next would outweigh it).
 
 /// Kill mid-append on batch 2: a torn half-frame tails the WAL. Only
 /// batch 1 is recoverable; recovery truncates the tear and the parent
 /// re-applies batches 2–4.
 #[test]
 fn crash_mid_wal_append_recovers_to_parity() {
-    run_case("pre-sync", "wal-pre-sync:2", 0, 1);
+    run_case("pre-sync", "wal-pre-sync:2", stats(0, 1, 1));
 }
 
 /// Kill after batch 2's WAL fsync but before the in-memory apply: the
 /// record is durable, so recovery replays both batches 1 and 2.
 #[test]
 fn crash_after_wal_sync_recovers_to_parity() {
-    run_case("post-sync", "wal-post-sync:2", 2, 2);
+    run_case("post-sync", "wal-post-sync:2", stats(0, 2, 2));
 }
 
-/// Kill between the snapshot temp-file fsync and its rename (the
-/// second snapshot — the first is the baseline at open): the old
-/// snapshot must still be intact, the orphan temp swept, and the WAL
-/// replay must reach the same state the snapshot would have captured.
+/// Kill mid-append of the first delta frame (after batch 2): half a
+/// frame tails `snapshot.bin`, and the WAL — truncated only once a frame
+/// is whole on disk — still holds batches 1 and 2. Recovery drops the
+/// tear and replays them.
 #[test]
-fn crash_mid_snapshot_rename_recovers_to_parity() {
-    run_case("snap-rename", "snapshot-pre-rename:2", 2, 2);
+fn crash_mid_delta_frame_append_recovers_to_parity() {
+    run_case("delta-torn", "snapshot-delta-pre-sync:1", stats(0, 2, 2));
+}
+
+/// Kill after the delta frame's fsync but before the WAL truncate: the
+/// frame covers batches 1 and 2, so the WAL records that survived with
+/// it are skipped, not applied twice.
+#[test]
+fn crash_after_delta_frame_sync_recovers_to_parity() {
+    run_case("delta-synced", "snapshot-delta-post-sync:1", stats(2, 0, 2));
+}
+
+/// Kill between the temp-file fsync and the rename of the base rewrite
+/// after batch 4 (the second base — the first is the baseline at open):
+/// the old base *and the delta frame appended to it* must still be
+/// intact, the orphan temp swept, and the WAL replay of batches 3 and 4
+/// must reach the state the new base would have captured.
+#[test]
+fn crash_mid_base_rewrite_rename_recovers_to_parity() {
+    run_case("snap-rename", "snapshot-pre-rename:2", stats(2, 2, 4));
 }
 
 /// No crash at all: the child applies everything, the parent recovery

@@ -317,3 +317,226 @@ fn bench_style_win_on_small_delta() {
     );
     assert!(report.converged);
 }
+
+// ---------------------------------------------------------------------
+// In-place apply: random — often invalid — batches over a small id space
+// ---------------------------------------------------------------------
+
+mod in_place_apply {
+    use super::{canon, rows_of};
+    use bigdansing::{
+        apply_batch_to_table, BigDansing, CleanseOptions, DeltaBatch, Session, Table, Tuple,
+        WindowSpec,
+    };
+    use bigdansing_common::{Schema, Value};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    const IDS: u64 = 8;
+
+    /// `(kind, id, a, b)` with kind 0 insert, 1 update, 2 delete. Kinds
+    /// 0–2 take the id raw from `0..IDS`, so a batch may insert a live
+    /// id, update or delete a dead one, delete and reinsert an id, insert
+    /// and then delete one, update a row it inserted, or hold deletes
+    /// only — and is often invalid. Kinds 3–5 are the same three ops with
+    /// the id steered to keep the batch valid ([`steer`]), so long valid
+    /// batches of those shapes are common too.
+    type Op = (u8, u64, i64, i64);
+
+    /// Map kinds 3–5 onto 0–2, choosing the id against `live` as the ops
+    /// so far leave it: insert the first dead id, update or delete the
+    /// `id`-th live one.
+    fn steer(ops: &[Op], mut live: Vec<u64>) -> Vec<Op> {
+        let mut out = Vec::with_capacity(ops.len());
+        for &(kind, id, a, b) in ops {
+            let pick = |live: &[u64]| live.get(id as usize % live.len().max(1)).copied();
+            let (kind, id) = match kind {
+                3 => (0, (0..IDS).find(|i| !live.contains(i)).unwrap_or(id)),
+                4 | 5 => (kind - 3, pick(&live).unwrap_or(id)),
+                raw => (raw, id),
+            };
+            match kind {
+                0 if !live.contains(&id) => live.push(id),
+                2 => live.retain(|l| *l != id),
+                _ => {}
+            }
+            out.push((kind, id, a, b));
+        }
+        out
+    }
+
+    fn batch_of(ops: &[Op]) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        for &(kind, id, a, b) in ops {
+            let values = vec![Value::Int(a), Value::Int(b)];
+            batch = match kind {
+                0 => batch.insert(id, values),
+                1 => batch.update(id, values),
+                _ => batch.delete(id),
+            };
+        }
+        batch
+    }
+
+    fn system(schema: &Schema) -> BigDansing {
+        let mut sys = BigDansing::sequential();
+        sys.add_fd("a -> b", schema).unwrap();
+        sys
+    }
+
+    /// The test's own model of a windowed session's event times.
+    struct Clock {
+        spec: WindowSpec,
+        next: u64,
+        times: HashMap<u64, u64>,
+    }
+
+    impl Clock {
+        fn arrive(&mut self, ops: &[Op]) {
+            for &(kind, id, ..) in ops {
+                if kind < 2 {
+                    self.times.insert(id, self.next);
+                    self.next += 1;
+                } else {
+                    self.times.remove(&id);
+                }
+            }
+        }
+
+        /// Drop the rows whose last window closed, from the model and
+        /// from `table`.
+        fn expire(&mut self, table: &Table) -> Table {
+            if let Some(watermark) = self.next.checked_sub(1) {
+                let spec = self.spec;
+                self.times.retain(|_, ts| !spec.expired(*ts, watermark));
+            }
+            let live = table
+                .tuples()
+                .iter()
+                .filter(|t| self.times.contains_key(&t.id()));
+            Table::new(
+                table.name(),
+                table.schema().clone(),
+                live.cloned().collect(),
+            )
+        }
+    }
+
+    /// What a from-scratch session makes of `table`: its repaired rows
+    /// and residual violations.
+    fn from_scratch(sys: &BigDansing, table: &Table) -> (Vec<String>, Vec<String>) {
+        let mut fresh: Session = sys.open_session(table, CleanseOptions::default()).unwrap();
+        sys.apply_delta(&mut fresh, DeltaBatch::new()).unwrap();
+        (rows_of(fresh.table()), canon(&fresh.detected()))
+    }
+
+    fn check(rows: Vec<(i64, i64)>, batches: Vec<Vec<Op>>, window: Option<WindowSpec>) {
+        let schema = Schema::parse("a,b");
+        let tuples = rows.iter().enumerate();
+        let base = Table::new(
+            "t",
+            schema.clone(),
+            tuples
+                .map(|(i, (a, b))| Tuple::new(i as u64, vec![Value::Int(*a), Value::Int(*b)]))
+                .collect(),
+        );
+        let sys = system(&schema);
+        let options = CleanseOptions {
+            window,
+            ..CleanseOptions::default()
+        };
+        let mut session = sys.open_session(&base, options).unwrap();
+        let mut clock = window.map(|spec| Clock {
+            spec,
+            next: base.len() as u64,
+            times: (0..base.len() as u64).map(|i| (i, i)).collect(),
+        });
+        if let Some(clock) = &mut clock {
+            assert_eq!(rows_of(session.table()), rows_of(&clock.expire(&base)));
+        }
+        for ops in batches {
+            let ops = steer(
+                &ops,
+                session.table().tuples().iter().map(Tuple::id).collect(),
+            );
+            let batch = batch_of(&ops);
+            let before = (rows_of(session.table()), canon(&session.detected()));
+            match apply_batch_to_table(session.table(), &batch) {
+                Err(e) => {
+                    let got = sys.apply_delta(&mut session, batch).unwrap_err();
+                    assert_eq!(got.to_string(), e.to_string(), "{ops:?}");
+                    assert!(!session.is_poisoned());
+                    let after = (rows_of(session.table()), canon(&session.detected()));
+                    assert_eq!(
+                        after, before,
+                        "a rejected batch mutated the session: {ops:?}"
+                    );
+                }
+                Ok(mut materialized) => {
+                    if let Some(clock) = &mut clock {
+                        clock.arrive(&ops);
+                        materialized = clock.expire(&materialized);
+                    }
+                    sys.apply_delta(&mut session, batch).unwrap();
+                    let after = (rows_of(session.table()), canon(&session.detected()));
+                    assert_eq!(after, from_scratch(&sys, &materialized), "{ops:?}");
+                    if let Some(clock) = &clock {
+                        assert_eq!(session.window_live(), Some(clock.times.len()));
+                        for (id, ts) in &clock.times {
+                            assert_eq!(session.event_time(*id), Some(*ts));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn arb_batches() -> impl Strategy<Value = Vec<Vec<Op>>> {
+        let op = (0u8..6, 0..IDS, 0i64..3, 0i64..3);
+        prop::collection::vec(prop::collection::vec(op, 0..6), 1..10)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn session_equals_oracle_on_random_batches(
+            rows in prop::collection::vec((0i64..3, 0i64..3), 0..6),
+            batches in arb_batches(),
+        ) {
+            check(rows, batches, None);
+        }
+
+        #[test]
+        fn windowed_session_equals_oracle_on_random_batches(
+            rows in prop::collection::vec((0i64..3, 0i64..3), 0..6),
+            batches in arb_batches(),
+            size in 2u64..7,
+            slide in 1u64..7,
+        ) {
+            let spec = WindowSpec::sliding(size, slide.min(size)).unwrap();
+            check(rows, batches, Some(spec));
+        }
+    }
+
+    /// The shapes the property is after, pinned so they run under any
+    /// generator: delete→reinsert, insert→delete and update-after-insert
+    /// inside one batch, a delete-only batch, and each way to be invalid.
+    #[test]
+    fn pinned_op_order_shapes() {
+        let rows = vec![(1, 1), (1, 2), (2, 0)];
+        let batches = vec![
+            vec![(2, 0, 0, 0), (0, 0, 1, 2)], // delete → reinsert
+            vec![(0, 5, 1, 0), (2, 5, 0, 0)], // insert → delete
+            vec![(0, 6, 2, 1), (1, 6, 2, 2)], // update after insert
+            vec![(2, 1, 0, 0), (2, 2, 0, 0)], // deletes only
+            vec![(0, 7, 1, 1), (0, 0, 1, 1)], // insert of a live id
+            vec![(1, 4, 1, 1)],               // update of a dead id
+            vec![(2, 6, 0, 0), (2, 6, 0, 0)], // delete twice
+            vec![(1, 7, 0, 0), (0, 7, 0, 0)], // update before its insert
+            vec![(2, 0, 0, 0), (1, 0, 1, 1)], // update after its delete
+        ];
+        check(rows.clone(), batches.clone(), None);
+        check(rows, batches, WindowSpec::sliding(4, 2).ok());
+    }
+}
