@@ -27,17 +27,9 @@ fn run(name: &str) -> Option<Vec<Report>> {
         "fig12b" => vec![experiments::fig12b()],
         "table4" => experiments::table4(),
         "ablations" => bigdansing_bench::ablations::all(),
-        "incremental" => vec![bigdansing_bench::incremental::report()],
-        "detect" => vec![bigdansing_bench::detect::report()],
-        "repair" => vec![bigdansing_bench::repair::report()],
-        "serve" => vec![bigdansing_bench::serve::report()],
         "all" => {
             let mut r = experiments::all();
             r.extend(bigdansing_bench::ablations::all());
-            r.push(bigdansing_bench::incremental::report());
-            r.push(bigdansing_bench::detect::report());
-            r.push(bigdansing_bench::repair::report());
-            r.push(bigdansing_bench::serve::report());
             r
         }
         _ => return None,
@@ -46,8 +38,7 @@ fn run(name: &str) -> Option<Vec<Report>> {
 
 const USAGE: &str = "usage: paper_experiments <experiment>...
 experiments: inventory fig8a fig8b fig9a fig9b fig9c fig10a fig10b fig10c
-             fig11a fig11b fig11c fig12a fig12b table4 ablations
-             incremental detect repair serve all
+             fig11a fig11b fig11c fig12a fig12b table4 ablations all
 env:         BIGDANSING_SCALE=<f64>   row-count multiplier (default 1)
              BIGDANSING_QUAD_CAP=<n>  DNF threshold for quadratic baselines";
 

@@ -12,7 +12,7 @@
 //! loaders off each other's locks.
 
 use crate::hash::stable_hash_of;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 

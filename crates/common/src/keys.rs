@@ -17,7 +17,7 @@
 //! that collide in the 32-bit hash stay distinct.
 
 use crate::hash::stable_hash_of;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -24,7 +24,8 @@
 //! * [`codec`] — the binary row codec used by the disk-backed execution
 //!   mode that simulates Hadoop-style per-stage materialization,
 //! * [`quarantine`] — reports of malformed input rows set aside by the
-//!   lenient parse modes instead of aborting the load.
+//!   lenient parse modes instead of aborting the load,
+//! * [`sync`] — the poison-ignoring [`Mutex`] every crate locks with.
 
 pub mod codec;
 pub mod csv;
@@ -38,6 +39,7 @@ pub mod quarantine;
 pub mod rdf;
 pub mod schema;
 pub mod sim;
+pub mod sync;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -48,6 +50,7 @@ pub use keys::{KeyDict, KeyId};
 pub use minhash::LshParams;
 pub use quarantine::Quarantine;
 pub use schema::Schema;
+pub use sync::Mutex;
 pub use table::Table;
 pub use tuple::{Cell, Selector, Tuple, TupleId};
 pub use value::Value;

@@ -25,7 +25,7 @@
 use crate::govern::SoftBudget;
 use bigdansing_common::error::{Error, ErrorClass, Result};
 use bigdansing_common::metrics::Metrics;
-use parking_lot::Mutex;
+use bigdansing_common::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

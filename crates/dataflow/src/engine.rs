@@ -7,7 +7,7 @@ use crate::pool::{self, TaskCtx};
 use crate::stage::{render_plan, PassKind, PassRecord};
 use bigdansing_common::error::{CancelReason, Error, Result};
 use bigdansing_common::metrics::Metrics;
-use parking_lot::Mutex;
+use bigdansing_common::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};

@@ -15,11 +15,11 @@
 use bigdansing_common::codec::{decode_batch, encode_batch, Codec};
 use bigdansing_common::error::{CancelReason, Error, Result};
 use bigdansing_common::metrics::Metrics;
-use parking_lot::Mutex;
+use bigdansing_common::Mutex;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 const LIVE: u8 = 0;
@@ -121,7 +121,7 @@ impl CancellationToken {
 /// elapses. Dropping the watchdog disarms it and joins the thread.
 #[derive(Debug)]
 pub(crate) struct Watchdog {
-    shared: Arc<(StdMutex<bool>, Condvar)>,
+    shared: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -132,12 +132,12 @@ impl Watchdog {
     where
         F: FnOnce() + Send + 'static,
     {
-        let shared = Arc::new((StdMutex::new(false), Condvar::new()));
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
             let (lock, cv) = &*thread_shared;
             let deadline_at = Instant::now() + deadline;
-            let mut disarmed = lock.lock().unwrap_or_else(|p| p.into_inner());
+            let mut disarmed = lock.lock();
             while !*disarmed {
                 let now = Instant::now();
                 if now >= deadline_at {
@@ -173,7 +173,7 @@ impl Drop for Watchdog {
     fn drop(&mut self) {
         let (lock, cv) = &*self.shared;
         {
-            let mut disarmed = lock.lock().unwrap_or_else(|p| p.into_inner());
+            let mut disarmed = lock.lock();
             *disarmed = true;
         }
         cv.notify_all();

@@ -7,7 +7,7 @@ use crate::engine::Engine;
 use crate::pool::par_map_indexed;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::stable_hash_of;
-use parking_lot::Mutex;
+use bigdansing_common::Mutex;
 use std::hash::Hash;
 
 // The hasher moved to `bigdansing_common::hash` so key dictionaries can

@@ -13,7 +13,7 @@ use crate::fault::{FaultInjector, FaultPolicy, FaultSite};
 use crate::govern::CancellationToken;
 use bigdansing_common::error::{Error, ErrorClass};
 use bigdansing_common::metrics::Metrics;
-use parking_lot::Mutex;
+use bigdansing_common::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -18,6 +18,12 @@ use std::net::TcpStream;
 /// guard against a single malformed length header pinning memory.
 pub const MAX_BODY: usize = 16 << 20;
 
+/// Largest request head — request line plus every header — the server
+/// reads (64 KiB; this API's heads are a few hundred bytes). Without it
+/// a peer that sends bytes and never a newline grows one `String`
+/// until the process dies.
+const MAX_HEAD: usize = 64 << 10;
+
 /// One parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -70,10 +76,14 @@ pub enum ReadOutcome {
     Idle,
 }
 
-/// Read one request off `reader`.
+/// Read one request off `reader`: at most `MAX_HEAD` bytes of head
+/// and [`MAX_BODY`] of body, whatever the peer sends.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<ReadOutcome> {
+    let mut head = reader.by_ref().take(MAX_HEAD as u64);
+    // the cap is spent: the head was cut short, not ended by a blank line
+    let too_long = || Error::Parse(format!("http: request head exceeds {MAX_HEAD} bytes"));
     let mut line = String::new();
-    let n = match reader.read_line(&mut line) {
+    let n = match head.read_line(&mut line) {
         Ok(n) => n,
         Err(e)
             if line.is_empty()
@@ -89,6 +99,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<ReadOutcome> {
     if n == 0 {
         return Ok(ReadOutcome::Closed);
     }
+    if head.limit() == 0 {
+        return Err(too_long());
+    }
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_ascii_uppercase(), t.to_string()),
@@ -98,7 +111,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<ReadOutcome> {
     let mut headers = HashMap::new();
     loop {
         let mut h = String::new();
-        let n = reader
+        let n = head
             .read_line(&mut h)
             .map_err(|e| Error::Io(format!("http: read header: {e}")))?;
         let h = h.trim_end();
@@ -108,6 +121,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<ReadOutcome> {
         if let Some((k, v)) = h.split_once(':') {
             headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
         }
+    }
+    if head.limit() == 0 {
+        return Err(too_long());
     }
 
     let len: usize = match headers.get("content-length") {

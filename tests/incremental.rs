@@ -296,8 +296,9 @@ fn multi_rule_session_matches_full_recompute() {
 
 #[test]
 fn bench_style_win_on_small_delta() {
-    // A sanity-scale version of the BENCH_incremental criterion: a tiny
-    // delta over a wide table must reprocess a small fraction of tuples.
+    // What `delta_durable`'s `incremental.reprocessed_per_op` reads, at
+    // sanity scale: a tiny delta over a wide table must reprocess a
+    // small fraction of tuples.
     let n = 2_000i64;
     let rows: Vec<Vec<Value>> = (0..n)
         .map(|i| row(i % 500, &format!("c{}", i % 500), 1000 + i, 10))

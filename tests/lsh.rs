@@ -155,6 +155,61 @@ proptest! {
     }
 }
 
+/// LSH candidate generation is probabilistic, not lossless: under the
+/// default geometry it must still recover at least 95% of what exact
+/// all-pairs comparison finds at the 0.85 threshold — and, being a
+/// filter in front of the same predicate, never anything else.
+///
+/// The table is 100 clusters over 800 rows: a 12-letter base string
+/// drawn from `a..=w` by a splitmix64 of the cluster id, plus three
+/// variants with one letter replaced by the reserved `x`, every value
+/// appearing twice. True pairs are the equal values and base↔variant
+/// (edit distance 1); variant↔variant (distance 2) and cross-cluster
+/// pairs fall below the threshold.
+#[test]
+fn default_geometry_recovers_95_percent_of_the_exact_pairs() {
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+    let mut values = Vec::new();
+    for c in 0..100u64 {
+        let base: Vec<u8> = (0..12)
+            .map(|p| b'a' + (mix((c << 8) | p) % 23) as u8)
+            .collect();
+        for pos in [0, 5, 9] {
+            let mut v = base.clone();
+            v[pos] = b'x';
+            values.push(String::from_utf8(v).unwrap());
+        }
+        values.push(String::from_utf8(base).unwrap());
+    }
+    let names: Vec<&str> = (0..800)
+        .map(|i| values[i % values.len()].as_str())
+        .collect();
+    let table = name_table(&names);
+
+    let detect = |rule: DedupRule| {
+        let mut sys = BigDansing::parallel(2);
+        sys.add_rule(Arc::new(rule));
+        canon(&sys.detect(&table).unwrap().detected)
+    };
+    let lsh = detect(DedupRule::new("udf:dedup", 0, 0.85).with_lsh(LshParams::default()));
+    let exact = detect(DedupRule::new("udf:dedup", 0, 0.85).with_block_prefix(0));
+    // 400 equal-value pairs + 3 base↔variant value pairs × 2 × 2 rows per cluster
+    assert_eq!(exact.len(), 400 + 100 * 12);
+    for v in &lsh {
+        assert!(
+            exact.binary_search(v).is_ok(),
+            "LSH invented a violation: {v}"
+        );
+    }
+    let recall = lsh.len() as f64 / exact.len() as f64;
+    assert!(recall >= 0.95, "recall {recall:.4} below the 0.95 gate");
+}
+
 /// Drive batches through an LSH-blocked session and, in lockstep,
 /// through the from-scratch oracle (the tests/incremental.rs pattern).
 fn assert_oracle_parity(sys: &BigDansing, base: &Table, batches: Vec<DeltaBatch>) {

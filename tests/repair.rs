@@ -1,23 +1,28 @@
 //! The fused repair data path, end to end: semi-naive BSP components
 //! against the union-find oracle, the zero-copy component-grouping
-//! gate, and the master/slave partitioned path against the serial
-//! oracle on randomized equivalence-class inputs.
+//! gate, the per-component driver against one whole-set repair instance
+//! on detected FD/CFD/DC workloads, and the master/slave partitioned
+//! path against the serial oracle on randomized equivalence-class inputs.
 //!
 //! Deep-clone accounting is process-global, so tests that produce or
 //! assert on the counter take a shared lock (the partitioned path
 //! overlays violations — a metered clone — while the grouping path must
 //! stay at zero).
 
-use bigdansing_common::{Cell, Value};
+use bigdansing_common::{Cell, Schema, Table, Value};
 use bigdansing_dataflow::Engine;
+use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::{components_bsp_edges, components_union_find};
 use bigdansing_repair::fixeval::violation_resolved;
-use bigdansing_repair::{repair_parallel, repair_serial, Detected, EquivalenceClassRepair};
-use bigdansing_rules::{Fix, Violation};
+use bigdansing_repair::{
+    repair_parallel, repair_serial, Detected, EquivalenceClassRepair, HypergraphRepair,
+    RepairAlgorithm,
+};
+use bigdansing_rules::{CfdRule, DcRule, FdRule, Fix, Rule, Violation};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -97,6 +102,109 @@ fn fused_repair_is_zero_copy_and_metered() {
     assert!(engine.explain().contains("repair"));
     for d in &detected {
         assert!(violation_resolved(d, &assign));
+    }
+}
+
+/// The per-component driver against one repair instance over the whole
+/// violation set (the NADEEF-style baseline, Fig 12(b)'s serial arm), on
+/// real detect output of the three repairable shapes: the assignments
+/// must be identical, so the component split can never change a repair.
+#[test]
+fn per_component_repair_equals_one_whole_set_instance() {
+    let _serial = lock();
+    // 4-row zipcode blocks whose first row's city is garbled: the
+    // hypergraph shatters into one small component per block
+    let fd = Table::from_rows(
+        "fd",
+        Schema::parse("zipcode,city"),
+        (0..1600)
+            .map(|i| {
+                let city = if i < 400 {
+                    format!("garbled{i}")
+                } else {
+                    format!("city{}", i % 400)
+                };
+                vec![Value::Int(i % 400), Value::str(city)]
+            })
+            .collect(),
+    );
+    // a third of the 90210 rows break the constant rule: singleton components
+    let cfd = Table::from_rows(
+        "cfd",
+        Schema::parse("zipcode,city"),
+        (0..1200)
+            .map(|i| match i % 3 {
+                0 => vec![Value::Int(90210), Value::str("LA")],
+                1 => vec![Value::Int(90210), Value::str("SF")],
+                _ => vec![Value::Int(10001), Value::str("NY")],
+            })
+            .collect(),
+    );
+    // salary increasing, every 101st rate pulled ~40 ranks down: one
+    // component of ~40 violations per dirty row
+    let dc = Table::from_rows(
+        "dc",
+        Schema::parse("salary,rate"),
+        (0..1500)
+            .map(|i| {
+                let rate = if i % 101 == 0 {
+                    i as f64 - 40.5
+                } else {
+                    i as f64
+                };
+                vec![Value::Int(10 * i), Value::Float(rate)]
+            })
+            .collect(),
+    );
+    let hypergraph = HypergraphRepair::default();
+    let shapes: [(Table, Arc<dyn Rule>, &dyn RepairAlgorithm); 3] = [
+        (
+            fd.clone(),
+            Arc::new(FdRule::parse("zipcode -> city", fd.schema()).unwrap()),
+            &hypergraph,
+        ),
+        (
+            cfd.clone(),
+            Arc::new(
+                CfdRule::parse("zipcode -> city | zipcode=90210, city=LA", cfd.schema()).unwrap(),
+            ),
+            &EquivalenceClassRepair,
+        ),
+        (
+            dc.clone(),
+            Arc::new(
+                DcRule::parse("t1.salary > t2.salary & t1.rate < t2.rate", dc.schema()).unwrap(),
+            ),
+            &hypergraph,
+        ),
+    ];
+    for (table, rule, algo) in shapes {
+        let name = rule.name().to_string();
+        let detected = Executor::new(Engine::parallel(2))
+            .detect(&table, &[rule])
+            .unwrap()
+            .detected;
+        assert!(!detected.is_empty(), "{name}: nothing to repair");
+        let engine = Engine::parallel(4);
+        let assign = repair_parallel(&engine, &detected, algo, RepairOptions::default()).unwrap();
+        assert_eq!(
+            assign,
+            repair_serial(&detected, algo),
+            "{name}: per-component assignments diverged from the whole-set instance"
+        );
+        let snap = engine.metrics().snapshot();
+        assert!(
+            snap.components_found > 0 && snap.cc_supersteps >= 1,
+            "{name}"
+        );
+        assert!(
+            snap.repair_cells_assigned > 0,
+            "{name}: repair assigned nothing"
+        );
+        assert_eq!(
+            snap.tuples_cloned, 0,
+            "{name}: component grouping cloned violations"
+        );
     }
 }
 

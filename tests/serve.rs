@@ -10,6 +10,8 @@ use bigdansing_rules::{FdRule, UdfRule, UnitKind};
 use bigdansing_serve::client::Client;
 use bigdansing_serve::ingest::Json;
 use bigdansing_serve::{ServeOptions, Server};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -215,6 +217,65 @@ fn deeply_nested_json_is_quarantined_and_the_server_survives() {
         .unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(json_u64(&r.body, "table_rows"), 2);
+    server.shutdown();
+}
+
+/// A reply a hostile peer may get: a 400, or the connection closed or
+/// reset under it (an empty read).
+fn refused(reply: &[u8]) -> bool {
+    reply.is_empty() || reply.starts_with(b"HTTP/1.1 400")
+}
+
+/// The request head is capped. A peer that sent a megabyte and never a
+/// newline used to grow one `String` for as long as it kept sending, and
+/// 70 KiB of headers were read in full; each is now refused as soon as
+/// the cap is spent, and the server keeps serving.
+#[test]
+fn oversized_request_heads_are_refused_and_the_server_survives() {
+    let mut server = Server::start("127.0.0.1:0", base_opts()).unwrap();
+
+    // 1 MiB of `A`, a chunk every 10 ms so the server never sees the
+    // line go idle: the refusal must come while most of it is unsent
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+    let chunk = [b'A'; 16 << 10];
+    let (mut sent, mut reply) = (0, None);
+    while sent < (1 << 20) && reply.is_none() {
+        let mut buf = [0u8; 512];
+        reply = match s.write_all(&chunk).and_then(|()| s.read(&mut buf)) {
+            Ok(n) => Some(buf[..n].to_vec()),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => None,
+            Err(_) => Some(Vec::new()), // reset: the server hung up mid-send
+        };
+        sent += chunk.len();
+    }
+    let mut reply =
+        reply.unwrap_or_else(|| panic!("still reading after {sent} newline-free bytes"));
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let _ = s.read_to_end(&mut reply); // the rest of the reply, up to the close
+    assert!(refused(&reply), "{}", String::from_utf8_lossy(&reply));
+
+    // a well-formed request under 70 KiB of headers
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut req =
+        String::from("POST /tenant/acme/records?wait=1 HTTP/1.1\r\nConnection: close\r\n");
+    while req.len() < (70 << 10) {
+        req.push_str(&format!("X-Pad: {}\r\n", "a".repeat(1000)));
+    }
+    req.push_str("Content-Length: 18\r\n\r\ninsert,9,90210,LA\n");
+    let _ = s.write_all(req.as_bytes()); // a reset mid-write is a refusal too
+    let mut reply = Vec::new();
+    let _ = s.read_to_end(&mut reply);
+    assert!(refused(&reply), "{}", String::from_utf8_lossy(&reply));
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+    let r = c
+        .post("/tenant/acme/records?wait=1", "insert,1,10001,NY\n")
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(json_u64(&r.body, "table_rows"), 1);
     server.shutdown();
 }
 

@@ -6,15 +6,16 @@
 //! the pipeline may depend on tuples being deeply materialized. These
 //! tests pit the production path against an oracle whose input tuples
 //! are forcibly deep-materialized first — the outputs must be
-//! byte-identical (violations **and** fixes) — and then gate the fused
-//! FD pipeline on performing **zero** deep clones.
+//! byte-identical (violations **and** fixes) — and then gate every
+//! pipeline shape on performing **zero** deep clones and on enumerating
+//! the sequential engine's candidates.
 //!
 //! Deep-clone accounting is process-global, so every test here takes a
 //! shared lock to keep concurrently running tests from attributing each
 //! other's clones.
 
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Schema, Table, Tuple, Value};
+use bigdansing_common::{LshParams, Schema, Table, Tuple, Value};
 use bigdansing_dataflow::{Engine, ExecMode, FaultInjector, FaultPolicy, MemoryBudget};
 use bigdansing_datagen::tax;
 use bigdansing_plan::{DetectOutput, Executor};
@@ -55,7 +56,7 @@ fn deep_materialized(table: &Table) -> Table {
 
 /// One instance of every physical pipeline shape: FD → blocked pairs,
 /// constant CFD → single units, inequality DC → OCJoin (streaming
-/// sink), unblocked dedup → UCrossProduct.
+/// sink), unblocked dedup → UCrossProduct, LSH dedup → band buckets.
 fn shape_suite() -> Vec<(&'static str, Table, Arc<dyn Rule>)> {
     let fd = tax::taxa(300, 0.10, 31);
     let fd_rule: Arc<dyn Rule> =
@@ -86,11 +87,14 @@ fn shape_suite() -> Vec<(&'static str, Table, Arc<dyn Rule>)> {
     let dd = tax::taxa(80, 0.10, 33);
     let dd_rule: Arc<dyn Rule> =
         Arc::new(DedupRule::new("udf:dedup", tax::attr::CITY, 0.5).with_block_prefix(0));
+    let lsh_rule: Arc<dyn Rule> =
+        Arc::new(DedupRule::new("udf:dedup", tax::attr::CITY, 0.85).with_lsh(LshParams::default()));
     vec![
         ("fd/block-pairs", fd.dirty, fd_rule),
         ("cfd/single-units", cfd_table, cfd_rule),
         ("dc/ocjoin", dc.dirty, dc_rule),
-        ("dedup/ucross", dd.dirty, dd_rule),
+        ("dedup/ucross", dd.dirty.clone(), dd_rule),
+        ("dedup/lsh-blocks", dd.dirty, lsh_rule),
     ]
 }
 
@@ -155,24 +159,34 @@ fn zero_copy_path_matches_deep_clone_oracle_under_memory_budget() {
 }
 
 #[test]
-fn fused_fd_pipeline_performs_zero_deep_clones() {
+fn every_shape_is_zero_copy_and_enumerates_the_sequential_candidates() {
     // Allocation-regression gate: Scope (projection views), Block
-    // (dictionary-encoded keys), and the fused Iterate→Detect→GenFix
-    // pass must move only handles. One deep copy anywhere on the FD hot
-    // path — a `to_values()` materialization, a `BlockKey` clone — and
-    // this counter goes nonzero.
+    // (dictionary-encoded keys, LSH band keys included), and the fused
+    // Iterate→Detect→GenFix pass must move only handles. One deep copy
+    // anywhere on a detect hot path — a `to_values()` materialization,
+    // a `BlockKey` clone — and this counter goes nonzero. Coverage gate
+    // beside it: a parallel engine enumerates, and detects, exactly the
+    // candidates the sequential one does, so a faster run can never be
+    // a run that looked at fewer pairs.
     let _g = lock();
-    let gt = tax::taxa(400, 0.10, 34);
-    let rule: Arc<dyn Rule> =
-        Arc::new(FdRule::parse("zipcode -> city", gt.dirty.schema()).unwrap());
-    let exec = Executor::new(Engine::parallel(4));
-    let out = exec.detect(&gt.dirty, &[rule]).unwrap();
-    assert!(!out.is_clean(), "expected violations on the dirty table");
-    assert_eq!(
-        Metrics::get(&exec.engine().metrics().tuples_cloned),
-        0,
-        "fused FD pipeline deep-cloned tuple or key payloads"
-    );
+    for (shape, table, rule) in shape_suite() {
+        let counts = |engine: Engine| {
+            let exec = Executor::new(engine);
+            let out = exec.detect(&table, &[Arc::clone(&rule)]).unwrap();
+            assert!(!out.is_clean(), "{shape}: expected violations");
+            let m = exec.engine().metrics().snapshot();
+            ((m.pairs_generated, m.detect_calls), m.tuples_cloned)
+        };
+        let (sequential, _) = counts(Engine::sequential());
+        for workers in [2, 4] {
+            let (parallel, cloned) = counts(Engine::parallel(workers));
+            assert_eq!(
+                parallel, sequential,
+                "{shape}: (pairs_generated, detect_calls) on {workers} workers differ from sequential"
+            );
+            assert_eq!(cloned, 0, "{shape}: deep-cloned tuple or key payloads");
+        }
+    }
 }
 
 #[test]
