@@ -407,8 +407,7 @@ pub struct FrameScan<'a> {
 /// Decode consecutive frames from `bytes` until the end or the first
 /// frame that fails to decode. An append-only file whose last append was
 /// cut short by a crash ends in exactly such a tail; whether dropping it
-/// is safe is the caller's call (the WAL may; a snapshot file only when
-/// the WAL still covers what the tail held).
+/// is safe is the caller's call.
 pub fn scan_frames(bytes: &[u8]) -> FrameScan<'_> {
     let mut scan = FrameScan {
         frames: Vec::new(),

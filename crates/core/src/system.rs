@@ -336,10 +336,10 @@ impl BigDansing {
         })
     }
 
-    /// Recover a durable session from its directory: load the latest
-    /// valid snapshot, verify the rule set matches, and replay the WAL
-    /// suffix (including a batch whose apply crashed or poisoned the
-    /// previous session). Governed like [`Self::open_session`].
+    /// Recover a durable session from its directory: fold its log's base
+    /// and state frames, verify the rule set matches, and replay the
+    /// batch records logged after them (including a batch whose apply
+    /// crashed or poisoned the previous session). Governed like [`Self::open_session`].
     pub fn recover_session(
         &self,
         options: CleanseOptions,

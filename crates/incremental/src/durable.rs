@@ -1,6 +1,7 @@
-//! The durable side of a [`Session`]: WAL-logged applies, a snapshot
-//! file kept current by delta frames, and recovery (base + delta-frame
-//! fold, deterministic index rebuild, WAL replay).
+//! The durable side of a [`Session`]: applies logged as batch records,
+//! state frames appended to the same log every `snapshot_every`
+//! batches, and recovery (base + state-frame fold, deterministic index
+//! rebuild, replay of the batch records past the folded watermark).
 
 use crate::index::RuleIndex;
 use crate::session::{Session, SessionOptions};
@@ -16,43 +17,42 @@ use bigdansing_rules::Rule;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The durability attachment of a session: the open WAL, the snapshot
-/// cadence, and the watermarks tying both to the apply sequence.
+/// The durability attachment of a session: the open log, the snapshot
+/// cadence, and the watermarks tying it to the apply sequence.
 pub(crate) struct Durable {
-    pub(crate) dir: std::path::PathBuf,
     pub(crate) wal: Wal,
     pub(crate) snapshot_every: u64,
-    /// Batch sequence the snapshot file is current through.
+    /// Batch sequence the log's state frames are current through.
     pub(crate) last_snapshot_seq: u64,
     /// Sequence of the last *successfully applied* batch. A batch that
-    /// reached the WAL but failed mid-apply is excluded — recovery
+    /// reached the log but failed mid-apply is excluded — recovery
     /// replays it.
     pub(crate) last_seq: u64,
-    /// Ids whose tuple changed or appeared since the snapshot file was
-    /// last made current: everything `Session::redetect` was handed,
-    /// which is every table mutation (batch ops, repair, expiry). The
-    /// next delta frame carries the live ones' current versions.
+    /// Ids whose tuple changed or appeared since the last state frame:
+    /// everything `Session::redetect` was handed, which is every table
+    /// mutation (batch ops, repair, expiry). The next state frame
+    /// carries the live ones' current versions.
     pub(crate) dirty: BTreeSet<TupleId>,
     /// Sequence numbers of the rows that left the table over the same
     /// span (`Session::unlink` reports them), and the `next_seq` the
-    /// file stands at: a removed number at or past it belongs to a row
-    /// that came and went between two frames and was never on disk.
+    /// last frame stands at: a removed number at or past it belongs to a
+    /// row that came and went between two frames and was never on disk.
     pub(crate) removed: Vec<u64>,
     file_next_seq: u64,
-    /// Size of the base frame in the snapshot file (0: none written yet).
+    /// Size of the log's base frame (0: none written yet).
     base_bytes: u64,
-    /// Total size of the delta frames appended after it.
+    /// Total size of the state frames appended after it.
     delta_bytes: u64,
     pub(crate) dio: Dio,
 }
 
 impl Session {
     /// Open a **durable** session: like [`Session::new`], but every
-    /// applied batch is WAL-logged before mutation and the snapshot file
-    /// is brought up to date every `durability.snapshot_every` batches
-    /// (plus a base snapshot now, so the directory is recoverable from
-    /// the start). Refuses a directory that already holds a snapshot —
-    /// recover it with [`Session::recover`] or clear it explicitly.
+    /// applied batch is logged before mutation and a state frame is
+    /// appended every `durability.snapshot_every` batches (after a base
+    /// written now, so the directory is recoverable from the start).
+    /// Refuses a directory that already holds a log — recover it with
+    /// [`Session::recover`] or clear it explicitly.
     pub fn open_durable(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
@@ -68,7 +68,6 @@ impl Session {
             )));
         }
         let mut session = Session::new(executor, rules, table, options)?;
-        wal::sweep_dir(&durability.dir);
         let w = Wal::create(&durability.dir)?;
         session.attach(durability, w, 0, (0, 0));
         session.snapshot()?;
@@ -76,11 +75,10 @@ impl Session {
     }
 
     /// Attach the durable directory: `seq` is the batch sequence both
-    /// the session and its snapshot file stand at, `file` the sizes of
-    /// that file's base frame and delta frames.
+    /// the session and its log's state stand at, `file` the sizes of the
+    /// log's base frame and state frames.
     fn attach(&mut self, durability: DurabilityOptions, wal: Wal, seq: u64, file: (u64, u64)) {
         self.durable = Some(Durable {
-            dir: durability.dir,
             wal,
             snapshot_every: durability.snapshot_every,
             last_snapshot_seq: seq,
@@ -94,73 +92,46 @@ impl Session {
         });
     }
 
-    /// Rebuild a session from a durable directory: fold the snapshot
-    /// file's base and delta frames, verify it was produced by the same
-    /// rule set, rebuild the per-rule indexes deterministically, then
-    /// replay the WAL records past the snapshot watermark (truncating
-    /// any torn tail left by a crash mid-append). A batch that was
-    /// WAL-logged but whose apply never finished — including one that
-    /// *poisoned* the previous session — is applied now. If anything was
-    /// replayed, the snapshot file is brought up to date so the next
-    /// recovery starts hot.
-    ///
-    /// The WAL must continue the snapshot without a gap, and a snapshot
-    /// file that ends in an undecodable frame is accepted only when the
-    /// WAL still holds the batches that frame would have covered (a
-    /// crash mid-append, before the WAL was truncated); anything else is
-    /// [`Error::Corrupt`].
+    /// Rebuild a session from a durable directory: read its log (cutting
+    /// a torn tail left by a crash mid-append, see [`wal`]), verify the
+    /// folded state was produced by the same rule set, rebuild the
+    /// per-rule indexes deterministically, then replay the batch records
+    /// past the folded watermark. A batch that was logged but whose apply
+    /// never finished — including one that *poisoned* the previous
+    /// session — is applied now. If anything was replayed, a state frame
+    /// is appended so the next recovery starts hot. A `wal.log` left by
+    /// the two-file layout of earlier builds is folded into the log
+    /// first.
     pub fn recover(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         options: SessionOptions,
         durability: DurabilityOptions,
     ) -> Result<(Session, RecoverStats)> {
-        wal::sweep_dir(&durability.dir);
-        let file = wal::read_snapshot(&durability.dir)?.ok_or_else(|| {
-            Error::Io(format!(
-                "{}: no snapshot to recover from",
-                durability.dir.display()
-            ))
-        })?;
+        let (w, log) = Wal::open(&durability.dir)?;
         let names: Vec<String> = rules.iter().map(|r| r.name().to_string()).collect();
-        if names != file.state.rule_names {
+        if names != log.state.rule_names {
             return Err(Error::Repair(format!(
                 "recover: rule set mismatch — snapshot was written with [{}], \
                  session opened with [{}]",
-                file.state.rule_names.join(", "),
+                log.state.rule_names.join(", "),
                 names.join(", ")
             )));
         }
-        let snapshot_seq = file.state.last_seq;
-        let (w, mut records) = Wal::open(&durability.dir)?;
-        records.retain(|(seq, _)| *seq > snapshot_seq);
-        let continues = (snapshot_seq + 1..)
-            .zip(&records)
-            .all(|(want, (seq, _))| want == *seq);
-        if !continues || (file.torn_tail && records.is_empty()) {
-            return Err(Error::Corrupt(format!(
-                "{}: the WAL does not continue the snapshot file from batch {}{}",
-                durability.dir.display(),
-                snapshot_seq + 1,
-                if file.torn_tail {
-                    ", and the snapshot file ends in a frame that does not decode"
-                } else {
-                    ""
-                }
-            )));
-        }
-        if file.torn_tail {
-            wal::truncate_snapshot(&durability.dir, file.base_bytes + file.delta_bytes)?;
-        }
-        let sizes = (file.base_bytes, file.delta_bytes);
-        let mut session = Session::from_state(executor, rules, options, file.state)?;
-        session.attach(durability, w, snapshot_seq, sizes);
+        let snapshot_seq = log.state.last_seq;
+        let mut session = Session::from_state(executor, rules, options, log.state)?;
+        session.attach(
+            durability,
+            w,
+            snapshot_seq,
+            (log.base_bytes, log.state_bytes),
+        );
         let mut stats = RecoverStats {
             snapshot_seq,
             replayed: 0,
             last_seq: snapshot_seq,
         };
-        for (seq, batch) in records {
+        for (seq, batch) in log.batches {
             session.apply_impl(batch, false)?;
             let d = session.durable.as_mut().expect("durable was just attached");
             d.last_seq = seq;
@@ -264,19 +235,19 @@ impl Session {
         });
     }
 
-    /// Bring the snapshot file up to date with the session and truncate
-    /// the WAL it supersedes. Returns the batch sequence the file now
-    /// covers. Normally that is one appended *delta frame* — the tuples
-    /// touched since the file was last current, the violation store and
-    /// the watermarks — so the cost follows the change, not the table.
-    /// The full state is rewritten as a new base (atomically: temp file,
-    /// fsync, rename) only when there is no base yet or the delta frames
-    /// since the last one, this one included, would outweigh it; every
-    /// base of `B` bytes is thus paid for by `B` bytes of delta frames,
-    /// which bounds the bytes written per byte of change by a constant.
+    /// Bring the log's state up to date with the session. Returns the
+    /// batch sequence it now covers. Normally that is one appended
+    /// *state frame* — the tuples touched since the frame before, the
+    /// violation store and the watermarks — so the cost follows the
+    /// change, not the table. The full state is rewritten as a new base
+    /// (atomically: temp file, fsync, rename, dropping every frame before
+    /// it) only when there is no base yet or the state frames since the
+    /// last one, this one included, would outweigh it; every base of `B`
+    /// bytes is thus paid for by `B` bytes of state frames, which bounds
+    /// the bytes written per byte of change by a constant.
     ///
     /// Errors if the session is not durable or is poisoned; a failed
-    /// write leaves the file as it was and the session usable.
+    /// write leaves the log as it was and the session usable.
     pub fn snapshot(&mut self) -> Result<u64> {
         let Some(d) = &self.durable else {
             return Err(Error::Io(
@@ -285,14 +256,14 @@ impl Session {
         };
         if self.poisoned {
             return Err(Error::Repair(
-                "session poisoned: its state no longer matches the WAL; recover it instead".into(),
+                "session poisoned: its state no longer matches its log; recover it instead".into(),
             ));
         }
         let seq = d.last_seq;
         if d.base_bytes > 0 && seq == d.last_snapshot_seq {
-            return Ok(seq); // nothing applied since the file was made current
+            return Ok(seq); // nothing applied since the last frame
         }
-        // A delta frame — unless there is no base to append to, or the
+        // A state frame — unless there is no base to append to, or the
         // frames since it, this one included, would outweigh it.
         let delta = (d.base_bytes > 0)
             .then(|| wal::encode_delta_frame(&self.delta_frame()))
@@ -300,10 +271,10 @@ impl Session {
         let base = delta.is_none().then(|| self.capture_state());
         let d = self.durable.as_mut().expect("checked above");
         if let Some(frame) = delta {
-            wal::append_delta_frame(&d.dir, seq, &frame, &d.dio)?;
+            d.wal.append_state(seq, &frame, &d.dio)?;
             d.delta_bytes += frame.len() as u64;
         } else if let Some(state) = base {
-            d.base_bytes = wal::write_snapshot(&d.dir, &state, &d.dio)?;
+            d.base_bytes = d.wal.write_base(&state, &d.dio)?;
             d.delta_bytes = 0;
         }
         Metrics::add(&d.dio.metrics().snapshots_written, 1);
@@ -311,11 +282,10 @@ impl Session {
         d.dirty.clear();
         d.removed.clear();
         d.file_next_seq = self.next_seq;
-        d.wal.truncate_all()?;
         Ok(seq)
     }
 
-    /// What changed since the snapshot file was last current.
+    /// What changed since the last state frame.
     fn delta_frame(&self) -> DeltaFrame {
         let d = self
             .durable
@@ -386,10 +356,13 @@ impl Session {
 mod tests {
     use super::*;
     use crate::fixtures::{base_table, fd_rules};
+    use crate::wal::{KIND_SNAPSHOT, KIND_SNAPSHOT_DELTA as DELTA, KIND_WAL};
     use crate::{DeltaBatch, WindowSpec};
+    use bigdansing_common::codec::{encode_frame, scan_frames, FRAME_HEADER, FRAME_TRAILER};
     use bigdansing_common::{Schema, Value};
     use bigdansing_dataflow::{Engine, ExecMode, FaultInjector, FaultPolicy, FaultSite};
     use bigdansing_rules::FdRule;
+    use std::path::{Path, PathBuf};
 
     fn err_of<T>(r: Result<T>) -> Error {
         match r {
@@ -398,10 +371,58 @@ mod tests {
         }
     }
 
-    fn durable_dir(tag: &str) -> std::path::PathBuf {
+    fn durable_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("bd-durable-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    fn zip_city() -> Schema {
+        Schema::parse("zipcode,city")
+    }
+
+    fn windowed(window: Option<WindowSpec>) -> SessionOptions {
+        SessionOptions {
+            window,
+            ..Default::default()
+        }
+    }
+
+    /// A durable FD session over `table`, a state frame every `every`
+    /// batches.
+    fn open_on(engine: Engine, dir: &Path, table: &Table, every: u64) -> Result<Session> {
+        let durability = DurabilityOptions::new(dir).snapshot_every(every);
+        let (rules, opts) = (fd_rules(&zip_city()), SessionOptions::default());
+        Session::open_durable(Executor::new(engine), rules, table, opts, durability)
+    }
+
+    fn open_fd(dir: &Path, table: &Table, opts: SessionOptions, every: u64) -> Session {
+        let durability = DurabilityOptions::new(dir).snapshot_every(every);
+        let executor = Executor::new(Engine::sequential());
+        Session::open_durable(executor, fd_rules(&zip_city()), table, opts, durability).unwrap()
+    }
+
+    /// The in-memory twin of [`open_fd`].
+    fn plain_fd(table: &Table, opts: SessionOptions) -> Session {
+        let executor = Executor::new(Engine::sequential());
+        Session::new(executor, fd_rules(&zip_city()), table, opts).unwrap()
+    }
+
+    fn recover_fd(dir: &Path, opts: SessionOptions) -> Result<(Session, RecoverStats)> {
+        let durability = DurabilityOptions::new(dir).snapshot_every(1);
+        let executor = Executor::new(Engine::sequential());
+        Session::recover(executor, fd_rules(&zip_city()), opts, durability)
+    }
+
+    fn recover_plain(dir: &Path) -> Result<(Session, RecoverStats)> {
+        recover_fd(dir, SessionOptions::default())
+    }
+
+    fn files(dir: &Path) -> Vec<String> {
+        let names = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name());
+        names.map(|n| n.to_string_lossy().into_owned()).collect()
     }
 
     fn batches() -> Vec<DeltaBatch> {
@@ -424,23 +445,10 @@ mod tests {
 
     #[test]
     fn durable_session_matches_plain_session() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("parity");
-        let mut durable = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(2),
-        )
-        .unwrap();
-        let mut plain = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-        )
-        .unwrap();
+        let base = base_table(&zip_city());
+        let mut durable = open_fd(&dir, &base, SessionOptions::default(), 2);
+        let mut plain = plain_fd(&base, SessionOptions::default());
         for b in batches() {
             durable.apply(b.clone()).unwrap();
             plain.apply(b).unwrap();
@@ -454,58 +462,36 @@ mod tests {
 
     #[test]
     fn recover_replays_wal_suffix_and_matches_uninterrupted() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("replay");
+        let base = base_table(&zip_city());
         // Cadence 100: nothing beyond the baseline snapshot, so every
-        // batch must come back from the WAL.
-        let mut durable = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
+        // batch must come back from its record.
+        let mut durable = open_fd(&dir, &base, SessionOptions::default(), 100);
+        let mut oracle = plain_fd(&base, SessionOptions::default());
         for b in batches() {
-            durable.apply(b).unwrap();
+            durable.apply(b.clone()).unwrap();
+            oracle.apply(b).unwrap();
         }
         drop(durable); // "crash" — recovery sees only the disk state
 
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        assert_eq!(stats.snapshot_seq, 0);
-        assert_eq!(stats.replayed, 4);
-        assert_eq!(stats.last_seq, 4);
-
-        let mut oracle = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-        )
-        .unwrap();
-        for b in batches() {
-            oracle.apply(b).unwrap();
-        }
+        let (recovered, stats) = recover_plain(&dir).unwrap();
+        assert_eq!(
+            (stats.snapshot_seq, stats.replayed, stats.last_seq),
+            (0, 4, 4)
+        );
         assert_same(&recovered, &oracle);
 
         // Recovery wrote a catch-up snapshot: a second recovery replays
         // nothing and still matches.
-        let (again, stats2) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
-        assert_eq!(stats2.replayed, 0);
-        assert_eq!(stats2.snapshot_seq, 4);
+        let (mut again, stats2) = recover_plain(&dir).unwrap();
+        assert_eq!((stats2.snapshot_seq, stats2.replayed), (4, 0));
         assert_same(&again, &oracle);
+        again.snapshot().unwrap();
+        assert_eq!(
+            files(&dir),
+            ["snapshot.bin"],
+            "the log is the whole directory"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -513,26 +499,12 @@ mod tests {
     fn recovered_session_keeps_cleansing_correctly() {
         // Indexes are rebuilt, not restored — later deltas must still
         // pair against pre-crash residents.
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("cont");
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
+        let mut s = open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 1);
         s.apply(DeltaBatch::new().insert(10, vec![Value::Int(3), Value::str("CH")]))
             .unwrap();
         drop(s);
-        let (mut recovered, _) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let (mut recovered, _) = recover_plain(&dir).unwrap();
         // Conflicts with resident tuple 10 (zip 3 → CH): detection must
         // see the delta×base pair and repair it.
         let r = recovered
@@ -546,22 +518,14 @@ mod tests {
 
     #[test]
     fn poisoned_durable_session_is_recoverable() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("poison");
-        let table = Table::from_rows("t", schema.clone(), vec![]);
+        let table = Table::from_rows("t", zip_city(), vec![]);
         let engine = Engine::builder(ExecMode::Parallel)
             .workers(2)
             .fault_policy(FaultPolicy::fail_fast())
             .fault_injector(FaultInjector::seeded(1).with_task_panics(1.0))
             .build();
-        let mut s = Session::open_durable(
-            Executor::new(engine),
-            fd_rules(&schema),
-            &table,
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let mut s = open_on(engine, &dir, &table, 8).unwrap();
         let batch = DeltaBatch::new()
             .insert(0, vec![Value::Int(1), Value::str("LA")])
             .insert(1, vec![Value::Int(1), Value::str("SF")]);
@@ -569,26 +533,14 @@ mod tests {
         assert!(s.is_poisoned());
         drop(s);
 
-        // The batch reached the WAL before the failing detect stage;
+        // The batch reached the log before the failing detect stage;
         // recovery with a healthy engine replays it to completion.
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let (recovered, stats) = recover_plain(&dir).unwrap();
         assert_eq!(stats.replayed, 1);
         assert_eq!(recovered.table().len(), 2);
         assert!(recovered.is_clean(), "replay repaired the FD violation");
 
-        let mut oracle = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &table,
-            SessionOptions::default(),
-        )
-        .unwrap();
+        let mut oracle = plain_fd(&table, SessionOptions::default());
         oracle.apply(batch).unwrap();
         assert_same(&recovered, &oracle);
         let _ = std::fs::remove_dir_all(&dir);
@@ -596,37 +548,25 @@ mod tests {
 
     #[test]
     fn open_durable_refuses_existing_snapshot() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("refuse");
-        let open = |dir: &std::path::Path| {
-            Session::open_durable(
-                Executor::new(Engine::sequential()),
-                fd_rules(&schema),
-                &base_table(&schema),
-                SessionOptions::default(),
-                DurabilityOptions::new(dir),
-            )
-        };
-        assert!(open(&dir).is_ok());
-        let err = err_of(open(&dir));
+        let open = || open_on(Engine::sequential(), &dir, &base_table(&zip_city()), 8);
+        // a `wal.log` without a log belongs to no session: it is dropped
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), b"").unwrap();
+        assert!(open().is_ok());
+        assert_eq!(files(&dir), ["snapshot.bin"]);
+        let err = err_of(open());
         assert!(err.to_string().contains("recover"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_rejects_rule_mismatch_and_missing_dir() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("mismatch");
-        Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
-        let other: Vec<Arc<dyn Rule>> =
-            vec![Arc::new(FdRule::parse("city -> zipcode", &schema).unwrap())];
+        open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 8);
+        let other: Vec<Arc<dyn Rule>> = vec![Arc::new(
+            FdRule::parse("city -> zipcode", &zip_city()).unwrap(),
+        )];
         let err = err_of(Session::recover(
             Executor::new(Engine::sequential()),
             other,
@@ -636,29 +576,20 @@ mod tests {
         assert!(err.to_string().contains("rule set mismatch"), "{err}");
 
         let empty = durable_dir("mismatch-empty");
-        let err = err_of(Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&empty),
-        ));
+        let err = err_of(recover_plain(&empty));
         assert!(err.to_string().contains("no snapshot"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&empty);
     }
 
     #[test]
     fn malformed_batch_never_reaches_the_wal() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("badbatch");
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
+        let mut s = open_fd(
+            &dir,
+            &base_table(&zip_city()),
             SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(100),
-        )
-        .unwrap();
+            100,
+        );
         assert!(s
             .apply(DeltaBatch::new().update(99, vec![Value::Int(1), Value::str("X")]))
             .is_err());
@@ -666,13 +597,7 @@ mod tests {
         s.apply(DeltaBatch::new().insert(5, vec![Value::Int(9), Value::str("TK")]))
             .unwrap();
         drop(s);
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let (recovered, stats) = recover_plain(&dir).unwrap();
         assert_eq!(stats.replayed, 1, "only the valid batch was logged");
         assert_eq!(recovered.table().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -680,41 +605,19 @@ mod tests {
 
     #[test]
     fn windowed_durable_session_recovers_watermark() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("window");
-        let opts = || SessionOptions {
-            window: Some(WindowSpec::tumbling(3).unwrap()),
-            ..Default::default()
-        };
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            opts(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
+        let opts = || windowed(WindowSpec::tumbling(3).ok());
+        let mut s = open_fd(&dir, &base_table(&zip_city()), opts(), 1);
         s.apply(DeltaBatch::new().insert(10, vec![Value::Int(3), Value::str("CH")]))
             .unwrap();
         assert_eq!(s.watermark(), Some(2));
         drop(s);
 
         // window spec must match the snapshot
-        let err = err_of(Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        ));
+        let err = err_of(recover_plain(&dir));
         assert!(err.to_string().contains("window mismatch"), "{err}");
 
-        let (mut s, _) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            opts(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let (mut s, _) = recover_fd(&dir, opts()).unwrap();
         assert_eq!(s.watermark(), Some(2));
         assert_eq!(s.window_live(), Some(3));
         // the very next arrival closes [0,3): recovery resumed the clock
@@ -727,16 +630,15 @@ mod tests {
     }
 
     /// A failed periodic snapshot must not fail an apply that already
-    /// committed: the batch is applied and in the WAL, so the apply
-    /// reports `Ok`, the snapshot watermark stays put (the next apply
-    /// retries), and recovery replays the WAL to the same state.
+    /// committed: the batch is applied and logged, so the apply reports
+    /// `Ok`, the snapshot watermark stays put (the next apply retries),
+    /// and recovery replays the batch record to the same state.
     #[test]
     fn failed_periodic_snapshot_does_not_fail_the_committed_apply() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("snapfail");
         // A seed whose only injected IO fault is the snapshot write
-        // after batch 1 — the baseline snapshot (stream 0) and the WAL
-        // appends go through.
+        // after batch 1 — the baseline snapshot (stream 0) and the batch
+        // records go through.
         let faults = |seed| FaultInjector::seeded(seed).with_io_write_failures(0.5);
         let seed = (0u64..)
             .find(|&seed| {
@@ -750,21 +652,9 @@ mod tests {
             .fault_policy(FaultPolicy::fail_fast())
             .fault_injector(faults(seed))
             .build();
-        let mut faulty = Session::open_durable(
-            Executor::new(engine),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
-        let mut twin = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-        )
-        .unwrap();
+        let base = base_table(&zip_city());
+        let mut faulty = open_on(engine, &dir, &base, 1).unwrap();
+        let mut twin = plain_fd(&base, SessionOptions::default());
         let batch = batches().remove(0);
         faulty
             .apply(batch.clone())
@@ -781,13 +671,7 @@ mod tests {
         );
         drop(faulty);
 
-        let (recovered, stats) = Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let (recovered, stats) = recover_plain(&dir).unwrap();
         assert_eq!((stats.snapshot_seq, stats.replayed), (0, 1));
         assert_same(&recovered, &twin);
         let _ = std::fs::remove_dir_all(&dir);
@@ -795,9 +679,9 @@ mod tests {
 
     /// `n` clean rows, one zipcode each: room for delta frames before
     /// the size rule asks for a new base.
-    fn wide_base(schema: &Schema, n: i64) -> Table {
+    fn wide_base(n: i64) -> Table {
         let row = |i: i64| vec![Value::Int(i), Value::str(format!("city-{i}"))];
-        Table::from_rows("t", schema.clone(), (0..n).map(row).collect())
+        Table::from_rows("t", zip_city(), (0..n).map(row).collect())
     }
 
     /// Batch `k` of a stream over [`wide_base`]: three inserts, then one
@@ -835,7 +719,7 @@ mod tests {
         b
     }
 
-    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    fn copy_dir(from: &Path, to: &Path) {
         let _ = std::fs::remove_dir_all(to);
         std::fs::create_dir_all(to).unwrap();
         for entry in std::fs::read_dir(from).unwrap() {
@@ -867,34 +751,16 @@ mod tests {
 
     /// Drive 30 batches at cadence 2 through a durable session, a copy
     /// of its directory recovered after every batch, and an in-memory
-    /// twin. Returns, per cadence, how much `snapshot.bin` grew (negative:
-    /// a base rewrite replaced it) and the WAL bytes of its batches.
+    /// twin. Returns, per cadence, how much `snapshot.bin` grew beyond
+    /// the batch records (negative: a base rewrite replaced it) and the
+    /// bytes of those records.
     fn run_cadences(tag: &str, window: Option<WindowSpec>) -> Vec<(i64, usize)> {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir(tag);
         let scratch = durable_dir(&format!("{tag}-copy"));
-        let opts = || SessionOptions {
-            window,
-            ..Default::default()
-        };
-        let base = wide_base(&schema, 100);
-        let durability = |d: &std::path::Path| DurabilityOptions::new(d).snapshot_every(2);
-        let mut live = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base,
-            opts(),
-            durability(&dir),
-        )
-        .unwrap();
-        let mut twin = Session::new(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base,
-            opts(),
-        )
-        .unwrap();
-        let size = |d: &std::path::Path| std::fs::metadata(wal::snapshot_path(d)).unwrap().len();
+        let base = wide_base(100);
+        let mut live = open_fd(&dir, &base, windowed(window), 2);
+        let mut twin = plain_fd(&base, windowed(window));
+        let size = |d: &Path| std::fs::metadata(wal::snapshot_path(d)).unwrap().len();
         let mut cadences = Vec::new();
         let (mut before, mut wal_bytes) = (size(&dir) as i64, 0);
         for k in 0..30u64 {
@@ -904,19 +770,13 @@ mod tests {
             twin.apply(batch).unwrap();
             assert_identical(&live, &twin, &format!("batch {k}: live vs twin"));
             copy_dir(&dir, &scratch);
-            let (recovered, stats) = Session::recover(
-                Executor::new(Engine::sequential()),
-                fd_rules(&schema),
-                opts(),
-                durability(&scratch),
-            )
-            .unwrap();
+            let (recovered, stats) = recover_fd(&scratch, windowed(window)).unwrap();
             assert_eq!(stats.last_seq, k + 1);
-            assert_eq!(stats.replayed, (k + 1) % 2, "odd batches come from the WAL");
+            assert_eq!(stats.replayed, (k + 1) % 2, "odd batches are replayed");
             assert_identical(&recovered, &live, &format!("batch {k}: recovered vs live"));
             if k % 2 == 1 {
                 let after = size(&dir) as i64;
-                cadences.push((after - before, wal_bytes));
+                cadences.push((after - before - wal_bytes as i64, wal_bytes));
                 (before, wal_bytes) = (after, 0);
             }
         }
@@ -934,13 +794,13 @@ mod tests {
             appended.len() < cadences.len(),
             "the size rule must rewrite the base at least once: {cadences:?}"
         );
-        // A delta frame holds the cadence's touched tuples once (what the
-        // WAL held, plus the row repair rewrote) and ~100 bytes of frame
-        // header and watermarks — never the 100-row table.
+        // A state frame holds the cadence's touched tuples once (what the
+        // batch records held, plus the row repair rewrote) and ~100 bytes
+        // of frame header and watermarks — never the 100-row table.
         for (grew, wal_bytes) in appended {
             assert!(
                 *grew as usize <= 2 * wal_bytes + 128,
-                "a delta frame of {grew} bytes for {wal_bytes} WAL bytes: {cadences:?}"
+                "a state frame of {grew} bytes for {wal_bytes} record bytes: {cadences:?}"
             );
         }
     }
@@ -953,51 +813,42 @@ mod tests {
         assert!(cadences.iter().any(|(grew, _)| *grew > 0), "{cadences:?}");
     }
 
-    /// A directory whose snapshot file is a base and two delta frames,
-    /// WAL truncated — and the live session that wrote it.
-    fn base_and_two_frames(tag: &str) -> (std::path::PathBuf, Session) {
-        let schema = Schema::parse("zipcode,city");
+    /// A directory whose log is a base, batch 1, its state frame, batch
+    /// 2, its state frame — and the live session that wrote it.
+    fn base_and_two_frames(tag: &str) -> (PathBuf, Session) {
         let dir = durable_dir(tag);
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &wide_base(&schema, 100),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir).snapshot_every(1),
-        )
-        .unwrap();
+        let mut s = open_fd(&dir, &wide_base(100), SessionOptions::default(), 1);
         s.apply(stream_batch(0, false)).unwrap();
         s.apply(stream_batch(1, false)).unwrap();
-        let file = wal::read_snapshot(&dir).unwrap().unwrap();
-        assert!(file.delta_bytes > 0 && !file.torn_tail);
-        assert_eq!(std::fs::metadata(wal::wal_path(&dir)).unwrap().len(), 0);
+        let kinds: Vec<u8> = frame_starts(&log_bytes(&dir)).iter().map(|f| f.1).collect();
+        assert_eq!(kinds, [KIND_SNAPSHOT, KIND_WAL, DELTA, KIND_WAL, DELTA]);
         (dir, s)
     }
 
-    fn recover_plain(dir: &std::path::Path) -> Result<(Session, RecoverStats)> {
-        let schema = Schema::parse("zipcode,city");
-        Session::recover(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(dir).snapshot_every(1),
-        )
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(wal::snapshot_path(dir)).unwrap()
     }
 
-    /// The frame codec's single-byte-flip property, for the multi-frame
-    /// file: wherever the flip lands — base, either delta frame, a
-    /// length field that makes the tail look torn — recovery reports
-    /// `Error::Corrupt`; it never returns a session missing the batches
-    /// the damaged frame held.
+    /// Where each whole frame of a log starts, with its kind.
+    fn frame_starts(bytes: &[u8]) -> Vec<(usize, u8)> {
+        let (mut at, mut starts) = (0, Vec::new());
+        for (kind, p) in scan_frames(bytes).frames {
+            starts.push((at, kind));
+            at += FRAME_HEADER + p.len() + FRAME_TRAILER;
+        }
+        starts
+    }
+
+    /// The frame codec's single-byte-flip property, for the one log: a
+    /// flip with a whole frame after it is `Error::Corrupt`; a flip in
+    /// the last frame is that too, or a torn tail whose batch is replayed.
+    /// Recovery never returns a session missing an applied batch.
     #[test]
-    fn flipped_byte_anywhere_in_base_plus_delta_frames_is_corrupt() {
+    fn flipped_byte_anywhere_in_the_log_is_corrupt_or_recovers_whole() {
         let (dir, live) = base_and_two_frames("flip");
-        drop(live);
         let path = wal::snapshot_path(&dir);
-        let good = std::fs::read(&path).unwrap();
-        let (recovered, stats) = recover_plain(&dir).unwrap();
-        assert_eq!((stats.snapshot_seq, stats.replayed), (2, 0));
-        drop(recovered);
+        let good = log_bytes(&dir);
+        let (last, mut torn) = (frame_starts(&good)[4].0, 0);
         for at in 0..good.len() {
             let mut bad = good.clone();
             bad[at] ^= 1 << (at % 8);
@@ -1005,72 +856,95 @@ mod tests {
             match recover_plain(&dir) {
                 Err(Error::Corrupt(_)) => {}
                 Err(other) => panic!("flip at byte {at}: wrong error class: {other}"),
+                Ok((recovered, stats)) if at >= last => {
+                    assert_eq!((stats.snapshot_seq, stats.replayed), (1, 1), "{at}");
+                    assert_identical(&recovered, &live, &format!("flip at byte {at}"));
+                    torn += 1;
+                }
                 Ok((_, stats)) => panic!("flip at byte {at}: recovered anyway ({stats:?})"),
             }
         }
+        assert!(torn > 0, "no flip in the last frame read as a torn tail");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_snapshot_tail_needs_the_wal_to_cover_it() {
+    fn torn_last_frame_is_cut_and_its_batches_replayed() {
         let (dir, mut live) = base_and_two_frames("torn");
-        // batch 3 reaches the WAL; its delta frame is cut short
+        // batch 3 reaches the log; its state frame is cut short
         live.durable.as_mut().unwrap().snapshot_every = 0;
         live.apply(stream_batch(2, false)).unwrap();
         let frame = wal::encode_delta_frame(&live.delta_frame());
-        let mut torn = std::fs::read(wal::snapshot_path(&dir)).unwrap();
-        torn.extend_from_slice(&frame[..frame.len() / 2]);
+        let torn = [log_bytes(&dir), frame[..frame.len() / 2].to_vec()].concat();
         std::fs::write(wal::snapshot_path(&dir), &torn).unwrap();
-        let scratch = durable_dir("torn-copy");
-        copy_dir(&dir, &scratch);
-        let (recovered, stats) = recover_plain(&scratch).unwrap();
+        let (recovered, stats) = recover_plain(&dir).unwrap();
         assert_eq!(
             (stats.snapshot_seq, stats.replayed, stats.last_seq),
             (2, 1, 3)
         );
-        assert_identical(&recovered, &live, "torn tail, WAL intact");
+        assert_identical(&recovered, &live, "torn last frame");
         // recovery cut the tear away before appending its catch-up frame
-        let file = wal::read_snapshot(&scratch).unwrap().unwrap();
-        assert_eq!((file.state.last_seq, file.torn_tail), (3, false));
-        // the same tear with the WAL gone is data loss, and says so
-        copy_dir(&dir, &scratch);
-        std::fs::write(wal::wal_path(&scratch), b"").unwrap();
-        assert!(matches!(recover_plain(&scratch), Err(Error::Corrupt(_))));
+        let log = wal::read_log(&wal::snapshot_path(&dir)).unwrap();
+        assert_eq!((log.state.last_seq, log.torn_at), (3, None));
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     #[test]
-    fn wal_gap_after_the_snapshot_is_corrupt() {
+    fn missing_batch_record_is_corrupt_and_named() {
         let (dir, mut live) = base_and_two_frames("gap");
         live.durable.as_mut().unwrap().snapshot_every = 0;
         live.apply(stream_batch(2, false)).unwrap();
         live.apply(stream_batch(3, false)).unwrap();
         drop(live);
-        // drop WAL record 3, keep record 4
-        let (_, records) = Wal::open(&dir).unwrap();
-        let mut w = Wal::create(&dir).unwrap();
-        w.append(4, &records[1].1, &Dio::plain()).unwrap();
-        drop(w);
+        // cut batch record 3 out, keep record 4
+        let mut bytes = log_bytes(&dir);
+        let starts = frame_starts(&bytes);
+        assert_eq!((starts[5].1, starts[6].1), (KIND_WAL, KIND_WAL));
+        bytes.drain(starts[5].0..starts[6].0);
+        std::fs::write(wal::snapshot_path(&dir), &bytes).unwrap();
         match recover_plain(&dir) {
-            Err(Error::Corrupt(msg)) => assert!(msg.contains("batch 3"), "{msg}"),
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("missing batch 3"), "{msg}"),
             other => panic!("expected Error::Corrupt, got {:?}", other.map(|(_, s)| s)),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A directory in the two-file layout of earlier builds — a base and
+    /// one delta frame in `snapshot.bin`, then half of a second, and a
+    /// `wal.log` holding the batch the torn frame covered — recovers to
+    /// the live session and leaves the one log behind; without that
+    /// batch in `wal.log` it is corrupt.
+    #[test]
+    fn parent_written_directory_migrates_into_the_one_log() {
+        let (dir, live) = base_and_two_frames("legacy");
+        let bytes = log_bytes(&dir);
+        let frames = scan_frames(&bytes).frames;
+        let frame = |i: usize| encode_frame(frames[i].0, frames[i].1);
+        let torn = frame(4);
+        let snapshot = [frame(0), frame(2), torn[..torn.len() / 2].to_vec()].concat();
+        std::fs::write(wal::snapshot_path(&dir), snapshot).unwrap();
+        // the tear with nothing in `wal.log` to cover it is data loss
+        std::fs::write(dir.join("wal.log"), b"").unwrap();
+        assert!(matches!(recover_plain(&dir), Err(Error::Corrupt(_))));
+        std::fs::write(dir.join("wal.log"), frame(3)).unwrap();
+        let (recovered, stats) = recover_plain(&dir).unwrap();
+        assert_eq!(
+            (stats.snapshot_seq, stats.replayed, stats.last_seq),
+            (1, 1, 2)
+        );
+        assert_identical(&recovered, &live, "migrated");
+        assert_eq!(files(&dir), ["snapshot.bin"]);
+        drop(recovered);
+        let (again, stats) = recover_plain(&dir).unwrap();
+        assert_eq!((stats.replayed, stats.last_seq), (0, 2));
+        assert_identical(&again, &live, "recovered again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn snapshot_load_rejects_what_position_lookup_cannot_survive() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("doctored");
-        let s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &wide_base(&schema, 4),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let s = open_fd(&dir, &wide_base(4), SessionOptions::default(), 8);
         let good = s.capture_state();
         drop(s);
         type Doctor = fn(&mut SessionState);
@@ -1085,7 +959,8 @@ mod tests {
         for (want, doctor) in doctored {
             let mut st = good.clone();
             doctor(&mut st);
-            wal::write_snapshot(&dir, &st, &Dio::plain()).unwrap();
+            let mut log = Wal::create(&dir).unwrap();
+            log.write_base(&st, &Dio::plain()).unwrap();
             match recover_plain(&dir) {
                 Err(Error::Corrupt(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
                 other => panic!("{want}: got {:?}", other.map(|(_, s)| s)),
@@ -1096,16 +971,8 @@ mod tests {
 
     #[test]
     fn poisoned_session_refuses_to_snapshot() {
-        let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("poison-snap");
-        let mut s = Session::open_durable(
-            Executor::new(Engine::sequential()),
-            fd_rules(&schema),
-            &base_table(&schema),
-            SessionOptions::default(),
-            DurabilityOptions::new(&dir),
-        )
-        .unwrap();
+        let mut s = open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 8);
         s.poisoned = true;
         assert!(err_of(s.snapshot()).to_string().contains("poisoned"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -33,11 +33,11 @@
 //! inequalities, and dedup UDF rules.
 //!
 //! Sessions can additionally be made **durable**: with
-//! [`DurabilityOptions`] every applied batch is appended to a
-//! checksummed write-ahead log before any in-memory mutation, a
-//! snapshot file — one full base plus appended delta frames holding
-//! what changed since — is brought up to date periodically to bound
-//! replay time, and [`Session::recover`] rebuilds an equivalent session
+//! [`DurabilityOptions`] every applied batch is appended to one
+//! checksummed log before any in-memory mutation; every few batches the
+//! same log gets a state frame holding what changed since the frame
+//! before (or, once those outweigh it, a new full base), which bounds
+//! replay time; and [`Session::recover`] rebuilds an equivalent session
 //! after a crash — or after an apply error that would otherwise leave
 //! the session poisoned.
 //!

@@ -286,7 +286,7 @@ impl Session {
     /// changed, and re-repair — mirroring a from-scratch cleanse over
     /// the materialized table.
     ///
-    /// Durable sessions additionally append the batch to the WAL (and
+    /// Durable sessions additionally append the batch to their log (and
     /// fsync) *after* validation but *before* any in-memory mutation:
     /// a crash at any later point replays the batch on
     /// [`Session::recover`], and a crash earlier loses nothing because
@@ -308,7 +308,7 @@ impl Session {
         engine.check_cancelled()?;
 
         // Validate the whole batch before mutating anything: a
-        // malformed batch must corrupt neither the session nor the WAL.
+        // malformed batch must corrupt neither the session nor its log.
         self.validate(&batch)?;
 
         // The batch is valid: make it durable before the mutation it
@@ -331,14 +331,14 @@ impl Session {
         // failure) leaves them out of sync, so poison the session and
         // let later applies fail loudly instead of computing on
         // corrupted state. For durable sessions the batch is already in
-        // the WAL, so recovery replays it against consistent state.
+        // the log, so recovery replays it against consistent state.
         match self.detect_and_repair(&batch, &engine) {
             Ok(report) => {
                 if let Some(seq) = wal_seq {
                     let d = self.durable.as_mut().expect("wal_seq implies durable");
                     d.last_seq = seq;
                     let due = d.snapshot_every > 0 && seq - d.last_snapshot_seq >= d.snapshot_every;
-                    // The batch is applied and in the WAL: a failed
+                    // The batch is applied and in the log: a failed
                     // snapshot must not turn the apply into an error
                     // (a retry would hit duplicate ids). The snapshot
                     // watermark stays put, so the next apply retries.

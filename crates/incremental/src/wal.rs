@@ -1,63 +1,57 @@
-//! Durability layer for incremental sessions: a write-ahead log of
-//! [`DeltaBatch`]es plus a checksummed snapshot file — one *base* frame
-//! holding full session state, followed by *delta* frames holding what
-//! changed since the frame before.
-//!
-//! Both artifacts live in one *durable directory* and share the
-//! self-describing frame codec from `bigdansing_common::codec`
+//! Durability layer for incremental sessions: one append-only log per
+//! durable directory. It opens with a *base* frame holding the full
+//! session state; after it, in apply order, come *batch records* — each
+//! [`DeltaBatch`], appended and fsync'd before it mutates anything — and
+//! *state frames* holding what changed since the frame before. Every
+//! frame uses the self-describing codec of `bigdansing_common::codec`
 //! (magic, format version, kind byte, CRC32 trailer):
 //!
 //! ```text
-//! <dir>/wal.log       frame(KIND_WAL) per batch: seq u64 + DeltaBatch
 //! <dir>/snapshot.bin  frame(KIND_SNAPSHOT): full SessionState, then
-//!                     zero or more frame(KIND_SNAPSHOT_DELTA): DeltaFrame
+//!                     frame(KIND_WAL): seq u64 + DeltaBatch, per batch
+//!                     frame(KIND_SNAPSHOT_DELTA): DeltaFrame, per cadence
 //! ```
 //!
-//! The WAL is append-only and fsync'd before any in-memory mutation;
-//! a torn tail (partial last frame after a crash) is detected by the
-//! frame CRC and truncated away on open. A base is written to a temp
-//! sibling, fsync'd, then renamed into place, so a crash leaves either
-//! the old file (base + its delta frames) or the new base — never a
-//! hybrid. A delta frame is appended and fsync'd *before* the WAL it
-//! supersedes is truncated, so a frame cut short by a crash is always
-//! still covered by the WAL: recovery drops an undecodable tail of
-//! `snapshot.bin` only when the WAL holds the batch right after the
-//! last whole frame, and reports anything else as corruption. Recovery
-//! is: fold base + delta frames in order, then replay the WAL suffix
-//! whose sequence numbers exceed the folded watermark.
+//! A new base is written to a temp sibling, fsync'd, then renamed into
+//! place, which drops every frame before it in one step. Recovery folds
+//! the base and the state frames in order, then replays the batch
+//! records past the folded watermark. A crash can only tear the last
+//! frame, and every state frame follows the batch records it covers, so
+//! dropping a torn tail never loses an applied batch. An undecodable
+//! region counts as a torn tail only when no whole frame decodes
+//! anywhere after it; anything else is [`Error::Corrupt`].
 
 use crate::delta::{DeltaBatch, DeltaOp};
 use bigdansing_common::codec::{
-    begin_frame, finish_frame, scan_frames, Codec, FRAME_HEADER, FRAME_TRAILER,
+    atomic_write, begin_frame, decode_frame_borrowed, finish_frame, scan_frames, sync_parent_dir,
+    Codec, FRAME_HEADER, FRAME_MAGIC, FRAME_TRAILER,
 };
 use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{Error, Result, Schema, Table, Tuple, Value};
-use bigdansing_dataflow::dio::{crash_hit, crash_point, Dio};
+use bigdansing_dataflow::dio::{crash_hit, crash_point, sweep_orphan_tmps, Dio};
 use bigdansing_dataflow::FaultSite;
 use bigdansing_rules::{Fix, Violation};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-/// Frame kind for WAL records.
+/// Frame kind for a batch record.
 pub const KIND_WAL: u8 = 1;
 /// Frame kind for a base snapshot: full session state.
 pub const KIND_SNAPSHOT: u8 = 2;
-/// Frame kind for a snapshot delta: what changed since the frame before.
+/// Frame kind for a state frame: what changed since the frame before.
 pub const KIND_SNAPSHOT_DELTA: u8 = 3;
 
-/// WAL file name inside a durable directory.
-pub const WAL_FILE: &str = "wal.log";
-/// Snapshot file name inside a durable directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+/// The batch log of the two-file layout earlier builds wrote; recovery
+/// folds it into the one log ([`migrate_legacy_wal`]).
+const LEGACY_WAL_FILE: &str = "wal.log";
 
 /// Where and how often a session persists its state.
 #[derive(Clone, Debug)]
 pub struct DurabilityOptions {
-    /// Directory holding `wal.log` and `snapshot.bin` (created if
-    /// missing).
+    /// Directory holding the log, `snapshot.bin` (created if missing).
     pub dir: PathBuf,
-    /// Bring `snapshot.bin` up to date (and truncate the WAL) every this
+    /// Append a state frame to the log (or rewrite its base) every this
     /// many applied batches. `0` disables automatic snapshots; explicit
     /// `Session::snapshot()` calls still work.
     pub snapshot_every: u64,
@@ -83,17 +77,25 @@ impl DurabilityOptions {
 /// What recovery found and did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoverStats {
-    /// Sequence number covered by the snapshot that seeded recovery
-    /// (0 when no snapshot existed and the session was rebuilt from
-    /// the base table + full WAL).
+    /// Batch sequence number the folded base and state frames cover (0
+    /// when only the base written at open existed).
     pub snapshot_seq: u64,
-    /// WAL records replayed on top of the snapshot.
+    /// Batch records replayed on top of it.
     pub replayed: u64,
     /// Highest batch sequence number in the recovered session.
     pub last_seq: u64,
 }
 
 // --- delta codecs -------------------------------------------------------
+
+/// Read one tag byte off the front of `buf`.
+fn take_byte(buf: &mut &[u8], what: &str) -> Result<u8> {
+    let (&b, rest) = buf
+        .split_first()
+        .ok_or_else(|| Error::Parse(format!("{what} codec underrun")))?;
+    *buf = rest;
+    Ok(b)
+}
 
 impl Codec for DeltaOp {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -113,11 +115,7 @@ impl Codec for DeltaOp {
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let tag = *buf
-            .first()
-            .ok_or_else(|| Error::Parse("delta op codec underrun".into()))?;
-        *buf = &buf[1..];
-        Ok(match tag {
+        Ok(match take_byte(buf, "delta op")? {
             0 => DeltaOp::Insert(Tuple::decode(buf)?),
             1 => DeltaOp::Update(Tuple::decode(buf)?),
             2 => DeltaOp::Delete(u64::decode(buf)?),
@@ -128,148 +126,136 @@ impl Codec for DeltaOp {
 
 impl Codec for DeltaBatch {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.ops.len() as u64).encode(buf);
-        for op in &self.ops {
-            op.encode(buf);
-        }
+        self.ops.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let n = u64::decode(buf)? as usize;
-        let mut ops = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            ops.push(DeltaOp::decode(buf)?);
-        }
-        Ok(DeltaBatch { ops })
+        Ok(DeltaBatch {
+            ops: Vec::decode(buf)?,
+        })
     }
 }
 
-// --- write-ahead log ----------------------------------------------------
+// --- the log ------------------------------------------------------------
 
-/// Append-only, fsync'd log of applied delta batches.
+/// The log of a durable directory, `snapshot.bin`: batch records and
+/// state frames append to its end, a base rewrite replaces it.
 pub struct Wal {
     path: PathBuf,
-    file: File,
+    /// Append handle, opened on first use: a base rewrite renames a new
+    /// file into place and leaves any open handle on the unlinked old one.
+    file: Option<File>,
 }
 
-/// Path of the WAL file inside `dir`.
-pub fn wal_path(dir: &Path) -> PathBuf {
-    dir.join(WAL_FILE)
-}
-
-/// Path of the snapshot file inside `dir`.
+/// Path of the log inside `dir`.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join(SNAPSHOT_FILE)
+    dir.join("snapshot.bin")
 }
 
 impl Wal {
-    /// Create (or truncate) the WAL in `dir`.
-    pub fn create(dir: &Path) -> Result<Wal> {
+    /// The log of a fresh session in `dir` (created if missing). Nothing
+    /// is written before the first [`Wal::write_base`]. Crash leftovers
+    /// are removed: temp files, and a `wal.log` of the two-file layout,
+    /// which belongs to no snapshot here.
+    pub(crate) fn create(dir: &Path) -> Result<Wal> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Io(format!("create durable dir {}: {e}", dir.display())))?;
-        let path = wal_path(dir);
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| Error::Io(format!("create {}: {e}", path.display())))?;
-        Ok(Wal { path, file })
+        sweep_orphan_tmps(dir);
+        let _ = std::fs::remove_file(dir.join(LEGACY_WAL_FILE));
+        Ok(Wal {
+            path: snapshot_path(dir),
+            file: None,
+        })
     }
 
-    /// Open the WAL in `dir`, returning the valid records in order. A
-    /// torn tail — any suffix that fails frame decoding, e.g. a
-    /// half-written record from a crash mid-append — is truncated away
-    /// so subsequent appends start at a clean record boundary. A
-    /// missing file is treated as an empty log.
-    pub fn open(dir: &Path) -> Result<(Wal, Vec<(u64, DeltaBatch)>)> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| Error::Io(format!("create durable dir {}: {e}", dir.display())))?;
-        let path = wal_path(dir);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false) // existing records are replayed, not discarded
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| Error::Io(format!("open {}: {e}", path.display())))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| Error::Io(format!("read {}: {e}", path.display())))?;
-
-        // A torn tail: keep the whole frames, drop the rest.
-        let scan = scan_frames(&bytes);
-        let mut records = Vec::with_capacity(scan.frames.len());
-        for (kind, payload) in scan.frames {
-            if kind != KIND_WAL {
-                return Err(Error::Corrupt(format!(
-                    "{}: unexpected frame kind {kind} in WAL",
-                    path.display()
-                )));
-            }
-            let mut p = payload;
-            let seq = u64::decode(&mut p)?;
-            let batch = DeltaBatch::decode(&mut p)?;
-            if !p.is_empty() {
-                return Err(Error::Corrupt(format!(
-                    "{}: {} trailing byte(s) inside WAL record {seq}",
-                    path.display(),
-                    p.len()
-                )));
-            }
-            records.push((seq, batch));
+    /// Open the log in `dir` for recovery: sweep temp files a crash left,
+    /// fold in a legacy `wal.log`, read the log ([`read_log`]) and cut
+    /// its torn tail, so appends resume on a frame boundary.
+    pub(crate) fn open(dir: &Path) -> Result<(Wal, Log)> {
+        sweep_orphan_tmps(dir);
+        migrate_legacy_wal(dir)?;
+        let path = snapshot_path(dir);
+        let log = read_log(&path)?;
+        let mut wal = Wal { path, file: None };
+        if let Some(at) = log.torn_at {
+            let file = wal.file()?;
+            file.set_len(at)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| Error::Io(format!("truncate torn tail {}: {e}", dir.display())))?;
         }
-        let good = scan.good as u64;
-        if good < bytes.len() as u64 {
-            file.set_len(good)
-                .map_err(|e| Error::Io(format!("truncate torn tail {}: {e}", path.display())))?;
-            file.sync_data()
-                .map_err(|e| Error::Io(format!("sync {}: {e}", path.display())))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| Error::Io(format!("seek {}: {e}", path.display())))?;
-        Ok((Wal { path, file }, records))
+        Ok((wal, log))
     }
 
-    /// Append one batch under sequence number `seq` and fsync before
-    /// returning. Transient IO faults are retried by `dio` with the
-    /// partial write rolled back, so the log only ever grows by whole
-    /// frames. Fires the `wal-pre-sync` crash point (simulating a torn
-    /// write: half the frame reaches disk) and `wal-post-sync` (record
-    /// durable, in-memory state not yet mutated).
-    pub fn append(&mut self, seq: u64, batch: &DeltaBatch, dio: &Dio) -> Result<()> {
+    fn file(&mut self) -> Result<&mut File> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => OpenOptions::new()
+                .append(true)
+                .open(&self.path)
+                .map_err(|e| Error::Io(format!("open {}: {e}", self.path.display())))?,
+        };
+        Ok(self.file.insert(file))
+    }
+
+    /// Append batch `seq` as a batch record and fsync before returning.
+    /// Fires the `wal-pre-sync` crash point (half the record reaches the
+    /// disk) and `wal-post-sync` (record durable, in-memory state not yet
+    /// mutated).
+    pub(crate) fn append(&mut self, seq: u64, batch: &DeltaBatch, dio: &Dio) -> Result<()> {
         let mut frame = begin_frame(KIND_WAL);
         seq.encode(&mut frame);
         batch.encode(&mut frame);
         finish_frame(&mut frame);
+        self.append_frame(FaultSite::WalAppend, seq, &frame, "wal", dio)
+    }
 
-        if crash_hit("wal-pre-sync") {
-            // Simulate a crash mid-append: half the frame reaches the
-            // disk, then the process dies. Recovery must truncate it.
-            // (`crash_hit` already consumed the configured hit, so
-            // abort directly rather than via `crash_point`.)
-            let half = &frame[..frame.len() / 2];
-            let _ = self.file.write_all(half);
-            let _ = self.file.sync_data();
+    /// Append `frame`, an encoded state frame ([`encode_delta_frame`])
+    /// covering the batches through `seq`, and fsync. Fires the
+    /// `snapshot-delta-pre-sync` and `snapshot-delta-post-sync` crash
+    /// points.
+    pub(crate) fn append_state(&mut self, seq: u64, frame: &[u8], dio: &Dio) -> Result<()> {
+        self.append_frame(FaultSite::SnapshotWrite, seq, frame, "snapshot-delta", dio)
+    }
+
+    /// Transient IO faults are retried by `dio` with the partial write
+    /// rolled back, so the log only ever grows by whole frames.
+    fn append_frame(
+        &mut self,
+        site: FaultSite,
+        seq: u64,
+        frame: &[u8],
+        crash: &str,
+        dio: &Dio,
+    ) -> Result<()> {
+        let file = self.file()?;
+        if crash_hit(&format!("{crash}-pre-sync")) {
+            // A crash mid-append: half the frame reaches the disk, then
+            // the process dies. (`crash_hit` already consumed the
+            // configured hit, so abort directly.)
+            let _ = file.write_all(&frame[..frame.len() / 2]);
+            let _ = file.sync_data();
             std::process::abort();
         }
-
-        dio.append_sync(FaultSite::WalAppend, seq, &mut self.file, &frame)?;
-        crash_point("wal-post-sync");
+        dio.append_sync(site, seq, file, frame)?;
+        crash_point(&format!("{crash}-post-sync"));
         Ok(())
     }
 
-    /// Drop all records (after a snapshot made them redundant).
-    pub fn truncate_all(&mut self) -> Result<()> {
-        self.file
-            .set_len(0)
-            .map_err(|e| Error::Io(format!("truncate {}: {e}", self.path.display())))?;
-        self.file
-            .sync_data()
-            .map_err(|e| Error::Io(format!("sync {}: {e}", self.path.display())))?;
-        self.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| Error::Io(format!("seek {}: {e}", self.path.display())))?;
-        Ok(())
+    /// Replace the log with one base frame holding `state`: temp sibling,
+    /// fsync, rename, which drops every frame before it. Fires the
+    /// `snapshot-pre-rename` crash point between fsync and rename.
+    /// Returns the size of the base.
+    pub(crate) fn write_base(&mut self, state: &SessionState, dio: &Dio) -> Result<u64> {
+        let frame = frame_of(KIND_SNAPSHOT, state);
+        let seq = state.last_seq;
+        dio.write_atomic(
+            FaultSite::SnapshotWrite,
+            seq,
+            &self.path,
+            &frame,
+            "snapshot",
+        )?;
+        self.file = None;
+        Ok(frame.len() as u64)
     }
 
     /// Expected size in bytes of one appended record for `batch`.
@@ -297,41 +283,18 @@ impl Codec for ProvState {
         match self {
             ProvState::Tuples(ids) => {
                 buf.push(0);
-                (ids.len() as u64).encode(buf);
-                for id in ids {
-                    id.encode(buf);
-                }
+                ids.encode(buf);
             }
             ProvState::Block(vals) => {
                 buf.push(1);
-                (vals.len() as u64).encode(buf);
-                for v in vals {
-                    v.encode(buf);
-                }
+                vals.encode(buf);
             }
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let tag = *buf
-            .first()
-            .ok_or_else(|| Error::Parse("prov codec underrun".into()))?;
-        *buf = &buf[1..];
-        let n = u64::decode(buf)? as usize;
-        Ok(match tag {
-            0 => {
-                let mut ids = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    ids.push(u64::decode(buf)?);
-                }
-                ProvState::Tuples(ids)
-            }
-            1 => {
-                let mut vals = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    vals.push(Value::decode(buf)?);
-                }
-                ProvState::Block(vals)
-            }
+        Ok(match take_byte(buf, "prov")? {
+            0 => ProvState::Tuples(Vec::decode(buf)?),
+            1 => ProvState::Block(Vec::decode(buf)?),
             t => return Err(Error::Parse(format!("prov codec: bad tag {t}"))),
         })
     }
@@ -358,28 +321,16 @@ impl Codec for StoredState {
         self.id.encode(buf);
         self.rule.encode(buf);
         self.violation.encode(buf);
-        (self.fixes.len() as u64).encode(buf);
-        for f in &self.fixes {
-            f.encode(buf);
-        }
+        self.fixes.encode(buf);
         self.prov.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let id = u64::decode(buf)?;
-        let rule = u64::decode(buf)?;
-        let violation = Violation::decode(buf)?;
-        let n = u64::decode(buf)? as usize;
-        let mut fixes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            fixes.push(Fix::decode(buf)?);
-        }
-        let prov = ProvState::decode(buf)?;
         Ok(StoredState {
-            id,
-            rule,
-            violation,
-            fixes,
-            prov,
+            id: u64::decode(buf)?,
+            rule: u64::decode(buf)?,
+            violation: Violation::decode(buf)?,
+            fixes: Vec::decode(buf)?,
+            prov: ProvState::decode(buf)?,
         })
     }
 }
@@ -404,7 +355,7 @@ pub struct SessionState {
     pub applies: u64,
     /// Whether the last repair pass converged.
     pub stable: bool,
-    /// Highest WAL batch sequence number covered by this snapshot.
+    /// Highest batch sequence number covered by this snapshot.
     pub last_seq: u64,
     /// Rule names at snapshot time, order-sensitive; recovery refuses
     /// a mismatched rule set.
@@ -436,11 +387,7 @@ fn encode_bool(b: bool, buf: &mut Vec<u8>) {
 }
 
 fn decode_bool(buf: &mut &[u8]) -> Result<bool> {
-    let b = *buf
-        .first()
-        .ok_or_else(|| Error::Parse("bool codec underrun".into()))?;
-    *buf = &buf[1..];
-    match b {
+    match take_byte(buf, "bool")? {
         0 => Ok(false),
         1 => Ok(true),
         t => Err(Error::Parse(format!("bool codec: bad byte {t}"))),
@@ -450,104 +397,61 @@ fn decode_bool(buf: &mut &[u8]) -> Result<bool> {
 impl Codec for SessionState {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.table_name.encode(buf);
-        (self.attrs.len() as u64).encode(buf);
-        for a in &self.attrs {
-            a.encode(buf);
-        }
-        (self.tuples.len() as u64).encode(buf);
-        for t in &self.tuples {
-            t.encode(buf);
-        }
-        (self.seqs.len() as u64).encode(buf);
-        for s in &self.seqs {
-            s.encode(buf);
-        }
+        self.attrs.encode(buf);
+        self.tuples.encode(buf);
+        self.seqs.encode(buf);
         self.next_seq.encode(buf);
         self.applies.encode(buf);
         encode_bool(self.stable, buf);
         self.last_seq.encode(buf);
-        (self.rule_names.len() as u64).encode(buf);
-        for r in &self.rule_names {
-            r.encode(buf);
-        }
+        self.rule_names.encode(buf);
         self.store_next.encode(buf);
-        (self.items.len() as u64).encode(buf);
-        for it in &self.items {
-            it.encode(buf);
-        }
+        self.items.encode(buf);
         encode_bool(self.window.is_some(), buf);
         if let Some(w) = &self.window {
             w.size.encode(buf);
             w.slide.encode(buf);
             w.clock.encode(buf);
-            (w.times.len() as u64).encode(buf);
-            for t in &w.times {
-                t.encode(buf);
-            }
+            w.times.encode(buf);
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        fn vec_of<T: Codec>(buf: &mut &[u8]) -> Result<Vec<T>> {
-            let n = u64::decode(buf)? as usize;
-            let mut out = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                out.push(T::decode(buf)?);
-            }
-            Ok(out)
-        }
-        let table_name = String::decode(buf)?;
-        let attrs = vec_of::<String>(buf)?;
-        let tuples = vec_of::<Tuple>(buf)?;
-        let seqs = vec_of::<u64>(buf)?;
-        let next_seq = u64::decode(buf)?;
-        let applies = u64::decode(buf)?;
-        let stable = decode_bool(buf)?;
-        let last_seq = u64::decode(buf)?;
-        let rule_names = vec_of::<String>(buf)?;
-        let store_next = u64::decode(buf)?;
-        let items = vec_of::<StoredState>(buf)?;
-        let window = if decode_bool(buf)? {
-            let size = u64::decode(buf)?;
-            let slide = u64::decode(buf)?;
-            let clock = u64::decode(buf)?;
-            let times = vec_of::<u64>(buf)?;
-            if times.len() != tuples.len() {
-                return Err(Error::Corrupt(format!(
-                    "snapshot: {} window event times for {} tuples",
-                    times.len(),
-                    tuples.len()
-                )));
-            }
-            Some(WindowState {
-                size,
-                slide,
-                clock,
-                times,
-            })
-        } else {
-            None
+        let state = SessionState {
+            table_name: String::decode(buf)?,
+            attrs: Vec::decode(buf)?,
+            tuples: Vec::decode(buf)?,
+            seqs: Vec::decode(buf)?,
+            next_seq: u64::decode(buf)?,
+            applies: u64::decode(buf)?,
+            stable: decode_bool(buf)?,
+            last_seq: u64::decode(buf)?,
+            rule_names: Vec::decode(buf)?,
+            store_next: u64::decode(buf)?,
+            items: Vec::decode(buf)?,
+            window: match decode_bool(buf)? {
+                true => Some(WindowState {
+                    size: u64::decode(buf)?,
+                    slide: u64::decode(buf)?,
+                    clock: u64::decode(buf)?,
+                    times: Vec::decode(buf)?,
+                }),
+                false => None,
+            },
         };
-        if seqs.len() != tuples.len() {
+        let rows = state.tuples.len();
+        if let Some(w) = state.window.as_ref().filter(|w| w.times.len() != rows) {
             return Err(Error::Corrupt(format!(
-                "snapshot: {} seqs for {} tuples",
-                seqs.len(),
-                tuples.len()
+                "snapshot: {} window event times for {rows} tuples",
+                w.times.len()
             )));
         }
-        Ok(SessionState {
-            table_name,
-            attrs,
-            tuples,
-            seqs,
-            next_seq,
-            applies,
-            stable,
-            last_seq,
-            rule_names,
-            store_next,
-            items,
-            window,
-        })
+        if state.seqs.len() != rows {
+            return Err(Error::Corrupt(format!(
+                "snapshot: {} seqs for {rows} tuples",
+                state.seqs.len()
+            )));
+        }
+        Ok(state)
     }
 }
 
@@ -557,18 +461,17 @@ impl SessionState {
         Table::new(self.table_name, Schema::new(&self.attrs), self.tuples)
     }
 
-    /// Fold `frame` — the next delta frame after this state in
-    /// `snapshot.bin` — into it. The frame must continue exactly where
-    /// the state stops. Rows are addressed by sequence number, binary
-    /// searched in the (strictly increasing) sequence column: a removed
-    /// number must be present, an upsert under a present number must
-    /// name the same tuple id and replaces that row in place, an upsert
-    /// under any other number must sort after the last row and appends
-    /// — so the tuples stay in sequence order, which is table order,
-    /// and a frame that fits nowhere is corruption, never a misplaced
-    /// row. The positions the frame removes are added to `dead`; the
-    /// caller compacts them away once every frame is folded
-    /// ([`SessionState::compact`]).
+    /// Fold `frame` — the next state frame after this state in the log —
+    /// into it. The frame must continue exactly where the state stops.
+    /// Rows are addressed by sequence number, binary searched in the
+    /// (strictly increasing) sequence column: a removed number must be
+    /// present, an upsert under a present number must name the same
+    /// tuple id and replaces that row in place, an upsert under any other
+    /// number must sort after the last row and appends — so the tuples
+    /// stay in sequence order, which is table order, and a frame that
+    /// fits nowhere is corruption, never a misplaced row. The positions
+    /// the frame removes are added to `dead`; the caller compacts them
+    /// away once every frame is folded ([`SessionState::compact`]).
     fn fold(&mut self, frame: DeltaFrame, dead: &mut Vec<usize>) -> Result<()> {
         let corrupt = |what: String| Err(Error::Corrupt(format!("snapshot: delta frame {what}")));
         if frame.prev_seq != self.last_seq || frame.last_seq <= self.last_seq {
@@ -662,15 +565,15 @@ pub struct Upsert {
     pub time: u64,
 }
 
-/// What changed between two snapshot frames: the tuples inserted,
-/// updated or repaired since the predecessor (current versions), the
-/// sequence numbers of the rows that left the table, and — whole, they
-/// are small — the violation store and the scalar watermarks.
+/// What changed between two state frames: the tuples inserted, updated
+/// or repaired since the predecessor (current versions), the sequence
+/// numbers of the rows that left the table, and — whole, they are small
+/// — the violation store and the scalar watermarks.
 #[derive(Clone, Debug)]
 pub struct DeltaFrame {
     /// `last_seq` of the frame this one follows.
     pub prev_seq: u64,
-    /// Highest WAL batch sequence number this frame covers.
+    /// Highest batch sequence number this frame covers.
     pub last_seq: u64,
     /// Next ingestion sequence number.
     pub next_seq: u64,
@@ -761,79 +664,54 @@ fn frame_of<T: Codec>(kind: u8, state: &T) -> Vec<u8> {
     frame
 }
 
-/// Write `state` as the base of the durable snapshot for `dir`,
-/// replacing the previous base and every delta frame that followed it:
-/// encode one checksummed frame, write to a temp sibling, fsync, rename.
-/// Fires the `snapshot-pre-rename` crash point between fsync and rename.
-/// Returns the size of the new file.
-pub fn write_snapshot(dir: &Path, state: &SessionState, dio: &Dio) -> Result<u64> {
-    let frame = frame_of(KIND_SNAPSHOT, state);
-    dio.write_atomic(
-        FaultSite::SnapshotWrite,
-        state.last_seq,
-        &snapshot_path(dir),
-        &frame,
-        "snapshot",
-    )?;
-    Ok(frame.len() as u64)
-}
-
-/// Append `frame` (an encoded [`DeltaFrame`]) to the snapshot file of
-/// `dir` and fsync. The caller truncates the WAL only after this
-/// returns, so a frame cut short by a crash is still covered by the WAL.
-/// Fires the `snapshot-delta-pre-sync` crash point (half the frame
-/// reaches the disk, then the process dies) and
-/// `snapshot-delta-post-sync` (frame durable, WAL not yet truncated).
-pub fn append_delta_frame(dir: &Path, seq: u64, frame: &[u8], dio: &Dio) -> Result<()> {
-    let path = snapshot_path(dir);
-    let mut file = OpenOptions::new()
-        .append(true)
-        .open(&path)
-        .map_err(|e| Error::Io(format!("open {}: {e}", path.display())))?;
-    if crash_hit("snapshot-delta-pre-sync") {
-        let _ = file.write_all(&frame[..frame.len() / 2]);
-        let _ = file.sync_data();
-        std::process::abort();
-    }
-    dio.append_sync(FaultSite::SnapshotWrite, seq, &mut file, frame)?;
-    crash_point("snapshot-delta-post-sync");
-    Ok(())
-}
-
-/// Encode a [`DeltaFrame`] as the frame [`append_delta_frame`] appends.
+/// Encode a [`DeltaFrame`] as the state frame a log appends.
 pub fn encode_delta_frame(delta: &DeltaFrame) -> Vec<u8> {
     frame_of(KIND_SNAPSHOT_DELTA, delta)
 }
 
-/// The folded content of a snapshot file.
+/// What a log holds.
 #[derive(Debug)]
-pub struct SnapshotFile {
-    /// Base state with every whole delta frame folded in.
-    pub state: SessionState,
+pub(crate) struct Log {
+    /// The base with every state frame folded in.
+    pub(crate) state: SessionState,
+    /// The batch records past `state.last_seq`, in order.
+    pub(crate) batches: Vec<(u64, DeltaBatch)>,
     /// Size of the base frame.
-    pub base_bytes: u64,
-    /// Total size of the whole delta frames after it.
-    pub delta_bytes: u64,
-    /// True when the file continues past the last whole frame with bytes
-    /// that do not decode — a delta frame cut short by a crash, or
-    /// corruption. Recovery may drop such a tail only when the WAL holds
-    /// the batch right after [`SessionState::last_seq`].
-    pub torn_tail: bool,
+    pub(crate) base_bytes: u64,
+    /// Total size of the state frames after it.
+    pub(crate) state_bytes: u64,
+    /// Where a torn tail starts, if the log ends in one.
+    pub(crate) torn_at: Option<u64>,
 }
 
-/// Read the snapshot file in `dir` — the base frame with its delta
-/// frames folded in — or `None` when no snapshot exists yet. Corruption
-/// (bad CRC, wrong kind, trailing bytes, a frame that does not continue
-/// its predecessor) and newer-than-supported format versions surface as
+/// Read the log at `path`: fold the base and the state frames in order,
+/// each continuing the one before, and collect the batch records past
+/// the folded watermark, which must follow it without a gap. Bytes that
+/// do not decode are a torn tail — a crash cut the last append short —
+/// only if no whole frame decodes anywhere after them. Anything else that
+/// does not decode or fit, and a frame of a newer format version, is
 /// [`Error::Corrupt`].
-pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotFile>> {
-    let path = snapshot_path(dir);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let bytes = std::fs::read(&path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
-    let scan = scan_frames(&bytes);
+pub(crate) fn read_log(path: &Path) -> Result<Log> {
+    let bytes = std::fs::read(path).map_err(|e| match e.kind() {
+        ErrorKind::NotFound => {
+            Error::Io(format!("{}: no snapshot to recover from", path.display()))
+        }
+        _ => Error::Io(format!("{}: {e}", path.display())),
+    })?;
     let corrupt = |what: String| Error::Corrupt(format!("{}: {what}", path.display()));
+    let scan = scan_frames(&bytes);
+    if let Some(e) = &scan.tail {
+        let whole_frame_at = |at: &usize| {
+            bytes[*at..].starts_with(&FRAME_MAGIC)
+                && decode_frame_borrowed(&mut &bytes[*at..]).is_ok()
+        };
+        if let Some(at) = (scan.good + 1..bytes.len()).find(whole_frame_at) {
+            return Err(corrupt(format!(
+                "bytes {}..{at} do not decode ({e}), yet a whole frame follows them",
+                scan.good
+            )));
+        }
+    }
     // decode one frame payload, whole
     fn payload_of<T: Codec>(mut p: &[u8]) -> Result<T> {
         let state = T::decode(&mut p)?;
@@ -843,7 +721,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotFile>> {
         }
     }
     let mut frames = scan.frames.iter();
-    let (mut state, base_bytes) = match (frames.next(), scan.tail) {
+    let (mut state, base_bytes) = match (frames.next(), &scan.tail) {
         (Some(&(KIND_SNAPSHOT, p)), _) => (
             payload_of::<SessionState>(p).map_err(|e| corrupt(format!("snapshot state: {e}")))?,
             FRAME_HEADER + p.len() + FRAME_TRAILER,
@@ -855,56 +733,92 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotFile>> {
         (None, Some(e)) => return Err(corrupt(e.to_string())),
         (None, None) => return Err(corrupt("empty file".into())),
     };
-    let mut dead = Vec::new();
+    let (mut dead, mut records, mut state_bytes) = (Vec::new(), Vec::new(), 0);
     for &(kind, p) in frames {
-        if kind != KIND_SNAPSHOT_DELTA {
-            return Err(corrupt(format!(
-                "frame kind {kind} after the base snapshot"
-            )));
+        match kind {
+            KIND_WAL => records.push(p), // decoded once the watermark is known
+            KIND_SNAPSHOT_DELTA => {
+                let delta = payload_of::<DeltaFrame>(p);
+                let delta = delta.map_err(|e| corrupt(format!("snapshot delta frame: {e}")))?;
+                state.fold(delta, &mut dead)?;
+                state_bytes += FRAME_HEADER + p.len() + FRAME_TRAILER;
+            }
+            _ => {
+                return Err(corrupt(format!(
+                    "frame kind {kind} after the base snapshot"
+                )))
+            }
         }
-        let delta = payload_of::<DeltaFrame>(p);
-        let delta = delta.map_err(|e| corrupt(format!("snapshot delta frame: {e}")))?;
-        state.fold(delta, &mut dead)?;
     }
     state.compact(dead)?;
-    Ok(Some(SnapshotFile {
-        state,
-        base_bytes: base_bytes as u64,
-        delta_bytes: (scan.good - base_bytes) as u64,
-        torn_tail: scan.good < bytes.len(),
-    }))
-}
-
-/// Cut the snapshot file of `dir` back to its whole frames (`len`
-/// bytes), so the next delta frame lands on a frame boundary.
-pub(crate) fn truncate_snapshot(dir: &Path, len: u64) -> Result<()> {
-    let path = snapshot_path(dir);
-    let file = OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .map_err(|e| Error::Io(format!("open {}: {e}", path.display())))?;
-    file.set_len(len)
-        .and_then(|()| file.sync_data())
-        .map_err(|e| Error::Io(format!("truncate torn tail {}: {e}", path.display())))
-}
-
-/// Read just the materialized table out of the snapshot in `dir`.
-/// Used by the CLI `recover` subcommand to learn the schema before
-/// constructing rules.
-pub fn read_snapshot_table(dir: &Path) -> Result<Table> {
-    match read_snapshot(dir)? {
-        Some(file) => Ok(file.state.into_table()),
-        None => Err(Error::Io(format!(
-            "{}: no snapshot found",
-            snapshot_path(dir).display()
-        ))),
+    let mut batches = Vec::new();
+    for mut p in records {
+        let seq = u64::decode(&mut p).map_err(|e| corrupt(format!("batch record: {e}")))?;
+        if seq <= state.last_seq {
+            continue; // a state frame covers it
+        }
+        let want = state.last_seq + 1 + batches.len() as u64;
+        if seq != want {
+            return Err(corrupt(format!(
+                "the log is missing batch {want}: the next batch record is batch {seq}"
+            )));
+        }
+        let batch = payload_of::<DeltaBatch>(p);
+        let batch = batch.map_err(|e| corrupt(format!("batch record {seq}: {e}")))?;
+        batches.push((seq, batch));
     }
+    Ok(Log {
+        state,
+        batches,
+        base_bytes: base_bytes as u64,
+        state_bytes: state_bytes as u64,
+        torn_at: scan.tail.is_some().then_some(scan.good as u64),
+    })
 }
 
-/// Remove stray temp files (crash leftovers) from a durable directory.
-/// Returns how many were removed.
-pub fn sweep_dir(dir: &Path) -> usize {
-    bigdansing_dataflow::dio::sweep_orphan_tmps(dir)
+/// Fold the `wal.log` of the two-file layout into the log. The old
+/// layout emptied the WAL after every state frame, so its whole records
+/// all follow the old snapshot file's whole frames, and they cover a
+/// state frame a crash tore at its end; one atomic rewrite puts them
+/// there, dropping the tear. A log that already holds batch records took
+/// them in before a crash kept `wal.log` from being removed, and is left
+/// as it is.
+fn migrate_legacy_wal(dir: &Path) -> Result<()> {
+    let legacy = dir.join(LEGACY_WAL_FILE);
+    let path = snapshot_path(dir);
+    let io = |path: &Path, e: std::io::Error| Error::Io(format!("{}: {e}", path.display()));
+    let old = match std::fs::read(&legacy) {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        read => read.map_err(|e| io(&legacy, e))?,
+    };
+    let Ok(bytes) = std::fs::read(&path) else {
+        return Ok(()); // `read_log` reports the missing log
+    };
+    let scan = scan_frames(&bytes);
+    let records = &old[..scan_frames(&old).good];
+    if !scan.frames.iter().any(|&(kind, _)| kind == KIND_WAL) {
+        if scan.tail.is_some() && records.is_empty() {
+            return Err(Error::Corrupt(format!(
+                "{}: ends in a frame that does not decode, and {} holds no batch to cover it",
+                path.display(),
+                legacy.display()
+            )));
+        }
+        if !records.is_empty() {
+            let merged = [&bytes[..scan.good], records].concat();
+            atomic_write(&path, &merged).map_err(|e| io(&path, e))?;
+        }
+    }
+    std::fs::remove_file(&legacy).map_err(|e| io(&legacy, e))?;
+    sync_parent_dir(&legacy);
+    Ok(())
+}
+
+/// Read just the materialized table out of the log in `dir`. Used by
+/// the CLI `recover` subcommand to learn the schema before constructing
+/// rules.
+pub fn read_snapshot_table(dir: &Path) -> Result<Table> {
+    Ok(read_log(&snapshot_path(dir))?.state.into_table())
 }
 
 #[cfg(test)]
@@ -929,6 +843,29 @@ mod tests {
         }
     }
 
+    fn read(dir: &Path) -> Result<Log> {
+        read_log(&snapshot_path(dir))
+    }
+
+    fn len(dir: &Path) -> u64 {
+        std::fs::metadata(snapshot_path(dir)).unwrap().len()
+    }
+
+    /// A log in `dir` holding the base [`state`] (batch 2) and the batch
+    /// records `seqs`.
+    fn log_with(dir: &Path, seqs: &[u64], dio: &Dio) -> Wal {
+        let mut wal = Wal::create(dir).unwrap();
+        wal.write_base(&state(), dio).unwrap();
+        for &seq in seqs {
+            wal.append(seq, &batch(seq), dio).unwrap();
+        }
+        wal
+    }
+
+    fn seqs(log: &Log) -> Vec<u64> {
+        log.batches.iter().map(|(seq, _)| *seq).collect()
+    }
+
     #[test]
     fn delta_codec_roundtrip() {
         let b = batch(4).delete(9);
@@ -942,18 +879,13 @@ mod tests {
     }
 
     #[test]
-    fn wal_append_and_replay() {
+    fn batch_records_append_and_replay() {
         let dir = tdir("replay");
-        let dio = Dio::plain();
-        let mut wal = Wal::create(&dir).unwrap();
-        for seq in 1..=5u64 {
-            wal.append(seq, &batch(seq), &dio).unwrap();
-        }
+        let wal = log_with(&dir, &[3, 4, 5], &Dio::plain());
         drop(wal);
-        let (_wal, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records.len(), 5);
-        for (i, (seq, b)) in records.iter().enumerate() {
-            assert_eq!(*seq, i as u64 + 1);
+        let (_wal, log) = Wal::open(&dir).unwrap();
+        assert_eq!(seqs(&log), [3, 4, 5]);
+        for (seq, b) in &log.batches {
             assert_eq!(b.ops.len(), batch(*seq).ops.len());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -963,74 +895,52 @@ mod tests {
     fn torn_tail_is_truncated() {
         let dir = tdir("torn");
         let dio = Dio::plain();
-        let mut wal = Wal::create(&dir).unwrap();
-        for seq in 1..=3u64 {
-            wal.append(seq, &batch(seq), &dio).unwrap();
-        }
-        drop(wal);
-        // Simulate a crash mid-append: append half of a 4th record.
+        drop(log_with(&dir, &[3, 4, 5], &dio));
+        let whole = len(&dir);
+        // a crash mid-append: half of a 6th record
         let mut payload = Vec::new();
-        4u64.encode(&mut payload);
-        batch(4).encode(&mut payload);
+        (6u64, batch(6)).encode(&mut payload);
         let frame = encode_frame(KIND_WAL, &payload);
-        let full = std::fs::read(wal_path(&dir)).unwrap();
-        let mut torn = full.clone();
-        torn.extend_from_slice(&frame[..frame.len() / 2]);
-        std::fs::write(wal_path(&dir), &torn).unwrap();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(snapshot_path(&dir))
+            .unwrap();
+        f.write_all(&frame[..frame.len() / 2]).unwrap();
 
-        let (mut wal, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records.len(), 3, "torn record dropped");
-        assert_eq!(
-            std::fs::metadata(wal_path(&dir)).unwrap().len(),
-            full.len() as u64,
-            "file truncated back to the last whole frame"
-        );
-        // Appends after truncation land on a clean boundary.
-        wal.append(4, &batch(4), &dio).unwrap();
+        let (mut wal, log) = Wal::open(&dir).unwrap();
+        assert_eq!(seqs(&log), [3, 4, 5], "torn record dropped");
+        assert_eq!(len(&dir), whole, "cut back to the last whole frame");
+        // appends after the cut land on a clean boundary
+        wal.append(6, &batch(6), &dio).unwrap();
         drop(wal);
-        let (_w, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records.len(), 4);
+        assert_eq!(seqs(&Wal::open(&dir).unwrap().1), [3, 4, 5, 6]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_middle_record_is_rejected_at_tail() {
-        // A flipped byte in the middle record makes that frame (and
-        // everything after) untrusted: open keeps only the prefix.
+    fn damaged_record_before_a_whole_frame_is_corrupt() {
         let dir = tdir("midflip");
-        let dio = Dio::plain();
-        let mut wal = Wal::create(&dir).unwrap();
-        let mut offsets = Vec::new();
-        for seq in 1..=3u64 {
-            let mut payload = Vec::new();
-            seq.encode(&mut payload);
-            batch(seq).encode(&mut payload);
-            offsets.push(encode_frame(KIND_WAL, &payload).len());
-            wal.append(seq, &batch(seq), &dio).unwrap();
-        }
-        drop(wal);
-        let mut bytes = std::fs::read(wal_path(&dir)).unwrap();
-        let second_start = offsets[0];
-        bytes[second_start + FRAME_HEADER + 2] ^= 0xFF;
-        std::fs::write(wal_path(&dir), &bytes).unwrap();
-        let (_w, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records.len(), 1, "only the record before the flip survives");
+        drop(log_with(&dir, &[3, 4, 5], &Dio::plain()));
+        let mut bytes = std::fs::read(snapshot_path(&dir)).unwrap();
+        let fourth = bytes.len() - Wal::record_size(&batch(5)) - Wal::record_size(&batch(4));
+        bytes[fourth + FRAME_HEADER + 2] ^= 0xFF;
+        std::fs::write(snapshot_path(&dir), &bytes).unwrap();
+        assert!(corrupt_msg(&dir).contains("whole frame follows"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wal_append_retries_transient_faults() {
+    fn appends_retry_transient_faults() {
         let dir = tdir("retry");
-        let injector = FaultInjector::seeded(7).with_io_fail_once();
-        let dio = Dio::plain().with_injector(injector);
-        let mut wal = Wal::create(&dir).unwrap();
-        for seq in 1..=4u64 {
-            wal.append(seq, &batch(seq), &dio).unwrap();
-        }
+        let dio = Dio::plain().with_injector(FaultInjector::seeded(7).with_io_fail_once());
+        drop(log_with(&dir, &[3, 4, 5, 6], &dio));
         assert!(dio.metrics().snapshot().io_retries >= 1);
-        drop(wal);
-        let (_w, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records.len(), 4, "retried appends leave whole frames only");
+        let log = read(&dir).unwrap();
+        assert_eq!(
+            seqs(&log),
+            [3, 4, 5, 6],
+            "retried appends leave whole frames"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1068,19 +978,15 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let dir = tdir("snap");
-        let dio = Dio::plain();
         let st = state();
-        write_snapshot(&dir, &st, &dio).unwrap();
-        let file = read_snapshot(&dir).unwrap().unwrap();
+        drop(log_with(&dir, &[], &Dio::plain()));
+        let log = read(&dir).unwrap();
         assert_eq!(
-            (file.base_bytes, file.delta_bytes, file.torn_tail),
-            (
-                std::fs::metadata(snapshot_path(&dir)).unwrap().len(),
-                0,
-                false
-            )
+            (log.base_bytes, log.state_bytes, log.torn_at),
+            (len(&dir), 0, None)
         );
-        let back = file.state;
+        assert!(log.batches.is_empty());
+        let back = log.state;
         assert_eq!(back.table_name, st.table_name);
         assert_eq!(back.tuples, st.tuples);
         assert_eq!(back.seqs, st.seqs);
@@ -1110,7 +1016,6 @@ mod tests {
     #[test]
     fn windowed_snapshot_roundtrip() {
         let dir = tdir("snapwin");
-        let dio = Dio::plain();
         let mut st = state();
         st.window = Some(WindowState {
             size: 8,
@@ -1118,34 +1023,27 @@ mod tests {
             clock: 11,
             times: vec![9, 10],
         });
-        write_snapshot(&dir, &st, &dio).unwrap();
-        let back = read_snapshot(&dir).unwrap().unwrap().state;
-        assert_eq!(back.window, st.window);
+        Wal::create(&dir)
+            .unwrap()
+            .write_base(&st, &Dio::plain())
+            .unwrap();
+        assert_eq!(read(&dir).unwrap().state.window, st.window);
         // Misaligned event times are corruption, not a silent truncation.
         st.window.as_mut().unwrap().times.push(12);
-        let mut payload = Vec::new();
-        st.encode(&mut payload);
-        std::fs::write(snapshot_path(&dir), encode_frame(KIND_SNAPSHOT, &payload)).unwrap();
-        match read_snapshot(&dir) {
-            Err(Error::Corrupt(msg)) => assert!(msg.contains("window event times"), "{msg}"),
-            other => panic!("expected corruption error, got {other:?}"),
-        }
+        std::fs::write(snapshot_path(&dir), frame_of(KIND_SNAPSHOT, &st)).unwrap();
+        assert!(corrupt_msg(&dir).contains("window event times"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn snapshot_corruption_detected() {
         let dir = tdir("snapbad");
-        let dio = Dio::plain();
-        write_snapshot(&dir, &state(), &dio).unwrap();
+        drop(log_with(&dir, &[], &Dio::plain()));
         let mut bytes = std::fs::read(snapshot_path(&dir)).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(snapshot_path(&dir), &bytes).unwrap();
-        match read_snapshot(&dir) {
-            Err(Error::Corrupt(_)) | Err(Error::Parse(_)) => {}
-            other => panic!("expected corruption error, got {other:?}"),
-        }
+        corrupt_msg(&dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1156,22 +1054,19 @@ mod tests {
         state().encode(&mut payload);
         let frame = encode_frame_versioned(KIND_SNAPSHOT, FORMAT_VERSION + 1, &payload);
         std::fs::write(snapshot_path(&dir), &frame).unwrap();
-        match read_snapshot(&dir) {
-            Err(Error::Corrupt(msg)) => assert!(msg.contains("version"), "msg: {msg}"),
-            other => panic!("expected version rejection, got {other:?}"),
-        }
+        assert!(corrupt_msg(&dir).contains("version"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_snapshot_is_none() {
+    fn missing_log_is_an_io_error() {
         let dir = tdir("snapnone");
-        assert!(read_snapshot(&dir).unwrap().is_none());
+        assert!(matches!(read(&dir), Err(Error::Io(m)) if m.contains("no snapshot")));
         assert!(read_snapshot_table(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A delta frame over [`state`] (tuples 0 and 1 under sequence
+    /// A state frame over [`state`] (tuples 0 and 1 under sequence
     /// numbers 1 and 2): tuple 1 updated in place, tuple 0 removed, tuple
     /// 7 appended.
     fn delta() -> DeltaFrame {
@@ -1201,16 +1096,18 @@ mod tests {
     }
 
     /// Write `state()` as the base and append `frames` after it.
-    fn write_file(dir: &Path, frames: &[DeltaFrame]) {
+    fn write_file(dir: &Path, frames: &[DeltaFrame]) -> Wal {
         let dio = Dio::plain();
-        write_snapshot(dir, &state(), &dio).unwrap();
+        let mut wal = log_with(dir, &[], &dio);
         for f in frames {
-            append_delta_frame(dir, f.last_seq, &encode_delta_frame(f), &dio).unwrap();
+            wal.append_state(f.last_seq, &encode_delta_frame(f), &dio)
+                .unwrap();
         }
+        wal
     }
 
     fn corrupt_msg(dir: &Path) -> String {
-        match read_snapshot(dir) {
+        match read(dir) {
             Err(Error::Corrupt(msg)) => msg,
             other => panic!("expected Error::Corrupt, got {other:?}"),
         }
@@ -1230,13 +1127,10 @@ mod tests {
         }];
         second.items = state().items;
         write_file(&dir, &[delta(), second]);
-        let file = read_snapshot(&dir).unwrap().unwrap();
-        assert!(!file.torn_tail);
-        assert_eq!(
-            file.base_bytes + file.delta_bytes,
-            std::fs::metadata(snapshot_path(&dir)).unwrap().len()
-        );
-        let st = file.state;
+        let log = read(&dir).unwrap();
+        assert_eq!(log.torn_at, None);
+        assert_eq!(log.base_bytes + log.state_bytes, len(&dir));
+        let st = log.state;
         assert_eq!(
             st.tuples,
             vec![
@@ -1261,18 +1155,19 @@ mod tests {
             clock: 11,
             times: vec![9, 10],
         });
-        write_snapshot(&dir, &st, &dio).unwrap();
+        let mut wal = Wal::create(&dir).unwrap();
+        wal.write_base(&st, &dio).unwrap();
         let mut d = delta();
         d.clock = Some(13);
         (d.upserts[0].time, d.upserts[1].time) = (11, 12);
-        append_delta_frame(&dir, 5, &encode_delta_frame(&d), &dio).unwrap();
-        let back = read_snapshot(&dir).unwrap().unwrap().state;
-        let w = back.window.unwrap();
+        wal.append_state(5, &encode_delta_frame(&d), &dio).unwrap();
+        let w = read(&dir).unwrap().state.window.unwrap();
         assert_eq!((w.clock, w.times), (13, vec![11, 12]));
         // an unwindowed frame cannot follow a windowed base
         let mut plain = delta();
         (plain.prev_seq, plain.last_seq) = (5, 6);
-        append_delta_frame(&dir, 6, &encode_delta_frame(&plain), &dio).unwrap();
+        wal.append_state(6, &encode_delta_frame(&plain), &dio)
+            .unwrap();
         assert!(corrupt_msg(&dir).contains("windowed"));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1316,18 +1211,18 @@ mod tests {
         again.upserts.clear();
         write_file(&dir, &[delta(), again]);
         assert!(corrupt_msg(&dir).contains("twice"));
-        // trailing bytes inside a delta frame, and a base after the base
+        // trailing bytes inside a state frame, and a base after the base
         let dio = Dio::plain();
-        write_snapshot(&dir, &state(), &dio).unwrap();
         let mut payload = Vec::new();
         delta().encode(&mut payload);
         payload.push(0);
         let frame = encode_frame(KIND_SNAPSHOT_DELTA, &payload);
-        append_delta_frame(&dir, 5, &frame, &dio).unwrap();
+        let mut wal = write_file(&dir, &[]);
+        wal.append_state(5, &frame, &dio).unwrap();
         assert!(corrupt_msg(&dir).contains("trailing"));
-        write_snapshot(&dir, &state(), &dio).unwrap();
+        let mut wal = write_file(&dir, &[]);
         let base = std::fs::read(snapshot_path(&dir)).unwrap();
-        append_delta_frame(&dir, 5, &base, &dio).unwrap();
+        wal.append_state(5, &base, &dio).unwrap();
         assert!(corrupt_msg(&dir).contains("after the base"));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1335,8 +1230,8 @@ mod tests {
     #[test]
     fn torn_delta_frame_tail_is_reported_not_folded() {
         let dir = tdir("torntail");
-        write_file(&dir, &[delta()]);
-        let whole = std::fs::metadata(snapshot_path(&dir)).unwrap().len();
+        drop(write_file(&dir, &[delta()]));
+        let whole = len(&dir);
         let mut second = delta();
         (second.prev_seq, second.last_seq) = (5, 6);
         second.upserts.clear();
@@ -1346,15 +1241,13 @@ mod tests {
             .open(snapshot_path(&dir))
             .unwrap();
         f.write_all(&frame[..frame.len() / 2]).unwrap();
-        drop(f);
-        let file = read_snapshot(&dir).unwrap().unwrap();
-        assert!(file.torn_tail);
-        assert_eq!(file.state.last_seq, 5, "only the whole frame is folded");
-        assert_eq!(file.base_bytes + file.delta_bytes, whole);
-        truncate_snapshot(&dir, whole).unwrap();
-        let file = read_snapshot(&dir).unwrap().unwrap();
-        assert!(!file.torn_tail);
-        assert_eq!(file.state.last_seq, 5);
+        let log = read(&dir).unwrap();
+        assert_eq!(log.torn_at, Some(whole));
+        assert_eq!(log.state.last_seq, 5, "only the whole frame is folded");
+        assert_eq!(log.base_bytes + log.state_bytes, whole);
+        let (_wal, log) = Wal::open(&dir).unwrap();
+        assert_eq!((log.state.last_seq, len(&dir)), (5, whole));
+        assert_eq!(read(&dir).unwrap().torn_at, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,6 +19,7 @@ use crate::ServeOptions;
 use bigdansing::{BigDansing, CleanseOptions, DurabilityOptions, Session};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{csv, Result, Table};
+use bigdansing_incremental::wal::snapshot_path;
 use bigdansing_incremental::{DeltaBatch, DeltaOp};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Instant;
@@ -228,13 +229,9 @@ impl Shard {
             Some(dir) => {
                 let durability =
                     DurabilityOptions::new(&dir).snapshot_every(self.opts.snapshot_every);
-                use bigdansing_incremental::wal::{SNAPSHOT_FILE, WAL_FILE};
-                if dir.join(WAL_FILE).exists() || dir.join(SNAPSHOT_FILE).exists() {
+                if snapshot_path(&dir).exists() {
                     // a previous incarnation left durable state: resume it
-                    match self.sys.recover_session(copts.clone(), durability.clone()) {
-                        Ok((s, _)) => s,
-                        Err(_) => self.sys.open_durable_session(&empty, copts, durability)?,
-                    }
+                    self.sys.recover_session(copts, durability)?.0
                 } else {
                     self.sys.open_durable_session(&empty, copts, durability)?
                 }
@@ -334,7 +331,7 @@ impl Shard {
             let batch = DeltaBatch { ops };
             let applied = self.sys.apply_delta(&mut t.session, batch);
             // a poisoned durable session can be rebuilt in place: the
-            // failed batch is already in the WAL, so recovery replays it
+            // failed batch is already in the log, so recovery replays it
             if applied.is_err() && t.session.is_poisoned() {
                 if let Some(dir) = &durable {
                     let copts = {

@@ -2,15 +2,15 @@
 //!
 //! Each case forks the CLI in its hidden `crash-apply` mode with
 //! `BIGDANSING_CRASH_AT=<point>[:N]` set, so the child process aborts
-//! itself at a seeded durability crash point — mid-WAL-append (torn
-//! frame on disk), after the WAL fsync but before any in-memory
-//! mutation, mid-append of a snapshot delta frame (torn frame tailing
-//! `snapshot.bin`), after that frame's fsync but before the WAL is
-//! truncated, or mid-rename of a base rewrite (complete temp file, old
-//! base and its delta frames still visible). The parent then recovers the durable directory
-//! through the library, applies whatever batches the crash swallowed,
-//! and asserts the result is identical to an uninterrupted sequential
-//! session over the same inputs.
+//! itself at a seeded durability crash point — mid-append of a batch
+//! record (torn frame tailing the log, `snapshot.bin`), after the
+//! record's fsync but before any in-memory mutation, mid-append of a
+//! state frame (torn frame after the records it covers), after that
+//! frame's fsync, or mid-rename of a base rewrite (complete temp file,
+//! old base and everything after it still visible). The parent then
+//! recovers the durable directory through the library, applies whatever
+//! batches the crash swallowed, and asserts the result is identical to
+//! an uninterrupted sequential session over the same inputs.
 
 use bigdansing::{
     BigDansing, CleanseOptions, DeltaBatch, DurabilityOptions, RecoverStats, Session,
@@ -125,7 +125,7 @@ impl Scenario {
     }
 
     /// Recover the durable directory and finish applying the batches
-    /// the crash swallowed (WAL sequence numbers are 1-based and map
+    /// the crash swallowed (batch sequence numbers are 1-based and map
     /// directly onto the delta file order).
     fn recover_and_finish(&self) -> (Session, RecoverStats) {
         let sys = Self::system();
@@ -178,8 +178,8 @@ fn assert_parity(recovered: &Session, oracle: &Session, context: &str) {
 
 /// Crash the child at `crash_at`, recover, finish the stream, and
 /// compare with the uninterrupted run. `expect` is what recovery itself
-/// must report (before the catch-up applies): the batch the snapshot
-/// file covered, how many WAL records were replayed on top, and the
+/// must report (before the catch-up applies): the batch the log's state
+/// frames covered, how many batch records were replayed on top, and the
 /// batch the recovered session stood at.
 fn run_case(tag: &str, crash_at: &str, expect: RecoverStats) {
     let scenario = Scenario::new(tag);
@@ -205,10 +205,10 @@ fn stats(snapshot_seq: u64, replayed: u64, last_seq: u64) -> RecoverStats {
 }
 
 // With `--snapshot-every 2` over the two-row base, batch 2 appends a
-// delta frame to the baseline and batch 4 rewrites the base (that one
+// state frame after the baseline and batch 4 rewrites the base (that one
 // frame plus the next would outweigh it).
 
-/// Kill mid-append on batch 2: a torn half-frame tails the WAL. Only
+/// Kill mid-append on batch 2: a torn half-record tails the log. Only
 /// batch 1 is recoverable; recovery truncates the tear and the parent
 /// re-applies batches 2–4.
 #[test]
@@ -223,18 +223,16 @@ fn crash_after_wal_sync_recovers_to_parity() {
     run_case("post-sync", "wal-post-sync:2", stats(0, 2, 2));
 }
 
-/// Kill mid-append of the first delta frame (after batch 2): half a
-/// frame tails `snapshot.bin`, and the WAL — truncated only once a frame
-/// is whole on disk — still holds batches 1 and 2. Recovery drops the
-/// tear and replays them.
+/// Kill mid-append of the first state frame (after batch 2): half a
+/// frame tails the log, after the records of batches 1 and 2. Recovery
+/// drops the tear and replays them.
 #[test]
 fn crash_mid_delta_frame_append_recovers_to_parity() {
     run_case("delta-torn", "snapshot-delta-pre-sync:1", stats(0, 2, 2));
 }
 
-/// Kill after the delta frame's fsync but before the WAL truncate: the
-/// frame covers batches 1 and 2, so the WAL records that survived with
-/// it are skipped, not applied twice.
+/// Kill right after the state frame's fsync: the frame covers batches 1
+/// and 2, so their records before it are skipped, not applied twice.
 #[test]
 fn crash_after_delta_frame_sync_recovers_to_parity() {
     run_case("delta-synced", "snapshot-delta-post-sync:1", stats(2, 0, 2));
@@ -242,8 +240,8 @@ fn crash_after_delta_frame_sync_recovers_to_parity() {
 
 /// Kill between the temp-file fsync and the rename of the base rewrite
 /// after batch 4 (the second base — the first is the baseline at open):
-/// the old base *and the delta frame appended to it* must still be
-/// intact, the orphan temp swept, and the WAL replay of batches 3 and 4
+/// the old base *and the frames appended to it* must still be intact,
+/// the orphan temp swept, and the replay of batch records 3 and 4
 /// must reach the state the new base would have captured.
 #[test]
 fn crash_mid_base_rewrite_rename_recovers_to_parity() {
@@ -273,7 +271,7 @@ fn clean_run_recovers_to_parity() {
     );
     let (recovered, stats) = scenario.recover_and_finish();
     assert_eq!(stats.last_seq, 4);
-    assert_eq!(stats.replayed, 0, "snapshot at seq 4 covers the whole WAL");
+    assert_eq!(stats.replayed, 0, "the base at seq 4 covers every batch");
     let oracle = scenario.oracle();
     assert_parity(&recovered, &oracle, "clean");
     scenario.cleanup();
@@ -336,7 +334,7 @@ fn poisoned_windowed_session_recovers_with_window_state_intact() {
     sys.apply_delta(&mut s, batch1()).unwrap();
     assert_eq!(s.watermark(), Some(2), "base ts 0,1 + one arrival");
 
-    // arm the fault: the apply is WAL-logged, then fails and poisons
+    // arm the fault: the apply is logged, then fails and poisons
     ARMED.store(true, Ordering::SeqCst);
     assert!(sys.apply_delta(&mut s, batch2()).is_err());
     assert!(s.is_poisoned());
@@ -348,7 +346,7 @@ fn poisoned_windowed_session_recovers_with_window_state_intact() {
         .unwrap();
     assert!(
         stats.replayed >= 1,
-        "the poisoned batch replays from the WAL"
+        "the poisoned batch replays from the log"
     );
     // tuple 11 takes event time 3, closing tumbling window [0,3):
     // tuples with ts 0,1,2 retire — only tuple 11 stays live

@@ -431,6 +431,40 @@ fn durable_tenants_resume_across_restarts() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A tenant whose log is damaged is not silently reopened empty, and
+/// the client learns why.
+#[test]
+fn corrupt_tenant_log_reports_the_corruption() {
+    let root = std::env::temp_dir().join(format!("bd-serve-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mk_opts = || {
+        let mut opts = base_opts();
+        opts.durable_root = Some(root.clone());
+        opts
+    };
+    let mut server = Server::start("127.0.0.1:0", mk_opts()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let r = c.post("/tenant/acme/records?wait=1", "insert,1,90210,LA\n");
+    assert_eq!(r.unwrap().status, 200);
+    server.shutdown();
+
+    // flip a byte inside the base frame's payload
+    let log = root.join("shard0").join("acme").join("snapshot.bin");
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes[20] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let mut server = Server::start("127.0.0.1:0", mk_opts()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let r = c
+        .post("/tenant/acme/records?wait=1", "insert,2,10001,NY\n")
+        .unwrap();
+    assert_eq!(r.status, 500, "{}", r.body);
+    assert!(r.body.contains("corrupt data"), "{}", r.body);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn tenants_spread_across_shards_and_bad_ids_rejected() {
     let mut opts = base_opts();
