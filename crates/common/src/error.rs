@@ -26,35 +26,6 @@ impl fmt::Display for CancelReason {
     }
 }
 
-/// How a failure is expected to behave under retry — the contract the
-/// retry loop and the per-rule circuit breakers key on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorClass {
-    /// May succeed on a re-attempt (I/O hiccups, lost races). Worth the
-    /// retry/backoff budget.
-    Transient,
-    /// Same input, same failure: parse errors, plan validation, a UDF
-    /// that panics with the same payload on the same partition.
-    /// Retrying burns the backoff budget without any chance of success,
-    /// so the retry loop short-circuits and circuit breakers trip
-    /// immediately.
-    Deterministic,
-    /// The job hit a resource envelope (memory ceiling, deadline,
-    /// admission gate). Retrying now would fail the same way; retrying
-    /// later, with more headroom, might not.
-    Resource,
-}
-
-impl fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ErrorClass::Transient => write!(f, "transient"),
-            ErrorClass::Deterministic => write!(f, "deterministic"),
-            ErrorClass::Resource => write!(f, "resource"),
-        }
-    }
-}
-
 /// The error type for BigDansing operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
@@ -89,7 +60,7 @@ pub enum Error {
         cause: String,
     },
     /// A job was cancelled cooperatively between partition tasks —
-    /// explicitly, by a deadline watchdog, or by the memory-budget hard
+    /// explicitly, by its deadline passing, or by the memory-budget hard
     /// ceiling. The job's spill files are cleaned up before this
     /// surfaces.
     Cancelled {
@@ -107,10 +78,9 @@ pub enum Error {
         limit: usize,
     },
     /// A rule-scoped fault raised by the isolation layer: a detect /
-    /// genfix pass that exceeded its soft time budget, hit an outlier
-    /// block in strict mode, or failed while its circuit breaker was
-    /// counting it out. Carries the rule name so callers can attribute
-    /// the failure to one rule instead of the whole job.
+    /// genfix pass that exceeded its soft time budget or hit an outlier
+    /// block in strict mode. Carries the rule name so callers can
+    /// attribute the failure to one rule instead of the whole job.
     Rule {
         /// Name of the faulty rule.
         rule: String,
@@ -120,25 +90,11 @@ pub enum Error {
 }
 
 impl Error {
-    /// Classify this error for the retry loop and circuit breakers.
-    ///
-    /// `Task` is classified deterministic: the per-task retries already
-    /// absorbed any transient cause, so what escapes the budget is
-    /// presumed to reproduce. `Cancelled` / `Rejected` are resource
-    /// failures — they reflect the job's envelope, not its input.
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            Error::Io(_) => ErrorClass::Transient,
-            Error::RuleParse(_)
-            | Error::InvalidPlan(_)
-            | Error::Schema(_)
-            | Error::Parse(_)
-            | Error::Corrupt(_)
-            | Error::Repair(_)
-            | Error::Task { .. }
-            | Error::Rule { .. } => ErrorClass::Deterministic,
-            Error::Cancelled { .. } | Error::Rejected { .. } => ErrorClass::Resource,
-        }
+    /// Whether a retry may succeed: true for I/O failures only. Every
+    /// other error reproduces on the same input (a `Task` error already
+    /// spent its retries), so the task runner does not retry it.
+    pub fn is_transient(&self) -> bool {
+        matches!(self, Error::Io(_))
     }
 }
 
@@ -257,45 +213,25 @@ mod tests {
     }
 
     #[test]
-    fn error_classes_partition_the_variants() {
-        assert_eq!(Error::Io("flaky".into()).class(), ErrorClass::Transient);
-        assert_eq!(
-            Error::Parse("bad row".into()).class(),
-            ErrorClass::Deterministic
-        );
-        assert_eq!(
-            Error::Rule {
-                rule: "r".into(),
-                cause: "c".into()
-            }
-            .class(),
-            ErrorClass::Deterministic
-        );
-        assert_eq!(
-            Error::Task {
-                partition: 0,
-                attempts: 3,
-                cause: "boom".into()
-            }
-            .class(),
-            ErrorClass::Deterministic
-        );
-        assert_eq!(
-            Error::Cancelled {
-                job: "j".into(),
-                reason: CancelReason::MemoryExceeded
-            }
-            .class(),
-            ErrorClass::Resource
-        );
-        assert_eq!(
-            Error::Rejected {
-                job: "j".into(),
-                limit: 1
-            }
-            .class(),
-            ErrorClass::Resource
-        );
+    fn only_io_errors_are_transient() {
+        assert!(Error::Io("flaky".into()).is_transient());
+        assert!(!Error::Parse("bad row".into()).is_transient());
+        assert!(!Error::Rule {
+            rule: "r".into(),
+            cause: "c".into()
+        }
+        .is_transient());
+        assert!(!Error::Task {
+            partition: 0,
+            attempts: 3,
+            cause: "boom".into()
+        }
+        .is_transient());
+        assert!(!Error::Cancelled {
+            job: "j".into(),
+            reason: CancelReason::MemoryExceeded
+        }
+        .is_transient());
     }
 
     #[test]

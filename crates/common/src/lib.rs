@@ -47,7 +47,7 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use error::{CancelReason, Error, ErrorClass, Result};
+pub use error::{CancelReason, Error, Result};
 pub use hash::{stable_hash_of, StableHasher};
 pub use keys::{KeyDict, KeyId};
 pub use minhash::LshParams;

@@ -98,14 +98,16 @@ counters! {
     tasks_retried,
     /// Worker panics caught and isolated by the task runner.
     panics_caught,
-    /// Spill read/write attempts that failed (before any retry).
+    /// Spills that failed for good: a spill directory that could not be
+    /// created, a write that exhausted its retries, or a checkpoint
+    /// partition that did not read back.
     spill_failures,
     /// Checkpoints that degraded from disk-backed to in-memory because
-    /// the spill directory was unusable.
+    /// a spill failed.
     stages_degraded,
     /// Jobs cancelled cooperatively (user, deadline, or memory ceiling).
     jobs_cancelled,
-    /// Deadline watchdog firings that actually tripped a job's token.
+    /// Jobs that ended cancelled because their deadline passed.
     deadline_trips,
     /// Encoded bytes registered in the engine's memory ledger.
     bytes_tracked,
@@ -149,14 +151,12 @@ counters! {
     wal_appends,
     /// Durable session snapshots written atomically.
     snapshots_written,
-    /// Retry attempts skipped because the failure was classified
-    /// deterministic (same panic payload twice on one partition, or a
-    /// typed deterministic error) — backoff budget not burned.
+    /// Retry attempts skipped because the failure would repeat (same
+    /// panic payload twice on one partition, or a typed error that is
+    /// not transient) — backoff budget not burned.
     retries_short_circuited,
-    /// Per-rule circuit breakers that transitioned closed → open.
-    breaker_trips,
-    /// Rules quarantined for the rest of a job (or session) by an open
-    /// breaker.
+    /// Rules quarantined for the rest of a job (or session) after a
+    /// failed detect pass in partial mode.
     rules_quarantined,
     /// Candidate units skipped by the outlier-block guard in partial
     /// mode instead of failing the rule.

@@ -4,97 +4,35 @@
 //! freeze-counter termination rule and the change accounting.
 
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::bulkhead::{Bulkhead, IsolationOptions, RuleGuard};
-use bigdansing_dataflow::PDataset;
+use bigdansing_common::{Cell, Error, Result, Table, Tuple, TupleId, Value};
+use bigdansing_dataflow::{PDataset, RuleGuard};
 use bigdansing_plan::physical::{choose_strategy_with, pipeline_for_rule};
 use bigdansing_plan::{Delta, Executor, IterateStrategy, Origin, RulePipeline};
-use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
 use bigdansing_rules::Rule;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-// Strategy selection lives in the repair crate so the incremental
-// session (which cannot depend on this crate) shares the exact same
-// dispatch; re-exported here for source compatibility.
+// The options and strategy selection live below this crate so the
+// incremental session shares them; re-exported here for source
+// compatibility.
+pub use bigdansing_incremental::{validate_lsh_override, CleanseOptions};
 pub use bigdansing_repair::RepairStrategy;
-
-/// Options for [`cleanse_loop`].
-#[derive(Debug, Clone)]
-pub struct CleanseOptions {
-    /// Maximum detect ⇄ repair iterations.
-    pub max_iterations: usize,
-    /// Freeze threshold: after this many updates a cell stops changing
-    /// (the paper's "special variable" guaranteeing termination).
-    pub max_changes_per_cell: usize,
-    /// Repair strategy.
-    pub strategy: RepairStrategy,
-    /// Options forwarded to the parallel black-box driver.
-    pub repair_options: RepairOptions,
-    /// Rule-isolation knobs: strict-vs-partial fault mode, per-rule
-    /// soft time budget, outlier-block threshold, breaker tuning.
-    pub isolation: IsolationOptions,
-    /// Violation window for *incremental sessions* opened through
-    /// [`crate::BigDansing::open_session`] and friends: arriving
-    /// records get logical event times and tuples behind the watermark
-    /// are retired with their violations retracted. Ignored by the
-    /// batch [`cleanse_loop`] (a one-shot table has no stream to
-    /// window).
-    pub window: Option<bigdansing_incremental::WindowSpec>,
-    /// Job-level override of the MinHash/LSH banding geometry. Applies
-    /// to every registered similarity rule (a rule whose
-    /// [`Rule::lsh`] is `Some`); a job that sets this while no
-    /// registered rule declares LSH blocking is rejected up front —
-    /// the override would silently do nothing.
-    pub lsh: Option<LshParams>,
-}
-
-impl Default for CleanseOptions {
-    fn default() -> Self {
-        CleanseOptions {
-            max_iterations: 10,
-            max_changes_per_cell: 3,
-            strategy: RepairStrategy::default(),
-            repair_options: RepairOptions::default(),
-            isolation: IsolationOptions::default(),
-            window: None,
-            lsh: None,
-        }
-    }
-}
-
-/// Reject a job-level LSH override that no rule can honour: the
-/// banding geometry only applies to similarity rules, so if none of
-/// the registered rules declares LSH blocking the override is a
-/// configuration mistake, not a no-op.
-pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) -> Result<()> {
-    if options.lsh.is_some() && !rules.iter().any(|r| r.lsh().is_some()) {
-        return Err(Error::Repair(
-            "LSH blocking options apply only to similarity rules, but no registered rule \
-             declares LSH blocking — register a dedup/similarity rule or drop the LSH options"
-                .into(),
-        ));
-    }
-    Ok(())
-}
 
 /// One rule's health at the end of a cleansing run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuleHealth {
     /// Every pass completed, nothing skipped.
     Completed,
-    /// The rule ran but some passes failed (below the breaker
-    /// threshold) or the straggler guard skipped candidate units.
+    /// The rule ran, but the straggler guard skipped candidate units.
     Degraded {
         /// Candidate units skipped by the outlier-block guard.
         units_skipped: u64,
     },
-    /// The rule's circuit breaker opened; its detection was abandoned
-    /// for the rest of the job and it contributed no violations after
-    /// the trip.
+    /// A detect pass of the rule failed in partial mode: the rule was
+    /// abandoned for the rest of the job and its detections dropped.
     Quarantined {
-        /// The failure that opened the breaker.
+        /// The failure that quarantined the rule.
         cause: String,
     },
 }
@@ -106,10 +44,9 @@ pub struct CleanseOutcome {
     /// `(rule name, health)` in registration order.
     pub rules: Vec<(String, RuleHealth)>,
     /// Fraction in `[0, 1]` of the job's detection work that actually
-    /// ran: each rule scores `(successful rounds / attempted rounds) ×
-    /// (units processed / units enumerated)`, quarantined rules score
-    /// 0, and the job's fraction is the mean over rules. `1.0` means a
-    /// complete, undegraded cleanse.
+    /// ran: each rule scores `units processed / units enumerated`,
+    /// quarantined rules score 0, and the job's fraction is the mean
+    /// over rules. `1.0` means a complete, undegraded cleanse.
     pub completeness: f64,
 }
 
@@ -160,34 +97,30 @@ struct RuleTracker {
     name: String,
     units_processed: u64,
     units_skipped: u64,
-    rounds_ok: u32,
-    rounds_failed: u32,
+    /// The failure that quarantined the rule, once one has.
+    quarantined: Option<String>,
 }
 
-/// Summarize tracker + breaker state into the per-rule health report
-/// and the job completeness fraction.
-fn health_report(bulkhead: &Bulkhead, trackers: &[RuleTracker]) -> CleanseOutcome {
+/// Summarize the trackers into the per-rule health report and the job
+/// completeness fraction.
+fn health_report(trackers: &[RuleTracker]) -> CleanseOutcome {
     let mut rules = Vec::with_capacity(trackers.len());
     let mut score_sum = 0.0f64;
     for t in trackers {
-        let (health, score) = if let Some(cause) = bulkhead.quarantine_cause(&t.name) {
-            (RuleHealth::Quarantined { cause }, 0.0)
-        } else if t.units_skipped > 0 || t.rounds_failed > 0 {
-            let attempted = (t.rounds_ok + t.rounds_failed).max(1) as f64;
-            let enumerated = t.units_processed + t.units_skipped;
-            let unit_fraction = if enumerated > 0 {
-                t.units_processed as f64 / enumerated as f64
-            } else {
-                1.0
-            };
-            (
+        let (health, score) = match &t.quarantined {
+            Some(cause) => (
+                RuleHealth::Quarantined {
+                    cause: cause.clone(),
+                },
+                0.0,
+            ),
+            None if t.units_skipped > 0 => (
                 RuleHealth::Degraded {
                     units_skipped: t.units_skipped,
                 },
-                (t.rounds_ok as f64 / attempted) * unit_fraction,
-            )
-        } else {
-            (RuleHealth::Completed, 1.0)
+                t.units_processed as f64 / (t.units_processed + t.units_skipped) as f64,
+            ),
+            None => (RuleHealth::Completed, 1.0),
         };
         score_sum += score;
         rules.push((t.name.clone(), health));
@@ -214,7 +147,6 @@ struct BatchTarget<'a> {
     executor: &'a Executor,
     pipelines: Vec<RulePipeline>,
     options: &'a CleanseOptions,
-    bulkhead: Bulkhead,
     trackers: Vec<RuleTracker>,
     table: Table,
     /// The detections of the table as of the last detect…
@@ -251,11 +183,11 @@ impl BatchTarget<'_> {
 impl RepairTarget for BatchTarget<'_> {
     /// One isolation-aware detect round: a shared scan, then every
     /// non-quarantined rule's pipeline under its own [`RuleGuard`]. In
-    /// partial mode a failing rule is counted against its breaker and
-    /// contributes nothing this round — what it carried is dropped with
-    /// it; strict mode propagates the first failure. Cancellation and
-    /// admission errors always propagate — they are about the job, not
-    /// a rule.
+    /// partial mode a failing rule is quarantined for the rest of the
+    /// job, as a session quarantines it, and what it carried is dropped
+    /// with it; strict mode propagates the first failure. Cancellation
+    /// and admission errors always propagate — they are about the job,
+    /// not a rule.
     fn detect(&mut self) -> Result<&[Detected]> {
         let (executor, iso) = (self.executor, &self.options.isolation);
         let engine = executor.engine();
@@ -268,22 +200,20 @@ impl RepairTarget for BatchTarget<'_> {
         let delta = Arc::new(self.pending.take().unwrap_or_default());
         for (i, pipeline) in self.pipelines.iter().enumerate() {
             engine.check_cancelled()?;
-            let name = pipeline.rule.name();
             // a rule carrying nothing is detected in full
             let delta = std::mem::take(&mut self.current[i]).then_some(&delta);
-            if !self.bulkhead.admit(name) {
+            let tracker = &mut self.trackers[i];
+            if tracker.quarantined.is_some() {
                 continue;
             }
-            let guard = RuleGuard::arm(name, iso);
+            let guard = RuleGuard::arm(pipeline.rule.name(), iso);
             let data = data.duplicate()?;
             let run = executor.run_pipeline(data, pipeline, Some(&guard), delta);
-            self.trackers[i].units_processed += guard.units_processed();
-            self.trackers[i].units_skipped += guard.units_skipped();
+            tracker.units_processed += guard.units_processed();
+            tracker.units_skipped += guard.units_skipped();
             Metrics::add(&metrics.units_skipped, guard.units_skipped());
             match run {
                 Ok(o) => {
-                    self.trackers[i].rounds_ok += 1;
-                    self.bulkhead.record_success(name);
                     self.current[i] = true;
                     self.detected.extend(o.detected);
                     self.origins
@@ -292,14 +222,11 @@ impl RepairTarget for BatchTarget<'_> {
                 Err(e @ Error::Cancelled { .. }) | Err(e @ Error::Rejected { .. }) => {
                     return Err(e)
                 }
-                Err(e) => {
-                    if !iso.is_partial() {
-                        return Err(e);
-                    }
-                    self.trackers[i].rounds_failed += 1;
-                    self.bulkhead
-                        .record_failure(name, e.class(), &e.to_string());
+                Err(e) if iso.is_partial() => {
+                    tracker.quarantined = Some(e.to_string());
+                    Metrics::add(&metrics.rules_quarantined, 1);
                 }
+                Err(e) => return Err(e),
             }
         }
         // a rule that was skipped or failed contributes nothing
@@ -346,11 +273,12 @@ impl RepairTarget for BatchTarget<'_> {
 
 /// Run the full cleansing process over `table`.
 ///
-/// With [`IsolationOptions::partial`] in the options, rule faults
-/// degrade the result instead of failing it: each rule's detection runs
-/// under its own circuit breaker and guard, a quarantined rule's
-/// violations are excluded from repair, and the returned
-/// [`CleanseResult::outcome`] attributes what was lost to which rule.
+/// With [`bigdansing_dataflow::IsolationOptions::partial`] in the
+/// options, rule faults degrade the result instead of failing it: each
+/// rule's detection runs under its own guard, a rule whose pass fails is
+/// quarantined and its violations are excluded from repair, and the
+/// returned [`CleanseResult::outcome`] attributes what was lost to which
+/// rule.
 pub fn cleanse_loop(
     executor: &Executor,
     rules: &[Arc<dyn Rule>],
@@ -370,11 +298,6 @@ pub fn cleanse_loop(
         executor,
         pipelines: rules.iter().map(pipeline).collect(),
         options: &options,
-        bulkhead: Bulkhead::new(
-            options.isolation.breaker,
-            options.isolation.mode,
-            executor.engine().metrics().clone(),
-        ),
         trackers: rules
             .iter()
             .map(|r| RuleTracker {
@@ -399,7 +322,7 @@ pub fn cleanse_loop(
         },
     )?;
     Ok(CleanseResult {
-        outcome: health_report(&target.bulkhead, &target.trackers),
+        outcome: health_report(&target.trackers),
         table: target.table,
         iterations: rounds.iterations,
         total_violations: rounds.total_violations,
@@ -413,8 +336,8 @@ pub fn cleanse_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigdansing_common::Schema;
-    use bigdansing_dataflow::Engine;
+    use bigdansing_common::{LshParams, Schema};
+    use bigdansing_dataflow::{Engine, IsolationOptions};
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{DcRule, DedupRule, DetectUnit, FdRule, UdfRule, UnitKind, Violation};
     use std::collections::HashMap;
@@ -599,7 +522,7 @@ mod tests {
         assert_eq!(res.table.diff_cells(&oracle.table), 0);
     }
 
-    /// A rule whose breaker opens in a later round takes its carried
+    /// A rule quarantined in a later round takes its carried
     /// detections with it: the job ends exactly as if the rule had never
     /// been registered, apart from the violations it reported while
     /// healthy.

@@ -37,17 +37,19 @@
 //! assert!(sys.detect(&result.table).unwrap().is_clean());
 //! ```
 //!
-//! Stages run fault-tolerantly: worker panics and spill I/O errors are
-//! caught and retried under the engine's [`FaultPolicy`]; exhausted
-//! retries surface as a typed [`Error::Task`] instead of a crash. See
-//! [`Engine::builder`] for the retry/backoff/injection knobs.
+//! Stages run fault-tolerantly: worker panics are caught and retried
+//! under the engine's [`FaultPolicy`], and exhausted retries surface as
+//! a typed [`Error::Task`] instead of a crash; a failed spill falls back
+//! to the in-memory partitions. See [`Engine::builder`] for the
+//! retry/backoff/injection knobs.
 //!
 //! Jobs run under **resource governance**: an optional
 //! [`AdmissionControl`] gate bounds concurrent jobs (queue-or-reject), a
-//! per-job or engine-wide wall-clock deadline cancels runaway jobs
-//! cooperatively ([`Error::Cancelled`] with the job's spill files
-//! removed), and a [`MemoryBudget`] evicts the coldest checkpointed
-//! datasets to disk under pressure instead of growing without bound.
+//! per-job wall-clock deadline ([`BigDansing::with_deadline`]) cancels
+//! runaway jobs cooperatively ([`Error::Cancelled`] with the job's spill
+//! files removed), and a [`MemoryBudget`] evicts the coldest
+//! checkpointed datasets to disk under pressure instead of growing
+//! without bound.
 //!
 //! For evolving tables, an **incremental cleansing** subsystem keeps a
 //! [`Session`] whose persistent block index and violation store let a
@@ -74,13 +76,12 @@ pub use bigdansing_common::{
 };
 pub use bigdansing_incremental::{
     apply_batch_to_table, read_snapshot_table, DeltaBatch, DeltaOp, DeltaReport, DurabilityOptions,
-    RecoverStats, Session, SessionOptions, WindowSpec,
+    RecoverStats, Session, WindowSpec,
 };
 
 pub use bigdansing_dataflow::{
-    BreakerConfig, BreakerState, Bulkhead, CancellationToken, Engine, EngineBuilder, ExecMode,
-    FaultInjector, FaultMode, FaultPolicy, IsolationOptions, JobGuard, MemoryBudget, PDataset,
-    SpillFallback,
+    CancellationToken, Engine, EngineBuilder, ExecMode, FaultInjector, FaultMode, FaultPolicy,
+    IsolationOptions, JobGuard, MemoryBudget, PDataset,
 };
 pub use bigdansing_plan::{DetectOutput, Executor, IterateStrategy, Job};
 pub use bigdansing_repair::blackbox::RepairOptions;

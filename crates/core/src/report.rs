@@ -151,15 +151,11 @@ pub fn fault_summary(m: &MetricsSnapshot) -> Option<String> {
             m.wal_appends, m.snapshots_written, m.io_retries
         ));
     }
-    if m.breaker_trips != 0
-        || m.rules_quarantined != 0
-        || m.units_skipped != 0
-        || m.retries_short_circuited != 0
-    {
+    if m.rules_quarantined != 0 || m.units_skipped != 0 || m.retries_short_circuited != 0 {
         lines.push(format!(
-            "isolation: {} breaker trip(s), {} rule(s) quarantined, \
-             {} unit(s) skipped by guards, {} retry(ies) short-circuited",
-            m.breaker_trips, m.rules_quarantined, m.units_skipped, m.retries_short_circuited
+            "isolation: {} rule(s) quarantined, {} unit(s) skipped by guards, \
+             {} retry(ies) short-circuited",
+            m.rules_quarantined, m.units_skipped, m.retries_short_circuited
         ));
     }
     if lines.is_empty() {
@@ -397,14 +393,12 @@ mod tests {
     #[test]
     fn fault_summary_reports_isolation_counters() {
         let snap = bigdansing_common::metrics::MetricsSnapshot {
-            breaker_trips: 1,
             rules_quarantined: 1,
             units_skipped: 5,
             retries_short_circuited: 2,
             ..Default::default()
         };
         let line = fault_summary(&snap).unwrap();
-        assert!(line.contains("1 breaker trip(s)"), "{line}");
         assert!(line.contains("1 rule(s) quarantined"), "{line}");
         assert!(line.contains("5 unit(s) skipped"), "{line}");
         assert!(line.contains("2 retry(ies) short-circuited"), "{line}");

@@ -6,9 +6,7 @@ use crate::cleanse::{cleanse_loop, CleanseOptions, CleanseResult};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Error, Result, Schema, Table};
 use bigdansing_dataflow::Engine;
-use bigdansing_incremental::{
-    DeltaBatch, DeltaReport, DurabilityOptions, RecoverStats, Session, SessionOptions,
-};
+use bigdansing_incremental::{DeltaBatch, DeltaReport, DurabilityOptions, RecoverStats, Session};
 use bigdansing_plan::{physical, DetectOutput, Executor, Job};
 use bigdansing_rules::{CfdRule, DcRule, FdRule, Rule};
 use std::collections::HashMap;
@@ -228,10 +226,8 @@ impl BigDansing {
     }
 
     /// Give every job submitted through this system a wall-clock
-    /// deadline; a job still running past it is cancelled with
-    /// [`Error::Cancelled`] (`reason: DeadlineExceeded`). Overrides the
-    /// engine-wide default from
-    /// [`bigdansing_dataflow::EngineBuilder::deadline`].
+    /// deadline; a job still running past it is cancelled at its next
+    /// check with [`Error::Cancelled`] (`reason: DeadlineExceeded`).
     pub fn with_deadline(mut self, deadline: Duration) -> BigDansing {
         self.deadline = Some(deadline);
         self
@@ -247,8 +243,8 @@ impl BigDansing {
 
     /// Run `f` as one governed job: admission gate first, then a
     /// [`bigdansing_dataflow::JobGuard`] carrying the cancellation token
-    /// and deadline watchdog; the guard's completion accounts
-    /// cancellations and removes the job's spill files.
+    /// and its deadline; the guard's completion accounts cancellations
+    /// and removes the job's spill files.
     fn governed<R>(&self, kind: &str, f: impl FnOnce() -> Result<R>) -> Result<R> {
         let seq = self.job_seq.fetch_add(1, Ordering::Relaxed);
         let name = format!("{kind}-{seq}");
@@ -281,21 +277,6 @@ impl BigDansing {
         })
     }
 
-    /// The session-side form of `options`, after checking that a
-    /// job-level LSH override has a similarity rule to apply to.
-    fn session_options(&self, options: CleanseOptions) -> Result<SessionOptions> {
-        crate::cleanse::validate_lsh_override(&options, &self.rules)?;
-        Ok(SessionOptions {
-            max_iterations: options.max_iterations,
-            max_changes_per_cell: options.max_changes_per_cell,
-            strategy: options.strategy,
-            repair_options: options.repair_options,
-            isolation: options.isolation,
-            window: options.window,
-            lsh: options.lsh,
-        })
-    }
-
     /// Open an incremental cleansing [`Session`] over `table` with the
     /// registered rules. The session keeps a persistent block index and
     /// violation store so later [`Self::apply_delta`] calls reprocess
@@ -303,12 +284,7 @@ impl BigDansing {
     /// detect as a governed job (admission, deadline, cancellation).
     pub fn open_session(&self, table: &Table, options: CleanseOptions) -> Result<Session> {
         self.governed("session-open", || {
-            Session::new(
-                self.executor.clone(),
-                self.rules.clone(),
-                table,
-                self.session_options(options)?,
-            )
+            Session::new(self.executor.clone(), self.rules.clone(), table, options)
         })
     }
 
@@ -330,7 +306,7 @@ impl BigDansing {
                 self.executor.clone(),
                 self.rules.clone(),
                 table,
-                self.session_options(options)?,
+                options,
                 durability,
             )
         })
@@ -349,7 +325,7 @@ impl BigDansing {
             Session::recover(
                 self.executor.clone(),
                 self.rules.clone(),
-                self.session_options(options)?,
+                options,
                 durability,
             )
         })

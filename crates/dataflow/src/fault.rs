@@ -1,30 +1,34 @@
-//! Fault-tolerance policy and deterministic fault injection.
+//! Fault tolerance: retry policy, deterministic fault injection, and
+//! the per-rule guard.
 //!
 //! The platforms the paper targets treat task failure as routine: Spark
 //! re-executes failed tasks from lineage, Hadoop re-runs them from the
 //! materialized map output. This module gives the laptop-scale stand-in
 //! the same property. A [`FaultPolicy`] bounds how often a partition
-//! task (or a spill read/write) is retried and how long the engine backs
+//! task (or a durable write) is retried and how long the engine backs
 //! off between attempts; a [`FaultInjector`] deterministically injects
 //! panics, I/O errors, and delays so tests can prove that recovery
 //! actually works — same seed, same faults, regardless of thread
 //! scheduling.
+//!
+//! BigDansing's rules are user code, so a panicking, hanging, or
+//! pathological Detect/GenFix UDF must degrade only its own output, not
+//! the multi-rule job around it (Bleach runs each rule in an isolated
+//! channel for the same reason). A [`RuleGuard`] armed per rule pass
+//! carries the rule's soft time budget and the outlier-block straggler
+//! threshold, and counts the processed/skipped units the completeness
+//! fraction is computed from. What a fault costs depends on
+//! [`FaultMode`]: strict jobs fail with a typed error; in partial mode
+//! the batch cleanse loop and the incremental session both quarantine a
+//! rule on its first failed pass and drop what it had detected.
 
+use bigdansing_common::error::{Error, Result};
 use bigdansing_common::rng::mix;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// What a checkpoint does when the spill directory is unusable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillFallback {
-    /// Demote the disk-backed checkpoint to an in-memory no-op and keep
-    /// going, counting the stage in `Metrics::stages_degraded`.
-    #[default]
-    Degrade,
-    /// Fail the stage with an I/O error.
-    FailFast,
-}
-
-/// Retry and backoff bounds for partition tasks and spill I/O.
+/// Retry and backoff bounds for partition tasks and durable writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Attempts per task before the stage fails with `Error::Task`
@@ -32,34 +36,29 @@ pub struct FaultPolicy {
     pub max_attempts: u32,
     /// Base backoff slept after a failed attempt; doubles per retry.
     pub backoff: Duration,
-    /// Behaviour when the spill directory cannot be created or written.
-    pub spill_fallback: SpillFallback,
 }
 
 impl Default for FaultPolicy {
-    /// Three attempts with a small exponential backoff, degrading
-    /// disk-backed checkpoints instead of crashing — the Spark-like
+    /// Three attempts with a small exponential backoff — the Spark-like
     /// "tasks are retried a few times before the job fails" default.
     fn default() -> Self {
         FaultPolicy {
             max_attempts: 3,
             backoff: Duration::from_millis(2),
-            spill_fallback: SpillFallback::Degrade,
         }
     }
 }
 
 impl FaultPolicy {
-    /// No retries, no degradation: the first failure aborts the job.
+    /// No retries: the first failure aborts the job.
     pub fn fail_fast() -> FaultPolicy {
         FaultPolicy {
             max_attempts: 1,
             backoff: Duration::ZERO,
-            spill_fallback: SpillFallback::FailFast,
         }
     }
 
-    /// `attempts` per task, keeping the default backoff and fallback.
+    /// `attempts` per task, keeping the default backoff.
     pub fn with_max_attempts(attempts: u32) -> FaultPolicy {
         FaultPolicy {
             max_attempts: attempts.max(1),
@@ -82,10 +81,9 @@ impl FaultPolicy {
 pub enum FaultSite {
     /// A partition task body (panic injection).
     Task,
-    /// A checkpoint spill write (I/O error injection).
+    /// A spill write: a DiskBacked checkpoint partition or a pressure
+    /// spill (durable IO fault injection).
     SpillWrite,
-    /// A checkpoint spill read-back (I/O error injection).
-    SpillRead,
     /// A write-ahead-log append (durable IO fault injection).
     WalAppend,
     /// A session snapshot write (durable IO fault injection).
@@ -121,8 +119,6 @@ pub enum IoFault {
 pub struct FaultInjector {
     seed: u64,
     task_panic: f64,
-    spill_write_error: f64,
-    spill_read_error: f64,
     delay: f64,
     delay_for: Duration,
     io_write_fail: f64,
@@ -138,8 +134,6 @@ impl FaultInjector {
         FaultInjector {
             seed,
             task_panic: 0.0,
-            spill_write_error: 0.0,
-            spill_read_error: 0.0,
             delay: 0.0,
             delay_for: Duration::ZERO,
             io_write_fail: 0.0,
@@ -156,15 +150,7 @@ impl FaultInjector {
         self
     }
 
-    /// Probability that a spill write / read attempt fails with an I/O
-    /// error.
-    pub fn with_spill_errors(mut self, p: f64) -> FaultInjector {
-        self.spill_write_error = p.clamp(0.0, 1.0);
-        self.spill_read_error = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Probability that an attempt is delayed by `for_each` first
+    /// Probability that a task attempt is delayed by `for_each` first
     /// (straggler simulation).
     pub fn with_delays(mut self, p: f64, for_each: Duration) -> FaultInjector {
         self.delay = p.clamp(0.0, 1.0);
@@ -212,7 +198,6 @@ impl FaultInjector {
         let site_id = match site {
             FaultSite::Task => 1u64,
             FaultSite::SpillWrite => 2,
-            FaultSite::SpillRead => 3,
             FaultSite::WalAppend => 4,
             FaultSite::SnapshotWrite => 5,
         };
@@ -226,42 +211,17 @@ impl FaultInjector {
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Run the injections configured for `site` against one attempt:
-    /// possibly sleep, then possibly panic (Task) or return an I/O error
-    /// (SpillWrite / SpillRead).
-    pub(crate) fn inject(
-        &self,
-        site: FaultSite,
-        stage: u64,
-        partition: usize,
-        attempt: u32,
-    ) -> Result<(), std::io::Error> {
+    /// Run the injections configured for one task attempt: possibly
+    /// sleep, then possibly panic.
+    pub(crate) fn inject_task(&self, stage: u64, partition: usize, attempt: u32) {
+        let site = FaultSite::Task;
         if self.delay > 0.0 && self.roll(11, site, stage, partition, attempt) < self.delay {
             std::thread::sleep(self.delay_for);
         }
-        match site {
-            FaultSite::Task => {
-                if self.task_panic > 0.0
-                    && self.roll(13, site, stage, partition, attempt) < self.task_panic
-                {
-                    panic!("injected panic: stage {stage} partition {partition} attempt {attempt}");
-                }
-            }
-            FaultSite::SpillWrite | FaultSite::SpillRead => {
-                let p = if site == FaultSite::SpillWrite {
-                    self.spill_write_error
-                } else {
-                    self.spill_read_error
-                };
-                if p > 0.0 && self.roll(17, site, stage, partition, attempt) < p {
-                    return Err(std::io::Error::other(format!(
-                        "injected spill fault: stage {stage} partition {partition} attempt {attempt}"
-                    )));
-                }
-            }
-            FaultSite::WalAppend | FaultSite::SnapshotWrite => {}
+        if self.task_panic > 0.0 && self.roll(13, site, stage, partition, attempt) < self.task_panic
+        {
+            panic!("injected panic: stage {stage} partition {partition} attempt {attempt}");
         }
-        Ok(())
     }
 
     /// The durable-write fault (if any) for one attempt at `site`.
@@ -295,6 +255,151 @@ impl FaultInjector {
     }
 }
 
+/// What happens when a rule faults: fail the whole job (strict, the
+/// default) or sacrifice that rule's output and keep cleansing with the
+/// survivors (partial / best-effort).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FaultMode {
+    /// Any rule fault fails the job with a typed error.
+    #[default]
+    Strict,
+    /// A rule fault quarantines the rule; the job completes with a
+    /// degraded, per-rule-attributed result.
+    Partial,
+}
+
+/// Isolation knobs for one job or session, threaded from
+/// `CleanseOptions` (or the CLI's `--partial` / `--rule-timeout-ms` /
+/// `--max-block-size`) down to the detect reducers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IsolationOptions {
+    /// Strict (fail the job) or partial (quarantine faulty rules).
+    pub mode: FaultMode,
+    /// Soft wall-clock budget for one rule's detect pass, batch or
+    /// delta. Checked between units, so a single hung UDF invocation is
+    /// bounded by the *unit*, not the pass.
+    pub rule_time_budget: Option<Duration>,
+    /// Straggler threshold of the batch cleanse loop: blocks with more
+    /// tuples than this are outliers (skipped-and-counted in partial
+    /// mode, a typed error in strict mode). `None` disables the guard.
+    /// Incremental sessions do not read it.
+    pub max_block_size: Option<usize>,
+}
+
+impl IsolationOptions {
+    /// Best-effort defaults: partial mode with everything else stock.
+    pub fn partial() -> IsolationOptions {
+        IsolationOptions {
+            mode: FaultMode::Partial,
+            ..IsolationOptions::default()
+        }
+    }
+
+    /// Whether faults degrade instead of failing the job.
+    pub fn is_partial(&self) -> bool {
+        self.mode == FaultMode::Partial
+    }
+}
+
+/// Per-pass guard the detect reducers poll between units: soft time
+/// budget, outlier-block straggler threshold, and the unit counters the
+/// completeness fraction is computed from.
+#[derive(Debug)]
+pub struct RuleGuard {
+    rule: String,
+    partial: bool,
+    max_block: Option<usize>,
+    /// When the soft time budget runs out (`None`: no budget).
+    expires: Option<Instant>,
+    units_processed: AtomicU64,
+    units_skipped: AtomicU64,
+}
+
+impl RuleGuard {
+    /// Arm a guard for one rule pass; its time budget starts now.
+    pub fn arm(rule: &str, iso: &IsolationOptions) -> Arc<RuleGuard> {
+        Arc::new(RuleGuard {
+            rule: rule.to_string(),
+            partial: iso.is_partial(),
+            max_block: iso.max_block_size,
+            expires: iso.rule_time_budget.map(|budget| Instant::now() + budget),
+            units_processed: AtomicU64::new(0),
+            units_skipped: AtomicU64::new(0),
+        })
+    }
+
+    /// The rule this guard watches.
+    pub fn rule(&self) -> &str {
+        &self.rule
+    }
+
+    /// Check the soft time budget; reads the clock only when a budget is
+    /// set. An expired budget is a typed [`Error::Rule`] in both modes —
+    /// a hung rule cannot deliver a usable partial result, so partial
+    /// mode quarantines it.
+    pub fn check_budget(&self) -> Result<()> {
+        match self.expires {
+            Some(at) if Instant::now() >= at => Err(Error::Rule {
+                rule: self.rule.clone(),
+                cause: "soft time budget exceeded".into(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Gate one block of `len` tuples producing `units` candidate
+    /// units. `Ok(true)` admits it; an outlier block is skipped and
+    /// counted in partial mode (`Ok(false)`) and a typed error in
+    /// strict mode.
+    pub fn admit_block(&self, len: usize, units: u64) -> Result<bool> {
+        let Some(cap) = self.max_block else {
+            return Ok(true);
+        };
+        if len <= cap {
+            return Ok(true);
+        }
+        if self.partial {
+            self.units_skipped
+                .fetch_add(units.max(1), Ordering::Relaxed);
+            Ok(false)
+        } else {
+            Err(Error::Rule {
+                rule: self.rule.clone(),
+                cause: format!(
+                    "outlier block of {len} tuples exceeds the {cap}-tuple straggler threshold"
+                ),
+            })
+        }
+    }
+
+    /// Count `n` units processed.
+    pub fn count_units(&self, n: u64) {
+        self.units_processed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Units processed so far this pass.
+    pub fn units_processed(&self) -> u64 {
+        self.units_processed.load(Ordering::Relaxed)
+    }
+
+    /// Units skipped by the straggler guard so far this pass.
+    pub fn units_skipped(&self) -> u64 {
+        self.units_skipped.load(Ordering::Relaxed)
+    }
+}
+
+/// Candidate pairs in a block of `len` tuples: `len·(len−1)/2`
+/// unordered, doubled when both orientations are enumerated.
+pub fn pairs_in_block(len: usize, ordered: bool) -> u64 {
+    let n = len as u64;
+    let unordered = n.saturating_mul(n.saturating_sub(1)) / 2;
+    if ordered {
+        unordered.saturating_mul(2)
+    } else {
+        unordered
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +408,6 @@ mod tests {
     fn default_policy_retries_with_backoff() {
         let p = FaultPolicy::default();
         assert_eq!(p.max_attempts, 3);
-        assert_eq!(p.spill_fallback, SpillFallback::Degrade);
         assert!(p.backoff_for(2) > p.backoff_for(1));
         assert!(p.backoff_for(30) <= Duration::from_secs(1));
     }
@@ -312,7 +416,6 @@ mod tests {
     fn fail_fast_policy_does_not_retry() {
         let p = FaultPolicy::fail_fast();
         assert_eq!(p.max_attempts, 1);
-        assert_eq!(p.spill_fallback, SpillFallback::FailFast);
         assert_eq!(p.backoff_for(1), Duration::ZERO);
     }
 
@@ -341,21 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_are_roughly_honored() {
-        let inj = FaultInjector::seeded(99).with_spill_errors(0.3);
-        let n = 10_000;
-        let failures = (0..n)
-            .filter(|i| inj.inject(FaultSite::SpillWrite, 0, *i, 1).is_err())
-            .count();
-        let rate = failures as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.03, "observed rate {rate}");
-    }
-
-    #[test]
     fn task_site_panics_when_probability_is_one() {
         let inj = FaultInjector::seeded(1).with_task_panics(1.0);
         let caught = std::panic::catch_unwind(|| {
-            let _ = inj.inject(FaultSite::Task, 0, 0, 1);
+            inj.inject_task(0, 0, 1);
         });
         assert!(caught.is_err());
     }
@@ -364,9 +456,7 @@ mod tests {
     fn zero_probability_injects_nothing() {
         let inj = FaultInjector::seeded(5);
         for part in 0..100 {
-            assert!(inj.inject(FaultSite::Task, 0, part, 1).is_ok());
-            assert!(inj.inject(FaultSite::SpillWrite, 0, part, 1).is_ok());
-            assert!(inj.inject(FaultSite::SpillRead, 0, part, 1).is_ok());
+            inj.inject_task(0, part, 1);
         }
         for stream in 0..100 {
             assert_eq!(inj.io_write_fault(FaultSite::WalAppend, stream, 1), None);
@@ -429,5 +519,68 @@ mod tests {
             .count();
         let rate = fails as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.03, "observed rate {rate}");
+    }
+
+    #[test]
+    fn guard_skips_outlier_blocks_in_partial_mode() {
+        let iso = IsolationOptions {
+            mode: FaultMode::Partial,
+            max_block_size: Some(4),
+            ..IsolationOptions::default()
+        };
+        let g = RuleGuard::arm("r", &iso);
+        assert!(g.admit_block(3, 3).unwrap());
+        assert!(!g.admit_block(9, pairs_in_block(9, false)).unwrap());
+        assert_eq!(g.units_skipped(), 36);
+        g.count_units(3);
+        assert_eq!(g.units_processed(), 3);
+    }
+
+    #[test]
+    fn guard_errors_on_outlier_blocks_in_strict_mode() {
+        let iso = IsolationOptions {
+            mode: FaultMode::Strict,
+            max_block_size: Some(4),
+            ..IsolationOptions::default()
+        };
+        let g = RuleGuard::arm("dc:t1.a<t2.a", &iso);
+        let err = g.admit_block(10, 45).unwrap_err();
+        match err {
+            Error::Rule { rule, cause } => {
+                assert_eq!(rule, "dc:t1.a<t2.a");
+                assert!(cause.contains("straggler"), "{cause}");
+            }
+            other => panic!("expected Error::Rule, got {other:?}"),
+        }
+        assert_eq!(g.units_skipped(), 0);
+    }
+
+    #[test]
+    fn guard_budget_expires() {
+        let iso = IsolationOptions {
+            rule_time_budget: Some(Duration::ZERO),
+            ..IsolationOptions::default()
+        };
+        let err = RuleGuard::arm("slow", &iso).check_budget().unwrap_err();
+        assert!(
+            matches!(err, Error::Rule { ref cause, .. } if cause.contains("time budget")),
+            "{err:?}"
+        );
+        let iso = IsolationOptions {
+            rule_time_budget: Some(Duration::from_secs(600)),
+            ..IsolationOptions::default()
+        };
+        assert!(RuleGuard::arm("slow", &iso).check_budget().is_ok());
+        // Without a budget the check is free and always Ok.
+        let g = RuleGuard::arm("fast", &IsolationOptions::default());
+        assert!(g.check_budget().is_ok());
+    }
+
+    #[test]
+    fn pairs_in_block_counts() {
+        assert_eq!(pairs_in_block(0, false), 0);
+        assert_eq!(pairs_in_block(1, false), 0);
+        assert_eq!(pairs_in_block(4, false), 6);
+        assert_eq!(pairs_in_block(4, true), 12);
     }
 }

@@ -1,5 +1,5 @@
-//! Resource governance: cooperative cancellation, deadline watchdogs,
-//! and memory budgets with spill-under-pressure.
+//! Resource governance: cooperative cancellation, deadlines, and memory
+//! budgets with spill-under-pressure.
 //!
 //! The platforms the paper targets keep jobs inside a resource envelope
 //! for free — Spark's memory manager spills shuffle state under
@@ -7,20 +7,19 @@
 //! against a cluster budget. This module gives the laptop-scale engine
 //! the same discipline: a [`CancellationToken`] threaded through every
 //! fallible stage so jobs abort cooperatively *between* partition
-//! tasks, a [`Watchdog`] that trips the token when a wall-clock
-//! deadline elapses, and a [`MemoryBudget`] enforced by an engine-wide
-//! ledger of checkpointed datasets whose coldest entries are evicted to
-//! disk when the soft limit is exceeded.
+//! tasks — and trip themselves at the first check past their wall-clock
+//! deadline — and a [`MemoryBudget`] enforced by an engine-wide ledger
+//! of checkpointed datasets whose coldest entries are evicted to disk
+//! when the soft limit is exceeded.
 
 use bigdansing_common::codec::{decode_batch, encode_batch, Codec};
 use bigdansing_common::error::{CancelReason, Error, Result};
-use bigdansing_common::metrics::Metrics;
 use bigdansing_common::Mutex;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 const LIVE: u8 = 0;
 
@@ -46,7 +45,9 @@ fn code_reason(code: u8) -> Option<CancelReason> {
 /// Cancellation is checked between partition tasks and between retry
 /// attempts — a running task body is never interrupted, so partial
 /// state is impossible. The first [`cancel`](CancellationToken::cancel)
-/// wins; later calls are no-ops.
+/// wins; later calls are no-ops. A token with a deadline needs no timer:
+/// the first check at or past it trips the token with
+/// [`CancelReason::DeadlineExceeded`].
 #[derive(Clone, Debug)]
 pub struct CancellationToken {
     inner: Arc<TokenInner>,
@@ -55,15 +56,17 @@ pub struct CancellationToken {
 #[derive(Debug)]
 struct TokenInner {
     job: String,
+    deadline: Option<Instant>,
     state: AtomicU8,
 }
 
 impl CancellationToken {
-    /// A live token for the named job.
-    pub fn new(job: impl Into<String>) -> CancellationToken {
+    /// A live token for the named job, expiring at `deadline` if given.
+    pub fn new(job: impl Into<String>, deadline: Option<Instant>) -> CancellationToken {
         CancellationToken {
             inner: Arc::new(TokenInner {
                 job: job.into(),
+                deadline,
                 state: AtomicU8::new(LIVE),
             }),
         }
@@ -89,14 +92,26 @@ impl CancellationToken {
             .is_ok()
     }
 
+    /// The token's state, after tripping it if its deadline has passed.
+    fn state(&self) -> u8 {
+        let state = self.inner.state.load(Ordering::Acquire);
+        match self.inner.deadline {
+            Some(at) if state == LIVE && Instant::now() >= at => {
+                self.cancel(CancelReason::DeadlineExceeded);
+                self.inner.state.load(Ordering::Acquire)
+            }
+            _ => state,
+        }
+    }
+
     /// Whether the token has been tripped.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.state.load(Ordering::Acquire) != LIVE
+        self.state() != LIVE
     }
 
     /// Why the token was tripped, if it was.
     pub fn reason(&self) -> Option<CancelReason> {
-        code_reason(self.inner.state.load(Ordering::Acquire))
+        code_reason(self.state())
     }
 
     /// `Ok(())` while live, `Error::Cancelled { job, reason }` once
@@ -113,104 +128,6 @@ impl CancellationToken {
 
     pub(crate) fn same_as(&self, other: &CancellationToken) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-/// Background thread that trips a job's token with
-/// [`CancelReason::DeadlineExceeded`] when the wall-clock deadline
-/// elapses. Dropping the watchdog disarms it and joins the thread.
-#[derive(Debug)]
-pub(crate) struct Watchdog {
-    shared: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Arm a watchdog that runs `on_trip` once if `deadline` elapses
-    /// before the watchdog is dropped.
-    pub(crate) fn arm_with<F>(deadline: Duration, on_trip: F) -> Watchdog
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            let (lock, cv) = &*thread_shared;
-            let deadline_at = Instant::now() + deadline;
-            let mut disarmed = lock.lock();
-            while !*disarmed {
-                let now = Instant::now();
-                if now >= deadline_at {
-                    on_trip();
-                    return;
-                }
-                disarmed = cv
-                    .wait_timeout(disarmed, deadline_at - now)
-                    .unwrap_or_else(|p| p.into_inner())
-                    .0;
-            }
-        });
-        Watchdog {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    pub(crate) fn arm(
-        token: CancellationToken,
-        deadline: Duration,
-        metrics: Arc<Metrics>,
-    ) -> Watchdog {
-        Watchdog::arm_with(deadline, move || {
-            if token.cancel(CancelReason::DeadlineExceeded) {
-                Metrics::add(&metrics.deadline_trips, 1);
-            }
-        })
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        let (lock, cv) = &*self.shared;
-        {
-            let mut disarmed = lock.lock();
-            *disarmed = true;
-        }
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A *soft* time budget built on the same condvar watchdog as the
-/// deadline machinery, but tripping a plain flag instead of a job
-/// token. The isolation layer arms one per rule pass: workers poll
-/// [`exceeded`](SoftBudget::exceeded) between detect units — the rule
-/// is stopped cooperatively, the job (and its sibling rules) keep
-/// running.
-#[derive(Debug)]
-pub struct SoftBudget {
-    expired: Arc<std::sync::atomic::AtomicBool>,
-    _watchdog: Watchdog,
-}
-
-impl SoftBudget {
-    /// Arm a budget that expires after `budget` of wall-clock time.
-    pub fn arm(budget: Duration) -> SoftBudget {
-        let expired = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = Arc::clone(&expired);
-        SoftBudget {
-            expired,
-            _watchdog: Watchdog::arm_with(budget, move || {
-                flag.store(true, Ordering::Release);
-            }),
-        }
-    }
-
-    /// Whether the budget has elapsed. Cheap enough to poll per unit.
-    pub fn exceeded(&self) -> bool {
-        self.expired.load(Ordering::Acquire)
     }
 }
 
@@ -408,7 +325,7 @@ mod tests {
 
     #[test]
     fn token_first_cancel_wins() {
-        let t = CancellationToken::new("job-1");
+        let t = CancellationToken::new("job-1", None);
         assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
         assert!(t.cancel(CancelReason::DeadlineExceeded));
@@ -425,7 +342,7 @@ mod tests {
 
     #[test]
     fn token_clones_share_state() {
-        let t = CancellationToken::new("j");
+        let t = CancellationToken::new("j", None);
         let c = t.clone();
         t.cancel(CancelReason::User);
         assert!(c.is_cancelled());
@@ -433,25 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_after_deadline() {
-        let t = CancellationToken::new("slow");
-        let m = Metrics::new_shared();
-        let w = Watchdog::arm(t.clone(), Duration::from_millis(10), Arc::clone(&m));
-        std::thread::sleep(Duration::from_millis(60));
+    fn deadline_trips_the_token_at_the_first_check_past_it() {
+        let t = CancellationToken::new("slow", Some(Instant::now()));
+        assert!(t.is_cancelled());
         assert_eq!(t.reason(), Some(CancelReason::DeadlineExceeded));
-        assert_eq!(Metrics::get(&m.deadline_trips), 1);
-        drop(w);
-    }
-
-    #[test]
-    fn disarmed_watchdog_never_trips() {
-        let t = CancellationToken::new("fast");
-        let m = Metrics::new_shared();
-        let w = Watchdog::arm(t.clone(), Duration::from_millis(50), Arc::clone(&m));
-        drop(w); // job finished well before the deadline
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(!t.is_cancelled());
-        assert_eq!(Metrics::get(&m.deadline_trips), 0);
+        assert!(!t.cancel(CancelReason::User), "the deadline already won");
+        let far = Instant::now() + std::time::Duration::from_secs(600);
+        let t = CancellationToken::new("fast", Some(far));
+        assert!(t.check().is_ok());
     }
 
     #[test]
@@ -505,6 +411,7 @@ mod tests {
     #[test]
     fn transient_spill_write_failure_is_retried() {
         use crate::fault::FaultInjector;
+        use bigdansing_common::metrics::Metrics;
         let slot = TrackedSlot::create(vec![vec![7u64; 32]], 0);
         let dir = std::env::temp_dir().join("bigdansing-govern-test");
         fs::create_dir_all(&dir).unwrap();

@@ -36,16 +36,17 @@
 //!
 //! Fault tolerance ([`fault`]): every pass runs its partition tasks
 //! through [`Engine::run_stage`] — panic isolation with bounded retries
-//! ([`FaultPolicy`]) against borrowed input — spill I/O is retried and
-//! can degrade gracefully, and a deterministic [`FaultInjector`] lets
-//! tests prove recovery end-to-end.
+//! ([`FaultPolicy`]) against borrowed input — a failed spill degrades to
+//! the in-memory partitions, a deterministic [`FaultInjector`] lets
+//! tests prove recovery end-to-end, and a [`RuleGuard`] bounds one
+//! rule's detect pass.
 //!
 //! Resource governance ([`govern`]): jobs opened with
 //! [`Engine::begin_job`] carry a [`CancellationToken`] checked between
-//! partition tasks and spill attempts, an optional wall-clock deadline
-//! enforced by a watchdog thread, and an optional [`MemoryBudget`] under
-//! which checkpointed datasets are byte-accounted and evicted to disk
-//! when the soft limit is exceeded (spill-under-pressure).
+//! partition tasks, which trips itself at the first check past the
+//! job's optional wall-clock deadline, and an optional [`MemoryBudget`]
+//! under which checkpointed datasets are byte-accounted and evicted to
+//! disk when the soft limit is exceeded (spill-under-pressure).
 //!
 //! Durable IO ([`dio`]): spill, checkpoint, WAL, and snapshot files are
 //! written atomically (temp + fsync + rename) through [`Dio`], with
@@ -53,7 +54,6 @@
 //! fault injection (fail-once, short write, corrupt byte, fail-fsync),
 //! and named crash points for the crash-test harness.
 
-pub mod bulkhead;
 pub mod dio;
 pub mod engine;
 pub mod fault;
@@ -64,11 +64,12 @@ pub mod pdataset;
 pub mod pool;
 pub mod stage;
 
-pub use bulkhead::{BreakerConfig, BreakerState, Bulkhead, FaultMode, IsolationOptions, RuleGuard};
 pub use dio::Dio;
 pub use engine::{Engine, EngineBuilder, ExecMode, JobGuard};
-pub use fault::{FaultInjector, FaultPolicy, FaultSite, IoFault, SpillFallback};
-pub use govern::{CancellationToken, MemoryBudget, SoftBudget};
+pub use fault::{
+    FaultInjector, FaultMode, FaultPolicy, FaultSite, IoFault, IsolationOptions, RuleGuard,
+};
+pub use govern::{CancellationToken, MemoryBudget};
 pub use grouping::StableHasher;
 pub use pdataset::PDataset;
 pub use stage::{PassKind, PassRecord, Stage};

@@ -2,13 +2,14 @@
 //! through [`crate::Stage`]; this module holds construction, the
 //! consuming accessors, and the checkpoint boundary.
 
+use crate::dio::Dio;
 use crate::engine::{Engine, ExecMode};
-use crate::fault::{FaultSite, SpillFallback};
+use crate::fault::FaultSite;
 use crate::govern::TrackedSlot;
 use crate::pool::par_map_indexed;
 use crate::stage::PassKind;
 use bigdansing_common::codec::{decode_batch, encode_batch, Codec};
-use bigdansing_common::error::{Error, Result};
+use bigdansing_common::error::Result;
 use bigdansing_common::metrics::Metrics;
 use std::fs;
 use std::path::PathBuf;
@@ -139,51 +140,6 @@ impl<T: Send + Sync + Clone + 'static> PDataset<T> {
     }
 }
 
-/// One spill I/O operation under the engine's retry policy: inject a
-/// fault (if configured), run `op`, count failures, back off, retry.
-/// Exhaustion returns [`Error::Task`] naming the partition. A tripped
-/// cancellation token preempts the next attempt with `Error::Cancelled`.
-fn spill_io<X>(
-    engine: &Engine,
-    site: FaultSite,
-    stage: u64,
-    partition: usize,
-    op: impl Fn() -> std::io::Result<X>,
-) -> Result<X> {
-    let policy = engine.fault_policy();
-    let metrics = engine.metrics().clone();
-    let mut attempt = 0u32;
-    loop {
-        engine.check_cancelled()?;
-        attempt += 1;
-        let res = match engine.fault_injector() {
-            Some(inj) => inj
-                .inject(site, stage, partition, attempt)
-                .and_then(|()| op()),
-            None => op(),
-        };
-        match res {
-            Ok(x) => return Ok(x),
-            Err(e) => {
-                Metrics::add(&metrics.spill_failures, 1);
-                if attempt >= policy.max_attempts.max(1) {
-                    return Err(Error::Task {
-                        partition,
-                        attempts: attempt,
-                        cause: format!("spill {site:?}: {e}"),
-                    });
-                }
-                Metrics::add(&metrics.tasks_retried, 1);
-                Metrics::add(&metrics.io_retries, 1);
-                let backoff = policy.backoff_for(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    }
-}
-
 impl<T: Send + Sync + Codec + 'static> PDataset<T> {
     /// Stage-boundary materialization.
     ///
@@ -199,14 +155,16 @@ impl<T: Send + Sync + Codec + 'static> PDataset<T> {
     /// the coldest checkpointed datasets to disk — or cancel the job if
     /// this dataset alone exceeds the hard ceiling.
     ///
-    /// Fault behaviour: every write and read is retried under the
-    /// engine's [`crate::FaultPolicy`]. The in-memory partition is only
-    /// dropped once its spill file has been read back successfully, so
-    /// an exhausted retry budget never loses data: with
-    /// [`SpillFallback::Degrade`] the stage demotes to in-memory (the
-    /// original partitions keep flowing, `stages_degraded` is bumped);
-    /// with [`SpillFallback::FailFast`] the error propagates.
-    /// Cancellation is never degraded — it always propagates.
+    /// Fault behaviour: a checkpoint never loses data and never fails
+    /// on a spill. Partitions are written through
+    /// [`Dio::write_atomic`], the path pressure spills take, with its
+    /// retries under the engine's [`crate::FaultPolicy`], and each
+    /// in-memory partition is dropped only once its spill file has read
+    /// back. A spill directory that cannot be created, an exhausted
+    /// write, or a failed read-back keeps the in-memory partitions
+    /// flowing instead, counted in `spill_failures` and
+    /// `stages_degraded`. A read-back gets no retry: the partition it
+    /// checks is still in memory.
     ///
     /// A checkpoint that materializes (disk round-trip or ledger entry)
     /// is recorded in the plan trace as a pass of its own.
@@ -217,7 +175,7 @@ impl<T: Send + Sync + Codec + 'static> PDataset<T> {
         let nparts = parts.len();
         let disk = engine.mode() == ExecMode::DiskBacked;
         let parts = if disk {
-            Self::disk_roundtrip(&engine, parts)?
+            Self::disk_roundtrip(&engine, parts)
         } else {
             parts
         };
@@ -237,106 +195,54 @@ impl<T: Send + Sync + Codec + 'static> PDataset<T> {
     }
 
     /// The DiskBacked write-then-read-back phase of [`Self::checkpoint`].
-    fn disk_roundtrip(engine: &Engine, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>> {
-        let policy = engine.fault_policy();
-        let metrics = engine.metrics().clone();
-        if let Err(e) = engine.ensure_spill_dir() {
-            Metrics::add(&metrics.spill_failures, 1);
-            return match policy.spill_fallback {
-                SpillFallback::Degrade => {
-                    engine.mark_degraded();
-                    Ok(parts)
-                }
-                SpillFallback::FailFast => Err(Error::Io(format!(
-                    "create spill dir {}: {e}",
-                    engine.spill_dir().display()
-                ))),
-            };
+    fn disk_roundtrip(engine: &Engine, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        let metrics = engine.metrics();
+        let degrade = |failures: usize| {
+            Metrics::add(&metrics.spill_failures, failures as u64);
+            engine.mark_degraded();
+        };
+        if engine.ensure_spill_dir().is_err() {
+            degrade(1);
+            return parts;
         }
         let paths: Vec<PathBuf> = (0..parts.len()).map(|_| engine.next_spill_path()).collect();
-        let workers = engine.workers();
+        let (dio, stage) = (Dio::from_engine(engine), engine.next_stage_id());
 
         // Write phase: partitions are borrowed, so a failed write never
         // loses the data it was spilling.
-        let write_stage = engine.next_stage_id();
-        let items: Vec<(&Vec<T>, &PathBuf)> = parts.iter().zip(paths.iter()).collect();
-        let written = par_map_indexed(workers, items, |i, (part, path)| {
-            spill_io(engine, FaultSite::SpillWrite, write_stage, i, || {
-                let buf = encode_batch(part);
-                // Atomic temp+fsync+rename (retries come from spill_io):
-                // a crash mid-checkpoint leaves no torn partition files.
-                bigdansing_common::codec::atomic_write(path, &buf)?;
-                Ok(buf.len() as u64)
-            })
+        let items: Vec<(&Vec<T>, &PathBuf)> = parts.iter().zip(&paths).collect();
+        let written = par_map_indexed(engine.workers(), items, |i, (part, path)| {
+            let buf = encode_batch(part);
+            let stream = (stage << 32) | i as u64;
+            dio.write_atomic(FaultSite::SpillWrite, stream, path, &buf, "spill")
+                .map(|()| buf.len() as u64)
         });
-        let mut bytes = 0u64;
-        let mut write_failed = None;
-        for r in written {
-            match r {
-                Ok(b) => bytes += b,
-                Err(e) => {
-                    write_failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = write_failed {
+        let failed = written.iter().filter(|w| w.is_err()).count();
+        if failed > 0 {
             for p in &paths {
                 let _ = fs::remove_file(p);
             }
-            if matches!(e, Error::Cancelled { .. }) {
-                return Err(e);
-            }
-            return match policy.spill_fallback {
-                SpillFallback::Degrade => {
-                    engine.mark_degraded();
-                    Ok(parts)
-                }
-                SpillFallback::FailFast => Err(e),
-            };
+            degrade(failed);
+            return parts;
         }
-        Metrics::add(&metrics.bytes_spilled, bytes);
+        Metrics::add(&metrics.bytes_spilled, written.into_iter().flatten().sum());
 
         // Read phase: each original partition is dropped only after its
-        // spill file decodes, so exhaustion can still degrade safely.
-        let read_stage = engine.next_stage_id();
+        // spill file decodes.
         let items: Vec<(Vec<T>, PathBuf)> = parts.into_iter().zip(paths).collect();
-        let read_back = par_map_indexed(workers, items, |i, (original, path)| {
-            let res = spill_io(engine, FaultSite::SpillRead, read_stage, i, || {
-                let buf = fs::read(&path)?;
-                decode_batch::<T>(&buf).map_err(|e| {
-                    std::io::Error::other(format!("spill decode {}: {e}", path.display()))
-                })
-            });
+        let read_back = par_map_indexed(engine.workers(), items, |_, (original, path)| {
+            let part = fs::read(&path).ok().and_then(|buf| decode_batch(&buf).ok());
             let _ = fs::remove_file(&path);
-            match res {
-                Ok(part) => Ok(part),
-                Err(e) => Err((e, original)),
-            }
+            part.ok_or(original)
         });
-        let mut partitions = Vec::with_capacity(read_back.len());
-        let mut degraded = false;
-        for r in read_back {
-            match r {
-                Ok(part) => partitions.push(part),
-                Err((e, original)) => {
-                    if matches!(e, Error::Cancelled { .. }) {
-                        return Err(e);
-                    }
-                    match policy.spill_fallback {
-                        SpillFallback::Degrade => {
-                            degraded = true;
-                            partitions.push(original);
-                        }
-                        SpillFallback::FailFast => return Err(e),
-                    }
-                }
-            }
+        let failed = read_back.iter().filter(|r| r.is_err()).count();
+        if failed > 0 {
+            degrade(failed);
         }
-        if degraded {
-            engine.mark_degraded();
-        }
-        Ok(partitions)
+        read_back
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|original| original))
+            .collect()
     }
 }
 
@@ -469,13 +375,14 @@ mod tests {
         let e = Engine::builder(ExecMode::DiskBacked)
             .workers(2)
             .fault_policy(FaultPolicy::with_max_attempts(6))
-            .fault_injector(FaultInjector::seeded(77).with_spill_errors(0.3))
+            .fault_injector(FaultInjector::seeded(77).with_io_write_failures(0.3))
             .build();
         let ds = PDataset::from_vec(e.clone(), (0..500u64).collect());
         let mut out = ds.checkpoint().unwrap().collect().unwrap();
         out.sort();
         assert_eq!(out, (0..500).collect::<Vec<u64>>());
-        assert!(Metrics::get(&e.metrics().spill_failures) > 0);
+        assert!(Metrics::get(&e.metrics().io_retries) > 0);
+        assert_eq!(Metrics::get(&e.metrics().spill_failures), 0);
         assert!(!e.is_degraded(), "retries should recover without degrading");
     }
 
@@ -494,25 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn unwritable_spill_dir_fails_fast_when_asked() {
-        let e = Engine::builder(ExecMode::DiskBacked)
-            .workers(2)
-            .fault_policy(FaultPolicy::fail_fast())
-            .spill_dir("/proc/definitely-not-writable/spill")
-            .build();
-        let ds = PDataset::from_vec(e, (0..100u64).collect());
-        let err = ds.checkpoint().unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "{err:?}");
-    }
-
-    #[test]
     fn spill_write_exhaustion_degrades_without_data_loss() {
         // 100% write-fault probability: every attempt fails, the budget
         // exhausts, and Degrade keeps the in-memory partitions flowing.
         let e = Engine::builder(ExecMode::DiskBacked)
             .workers(2)
             .fault_policy(FaultPolicy::with_max_attempts(2))
-            .fault_injector(FaultInjector::seeded(5).with_spill_errors(1.0))
+            .fault_injector(FaultInjector::seeded(5).with_io_write_failures(1.0))
             .build();
         let ds = PDataset::from_vec(e.clone(), (0..100u64).collect());
         let mut out = ds.checkpoint().unwrap().collect().unwrap();
@@ -522,32 +417,31 @@ mod tests {
     }
 
     #[test]
-    fn spill_exhaustion_fails_fast_with_task_error() {
+    fn failed_read_back_keeps_the_in_memory_partitions() {
+        // Every write silently persists half its bytes: each write
+        // "succeeds", each read-back fails to decode, and the original
+        // partitions flow on.
         let e = Engine::builder(ExecMode::DiskBacked)
             .workers(2)
-            .fault_policy(FaultPolicy {
-                max_attempts: 2,
-                backoff: std::time::Duration::ZERO,
-                spill_fallback: SpillFallback::FailFast,
-            })
-            .fault_injector(FaultInjector::seeded(5).with_spill_errors(1.0))
+            .fault_injector(FaultInjector::seeded(5).with_io_short_writes(1.0))
             .build();
-        let ds = PDataset::from_vec(e, (0..100u64).collect());
-        let err = ds.checkpoint().unwrap_err();
-        match err {
-            Error::Task {
-                attempts, cause, ..
-            } => {
-                assert_eq!(attempts, 2);
-                assert!(cause.contains("spill"), "{cause}");
-            }
-            other => panic!("expected Error::Task, got {other:?}"),
-        }
+        let ds = PDataset::from_vec(e.clone(), (0..100u64).collect());
+        let nparts = ds.num_partitions() as u64;
+        let mut out = ds.checkpoint().unwrap().collect().unwrap();
+        out.sort();
+        assert_eq!(out, (0..100).collect::<Vec<u64>>());
+        assert!(e.is_degraded());
+        assert_eq!(Metrics::get(&e.metrics().spill_failures), nparts);
+        assert_eq!(
+            Metrics::get(&e.metrics().io_retries),
+            0,
+            "no read-back retry"
+        );
     }
 
     #[test]
     fn cancellation_is_never_degraded_by_checkpoint() {
-        use bigdansing_common::error::CancelReason;
+        use bigdansing_common::error::{CancelReason, Error};
         let e = Engine::disk_backed(2);
         let guard = e.begin_job("cancelled-checkpoint", None);
         e.cancel_job(CancelReason::User);

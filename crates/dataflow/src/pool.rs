@@ -9,9 +9,9 @@
 //! engine's [`FaultPolicy`], and a task that exhausts its budget turns
 //! into a typed [`Error::Task`] instead of tearing down the process.
 
-use crate::fault::{FaultInjector, FaultPolicy, FaultSite};
+use crate::fault::{FaultInjector, FaultPolicy};
 use crate::govern::CancellationToken;
-use bigdansing_common::error::{Error, ErrorClass};
+use bigdansing_common::error::Error;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,9 +107,9 @@ fn backoff_sleep(cancel: &CancellationToken, backoff: std::time::Duration) {
 /// and surfaces as a retriable failure rather than an abort.
 ///
 /// Retries are reserved for failures that can plausibly clear: a typed
-/// error whose [`ErrorClass`] is deterministic, or a panic repeating
-/// the same payload on the same partition, short-circuits the rest of
-/// the budget (counted in `retries_short_circuited`) instead of
+/// error that is not [transient](Error::is_transient), or a panic
+/// repeating the same payload on the same partition, short-circuits the
+/// rest of the budget (counted in `retries_short_circuited`) instead of
 /// sleeping through backoffs that cannot help.
 fn run_task<I, R, F>(ctx: &TaskCtx, i: usize, item: &I, f: &F) -> Result<R, Error>
 where
@@ -124,8 +124,7 @@ where
         attempt += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = &ctx.injector {
-                inj.inject(FaultSite::Task, ctx.stage, i, attempt)
-                    .map_err(|e| Error::Io(e.to_string()))?;
+                inj.inject_task(ctx.stage, i, attempt);
             }
             f(i, item)
         }));
@@ -137,10 +136,7 @@ where
             // rule; the guard's verdict is deterministic, so it
             // propagates unwrapped and unretried.
             Ok(Err(e @ Error::Rule { .. })) => return Err(e),
-            Ok(Err(e)) => {
-                let det = e.class() == ErrorClass::Deterministic;
-                (e.to_string(), det)
-            }
+            Ok(Err(e)) => (e.to_string(), !e.is_transient()),
             Err(payload) => {
                 Metrics::add(&ctx.metrics.panics_caught, 1);
                 let msg = panic_message(payload);
@@ -262,12 +258,11 @@ mod tests {
             policy: FaultPolicy {
                 max_attempts,
                 backoff: Duration::ZERO,
-                spill_fallback: crate::fault::SpillFallback::Degrade,
             },
             injector: None,
             stage: 0,
             metrics: Metrics::new_shared(),
-            cancel: CancellationToken::new("test"),
+            cancel: CancellationToken::new("test", None),
         }
     }
 
@@ -529,12 +524,11 @@ mod tests {
             policy: FaultPolicy {
                 max_attempts: 5,
                 backoff: Duration::ZERO,
-                spill_fallback: crate::fault::SpillFallback::Degrade,
             },
             injector: Some(FaultInjector::seeded(1234).with_task_panics(0.3)),
             stage: 7,
             metrics: Metrics::new_shared(),
-            cancel: CancellationToken::new("test"),
+            cancel: CancellationToken::new("test", None),
         };
         let out = try_par_map_indexed(4, &items, &ctx, |_, x| Ok(*x * 10)).unwrap();
         assert_eq!(out, items.iter().map(|x| x * 10).collect::<Vec<_>>());

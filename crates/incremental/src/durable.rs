@@ -4,7 +4,7 @@
 //! rebuild, replay of the batch records past the folded watermark).
 
 use crate::index::RuleIndex;
-use crate::session::{Session, SessionOptions};
+use crate::session::{CleanseOptions, Session};
 use crate::wal::{
     self, DeltaFrame, DurabilityOptions, RecoverStats, SessionState, Upsert, Wal, WindowState,
 };
@@ -57,7 +57,7 @@ impl Session {
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         table: &Table,
-        options: SessionOptions,
+        options: CleanseOptions,
         durability: DurabilityOptions,
     ) -> Result<Session> {
         if wal::snapshot_path(&durability.dir).exists() {
@@ -99,13 +99,11 @@ impl Session {
     /// past the folded watermark. A batch that was logged but whose apply
     /// never finished — including one that *poisoned* the previous
     /// session — is applied now. If anything was replayed, a state frame
-    /// is appended so the next recovery starts hot. A `wal.log` left by
-    /// the two-file layout of earlier builds is folded into the log
-    /// first.
+    /// is appended so the next recovery starts hot.
     pub fn recover(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
+        options: CleanseOptions,
         durability: DurabilityOptions,
     ) -> Result<(Session, RecoverStats)> {
         let (w, log) = Wal::open(&durability.dir)?;
@@ -150,7 +148,7 @@ impl Session {
     fn from_state(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
+        options: CleanseOptions,
         state: SessionState,
     ) -> Result<Session> {
         let ids = state.tuples.iter().map(Tuple::id);
@@ -358,7 +356,7 @@ mod tests {
     use crate::fixtures::{base_table, fd_rules};
     use crate::wal::{KIND_SNAPSHOT, KIND_SNAPSHOT_DELTA as DELTA, KIND_WAL};
     use crate::{DeltaBatch, WindowSpec};
-    use bigdansing_common::codec::{encode_frame, scan_frames, FRAME_HEADER, FRAME_TRAILER};
+    use bigdansing_common::codec::{scan_frames, FRAME_HEADER, FRAME_TRAILER};
     use bigdansing_common::{Schema, Value};
     use bigdansing_dataflow::{Engine, ExecMode, FaultInjector, FaultPolicy, FaultSite};
     use bigdansing_rules::FdRule;
@@ -381,8 +379,8 @@ mod tests {
         Schema::parse("zipcode,city")
     }
 
-    fn windowed(window: Option<WindowSpec>) -> SessionOptions {
-        SessionOptions {
+    fn windowed(window: Option<WindowSpec>) -> CleanseOptions {
+        CleanseOptions {
             window,
             ..Default::default()
         }
@@ -392,30 +390,30 @@ mod tests {
     /// batches.
     fn open_on(engine: Engine, dir: &Path, table: &Table, every: u64) -> Result<Session> {
         let durability = DurabilityOptions::new(dir).snapshot_every(every);
-        let (rules, opts) = (fd_rules(&zip_city()), SessionOptions::default());
+        let (rules, opts) = (fd_rules(&zip_city()), CleanseOptions::default());
         Session::open_durable(Executor::new(engine), rules, table, opts, durability)
     }
 
-    fn open_fd(dir: &Path, table: &Table, opts: SessionOptions, every: u64) -> Session {
+    fn open_fd(dir: &Path, table: &Table, opts: CleanseOptions, every: u64) -> Session {
         let durability = DurabilityOptions::new(dir).snapshot_every(every);
         let executor = Executor::new(Engine::sequential());
         Session::open_durable(executor, fd_rules(&zip_city()), table, opts, durability).unwrap()
     }
 
     /// The in-memory twin of [`open_fd`].
-    fn plain_fd(table: &Table, opts: SessionOptions) -> Session {
+    fn plain_fd(table: &Table, opts: CleanseOptions) -> Session {
         let executor = Executor::new(Engine::sequential());
         Session::new(executor, fd_rules(&zip_city()), table, opts).unwrap()
     }
 
-    fn recover_fd(dir: &Path, opts: SessionOptions) -> Result<(Session, RecoverStats)> {
+    fn recover_fd(dir: &Path, opts: CleanseOptions) -> Result<(Session, RecoverStats)> {
         let durability = DurabilityOptions::new(dir).snapshot_every(1);
         let executor = Executor::new(Engine::sequential());
         Session::recover(executor, fd_rules(&zip_city()), opts, durability)
     }
 
     fn recover_plain(dir: &Path) -> Result<(Session, RecoverStats)> {
-        recover_fd(dir, SessionOptions::default())
+        recover_fd(dir, CleanseOptions::default())
     }
 
     fn files(dir: &Path) -> Vec<String> {
@@ -447,8 +445,8 @@ mod tests {
     fn durable_session_matches_plain_session() {
         let dir = durable_dir("parity");
         let base = base_table(&zip_city());
-        let mut durable = open_fd(&dir, &base, SessionOptions::default(), 2);
-        let mut plain = plain_fd(&base, SessionOptions::default());
+        let mut durable = open_fd(&dir, &base, CleanseOptions::default(), 2);
+        let mut plain = plain_fd(&base, CleanseOptions::default());
         for b in batches() {
             durable.apply(b.clone()).unwrap();
             plain.apply(b).unwrap();
@@ -466,8 +464,8 @@ mod tests {
         let base = base_table(&zip_city());
         // Cadence 100: nothing beyond the baseline snapshot, so every
         // batch must come back from its record.
-        let mut durable = open_fd(&dir, &base, SessionOptions::default(), 100);
-        let mut oracle = plain_fd(&base, SessionOptions::default());
+        let mut durable = open_fd(&dir, &base, CleanseOptions::default(), 100);
+        let mut oracle = plain_fd(&base, CleanseOptions::default());
         for b in batches() {
             durable.apply(b.clone()).unwrap();
             oracle.apply(b).unwrap();
@@ -500,7 +498,7 @@ mod tests {
         // Indexes are rebuilt, not restored — later deltas must still
         // pair against pre-crash residents.
         let dir = durable_dir("cont");
-        let mut s = open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 1);
+        let mut s = open_fd(&dir, &base_table(&zip_city()), CleanseOptions::default(), 1);
         s.apply(DeltaBatch::new().insert(10, vec![Value::Int(3), Value::str("CH")]))
             .unwrap();
         drop(s);
@@ -540,7 +538,7 @@ mod tests {
         assert_eq!(recovered.table().len(), 2);
         assert!(recovered.is_clean(), "replay repaired the FD violation");
 
-        let mut oracle = plain_fd(&table, SessionOptions::default());
+        let mut oracle = plain_fd(&table, CleanseOptions::default());
         oracle.apply(batch).unwrap();
         assert_same(&recovered, &oracle);
         let _ = std::fs::remove_dir_all(&dir);
@@ -550,9 +548,6 @@ mod tests {
     fn open_durable_refuses_existing_snapshot() {
         let dir = durable_dir("refuse");
         let open = || open_on(Engine::sequential(), &dir, &base_table(&zip_city()), 8);
-        // a `wal.log` without a log belongs to no session: it is dropped
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("wal.log"), b"").unwrap();
         assert!(open().is_ok());
         assert_eq!(files(&dir), ["snapshot.bin"]);
         let err = err_of(open());
@@ -563,14 +558,14 @@ mod tests {
     #[test]
     fn recover_rejects_rule_mismatch_and_missing_dir() {
         let dir = durable_dir("mismatch");
-        open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 8);
+        open_fd(&dir, &base_table(&zip_city()), CleanseOptions::default(), 8);
         let other: Vec<Arc<dyn Rule>> = vec![Arc::new(
             FdRule::parse("city -> zipcode", &zip_city()).unwrap(),
         )];
         let err = err_of(Session::recover(
             Executor::new(Engine::sequential()),
             other,
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         ));
         assert!(err.to_string().contains("rule set mismatch"), "{err}");
@@ -587,7 +582,7 @@ mod tests {
         let mut s = open_fd(
             &dir,
             &base_table(&zip_city()),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             100,
         );
         assert!(s
@@ -654,7 +649,7 @@ mod tests {
             .build();
         let base = base_table(&zip_city());
         let mut faulty = open_on(engine, &dir, &base, 1).unwrap();
-        let mut twin = plain_fd(&base, SessionOptions::default());
+        let mut twin = plain_fd(&base, CleanseOptions::default());
         let batch = batches().remove(0);
         faulty
             .apply(batch.clone())
@@ -817,7 +812,7 @@ mod tests {
     /// 2, its state frame — and the live session that wrote it.
     fn base_and_two_frames(tag: &str) -> (PathBuf, Session) {
         let dir = durable_dir(tag);
-        let mut s = open_fd(&dir, &wide_base(100), SessionOptions::default(), 1);
+        let mut s = open_fd(&dir, &wide_base(100), CleanseOptions::default(), 1);
         s.apply(stream_batch(0, false)).unwrap();
         s.apply(stream_batch(1, false)).unwrap();
         let kinds: Vec<u8> = frame_starts(&log_bytes(&dir)).iter().map(|f| f.1).collect();
@@ -909,42 +904,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A directory in the two-file layout of earlier builds — a base and
-    /// one delta frame in `snapshot.bin`, then half of a second, and a
-    /// `wal.log` holding the batch the torn frame covered — recovers to
-    /// the live session and leaves the one log behind; without that
-    /// batch in `wal.log` it is corrupt.
+    /// A directory in the two-file layout of builds before the one log
+    /// — batch records in a `wal.log` beside `snapshot.bin` — is refused
+    /// by recovery and by a fresh open, and left as it was.
     #[test]
-    fn parent_written_directory_migrates_into_the_one_log() {
-        let (dir, live) = base_and_two_frames("legacy");
-        let bytes = log_bytes(&dir);
-        let frames = scan_frames(&bytes).frames;
-        let frame = |i: usize| encode_frame(frames[i].0, frames[i].1);
-        let torn = frame(4);
-        let snapshot = [frame(0), frame(2), torn[..torn.len() / 2].to_vec()].concat();
-        std::fs::write(wal::snapshot_path(&dir), snapshot).unwrap();
-        // the tear with nothing in `wal.log` to cover it is data loss
+    fn two_file_directory_is_refused() {
+        let (dir, live) = base_and_two_frames("two-file");
+        drop(live);
         std::fs::write(dir.join("wal.log"), b"").unwrap();
-        assert!(matches!(recover_plain(&dir), Err(Error::Corrupt(_))));
-        std::fs::write(dir.join("wal.log"), frame(3)).unwrap();
+        let before = log_bytes(&dir);
+        match recover_plain(&dir) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("wal.log") && msg.contains("unsupported"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Error::Corrupt, got {:?}", other.map(|(_, s)| s)),
+        }
+        std::fs::remove_file(wal::snapshot_path(&dir)).unwrap();
+        let open = open_on(Engine::sequential(), &dir, &wide_base(4), 8);
+        assert!(matches!(err_of(open), Error::Corrupt(_)));
+        assert_eq!(files(&dir), ["wal.log"]);
+        std::fs::write(wal::snapshot_path(&dir), &before).unwrap();
+        std::fs::remove_file(dir.join("wal.log")).unwrap();
         let (recovered, stats) = recover_plain(&dir).unwrap();
-        assert_eq!(
-            (stats.snapshot_seq, stats.replayed, stats.last_seq),
-            (1, 1, 2)
-        );
-        assert_identical(&recovered, &live, "migrated");
-        assert_eq!(files(&dir), ["snapshot.bin"]);
+        assert_eq!((stats.snapshot_seq, stats.last_seq), (2, 2));
         drop(recovered);
-        let (again, stats) = recover_plain(&dir).unwrap();
-        assert_eq!((stats.replayed, stats.last_seq), (0, 2));
-        assert_identical(&again, &live, "recovered again");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn snapshot_load_rejects_what_position_lookup_cannot_survive() {
         let dir = durable_dir("doctored");
-        let s = open_fd(&dir, &wide_base(4), SessionOptions::default(), 8);
+        let s = open_fd(&dir, &wide_base(4), CleanseOptions::default(), 8);
         let good = s.capture_state();
         drop(s);
         type Doctor = fn(&mut SessionState);
@@ -972,7 +965,7 @@ mod tests {
     #[test]
     fn poisoned_session_refuses_to_snapshot() {
         let dir = durable_dir("poison-snap");
-        let mut s = open_fd(&dir, &base_table(&zip_city()), SessionOptions::default(), 8);
+        let mut s = open_fd(&dir, &base_table(&zip_city()), CleanseOptions::default(), 8);
         s.poisoned = true;
         assert!(err_of(s.snapshot()).to_string().contains("poisoned"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -58,7 +58,7 @@ pub mod wal;
 pub mod window;
 
 pub use delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
-pub use session::{DeltaReport, Session, SessionOptions};
+pub use session::{validate_lsh_override, CleanseOptions, DeltaReport, Session};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};
 pub use window::WindowSpec;
 

@@ -37,8 +37,7 @@ use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::bulkhead::IsolationOptions;
-use bigdansing_dataflow::{Engine, PDataset};
+use bigdansing_dataflow::{Engine, IsolationOptions, PDataset, RuleGuard};
 use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
@@ -49,42 +48,49 @@ use bigdansing_rules::{Fix, Rule, Violation};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Options governing a [`Session`]'s repair loop — the same knobs as the
-/// batch cleanse loop, so a session and a from-scratch run are
-/// comparable.
+/// Options of a cleansing job: the batch `cleanse_loop` and a
+/// [`Session`] take the same knobs, so a session and a from-scratch run
+/// are comparable.
 #[derive(Debug, Clone)]
-pub struct SessionOptions {
-    /// Maximum detect ⇄ repair iterations per applied batch.
+pub struct CleanseOptions {
+    /// Maximum detect ⇄ repair iterations (per applied batch, in a
+    /// session).
     pub max_iterations: usize,
-    /// Per-cell freeze threshold (reset for every batch, like a fresh
-    /// batch run).
+    /// Freeze threshold: after this many updates a cell stops changing
+    /// (the paper's "special variable" guaranteeing termination). A
+    /// session resets it for every batch, like a fresh batch run.
     pub max_changes_per_cell: usize,
     /// Repair strategy.
     pub strategy: RepairStrategy,
     /// Options forwarded to the parallel black-box driver.
     pub repair_options: RepairOptions,
-    /// Rule-isolation mode. In partial mode a rule whose delta
-    /// detection fails is quarantined — its indexes are dropped, its
-    /// stored violations retracted, and later applies skip it — instead
-    /// of poisoning the whole session. Quarantine is in-memory only:
+    /// Rule isolation: strict-vs-partial fault mode, per-rule soft time
+    /// budget, outlier-block threshold. In partial mode a rule whose
+    /// detection fails is quarantined on that failure and what it
+    /// detected is dropped — a session also drops its indexes and skips
+    /// it in later applies. Session quarantine is in-memory only:
     /// [`Session::recover`] gives every rule a fresh trial.
     pub isolation: IsolationOptions,
-    /// Violation window (Bleach-style). When set, every arriving record
-    /// gets a logical event time and tuples whose last containing
-    /// window closes behind the watermark are retired through the
-    /// delete path after each apply — their violations retracted via
-    /// the provenance indexes. `None` keeps the unbounded behaviour.
+    /// Violation window (Bleach-style) for sessions. When set, every
+    /// arriving record gets a logical event time and tuples whose last
+    /// containing window closes behind the watermark are retired
+    /// through the delete path after each apply — their violations
+    /// retracted via the provenance indexes. `None` keeps the unbounded
+    /// behaviour. Ignored by the batch loop (a one-shot table has no
+    /// stream to window).
     pub window: Option<WindowSpec>,
-    /// Session-level override of the MinHash/LSH banding geometry,
-    /// mirroring the batch loop's option so an incremental session and
-    /// a from-scratch cleanse of the same job stay comparable. Applies
-    /// to every similarity rule; ignored by rules without LSH blocking.
+    /// Job-level override of the MinHash/LSH banding geometry. Applies
+    /// to every registered similarity rule (a rule whose
+    /// [`Rule::lsh`] is `Some`); a job that sets this while no
+    /// registered rule declares LSH blocking is rejected up front
+    /// ([`validate_lsh_override`]) — the override would silently do
+    /// nothing.
     pub lsh: Option<LshParams>,
 }
 
-impl Default for SessionOptions {
+impl Default for CleanseOptions {
     fn default() -> Self {
-        SessionOptions {
+        CleanseOptions {
             max_iterations: 10,
             max_changes_per_cell: 3,
             strategy: RepairStrategy::default(),
@@ -96,11 +102,26 @@ impl Default for SessionOptions {
     }
 }
 
+/// Reject a job-level LSH override that no rule can honour: the
+/// banding geometry only applies to similarity rules, so if none of
+/// the registered rules declares LSH blocking the override is a
+/// configuration mistake, not a no-op.
+pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) -> Result<()> {
+    if options.lsh.is_some() && !rules.iter().any(|r| r.lsh().is_some()) {
+        return Err(Error::Repair(
+            "LSH blocking options apply only to similarity rules, but no registered rule \
+             declares LSH blocking — register a dedup/similarity rule or drop the LSH options"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 /// A long-lived incremental cleansing session over one base table.
 pub struct Session {
     pub(crate) executor: Executor,
     pub(crate) rules: Vec<Arc<dyn Rule>>,
-    pub(crate) options: SessionOptions,
+    pub(crate) options: CleanseOptions,
     /// The materialized table, always in ascending order of its tuples'
     /// sequence numbers.
     pub(crate) table: Table,
@@ -132,20 +153,21 @@ pub struct Session {
     /// Durability state when the session was opened with
     /// [`Session::open_durable`] or [`Session::recover`].
     pub(crate) durable: Option<Durable>,
-    /// Window state when [`SessionOptions::window`] was set.
+    /// Window state when [`CleanseOptions::window`] was set.
     pub(crate) win: Option<Win>,
 }
 
 impl Session {
     /// A session skeleton over `table` with `seq_col` beside it — id
     /// lookup, empty per-rule indexes and store — before any detection
-    /// or index build. Everything position lookup rests on is checked
-    /// here: one sequence number per tuple, strictly increasing, no
-    /// tuple id twice (`duplicate` words that error).
+    /// or index build. Every session constructor comes through here, so
+    /// the options are checked here once, and so is everything position
+    /// lookup rests on: one sequence number per tuple, strictly
+    /// increasing, no tuple id twice (`duplicate` words that error).
     pub(crate) fn skeleton(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
+        options: CleanseOptions,
         table: Table,
         seq_col: Vec<u64>,
         duplicate: fn(TupleId) -> Error,
@@ -153,6 +175,7 @@ impl Session {
         if rules.is_empty() {
             return Err(Error::Repair("no rules registered".into()));
         }
+        validate_lsh_override(&options, &rules)?;
         if seq_col.len() != table.len() {
             return Err(Error::Corrupt(
                 "sequence numbers do not cover the table".into(),
@@ -197,7 +220,7 @@ impl Session {
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         table: &Table,
-        options: SessionOptions,
+        options: CleanseOptions,
     ) -> Result<Session> {
         // Base rows get sequence numbers — and, windowed, event times —
         // in table order, as if they had streamed in one at a time.
@@ -605,14 +628,13 @@ impl Session {
         for stored in self.store.retract_rule(ri) {
             stats.retract(&stored);
         }
-        let m = engine.metrics();
-        Metrics::add(&m.breaker_trips, 1);
-        Metrics::add(&m.rules_quarantined, 1);
+        Metrics::add(&engine.metrics().rules_quarantined, 1);
     }
 
     /// Run Detect + GenFix over the enumerated units as one fused lazy
     /// stage (fault retries, memory budget, and cancellation apply), and
-    /// fold the results into the store.
+    /// fold the results into the store. With a rule time budget the
+    /// pass runs under a [`RuleGuard`] checked before every unit.
     fn detect_units(
         &mut self,
         ri: usize,
@@ -621,6 +643,10 @@ impl Session {
         engine: &Engine,
     ) -> Result<()> {
         let rule = Arc::clone(&self.states[ri].rule);
+        let iso = &self.options.isolation;
+        let guard = iso
+            .rule_time_budget
+            .map(|_| RuleGuard::arm(rule.name(), iso));
         let metrics = engine.metrics().clone();
         let op = format!("delta-detect+genfix({})", rule.name());
         let found: Vec<(ProvState, Violation, Vec<Fix>)> =
@@ -630,6 +656,9 @@ impl Session {
                     Metrics::add(&metrics.detect_calls, part.len() as u64);
                     let mut out = Vec::new();
                     for (prov, unit) in part {
+                        if let Some(g) = &guard {
+                            g.check_budget()?;
+                        }
                         for v in rule.detect(&unit.lend()) {
                             let fixes = rule.gen_fix(&v);
                             out.push((prov.clone(), v, fixes));
@@ -736,7 +765,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap()
     }
@@ -792,7 +821,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions {
+            CleanseOptions {
                 isolation: IsolationOptions::partial(),
                 ..Default::default()
             },
@@ -852,7 +881,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions {
+            CleanseOptions {
                 isolation: IsolationOptions::partial(),
                 ..Default::default()
             },
@@ -888,7 +917,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         );
         assert!(err.is_err(), "strict isolation propagates the fault");
     }
@@ -991,7 +1020,7 @@ mod tests {
             Executor::new(engine),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         assert!(!s.is_poisoned());
@@ -1040,7 +1069,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             Vec::new(),
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .is_err());
     }

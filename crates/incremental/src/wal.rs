@@ -23,8 +23,8 @@
 
 use crate::delta::{DeltaBatch, DeltaOp};
 use bigdansing_common::codec::{
-    atomic_write, begin_frame, decode_frame_borrowed, finish_frame, scan_frames, sync_parent_dir,
-    Codec, FRAME_HEADER, FRAME_MAGIC, FRAME_TRAILER,
+    begin_frame, decode_frame_borrowed, finish_frame, scan_frames, Codec, FRAME_HEADER,
+    FRAME_MAGIC, FRAME_TRAILER,
 };
 use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{Error, Result, Schema, Table, Tuple, Value};
@@ -41,10 +41,6 @@ pub const KIND_WAL: u8 = 1;
 pub const KIND_SNAPSHOT: u8 = 2;
 /// Frame kind for a state frame: what changed since the frame before.
 pub const KIND_SNAPSHOT_DELTA: u8 = 3;
-
-/// The batch log of the two-file layout earlier builds wrote; recovery
-/// folds it into the one log ([`migrate_legacy_wal`]).
-const LEGACY_WAL_FILE: &str = "wal.log";
 
 /// Where and how often a session persists its state.
 #[derive(Clone, Debug)]
@@ -153,26 +149,27 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
 
 impl Wal {
     /// The log of a fresh session in `dir` (created if missing). Nothing
-    /// is written before the first [`Wal::write_base`]. Crash leftovers
-    /// are removed: temp files, and a `wal.log` of the two-file layout,
-    /// which belongs to no snapshot here.
+    /// is written before the first [`Wal::write_base`]. Temp files a
+    /// crash left are removed; a directory in the two-file layout is
+    /// refused ([`refuse_two_file_layout`]).
     pub(crate) fn create(dir: &Path) -> Result<Wal> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Io(format!("create durable dir {}: {e}", dir.display())))?;
+        refuse_two_file_layout(dir)?;
         sweep_orphan_tmps(dir);
-        let _ = std::fs::remove_file(dir.join(LEGACY_WAL_FILE));
         Ok(Wal {
             path: snapshot_path(dir),
             file: None,
         })
     }
 
-    /// Open the log in `dir` for recovery: sweep temp files a crash left,
-    /// fold in a legacy `wal.log`, read the log ([`read_log`]) and cut
-    /// its torn tail, so appends resume on a frame boundary.
+    /// Open the log in `dir` for recovery: refuse the two-file layout
+    /// ([`refuse_two_file_layout`]), sweep temp files a crash left, read
+    /// the log ([`read_log`]) and cut its torn tail, so appends resume on
+    /// a frame boundary.
     pub(crate) fn open(dir: &Path) -> Result<(Wal, Log)> {
+        refuse_two_file_layout(dir)?;
         sweep_orphan_tmps(dir);
-        migrate_legacy_wal(dir)?;
         let path = snapshot_path(dir);
         let log = read_log(&path)?;
         let mut wal = Wal { path, file: None };
@@ -776,41 +773,17 @@ pub(crate) fn read_log(path: &Path) -> Result<Log> {
     })
 }
 
-/// Fold the `wal.log` of the two-file layout into the log. The old
-/// layout emptied the WAL after every state frame, so its whole records
-/// all follow the old snapshot file's whole frames, and they cover a
-/// state frame a crash tore at its end; one atomic rewrite puts them
-/// there, dropping the tear. A log that already holds batch records took
-/// them in before a crash kept `wal.log` from being removed, and is left
-/// as it is.
-fn migrate_legacy_wal(dir: &Path) -> Result<()> {
-    let legacy = dir.join(LEGACY_WAL_FILE);
-    let path = snapshot_path(dir);
-    let io = |path: &Path, e: std::io::Error| Error::Io(format!("{}: {e}", path.display()));
-    let old = match std::fs::read(&legacy) {
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
-        read => read.map_err(|e| io(&legacy, e))?,
-    };
-    let Ok(bytes) = std::fs::read(&path) else {
-        return Ok(()); // `read_log` reports the missing log
-    };
-    let scan = scan_frames(&bytes);
-    let records = &old[..scan_frames(&old).good];
-    if !scan.frames.iter().any(|&(kind, _)| kind == KIND_WAL) {
-        if scan.tail.is_some() && records.is_empty() {
-            return Err(Error::Corrupt(format!(
-                "{}: ends in a frame that does not decode, and {} holds no batch to cover it",
-                path.display(),
-                legacy.display()
-            )));
-        }
-        if !records.is_empty() {
-            let merged = [&bytes[..scan.good], records].concat();
-            atomic_write(&path, &merged).map_err(|e| io(&path, e))?;
-        }
+/// Builds before the one log kept batch records in a `wal.log` beside
+/// `snapshot.bin`. That layout is not read: a directory holding one is
+/// [`Error::Corrupt`], never silently recovered without its batches.
+fn refuse_two_file_layout(dir: &Path) -> Result<()> {
+    let old = dir.join("wal.log");
+    if old.exists() {
+        return Err(Error::Corrupt(format!(
+            "{}: the two-file durable layout (wal.log beside snapshot.bin) is unsupported",
+            old.display()
+        )));
     }
-    std::fs::remove_file(&legacy).map_err(|e| io(&legacy, e))?;
-    sync_parent_dir(&legacy);
     Ok(())
 }
 

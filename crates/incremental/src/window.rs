@@ -228,7 +228,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::fixtures::{base_table, fd_rules};
-    use crate::SessionOptions;
+    use crate::CleanseOptions;
     use bigdansing_common::{Schema, Value};
     use bigdansing_dataflow::Engine;
     use bigdansing_plan::Executor;
@@ -294,7 +294,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions {
+            CleanseOptions {
                 window: Some(spec),
                 ..Default::default()
             },
@@ -310,7 +310,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             s.table(),
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -327,7 +327,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         assert!(s.window().is_none());

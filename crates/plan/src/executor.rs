@@ -16,7 +16,7 @@ use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
 use bigdansing_common::{KeyDict, KeyId, Table, Tuple};
-use bigdansing_dataflow::bulkhead::{pairs_in_block, RuleGuard};
+use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, Stage};
 use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
 use bigdansing_rules::{DetectUnit, Fix, Rule, RuleExt, Violation};
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn guarded_pipeline_skips_outlier_blocks_in_partial_mode() {
-        use bigdansing_dataflow::bulkhead::{FaultMode, IsolationOptions};
+        use bigdansing_dataflow::{FaultMode, IsolationOptions};
         // Example 1's only multi-tuple FD block is zipcode 90210 (three
         // tuples); capping blocks at 2 tuples skips it — and with it
         // every FD violation.
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn guarded_pipeline_raises_typed_error_in_strict_mode() {
         use bigdansing_common::error::Error;
-        use bigdansing_dataflow::bulkhead::IsolationOptions;
+        use bigdansing_dataflow::IsolationOptions;
         let table = example1();
         let exec = Executor::new(Engine::sequential());
         let rule = fd_rule();
@@ -764,7 +764,7 @@ mod tests {
 
     #[test]
     fn guard_counts_processed_units() {
-        use bigdansing_dataflow::bulkhead::IsolationOptions;
+        use bigdansing_dataflow::IsolationOptions;
         let table = example1();
         let exec = Executor::new(Engine::sequential());
         let rule = fd_rule();

@@ -12,10 +12,10 @@
 //! panic inside `detect`/`gen_fix` is caught at the task layer, retried
 //! only if the payload varies (a repeated payload short-circuits the
 //! retry budget), and — when the job runs with partial isolation —
-//! charged to this rule's circuit breaker rather than the job. A rule
-//! whose breaker opens is quarantined for the rest of the job; other
-//! rules' detection and repair proceed untouched. UDFs therefore don't
-//! need defensive `catch_unwind` wrappers of their own.
+//! charged to this rule rather than the job: the rule is quarantined
+//! for the rest of the job (or session), and other rules' detection and
+//! repair proceed untouched. UDFs therefore don't need defensive
+//! `catch_unwind` wrappers of their own.
 
 use crate::ops::{DetectUnit, UnitKind};
 use crate::rule::{BlockKey, OrderCond, Rule};

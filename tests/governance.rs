@@ -9,8 +9,8 @@
 //! with arithmetic instead of luck.
 
 use bigdansing::{
-    AdmissionControl, BigDansing, CancelReason, CleanseOptions, Engine, Error, ExecMode,
-    FaultInjector, IsolationOptions, MemoryBudget, RuleHealth,
+    AdmissionControl, BigDansing, CancelReason, CleanseOptions, DeltaBatch, Engine, Error,
+    ExecMode, FaultInjector, IsolationOptions, MemoryBudget, RuleHealth,
 };
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Schema, Table, Value};
@@ -94,7 +94,10 @@ fn deadline_trips_doomed_job_while_admitted_sibling_matches_oracle() {
         other => panic!("expected Error::Cancelled, got {other:?}"),
     }
     let m = doomed_engine.metrics();
-    assert!(Metrics::get(&m.deadline_trips) >= 1, "watchdog never fired");
+    assert!(
+        Metrics::get(&m.deadline_trips) >= 1,
+        "deadline trip not counted"
+    );
     assert!(Metrics::get(&m.jobs_cancelled) >= 1);
     assert!(
         spill_dir_is_empty(&doomed_engine),
@@ -217,10 +220,10 @@ fn healthy_rules(schema: &Schema) -> Vec<Arc<dyn Rule>> {
 }
 
 /// The fault-isolation acceptance test: a three-rule cleanse in partial
-/// mode completes with the always-panicking rule quarantined by its
-/// circuit breaker, the repeated panic payload short-circuiting its
-/// retry budget, and the healthy rules' repair byte-identical to a run
-/// that never registered the faulty rule.
+/// mode completes with the always-panicking rule quarantined, the
+/// repeated panic payload short-circuiting its retry budget, and the
+/// healthy rules' repair byte-identical to a run that never registered
+/// the faulty rule.
 #[test]
 fn partial_cleanse_quarantines_panicking_rule_and_matches_oracle() {
     let table = three_city_table();
@@ -270,12 +273,22 @@ fn partial_cleanse_quarantines_panicking_rule_and_matches_oracle() {
         }
     }
     let m = engine.metrics().snapshot();
-    assert!(m.breaker_trips >= 1, "breaker never opened");
-    assert!(m.rules_quarantined >= 1);
+    assert_eq!(m.rules_quarantined, 1);
     assert!(
         m.retries_short_circuited >= 1,
         "repeated panic payloads should fail fast instead of burning the retry budget"
     );
+}
+
+fn sleeping_udf(per_unit: Duration) -> Arc<dyn Rule> {
+    Arc::new(
+        UdfRule::builder("udf:hung", move |_| {
+            std::thread::sleep(per_unit);
+            vec![]
+        })
+        .unit_kind(UnitKind::Single)
+        .build(),
+    )
 }
 
 /// A rule that hangs (sleeps far past the soft per-rule time budget) is
@@ -284,21 +297,11 @@ fn partial_cleanse_quarantines_panicking_rule_and_matches_oracle() {
 #[test]
 fn hung_rule_is_timed_out_and_quarantined_in_partial_mode() {
     let table = three_city_table();
-    let hanging = || -> Arc<dyn Rule> {
-        Arc::new(
-            UdfRule::builder("udf:hung", |_| {
-                std::thread::sleep(Duration::from_millis(120));
-                vec![]
-            })
-            .unit_kind(UnitKind::Single)
-            .build(),
-        )
-    };
     let mut iso = IsolationOptions::partial();
     iso.rule_time_budget = Some(Duration::from_millis(40));
 
     let mut rules = healthy_rules(table.schema());
-    rules.push(hanging());
+    rules.push(sleeping_udf(Duration::from_millis(120)));
     let exec = Executor::new(Engine::sequential());
     let result = bigdansing::cleanse::cleanse_loop(
         &exec,
@@ -343,6 +346,117 @@ fn hung_rule_is_timed_out_and_quarantined_in_partial_mode() {
         }
         other => panic!("expected Error::Rule, got {other:?}"),
     }
+}
+
+/// A session honours the rule time budget as the batch loop does: a
+/// delta detect that runs past it quarantines the rule in partial mode,
+/// with the batch loop's cause, and fails the apply in strict mode.
+#[test]
+fn session_times_out_a_hung_rule_like_the_batch_loop() {
+    // An empty base opens without a detect; the batch's three inserts
+    // give the sleeping rule three units, and the budget expires during
+    // the first.
+    let base = Table::from_rows("t", three_city_table().schema().clone(), vec![]);
+    let batch = || {
+        let row = |city: &str| vec![Value::Int(1), Value::str(city), Value::str("CA")];
+        DeltaBatch::new()
+            .insert(0, row("LA"))
+            .insert(1, row("SF"))
+            .insert(2, row("LA"))
+    };
+    let mut sys = BigDansing::sequential();
+    sys.add_fd("zipcode -> city", base.schema()).unwrap();
+    sys.add_rule(sleeping_udf(Duration::from_millis(60)));
+    let budget = Some(Duration::from_millis(20));
+    let options = |mut isolation: IsolationOptions| {
+        isolation.rule_time_budget = budget;
+        CleanseOptions {
+            isolation,
+            ..Default::default()
+        }
+    };
+
+    let mut session = sys
+        .open_session(&base, options(IsolationOptions::partial()))
+        .unwrap();
+    let report = sys.apply_delta(&mut session, batch()).unwrap();
+    let timed_out = Error::Rule {
+        rule: "udf:hung".into(),
+        cause: "soft time budget exceeded".into(),
+    };
+    assert_eq!(
+        session.quarantined_rules(),
+        [("udf:hung".to_string(), timed_out.to_string())]
+    );
+    assert_eq!(report.rules_quarantined, 1);
+    assert!(
+        report.converged && session.is_clean(),
+        "the FD still repairs"
+    );
+
+    let mut strict = sys
+        .open_session(&base, options(IsolationOptions::default()))
+        .unwrap();
+    let err = sys.apply_delta(&mut strict, batch()).unwrap_err();
+    assert_eq!(err, timed_out);
+    assert!(strict.is_poisoned());
+}
+
+/// One quarantine rule for batch and session: a panicking UDF beside an
+/// FD is quarantined with the same cause by a partial cleanse and by a
+/// partial session (open, then one delta), each engine counts one
+/// quarantined rule, and the FD output equals an FD-only run.
+#[test]
+fn batch_and_session_quarantine_a_faulty_rule_alike() {
+    let table = three_city_table();
+    let fd: Arc<dyn Rule> = Arc::new(FdRule::parse("zipcode -> city", table.schema()).unwrap());
+    let faulty: Arc<dyn Rule> = Arc::new(
+        UdfRule::builder("udf:faulty", |_| panic!("faulty udf"))
+            .unit_kind(UnitKind::Single)
+            .build(),
+    );
+    let system = |rules: &[&Arc<dyn Rule>]| {
+        let mut sys = BigDansing::sequential();
+        for rule in rules {
+            sys.add_rule(Arc::clone(rule));
+        }
+        sys
+    };
+    let partial = || CleanseOptions {
+        isolation: IsolationOptions::partial(),
+        ..Default::default()
+    };
+    let quarantined = |sys: &BigDansing| sys.engine().metrics().snapshot().rules_quarantined;
+
+    let sys = system(&[&fd, &faulty]);
+    let batch = sys.cleanse(&table, partial()).unwrap();
+    let oracle = system(&[&fd])
+        .cleanse(&table, CleanseOptions::default())
+        .unwrap();
+    assert_eq!(batch.table.diff_cells(&oracle.table), 0);
+    assert_eq!(quarantined(&sys), 1);
+    let causes: Vec<(String, String)> = batch
+        .outcome
+        .quarantined()
+        .map(|(rule, cause)| (rule.to_string(), cause.to_string()))
+        .collect();
+    assert_eq!(causes.len(), 1);
+    assert_eq!(causes[0].0, "udf:faulty");
+
+    let delta =
+        DeltaBatch::new().insert(10, vec![Value::Int(2), Value::str("BOS"), Value::str("NY")]);
+    let sys = system(&[&fd, &faulty]);
+    let mut session = sys.open_session(&table, partial()).unwrap();
+    sys.apply_delta(&mut session, delta.clone()).unwrap();
+    assert_eq!(session.quarantined_rules(), causes);
+    assert_eq!(quarantined(&sys), 1);
+    let oracle_sys = system(&[&fd]);
+    let mut oracle = oracle_sys
+        .open_session(&table, CleanseOptions::default())
+        .unwrap();
+    oracle_sys.apply_delta(&mut oracle, delta).unwrap();
+    assert_eq!(session.table().tuples(), oracle.table().tuples());
+    assert_eq!(session.detected(), oracle.detected());
 }
 
 /// Two systems sharing one reject-on-full gate: while the first system's

@@ -67,8 +67,9 @@ fn engines_agree_on_violation_sets() {
 }
 
 /// An engine with a deterministic fault injector: every partition task has
-/// a chance of panicking and every spill read/write a chance of failing,
-/// all keyed off a fixed seed so runs are reproducible.
+/// a chance of panicking and every durable write (checkpoint spills
+/// included) a chance of failing, all keyed off a fixed seed so runs are
+/// reproducible.
 fn faulty_engine(mode: ExecMode, seed: u64) -> Engine {
     Engine::builder(mode)
         .workers(3)
@@ -76,14 +77,14 @@ fn faulty_engine(mode: ExecMode, seed: u64) -> Engine {
         .fault_injector(
             FaultInjector::seeded(seed)
                 .with_task_panics(0.15)
-                .with_spill_errors(0.15),
+                .with_io_write_failures(0.15),
         )
         .build()
 }
 
 #[test]
 fn engines_agree_on_violations_under_injected_faults() {
-    // Acceptance: with seeded injected panics and spill I/O errors, the
+    // Acceptance: with seeded injected panics and spill write errors, the
     // Parallel and DiskBacked runs complete and match the fault-free
     // Sequential oracle exactly, with nonzero retry/panic counters.
     for (table, rule) in [phi1_data(), phi2_data()] {

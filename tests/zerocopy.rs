@@ -144,7 +144,7 @@ fn zero_copy_path_matches_deep_clone_oracle_under_injected_faults() {
             .fault_injector(
                 FaultInjector::seeded(0x2E50)
                     .with_task_panics(0.15)
-                    .with_spill_errors(0.15),
+                    .with_io_write_failures(0.15),
             )
             .build();
         let exec = Executor::new(engine);
