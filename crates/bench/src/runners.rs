@@ -99,10 +99,10 @@ pub fn bd_detect_with_strategy(
         use_genfix: false,
     };
     let (out, secs) = time_best(|| {
-        exec.run_pipeline(exec.load(table), &pipeline, None, None)
+        exec.run_group(exec.load(table), table.schema(), &[&pipeline], None, None)
             .unwrap()
     });
-    (out.violation_count(), secs)
+    (out[0].violation_count(), secs)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::{PDataset, RuleGuard};
-use bigdansing_plan::physical::{choose_strategy_with, pipeline_for_rule};
+use bigdansing_plan::physical::{block_groups, choose_strategy_with, pipeline_for_rule};
 use bigdansing_plan::{Delta, Executor, IterateStrategy, Origin, RulePipeline};
 use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
 use bigdansing_rules::Rule;
@@ -146,6 +146,8 @@ fn health_report(trackers: &[RuleTracker]) -> CleanseOutcome {
 struct BatchTarget<'a> {
     executor: &'a Executor,
     pipelines: Vec<RulePipeline>,
+    /// The pipelines' [`block_groups`]: each group is one detect pass.
+    groups: Vec<Vec<usize>>,
     options: &'a CleanseOptions,
     trackers: Vec<RuleTracker>,
     table: Table,
@@ -178,56 +180,109 @@ impl BatchTarget<'_> {
         self.origins
             .retain(|_| *kept.next().expect("one origin per detection"));
     }
-}
 
-impl RepairTarget for BatchTarget<'_> {
-    /// One isolation-aware detect round: a shared scan, then every
-    /// non-quarantined rule's pipeline under its own [`RuleGuard`]. In
-    /// partial mode a failing rule is quarantined for the rest of the
-    /// job, as a session quarantines it, and what it carried is dropped
-    /// with it; strict mode propagates the first failure. Cancellation
-    /// and admission errors always propagate — they are about the job,
-    /// not a rule.
-    fn detect(&mut self) -> Result<&[Detected]> {
-        let (executor, iso) = (self.executor, &self.options.isolation);
-        let engine = executor.engine();
-        let metrics = engine.metrics().clone();
-        // a re-detect counts what it touches as reprocessed, not scanned
-        let data = match self.pending {
-            None => executor.load(&self.table),
-            Some(_) => PDataset::from_vec(engine.clone(), self.table.tuples().to_vec()),
-        };
-        let delta = Arc::new(self.pending.take().unwrap_or_default());
-        for (i, pipeline) in self.pipelines.iter().enumerate() {
-            engine.check_cancelled()?;
-            // a rule carrying nothing is detected in full
-            let delta = std::mem::take(&mut self.current[i]).then_some(&delta);
-            let tracker = &mut self.trackers[i];
-            if tracker.quarantined.is_some() {
-                continue;
+    /// Run the rules `members` as one group, each under a fresh guard,
+    /// and fold the run into the job: the guards' counters, then the
+    /// detections — or, in partial mode, the quarantine of the rules it
+    /// ran. A failed group of several first re-runs each member alone,
+    /// so only a faulty rule is quarantined; the failed run's guards
+    /// count nothing. Strict mode propagates the failure.
+    fn run_members(
+        &mut self,
+        data: &PDataset<Tuple>,
+        members: &[usize],
+        delta: Option<&Arc<Delta>>,
+    ) -> Result<()> {
+        let options = self.options;
+        let iso = &options.isolation;
+        let group: Vec<&RulePipeline> = members.iter().map(|&i| &self.pipelines[i]).collect();
+        let guards: Vec<_> = group
+            .iter()
+            .map(|p| RuleGuard::arm(p.rule.name(), iso))
+            .collect();
+        let schema = self.table.schema();
+        let run = self
+            .executor
+            .run_group(data.duplicate()?, schema, &group, Some(&guards), delta);
+        if run
+            .as_ref()
+            .is_err_and(|e| rule_error(e) && iso.is_partial())
+            && members.len() > 1
+        {
+            for &i in members {
+                self.run_members(data, &[i], delta)?;
             }
-            let guard = RuleGuard::arm(pipeline.rule.name(), iso);
-            let data = data.duplicate()?;
-            let run = executor.run_pipeline(data, pipeline, Some(&guard), delta);
+            return Ok(());
+        }
+        let metrics = self.executor.engine().metrics().clone();
+        for (&i, guard) in members.iter().zip(&guards) {
+            let tracker = &mut self.trackers[i];
             tracker.units_processed += guard.units_processed();
             tracker.units_skipped += guard.units_skipped();
             Metrics::add(&metrics.units_skipped, guard.units_skipped());
-            match run {
-                Ok(o) => {
+        }
+        match run {
+            Ok(outs) => {
+                for (&i, o) in members.iter().zip(outs) {
                     self.current[i] = true;
                     self.detected.extend(o.detected);
                     self.origins
                         .extend(o.origins.into_iter().map(|unit| (i, unit)));
                 }
-                Err(e @ Error::Cancelled { .. }) | Err(e @ Error::Rejected { .. }) => {
-                    return Err(e)
-                }
-                Err(e) if iso.is_partial() => {
-                    tracker.quarantined = Some(e.to_string());
+            }
+            Err(e) if rule_error(&e) && iso.is_partial() => {
+                for &i in members {
+                    self.trackers[i].quarantined = Some(e.to_string());
                     Metrics::add(&metrics.rules_quarantined, 1);
                 }
-                Err(e) => return Err(e),
             }
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+}
+
+/// Whether `e` can be a rule's fault. Cancellation and admission errors
+/// are about the job, so no rule is quarantined for them.
+fn rule_error(e: &Error) -> bool {
+    !matches!(e, Error::Cancelled { .. } | Error::Rejected { .. })
+}
+
+impl RepairTarget for BatchTarget<'_> {
+    /// One isolation-aware detect round: a shared scan, then every
+    /// group of non-quarantined rules as one pass, each rule under its
+    /// own [`RuleGuard`]. A group runs semi-naively only when every
+    /// member carries its detections; otherwise it runs in full, after
+    /// dropping what its members carried. In partial mode a failing
+    /// rule is quarantined for the rest of the job, as a session
+    /// quarantines it, and what it carried is dropped with it — a
+    /// failed group of several re-runs each member alone first, so only
+    /// the faulty rule is; strict mode propagates the first failure.
+    /// Cancellation and admission errors always propagate — they are
+    /// about the job, not a rule.
+    fn detect(&mut self) -> Result<&[Detected]> {
+        let engine = self.executor.engine();
+        // a re-detect counts what it touches as reprocessed, not scanned
+        let data = match self.pending {
+            None => self.executor.load(&self.table),
+            Some(_) => PDataset::from_vec(engine.clone(), self.table.tuples().to_vec()),
+        };
+        let delta = Arc::new(self.pending.take().unwrap_or_default());
+        for g in 0..self.groups.len() {
+            engine.check_cancelled()?;
+            let healthy = |&i: &usize| self.trackers[i].quarantined.is_none();
+            let members: Vec<usize> = self.groups[g].iter().copied().filter(healthy).collect();
+            if members.is_empty() {
+                continue;
+            }
+            let carried = members.iter().all(|&i| self.current[i]);
+            if !carried && members.iter().any(|&i| self.current[i]) {
+                self.retract(|(rule, _)| !members.contains(rule));
+            }
+            for &i in &members {
+                self.current[i] = false;
+            }
+            self.run_members(&data, &members, carried.then_some(&delta))?;
         }
         // a rule that was skipped or failed contributes nothing
         if !self.current.iter().all(|c| *c) {
@@ -251,7 +306,7 @@ impl RepairTarget for BatchTarget<'_> {
         // Retract what the delta invalidates right away, so the next
         // detect's output never sits in memory next to what it replaces.
         let dirty_buckets = |pipeline: &RulePipeline| match pipeline.strategy {
-            IterateStrategy::BlockList => delta.dirty_buckets(pipeline.rule.as_ref()),
+            IterateStrategy::BlockList => delta.dirty_buckets(pipeline),
             _ => HashSet::new(),
         };
         let dirty: Vec<HashSet<u64>> = self.pipelines.iter().map(dirty_buckets).collect();
@@ -294,9 +349,11 @@ pub fn cleanse_loop(
         pipeline.strategy = choose_strategy_with(rule.as_ref(), options.lsh);
         pipeline
     };
+    let pipelines: Vec<RulePipeline> = rules.iter().map(pipeline).collect();
     let mut target = BatchTarget {
         executor,
-        pipelines: rules.iter().map(pipeline).collect(),
+        groups: block_groups(&pipelines),
+        pipelines,
         options: &options,
         trackers: rules
             .iter()

@@ -3,7 +3,7 @@
 //! batches, and recovery (base + state-frame fold, deterministic index
 //! rebuild, replay of the batch records past the folded watermark).
 
-use crate::index::RuleIndex;
+use crate::index::GroupIndex;
 use crate::session::{CleanseOptions, Session};
 use crate::wal::{
     self, DeltaFrame, DurabilityOptions, RecoverStats, SessionState, Upsert, Wal, WindowState,
@@ -206,28 +206,28 @@ impl Session {
         Ok(session)
     }
 
-    /// Re-scope every live tuple into the per-rule indexes — the same
+    /// Re-index every live tuple into the per-group indexes — the same
     /// entries incremental maintenance would have accumulated, rebuilt
     /// in one pass through the same insert path. The indexes share
     /// nothing but the table they read, so a parallel engine's workers
-    /// each take a share of the rules.
+    /// each take a share of the groups.
     fn rebuild_indexes(&mut self) {
         let engine = self.executor.engine().clone();
         let (table, seqs) = (&self.table, &self.seqs);
-        let rebuild = |indexes: &mut [RuleIndex]| {
+        let rebuild = |indexes: &mut [GroupIndex]| {
             for index in indexes {
                 let live = table.tuples().iter().map(|t| (t.id(), Some(t)));
                 let delta = index.reindex(live, seqs);
                 index.load_oc(delta, &engine);
             }
         };
-        let share = self.states.len().div_ceil(engine.workers());
-        if share == self.states.len() {
-            return rebuild(&mut self.states);
+        let share = self.groups.len().div_ceil(engine.workers());
+        if share == self.groups.len() {
+            return rebuild(&mut self.groups);
         }
         // scope joins every thread and re-raises a rule's panic here
         std::thread::scope(|scope| {
-            for indexes in self.states.chunks_mut(share) {
+            for indexes in self.groups.chunks_mut(share) {
                 scope.spawn(|| rebuild(indexes));
             }
         });
@@ -359,7 +359,7 @@ mod tests {
     use bigdansing_common::codec::{scan_frames, FRAME_HEADER, FRAME_TRAILER};
     use bigdansing_common::{Schema, Value};
     use bigdansing_dataflow::{Engine, ExecMode, FaultInjector, FaultPolicy, FaultSite};
-    use bigdansing_rules::FdRule;
+    use bigdansing_rules::{CfdRule, DcRule, FdRule};
     use std::path::{Path, PathBuf};
 
     fn err_of<T>(r: Result<T>) -> Error {
@@ -458,39 +458,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The FD beside rules that share its Block key — a variable CFD
+    /// whose Scope drops rows and an equality DC: one session index.
+    fn shared_key_rules(schema: &Schema) -> Vec<Arc<dyn Rule>> {
+        let mut rules = fd_rules(schema);
+        let cfd = CfdRule::parse("zipcode -> city | zipcode=3, city=_", schema).unwrap();
+        let dc = DcRule::parse("t1.zipcode = t2.zipcode & t1.city != t2.city", schema).unwrap();
+        rules.extend([Arc::new(cfd) as Arc<dyn Rule>, Arc::new(dc)]);
+        rules
+    }
+
     #[test]
     fn recover_replays_wal_suffix_and_matches_uninterrupted() {
-        let dir = durable_dir("replay");
-        let base = base_table(&zip_city());
-        // Cadence 100: nothing beyond the baseline snapshot, so every
-        // batch must come back from its record.
-        let mut durable = open_fd(&dir, &base, CleanseOptions::default(), 100);
-        let mut oracle = plain_fd(&base, CleanseOptions::default());
-        for b in batches() {
-            durable.apply(b.clone()).unwrap();
-            oracle.apply(b).unwrap();
+        type Rules = fn(&Schema) -> Vec<Arc<dyn Rule>>;
+        let rule_sets: [(&str, Rules); 2] = [("replay", fd_rules), ("shared", shared_key_rules)];
+        for (tag, rules) in rule_sets {
+            let dir = durable_dir(tag);
+            let base = base_table(&zip_city());
+            let exec = || Executor::new(Engine::sequential());
+            let (rules, opts) = (|| rules(&zip_city()), CleanseOptions::default);
+            // Cadence 100: nothing beyond the baseline snapshot, so every
+            // batch must come back from its record.
+            let durability = DurabilityOptions::new(&dir).snapshot_every(100);
+            let durable = Session::open_durable(exec(), rules(), &base, opts(), durability);
+            let mut durable = durable.unwrap();
+            let mut oracle = Session::new(exec(), rules(), &base, opts()).unwrap();
+            for b in batches() {
+                durable.apply(b.clone()).unwrap();
+                oracle.apply(b).unwrap();
+            }
+            drop(durable); // "crash" — recovery sees only the disk state
+
+            let recover = || {
+                let durability = DurabilityOptions::new(&dir).snapshot_every(1);
+                Session::recover(exec(), rules(), opts(), durability).unwrap()
+            };
+            let (recovered, stats) = recover();
+            assert_eq!(
+                (stats.snapshot_seq, stats.replayed, stats.last_seq),
+                (0, 4, 4),
+                "{tag}"
+            );
+            assert_same(&recovered, &oracle);
+
+            // Recovery wrote a catch-up snapshot: a second recovery
+            // replays nothing, still matches, and its rebuilt indexes
+            // pair a later delta against the residents as the live ones
+            // do.
+            let (mut again, stats2) = recover();
+            assert_eq!((stats2.snapshot_seq, stats2.replayed), (4, 0), "{tag}");
+            assert_same(&again, &oracle);
+            let next = DeltaBatch::new().insert(13, vec![Value::Int(3), Value::str("XX")]);
+            again.apply(next.clone()).unwrap();
+            oracle.apply(next).unwrap();
+            assert_same(&again, &oracle);
+            again.snapshot().unwrap();
+            assert_eq!(
+                files(&dir),
+                ["snapshot.bin"],
+                "the log is the whole directory"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        drop(durable); // "crash" — recovery sees only the disk state
-
-        let (recovered, stats) = recover_plain(&dir).unwrap();
-        assert_eq!(
-            (stats.snapshot_seq, stats.replayed, stats.last_seq),
-            (0, 4, 4)
-        );
-        assert_same(&recovered, &oracle);
-
-        // Recovery wrote a catch-up snapshot: a second recovery replays
-        // nothing and still matches.
-        let (mut again, stats2) = recover_plain(&dir).unwrap();
-        assert_eq!((stats2.snapshot_seq, stats2.replayed), (4, 0));
-        assert_same(&again, &oracle);
-        again.snapshot().unwrap();
-        assert_eq!(
-            files(&dir),
-            ["snapshot.bin"],
-            "the log is the whole directory"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::delta::{check_arity, DeltaBatch, DeltaOp};
 use crate::durable::Durable;
-use crate::index::{RuleIndex, Unit};
+use crate::index::{Delta, GroupIndex, GroupRule, Unit};
 use crate::report::ApplyStats;
 pub use crate::report::DeltaReport;
 use crate::store::Store;
@@ -138,7 +138,10 @@ pub struct Session {
     pub(crate) seq_col: Vec<u64>,
     /// The next sequence number; above everything in `seq_col`.
     pub(crate) next_seq: u64,
-    pub(crate) states: Vec<RuleIndex>,
+    /// One candidate index per rule group (see the `index` module).
+    pub(crate) groups: Vec<GroupIndex>,
+    /// Where each rule sits, by registration index: `(group, member)`.
+    rule_at: Vec<(usize, usize)>,
     pub(crate) store: Store,
     /// True when the last repair loop ended stably: violation-free, or
     /// with every surviving fix filtered as a no-op (never by the freeze
@@ -193,8 +196,16 @@ impl Session {
                 return Err(duplicate(t.id()));
             }
         }
+        let groups = GroupIndex::for_rules(&rules, options.lsh);
+        let mut rule_at = vec![(0, 0); rules.len()];
+        for (g, group) in groups.iter().enumerate() {
+            for (m, r) in group.rules.iter().enumerate() {
+                rule_at[r.ri] = (g, m);
+            }
+        }
         Ok(Session {
-            states: RuleIndex::for_rules(&rules, options.lsh),
+            groups,
+            rule_at,
             executor,
             rules,
             options,
@@ -294,14 +305,18 @@ impl Session {
     /// `(rule name, cause)` pairs in registration order. Empty in
     /// strict mode and for healthy sessions.
     pub fn quarantined_rules(&self) -> Vec<(String, String)> {
-        self.states
-            .iter()
-            .filter_map(|s| {
-                s.quarantined
+        self.group_rules()
+            .filter_map(|r| {
+                r.quarantined
                     .as_ref()
-                    .map(|c| (s.rule.name().to_string(), c.clone()))
+                    .map(|c| (r.rule.name().to_string(), c.clone()))
             })
             .collect()
+    }
+
+    /// Every rule's group entry, in registration order.
+    fn group_rules(&self) -> impl Iterator<Item = &GroupRule> {
+        self.rule_at.iter().map(|&(g, m)| &self.groups[g].rules[m])
     }
 
     /// Apply one delta batch: materialize it, re-detect only the dirty
@@ -446,9 +461,8 @@ impl Session {
         report.violations_retracted = stats.retracted;
         report.violations_remaining = self.store.len();
         report.rules_quarantined = self
-            .states
-            .iter()
-            .filter(|s| s.quarantined.is_some())
+            .group_rules()
+            .filter(|r| r.quarantined.is_some())
             .count() as u64;
         let m = engine.metrics();
         Metrics::add(&m.tuples_reprocessed, report.tuples_reprocessed);
@@ -585,17 +599,23 @@ impl Session {
             stats.retract(&stored);
         }
         let partial = self.options.isolation.is_partial();
-        for ri in 0..self.states.len() {
+        // Rules run in registration order; a group's index is brought
+        // up to date once, by its first healthy rule.
+        let mut deltas: Vec<Option<Delta>> = self.groups.iter().map(|_| None).collect();
+        for ri in 0..self.rule_at.len() {
             engine.check_cancelled()?;
-            if self.states[ri].quarantined.is_some() {
+            let (g, m) = self.rule_at[ri];
+            let index = &mut self.groups[g];
+            if index.rules[m].quarantined.is_some() {
                 continue;
             }
-            let index = &mut self.states[ri];
-            let changes = dirty.iter().map(|id| (*id, fresh.get(id)));
-            let delta = index.reindex(changes, &self.seqs);
+            let delta = deltas[g].get_or_insert_with(|| {
+                let changes = dirty.iter().map(|id| (*id, fresh.get(id)));
+                index.reindex(changes, &self.seqs)
+            });
             let is_fresh = |id: TupleId| fresh.contains_key(&id);
             let run = index
-                .units(ri, delta, is_fresh, &mut self.store, stats, &engine)
+                .units(m, delta, is_fresh, &mut self.store, stats, &engine)
                 .and_then(|units| {
                     if units.is_empty() {
                         Ok(())
@@ -620,11 +640,13 @@ impl Session {
         Ok(())
     }
 
-    /// Quarantine rule `ri`: record the cause, drop its indexes, and
-    /// retract its stored violations so repair never acts on a faulted
-    /// rule's stale detections. The other rules' state is untouched.
+    /// Quarantine rule `ri`: record the cause and retract its stored
+    /// violations so repair never acts on a faulted rule's stale
+    /// detections; its group's index goes once no rule of the group is
+    /// left. The other rules' state is untouched.
     fn quarantine_rule(&mut self, ri: usize, cause: &str, stats: &mut ApplyStats, engine: &Engine) {
-        self.states[ri].quarantine(cause);
+        let (g, m) = self.rule_at[ri];
+        self.groups[g].quarantine(m, cause);
         for stored in self.store.retract_rule(ri) {
             stats.retract(&stored);
         }
@@ -642,7 +664,7 @@ impl Session {
         stats: &mut ApplyStats,
         engine: &Engine,
     ) -> Result<()> {
-        let rule = Arc::clone(&self.states[ri].rule);
+        let rule = Arc::clone(&self.rules[ri]);
         let iso = &self.options.isolation;
         let guard = iso
             .rule_time_budget

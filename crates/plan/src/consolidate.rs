@@ -7,6 +7,13 @@
 //! match when they have the same kind, invoke the same UDF (rule), and
 //! read the same source dataset(s); the consolidated operator takes the
 //! labels of both.
+//!
+//! Operators of *different* rules never match here, because their UDFs
+//! differ. Rules whose Block keys are the same source columns are
+//! consolidated one layer down instead:
+//! [`crate::physical::block_groups`] groups their pipelines, and the
+//! executor runs each group as one Block pass — one shuffle, one bucket
+//! build — that every member rule's Scope and Detect read.
 
 use crate::logical::{LogicalOp, LogicalPlan, OpKind};
 

@@ -20,14 +20,19 @@
 //! table, carrying the earlier detections whose [`Origin`] the delta
 //! left untouched, and a session passes its delta mask over
 //! `residents ∪ news`.
+//!
+//! Rules that block on the same source columns share their buckets:
+//! their Block keys are those columns' values, so one bucket — and its
+//! [`bucket_hash`] — serves every one of them.
 
-use crate::physical::IterateStrategy;
+use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::codec::Codec;
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{stable_hash_of, Error, Tuple, TupleId, Value};
+use bigdansing_common::{Error, StableHasher, Tuple, TupleId, Value};
 use bigdansing_rules::{BlockKey, Rule};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The LSH tag of a bucket member: the band of the bucket this copy of
@@ -86,7 +91,73 @@ pub enum Origin {
 /// that re-detects dirty buckets and the caller that retracts their
 /// earlier detections agree on which those are.
 pub fn bucket_hash(rule: &dyn Rule, unit: &Tuple) -> u64 {
-    stable_hash_of(&rule.block(unit).unwrap_or_default())
+    key_hash(rule.block(unit).unwrap_or_default().iter())
+}
+
+/// The stable hash of the Block key made of `values`, without building
+/// the key: it hashes exactly as the [`BlockKey`] holding them would.
+fn key_hash<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_usize(values.len()); // a slice's length prefix
+    values.for_each(|v| v.hash(&mut h));
+    h.finish()
+}
+
+/// [`key_hash`] of `t`'s values at `cols`: by the
+/// [`Rule::block_columns`] contract, the [`bucket_hash`] of every Scope
+/// output of `t` under a rule that declares them.
+fn columns_hash(cols: &[usize], t: &Tuple) -> u64 {
+    key_hash(cols.iter().map(|&c| t.value(c)))
+}
+
+/// What a Block pass buckets by. A rule alone in its group keys its
+/// Scope outputs with its own Block; rules that declare the same
+/// [`Rule::block_columns`] share one pass keyed by those source
+/// columns, so the source tuple crosses the shuffle once and each rule
+/// scopes it in the reducer. Either way a bucket's hash is the
+/// [`bucket_hash`] of every member's units in it, because their Block
+/// keys are those column values.
+#[derive(Clone)]
+pub(crate) enum BlockBy {
+    /// One rule's Block over its Scope outputs.
+    Rule(Arc<dyn Rule>),
+    /// Source-schema columns shared by every rule of the group.
+    Columns(Arc<[usize]>),
+}
+
+impl BlockBy {
+    /// The key of a group's pipelines, in registration order: shared
+    /// columns when there are several (the planner grouped them by
+    /// them), the lone rule's Block otherwise.
+    pub(crate) fn of(group: &[&RulePipeline]) -> BlockBy {
+        match group {
+            [one] => BlockBy::Rule(Arc::clone(&one.rule)),
+            [lead, ..] => BlockBy::Columns(
+                lead.rule
+                    .block_columns()
+                    .expect("grouped pipelines declare their block columns")
+                    .into(),
+            ),
+            [] => unreachable!("a group has at least one pipeline"),
+        }
+    }
+
+    /// The Block key of a shuffled record.
+    pub(crate) fn key(&self, record: &Tuple) -> BlockKey {
+        match self {
+            BlockBy::Rule(rule) => rule.block(record).unwrap_or_default(),
+            BlockBy::Columns(cols) => cols.iter().map(|&c| record.value(c).clone()).collect(),
+        }
+    }
+
+    /// The hash of [`BlockBy::key`] — the bucket's [`Origin::Bucket`]
+    /// name.
+    pub(crate) fn hash(&self, record: &Tuple) -> u64 {
+        match self {
+            BlockBy::Rule(rule) => bucket_hash(rule.as_ref(), record),
+            BlockBy::Columns(cols) => columns_hash(cols, record),
+        }
+    }
 }
 
 impl Codec for Origin {
@@ -126,11 +197,25 @@ impl Delta {
         self.ids.contains(&unit.id())
     }
 
-    /// The dirty Block buckets of `rule`, by [`bucket_hash`]: those a
-    /// scoped unit of either version of a changed tuple sits in.
-    pub fn dirty_buckets(&self, rule: &dyn Rule) -> HashSet<u64> {
-        let scoped = self.versions.iter().flat_map(|t| rule.scope(t));
-        scoped.map(|unit| bucket_hash(rule, &unit)).collect()
+    /// The dirty Block buckets of `pipeline`, by [`bucket_hash`]: those
+    /// either version of a changed tuple sits in. They are read off the
+    /// source columns when the rule declares its
+    /// [`Rule::block_columns`], so a pass it shares with other rules and
+    /// a pass it runs alone agree on them; otherwise off the rule's
+    /// Scope outputs.
+    pub fn dirty_buckets(&self, pipeline: &RulePipeline) -> HashSet<u64> {
+        let rule = pipeline.rule.as_ref();
+        match rule.block_columns().filter(|_| pipeline.use_scope) {
+            Some(cols) => self
+                .versions
+                .iter()
+                .map(|t| columns_hash(cols, t))
+                .collect(),
+            None => {
+                let scoped = self.versions.iter().flat_map(|t| rule.scope(t));
+                scoped.map(|unit| bucket_hash(rule, &unit)).collect()
+            }
+        }
     }
 }
 
@@ -389,6 +474,28 @@ mod tests {
             IndexKeys::None
         );
         assert!(IndexKeys::None.buckets().is_empty());
+    }
+
+    #[test]
+    fn shared_columns_key_and_hash_like_every_members_block() {
+        use crate::physical::pipeline_for_rule;
+        use bigdansing_common::stable_hash_of;
+        let schema = bigdansing_common::Schema::parse("zipcode,city,state");
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
+        let rules = [fd("zipcode -> city"), fd("zipcode -> state")];
+        let pipelines = rules.clone().map(|r| pipeline_for_rule(r, "t"));
+        let by = BlockBy::of(&[&pipelines[0], &pipelines[1]]);
+        let row = Tuple::new(
+            7,
+            vec![Value::Int(90210), Value::str("LA"), Value::str("CA")],
+        );
+        for rule in &rules {
+            let unit = &rule.scope(&row)[0];
+            let key = rule.block(unit).unwrap();
+            assert_eq!(by.key(&row), key);
+            assert_eq!(by.hash(&row), bucket_hash(rule.as_ref(), unit));
+            assert_eq!(by.hash(&row), stable_hash_of(&key));
+        }
     }
 
     #[test]

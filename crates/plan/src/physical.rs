@@ -14,6 +14,12 @@
 //! * single-unit rules detect unit-by-unit;
 //! * two non-consolidated Blocks into one Detect → **CoBlock** (handled
 //!   by [`crate::executor::Executor::detect_two_tables`]).
+//!
+//! Cross-rule Block consolidation lives here too: [`block_groups`]
+//! groups the pipelines whose rules block on the same source columns
+//! ([`Rule::block_columns`]), and the executor runs each group as one
+//! Block pass ([`crate::executor::Executor::run_group`]). Algorithm 1
+//! ([`crate::consolidate`]) merges operators of one rule only.
 
 use crate::consolidate::consolidate;
 use crate::logical::{LogicalPlan, OpKind};
@@ -177,6 +183,37 @@ pub fn translate(plan: LogicalPlan) -> Result<PhysicalPlan> {
     })
 }
 
+/// Group pipelines that can share one Block pass, in registration
+/// order: every pipeline that blocks (a `BlockPairs`/`BlockList`
+/// strategy) after a Scope joins the first earlier one over the same
+/// source whose rule declares the same [`Rule::block_columns`]. Every
+/// other pipeline is a group of one. Each group lists pipeline indices
+/// in ascending order.
+pub fn block_groups(pipelines: &[RulePipeline]) -> Vec<Vec<usize>> {
+    fn shares(p: &RulePipeline) -> Option<(&str, &[usize])> {
+        let blocks = matches!(
+            p.strategy,
+            IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList
+        );
+        let columns = p.rule.block_columns().filter(|_| blocks && p.use_scope)?;
+        Some((p.source.as_str(), columns))
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, p) in pipelines.iter().enumerate() {
+        let key = shares(p);
+        let joined = key.and_then(|key| {
+            groups
+                .iter_mut()
+                .find(|g| shares(&pipelines[g[0]]) == Some(key))
+        });
+        match joined {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
 /// Build the standard pipeline for a rule directly (the path used when a
 /// declarative rule is registered without a hand-written job).
 pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> RulePipeline {
@@ -273,6 +310,32 @@ mod tests {
             choose_strategy(&r),
             IterateStrategy::LshBlocks { .. }
         ));
+    }
+
+    #[test]
+    fn pipelines_blocking_on_the_same_columns_share_a_group() {
+        let s = schema();
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &s).unwrap()) };
+        let dc = |spec| -> Arc<dyn Rule> { Arc::new(DcRule::parse(spec, &s).unwrap()) };
+        let cfd: Arc<dyn Rule> =
+            Arc::new(CfdRule::parse("zipcode -> state | state=_", &s).unwrap());
+        let unscoped = RulePipeline {
+            use_scope: false,
+            ..pipeline_for_rule(fd("zipcode -> rate"), "D")
+        };
+        let pipelines = vec![
+            pipeline_for_rule(fd("zipcode -> city"), "D"),
+            pipeline_for_rule(dc("t1.salary > t2.salary & t1.rate < t2.rate"), "D"),
+            pipeline_for_rule(cfd, "D"),
+            pipeline_for_rule(fd("city -> state"), "D"),
+            pipeline_for_rule(dc("t1.zipcode = t2.zipcode & t1.rate != t2.rate"), "D"),
+            pipeline_for_rule(fd("zipcode -> state"), "E"),
+            unscoped,
+        ];
+        assert_eq!(
+            block_groups(&pipelines),
+            vec![vec![0, 2, 4], vec![1], vec![3], vec![5], vec![6]]
+        );
     }
 
     #[test]

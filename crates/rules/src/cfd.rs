@@ -162,6 +162,10 @@ impl Rule for CfdRule {
         !self.is_constant_cfd()
     }
 
+    fn block_columns(&self) -> Option<&[usize]> {
+        self.blocks().then_some(self.fd.lhs())
+    }
+
     fn unit_kind(&self) -> UnitKind {
         if self.is_constant_cfd() {
             UnitKind::Single

@@ -97,6 +97,9 @@ pub struct DcRule {
     /// Precomputed projection selector over `scope_attrs`, applied by
     /// every `scope` call so scoping is a view, not a copy.
     scope_sel: Selector,
+    /// Source attributes of the `t1.A = t2.A` predicates, sorted: the
+    /// Block key.
+    block_attrs: Vec<usize>,
     /// Whether any predicate references the second tuple.
     pairwise: bool,
 }
@@ -140,11 +143,21 @@ impl DcRule {
         let pairwise = predicates
             .iter()
             .any(|p| matches!(p.left, Operand::T2(_)) || matches!(p.right, Operand::T2(_)));
+        let mut block_attrs: Vec<usize> = predicates
+            .iter()
+            .filter_map(|p| match (p.op, &p.left, &p.right) {
+                (Op::Eq, Operand::T1(a), Operand::T2(b)) if a == b => Some(*a),
+                _ => None,
+            })
+            .collect();
+        block_attrs.sort_unstable();
+        block_attrs.dedup();
         Ok(DcRule {
             name: name.into().into(),
             predicates,
             scope_sel: Tuple::selector(&scope_attrs),
             scope_attrs,
+            block_attrs,
             pairwise,
         })
     }
@@ -220,20 +233,8 @@ impl DcRule {
     }
 
     /// Attributes blocked on: predicates of the shape `t1.A = t2.A`.
-    pub fn blocking_attrs(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for p in &self.predicates {
-            if p.op == Op::Eq {
-                if let (Operand::T1(a), Operand::T2(b)) = (&p.left, &p.right) {
-                    if a == b {
-                        out.push(*a);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    pub fn blocking_attrs(&self) -> &[usize] {
+        &self.block_attrs
     }
 }
 
@@ -247,10 +248,7 @@ impl Rule for DcRule {
     }
 
     fn block(&self, unit: &Tuple) -> Option<BlockKey> {
-        let attrs = self.blocking_attrs();
-        if attrs.is_empty() {
-            return None;
-        }
+        let attrs = self.block_columns()?;
         Some(
             attrs
                 .iter()
@@ -260,7 +258,11 @@ impl Rule for DcRule {
     }
 
     fn blocks(&self) -> bool {
-        !self.blocking_attrs().is_empty()
+        !self.block_attrs.is_empty()
+    }
+
+    fn block_columns(&self) -> Option<&[usize]> {
+        self.blocks().then_some(&self.block_attrs)
     }
 
     fn unit_kind(&self) -> UnitKind {

@@ -129,6 +129,10 @@ impl Rule for FdRule {
         true
     }
 
+    fn block_columns(&self) -> Option<&[usize]> {
+        Some(&self.lhs)
+    }
+
     fn unit_kind(&self) -> UnitKind {
         UnitKind::Pair
     }

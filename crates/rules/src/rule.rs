@@ -125,6 +125,17 @@ pub trait Rule: Send + Sync {
         false
     }
 
+    /// The source-schema columns this rule's Block key is made of, when
+    /// it is exactly their values: every Scope output `u` of a tuple `t`
+    /// has `block(u)` equal to `t`'s values at these columns, in order.
+    /// Rules that declare the same columns share one Block pass — one
+    /// shuffle, one bucket build, one session index. `None` (the
+    /// default) for rules whose key is computed (prefixes, signatures,
+    /// UDFs) or that do not block.
+    fn block_columns(&self) -> Option<&[usize]> {
+        None
+    }
+
     /// MinHash/LSH blocking parameters, when this rule wants multi-key
     /// LSH candidate generation instead of a single [`Rule::block`]
     /// prefix key. Similarity rules (Levenshtein dedup, fuzzy-match
@@ -241,6 +252,67 @@ mod tests {
         assert_eq!(fixes[0].left, Cell::new(0, 1));
         let c = Tuple::new(2, vec![Value::Int(2), Value::str("x")]);
         assert!(r.detect_pair(&a, &c).is_empty());
+    }
+
+    /// The [`Rule::block_columns`] contract over random tuples: every
+    /// Scope output's Block key is its source tuple's values at the
+    /// declared columns — including for a CFD whose Scope drops some of
+    /// them — and rules whose key is computed declare none.
+    #[test]
+    fn block_columns_name_every_scope_outputs_block_key() {
+        use crate::{CfdRule, DcRule, DedupRule, FdRule, UdfRule};
+        use bigdansing_common::rng::check;
+        use bigdansing_common::{LshParams, Schema};
+        let schema = Schema::parse("name,zipcode,city,state,rate");
+        let rules: Vec<Box<dyn Rule>> = vec![
+            Box::new(FdRule::parse("zipcode, state -> city", &schema).unwrap()),
+            Box::new(CfdRule::parse("zipcode -> city | zipcode=1, city=_", &schema).unwrap()),
+            Box::new(
+                DcRule::parse(
+                    "t1.state = t2.state & t1.zipcode = t2.zipcode & t1.rate > t2.rate",
+                    &schema,
+                )
+                .unwrap(),
+            ),
+        ];
+        let pick = |g: &mut bigdansing_common::rng::SplitMix64, of: &[&str]| {
+            Value::str(of[g.range(0..of.len())])
+        };
+        let (mut kept, mut dropped) = (0, 0);
+        check(64, |g| {
+            let t = Tuple::new(
+                g.range(0..1000),
+                vec![
+                    pick(g, &["ann", "bob"]),
+                    Value::Int(g.range(0..3)),
+                    pick(g, &["LA", "SF", "NY"]),
+                    pick(g, &["CA", "NY"]),
+                    Value::Int(g.range(0..50)),
+                ],
+            );
+            for rule in &rules {
+                let cols = rule.block_columns().expect("blocks on source columns");
+                let key: BlockKey = cols.iter().map(|&c| t.value(c).clone()).collect();
+                let scoped = rule.scope(&t);
+                match scoped.len() {
+                    0 => dropped += 1,
+                    _ => kept += 1,
+                }
+                for unit in &scoped {
+                    assert_eq!(rule.block(unit).as_ref(), Some(&key), "{}", rule.name());
+                }
+            }
+        });
+        assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
+        let computed: Vec<Box<dyn Rule>> = vec![
+            Box::new(CfdRule::parse("zipcode -> city | zipcode=1, city=LA", &schema).unwrap()),
+            Box::new(DedupRule::new("udf:dedup", 0, 0.8).with_lsh(LshParams::default())),
+            Box::new(DedupRule::new("udf:dedup", 0, 0.8)),
+            Box::new(UdfRule::builder("udf:any", |_| Vec::new()).build()),
+        ];
+        for rule in &computed {
+            assert_eq!(rule.block_columns(), None, "{}", rule.name());
+        }
     }
 
     #[test]

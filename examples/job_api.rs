@@ -62,12 +62,12 @@ fn main() {
     let exec = Executor::new(Engine::sequential());
     for pipeline in &physical::translate(plan).unwrap().pipelines {
         let out = exec
-            .run_pipeline(exec.load(&table), pipeline, None, None)
+            .run_group(exec.load(&table), table.schema(), &[pipeline], None, None)
             .unwrap();
         println!(
             "executed {} → {} violation(s)",
             pipeline.rule.name(),
-            out.violation_count()
+            out[0].violation_count()
         );
     }
 }

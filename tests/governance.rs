@@ -13,10 +13,12 @@ use bigdansing::{
     ExecMode, FaultInjector, IsolationOptions, MemoryBudget, RuleHealth,
 };
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Cell, Schema, Table, Value};
+use bigdansing_common::{Cell, Schema, Table, Tuple, Value};
 use bigdansing_datagen::tax;
 use bigdansing_plan::Executor;
-use bigdansing_rules::{DcRule, FdRule, Rule, UdfRule, UnitKind, Violation};
+use bigdansing_rules::{
+    BlockKey, DcRule, DetectUnit, FdRule, Fix, Rule, UdfRule, UnitKind, Violation,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -451,6 +453,103 @@ fn batch_and_session_quarantine_a_faulty_rule_alike() {
     assert_eq!(session.quarantined_rules(), causes);
     assert_eq!(quarantined(&sys), 1);
     let oracle_sys = system(&[&fd]);
+    let mut oracle = oracle_sys
+        .open_session(&table, CleanseOptions::default())
+        .unwrap();
+    oracle_sys.apply_delta(&mut oracle, delta).unwrap();
+    assert_eq!(session.table().tuples(), oracle.table().tuples());
+    assert_eq!(session.detected(), oracle.detected());
+}
+
+/// An FD on zipcode in every respect but Detect, which panics: it
+/// declares the FDs' block columns, so it joins their shared Block pass.
+struct PanickingFd(FdRule);
+
+impl Rule for PanickingFd {
+    fn name(&self) -> &str {
+        "fd:panicking"
+    }
+    fn scope(&self, unit: &Tuple) -> Vec<Tuple> {
+        self.0.scope(unit)
+    }
+    fn block(&self, unit: &Tuple) -> Option<BlockKey> {
+        self.0.block(unit)
+    }
+    fn blocks(&self) -> bool {
+        true
+    }
+    fn block_columns(&self) -> Option<&[usize]> {
+        self.0.block_columns()
+    }
+    fn detect(&self, _: &DetectUnit<'_>) -> Vec<Violation> {
+        panic!("panicking fd")
+    }
+    fn gen_fix(&self, _: &Violation) -> Vec<Fix> {
+        Vec::new()
+    }
+}
+
+/// Isolation inside a shared Block pass: a faulty rule grouped with two
+/// FDs on its key is quarantined alone — by a partial cleanse and by a
+/// partial session, with the same cause — and the FDs' output equals an
+/// FD-only run.
+#[test]
+fn a_faulty_rule_in_a_shared_block_pass_is_quarantined_alone() {
+    // eight two-row blocks: every reducer partition holds one, so the
+    // batch pass fails in partition 0, where the session's first
+    // delta-detect task runs
+    let rows = (0..16i64).map(|i| {
+        let city = if i % 5 == 1 { "SF" } else { "LA" };
+        let state = if i % 7 == 3 { "NV" } else { "CA" };
+        vec![Value::Int(i / 2), Value::str(city), Value::str(state)]
+    });
+    let table = Table::from_rows("t", three_city_table().schema().clone(), rows.collect());
+    let [city, state] = healthy_rules(table.schema())
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("two FDs"));
+    let faulty: Arc<dyn Rule> = Arc::new(PanickingFd(
+        FdRule::parse("zipcode -> state", table.schema()).unwrap(),
+    ));
+    let system = |rules: &[&Arc<dyn Rule>]| {
+        let mut sys = BigDansing::sequential();
+        for rule in rules {
+            sys.add_rule(Arc::clone(rule));
+        }
+        sys
+    };
+    let partial = || CleanseOptions {
+        isolation: IsolationOptions::partial(),
+        ..Default::default()
+    };
+    let quarantined = |sys: &BigDansing| sys.engine().metrics().snapshot().rules_quarantined;
+
+    let sys = system(&[&city, &faulty, &state]);
+    let batch = sys.cleanse(&table, partial()).unwrap();
+    let oracle = system(&[&city, &state])
+        .cleanse(&table, CleanseOptions::default())
+        .unwrap();
+    assert_eq!(batch.table.diff_cells(&oracle.table), 0);
+    assert_eq!(quarantined(&sys), 1);
+    let causes: Vec<(String, String)> = batch
+        .outcome
+        .quarantined()
+        .map(|(rule, cause)| (rule.to_string(), cause.to_string()))
+        .collect();
+    assert_eq!(causes.len(), 1);
+    assert_eq!(causes[0].0, "fd:panicking");
+    assert!(causes[0].1.contains("panicking fd"), "{}", causes[0].1);
+
+    let delta = DeltaBatch::new().insert(
+        100,
+        vec![Value::Int(2), Value::str("BOS"), Value::str("NY")],
+    );
+    let sys = system(&[&city, &faulty, &state]);
+    let mut session = sys.open_session(&table, partial()).unwrap();
+    let report = sys.apply_delta(&mut session, delta.clone()).unwrap();
+    assert_eq!(session.quarantined_rules(), causes);
+    assert_eq!(report.rules_quarantined, 1);
+    assert_eq!(quarantined(&sys), 1);
+    let oracle_sys = system(&[&city, &state]);
     let mut oracle = oracle_sys
         .open_session(&table, CleanseOptions::default())
         .unwrap();

@@ -12,9 +12,10 @@
 
 use bigdansing::{
     apply_batch_to_table, BigDansing, BlockKey, CleanseOptions, DedupRule, DeltaBatch, DetectUnit,
-    Fix, Session, Tuple, UdfRule, UnitKind, Violation,
+    Fix, Rule, Session, Tuple, UdfRule, UnitKind, Violation,
 };
 use bigdansing_common::{Schema, Table, Value};
+use bigdansing_rules::FdRule;
 use std::sync::Arc;
 
 fn tax_table() -> Table {
@@ -292,6 +293,63 @@ fn multi_rule_session_matches_full_recompute() {
     sys.add_dc("t1.salary > t2.salary & t1.rate < t2.rate", base.schema())
         .unwrap();
     assert_oracle_parity(&sys, &base, mixed_batches());
+}
+
+/// An FD that proposes no fixes: its violations stand until one of
+/// their rows changes.
+struct Unfixable(FdRule);
+
+impl Rule for Unfixable {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn scope(&self, unit: &Tuple) -> Vec<Tuple> {
+        self.0.scope(unit)
+    }
+    fn block(&self, unit: &Tuple) -> Option<BlockKey> {
+        self.0.block(unit)
+    }
+    fn blocks(&self) -> bool {
+        true
+    }
+    fn block_columns(&self) -> Option<&[usize]> {
+        self.0.block_columns()
+    }
+    fn detect(&self, input: &DetectUnit<'_>) -> Vec<Violation> {
+        self.0.detect(input)
+    }
+    fn gen_fix(&self, _: &Violation) -> Vec<Fix> {
+        Vec::new()
+    }
+}
+
+/// Rules blocking on `zipcode` share one session index: FDs, one of
+/// them unfixable, a variable CFD whose Scope drops every row outside
+/// its pattern, and an order-sensitive equality DC, each scoping the
+/// shared buckets itself. The first batch joins zipcode 10001, whose
+/// two rows break the unfixable FD — a standing violation that a delta
+/// must not enumerate again.
+#[test]
+fn shared_block_key_session_matches_full_recompute() {
+    let base = tax_table();
+    let schema = base.schema();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_fd("zipcode -> city", schema).unwrap();
+    let salary = FdRule::parse("zipcode -> salary", schema).unwrap();
+    sys.add_rule(Arc::new(Unfixable(salary)));
+    sys.add_dc("t1.salary > t2.salary & t1.rate < t2.rate", schema)
+        .unwrap();
+    sys.add_cfd("zipcode -> city | zipcode=60601, city=_", schema)
+        .unwrap();
+    sys.add_fd("zipcode -> rate", schema).unwrap();
+    sys.add_dc(
+        "t1.zipcode = t2.zipcode & t1.salary > t2.salary & t1.rate < t2.rate",
+        schema,
+    )
+    .unwrap();
+    let mut batches = vec![DeltaBatch::new().insert(20, row(10001, "NY", 1000, 30))];
+    batches.extend(mixed_batches());
+    assert_oracle_parity(&sys, &base, batches);
 }
 
 #[test]

@@ -55,10 +55,18 @@ fn lock() -> MutexGuard<'static, ()> {
 /// rendered through `Debug` so any drift in ids, cells, values, or fix
 /// payloads shows up.
 fn signature(out: &DetectOutput) -> BTreeSet<String> {
-    out.detected
+    detections(out).into_iter().collect()
+}
+
+/// Every detection's signature, sorted, duplicates kept.
+fn detections(out: &DetectOutput) -> Vec<String> {
+    let mut all: Vec<String> = out
+        .detected
         .iter()
         .map(|(v, fixes)| format!("{v:?}|{fixes:?}"))
-        .collect()
+        .collect();
+    all.sort();
+    all
 }
 
 /// The deep-clone oracle input: every tuple forcibly materialized into
@@ -213,6 +221,38 @@ fn every_shape_is_zero_copy_and_enumerates_the_sequential_candidates() {
             );
             assert_eq!(cloned, 0, "{shape}: deep-cloned tuple or key payloads");
         }
+    }
+}
+
+#[test]
+fn rules_on_one_block_key_shuffle_each_row_once_without_copies() {
+    // Two FDs and a variable CFD on zipcode share one Block pass: the
+    // first detect shuffles every row once, not once per rule,
+    // deep-copies nothing, and enumerates and finds exactly what the
+    // three rules do alone on the sequential engine.
+    let _g = lock();
+    let table = tax::taxa(300, 0.10, 36).dirty;
+    let schema = table.schema();
+    let rules: Vec<Arc<dyn Rule>> = vec![
+        Arc::new(FdRule::parse("zipcode -> city", schema).unwrap()),
+        Arc::new(FdRule::parse("zipcode -> state", schema).unwrap()),
+        Arc::new(CfdRule::parse("zipcode -> city | city=_", schema).unwrap()),
+    ];
+    let (mut alone, mut alone_pairs) = (DetectOutput::default(), 0);
+    for rule in &rules {
+        let exec = Executor::new(Engine::sequential());
+        alone.extend(exec.detect(&table, std::slice::from_ref(rule)).unwrap());
+        alone_pairs += exec.engine().metrics().snapshot().pairs_generated;
+    }
+    assert!(!alone.is_clean(), "expected violations");
+    for workers in [2, 4] {
+        let exec = Executor::new(Engine::parallel(workers));
+        let out = exec.detect(&table, &rules).unwrap();
+        let m = exec.engine().metrics().snapshot();
+        assert_eq!(m.records_shuffled, table.len() as u64, "{workers} workers");
+        assert_eq!(m.tuples_cloned, 0, "{workers} workers: deep copies");
+        assert_eq!(m.pairs_generated, alone_pairs, "{workers} workers");
+        assert_eq!(detections(&out), detections(&alone), "{workers} workers");
     }
 }
 
