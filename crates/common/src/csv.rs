@@ -6,6 +6,14 @@
 //! external dependencies. A quoted field may hold delimiters, quotes
 //! and line breaks; fields are trimmed of padding, never of a line
 //! break inside quotes.
+//!
+//! Most records hold no quote at all. Such a record is split on `,`
+//! into borrowed slices and each field is typed straight from its
+//! slice, so a string cell costs one allocation (its `Arc<str>`); only
+//! a record with a `"` runs the quote-aware loop. Delta CSV
+//! (`incremental`) reads its records through the same [`records`],
+//! [`for_each_field`] and [`field_value`], so quoting means the same in
+//! a base file and in a delta.
 
 use crate::quarantine::Quarantine;
 use crate::{Error, Result, Schema, Table, Tuple, TupleId, Value};
@@ -13,16 +21,28 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-/// Split one CSV record into raw fields.
+/// Split one CSV record into raw fields. Always runs the quote-aware
+/// loop, so it is the reference the quote-free slice path agrees with.
 pub fn split_line(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
-    for_each_field(line, |field, _| fields.push(field.to_string()));
+    quoted_fields(line, |field, _| fields.push(field.to_string()));
     fields
 }
 
 /// Call `f(field, quoted)` for every field of one CSV record, in order;
-/// `quoted` tells whether the field opened with a quote.
-fn for_each_field(line: &str, mut f: impl FnMut(&str, bool)) {
+/// `quoted` tells whether the field opened with a quote. A record with
+/// no `"` is split on `,` into slices of `line`.
+pub fn for_each_field(line: &str, mut f: impl FnMut(&str, bool)) {
+    if line.contains('"') {
+        quoted_fields(line, f);
+    } else {
+        line.split(',').for_each(|field| f(field, false));
+    }
+}
+
+/// [`for_each_field`] for a record that may hold quotes: every field
+/// is unescaped into one reused buffer.
+fn quoted_fields(line: &str, mut f: impl FnMut(&str, bool)) {
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
     let (mut in_quotes, mut quoted) = (false, false);
@@ -48,69 +68,72 @@ fn for_each_field(line: &str, mut f: impl FnMut(&str, bool)) {
     f(&cur, quoted);
 }
 
-/// The records of CSV text: split at every line break outside a quoted
-/// field (quoting as [`split_line`] reads it), a `\r\n` break counting
-/// as one.
-fn records(text: &str) -> impl Iterator<Item = &str> {
-    let mut rest = text;
+/// The records of CSV text, each with the 1-based line it starts on:
+/// split at every line break outside a quoted field (quoting as
+/// [`split_line`] reads it), a `\r\n` break counting as one.
+pub fn records(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let (mut rest, mut line) = (text, 1);
     std::iter::from_fn(move || {
         if rest.is_empty() {
             return None;
         }
-        let end = record_end(rest);
-        let record = &rest[..end];
+        let (end, inner_breaks) = record_end(rest);
+        let (record, start) = (&rest[..end], line);
+        line += inner_breaks + 1;
         match rest[end..].strip_prefix('\n') {
             Some(tail) => {
                 rest = tail;
-                Some(record.strip_suffix('\r').unwrap_or(record))
+                Some((start, record.strip_suffix('\r').unwrap_or(record)))
             }
             None => {
                 rest = "";
-                Some(record)
+                Some((start, record))
             }
         }
     })
 }
 
-/// Byte offset of the line break that ends the record starting `s`, or
-/// `s.len()` for the last record.
-fn record_end(s: &str) -> usize {
+/// Byte offset of the line break that ends the record starting `s` (or
+/// `s.len()` for the last record), and the number of line breaks inside
+/// its quoted fields.
+fn record_end(s: &str) -> (usize, usize) {
     let line = s.find('\n').unwrap_or(s.len());
     if !s[..line].contains('"') {
-        return line;
+        return (line, 0);
     }
     let b = s.as_bytes();
     // `empty`: nothing read into the current field yet — only then does
     // a quote open a quoted section
-    let (mut in_quotes, mut empty) = (false, true);
+    let (mut in_quotes, mut empty, mut breaks) = (false, true, 0);
     let mut i = 0;
     while i < b.len() {
         match (in_quotes, b[i]) {
             (true, b'"') if b.get(i + 1) == Some(&b'"') => (i, empty) = (i + 1, false),
             (true, b'"') => in_quotes = false,
+            (true, b'\n') => (empty, breaks) = (false, breaks + 1),
             (true, _) => empty = false,
             (false, b'"') if empty => in_quotes = true,
             (false, b',') => empty = true,
-            (false, b'\n') => return i,
+            (false, b'\n') => return (i, breaks),
             (false, _) => empty = false,
         }
         i += 1;
     }
-    b.len()
+    (b.len(), breaks)
 }
 
 /// A field's value, typed as [`Value::parse_lossy`] does. Every field
 /// loses its padding, but a line break at either end of a quoted field
 /// is data: such a field is kept as it is, as a string.
-fn field_value(raw: &str, quoted: bool) -> Value {
+pub fn field_value(raw: &str, quoted: bool) -> Value {
     if quoted {
         let line_break = |c: char| c == '\r' || c == '\n';
         let unpadded = raw.trim_matches(|c: char| c.is_whitespace() && !line_break(c));
         if unpadded.starts_with(line_break) || unpadded.ends_with(line_break) {
-            return Value::Str(crate::intern::intern(unpadded));
+            return Value::str(unpadded);
         }
     }
-    Value::parse_lossy_interned(raw)
+    Value::parse_lossy(raw)
 }
 
 /// Append `field`, quoted if it contains a delimiter, quote or line
@@ -138,7 +161,9 @@ fn parse_inner(
     schema: Option<Schema>,
     strict: bool,
 ) -> Result<(Table, Quarantine)> {
-    let mut lines = records(text).filter(|l| !l.trim().is_empty());
+    let mut lines = records(text)
+        .map(|(_, record)| record)
+        .filter(|l| !l.trim().is_empty());
     let schema = if header {
         let head = lines
             .next()
@@ -357,6 +382,103 @@ mod tests {
             assert_eq!(back.schema().attrs(), t.schema().attrs());
             assert_eq!(back.tuples(), t.tuples());
         });
+    }
+
+    /// A field with no quote: padding around an empty value, an int, a
+    /// float, `nan`/`inf` text or letters.
+    fn arb_bare_field(g: &mut SplitMix64) -> String {
+        let words: Vec<&str> = "|0|-17|90210|1.5|-0.25|1e3|nan|NaN|inf|-infinity"
+            .split('|')
+            .collect();
+        let pads = ["", "", " ", "\t "];
+        let word: String = if g.chance(0.3) {
+            let letter = |g: &mut SplitMix64| if g.chance(0.5) { 'a' } else { 'X' };
+            (0..g.range(1..5)).map(|_| letter(g)).collect()
+        } else {
+            words[g.range(0..words.len())].to_string()
+        };
+        let (pre, post) = (pads[g.range(0..4usize)], pads[g.range(0..4usize)]);
+        format!("{pre}{word}{post}")
+    }
+
+    /// A field holding a quote: quoted content with a comma, an escaped
+    /// quote or a line break between two letters, a padded quoted
+    /// number, or a bare field whose inner quote opens nothing.
+    fn arb_quoted_field(g: &mut SplitMix64) -> String {
+        const FIELDS: [&str; 6] = [
+            "\"x,y\"",
+            "\"x\"\"y\"",
+            "\"x\ny\"",
+            "\"x \r\n y\"",
+            "\" 12 \"",
+            "5'10\"",
+        ];
+        FIELDS[g.range(0..FIELDS.len())].to_string()
+    }
+
+    /// The slice path for quote-free records types and quarantines
+    /// exactly as the quote-aware reference (`split_line` +
+    /// `Value::parse_lossy` per field) does, on quote-free files and on
+    /// files mixing quoted and quote-free records.
+    #[test]
+    fn slice_path_matches_the_quote_aware_reference() {
+        check(256, |g| {
+            let arity = g.range(1..5usize);
+            let mixed = g.chance(0.5);
+            let header: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+            let records: Vec<String> = (0..g.range(0..12))
+                .map(|_| {
+                    let ragged = g.chance(0.2);
+                    let n = if ragged { g.range(1..arity + 2) } else { arity };
+                    let fields: Vec<String> = (0..n)
+                        .map(|_| match mixed && g.chance(0.2) {
+                            true => arb_quoted_field(g),
+                            false => arb_bare_field(g),
+                        })
+                        .collect();
+                    fields.join(",")
+                })
+                .collect();
+            let mut text = header.join(",");
+            for r in &records {
+                text.push_str(if g.chance(0.2) { "\r\n" } else { "\n" });
+                text.push_str(r);
+            }
+            if g.chance(0.5) {
+                text.push('\n');
+            }
+            let (table, q) = parse_str_lenient("t", &text, true, None).unwrap();
+
+            let mut want_rows = Vec::new();
+            let mut want_q = Quarantine::new("t");
+            let data = records.iter().filter(|r| !r.trim().is_empty());
+            for (i, r) in data.enumerate() {
+                let row: Vec<Value> = split_line(r)
+                    .iter()
+                    .map(|f| Value::parse_lossy(f))
+                    .collect();
+                if row.len() == arity {
+                    want_rows.push(row);
+                } else {
+                    want_q.push(
+                        i + 1,
+                        format!("expected {arity} fields, found {}", row.len()),
+                    );
+                }
+            }
+            let want = Table::from_rows("t", Schema::new(&header), want_rows);
+            assert_eq!(table.tuples(), want.tuples(), "{text:?}");
+            assert_eq!(q, want_q, "{text:?}");
+        });
+    }
+
+    #[test]
+    fn records_report_the_line_they_start_on() {
+        let got: Vec<_> = records("a\r\n\"x\ny\nz\",1\n\nb,\"\"\"\n\"").collect();
+        assert_eq!(
+            got,
+            vec![(1, "a"), (2, "\"x\ny\nz\",1"), (5, ""), (6, "b,\"\"\"\n\"")]
+        );
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod hash;
-pub mod intern;
 pub mod keys;
 pub mod metrics;
 pub mod minhash;

@@ -21,7 +21,8 @@ pub enum Value {
     Int(i64),
     /// 64-bit float, ordered with `total_cmp`.
     Float(f64),
-    /// Interned UTF-8 string; `Arc` keeps tuple cloning cheap.
+    /// UTF-8 string; `Arc` keeps tuple cloning cheap, every clone
+    /// sharing the one allocation made when the cell was parsed.
     Str(Arc<str>),
 }
 
@@ -86,23 +87,6 @@ impl Value {
         Value::str(t)
     }
 
-    /// [`Value::parse_lossy`] with string fields routed through the
-    /// global interner — the CSV load path uses this so repeated column
-    /// values share one allocation and compare by pointer.
-    pub fn parse_lossy_interned(raw: &str) -> Value {
-        let t = raw.trim();
-        if t.is_empty() {
-            return Value::Null;
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = t.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::Str(crate::intern::intern(t))
-    }
-
     /// The repair cost distance between two values (§2.1): 0 on exact
     /// match, otherwise 1 for non-numeric pairs and the absolute
     /// difference normalised to (0, 1] ∪ {1} for numeric pairs.
@@ -147,9 +131,10 @@ impl Ord for Value {
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
             (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
             (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
-            // Interned strings (see `crate::intern`) share one `Arc`, so
-            // the pointer check short-circuits the common equal case
-            // before any byte comparison.
+            // Clones of one cell (a tuple copied between stages, a
+            // repair's value written into other cells) share one `Arc`,
+            // so the pointer check settles them before any byte
+            // comparison.
             (Value::Str(a), Value::Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),

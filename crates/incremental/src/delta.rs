@@ -15,8 +15,14 @@
 //! base table's schema (`delete` rows may omit them). Ops apply in file
 //! order, so `delete,7` followed by `insert,7,…` re-creates tuple 7 at
 //! the end of the table.
+//!
+//! Records and fields are read by the base-table parser's own splitter
+//! and field kernel ([`csv::records`], [`csv::field_value`]), so quoting
+//! works as in base files: a quoted field may hold commas, `""` quotes
+//! and line breaks, and values are typed the same way. Line numbers in
+//! errors and quarantine entries are the line a record starts on.
 
-use bigdansing_common::csv::split_line;
+use bigdansing_common::csv::{self, split_line};
 use bigdansing_common::{Error, Quarantine, Result, Schema, Table, Tuple, TupleId, Value};
 use std::collections::HashMap;
 use std::path::Path;
@@ -87,30 +93,20 @@ impl DeltaBatch {
     /// leading `op,id,…` header line is skipped when present.
     pub fn parse_str(text: &str, schema: &Schema) -> Result<DeltaBatch> {
         let mut ops = Vec::new();
-        let mut first = true;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            // The header is the first non-empty line (blank lines above
-            // it don't make it data).
-            let head = std::mem::take(&mut first);
-            if head && is_header(line) {
-                continue;
-            }
-            match parse_delta_line(line, schema) {
+        for (line, record) in data_records(text) {
+            match parse_delta_record(record, schema) {
                 Ok(op) => ops.push(op),
-                Err(reason) => return Err(Error::Parse(format!("delta line {}: {reason}", i + 1))),
+                Err(reason) => return Err(Error::Parse(format!("delta line {line}: {reason}"))),
             }
         }
         Ok(DeltaBatch { ops })
     }
 
-    /// Lenient variant of [`DeltaBatch::parse_str`]: malformed lines are
-    /// diverted into a [`Quarantine`] report (keyed by 1-based line
-    /// number) instead of failing the whole batch — the streamed-ingest
-    /// counterpart of the lenient CSV file parser. The well-formed ops
-    /// are returned in input order.
+    /// Lenient variant of [`DeltaBatch::parse_str`]: malformed records
+    /// are diverted into a [`Quarantine`] report (keyed by the 1-based
+    /// line a record starts on) instead of failing the whole batch — the
+    /// streamed-ingest counterpart of the lenient CSV file parser. The
+    /// well-formed ops are returned in input order.
     pub fn parse_str_lenient(
         text: &str,
         schema: &Schema,
@@ -118,18 +114,10 @@ impl DeltaBatch {
     ) -> (DeltaBatch, Quarantine) {
         let mut ops = Vec::new();
         let mut quarantine = Quarantine::new(source);
-        let mut first = true;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let head = std::mem::take(&mut first);
-            if head && is_header(line) {
-                continue;
-            }
-            match parse_delta_line(line, schema) {
+        for (line, record) in data_records(text) {
+            match parse_delta_record(record, schema) {
                 Ok(op) => ops.push(op),
-                Err(reason) => quarantine.push(i + 1, reason),
+                Err(reason) => quarantine.push(line, reason),
             }
         }
         (DeltaBatch { ops }, quarantine)
@@ -143,32 +131,50 @@ impl DeltaBatch {
     }
 }
 
-fn is_header(line: &str) -> bool {
-    split_line(line)[0].trim().eq_ignore_ascii_case("op")
+/// The non-blank records of delta CSV text with the line each starts
+/// on, minus a leading `op,id,…` header. Only the first non-blank record
+/// can be a header (blank lines above it don't make it data).
+fn data_records(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut records = csv::records(text)
+        .filter(|(_, record)| !record.trim().is_empty())
+        .peekable();
+    records.next_if(|(_, record)| is_header(record));
+    records
 }
 
-/// Parse one non-header CSV delta line. Errors carry the reason only;
+fn is_header(record: &str) -> bool {
+    split_line(record)[0].trim().eq_ignore_ascii_case("op")
+}
+
+/// Parse one non-header CSV delta record. Errors carry the reason only;
 /// callers prepend the line number (strict mode) or quarantine it.
-fn parse_delta_line(line: &str, schema: &Schema) -> std::result::Result<DeltaOp, String> {
-    let fields = split_line(line);
-    if fields.len() < 2 {
+fn parse_delta_record(record: &str, schema: &Schema) -> std::result::Result<DeltaOp, String> {
+    let mut head: Vec<String> = Vec::with_capacity(2);
+    let mut values = Vec::with_capacity(schema.arity());
+    csv::for_each_field(record, |raw, quoted| {
+        if head.len() < 2 {
+            head.push(raw.to_string());
+        } else {
+            values.push(csv::field_value(raw, quoted));
+        }
+    });
+    let [op, id] = &head[..] else {
         return Err("expected `op,id,…`".into());
-    }
-    let op = fields[0].trim().to_ascii_lowercase();
-    let id: TupleId = fields[1]
+    };
+    let op = op.trim().to_ascii_lowercase();
+    let id: TupleId = id
         .trim()
         .parse()
-        .map_err(|_| format!("invalid tuple id `{}`", fields[1]))?;
+        .map_err(|_| format!("invalid tuple id `{id}`"))?;
     let values = || -> std::result::Result<Vec<Value>, String> {
-        let cols = &fields[2..];
-        if cols.len() != schema.arity() {
+        if values.len() != schema.arity() {
             return Err(format!(
                 "expected {} value fields, found {}",
                 schema.arity(),
-                cols.len()
+                values.len()
             ));
         }
-        Ok(cols.iter().map(|f| Value::parse_lossy(f)).collect())
+        Ok(values)
     };
     Ok(match op.as_str() {
         "insert" => DeltaOp::Insert(Tuple::new(id, values()?)),
@@ -241,6 +247,7 @@ pub(crate) fn check_arity(table: &Table, t: &Tuple) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigdansing_common::rng::{check, SplitMix64};
 
     fn base() -> Table {
         let schema = Schema::parse("zipcode,city");
@@ -314,6 +321,85 @@ mod tests {
         let (lenient, q) = DeltaBatch::parse_str_lenient(text, &schema, "t");
         assert_eq!(strict, lenient);
         assert!(q.is_empty());
+    }
+
+    fn inserted(batch: &DeltaBatch, i: usize) -> &Tuple {
+        match &batch.ops[i] {
+            DeltaOp::Insert(t) => t,
+            other => panic!("expected insert, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn quoted_fields_read_as_in_base_files() {
+        let schema = Schema::parse("zipcode,city");
+        // a line break inside quotes keeps the record whole, in strict
+        // and lenient mode alike (lenient is serve's CSV ingest)
+        let text = "op,id,zipcode,city\ninsert,9,1,\"a,\nb\"\ninsert,10,2,\"x,y\"\n";
+        let strict = DeltaBatch::parse_str(text, &schema).unwrap();
+        let (lenient, q) = DeltaBatch::parse_str_lenient(text, &schema, "t");
+        assert_eq!(strict, lenient);
+        assert!(q.is_empty(), "{:?}", q.entries());
+        assert_eq!(strict.len(), 2);
+        assert_eq!(inserted(&strict, 0).value(1), &Value::str("a,\nb"));
+        assert_eq!(inserted(&strict, 1).value(1), &Value::str("x,y"));
+
+        // a line break at the edge of a quoted field is data, not padding
+        let text = "insert,9,1,\"\nb\"\r\ninsert,3,2,\" c\r\"\n";
+        let edge = DeltaBatch::parse_str(text, &schema).unwrap();
+        assert_eq!(inserted(&edge, 0).value(1), &Value::str("\nb"));
+        assert_eq!(inserted(&edge, 1).value(1), &Value::str("c\r"));
+
+        // line numbers are the line a record starts on
+        let bad = "insert,9,1,\"a\nb\nc\"\nupsert,1,1,x\n";
+        let err = DeltaBatch::parse_str(bad, &schema).unwrap_err();
+        assert!(err.to_string().contains("delta line 4:"), "{err}");
+        let (ok, q) = DeltaBatch::parse_str_lenient(bad, &schema, "t");
+        assert_eq!(ok.len(), 1);
+        assert_eq!(q.entries()[0].0, 4);
+    }
+
+    /// A string over letters, padding, digits and every character CSV
+    /// quoting has to protect.
+    fn arb_field(g: &mut SplitMix64) -> Value {
+        const CHARS: [char; 8] = ['a', 'b', ' ', '7', ',', '"', '\n', '\r'];
+        match g.range(0..5) {
+            0 => Value::Null,
+            1 => Value::Int(g.range(-99..100)),
+            _ => {
+                let len = g.range(1..6);
+                Value::from(
+                    (0..len)
+                        .map(|_| CHARS[g.range(0..CHARS.len())])
+                        .collect::<String>(),
+                )
+            }
+        }
+    }
+
+    /// Rows rendered with the loader's quoting and sent as inserts parse
+    /// to the tuples the base-table loader reads from the same rows.
+    #[test]
+    fn inserts_parse_like_the_table_loader() {
+        check(256, |g| {
+            let schema = Schema::parse("a,b,c");
+            let rows: Vec<Vec<Value>> = (0..g.range(1..8))
+                .map(|_| (0..3).map(|_| arb_field(g)).collect())
+                .collect();
+            let base = Table::from_rows("t", schema.clone(), rows.clone());
+            let loaded = csv::parse_str("t", &csv::to_string(&base), true, None).unwrap();
+
+            let delta_rows = rows.into_iter().enumerate().map(|(id, row)| {
+                let head = [Value::str("insert"), Value::Int(id as i64)];
+                head.into_iter().chain(row).collect()
+            });
+            let delta = Table::from_rows("d", Schema::parse("op,id,a,b,c"), delta_rows.collect());
+            let batch = DeltaBatch::parse_str(&csv::to_string(&delta), &schema).unwrap();
+            let got: Vec<Tuple> = (0..batch.len())
+                .map(|i| inserted(&batch, i).clone())
+                .collect();
+            assert_eq!(got, loaded.tuples());
+        });
     }
 
     #[test]

@@ -179,6 +179,23 @@ fn malformed_records_quarantine_instead_of_failing() {
     server.shutdown();
 }
 
+#[test]
+fn quoted_multi_line_city_is_applied_not_quarantined() {
+    let mut server = Server::start("127.0.0.1:0", base_opts()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    let body = "op,id,zipcode,city\ninsert,1,90210,\"Los Angeles,\nCA\"\ninsert,2,10001,NY\n";
+    let r = c.post("/tenant/acme/records?wait=1", body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(json_u64(&r.body, "accepted"), 2);
+    assert_eq!(json_u64(&r.body, "quarantined"), 0);
+    let got = c.get("/tenant/acme/table").unwrap();
+    assert!(got.body.contains("\"Los Angeles,\nCA\""), "{}", got.body);
+    let want = oracle_table(fd_rules(&schema()), CleanseOptions::default(), &[body]);
+    assert_eq!(got.body, want);
+    server.shutdown();
+}
+
 /// One JSONL line of 100k `[` is far inside the body limit, and the
 /// recursive-descent reader used to recurse once per bracket: the
 /// handler thread's stack overflowed and took the whole server process
