@@ -208,20 +208,21 @@ impl Session {
 
     /// Re-index every live tuple into the per-group indexes — the same
     /// entries incremental maintenance would have accumulated, rebuilt
-    /// in one pass through the same insert path. The indexes share
+    /// in one pass through the same insert path. That is all an
+    /// inequality rule needs too: its next apply joins the records with
+    /// the delta as the fresh side. The indexes share
     /// nothing but the table they read, so a parallel engine's workers
     /// each take a share of the groups.
     fn rebuild_indexes(&mut self) {
-        let engine = self.executor.engine().clone();
+        let workers = self.executor.engine().workers();
         let (table, seqs) = (&self.table, &self.seqs);
         let rebuild = |indexes: &mut [GroupIndex]| {
             for index in indexes {
                 let live = table.tuples().iter().map(|t| (t.id(), Some(t)));
-                let delta = index.reindex(live, seqs);
-                index.load_oc(delta, &engine);
+                index.reindex(live, seqs);
             }
         };
-        let share = self.groups.len().div_ceil(engine.workers());
+        let share = self.groups.len().div_ceil(workers);
         if share == self.groups.len() {
             return rebuild(&mut self.groups);
         }

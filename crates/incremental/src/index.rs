@@ -7,8 +7,10 @@
 //! news together — to the strategy's [`bigdansing_plan::PairRule`] with
 //! the delta as the freshness mask. Nothing here decides pair
 //! orientation, diagonal filtering or LSH dedup; the module only picks
-//! the index *structure* a strategy needs: none (single units), keyed
-//! buckets, or the sorted [`OcIndex`] for inequality joins.
+//! the index *structure* a strategy needs: none (single units) or keyed
+//! buckets. Inequality rules need no structure of their own: a delta
+//! runs the batch [`try_ocjoin_sink`] over every held record, masked by
+//! the delta, as a batch re-detect does.
 //!
 //! Rules are indexed in the groups [`block_groups`] forms, as a batch
 //! detect runs them. Rules that block on the same source columns share
@@ -22,7 +24,7 @@ use crate::store::Store;
 use crate::wal::ProvState;
 use bigdansing_common::{Error, LshParams, Result, Tuple, TupleId};
 use bigdansing_dataflow::{Engine, PDataset};
-use bigdansing_ocjoin::{try_ocjoin, OcIndex, OcJoinConfig};
+use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
 use bigdansing_plan::enumerate::Band;
 use bigdansing_plan::physical::{block_groups, choose_strategy_with, pipeline_for_rule};
 use bigdansing_plan::{IterateStrategy, Member, PairCounts, RulePipeline};
@@ -110,8 +112,6 @@ pub(crate) struct GroupIndex {
     records: HashMap<TupleId, (u64, Vec<Tuple>)>,
     /// Bucket key → members in table order.
     buckets: HashMap<BlockKey, Vec<Entry>>,
-    /// The inequality index, built on first ingest.
-    oc: Option<OcIndex>,
 }
 
 impl GroupIndex {
@@ -140,7 +140,6 @@ impl GroupIndex {
                 rules,
                 records: HashMap::new(),
                 buckets: HashMap::new(),
-                oc: None,
             }
         };
         block_groups(&pipelines).into_iter().map(group).collect()
@@ -153,7 +152,6 @@ impl GroupIndex {
         if self.rules.iter().all(|r| r.quarantined.is_some()) {
             self.records.clear();
             self.buckets.clear();
-            self.oc = None;
         }
     }
 
@@ -197,9 +195,6 @@ impl GroupIndex {
                         self.remove_entry(&key, (old_seq, rep as u32), id);
                         keys.entry(key).or_insert(false);
                     }
-                    if let Some(oc) = &mut self.oc {
-                        oc.remove(t);
-                    }
                 }
             }
             if let Some(t) = new {
@@ -240,26 +235,15 @@ impl GroupIndex {
         }
     }
 
-    /// Bulk-load the inequality index after a [`GroupIndex::reindex`]
-    /// over the whole table (snapshot recovery). Always materializes it
-    /// (even when empty): a `None` here would make the next apply
-    /// batch-build from its delta alone and miss delta×base pairs.
-    pub(crate) fn load_oc(&mut self, delta: Delta, engine: &Engine) {
-        if let IterateStrategy::OcJoin(conds) = &self.rules[0].strategy {
-            let parts = engine.default_partitions();
-            self.oc = Some(OcIndex::build(conds.clone(), &delta.news, parts));
-        }
-    }
-
     /// The candidate units of rule `m` a [`GroupIndex::reindex`] made
     /// necessary: `delta×resident ∪ delta×delta`, where `is_fresh`
     /// tells delta tuples from residents. Whole-bucket (list) units
     /// retract their block's stored violations on the way.
     pub(crate) fn units(
-        &mut self,
+        &self,
         m: usize,
         delta: &Delta,
-        is_fresh: impl Fn(TupleId) -> bool,
+        is_fresh: impl Fn(TupleId) -> bool + Sync,
         store: &mut Store,
         stats: &mut ApplyStats,
         engine: &Engine,
@@ -293,28 +277,31 @@ impl GroupIndex {
                 }
             }
             IterateStrategy::OcJoin(conds) => {
-                let pairs = match &mut self.oc {
-                    Some(oc) => {
-                        let pairs = oc.probe(engine, news);
-                        for t in news {
-                            oc.insert(t.clone());
-                        }
-                        pairs
-                    }
-                    None => {
-                        // First ingest: batch-build the index and take
-                        // the pairs from a batch OCJoin, exactly like a
-                        // full-detect pipeline would.
-                        let parts = engine.default_partitions();
-                        self.oc = Some(OcIndex::build(conds.clone(), news, parts));
-                        let data = PDataset::from_vec(engine.clone(), news.clone());
-                        try_ocjoin(data, conds, OcJoinConfig::default())?.collect()?
-                    }
-                };
-                if !news.is_empty() {
-                    stats.blocks.insert((ri, BlockKey::new()));
+                if news.is_empty() {
+                    return Ok(units);
                 }
-                for (a, b) in &pairs {
+                // The batch join over every held record, in table order,
+                // masked by the delta: Δ×R ∪ R×Δ ∪ Δ×Δ, each pair once.
+                let mut held: Vec<((u64, usize), &Tuple)> = Vec::new();
+                for (seq, reps) in self.records.values() {
+                    held.extend(reps.iter().enumerate().map(|(rep, t)| ((*seq, rep), t)));
+                }
+                held.sort_unstable_by_key(|(pos, _)| *pos);
+                let held = held.into_iter().map(|(_, t)| t.clone()).collect();
+                let fresh = |t: &Tuple| is_fresh(t.id());
+                let pairs = try_ocjoin_sink(
+                    PDataset::from_vec(engine.clone(), held),
+                    conds,
+                    OcJoinConfig::default(),
+                    &fresh,
+                    "pairs",
+                    |a, b, out| {
+                        out.push((a.clone(), b.clone()));
+                        Ok(())
+                    },
+                )?;
+                stats.blocks.insert((ri, BlockKey::new()));
+                for (a, b) in &pairs.collect()? {
                     pair_unit(a, b)?;
                 }
             }

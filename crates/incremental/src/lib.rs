@@ -9,12 +9,13 @@
 //! tuples changed since the last run. This crate keeps a cleansing
 //! [`Session`] alive across delta batches:
 //!
-//! * a **persistent candidate index** per rule (bucket key → scoped
-//!   tuples, or the partitioned sorted lists of
-//!   [`bigdansing_ocjoin::OcIndex`] for inequality rules) survives
-//!   between batches, so candidate generation touches only the buckets
-//!   a delta dirties — enumerated by the same index-key and pair-rule
-//!   core ([`bigdansing_plan::enumerate`]) the batch reducers use;
+//! * a **persistent candidate index** per rule group (bucket key →
+//!   scoped tuples) survives between batches, so candidate generation
+//!   touches only the buckets a delta dirties — enumerated by the same
+//!   index-key and pair-rule core ([`bigdansing_plan::enumerate`]) the
+//!   batch reducers use. Inequality rules keep only their records: each
+//!   apply runs the batch OCJoin over them with the delta as its
+//!   freshness mask;
 //! * a **violation store** records, for every live violation, the data
 //!   units that produced it, so violations whose contributing rows were
 //!   deleted or updated are *retracted* instead of recomputed;

@@ -22,13 +22,13 @@
 //! [`naive`] holds the CrossProduct + post-filter comparator used by the
 //! physical-operator ablation (Figure 11(c)).
 //!
-//! [`incremental`] keeps the partitioned sorted lists alive across
-//! delta batches so a changed handful of tuples is joined by probing
-//! instead of re-sorting the base (the incremental cleansing subsystem).
+//! The join takes a freshness mask ([`IsFresh`]) and is then
+//! semi-naive: it enumerates only the pairs with a fresh member, each
+//! once. The mask serves both incremental callers — a batch re-detect
+//! marks the tuples a repair round changed, and an incremental session
+//! joins every record it holds with its delta batch as the fresh side.
 
-pub mod incremental;
 pub mod naive;
 pub mod ocjoin;
 
-pub use incremental::OcIndex;
 pub use ocjoin::{try_ocjoin, try_ocjoin_sink, IsFresh, OcJoinConfig, ALL_FRESH};

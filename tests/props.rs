@@ -2,7 +2,8 @@
 //! full stack.
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, CleanseOptions, DeltaBatch, IsolationOptions, RuleHealth,
+    apply_batch_to_table, BigDansing, CleanseOptions, DeltaBatch, DurabilityOptions,
+    IsolationOptions, RuleHealth, Session,
 };
 use bigdansing_common::rng::{check, SplitMix64};
 use bigdansing_common::{Schema, Table, Value};
@@ -332,15 +333,83 @@ fn fd_session_parity_on_random_interleavings() {
     });
 }
 
+/// One of the inequality-DC shapes a session joins through OCJoin: two
+/// strict conditions, a single condition (no merge-sort tree), `>=`/`<=`
+/// conditions, and the two strict conditions in the other order.
+fn arb_dc_system(g: &mut SplitMix64, schema: &Schema) -> BigDansing {
+    let dc = [
+        "t1.b > t2.b & t1.c < t2.c",
+        "t1.b > t2.b",
+        "t1.b >= t2.b & t1.c <= t2.c",
+        "t1.c < t2.c & t1.b > t2.b",
+    ][g.range(0..4usize)];
+    let mut sys = BigDansing::parallel(2);
+    sys.add_dc(dc, schema).unwrap();
+    sys
+}
+
 #[test]
 fn dc_session_parity_on_random_interleavings() {
-    check(8, |g| {
+    check(16, |g| {
         let base = spec_table(arb_rows(g, 0..16), false);
         let ops = arb_interleavings(g);
-        let mut sys = BigDansing::parallel(2);
-        sys.add_dc("t1.b > t2.b & t1.c < t2.c", base.schema())
-            .unwrap();
+        let sys = arb_dc_system(g, base.schema());
         assert_session_parity(&sys, base, ops, false);
+    });
+}
+
+/// A durable inequality-DC session recovers to its in-memory twin: once
+/// after the interleavings (state frames plus replayed batch records),
+/// and once from a state frame alone, after which one more batch must
+/// still pair its delta with every recovered record.
+#[test]
+fn dc_durable_session_recovers_to_parity() {
+    let mut case = 0;
+    check(8, |g| {
+        case += 1;
+        let dir =
+            std::env::temp_dir().join(format!("bd-props-dc-durable-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = || DurabilityOptions::new(&dir).snapshot_every(2);
+        let assert_same = |a: &Session, b: &Session| {
+            let rows = |s: &Session| format!("{:?}", s.table().tuples());
+            assert_eq!(rows(a), rows(b), "recovered table diverged");
+            assert_eq!(a.detected(), b.detected(), "recovered store diverged");
+        };
+
+        let base = spec_table(arb_rows(g, 0..16), false);
+        let ops = arb_interleavings(g);
+        let mut tail = arb_interleavings(g).concat();
+        tail.push(OpSpec::Insert(g.range(0..6), g.range(0..4), g.range(0..4)));
+        let sys = arb_dc_system(g, base.schema());
+        let recover = || {
+            let opts = CleanseOptions::default();
+            sys.recover_session(opts, durability()).unwrap().0
+        };
+        let mut live = sys.open_session(&base, CleanseOptions::default()).unwrap();
+        let durable = sys.open_durable_session(&base, CleanseOptions::default(), durability());
+        let mut durable = durable.unwrap();
+        let mut ids: Vec<u64> = base.tuples().iter().map(|t| t.id()).collect();
+        let mut next = ids.iter().copied().max().map_or(0, |m| m + 1);
+        for specs in &ops {
+            let batch = resolve_batch(specs, &mut ids, &mut next, false);
+            sys.apply_delta(&mut live, batch.clone()).unwrap();
+            sys.apply_delta(&mut durable, batch).unwrap();
+        }
+        drop(durable);
+
+        let mut recovered = recover();
+        assert_same(&recovered, &live);
+        recovered.snapshot().unwrap();
+        drop(recovered);
+
+        let mut recovered = recover();
+        let batch = resolve_batch(&tail, &mut ids, &mut next, false);
+        sys.apply_delta(&mut live, batch.clone()).unwrap();
+        sys.apply_delta(&mut recovered, batch).unwrap();
+        assert_same(&recovered, &live);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
