@@ -279,10 +279,10 @@ pub struct IsolationOptions {
     /// delta. Checked between units, so a single hung UDF invocation is
     /// bounded by the *unit*, not the pass.
     pub rule_time_budget: Option<Duration>,
-    /// Straggler threshold of the batch cleanse loop: blocks with more
-    /// tuples than this are outliers (skipped-and-counted in partial
-    /// mode, a typed error in strict mode). `None` disables the guard.
-    /// Incremental sessions do not read it.
+    /// Straggler threshold of Block and LSH buckets, batch and session
+    /// alike: buckets with more tuples than this are outliers
+    /// (skipped-and-counted in partial mode, a typed error in strict
+    /// mode). `None` disables the guard.
     pub max_block_size: Option<usize>,
 }
 

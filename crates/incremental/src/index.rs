@@ -1,41 +1,38 @@
-//! A rule group's persistent candidate index.
+//! A rule group's persistent candidate index: the resident buckets of
+//! the session's semi-naive evaluation.
 //!
-//! The index is the resident side of the enumeration core in
-//! [`bigdansing_plan::enumerate`]: every indexed record sits in the
-//! buckets [`IterateStrategy::index_keys`] names (in table order), and a
-//! delta is enumerated by handing each touched bucket — residents and
-//! news together — to the strategy's [`bigdansing_plan::PairRule`] with
-//! the delta as the freshness mask. Nothing here decides pair
-//! orientation, diagonal filtering or LSH dedup; the module only picks
-//! the index *structure* a strategy needs: none (single units) or keyed
-//! buckets. Inequality rules need no structure of their own: a delta
-//! runs the batch [`try_ocjoin_sink`] over every held record, masked by
-//! the delta, as a batch re-detect does.
+//! Every indexed record sits in the buckets
+//! [`IterateStrategy::index_keys`] names, in table order. The index
+//! only *chooses* what a rule re-evaluates after a delta
+//! ([`GroupIndex::held`]): the new records, every held record (an
+//! inequality rule, whose batch OCJoin masks it by the delta), or the
+//! touched buckets. Detection itself — the straggler gate, pair
+//! enumeration with the delta as the freshness mask, Detect and GenFix
+//! — is the executor's ([`bigdansing_plan::Executor::detect_held`]), as
+//! for a batch pass; nothing here decides pair orientation, diagonal
+//! filtering or LSH dedup.
 //!
 //! Rules are indexed in the groups [`block_groups`] forms, as a batch
 //! detect runs them. Rules that block on the same source columns share
 //! one index: it holds each live source tuple once, in the bucket of
 //! its values at those columns, and each rule scopes a touched bucket's
-//! tuples when it enumerates. Any other rule is a group of one whose
+//! tuples when it is detected. Any other rule is a group of one whose
 //! index holds its Scope outputs.
 
 use crate::report::ApplyStats;
-use crate::store::Store;
-use crate::wal::ProvState;
-use bigdansing_common::{Error, LshParams, Result, Tuple, TupleId};
-use bigdansing_dataflow::{Engine, PDataset};
-use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
+use bigdansing_common::{LshParams, Tuple, TupleId};
 use bigdansing_plan::enumerate::Band;
 use bigdansing_plan::physical::{block_groups, choose_strategy_with, pipeline_for_rule};
-use bigdansing_plan::{IterateStrategy, Member, PairCounts, RulePipeline};
-use bigdansing_rules::{BlockKey, DetectUnit, Rule};
+use bigdansing_plan::{Held, IterateStrategy, Member, PairRule, RulePipeline};
+use bigdansing_rules::{BlockKey, Rule};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One record resident in a bucket, with its enumeration position
 /// `pos = (seq, rep)`: the owning tuple's table-order sequence number
 /// and the index among that tuple's indexed records.
-struct Entry {
+#[derive(Clone)]
+pub(crate) struct Entry {
     pos: (u64, u32),
     tuple: Tuple,
     band: Option<Band>,
@@ -53,43 +50,22 @@ impl Member for Entry {
     }
 }
 
-/// A candidate unit as the session enumerates it. It owns its tuple
-/// handles because it travels through a `Stage` to the Detect pass,
-/// which lends them to the rule as a [`DetectUnit`].
-#[derive(Clone)]
-pub(crate) enum Unit {
-    Single(Tuple),
-    Pair(Tuple, Tuple),
-    List(Vec<Tuple>),
-}
-
-impl Unit {
-    /// The unit as Detect takes it: a loan of the owned tuples.
-    pub(crate) fn lend(&self) -> DetectUnit<'_> {
-        match self {
-            Unit::Single(t) => DetectUnit::Single(t),
-            Unit::Pair(a, b) => DetectUnit::Pair(a, b),
-            Unit::List(block) => DetectUnit::List(block),
-        }
-    }
-}
-
 /// What one [`GroupIndex::reindex`] changed.
-pub(crate) struct Delta {
+pub(crate) struct Reindexed {
     /// The newly indexed records, in table order.
     news: Vec<Tuple>,
     /// Every bucket that lost or gained a member, and whether it gained
     /// one (only those can yield new pairs).
-    keys: BTreeMap<BlockKey, bool>,
+    pub(crate) keys: BTreeMap<BlockKey, bool>,
 }
 
 /// One rule of a group, with its own health.
 pub(crate) struct GroupRule {
     /// The rule's registration index.
     pub(crate) ri: usize,
-    pub(crate) rule: Arc<dyn Rule>,
-    /// The rule's Iterate strategy, session-level LSH override applied.
-    strategy: IterateStrategy,
+    /// The rule's pipeline, its Iterate strategy chosen under the
+    /// session-level LSH override.
+    pub(crate) pipeline: RulePipeline,
     /// The fault that quarantined this rule (partial isolation mode):
     /// redetection skips it for the rest of the session. `None` while
     /// healthy.
@@ -129,12 +105,11 @@ impl GroupIndex {
                 .into_iter()
                 .map(|ri| GroupRule {
                     ri,
-                    rule: Arc::clone(&pipelines[ri].rule),
-                    strategy: pipelines[ri].strategy.clone(),
+                    pipeline: pipelines[ri].clone(),
                     quarantined: None,
                 })
                 .collect();
-            let shared = (rules.len() > 1).then(|| rules[0].rule.block_columns());
+            let shared = (rules.len() > 1).then(|| rules[0].pipeline.rule.block_columns());
             GroupIndex {
                 columns: shared.flatten().map(<[usize]>::to_vec),
                 rules,
@@ -159,7 +134,7 @@ impl GroupIndex {
     fn records_of(&self, t: &Tuple) -> Vec<Tuple> {
         match &self.columns {
             Some(_) => vec![t.clone()],
-            None => self.rules[0].rule.scope(t),
+            None => self.rules[0].pipeline.rule.scope(t),
         }
     }
 
@@ -171,7 +146,7 @@ impl GroupIndex {
                 None,
             )],
             None => {
-                let lone = &self.rules[0];
+                let lone = &self.rules[0].pipeline;
                 let keys = lone.strategy.index_keys(lone.rule.as_ref(), record);
                 keys.buckets()
             }
@@ -185,7 +160,7 @@ impl GroupIndex {
         &mut self,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>)>,
         seqs: &HashMap<TupleId, u64>,
-    ) -> Delta {
+    ) -> Reindexed {
         let mut keys: BTreeMap<BlockKey, bool> = BTreeMap::new();
         let mut news: Vec<((u64, u32), Tuple)> = Vec::new();
         for (id, new) in changes {
@@ -216,7 +191,7 @@ impl GroupIndex {
             }
         }
         let news = news.into_iter().map(|(_, t)| t).collect();
-        Delta { news, keys }
+        Reindexed { news, keys }
     }
 
     /// Drop the entry at `pos` (the position it was indexed under) for
@@ -235,121 +210,62 @@ impl GroupIndex {
         }
     }
 
-    /// The candidate units of rule `m` a [`GroupIndex::reindex`] made
-    /// necessary: `delta×resident ∪ delta×delta`, where `is_fresh`
-    /// tells delta tuples from residents. Whole-bucket (list) units
-    /// retract their block's stored violations on the way.
-    pub(crate) fn units(
+    /// What rule `m` re-evaluates after a [`GroupIndex::reindex`], with
+    /// the key of each bucket in it, index for index — `None` when that
+    /// is nothing. Single units: the new records. An inequality rule:
+    /// every held record, in table order, once a record is new. A pair
+    /// rule: the buckets that gained a member and hold a pair. A list
+    /// rule: every bucket that changed and still has members. The
+    /// records handed over are counted as reprocessed, and the changed
+    /// buckets as dirty.
+    pub(crate) fn held(
         &self,
         m: usize,
-        delta: &Delta,
-        is_fresh: impl Fn(TupleId) -> bool + Sync,
-        store: &mut Store,
+        change: &Reindexed,
         stats: &mut ApplyStats,
-        engine: &Engine,
-    ) -> Result<Vec<(ProvState, Unit)>> {
-        let GroupRule {
-            ri, rule, strategy, ..
-        } = &self.rules[m];
-        let ri = *ri;
-        let Delta { news, keys } = delta;
-        let mut units: Vec<(ProvState, Unit)> = Vec::new();
-        let mut pair_unit = |a: &Tuple, b: &Tuple| {
-            stats.reprocessed.insert(a.id());
-            stats.reprocessed.insert(b.id());
-            units.push((
-                ProvState::Tuples(vec![a.id(), b.id()]),
-                Unit::Pair(a.clone(), b.clone()),
-            ));
-            Ok::<(), Error>(())
-        };
-        // a shared index holds source tuples: the rule scopes them here
-        let shared = self.columns.is_some();
-        let scope = |bucket: &[Entry], into: &mut Vec<Tuple>| {
-            into.clear();
-            into.extend(bucket.iter().flat_map(|e| rule.scope(&e.tuple)));
-        };
-        match strategy {
-            IterateStrategy::SingleUnits => {
-                for t in news {
-                    stats.reprocessed.insert(t.id());
-                    units.push((ProvState::Tuples(vec![t.id()]), Unit::Single(t.clone())));
-                }
+    ) -> Option<(Held<Entry>, Vec<BlockKey>)> {
+        let GroupRule { ri, pipeline, .. } = &self.rules[m];
+        let Reindexed { news, keys } = change;
+        stats
+            .blocks
+            .extend(keys.keys().map(|key| (*ri, key.clone())));
+        let records = match &pipeline.strategy {
+            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) if news.is_empty() => {
+                return None
             }
-            IterateStrategy::OcJoin(conds) => {
-                if news.is_empty() {
-                    return Ok(units);
-                }
-                // The batch join over every held record, in table order,
-                // masked by the delta: Δ×R ∪ R×Δ ∪ Δ×Δ, each pair once.
+            IterateStrategy::SingleUnits => news.clone(),
+            IterateStrategy::OcJoin(_) => {
                 let mut held: Vec<((u64, usize), &Tuple)> = Vec::new();
                 for (seq, reps) in self.records.values() {
                     held.extend(reps.iter().enumerate().map(|(rep, t)| ((*seq, rep), t)));
                 }
                 held.sort_unstable_by_key(|(pos, _)| *pos);
-                let held = held.into_iter().map(|(_, t)| t.clone()).collect();
-                let fresh = |t: &Tuple| is_fresh(t.id());
-                let pairs = try_ocjoin_sink(
-                    PDataset::from_vec(engine.clone(), held),
-                    conds,
-                    OcJoinConfig::default(),
-                    &fresh,
-                    "pairs",
-                    |a, b, out| {
-                        out.push((a.clone(), b.clone()));
-                        Ok(())
-                    },
-                )?;
-                stats.blocks.insert((ri, BlockKey::new()));
-                for (a, b) in &pairs.collect()? {
-                    pair_unit(a, b)?;
-                }
+                stats.blocks.insert((*ri, BlockKey::new()));
+                held.into_iter().map(|(_, t)| t.clone()).collect()
             }
-            bucketed => match bucketed.pair_rule() {
-                Some(pairs) => {
-                    let mut counts = PairCounts::default();
-                    let mut scoped = Vec::new();
-                    for key in keys.iter().filter(|(_, gained)| **gained).map(|(k, _)| k) {
-                        let bucket = &self.buckets[key];
-                        if shared {
-                            scope(bucket, &mut scoped);
-                            let fresh = |t: &Tuple| is_fresh(t.id());
-                            pairs.pairs(&scoped, fresh, &mut counts, &mut pair_unit)?;
-                        } else {
-                            let fresh = |e: &Entry| is_fresh(e.tuple.id());
-                            pairs.pairs(bucket, fresh, &mut counts, &mut pair_unit)?;
-                        }
+            bucketed => {
+                let pairs = bucketed.pair_rule();
+                let (mut buckets, mut names) = (Vec::new(), Vec::new());
+                for (key, gained) in keys {
+                    let Some(bucket) = self.buckets.get(key) else {
+                        continue;
+                    };
+                    let (first, rest) = (&bucket[0].tuple, &bucket[1..]);
+                    let pairing = |r: PairRule| rest.iter().any(|e| r.admits(first, &e.tuple));
+                    if pairs.is_some_and(|r| !gained || !pairing(r)) {
+                        continue;
                     }
-                    pairs.record(&counts, engine.metrics());
+                    stats
+                        .reprocessed
+                        .extend(bucket.iter().map(|e| e.tuple.id()));
+                    buckets.push(bucket.clone());
+                    names.push(key.clone());
                 }
-                None => {
-                    // Whole buckets are the units: re-detect every
-                    // bucket that lost or gained a member.
-                    for key in keys.keys() {
-                        for stored in store.retract_block(ri, key) {
-                            stats.retract(&stored);
-                        }
-                        let Some(bucket) = self.buckets.get(key) else {
-                            continue;
-                        };
-                        let mut block = Vec::new();
-                        if shared {
-                            scope(bucket, &mut block);
-                        } else {
-                            block.extend(bucket.iter().map(|e| e.tuple.clone()));
-                        }
-                        if block.is_empty() {
-                            continue;
-                        }
-                        stats.reprocessed.extend(block.iter().map(Tuple::id));
-                        units.push((ProvState::Block(key.values().to_vec()), Unit::List(block)));
-                    }
-                }
-            },
-        }
-        stats
-            .blocks
-            .extend(keys.keys().map(|key| (ri, key.clone())));
-        Ok(units)
+                let scope = self.columns.is_some();
+                return (!buckets.is_empty()).then_some((Held::Buckets { buckets, scope }, names));
+            }
+        };
+        stats.reprocessed.extend(records.iter().map(Tuple::id));
+        Some((Held::Records(records), Vec::new()))
     }
 }

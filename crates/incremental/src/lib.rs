@@ -11,17 +11,18 @@
 //!
 //! * a **persistent candidate index** per rule group (bucket key →
 //!   scoped tuples) survives between batches, so candidate generation
-//!   touches only the buckets a delta dirties — enumerated by the same
-//!   index-key and pair-rule core ([`bigdansing_plan::enumerate`]) the
-//!   batch reducers use. Inequality rules keep only their records: each
-//!   apply runs the batch OCJoin over them with the delta as its
-//!   freshness mask;
+//!   touches only the buckets a delta dirties. Inequality rules keep
+//!   only their records;
+//! * detection is the batch executor's own Detect body
+//!   ([`bigdansing_plan::Executor::detect_held`]) run over what the
+//!   index holds, with the delta as the freshness mask: the touched
+//!   buckets, the new records, or — under an inequality rule's batch
+//!   OCJoin — every held record, giving `delta×base ∪ delta×delta`
+//!   candidate units through the engine's lazy Stage API, so the rule
+//!   guards, fault retries, memory budgets, and cancellation all apply;
 //! * a **violation store** records, for every live violation, the data
 //!   units that produced it, so violations whose contributing rows were
 //!   deleted or updated are *retracted* instead of recomputed;
-//! * detection runs over `delta×base ∪ delta×delta` candidate units
-//!   through the engine's lazy Stage API, so fused passes, fault
-//!   retries, memory budgets, and cancellation all apply;
 //! * re-repair is scoped: when a batch adds and retracts nothing and the
 //!   previous repair ended stably, the repair loop is skipped outright,
 //!   and the `components_rerepaired` metric tracks how many connected

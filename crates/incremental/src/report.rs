@@ -15,8 +15,9 @@ pub struct DeltaReport {
     pub updated: usize,
     /// Deletes in the batch.
     pub deleted: usize,
-    /// Distinct tuples that participated in re-detected units (delta
-    /// tuples, their block partners, and repair-touched tuples).
+    /// Distinct tuples that participated in re-detected units: delta
+    /// and repair-touched tuples with their block partners (every held
+    /// record under an inequality rule, whose join reads them all).
     pub tuples_reprocessed: u64,
     /// Distinct `(rule, block key)` pairs dirtied by the batch.
     pub blocks_dirty: u64,

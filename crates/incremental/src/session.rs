@@ -6,15 +6,16 @@
 //!
 //! The session maintains one invariant: **after every index update, the
 //! violation store equals a full `Executor::detect` over the current
-//! table, as a multiset**. Batch and session enumerate candidates with
-//! the same core ([`bigdansing_plan::enumerate`]) — the batch reducers
-//! with every bucket member fresh, the session with the delta as the
-//! freshness mask over buckets kept in table order (the `index`
-//! module). When a tuple changes, every violation whose
-//! generating unit involved it is retracted and exactly the units that
-//! involve its new version (`delta×resident ∪ delta×delta`) are
-//! re-detected; units among untouched residents are unchanged by
-//! construction.
+//! table, as a multiset**. Batch and session detect with one body, the
+//! executor's — the batch over buckets a shuffle builds with every
+//! member fresh, the session over buckets its `index` module keeps in
+//! table order, with the delta as the freshness mask. The session only
+//! chooses what each rule re-evaluates and maps each detection's
+//! origin back to the provenance its store keeps. When a tuple changes,
+//! every violation whose generating unit involved it is retracted and
+//! exactly the units that involve its new version
+//! (`delta×resident ∪ delta×delta`) are re-detected; units among
+//! untouched residents are unchanged by construction.
 //!
 //! The repair phase runs [`bigdansing_repair::run_rounds`] — the one
 //! detect ⇄ repair driver — with the store as its detect and the
@@ -28,7 +29,7 @@
 
 use crate::delta::{check_arity, DeltaBatch, DeltaOp};
 use crate::durable::Durable;
-use crate::index::{Delta, GroupIndex, GroupRule, Unit};
+use crate::index::{GroupIndex, GroupRule, Reindexed};
 use crate::report::ApplyStats;
 pub use crate::report::DeltaReport;
 use crate::store::Store;
@@ -37,14 +38,14 @@ use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::{Engine, IsolationOptions, PDataset, RuleGuard};
-use bigdansing_plan::Executor;
+use bigdansing_dataflow::{Engine, IsolationOptions, RuleGuard};
+use bigdansing_plan::{Delta, Executor, IterateStrategy, Origin};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{
     run_rounds, Assignment, Detected, RepairStrategy, RepairTarget, RoundsOptions,
 };
-use bigdansing_rules::{Fix, Rule, Violation};
+use bigdansing_rules::Rule;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -309,7 +310,7 @@ impl Session {
             .filter_map(|r| {
                 r.quarantined
                     .as_ref()
-                    .map(|c| (r.rule.name().to_string(), c.clone()))
+                    .map(|c| (r.pipeline.rule.name().to_string(), c.clone()))
             })
             .collect()
     }
@@ -580,8 +581,9 @@ impl Session {
 
     /// Re-detect everything the dirty tuples can influence: remove their
     /// old scoped entries from the indexes, retract their violations,
-    /// enumerate `delta×resident ∪ delta×delta` units, and run Detect +
-    /// GenFix over those units through the lazy Stage API.
+    /// and re-detect each healthy rule over what its index holds with
+    /// the dirty tuples as the freshness mask
+    /// (`delta×resident ∪ delta×delta`).
     fn redetect(&mut self, dirty: &BTreeSet<TupleId>, stats: &mut ApplyStats) -> Result<()> {
         let engine = self.executor.engine().clone();
         // Every table mutation comes through here, so this is where a
@@ -598,10 +600,14 @@ impl Session {
         for stored in self.store.retract_tuples(dirty) {
             stats.retract(&stored);
         }
+        let mask = Arc::new(Delta {
+            ids: fresh.keys().copied().collect(),
+            versions: Vec::new(),
+        });
         let partial = self.options.isolation.is_partial();
         // Rules run in registration order; a group's index is brought
         // up to date once, by its first healthy rule.
-        let mut deltas: Vec<Option<Delta>> = self.groups.iter().map(|_| None).collect();
+        let mut changes: Vec<Option<Reindexed>> = self.groups.iter().map(|_| None).collect();
         for ri in 0..self.rule_at.len() {
             engine.check_cancelled()?;
             let (g, m) = self.rule_at[ri];
@@ -609,21 +615,11 @@ impl Session {
             if index.rules[m].quarantined.is_some() {
                 continue;
             }
-            let delta = deltas[g].get_or_insert_with(|| {
+            let change = changes[g].get_or_insert_with(|| {
                 let changes = dirty.iter().map(|id| (*id, fresh.get(id)));
                 index.reindex(changes, &self.seqs)
             });
-            let is_fresh = |id: TupleId| fresh.contains_key(&id);
-            let run = index
-                .units(m, delta, is_fresh, &mut self.store, stats, &engine)
-                .and_then(|units| {
-                    if units.is_empty() {
-                        Ok(())
-                    } else {
-                        self.detect_units(ri, units, stats, &engine)
-                    }
-                });
-            match run {
+            match self.redetect_rule(ri, change, &mask, stats) {
                 Ok(()) => {}
                 // Cancellation and admission failures are about the
                 // job, not the rule — never quarantine for them.
@@ -653,45 +649,44 @@ impl Session {
         Metrics::add(&engine.metrics().rules_quarantined, 1);
     }
 
-    /// Run Detect + GenFix over the enumerated units as one fused lazy
-    /// stage (fault retries, memory budget, and cancellation apply), and
-    /// fold the results into the store. With a rule time budget the
-    /// pass runs under a [`RuleGuard`] checked before every unit.
-    fn detect_units(
+    /// Re-detect rule `ri` after its group's index took `change`. A list
+    /// rule first retracts what the buckets that changed detected. The
+    /// executor then evaluates what the index hands it, under the rule's
+    /// guard (time budget, straggler gate), and each detection is stored
+    /// with the provenance its [`Origin`] names.
+    fn redetect_rule(
         &mut self,
         ri: usize,
-        units: Vec<(ProvState, Unit)>,
+        change: &Reindexed,
+        mask: &Arc<Delta>,
         stats: &mut ApplyStats,
-        engine: &Engine,
     ) -> Result<()> {
-        let rule = Arc::clone(&self.rules[ri]);
-        let iso = &self.options.isolation;
-        let guard = iso
-            .rule_time_budget
-            .map(|_| RuleGuard::arm(rule.name(), iso));
-        let metrics = engine.metrics().clone();
-        let op = format!("delta-detect+genfix({})", rule.name());
-        let found: Vec<(ProvState, Violation, Vec<Fix>)> =
-            PDataset::from_vec(engine.clone(), units)
-                .stage()
-                .map_parts(op, move |part: Vec<(ProvState, Unit)>| {
-                    Metrics::add(&metrics.detect_calls, part.len() as u64);
-                    let mut out = Vec::new();
-                    for (prov, unit) in part {
-                        if let Some(g) = &guard {
-                            g.check_budget()?;
-                        }
-                        for v in rule.detect(&unit.lend()) {
-                            let fixes = rule.gen_fix(&v);
-                            out.push((prov.clone(), v, fixes));
-                        }
-                    }
-                    Ok(out)
-                })
-                .collect()?;
-        Metrics::add(&engine.metrics().violations, found.len() as u64);
-        for (prov, violation, fixes) in found {
-            stats.added += 1;
+        let (g, m) = self.rule_at[ri];
+        let pipeline = &self.groups[g].rules[m].pipeline;
+        if pipeline.strategy == IterateStrategy::BlockList {
+            for key in change.keys.keys() {
+                for stored in self.store.retract_block(ri, key) {
+                    stats.retract(&stored);
+                }
+            }
+        }
+        let Some((held, keys)) = self.groups[g].held(m, change, stats) else {
+            return Ok(());
+        };
+        let guard = RuleGuard::arm(pipeline.rule.name(), &self.options.isolation);
+        let out = self
+            .executor
+            .detect_held(pipeline, held, mask, Arc::clone(&guard));
+        let skipped = &self.executor.engine().metrics().units_skipped;
+        Metrics::add(skipped, guard.units_skipped());
+        let out = out?;
+        let single = pipeline.strategy == IterateStrategy::SingleUnits;
+        for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
+            let prov = match origin {
+                Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
+                Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
+                Origin::Bucket(at) => ProvState::Block(keys[at as usize].values().to_vec()),
+            };
             let stored = StoredState {
                 id: 0, // assigned by the store
                 rule: ri as u64,
@@ -699,6 +694,7 @@ impl Session {
                 fixes,
                 prov,
             };
+            stats.added += 1;
             stats.mark(&stored);
             self.store.add(stored);
         }
@@ -776,7 +772,7 @@ impl RepairTarget for SessionTarget<'_> {
 mod tests {
     use super::*;
     use bigdansing_common::Schema;
-    use bigdansing_rules::{DetectUnit, FdRule};
+    use bigdansing_rules::{DetectUnit, FdRule, Violation};
 
     fn fd_session(rows: Vec<Vec<Value>>) -> Session {
         let schema = Schema::parse("zipcode,city");

@@ -28,9 +28,9 @@ use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
 use bigdansing_common::{KeyDict, KeyId, Schema, Table, Tuple};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
-use bigdansing_dataflow::{Engine, PDataset};
+use bigdansing_dataflow::{Engine, PDataset, Stage};
 use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
-use bigdansing_rules::{DetectUnit, Fix, Rule, RuleExt, Violation};
+use bigdansing_rules::{DetectUnit, Fix, OrderCond, Rule, RuleExt, Violation};
 use std::sync::Arc;
 
 /// One detection as a detect pass produces it: the group member that
@@ -85,13 +85,19 @@ impl DetectOutput {
 }
 
 /// One rule's share of a detect pass: how it draws candidate units from
-/// a bucket, whether GenFix runs, and the guard it runs under.
+/// a bucket, whether GenFix runs, and the guard it runs under. Every
+/// candidate unit of a batch pass and of a session re-detect is
+/// detected here.
 #[derive(Clone)]
 struct Detector {
     /// The rule's position in its group, which tags what it finds.
     member: u64,
     rule: Arc<dyn Rule>,
     pair_rule: Option<PairRule>,
+    /// Whether buckets pass the guard's straggler gate: Block and LSH
+    /// buckets do; the one global bucket of UCross/Cross does not, as
+    /// the batch enumerates it through the engine's cartesian ungated.
+    gated: bool,
     use_genfix: bool,
     guard: Option<Arc<RuleGuard>>,
 }
@@ -106,6 +112,19 @@ struct Tally {
 }
 
 impl Detector {
+    /// The detector of `pipeline`, member `member` of its pass.
+    fn new(member: usize, pipeline: &RulePipeline, guard: Option<Arc<RuleGuard>>) -> Detector {
+        use IterateStrategy::{CrossProduct, UCrossProduct};
+        Detector {
+            member: member as u64,
+            rule: Arc::clone(&pipeline.rule),
+            pair_rule: pipeline.strategy.pair_rule(),
+            gated: !matches!(pipeline.strategy, UCrossProduct | CrossProduct),
+            use_genfix: pipeline.use_genfix,
+            guard,
+        }
+    }
+
     /// Poll the guard's soft time budget (before every Detect).
     fn check_budget(&self) -> Result<()> {
         self.guard.as_ref().map_or(Ok(()), |g| g.check_budget())
@@ -123,27 +142,35 @@ impl Detector {
     /// the freshness mask (no delta: all members fresh — a full detect
     /// is the delta enumeration with an empty resident side), or the
     /// whole bucket as one list unit when there is no pair rule (under a
-    /// delta only dirty buckets reach the reducer).
+    /// delta only dirty buckets reach the reducer). A list unit's
+    /// [`Origin::Bucket`] is `name`, or the bucket's [`bucket_hash`]
+    /// without one.
     fn bucket<M: Member>(
         &self,
         bucket: &[M],
+        name: Option<u64>,
         delta: Option<&Delta>,
         tally: &mut Tally,
     ) -> Result<()> {
+        if bucket.is_empty() {
+            return Ok(());
+        }
         if let Some(g) = &self.guard {
             g.check_budget()?;
             let expected = self
                 .pair_rule
                 .map_or(1, |r| pairs_in_block(bucket.len(), r.both_orientations));
-            if !g.admit_block(bucket.len(), expected)? {
+            if self.gated && !g.admit_block(bucket.len(), expected)? {
                 return Ok(());
             }
         }
         let Some(pairs) = self.pair_rule else {
             let block = M::units(bucket);
-            let origin = Origin::Bucket(bucket_hash(self.rule.as_ref(), &block[0]));
+            let name = name.unwrap_or_else(|| bucket_hash(self.rule.as_ref(), &block[0]));
             let found = self.rule.detect(&DetectUnit::List(&block));
-            tally.found.extend(found.into_iter().map(|v| (origin, v)));
+            tally
+                .found
+                .extend(found.into_iter().map(|v| (Origin::Bucket(name), v)));
             tally.lists += 1;
             return Ok(());
         };
@@ -191,12 +218,136 @@ fn lone(detectors: Vec<Detector>) -> Detector {
     }
 }
 
-/// Count what a semi-naive bucketed pass touched: the records of the
-/// dirty buckets that reached the reducer, and the buckets.
-fn count_dirty<M>(buckets: &[(KeyId, Vec<M>)], metrics: &Metrics) {
-    let records: usize = buckets.iter().map(|(_, bucket)| bucket.len()).sum();
-    Metrics::add(&metrics.tuples_reprocessed, records as u64);
-    Metrics::add(&metrics.blocks_dirty, buckets.len() as u64);
+/// The reducer body of every bucketed pass, batch or session: each
+/// bucket through every detector — scoped by the detector's rule first
+/// when `shared` (the bucket holds the source tuples of a shared Block
+/// pass), into one buffer reused across buckets — then the tallies
+/// closed. Each bucket comes with its list-unit name (see
+/// [`Detector::bucket`]).
+fn reduce<'b, M: Member + 'b>(
+    detectors: &[Detector],
+    buckets: impl Iterator<Item = (Option<u64>, &'b [M])>,
+    shared: bool,
+    delta: Option<&Delta>,
+    metrics: &Metrics,
+) -> Result<Vec<Found>> {
+    let mut tallies: Vec<Tally> = detectors.iter().map(|_| Tally::default()).collect();
+    let mut scoped = Vec::new();
+    for (name, bucket) in buckets {
+        for (d, tally) in detectors.iter().zip(&mut tallies) {
+            if shared {
+                scoped.clear();
+                scoped.extend(bucket.iter().flat_map(|m| d.rule.scope(m.tuple())));
+                d.bucket(&scoped, name, delta, tally)?;
+            } else {
+                d.bucket(bucket, name, delta, tally)?;
+            }
+        }
+    }
+    let finished = detectors.iter().zip(tallies);
+    Ok(finished.flat_map(|(d, t)| d.finish(t, metrics)).collect())
+}
+
+/// The reducer of a batch Block or LSH pass: [`reduce`] over the
+/// shuffled buckets, named by their hash; a semi-naive pass counts what
+/// it touched — the records of the dirty buckets that reached it, and
+/// the buckets.
+fn batch_reducer<M: Member>(
+    detectors: Vec<Detector>,
+    shared: bool,
+    delta: Option<Arc<Delta>>,
+    metrics: Arc<Metrics>,
+) -> impl Fn(Vec<(KeyId, Vec<M>)>) -> Result<Vec<Found>> {
+    move |buckets| {
+        let delta = delta.as_deref();
+        let named = buckets.iter().map(|(_, bucket)| (None, &bucket[..]));
+        let found = reduce(&detectors, named, shared, delta, &metrics)?;
+        if delta.is_some() {
+            let records: usize = buckets.iter().map(|(_, bucket)| bucket.len()).sum();
+            Metrics::add(&metrics.tuples_reprocessed, records as u64);
+            Metrics::add(&metrics.blocks_dirty, buckets.len() as u64);
+        }
+        Ok(found)
+    }
+}
+
+/// The single-unit arm: Detect over every record `stage` yields — under
+/// a delta only the fresh ones, counted as reprocessed.
+fn single_units(
+    stage: Stage<Tuple, Tuple>,
+    op: String,
+    d: Detector,
+    delta: Option<Arc<Delta>>,
+    metrics: Arc<Metrics>,
+) -> Result<PDataset<Found>> {
+    stage
+        .map_parts(op, move |mut part: Vec<Tuple>| {
+            if let Some(delta) = &delta {
+                part.retain(|t| delta.is_fresh(t));
+                Metrics::add(&metrics.tuples_reprocessed, part.len() as u64);
+            }
+            Metrics::add(&metrics.detect_calls, part.len() as u64);
+            let mut found = Vec::new();
+            for t in &part {
+                d.check_budget()?;
+                let unit = Origin::Unit(t.id(), t.id());
+                let vs = d.rule.detect(&DetectUnit::Single(t));
+                found.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
+            }
+            d.count_units(part.len() as u64);
+            Ok(found)
+        })
+        .run()
+}
+
+/// The OCJoin arm, a streaming join: every enumerated pair — under a
+/// delta only those with a fresh member — flows straight into Detect
+/// (+GenFix) inside the join task; the pair list is never materialized.
+fn oc_join(
+    stage: Stage<Tuple, Tuple>,
+    op: &str,
+    d: &Detector,
+    conds: &[OrderCond],
+    delta: Option<&Delta>,
+    metrics: &Metrics,
+) -> Result<PDataset<Found>> {
+    let pairs_before = Metrics::get(&metrics.pairs_generated);
+    let is_fresh = |t: &Tuple| delta.is_none_or(|d| d.is_fresh(t));
+    let detected = try_ocjoin_sink(
+        stage.into_dataset()?,
+        conds,
+        OcJoinConfig::default(),
+        &is_fresh,
+        op,
+        |a, b, out| {
+            d.check_budget()?;
+            d.count_units(1);
+            let unit = Origin::Unit(a.id(), b.id());
+            let vs = d.rule.detect_pair(a, b);
+            out.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
+            Ok(())
+        },
+    )?;
+    let pairs = Metrics::get(&metrics.pairs_generated) - pairs_before;
+    Metrics::add(&metrics.detect_calls, pairs);
+    Ok(detected)
+}
+
+/// What a session's resident index hands [`Executor::detect_held`] to
+/// re-detect one rule over.
+pub enum Held<M> {
+    /// Scoped records in table order: each one a unit of a single-unit
+    /// rule, or all of them the input of an inequality rule's OCJoin.
+    Records(Vec<Tuple>),
+    /// Buckets of a bucketed strategy.
+    Buckets {
+        /// Members in table order. A list unit's [`Origin::Bucket`] is
+        /// its bucket's index here.
+        buckets: Vec<Vec<M>>,
+        /// The members are source tuples of a shared Block index, which
+        /// the rule scopes first.
+        scope: bool,
+    },
 }
 
 /// Runs physical pipelines on a dataflow engine.
@@ -284,25 +435,7 @@ impl Executor {
         let delta = delta.cloned();
         match &lead.strategy {
             IterateStrategy::SingleUnits => {
-                let d = lone(detectors);
-                stage
-                    .map_parts(detect_op, move |mut part: Vec<Tuple>| {
-                        if let Some(delta) = &delta {
-                            part.retain(|t| delta.is_fresh(t));
-                            Metrics::add(&metrics.tuples_reprocessed, part.len() as u64);
-                        }
-                        Metrics::add(&metrics.detect_calls, part.len() as u64);
-                        let mut found = Vec::new();
-                        for t in &part {
-                            d.check_budget()?;
-                            let unit = Origin::Unit(t.id(), t.id());
-                            let vs = d.rule.detect(&DetectUnit::Single(t));
-                            found.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
-                        }
-                        d.count_units(part.len() as u64);
-                        Ok(found)
-                    })
-                    .run()
+                single_units(stage, detect_op, lone(detectors), delta, metrics)
             }
             IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
                 let by = BlockBy::of(group);
@@ -330,31 +463,7 @@ impl Executor {
                 let dict = Arc::new(KeyDict::new());
                 stage
                     .group_by_key(&block_op, move |t| Ok(dict.encode(by.key(t))))?
-                    .map_parts(detect_op, move |buckets| {
-                        let delta = delta.as_deref();
-                        let mut tallies: Vec<Tally> =
-                            detectors.iter().map(|_| Tally::default()).collect();
-                        let mut scoped = Vec::new();
-                        for (_, bucket) in &buckets {
-                            for (d, tally) in detectors.iter().zip(&mut tallies) {
-                                let units: &[Tuple] = if shared {
-                                    scoped.clear();
-                                    scoped.extend(bucket.iter().flat_map(|t| d.rule.scope(t)));
-                                    &scoped
-                                } else {
-                                    bucket
-                                };
-                                if !units.is_empty() {
-                                    d.bucket(units, delta, tally)?;
-                                }
-                            }
-                        }
-                        if delta.is_some() {
-                            count_dirty(&buckets, &metrics);
-                        }
-                        let finished = detectors.iter().zip(tallies);
-                        Ok(finished.flat_map(|(d, t)| d.finish(t, &metrics)).collect())
-                    })
+                    .map_parts(detect_op, batch_reducer(detectors, shared, delta, metrics))
                     .run()
             }
             IterateStrategy::LshBlocks { .. } => {
@@ -368,8 +477,7 @@ impl Executor {
                 // A delta does not thin this shuffle: the signature, not
                 // the shuffle, is what a record costs, and it is needed
                 // to know the buckets. The mask skips the clean ones.
-                let d = lone(detectors);
-                let (rule, strategy) = (Arc::clone(&d.rule), lead.strategy.clone());
+                let (rule, strategy) = (Arc::clone(&lead.rule), lead.strategy.clone());
                 let dict = Arc::new(KeyDict::new());
                 stage
                     .flat_map(format!("lsh-signature({names})"), move |t: Tuple| {
@@ -387,17 +495,7 @@ impl Executor {
                             Ok(dict.encode((*k, hashes[*k as usize])))
                         },
                     )?
-                    .map_parts(detect_op, move |buckets| {
-                        let delta = delta.as_deref();
-                        let mut tally = Tally::default();
-                        for (_, bucket) in &buckets {
-                            d.bucket(bucket, delta, &mut tally)?;
-                        }
-                        if delta.is_some() {
-                            count_dirty(&buckets, &metrics);
-                        }
-                        Ok(d.finish(tally, &metrics))
-                    })
+                    .map_parts(detect_op, batch_reducer(detectors, false, delta, metrics))
                     .run()
             }
             IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
@@ -438,32 +536,14 @@ impl Executor {
                     })
                     .run()
             }
-            IterateStrategy::OcJoin(conds) => {
-                // Streaming join: every enumerated pair flows straight
-                // into Detect (+GenFix) inside the join task — the pair
-                // list is never materialized.
-                let d = lone(detectors);
-                let pairs_before = Metrics::get(&metrics.pairs_generated);
-                let is_fresh = |t: &Tuple| delta.as_ref().is_none_or(|d| d.is_fresh(t));
-                let detected = try_ocjoin_sink(
-                    stage.into_dataset()?,
-                    conds,
-                    OcJoinConfig::default(),
-                    &is_fresh,
-                    &detect_op,
-                    |a, b, out| {
-                        d.check_budget()?;
-                        d.count_units(1);
-                        let unit = Origin::Unit(a.id(), b.id());
-                        let vs = d.rule.detect_pair(a, b);
-                        out.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
-                        Ok(())
-                    },
-                )?;
-                let pairs = Metrics::get(&metrics.pairs_generated) - pairs_before;
-                Metrics::add(&metrics.detect_calls, pairs);
-                Ok(detected)
-            }
+            IterateStrategy::OcJoin(conds) => oc_join(
+                stage,
+                &detect_op,
+                &lone(detectors),
+                conds,
+                delta.as_deref(),
+                &metrics,
+            ),
         }
     }
 
@@ -494,16 +574,62 @@ impl Executor {
     ) -> Result<Vec<DetectOutput>> {
         self.engine.check_cancelled()?;
         let clones_before = deep_clones_total();
-        let detector = |(m, p): (usize, &&RulePipeline)| Detector {
-            member: m as u64,
-            rule: Arc::clone(&p.rule),
-            pair_rule: p.strategy.pair_rule(),
-            use_genfix: p.use_genfix,
-            guard: guards.map(|g| Arc::clone(&g[m])),
+        let detector = |(m, p): (usize, &&RulePipeline)| {
+            Detector::new(m, p, guards.map(|g| Arc::clone(&g[m])))
         };
         let detectors = group.iter().enumerate().map(detector).collect();
         let found = self.iterate_and_detect(data, schema, group, detectors, delta)?;
         self.collect_detected(found, group.len(), clones_before)
+    }
+
+    /// Re-detect one rule of a session over what its resident index
+    /// holds, with `delta` as the freshness mask, in one pass labelled
+    /// `redetect(<rule>)`, under `guard`. It is the Detect body of the
+    /// batch passes over buckets the caller keeps instead of ones a
+    /// shuffle builds: records run through the single-unit or OCJoin
+    /// arm, buckets through the bucketed reducer. The caller chose the
+    /// fresh records itself, so single units are not masked again, and
+    /// the pass counts no `tuples_reprocessed` / `blocks_dirty`: the
+    /// session counts those once per apply.
+    pub fn detect_held<M>(
+        &self,
+        pipeline: &RulePipeline,
+        held: Held<M>,
+        delta: &Arc<Delta>,
+        guard: Arc<RuleGuard>,
+    ) -> Result<DetectOutput>
+    where
+        M: Member + Clone + Send + Sync + 'static,
+    {
+        let clones_before = deep_clones_total();
+        let metrics = self.engine.metrics().clone();
+        let d = Detector::new(0, pipeline, Some(guard));
+        let op = format!("redetect({})", pipeline.rule.name());
+        let found = match held {
+            Held::Records(records) => {
+                let stage = PDataset::from_vec(self.engine.clone(), records).stage();
+                match &pipeline.strategy {
+                    IterateStrategy::OcJoin(conds) => {
+                        oc_join(stage, &op, &d, conds, Some(delta), &metrics)?
+                    }
+                    _ => single_units(stage, op, d, None, metrics)?,
+                }
+            }
+            Held::Buckets { buckets, scope } => {
+                let delta = Arc::clone(delta);
+                let named: Vec<(u64, Vec<M>)> = (0..).zip(buckets).collect();
+                PDataset::from_vec(self.engine.clone(), named)
+                    .stage()
+                    .map_parts(op, move |part: Vec<(u64, Vec<M>)>| {
+                        let named = part.iter().map(|(at, bucket)| (Some(*at), &bucket[..]));
+                        let detectors = std::slice::from_ref(&d);
+                        reduce(detectors, named, scope, Some(&delta), &metrics)
+                    })
+                    .run()?
+            }
+        };
+        let mut found = self.collect_detected(found, 1, clones_before)?;
+        Ok(found.remove(0))
     }
 
     /// The final stage-boundary materialization of a detect pass, with

@@ -34,7 +34,7 @@ pub mod logical;
 pub mod physical;
 
 pub use enumerate::{Delta, IndexKeys, Member, Origin, PairCounts, PairRule};
-pub use executor::{DetectOutput, Executor};
+pub use executor::{DetectOutput, Executor, Held};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};

@@ -10,7 +10,7 @@
 
 use bigdansing::{
     AdmissionControl, BigDansing, CancelReason, CleanseOptions, DeltaBatch, Engine, Error,
-    ExecMode, FaultInjector, IsolationOptions, MemoryBudget, RuleHealth,
+    ExecMode, FaultInjector, FaultMode, IsolationOptions, MemoryBudget, RuleHealth,
 };
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Schema, Table, Tuple, Value};
@@ -402,6 +402,77 @@ fn session_times_out_a_hung_rule_like_the_batch_loop() {
     let err = sys.apply_delta(&mut strict, batch()).unwrap_err();
     assert_eq!(err, timed_out);
     assert!(strict.is_poisoned());
+}
+
+/// A session gates outlier blocks as the batch loop does. Partial mode:
+/// both FDs skip the 3-row zipcode-1 block, count the same skipped
+/// units, and hold and repair what a partial cleanse does. Strict mode:
+/// opening over that block, or an apply that grows a 2-row block to 3,
+/// fails with the batch's straggler error, and the apply poisons the
+/// session.
+#[test]
+fn session_gates_outlier_blocks_like_the_batch_loop() {
+    let table = three_city_table();
+    let system = || {
+        let mut sys = BigDansing::sequential();
+        for rule in healthy_rules(table.schema()) {
+            sys.add_rule(rule);
+        }
+        sys
+    };
+    let options = |mode| CleanseOptions {
+        isolation: IsolationOptions {
+            mode,
+            max_block_size: Some(2),
+            ..IsolationOptions::default()
+        },
+        ..Default::default()
+    };
+    let skipped = |sys: &BigDansing| sys.engine().metrics().snapshot().units_skipped;
+
+    let batch_sys = system();
+    let batch = batch_sys
+        .cleanse(&table, options(FaultMode::Partial))
+        .unwrap();
+    assert!(batch.outcome.is_degraded());
+    let sys = system();
+    let mut session = sys
+        .open_session(&table, options(FaultMode::Partial))
+        .unwrap();
+    // only the zipcode-2 state conflict: the zipcode-1 block is skipped
+    let detected: Vec<Vec<u64>> = session
+        .detected()
+        .iter()
+        .map(|(v, _)| v.tuple_ids())
+        .collect();
+    assert_eq!(detected, [vec![3, 4]]);
+    let report = sys.apply_delta(&mut session, DeltaBatch::new()).unwrap();
+    assert_eq!(report.total_violations, batch.total_violations);
+    assert_eq!(session.table().tuples(), batch.table.tuples());
+    assert_eq!(skipped(&sys), skipped(&batch_sys));
+    assert!(skipped(&sys) > 0);
+
+    let sys = system();
+    let batch_err = sys.cleanse(&table, options(FaultMode::Strict)).unwrap_err();
+    let Error::Rule { cause, .. } = &batch_err else {
+        panic!("expected Error::Rule, got {batch_err:?}");
+    };
+    assert!(cause.contains("straggler"), "{cause}");
+    let open_err = sys
+        .open_session(&table, options(FaultMode::Strict))
+        .err()
+        .expect("the open gates the 3-row block");
+    assert_eq!(open_err, batch_err);
+    let two_rows: Vec<Vec<Value>> = [0, 1, 3, 4]
+        .iter()
+        .map(|&i| table.tuples()[i].to_values())
+        .collect();
+    let base = Table::from_rows("t", table.schema().clone(), two_rows);
+    let mut session = sys.open_session(&base, options(FaultMode::Strict)).unwrap();
+    let grow =
+        DeltaBatch::new().insert(10, vec![Value::Int(1), Value::str("LA"), Value::str("CA")]);
+    assert_eq!(sys.apply_delta(&mut session, grow).unwrap_err(), batch_err);
+    assert!(session.is_poisoned());
 }
 
 /// One quarantine rule for batch and session: a panicking UDF beside an

@@ -18,6 +18,8 @@ use bigdansing_common::{Schema, Table, Value};
 use bigdansing_rules::FdRule;
 use std::sync::Arc;
 
+mod support;
+
 fn tax_table() -> Table {
     // zipcode,city,salary,rate — seeded with an FD violation (rows 0/1)
     // and a DC-style inequality violation (rows 2/3: higher salary,
@@ -222,67 +224,24 @@ fn dedup_udf_session_matches_full_recompute() {
     assert_oracle_parity(&unblocked, &base, batches);
 }
 
-/// "Two rows disagree on `city`": the violation over both city cells
-/// and the fix equating them, as the FD rule would emit.
-fn city_conflict(rule: &str, a: &Tuple, b: &Tuple) -> Violation {
-    Violation::new(rule)
-        .with_cell(a.cell(1), a.value(1).clone())
-        .with_cell(b.cell(1), b.value(1).clone())
-}
-
-fn equate_cities(v: &Violation) -> Vec<Fix> {
-    let [(c1, v1), (c2, v2)] = v.cells() else {
-        panic!("city conflicts span two cells, got {v:?}");
-    };
-    vec![Fix::assign_cell(*c1, v1.clone(), *c2, v2.clone())]
-}
-
 /// `zipcode -> city` as a whole-block list UDF (BlockList): every row
 /// is compared against its block's *first* row, so the detections
 /// depend on the session keeping buckets in table order.
 #[test]
 fn list_udf_session_matches_full_recompute() {
-    let base = tax_table();
-    let rule = UdfRule::builder("udf:zip-list", |unit| {
-        let DetectUnit::List(block) = unit else {
-            panic!("list rule fed {unit:?}");
-        };
-        let mut rows = block.iter();
-        let first = rows.next().expect("blocks are never empty");
-        rows.filter(|t| t.value(1) != first.value(1))
-            .map(|t| city_conflict("udf:zip-list", first, t))
-            .collect()
-    })
-    .unit_kind(UnitKind::List)
-    .block(|t| Some(BlockKey::single(t.value(0).clone())))
-    .gen_fix(equate_cities)
-    .build();
     let mut sys = BigDansing::parallel(2);
-    sys.add_rule(Arc::new(rule));
-    assert_oracle_parity(&sys, &base, mixed_batches());
+    sys.add_rule(Arc::new(support::list_udf()));
+    assert_oracle_parity(&sys, &tax_table(), mixed_batches());
 }
 
-/// An order-sensitive unblocked pair UDF (CrossProduct): `(a, b)`
-/// violates only when `a`'s city sorts before `b`'s, so each conflict
-/// is caught in exactly one of the two orientations — and only if both
-/// are enumerated.
+/// An order-sensitive unblocked pair UDF (CrossProduct): each city
+/// conflict is caught in exactly one of the two orientations — and only
+/// if both are enumerated.
 #[test]
 fn asymmetric_pair_udf_session_matches_full_recompute() {
-    let base = tax_table();
-    let rule = UdfRule::builder("udf:zip-ordered", |unit| {
-        let (a, b) = unit.as_pair();
-        if a.value(0) == b.value(0) && a.value(1) < b.value(1) {
-            vec![city_conflict("udf:zip-ordered", a, b)]
-        } else {
-            Vec::new()
-        }
-    })
-    .symmetric(false)
-    .gen_fix(equate_cities)
-    .build();
     let mut sys = BigDansing::parallel(2);
-    sys.add_rule(Arc::new(rule));
-    assert_oracle_parity(&sys, &base, mixed_batches());
+    sys.add_rule(Arc::new(support::ordered_pair_udf()));
+    assert_oracle_parity(&sys, &tax_table(), mixed_batches());
 }
 
 #[test]
@@ -293,6 +252,48 @@ fn multi_rule_session_matches_full_recompute() {
     sys.add_dc("t1.salary > t2.salary & t1.rate < t2.rate", base.schema())
         .unwrap();
     assert_oracle_parity(&sys, &base, mixed_batches());
+}
+
+/// A session counts what an apply reprocessed once: with a single-unit
+/// UDF, two FDs sharing one Block index and an inequality DC, the
+/// engine's `tuples_reprocessed` and `blocks_dirty` grow by exactly what
+/// the apply reports say.
+#[test]
+fn engine_counters_sum_the_delta_reports() {
+    let base = tax_table();
+    let low_rate = UdfRule::builder("udf:low-rate", |unit| {
+        let DetectUnit::Single(t) = unit else {
+            panic!("single-unit rule fed {unit:?}");
+        };
+        if t.value(3) < &Value::Int(5) {
+            vec![Violation::new("udf:low-rate").with_cell(t.cell(3), t.value(3).clone())]
+        } else {
+            Vec::new()
+        }
+    })
+    .unit_kind(UnitKind::Single)
+    .build();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(low_rate));
+    sys.add_fd("zipcode -> city", base.schema()).unwrap();
+    sys.add_fd("zipcode -> rate", base.schema()).unwrap();
+    sys.add_dc("t1.salary > t2.salary & t1.rate < t2.rate", base.schema())
+        .unwrap();
+    let mut session = sys.open_session(&base, CleanseOptions::default()).unwrap();
+    let counters = || {
+        let m = sys.engine().metrics().snapshot();
+        (m.tuples_reprocessed, m.blocks_dirty)
+    };
+    let before = counters();
+    let mut reported = (0, 0);
+    for batch in mixed_batches() {
+        let report = sys.apply_delta(&mut session, batch).unwrap();
+        reported.0 += report.tuples_reprocessed;
+        reported.1 += report.blocks_dirty;
+    }
+    let after = counters();
+    assert!(reported.0 > 0 && reported.1 > 0, "{reported:?}");
+    assert_eq!((after.0 - before.0, after.1 - before.1), reported);
 }
 
 /// An FD that proposes no fixes: its violations stand until one of

@@ -13,6 +13,8 @@ use bigdansing_rules::{DedupRule, FdRule, Rule, UdfRule, UnitKind};
 use std::ops::Range;
 use std::sync::Arc;
 
+mod support;
+
 /// `(a, b, c)` rows over `0..6 × 0..4 × 0..4`, a row count drawn from
 /// `rows`.
 fn arb_rows(g: &mut SplitMix64, rows: Range<usize>) -> Vec<(i64, i64, i64)> {
@@ -322,13 +324,27 @@ fn session_parity_smoke_interleaving() {
     assert_session_parity(&sys, base, ops, false);
 }
 
+/// One of the rules a session re-detects through keyed buckets, each
+/// on `a` determining `b`: the FD (BlockPairs), the whole-block list UDF
+/// (BlockList) or the order-sensitive pair UDF (CrossProduct, whose one
+/// global bucket holds every row).
+fn arb_keyed_system(g: &mut SplitMix64, schema: &Schema) -> BigDansing {
+    let mut sys = BigDansing::parallel(2);
+    let rule: Arc<dyn Rule> = match g.range(0..3usize) {
+        0 => Arc::new(FdRule::parse("a -> b", schema).unwrap()),
+        1 => Arc::new(support::list_udf()),
+        _ => Arc::new(support::ordered_pair_udf()),
+    };
+    sys.add_rule(rule);
+    sys
+}
+
 #[test]
 fn fd_session_parity_on_random_interleavings() {
-    check(8, |g| {
+    check(24, |g| {
         let base = spec_table(arb_rows(g, 0..20), false);
         let ops = arb_interleavings(g);
-        let mut sys = BigDansing::parallel(2);
-        sys.add_fd("a -> b", base.schema()).unwrap();
+        let sys = arb_keyed_system(g, base.schema());
         assert_session_parity(&sys, base, ops, false);
     });
 }
