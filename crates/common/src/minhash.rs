@@ -93,10 +93,7 @@ pub fn compute_minhash_signature(s: &str, num_hashes: usize, shingle: usize) -> 
     let mut signature = vec![u64::MAX; num_hashes];
     let mut fold = |base: u64| {
         for (slot, seed) in signature.iter_mut().zip(&seeds) {
-            let h = mix(base ^ seed);
-            if h < *slot {
-                *slot = h;
-            }
+            *slot = (*slot).min(mix(base ^ seed));
         }
     };
     if s.is_ascii() {
@@ -229,6 +226,58 @@ mod tests {
             );
             assert_eq!(band_hashes(s, &p).len(), p.bands);
         }
+    }
+
+    #[test]
+    fn default_band_hashes_are_pinned() {
+        // Bucket layout under the default parameters: a signature or
+        // banding rewrite must leave every one of these hashes in place.
+        let p = LshParams::default();
+        let florence = [
+            0x16e2_d95b_b234_da23,
+            0x6e02_0ca7_4ecd_6922,
+            0xdf1e_0973_4afa_38e8,
+            0xb273_b3dd_7535_9569,
+            0x15a1_e93e_5829_4ddf,
+            0xfc23_c658_7a79_7249,
+            0x6324_727e_06f3_f7c9,
+            0xd244_f7ea_3b95_139d,
+        ];
+        let muller = [
+            0x8729_71ab_1b0f_83d2,
+            0xf482_dbe8_282a_bdc7,
+            0x9c53_95b9_00c3_5766,
+            0xe52b_6b58_60d7_ac82,
+            0x1c25_3c48_0e90_6702,
+            0x8980_5f64_455d_5625,
+            0xebf0_04b8_9847_7300,
+            0x0102_e5b7_00e9_0571,
+        ];
+        let one_char = [
+            0x3442_e869_2d90_cf4c,
+            0x3f39_c30a_a657_aa43,
+            0x1521_9ff7_5a23_1856,
+            0x8a2b_0ff3_db06_1640,
+            0x8ce6_7a7e_bddc_fa58,
+            0x1072_5ab1_30fe_cb86,
+            0xf1c8_8dbe_99d0_acdb,
+            0xb716_688a_0ad0_7b02,
+        ];
+        let empty = [
+            0x7afa_157c_f60b_7fed,
+            0xcbb7_84aa_ab2c_b908,
+            0x31fd_f2bb_8f21_381e,
+            0x15e5_672f_5d7a_b7c2,
+            0xedba_139f_c6bf_0a0f,
+            0x4367_dd90_8bec_01b2,
+            0x6010_94cb_cbeb_c81a,
+            0xa92b_b05d_f2ce_10d1,
+        ];
+        assert_eq!(band_hashes("florence", &p), florence);
+        assert_eq!(band_hashes("Florence", &p), florence);
+        assert_eq!(band_hashes("Müller", &p), muller);
+        assert_eq!(band_hashes("a", &p), one_char);
+        assert_eq!(band_hashes("", &p), empty);
     }
 
     #[test]

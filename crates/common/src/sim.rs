@@ -4,6 +4,19 @@
 //! the deduplication experiment (§6.5) implements Levenshtein distance as
 //! the UDF. This module provides Levenshtein plus the normalized
 //! similarity helpers the dedup rules use.
+//!
+//! [`similar`] is the verify step every candidate pair of a dedup rule
+//! runs. It turns the threshold into an integer edit budget `k` and
+//! decides `distance ≤ k` on one of two paths, neither of which
+//! allocates for short strings:
+//!
+//! * **Bit-parallel**, when both strings are ASCII and the shorter is at
+//!   most 64 bytes: Myers' edit distance (JACM 1999) keeps a whole DP
+//!   column in two `u64` delta vectors, one word operation per byte of
+//!   the longer string.
+//! * **Banded DP** otherwise (multi-byte or long strings): a two-row DP
+//!   over `char`s restricted to the cells within `k` of the diagonal,
+//!   stopping once a row exceeds the budget.
 
 /// Levenshtein edit distance between two strings (unit costs), computed
 /// over `char`s with a two-row dynamic program (O(min(n,m)) memory).
@@ -54,7 +67,7 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
 /// above the budget. Within the band the distance is exact, so
 /// `levenshtein_within(a, b, k) == Some(d)` iff `levenshtein(a, b) == d
 /// && d <= k`.
-pub fn levenshtein_within(a: &str, b: &str, k: usize) -> Option<usize> {
+fn levenshtein_within(a: &str, b: &str, k: usize) -> Option<usize> {
     if a == b {
         return Some(0);
     }
@@ -109,14 +122,51 @@ pub fn levenshtein_within(a: &str, b: &str, k: usize) -> Option<usize> {
     (d <= k).then_some(d)
 }
 
+/// Levenshtein distance between byte strings by Myers' bit-parallel
+/// algorithm, for a `pattern` of 1 to 64 bytes.
+///
+/// Bit `i` of `pv` / `mv` says the DP column steps up / down by one
+/// from row `i` to row `i + 1`; each byte of `text` advances the whole
+/// column with a handful of word operations. `score` follows the last
+/// row, i.e. the distance from all of `pattern` to the text read so far.
+fn myers(pattern: &[u8], text: &[u8]) -> usize {
+    debug_assert!((1..=64).contains(&pattern.len()));
+    let mut peq = [0u64; 128];
+    for (i, &c) in pattern.iter().enumerate() {
+        // `& 0x7f` is the identity on ASCII and drops the bounds check
+        peq[usize::from(c & 0x7f)] |= 1 << i;
+    }
+    let last = 1u64 << (pattern.len() - 1);
+    let (mut pv, mut mv, mut score) = (u64::MAX, 0u64, pattern.len());
+    for &c in text {
+        let eq = peq[usize::from(c & 0x7f)];
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        score = score + usize::from(ph & last != 0) - usize::from(mh & last != 0);
+        // Row 0 of the DP is the text position itself, so every column
+        // steps up by one there: the `| 1` carries that into row 1.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    score
+}
+
 /// The `simF` predicate of rule φU: true when similarity ≥ `threshold`.
 ///
-/// Instead of a full DP, this runs [`levenshtein_within`] with the
+/// Instead of a full DP, this decides `distance ≤ k` for the
 /// threshold-implied edit budget — the largest `k` with
-/// `1 - k / max_len ≥ threshold` — so comparisons stop as soon as the
-/// distance provably exceeds what the threshold allows.
+/// `1 - k / max_len ≥ threshold` — bit-parallel for short ASCII strings
+/// and by the banded DP otherwise (see the module doc).
 pub fn similar(a: &str, b: &str, threshold: f64) -> bool {
-    let (la, lb) = (a.chars().count(), b.chars().count());
+    let ascii = a.is_ascii() && b.is_ascii();
+    let (la, lb) = match ascii {
+        true => (a.len(), b.len()),
+        false => (a.chars().count(), b.chars().count()),
+    };
     let max_len = la.max(lb);
     if max_len == 0 {
         return true;
@@ -136,7 +186,15 @@ pub fn similar(a: &str, b: &str, threshold: f64) -> bool {
     if k < 0 {
         return false;
     }
-    levenshtein_within(a, b, k as usize).is_some()
+    let k = k as usize;
+    if la.abs_diff(lb) > k {
+        return false;
+    }
+    let (short, long) = if la <= lb { (a, b) } else { (b, a) };
+    match (ascii, short.len()) {
+        (true, 1..=64) => myers(short.as_bytes(), long.as_bytes()) <= k,
+        _ => levenshtein_within(a, b, k).is_some(),
+    }
 }
 
 /// A cheap blocking key for strings: lowercase first `n` characters.
@@ -181,6 +239,14 @@ mod tests {
         assert!(!similar("Robert", "Xavier", 0.8));
         // length prefilter must not change the outcome
         assert!(!similar("ab", "abcdefghij", 0.5));
+        // multi-byte: char lengths, not byte lengths, set the budget
+        let (sz, ss) = ("Müllerstraße Kölner", "Müllerstrasse Kölner");
+        assert!(similar(sz, ss, 0.9) && !similar(sz, ss, 0.91));
+        assert!(similar("abc", "abç", 2.0 / 3.0));
+        assert!(!similar("abc", "abç", 0.7));
+        assert!(similar("", "", 1.0));
+        assert!(similar("", "a", 0.0));
+        assert!(!similar("a", "", f64::EPSILON));
     }
 
     #[test]
@@ -242,13 +308,104 @@ mod tests {
         });
     }
 
+    /// 0–80 chars over `abc`, or (three times in ten) over `aüß`.
+    fn mixed_word(g: &mut SplitMix64) -> String {
+        let alphabet = match g.chance(0.3) {
+            true => ['a', 'ü', 'ß'],
+            false => ['a', 'b', 'c'],
+        };
+        let len = g.range(0..=80usize);
+        (0..len).map(|_| alphabet[g.range(0..3usize)]).collect()
+    }
+
     #[test]
     fn similar_agrees_with_direct_computation() {
-        check(256, |g| {
-            let (a, b) = (word(g, b'd', 10), word(g, b'd', 10));
-            let t = g.range(0.0..=1.0);
-            assert_eq!(similar(&a, &b, t), levenshtein_similarity(&a, &b) >= t);
+        // Short words, and words whose lengths straddle the 64-byte
+        // bit-parallel cutoff with each side ASCII or multi-byte on its
+        // own; a third of the pairs are a few edits apart, so budgets
+        // near the distance are drawn.
+        check(512, |g| {
+            let (a, b) = match g.range(0..3u8) {
+                0 => (word(g, b'd', 10), word(g, b'd', 10)),
+                1 => (mixed_word(g), mixed_word(g)),
+                _ => {
+                    let a = mixed_word(g);
+                    let mut b: Vec<char> = a.chars().collect();
+                    for _ in 0..g.range(0..=4usize) {
+                        let at = g.range(0..=b.len());
+                        match g.range(0..3u8) {
+                            0 => b.insert(at, 'b'),
+                            1 if at < b.len() => drop(b.remove(at)),
+                            _ if at < b.len() => b[at] = 'ß',
+                            _ => {}
+                        }
+                    }
+                    (a, b.into_iter().collect())
+                }
+            };
+            let sim = levenshtein_similarity(&a, &b);
+            let t = match g.range(0..4u8) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => sim,
+                _ => g.range(0.0..=1.0),
+            };
+            assert_eq!(similar(&a, &b, t), sim >= t, "{a:?} vs {b:?} at {t}");
+            assert_eq!(similar(&b, &a, t), sim >= t, "{b:?} vs {a:?} at {t}");
         });
+    }
+
+    #[test]
+    fn myers_matches_levenshtein_across_the_64_byte_cutoff() {
+        // Every one-edit variant of patterns of 63, 64 and 65 bytes over
+        // `abc`, plus each variant with one more edit at the front (a
+        // distance the bit-parallel carry into row 1 must see): the
+        // kernel must give the full DP's distance, and `similar` must
+        // flip exactly at that distance on either side of the cutoff.
+        let mut g = SplitMix64::new(64);
+        for len in [63usize, 64, 65] {
+            let random: Vec<u8> = (0..len).map(|_| g.range(b'a'..=b'c')).collect();
+            for pattern in [vec![b'a'; len], b"ab".repeat(len)[..len].to_vec(), random] {
+                let mut texts = Vec::new();
+                for at in 0..=len {
+                    for c in [b'a', b'b', b'c'] {
+                        let mut t = pattern.clone();
+                        t.insert(at, c);
+                        texts.push(t);
+                        if at < len {
+                            let mut t = pattern.clone();
+                            t[at] = c;
+                            texts.push(t);
+                        }
+                    }
+                    if at < len {
+                        let mut t = pattern.clone();
+                        t.remove(at);
+                        texts.push(t);
+                    }
+                }
+                for t in texts.clone() {
+                    texts.push([b"c".as_slice(), &t].concat());
+                    texts.push(t[1..].to_vec());
+                }
+                let p = std::str::from_utf8(&pattern).unwrap();
+                for t in &texts {
+                    let t = std::str::from_utf8(t).unwrap();
+                    let d = levenshtein(p, t);
+                    if len <= 64 {
+                        assert_eq!(myers(p.as_bytes(), t.as_bytes()), d, "{p} vs {t}");
+                    }
+                    let max_len = p.len().max(t.len()) as f64;
+                    let at_d = 1.0 - d as f64 / max_len;
+                    let below_d = 1.0 - (d as f64 - 1.0) / max_len;
+                    assert!(similar(p, t, at_d) && similar(t, p, at_d), "{p} vs {t}");
+                    assert!(
+                        !similar(p, t, below_d) && !similar(t, p, below_d),
+                        "{p} vs {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

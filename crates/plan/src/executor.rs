@@ -26,7 +26,7 @@ use crate::enumerate::{
 use crate::physical::{block_groups, pipeline_for_rule, IterateStrategy, RulePipeline};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
-use bigdansing_common::{KeyDict, KeyId, Schema, Table, Tuple};
+use bigdansing_common::{KeyDict, Schema, Table, Tuple};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, Stage};
 use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
@@ -249,15 +249,16 @@ fn reduce<'b, M: Member + 'b>(
 }
 
 /// The reducer of a batch Block or LSH pass: [`reduce`] over the
-/// shuffled buckets, named by their hash; a semi-naive pass counts what
+/// shuffled buckets, whatever key grouped them (a Block pass's `KeyId`,
+/// an LSH pass's `(band, bucket hash)`); a semi-naive pass counts what
 /// it touched — the records of the dirty buckets that reached it, and
 /// the buckets.
-fn batch_reducer<M: Member>(
+fn batch_reducer<K, M: Member>(
     detectors: Vec<Detector>,
     shared: bool,
     delta: Option<Arc<Delta>>,
     metrics: Arc<Metrics>,
-) -> impl Fn(Vec<(KeyId, Vec<M>)>) -> Result<Vec<Found>> {
+) -> impl Fn(Vec<(K, Vec<M>)>) -> Result<Vec<Found>> {
     move |buckets| {
         let delta = delta.as_deref();
         let named = buckets.iter().map(|(_, bucket)| (None, &bucket[..]));
@@ -469,16 +470,13 @@ impl Executor {
             IterateStrategy::LshBlocks { .. } => {
                 // MinHash/LSH banding: each scoped tuple fans out into
                 // one record per band (an O(1) handle clone — the Arc'd
-                // payload is shared), keyed by the dictionary-encoded
-                // `(band, bucket hash)` pair so the KeyId shuffle path
-                // is reused verbatim. The `(band, bucket hash)` pair is
-                // interned directly as a `Copy` key — no per-record
-                // `Vec<Value>` payload on the hot path.
+                // payload is shared), keyed by its `(band, bucket hash)`
+                // pair. The pair is already a fixed-size hash, so the
+                // shuffle routes and groups on it as is: no dictionary.
                 // A delta does not thin this shuffle: the signature, not
                 // the shuffle, is what a record costs, and it is needed
                 // to know the buckets. The mask skips the clean ones.
                 let (rule, strategy) = (Arc::clone(&lead.rule), lead.strategy.clone());
-                let dict = Arc::new(KeyDict::new());
                 stage
                     .flat_map(format!("lsh-signature({names})"), move |t: Tuple| {
                         let IndexKeys::Bands(hashes) = strategy.index_keys(rule.as_ref(), &t)
@@ -492,7 +490,7 @@ impl Executor {
                     .group_by_key(
                         &format!("block({names})"),
                         move |(k, hashes, _): &(u32, Arc<[u64]>, Tuple)| {
-                            Ok(dict.encode((*k, hashes[*k as usize])))
+                            Ok((*k, hashes[*k as usize]))
                         },
                     )?
                     .map_parts(detect_op, batch_reducer(detectors, false, delta, metrics))
