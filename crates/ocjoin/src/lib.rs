@@ -12,12 +12,17 @@
 //!
 //! 1. **Partitions** the input into `nb_parts` ranges on the first
 //!    condition's attribute (Algorithm 2, lines 1-2);
-//! 2. **Sorts** each partition once per condition attribute (lines 4-5);
+//! 2. **Sorts** each partition once per condition attribute (lines 4-5),
+//!    copying the keys into contiguous arrays;
 //! 3. **Prunes** partition pairs whose min/max ranges cannot satisfy the
 //!    primary condition in a given orientation (line 7);
-//! 4. **Joins** surviving pairs with a sort-merge pass: binary-search the
-//!    sorted list for the primary condition's matching range, then verify
-//!    the remaining conditions (lines 9-14).
+//! 4. **Joins** surviving pairs (lines 9-14). With two ordering
+//!    conditions a pair runs IEJoin's sweep (Khayyat et al., PVLDB
+//!    2015): `t1`s in primary order set the bits of the `t2`s meeting
+//!    the first condition, in secondary-key order, and each `t1` emits
+//!    the set bits in its second condition's range. Otherwise a
+//!    sort-merge pass binary-searches the sorted keys for the primary
+//!    condition's range and verifies the remaining conditions.
 //!
 //! [`naive`] holds the CrossProduct + post-filter comparator used by the
 //! physical-operator ablation (Figure 11(c)).

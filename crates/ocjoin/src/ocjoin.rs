@@ -12,10 +12,15 @@
 //!   boundary statistic and binary-searches the feasibility frontier —
 //!   O(P log P + tasks) instead of the quadratic all-pairs scan, with
 //!   an identical surviving set;
-//! * when the rule carries a second ordering condition, each partition
-//!   builds a merge-sort tree over its primary-sorted order keyed by
-//!   the secondary attribute, so enumeration is output-sensitive
-//!   (O(log² n + k) per probe) instead of scan-and-verify over every
+//! * when the rule carries a second ordering condition, a partition
+//!   pair is joined with IEJoin's sweep (Khayyat et al., *Lightning
+//!   Fast and Space Efficient Inequality Joins*, PVLDB 2015): the left
+//!   side is walked in primary-key order while a monotone pointer over
+//!   the right side's sorted primary keys sets the bit of each `t2`
+//!   that comes to satisfy the primary condition, in a bit array
+//!   ordered by the secondary key; each `t1` then emits the set bits of
+//!   its secondary range. Enumeration reads contiguous key arrays and
+//!   machine words instead of scan-and-verify over every
 //!   primary-condition candidate.
 
 use bigdansing_common::error::{Error, Result};
@@ -34,153 +39,39 @@ pub struct OcJoinConfig {
     pub nb_parts: usize,
 }
 
-/// Below this many primary-condition candidates a linear verify-scan
-/// beats the merge-sort tree's O(log² n) descent.
-const TREE_MIN_RANGE: usize = 64;
-
-/// A merge-sort tree over a fixed ordering of tuple indices: node `k`
-/// of the heap-shaped segment tree stores its range of the ordering
-/// re-sorted by a secondary attribute. "Which positions in `[lo, hi)`
-/// of the primary order also satisfy `v op t2.B`" decomposes into
-/// O(log n) covered nodes, each answering with a binary search and
-/// emitting only matching candidates.
-struct MergeTree {
-    /// Scoped attribute the nodes are sorted by.
-    attr: usize,
-    len: usize,
-    /// Heap layout: root at 1, children of `k` at `2k`/`2k+1`.
-    nodes: Vec<Vec<u32>>,
-}
-
-impl MergeTree {
-    fn build(tuples: &[Tuple], order: &[u32], attr: usize) -> MergeTree {
-        let len = order.len();
-        let mut nodes = vec![Vec::new(); (4 * len).max(1)];
-        if len > 0 {
-            Self::build_node(tuples, order, attr, 1, 0, len, &mut nodes);
-        }
-        MergeTree { attr, len, nodes }
-    }
-
-    fn build_node(
-        tuples: &[Tuple],
-        order: &[u32],
-        attr: usize,
-        k: usize,
-        l: usize,
-        r: usize,
-        nodes: &mut Vec<Vec<u32>>,
-    ) {
-        if r - l == 1 {
-            nodes[k] = vec![order[l]];
-            return;
-        }
-        let m = (l + r) / 2;
-        Self::build_node(tuples, order, attr, 2 * k, l, m, nodes);
-        Self::build_node(tuples, order, attr, 2 * k + 1, m, r, nodes);
-        let merged = {
-            let (a, b) = (&nodes[2 * k], &nodes[2 * k + 1]);
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                let va = tuples[a[i] as usize].value(attr);
-                let vb = tuples[b[j] as usize].value(attr);
-                if va <= vb {
-                    out.push(a[i]);
-                    i += 1;
-                } else {
-                    out.push(b[j]);
-                    j += 1;
-                }
-            }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            out
-        };
-        nodes[k] = merged;
-    }
-
-    /// Visit every index at positions `[ql, qr)` of the primary order
-    /// whose secondary value satisfies `probe op value` (i.e. the
-    /// condition with the *left* tuple's value fixed at `probe`).
-    fn for_each_matching<F>(
-        &self,
-        tuples: &[Tuple],
-        ql: usize,
-        qr: usize,
-        op: Op,
-        probe: &Value,
-        f: &mut F,
-    ) -> Result<()>
-    where
-        F: FnMut(u32) -> Result<()>,
-    {
-        if self.len == 0 || ql >= qr {
-            return Ok(());
-        }
-        self.visit(tuples, 1, 0, self.len, ql, qr, op, probe, f)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn visit<F>(
-        &self,
-        tuples: &[Tuple],
-        k: usize,
-        l: usize,
-        r: usize,
-        ql: usize,
-        qr: usize,
-        op: Op,
-        probe: &Value,
-        f: &mut F,
-    ) -> Result<()>
-    where
-        F: FnMut(u32) -> Result<()>,
-    {
-        if qr <= l || r <= ql {
-            return Ok(());
-        }
-        if ql <= l && r <= qr {
-            let list = &self.nodes[k];
-            let val = |i: u32| tuples[i as usize].value(self.attr);
-            // Keep t2 where `op.holds(probe, t2.value(attr))`: matching
-            // entries form a suffix (Lt/Le) or prefix (Gt/Ge) of the
-            // node's sorted list.
-            let matching = match op {
-                Op::Lt => &list[list.partition_point(|&i| val(i) <= probe)..],
-                Op::Le => &list[list.partition_point(|&i| val(i) < probe)..],
-                Op::Gt => &list[..list.partition_point(|&i| val(i) < probe)],
-                Op::Ge => &list[..list.partition_point(|&i| val(i) <= probe)],
-                // The tree is only built for ordering ops.
-                Op::Eq | Op::Ne => unreachable!("merge tree built for ordering ops only"),
-            };
-            for &i in matching {
-                f(i)?;
-            }
-            return Ok(());
-        }
-        let m = (l + r) / 2;
-        self.visit(tuples, 2 * k, l, m, ql, qr, op, probe, f)?;
-        self.visit(tuples, 2 * k + 1, m, r, ql, qr, op, probe, f)
-    }
-}
-
 /// One range partition with cached statistics for pruning: min/max of
-/// the partitioning attribute, the tuple indices sorted by the primary
-/// condition's right-side attribute (the "Sorts" lists of Algorithm 2,
-/// kept as `u32` indices so sorting moves no `Value`s), and — for
-/// two-plus-condition joins — the merge-sort tree over that order.
+/// the partitioning attribute, the primary condition's right keys
+/// sorted (the "Sorts" lists of Algorithm 2, copied once into a
+/// contiguous array) with the tuple index of each, and — for joins
+/// with two ordering conditions — IEJoin's arrays.
 struct Part {
     tuples: Vec<Tuple>,
-    /// Indices into `tuples`, sorted by the primary right attribute.
+    /// The freshness mask of each tuple, evaluated once.
+    fresh_flags: Vec<bool>,
+    /// The primary right keys ascending, and the tuple index of each.
+    keys: Vec<Value>,
     order: Vec<u32>,
-    tree: Option<MergeTree>,
+    sweep: Option<Sweep>,
     /// What a resident (non-fresh) `t1` joins against.
     fresh: FreshSide,
     min_left: Value,
     max_left: Value,
     min_right: Value,
     max_right: Value,
+}
+
+/// IEJoin's arrays for the second ordering condition `t1.C op t2.D`.
+struct Sweep {
+    /// Tuple indices sorted by the primary left attribute; `None` when
+    /// that is the primary right attribute, whose `order` serves.
+    left_order: Option<Vec<u32>>,
+    /// The secondary right keys ascending (IEJoin's L2), and the tuple
+    /// index of each.
+    keys: Vec<Value>,
+    order: Vec<u32>,
+    /// The rank in `keys` of each position of the part's primary
+    /// `order` (IEJoin's permutation array).
+    rank: Vec<u32>,
 }
 
 /// The fresh members of a [`Part`] as a right side of their own: a
@@ -201,12 +92,36 @@ pub type IsFresh<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
 /// Everything is fresh: the mask of a full join.
 pub const ALL_FRESH: IsFresh<'static> = &|_| true;
 
-/// The secondary attribute a merge-sort tree should index, if the
-/// rule's second condition is an ordering comparison.
-fn secondary_tree_attr(conds: &[OrderCond]) -> Option<usize> {
-    match conds.get(1) {
-        Some(c) if matches!(c.op, Op::Lt | Op::Le | Op::Gt | Op::Ge) => Some(c.right_attr),
-        _ => None,
+/// True when the join sweeps: its first two conditions are orderings.
+fn sweeps(conds: &[OrderCond]) -> bool {
+    matches!(conds, [c1, c2, ..] if c1.op.is_ordering() && c2.op.is_ordering())
+}
+
+/// The values of `attr` ascending, and the tuple index of each: one
+/// sort of `(key, index)` pairs, so ties stay in index order.
+fn sorted_keys(tuples: &[Tuple], attr: usize) -> (Vec<Value>, Vec<u32>) {
+    let mut pairs: Vec<(Value, u32)> = tuples
+        .iter()
+        .zip(0..)
+        .map(|(t, i)| (t.value(attr).clone(), i))
+        .collect();
+    pairs.sort_unstable();
+    pairs.into_iter().unzip()
+}
+
+/// The positions `[lo, hi)` of ascending `keys` holding every `k` with
+/// `v op k` (for `Ne`, a superset: every position).
+fn matching(keys: &[Value], op: Op, v: &Value) -> (usize, usize) {
+    match op {
+        Op::Lt => (keys.partition_point(|k| k <= v), keys.len()),
+        Op::Le => (keys.partition_point(|k| k < v), keys.len()),
+        Op::Gt => (0, keys.partition_point(|k| k < v)),
+        Op::Ge => (0, keys.partition_point(|k| k <= v)),
+        Op::Eq => (
+            keys.partition_point(|k| k < v),
+            keys.partition_point(|k| k <= v),
+        ),
+        Op::Ne => (0, keys.len()),
     }
 }
 
@@ -215,65 +130,43 @@ impl Part {
         if tuples.is_empty() {
             return None;
         }
-        let fresh = if tuples.iter().all(is_fresh) {
+        let fresh_flags: Vec<bool> = tuples.iter().map(is_fresh).collect();
+        let fresh = if fresh_flags.iter().all(|&f| f) {
             FreshSide::Whole
         } else {
-            let fresh = tuples.iter().filter(|t| is_fresh(t)).cloned().collect();
-            Part::build(fresh, conds, ALL_FRESH)
+            let fresh = tuples.iter().zip(&fresh_flags).filter(|(_, &f)| f);
+            Part::build(fresh.map(|(t, _)| t.clone()).collect(), conds, ALL_FRESH)
                 .map_or(FreshSide::Empty, |p| FreshSide::Some(Box::new(p)))
         };
-        let left_attr = conds[0].left_attr;
-        let right_attr = conds[0].right_attr;
-        let mut order: Vec<u32> = (0..tuples.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            tuples[a as usize]
-                .value(right_attr)
-                .cmp(tuples[b as usize].value(right_attr))
+        let (left_attr, right_attr) = (conds[0].left_attr, conds[0].right_attr);
+        let (keys, order) = sorted_keys(&tuples, right_attr);
+        let lefts = tuples.iter().map(|t| t.value(left_attr));
+        let (min_left, max_left) = (lefts.clone().min(), lefts.max());
+        let sweep = sweeps(conds).then(|| {
+            let (sec_keys, sec_order) = sorted_keys(&tuples, conds[1].right_attr);
+            let mut rank_of = vec![0u32; tuples.len()];
+            for (r, &i) in (0..).zip(&sec_order) {
+                rank_of[i as usize] = r;
+            }
+            Sweep {
+                left_order: (left_attr != right_attr).then(|| sorted_keys(&tuples, left_attr).1),
+                keys: sec_keys,
+                order: sec_order,
+                rank: order.iter().map(|&i| rank_of[i as usize]).collect(),
+            }
         });
-        let (mut min_l, mut max_l) = (tuples[0].value(left_attr), tuples[0].value(left_attr));
-        for t in &tuples {
-            let v = t.value(left_attr);
-            if v < min_l {
-                min_l = v;
-            }
-            if v > max_l {
-                max_l = v;
-            }
-        }
-        let (min_l, max_l) = (min_l.clone(), max_l.clone());
-        let min_r = tuples[order[0] as usize].value(right_attr).clone();
-        let max_r = tuples[order[order.len() - 1] as usize]
-            .value(right_attr)
-            .clone();
-        let tree = secondary_tree_attr(conds).map(|attr| MergeTree::build(&tuples, &order, attr));
         Some(Part {
+            min_left: min_left?.clone(),
+            max_left: max_left?.clone(),
+            min_right: keys[0].clone(),
+            max_right: keys[keys.len() - 1].clone(),
             tuples,
+            fresh_flags,
+            keys,
             order,
-            tree,
+            sweep,
             fresh,
-            min_left: min_l,
-            max_left: max_l,
-            min_right: min_r,
-            max_right: max_r,
         })
-    }
-}
-
-/// Can a pair `(t1 ∈ left, t2 ∈ right)` possibly satisfy
-/// `t1.A op t2.B` given the partitions' min/max statistics? This is the
-/// pruning predicate (Algorithm 2, line 7) made *sound* for pure
-/// inequality conditions: a partition pair is skipped only when no value
-/// pair in the ranges can satisfy the primary condition. Kept as the
-/// oracle the sweep in [`feasible_tasks`] is tested against.
-#[cfg_attr(not(test), allow(dead_code))]
-fn feasible(op: Op, left: &Part, right: &Part) -> bool {
-    match op {
-        Op::Lt => left.min_left < right.max_right,
-        Op::Le => left.min_left <= right.max_right,
-        Op::Gt => left.max_left > right.min_right,
-        Op::Ge => left.max_left >= right.min_right,
-        // equality ops are not routed to OCJoin, but stay conservative
-        Op::Eq | Op::Ne => true,
     }
 }
 
@@ -282,8 +175,9 @@ fn feasible(op: Op, left: &Part, right: &Part) -> bool {
 /// ordering op the feasible left set of each right partition is a
 /// prefix (Lt/Le, by `min_left`) or suffix (Gt/Ge, by `max_left`) of
 /// the sorted partition order, found by binary search. Produces exactly
-/// the set [`feasible`] accepts, in row-major order, plus the count of
-/// pruned pairs.
+/// the pairs whose min/max ranges can satisfy `t1.A op t2.B` (Algorithm
+/// 2, line 7, made sound for pure inequality conditions), in row-major
+/// order, plus the count of pruned pairs.
 fn feasible_tasks(op: Op, parts: &[Part]) -> (Vec<(usize, usize)>, u64) {
     let p = parts.len();
     let mut tasks: Vec<(usize, usize)> = Vec::new();
@@ -323,88 +217,150 @@ fn feasible_tasks(op: Op, parts: &[Part]) -> (Vec<(usize, usize)>, u64) {
     (tasks, pruned)
 }
 
-/// The merge pass for one (left-role, right-role) partition pair: for
-/// each `t1`, binary-search the right partition's primary-sorted order
-/// for the range matching the primary condition, then either walk the
-/// merge-sort tree (second ordering condition — emits only candidates
-/// that satisfy both) or verify-scan the range. Remaining conditions
-/// are verified per emitted pair. Pairs stream into `emit`; nothing is
-/// materialized here.
-fn enumerate_pair<E>(
+/// A candidate pair holds: two distinct tuples meeting every condition
+/// in `rest`.
+fn holds_all(t1: &Tuple, t2: &Tuple, rest: &[OrderCond]) -> bool {
+    t1.id() != t2.id()
+        && rest
+            .iter()
+            .all(|c| c.op.holds(t1.value(c.left_attr), t2.value(c.right_attr)))
+}
+
+/// The merge pass for one (left-role, right-role) partition pair. The
+/// join is semi-naive: a fresh `t1` meets every `t2`, a resident one
+/// only the fresh `t2`s, so fresh and resident `t1`s join separately,
+/// against `right` and against its fresh side. Pairs stream into
+/// `emit`; nothing is materialized here.
+fn enumerate_pair<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
+where
+    E: FnMut(&Tuple, &Tuple) -> Result<()>,
+{
+    let join = if sweeps(conds) { sweep::<E> } else { scan::<E> };
+    let fresh = &left.fresh_flags;
+    match &right.fresh {
+        FreshSide::Whole => join(left, &|_| true, right, conds, emit),
+        FreshSide::Some(fresh_right) => {
+            join(left, &|i| fresh[i], right, conds, emit)?;
+            join(left, &|i| !fresh[i], fresh_right, conds, emit)
+        }
+        FreshSide::Empty => join(left, &|i| fresh[i], right, conds, emit),
+    }
+}
+
+/// The sort-merge pass of single-condition and equality-primary joins:
+/// for each taken `t1`, binary-search `right`'s primary keys for the
+/// range matching the primary condition, then verify the remaining
+/// conditions per candidate.
+fn scan<E>(
     left: &Part,
+    take: &dyn Fn(usize) -> bool,
     right: &Part,
     conds: &[OrderCond],
-    is_fresh: IsFresh,
     emit: &mut E,
 ) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
 {
     let primary = conds[0];
-    let rest = &conds[1..];
-    for t1 in &left.tuples {
-        // semi-naive: a fresh t1 meets every t2, a resident one only
-        // the fresh t2s
-        let right = match &right.fresh {
-            FreshSide::Some(fresh) if !is_fresh(t1) => fresh,
-            FreshSide::Empty if !is_fresh(t1) => continue,
-            _ => right,
-        };
-        let ord = &right.order;
-        let v1 = t1.value(primary.left_attr);
-        let val = |i: &u32| right.tuples[*i as usize].value(primary.right_attr);
-        // candidate index range in `order` satisfying the primary op
-        let (lo, hi) = match primary.op {
-            // t1.A < t2.B  → t2.B in (v1, +∞): first index with value > v1
-            Op::Lt => (ord.partition_point(|i| val(i) <= v1), ord.len()),
-            Op::Le => (ord.partition_point(|i| val(i) < v1), ord.len()),
-            // t1.A > t2.B → t2.B in (-∞, v1): up to first index with value >= v1
-            Op::Gt => (0, ord.partition_point(|i| val(i) < v1)),
-            Op::Ge => (0, ord.partition_point(|i| val(i) <= v1)),
-            Op::Eq => (
-                ord.partition_point(|i| val(i) < v1),
-                ord.partition_point(|i| val(i) <= v1),
-            ),
-            Op::Ne => (0, ord.len()),
-        };
-        match (&right.tree, rest) {
-            (Some(tree), [c2, more @ ..]) if primary.op != Op::Ne && hi - lo >= TREE_MIN_RANGE => {
-                let probe = t1.value(c2.left_attr);
-                tree.for_each_matching(&right.tuples, lo, hi, c2.op, probe, &mut |idx| {
-                    let t2 = &right.tuples[idx as usize];
-                    if t1.id() == t2.id() {
-                        return Ok(());
-                    }
-                    for c in more {
-                        if !c.op.holds(t1.value(c.left_attr), t2.value(c.right_attr)) {
-                            return Ok(());
-                        }
-                    }
-                    emit(t1, t2)
-                })?;
-            }
-            _ => {
-                'cand: for &idx in &ord[lo..hi] {
-                    let t2 = &right.tuples[idx as usize];
-                    if t1.id() == t2.id() {
-                        continue;
-                    }
-                    if primary.op == Op::Ne
-                        && t1.value(primary.left_attr) == t2.value(primary.right_attr)
-                    {
-                        continue;
-                    }
-                    for c in rest {
-                        if !c.op.holds(t1.value(c.left_attr), t2.value(c.right_attr)) {
-                            continue 'cand;
-                        }
-                    }
-                    emit(t1, t2)?;
-                }
+    // `matching` takes every key for `Ne`, so it is verified per pair.
+    let rest = if primary.op == Op::Ne {
+        conds
+    } else {
+        &conds[1..]
+    };
+    for (i, t1) in left.tuples.iter().enumerate() {
+        if !take(i) {
+            continue;
+        }
+        let (lo, hi) = matching(&right.keys, primary.op, t1.value(primary.left_attr));
+        for &j in &right.order[lo..hi] {
+            let t2 = &right.tuples[j as usize];
+            if holds_all(t1, t2, rest) {
+                emit(t1, t2)?;
             }
         }
     }
     Ok(())
+}
+
+/// IEJoin's sweep of the taken `t1`s against `right`, for a join whose
+/// first two conditions `t1.A op1 t2.B` and `t1.C op2 t2.D` are
+/// orderings. The `t1`s are visited in `A` order — ascending for
+/// `>`/`≥`, descending for `<`/`≤` — so the `t2`s meeting `op1` only
+/// grow: a monotone pointer over `right`'s sorted `B` keys sets the bit
+/// of each newcomer at its `D` rank, *before* the `t1` probes, so ties
+/// fall out of `op1` itself. Each `t1` then emits the set bits in its
+/// `op2` range of the `D` keys and verifies the rest per pair.
+fn sweep<E>(
+    left: &Part,
+    take: &dyn Fn(usize) -> bool,
+    right: &Part,
+    conds: &[OrderCond],
+    emit: &mut E,
+) -> Result<()>
+where
+    E: FnMut(&Tuple, &Tuple) -> Result<()>,
+{
+    let (c1, c2, rest) = (conds[0], conds[1], &conds[2..]);
+    let (Some(ls), Some(rs)) = (&left.sweep, &right.sweep) else {
+        unreachable!("sweep arrays are built for two ordering conditions")
+    };
+    let mut bits = vec![0u64; right.keys.len().div_ceil(64)];
+    // right positions `[lo, hi)` are not yet inserted
+    let (mut lo, mut hi) = (0, right.keys.len());
+    // the ranks `[set_lo, set_hi)` hold every set bit
+    let (mut set_lo, mut set_hi) = (usize::MAX, 0);
+    let ascending = matches!(c1.op, Op::Gt | Op::Ge);
+    let mut visit = |i: &u32| -> Result<()> {
+        if !take(*i as usize) {
+            return Ok(());
+        }
+        let t1 = &left.tuples[*i as usize];
+        let a = t1.value(c1.left_attr);
+        while lo < hi {
+            let at = if ascending { lo } else { hi - 1 };
+            if !c1.op.holds(a, &right.keys[at]) {
+                break;
+            }
+            let r = rs.rank[at] as usize;
+            bits[r / 64] |= 1 << (r % 64);
+            (set_lo, set_hi) = (set_lo.min(r), set_hi.max(r + 1));
+            (lo, hi) = if ascending {
+                (lo + 1, hi)
+            } else {
+                (lo, hi - 1)
+            };
+        }
+        let (from, to) = matching(&rs.keys, c2.op, t1.value(c2.left_attr));
+        let (from, to) = (from.max(set_lo), to.min(set_hi));
+        if from >= to {
+            return Ok(());
+        }
+        let (first, last) = (from / 64, (to - 1) / 64);
+        for (w, &bits_w) in (first..).zip(&bits[first..=last]) {
+            let mut word = bits_w;
+            if w == first {
+                word &= !0 << (from % 64);
+            }
+            if w == last {
+                word &= !0 >> (63 - (to - 1) % 64);
+            }
+            while word != 0 {
+                let t2 = &right.tuples[rs.order[w * 64 + word.trailing_zeros() as usize] as usize];
+                if holds_all(t1, t2, rest) {
+                    emit(t1, t2)?;
+                }
+                word &= word - 1;
+            }
+        }
+        Ok(())
+    };
+    let left_order = ls.left_order.as_deref().unwrap_or(&left.order);
+    if ascending {
+        left_order.iter().try_for_each(&mut visit)
+    } else {
+        left_order.iter().rev().try_for_each(&mut visit)
+    }
 }
 
 /// OCJoin: all ordered pairs `(t1, t2)` (with `t1.id() != t2.id()`)
@@ -495,16 +451,10 @@ where
     let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
         let mut out = Vec::new();
         let mut local = 0u64;
-        enumerate_pair(
-            &parts_ref[i],
-            &parts_ref[j],
-            conds,
-            is_fresh,
-            &mut |a, b| {
-                local += 1;
-                sink(a, b, &mut out)
-            },
-        )?;
+        enumerate_pair(&parts_ref[i], &parts_ref[j], conds, &mut |a, b| {
+            local += 1;
+            sink(a, b, &mut out)
+        })?;
         // Counted only when the attempt completes, so retried tasks do
         // not double-count.
         pairs_seen.fetch_add(local, Ordering::Relaxed);
@@ -527,8 +477,8 @@ mod tests {
     use super::*;
     use crate::naive::cross_join_filter;
     use bigdansing_common::rng::check;
+    use bigdansing_common::rng::SplitMix64;
     use bigdansing_dataflow::Engine;
-    use std::collections::HashSet;
 
     fn tup(id: u64, salary: i64, rate: i64) -> Tuple {
         Tuple::new(id, vec![Value::Int(salary), Value::Int(rate)])
@@ -550,9 +500,12 @@ mod tests {
         ]
     }
 
-    fn pair_ids(pairs: Result<PDataset<(Tuple, Tuple)>>) -> HashSet<(u64, u64)> {
+    /// The pairs' ids as a sorted multiset: a pair emitted twice shows.
+    fn pair_ids(pairs: Result<PDataset<(Tuple, Tuple)>>) -> Vec<(u64, u64)> {
         let pairs = pairs.unwrap().collect().unwrap();
-        pairs.into_iter().map(|(a, b)| (a.id(), b.id())).collect()
+        let mut ids: Vec<_> = pairs.into_iter().map(|(a, b)| (a.id(), b.id())).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -577,9 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_on_input_large_enough_to_engage_the_tree() {
-        // 300 rows spread over few partitions → primary ranges larger
-        // than TREE_MIN_RANGE, so the merge-sort-tree path runs.
+    fn matches_naive_on_input_larger_than_a_bit_word() {
+        // 300 rows spread over few partitions → each sweep's bit array
+        // spans several 64-bit words.
         let data: Vec<Tuple> = (0..300)
             .map(|i| tup(i, (i as i64 * 31) % 180, (i as i64 * 17) % 90))
             .collect();
@@ -610,6 +563,21 @@ mod tests {
             ));
             assert_eq!(fast, slow);
             assert!(!fast.is_empty());
+        }
+    }
+
+    /// Can a pair `(t1 ∈ left, t2 ∈ right)` possibly satisfy
+    /// `t1.A op t2.B` given the partitions' min/max statistics? The
+    /// quadratic pruning predicate (Algorithm 2, line 7) the sweep in
+    /// [`feasible_tasks`] is tested against.
+    fn feasible(op: Op, left: &Part, right: &Part) -> bool {
+        match op {
+            Op::Lt => left.min_left < right.max_right,
+            Op::Le => left.min_left <= right.max_right,
+            Op::Gt => left.max_left > right.min_right,
+            Op::Ge => left.max_left >= right.min_right,
+            // equality ops are not routed to OCJoin, but stay conservative
+            Op::Eq | Op::Ne => true,
         }
     }
 
@@ -713,7 +681,7 @@ mod tests {
             }],
             OcJoinConfig::default(),
         ));
-        assert_eq!(out, HashSet::from([(1, 2), (2, 1)]));
+        assert_eq!(out, vec![(1, 2), (2, 1)]);
     }
 
     #[test]
@@ -780,7 +748,7 @@ mod tests {
             &conds,
         ));
         let sink_engine = Engine::parallel(4);
-        let streamed: Vec<(u64, u64)> = try_ocjoin_sink(
+        let mut streamed: Vec<(u64, u64)> = try_ocjoin_sink(
             PDataset::from_vec(sink_engine.clone(), data),
             &conds,
             OcJoinConfig { nb_parts: 4 },
@@ -794,8 +762,8 @@ mod tests {
         .unwrap()
         .collect()
         .unwrap();
-        assert_eq!(streamed.len(), naive.len(), "a pair was streamed twice");
-        assert_eq!(streamed.into_iter().collect::<HashSet<_>>(), naive);
+        streamed.sort_unstable();
+        assert_eq!(streamed, naive, "a pair was streamed twice or not at all");
         assert_eq!(
             Metrics::get(&sink_engine.metrics().pairs_generated),
             naive.len() as u64
@@ -804,31 +772,42 @@ mod tests {
 
     const OPS: [Op; 4] = [Op::Lt, Op::Gt, Op::Le, Op::Ge];
 
+    /// A random self-join: 0–600 rows of three cells and two or three
+    /// ordering conditions over any attributes, so cross-attribute
+    /// conditions (`t1.a op t2.b` with `a ≠ b`) occur. Half the draws
+    /// take values from `0..8` (heavy ties), half from `-200..200`; one
+    /// cell in ten is `Null` and one in ten a `Float`, integral half the
+    /// time so that it ties with an `Int`.
+    fn arb_join(g: &mut SplitMix64) -> (Vec<Tuple>, Vec<OrderCond>) {
+        let (lo, hi): (i64, i64) = if g.chance(0.5) { (0, 8) } else { (-200, 200) };
+        let rows = g.range(0..=600u64);
+        let data = (0..rows)
+            .map(|id| {
+                let cells = (0..3)
+                    .map(|_| match g.range(0..10) {
+                        0 => Value::Null,
+                        1 => Value::Float(g.range(lo..hi) as f64 + [0.0, 0.5][g.range(0..2usize)]),
+                        _ => Value::Int(g.range(lo..hi)),
+                    })
+                    .collect();
+                Tuple::new(id, cells)
+            })
+            .collect();
+        let conds = (0..g.range(2..=3))
+            .map(|_| OrderCond {
+                left_attr: g.range(0..3),
+                op: OPS[g.range(0..4usize)],
+                right_attr: g.range(0..3),
+            })
+            .collect();
+        (data, conds)
+    }
+
     #[test]
     fn equivalent_to_naive_cross_filter() {
         check(32, |g| {
-            let rows: Vec<(i64, i64)> = (0..g.range(0..60))
-                .map(|_| (g.range(0..40), g.range(0..40)))
-                .collect();
-            let (op1, op2) = (OPS[g.range(0..4usize)], OPS[g.range(0..4usize)]);
+            let (data, conds) = arb_join(g);
             let nb_parts = g.range(1usize..8);
-            let data: Vec<Tuple> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, (s, r))| tup(i as u64, *s, *r))
-                .collect();
-            let conds = vec![
-                OrderCond {
-                    left_attr: 0,
-                    op: op1,
-                    right_attr: 0,
-                },
-                OrderCond {
-                    left_attr: 1,
-                    op: op2,
-                    right_attr: 1,
-                },
-            ];
             let e = Engine::parallel(3);
             let fast = pair_ids(try_ocjoin(
                 PDataset::from_vec(e.clone(), data.clone()),
@@ -845,31 +824,15 @@ mod tests {
     #[test]
     fn masked_join_is_the_fresh_subset_of_the_full_join() {
         check(32, |g| {
-            let rows: Vec<(i64, i64, bool)> = (0..g.range(0..200))
-                .map(|_| (g.range(0..40), g.range(0..40), g.chance(0.5)))
-                .collect();
-            let (op1, op2) = (OPS[g.range(0..4usize)], OPS[g.range(0..4usize)]);
+            let (data, conds) = arb_join(g);
             let nb_parts = g.range(1usize..8);
-            let data: Vec<Tuple> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, (s, r, _))| tup(i as u64, *s, *r))
-                .collect();
-            let conds = vec![
-                OrderCond {
-                    left_attr: 0,
-                    op: op1,
-                    right_attr: 0,
-                },
-                OrderCond {
-                    left_attr: 1,
-                    op: op2,
-                    right_attr: 1,
-                },
-            ];
-            let fresh = |t: &Tuple| rows[t.id() as usize].2;
+            // few, half or most rows fresh: parts with no, some and
+            // only fresh members
+            let share = [0.02, 0.5, 0.98][g.range(0..3usize)];
+            let flags: Vec<bool> = data.iter().map(|_| g.chance(share)).collect();
+            let fresh = |t: &Tuple| flags[t.id() as usize];
             let e = Engine::parallel(3);
-            let masked: Vec<(u64, u64)> = try_ocjoin_sink(
+            let mut masked: Vec<(u64, u64)> = try_ocjoin_sink(
                 PDataset::from_vec(e.clone(), data.clone()),
                 &conds,
                 OcJoinConfig { nb_parts },
@@ -883,18 +846,9 @@ mod tests {
             .unwrap()
             .collect()
             .unwrap();
-            let mut expected: Vec<(u64, u64)> =
-                cross_join_filter(PDataset::from_vec(e, data), &conds)
-                    .unwrap()
-                    .collect()
-                    .unwrap()
-                    .iter()
-                    .filter(|(a, b)| fresh(a) || fresh(b))
-                    .map(|(a, b)| (a.id(), b.id()))
-                    .collect();
-            let mut masked = masked;
             masked.sort_unstable();
-            expected.sort_unstable();
+            let mut expected = pair_ids(cross_join_filter(PDataset::from_vec(e, data), &conds));
+            expected.retain(|&(a, b)| flags[a as usize] || flags[b as usize]);
             assert_eq!(masked, expected);
         });
     }

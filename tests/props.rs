@@ -350,7 +350,7 @@ fn fd_session_parity_on_random_interleavings() {
 }
 
 /// One of the inequality-DC shapes a session joins through OCJoin: two
-/// strict conditions, a single condition (no merge-sort tree), `>=`/`<=`
+/// strict conditions, a single condition (a sorted scan, no sweep), `>=`/`<=`
 /// conditions, and the two strict conditions in the other order.
 fn arb_dc_system(g: &mut SplitMix64, schema: &Schema) -> BigDansing {
     let dc = [
