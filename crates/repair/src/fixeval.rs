@@ -2,12 +2,11 @@
 //!
 //! Shared by the hypergraph repair algorithm and the master/slave
 //! partitioned driver: both need to know whether a violation is already
-//! resolved by the assignments made so far, and what value enforces a
-//! given `x op y` fix.
+//! resolved by the assignments made so far.
 
 use crate::{Assignment, Detected};
 use bigdansing_common::{Cell, Value};
-use bigdansing_rules::{Fix, FixRhs, Op};
+use bigdansing_rules::{Fix, FixRhs};
 
 /// The current value of `cell`: the assignment if present, else the
 /// observed value recorded in the fix/violation.
@@ -93,29 +92,6 @@ pub fn overlay_detected(d: &Detected, assign: &Assignment) -> Detected {
     (nv, nfixes)
 }
 
-/// The value to assign to `fix.left` so the fix holds, given the current
-/// right-hand side. This is the minimal-change enforcement used in place
-/// of the quadratic-programming relaxation of \[6\]: equality copies the
-/// target, bounds move to (just past) the boundary.
-pub fn enforcing_value(fix: &Fix, assign: &Assignment) -> Value {
-    let rhs = match &fix.rhs {
-        FixRhs::Cell(c, v) => current(assign, *c, v).clone(),
-        FixRhs::Const(v) => v.clone(),
-    };
-    match fix.op {
-        Op::Eq | Op::Le | Op::Ge => rhs,
-        Op::Lt => value_below(&rhs),
-        Op::Gt | Op::Ne => value_above(&rhs),
-    }
-}
-
-/// The cost of enforcing `fix` (distance between the left cell's current
-/// value and the enforcing value, §2.1's cost model).
-pub fn enforcing_cost(fix: &Fix, assign: &Assignment) -> f64 {
-    let new = enforcing_value(fix, assign);
-    current(assign, fix.left, &fix.left_value).distance(&new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,18 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn enforcing_values_satisfy_their_ops() {
-        let a: Assignment = HashMap::new();
-        for op in [Op::Eq, Op::Ne, Op::Lt, Op::Gt, Op::Le, Op::Ge] {
-            for rhs in [Value::Int(5), Value::Float(2.5), Value::str("x")] {
-                let fix = Fix::compare(cell(1), Value::Int(100), op, FixRhs::Const(rhs.clone()));
-                let v = enforcing_value(&fix, &a);
-                assert!(op.holds(&v, &rhs), "{op:?} not satisfied: {v:?} vs {rhs:?}");
-            }
-        }
-    }
-
-    #[test]
     fn violation_resolution_via_fix_or_changed_cell() {
         let mut v = Violation::new("r");
         v.add_cell(cell(1), Value::str("SF"));
@@ -164,15 +128,6 @@ mod tests {
         let mut a2: Assignment = HashMap::new();
         a2.insert(cell(2), Value::str("NY"));
         assert!(violation_resolved(&det, &a2));
-    }
-
-    #[test]
-    fn enforcing_cost_is_zero_when_already_equal() {
-        let a: Assignment = HashMap::new();
-        let fix = Fix::assign_const(cell(1), Value::Int(5), Value::Int(5));
-        assert_eq!(enforcing_cost(&fix, &a), 0.0);
-        let fix2 = Fix::assign_const(cell(1), Value::Int(5), Value::Int(50));
-        assert!(enforcing_cost(&fix2, &a) > 0.0);
     }
 
     #[test]

@@ -1,24 +1,52 @@
 //! The hypergraph-based repair algorithm for general (e.g. DC) rules —
 //! the second centralized algorithm BigDansing ships (§5.1), following
 //! the holistic strategy of Chu et al. \[6\] and the vertex-cover
-//! heuristic of Kolahi & Lakshmanan \[23\]:
+//! heuristic of Kolahi & Lakshmanan \[23\]. Each round:
 //!
-//! 1. pick the cell appearing in the most unresolved violations (a
-//!    greedy vertex cover of the hyperedges),
-//! 2. gather every constraint the possible fixes place on that cell,
-//! 3. assign the value that satisfies the most constraints at the least
-//!    cost — for numeric inequality constraints this clamps the cell
-//!    into the feasible `[max lower bound, min upper bound]` interval,
-//!    our stand-in for the quadratic-programming relaxation of \[6\],
-//! 4. repeat until every violation is resolved (or the round budget is
-//!    exhausted — the §2.2 loop re-detects and retries).
+//! 1. gathers the constraints the possible fixes of every unresolved
+//!    violation place on their cells into a dense index: cells sorted
+//!    and deduplicated, each cell's constraints one run of a CSR array
+//!    in gather order, so a cell's violation degree is its run length;
+//! 2. visits cells in descending degree (a greedy vertex cover of the
+//!    hyperedges), ties broken toward the cheapest repair (§2.1's cost
+//!    model) and then by cell;
+//! 3. assigns each visited cell the value that satisfies the most of
+//!    its still-uncovered constraints at the least cost — for numeric
+//!    inequality constraints this clamps the cell into the feasible
+//!    `[max lower bound, min upper bound]` interval, our stand-in for
+//!    the quadratic-programming relaxation of \[6\] — and marks the
+//!    violations it satisfies covered;
+//!
+//! and rounds repeat until every violation is resolved (or the round
+//! budget is exhausted — the §2.2 loop re-detects and retries).
+//!
+//! **Cost.** A round over `e` constraint entries costs O(e log e) to
+//! gather and, for a cell of degree `d`, O(d log d) per best-value
+//! search: each op's targets are sorted once, and each of the O(d)
+//! candidates is scored with two binary searches per op. That count is
+//! exact because [`Op::holds`] reads only `Value::cmp`, wherever that
+//! order is transitive (everywhere but `Int`s beyond ±2^53 compared
+//! with `Float`s, where sorting was already ambiguous). Only cells that
+//! still have an uncovered violation are costed at all, and each at
+//! most twice: once in its degree group, once more in the cover step
+//! when a neighbour changed its inputs.
+//!
+//! **Why the shortcuts are exact.** Cell costs are scored against the
+//! round-start values, one degree group at a time, just before the group
+//! is visited. `covered` only grows during a round, so a cell whose
+//! violations are all covered when its group starts would also be
+//! skipped at its turn in a full up-front sort, and the visit order of
+//! the others is the same. A cell's best value from the group pass is
+//! reused in the cover step when none of its constraints is covered yet
+//! and no partner cell was assigned earlier in the round: its inputs are
+//! then the very ones the group pass saw.
 
 use crate::blackbox::RepairAlgorithm;
-use crate::fixeval::{current, value_above, value_below, violation_resolved};
+use crate::fixeval::{value_above, value_below, violation_resolved};
 use crate::{Assignment, Detected};
 use bigdansing_common::{Cell, Value};
 use bigdansing_rules::{FixRhs, Op};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Greedy holistic hypergraph repair.
 #[derive(Debug, Clone)]
@@ -33,120 +61,179 @@ impl Default for HypergraphRepair {
     }
 }
 
-/// A requirement `cell op <target>` derived from a possible fix. The
-/// target is another cell (resolved through the evolving assignment, so
-/// a partner repaired earlier in the same round supplies its *new*
-/// value) or a constant.
-#[derive(Debug, Clone)]
-struct Constraint {
+/// A requirement `cell op <target>` derived from a possible fix of
+/// violation `vi`. The target is the partner cell's value in the round's
+/// value table (so a partner repaired earlier in the same round supplies
+/// its *new* value), or the observed value when the partner is
+/// unassigned or the bound is a constant.
+#[derive(Debug, Clone, Copy)]
+struct Constraint<'a> {
+    vi: usize,
     op: Op,
-    /// Partner cell, when the bound comes from another element.
-    cell: Option<Cell>,
+    /// Dense id of the partner cell, when the bound comes from another
+    /// element.
+    partner: Option<usize>,
     /// Observed value (of the partner cell, or the constant).
-    value: Value,
+    value: &'a Value,
 }
 
-impl Constraint {
-    /// The bound's current value under `assign`.
-    fn target<'a>(&'a self, assign: &'a Assignment) -> &'a Value {
-        match self.cell {
-            Some(c) => current(assign, c, &self.value),
-            None => &self.value,
-        }
-    }
-
-    /// Does `v` satisfy the constraint under `assign`?
-    fn holds(&self, v: &Value, assign: &Assignment) -> bool {
-        self.op.holds(v, self.target(assign))
+impl<'a> Constraint<'a> {
+    /// The bound's value under `values` (assigned values by dense id).
+    fn target<'v>(&self, values: &'v [Option<Value>]) -> &'v Value
+    where
+        'a: 'v,
+    {
+        self.partner
+            .and_then(|p| values[p].as_ref())
+            .unwrap_or(self.value)
     }
 }
 
-/// Constraints each cell would have to satisfy to enforce some fix of an
-/// unresolved violation, plus each cell's violation degree.
-/// Per-cell constraint lists (tagged with their violation index) and
-/// per-cell violation degrees.
-type Gathered = (
-    HashMap<Cell, Vec<(usize, Constraint)>>,
-    HashMap<Cell, usize>,
-);
+/// One round's dense index over the unresolved violations' constraints:
+/// cell `i` is `cells[i]` and owns `constraints[runs[i]..runs[i + 1]]`.
+struct Round<'a> {
+    cells: Vec<Cell>,
+    runs: Vec<usize>,
+    constraints: Vec<Constraint<'a>>,
+}
 
-fn gather(component: &[&Detected], unresolved: &[usize], assign: &Assignment) -> Gathered {
-    let mut constraints: HashMap<Cell, Vec<(usize, Constraint)>> = HashMap::new();
-    let mut degree: HashMap<Cell, usize> = HashMap::new();
-    let _ = assign;
-    for &vi in unresolved {
-        let (_, fixes) = component[vi];
-        for fix in fixes {
-            // enforcing through the left cell: left op rhs
-            let (rhs_cell, rhs_value) = match &fix.rhs {
-                FixRhs::Cell(c, v) => (Some(*c), v.clone()),
-                FixRhs::Const(v) => (None, v.clone()),
-            };
-            constraints.entry(fix.left).or_default().push((
-                vi,
-                Constraint {
-                    op: fix.op,
-                    cell: rhs_cell,
-                    value: rhs_value,
-                },
-            ));
-            *degree.entry(fix.left).or_default() += 1;
-            // enforcing through the rhs cell: left op c  ⇔  c flip(op) left
-            if let FixRhs::Cell(c, _) = &fix.rhs {
-                constraints.entry(*c).or_default().push((
-                    vi,
-                    Constraint {
-                        op: fix.op.flip(),
-                        cell: Some(fix.left),
-                        value: fix.left_value.clone(),
-                    },
-                ));
-                *degree.entry(*c).or_default() += 1;
+impl<'a> Round<'a> {
+    /// Each fix `x op y` constrains `x` (`x op y`) and, when `y` is a
+    /// cell, `y` (`y flip(op) x`).
+    fn gather(component: &[&'a Detected], unresolved: &[usize]) -> Round<'a> {
+        let mut tagged: Vec<(Cell, usize, Op, Option<Cell>, &'a Value)> = Vec::new();
+        for &vi in unresolved {
+            for fix in &component[vi].1 {
+                match &fix.rhs {
+                    FixRhs::Cell(c, v) => {
+                        tagged.push((fix.left, vi, fix.op, Some(*c), v));
+                        tagged.push((*c, vi, fix.op.flip(), Some(fix.left), &fix.left_value));
+                    }
+                    FixRhs::Const(v) => tagged.push((fix.left, vi, fix.op, None, v)),
+                }
             }
         }
+        // stable: a cell's constraints stay in gather order
+        tagged.sort_by_key(|t| t.0);
+        let mut cells: Vec<Cell> = tagged.iter().map(|t| t.0).collect();
+        cells.dedup();
+        let mut runs = Vec::with_capacity(cells.len() + 1);
+        runs.extend((0..tagged.len()).filter(|&k| k == 0 || tagged[k - 1].0 != tagged[k].0));
+        runs.push(tagged.len());
+        let id = |c: Cell| cells.binary_search(&c).expect("every partner is gathered");
+        let constraints = tagged
+            .iter()
+            .map(|&(_, vi, op, partner, value)| Constraint {
+                vi,
+                op,
+                partner: partner.map(id),
+                value,
+            })
+            .collect();
+        Round {
+            cells,
+            runs,
+            constraints,
+        }
     }
-    (constraints, degree)
+
+    /// Cell `i`'s constraints; their count is its violation degree.
+    fn of(&self, i: usize) -> &[Constraint<'a>] {
+        &self.constraints[self.runs[i]..self.runs[i + 1]]
+    }
 }
 
-/// The value for `cell` satisfying the most of its constraints, at
-/// minimal distance from the current value. Numeric bound constraints
+/// The six ops in declaration order: `Scratch::by_op[op as usize]`.
+const OPS: [Op; 6] = [Op::Eq, Op::Ne, Op::Lt, Op::Gt, Op::Le, Op::Ge];
+
+/// Buffers [`best_value`] reuses across cells.
+#[derive(Default)]
+struct Scratch {
+    /// The constraints' resolved `(op, target)`s, in constraint order.
+    targets: Vec<(Op, Value)>,
+    /// Each op's targets, sorted.
+    by_op: [Vec<Value>; 6],
+    /// Interior samples: every target, sorted and deduplicated.
+    samples: Vec<Value>,
+    candidates: Vec<Value>,
+}
+
+impl Scratch {
+    /// Resolve each constraint's target once and sort each op's targets.
+    fn load<'v>(&mut self, constraints: impl Iterator<Item = (Op, &'v Value)>) {
+        self.targets.clear();
+        self.by_op.iter_mut().for_each(Vec::clear);
+        for (op, target) in constraints {
+            self.targets.push((op, target.clone()));
+            self.by_op[op as usize].push(target.clone());
+        }
+        self.by_op.iter_mut().for_each(|ts| ts.sort_unstable());
+    }
+
+    /// How many loaded constraints `v` satisfies: two binary searches
+    /// split each op's sorted targets into those below, equal to and
+    /// above `v`.
+    fn satisfied(&self, v: &Value) -> usize {
+        OPS.iter()
+            .zip(&self.by_op)
+            .filter(|(_, ts)| !ts.is_empty())
+            .map(|(op, ts)| {
+                let below = ts.partition_point(|t| t < v);
+                let not_above = below + ts[below..].partition_point(|t| t <= v);
+                let (equal, above) = (not_above - below, ts.len() - not_above);
+                match op {
+                    Op::Eq => equal,
+                    Op::Ne => below + above,
+                    Op::Lt => above,
+                    Op::Gt => below,
+                    Op::Le => equal + above,
+                    Op::Ge => below + equal,
+                }
+            })
+            .sum()
+    }
+}
+
+/// The value for a cell satisfying the most of its constraints, at
+/// minimal distance from its current value. Numeric bound constraints
 /// are combined into a feasible interval first.
-fn best_value(
+fn best_value<'v>(
     current_value: &Value,
-    constraints: &[(usize, Constraint)],
-    assign: &Assignment,
+    constraints: impl Iterator<Item = (Op, &'v Value)>,
+    s: &mut Scratch,
 ) -> Value {
+    s.load(constraints);
     // feasible interval from the ordering constraints
     let mut lower: Option<Value> = None; // c >= lower
     let mut upper: Option<Value> = None; // c <= upper
-    let mut candidates: Vec<Value> = vec![current_value.clone()];
-    for (_, c) in constraints {
-        let target = c.target(assign).clone();
-        match c.op {
+    s.candidates.clear();
+    s.candidates.push(current_value.clone());
+    for (op, target) in &s.targets {
+        match op {
             Op::Ge => {
-                if lower.as_ref().is_none_or(|l| target > *l) {
-                    lower = Some(target);
+                if lower.as_ref().is_none_or(|l| target > l) {
+                    lower = Some(target.clone());
                 }
             }
             Op::Gt => {
-                let v = value_above(&target);
+                let v = value_above(target);
                 if lower.as_ref().is_none_or(|l| v > *l) {
                     lower = Some(v);
                 }
             }
             Op::Le => {
-                if upper.as_ref().is_none_or(|u| target < *u) {
-                    upper = Some(target);
+                if upper.as_ref().is_none_or(|u| target < u) {
+                    upper = Some(target.clone());
                 }
             }
             Op::Lt => {
-                let v = value_below(&target);
+                let v = value_below(target);
                 if upper.as_ref().is_none_or(|u| v < *u) {
                     upper = Some(v);
                 }
             }
-            Op::Eq => candidates.push(target),
-            Op::Ne => candidates.push(value_above(&target)),
+            Op::Eq => s.candidates.push(target.clone()),
+            Op::Ne => s.candidates.push(value_above(target)),
         }
     }
     // the clamp of the current value into [lower, upper] is the
@@ -162,50 +249,34 @@ fn best_value(
             clamped = u.clone();
         }
     }
-    candidates.push(clamped);
-    if let Some(l) = &lower {
-        candidates.push(l.clone());
-    }
-    if let Some(u) = &upper {
-        candidates.push(u.clone());
-    }
+    s.candidates.push(clamped);
+    s.candidates.extend(lower);
+    s.candidates.extend(upper);
     // Interior candidates: with contradictory bounds (typical when some
     // bounds come from *other dirty cells*) the optimum sits strictly
     // between the extremes, so sample the constraint targets themselves.
-    let mut targets: Vec<Value> = constraints
-        .iter()
-        .map(|(_, c)| c.target(assign).clone())
-        .collect();
-    targets.sort();
-    targets.dedup();
+    s.samples.clear();
+    s.samples.extend(s.targets.iter().map(|(_, t)| t.clone()));
+    s.samples.sort();
+    s.samples.dedup();
     const MAX_SAMPLES: usize = 32;
-    let stride = (targets.len() / MAX_SAMPLES).max(1);
-    for t in targets.iter().step_by(stride) {
-        candidates.push(t.clone());
-        candidates.push(value_above(t));
+    let stride = (s.samples.len() / MAX_SAMPLES).max(1);
+    for t in s.samples.iter().step_by(stride) {
+        s.candidates.push(t.clone());
+        s.candidates.push(value_above(t));
     }
     // score candidates: satisfied constraints desc, distance asc, value asc
-    let score = |v: &Value| -> usize {
-        constraints
-            .iter()
-            .filter(|(_, c)| c.holds(v, assign))
-            .count()
-    };
-    candidates.sort();
-    candidates.dedup();
-    candidates
-        .into_iter()
-        .map(|v| {
-            let s = score(&v);
-            let d = current_value.distance(&v);
-            (v, s, d)
-        })
+    s.candidates.sort();
+    s.candidates.dedup();
+    s.candidates
+        .iter()
+        .map(|v| (v, s.satisfied(v), current_value.distance(v)))
         .max_by(|(va, sa, da), (vb, sb, db)| {
             sa.cmp(sb)
                 .then_with(|| db.total_cmp(da))
                 .then_with(|| vb.cmp(va))
         })
-        .map(|(v, _, _)| v)
+        .map(|(v, _, _)| v.clone())
         .expect("candidates never empty")
 }
 
@@ -216,6 +287,7 @@ impl RepairAlgorithm for HypergraphRepair {
 
     fn repair(&self, component: &[&Detected]) -> Assignment {
         let mut assign = Assignment::new();
+        let mut scratch = Scratch::default();
         for _ in 0..self.max_rounds.max(1) {
             let unresolved: Vec<usize> = (0..component.len())
                 .filter(|&i| !violation_resolved(component[i], &assign))
@@ -223,72 +295,70 @@ impl RepairAlgorithm for HypergraphRepair {
             if unresolved.is_empty() {
                 break;
             }
-            let (constraints, degree) = gather(component, &unresolved, &assign);
-            if constraints.is_empty() {
+            let round = Round::gather(component, &unresolved);
+            if round.cells.is_empty() {
                 break; // violations with no possible fixes: terminal (§2.2)
             }
-            // greedy cover: repair cells in descending violation degree,
-            // breaking ties toward the cheapest repair (§2.1's cost
-            // model); skip violations already covered within this round
-            let cell_current = |cell: Cell| -> Value {
-                assign.get(&cell).cloned().unwrap_or_else(|| {
-                    constraints
-                        .get(&cell)
-                        .and_then(|cs| cs.first())
-                        .and_then(|(vi, _)| component[*vi].0.value_of(cell).cloned())
-                        .unwrap_or(Value::Null)
-                })
+            let n = round.cells.len();
+            // values assigned before the round, and as the round assigns
+            let start: Vec<Option<Value>> =
+                round.cells.iter().map(|c| assign.get(c).cloned()).collect();
+            let mut now = start.clone();
+            let mut fresh = vec![false; n];
+            let mut covered = vec![false; component.len()];
+            // a cell's current value: assigned, or as violation `vi` records it
+            let current = |values: &[Option<Value>], i: usize, vi: usize| -> Value {
+                values[i]
+                    .clone()
+                    .or_else(|| component[vi].0.value_of(round.cells[i]).cloned())
+                    .unwrap_or(Value::Null)
             };
-            let mut order: Vec<(Cell, f64)> = degree
-                .keys()
-                .map(|&c| {
-                    let cur = cell_current(c);
-                    let bv = best_value(&cur, &constraints[&c], &assign);
-                    (c, cur.distance(&bv))
-                })
-                .collect();
-            order.sort_by(|(ca, costa), (cb, costb)| {
-                degree[cb]
-                    .cmp(&degree[ca])
-                    .then_with(|| costa.total_cmp(costb))
-                    .then_with(|| ca.cmp(cb))
-            });
-            let order: Vec<Cell> = order.into_iter().map(|(c, _)| c).collect();
-            let mut covered: std::collections::HashSet<usize> = Default::default();
-            let mut changed = false;
-            for cell in order {
-                let Some(cs) = constraints.get(&cell) else {
-                    continue;
-                };
-                let pending: Vec<(usize, Constraint)> = cs
-                    .iter()
-                    .filter(|(vi, _)| !covered.contains(vi))
-                    .cloned()
-                    .collect();
-                if pending.is_empty() {
-                    continue;
+            // greedy cover: cells in descending violation degree, then
+            // cheapest repair, then cell; skip violations already
+            // covered within this round
+            let mut by_degree: Vec<usize> = (0..n).collect();
+            by_degree.sort_by_key(|&i| Reverse(round.of(i).len()));
+            let mut group: Vec<(f64, usize, Value)> = Vec::new();
+            for same in by_degree.chunk_by(|&a, &b| round.of(a).len() == round.of(b).len()) {
+                for &i in same {
+                    let cs = round.of(i);
+                    if cs.iter().all(|c| covered[c.vi]) {
+                        continue;
+                    }
+                    let cur = current(&start, i, cs[0].vi);
+                    let targets = cs.iter().map(|c| (c.op, c.target(&start)));
+                    let best = best_value(&cur, targets, &mut scratch);
+                    group.push((cur.distance(&best), i, best));
                 }
-                // the cell's current value: from the assignment overlay or
-                // any violation that records it
-                let cur = assign.get(&cell).cloned().unwrap_or_else(|| {
-                    component[pending[0].0]
-                        .0
-                        .value_of(cell)
-                        .cloned()
-                        .unwrap_or(Value::Null)
-                });
-                let v = best_value(&cur, &pending, &assign);
-                if v != cur {
-                    assign.insert(cell, v.clone());
-                    changed = true;
-                }
-                for (vi, c) in &pending {
-                    if c.holds(&v, &assign) {
-                        covered.insert(*vi);
+                group.sort_by(|(ca, ia, _), (cb, ib, _)| ca.total_cmp(cb).then(ia.cmp(ib)));
+                for (_, i, best) in group.drain(..) {
+                    let cs = round.of(i);
+                    let Some(first) = cs.iter().find(|c| !covered[c.vi]) else {
+                        continue;
+                    };
+                    let cur = current(&now, i, first.vi);
+                    let untouched = cs
+                        .iter()
+                        .all(|c| !covered[c.vi] && c.partner.is_none_or(|p| !fresh[p]));
+                    let v = if untouched {
+                        best
+                    } else {
+                        let pending = cs.iter().filter(|c| !covered[c.vi]);
+                        best_value(&cur, pending.map(|c| (c.op, c.target(&now))), &mut scratch)
+                    };
+                    if v != cur {
+                        assign.insert(round.cells[i], v.clone());
+                        now[i] = Some(v.clone());
+                        fresh[i] = true;
+                    }
+                    for c in cs {
+                        if !covered[c.vi] && c.op.holds(&v, c.target(&now)) {
+                            covered[c.vi] = true;
+                        }
                     }
                 }
             }
-            if !changed {
+            if !fresh.contains(&true) {
                 break;
             }
         }
@@ -301,6 +371,7 @@ mod tests {
     use super::*;
     use crate::blackbox::repair_serial;
     use crate::fixeval::fix_holds;
+    use bigdansing_common::rng::{check, SplitMix64};
     use bigdansing_rules::{Fix, Violation};
 
     /// A φD-style violation: t1 (rich, low rate) vs t2 (poor, high rate).
@@ -401,30 +472,15 @@ mod tests {
         // lower bounds from clean partners 15..19, one poisoned 80;
         // upper bounds 21..23, one poisoned 3. The optimum sits near 19,
         // satisfying 8 of 10 constraints — not at either extreme.
-        let a = Assignment::new();
-        let mut cs = Vec::new();
-        for (i, v) in [15, 16, 17, 18, 19, 80].iter().enumerate() {
-            cs.push((
-                i,
-                Constraint {
-                    op: Op::Ge,
-                    cell: None,
-                    value: Value::Int(*v),
-                },
-            ));
+        let mut cs: Vec<(Op, Value)> = Vec::new();
+        for v in [15, 16, 17, 18, 19, 80] {
+            cs.push((Op::Ge, Value::Int(v)));
         }
-        for (i, v) in [21, 22, 23, 3].iter().enumerate() {
-            cs.push((
-                10 + i,
-                Constraint {
-                    op: Op::Le,
-                    cell: None,
-                    value: Value::Int(*v),
-                },
-            ));
+        for v in [21, 22, 23, 3] {
+            cs.push((Op::Le, Value::Int(v)));
         }
-        let v = best_value(&Value::Int(2), &cs, &a);
-        let sat = cs.iter().filter(|(_, c)| c.holds(&v, &a)).count();
+        let v = best(&Value::Int(2), &cs);
+        let sat = satisfied(&v, &cs);
         assert_eq!(
             sat, 8,
             "best candidate satisfies 8/10, got {v:?} with {sat}"
@@ -435,49 +491,180 @@ mod tests {
     #[test]
     fn feasible_interval_clamps_minimally() {
         // c must be >= 10 and <= 20; current 5 → clamp to 10
-        let a = Assignment::new();
-        let cs = vec![
-            (
-                0,
-                Constraint {
-                    op: Op::Ge,
-                    cell: None,
-                    value: Value::Int(10),
-                },
-            ),
-            (
-                1,
-                Constraint {
-                    op: Op::Le,
-                    cell: None,
-                    value: Value::Int(20),
-                },
-            ),
-        ];
-        assert_eq!(best_value(&Value::Int(5), &cs, &a), Value::Int(10));
+        let cs = vec![(Op::Ge, Value::Int(10)), (Op::Le, Value::Int(20))];
+        assert_eq!(best(&Value::Int(5), &cs), Value::Int(10));
         // current inside the interval → unchanged
-        assert_eq!(best_value(&Value::Int(15), &cs, &a), Value::Int(15));
+        assert_eq!(best(&Value::Int(15), &cs), Value::Int(15));
         // infeasible bounds → best-scoring candidate still returned
-        let cs = vec![
-            (
-                0,
-                Constraint {
-                    op: Op::Ge,
-                    cell: None,
-                    value: Value::Int(20),
-                },
-            ),
-            (
-                1,
-                Constraint {
-                    op: Op::Le,
-                    cell: None,
-                    value: Value::Int(10),
-                },
-            ),
-        ];
-        let v = best_value(&Value::Int(15), &cs, &a);
-        let sat = cs.iter().filter(|(_, c)| c.holds(&v, &a)).count();
+        let cs = vec![(Op::Ge, Value::Int(20)), (Op::Le, Value::Int(10))];
+        let v = best(&Value::Int(15), &cs);
+        let sat = satisfied(&v, &cs);
         assert_eq!(sat, 1, "one of two incompatible constraints satisfied");
+    }
+
+    /// `best_value` over constant bounds.
+    fn best(current: &Value, cs: &[(Op, Value)]) -> Value {
+        best_value(
+            current,
+            cs.iter().map(|(op, t)| (*op, t)),
+            &mut Scratch::default(),
+        )
+    }
+
+    /// The linear count the binary searches must equal.
+    fn satisfied(v: &Value, cs: &[(Op, Value)]) -> usize {
+        cs.iter().filter(|(op, t)| op.holds(v, t)).count()
+    }
+
+    /// Null, a small `Int`, a `Float` that is integral half the time (so
+    /// it compares `Equal` to an `Int`), or a one-letter string: a pool
+    /// small enough that targets and candidates tie often.
+    fn arb_value(g: &mut SplitMix64) -> Value {
+        match g.range(0..4) {
+            0 => Value::Null,
+            1 => Value::Int(g.range(-4i64..5)),
+            2 => {
+                let k = g.range(-4i64..5) as f64;
+                Value::Float(if g.chance(0.5) { k } else { k + 0.5 })
+            }
+            _ => Value::str(["a", "b", "c"][g.range(0..3usize)]),
+        }
+    }
+
+    #[test]
+    fn binary_search_count_equals_the_linear_count() {
+        check(256, |g| {
+            let cs: Vec<(Op, Value)> = (0..g.range(0..40usize))
+                .map(|_| (OPS[g.range(0..6usize)], arb_value(g)))
+                .collect();
+            let mut s = Scratch::default();
+            s.load(cs.iter().map(|(op, t)| (*op, t)));
+            for _ in 0..16 {
+                let v = arb_value(g);
+                assert_eq!(s.satisfied(&v), satisfied(&v, &cs), "{v:?} against {cs:?}");
+            }
+        });
+    }
+
+    /// The round body without the two shortcuts: every cell costed up
+    /// front against the round-start values, one full sort, and a fresh
+    /// best-value search for every visited cell.
+    fn reference_repair(component: &[&Detected], max_rounds: usize) -> Assignment {
+        let mut assign = Assignment::new();
+        let mut s = Scratch::default();
+        for _ in 0..max_rounds {
+            let unresolved: Vec<usize> = (0..component.len())
+                .filter(|&i| !violation_resolved(component[i], &assign))
+                .collect();
+            if unresolved.is_empty() {
+                break;
+            }
+            let round = Round::gather(component, &unresolved);
+            let start: Vec<Option<Value>> =
+                round.cells.iter().map(|c| assign.get(c).cloned()).collect();
+            let mut now = start.clone();
+            let value = |values: &[Option<Value>], i: usize, vi: usize| {
+                values[i]
+                    .clone()
+                    .or_else(|| component[vi].0.value_of(round.cells[i]).cloned())
+                    .unwrap_or(Value::Null)
+            };
+            let mut order: Vec<(usize, f64, usize)> = (0..round.cells.len())
+                .map(|i| {
+                    let cs = round.of(i);
+                    let cur = value(&start, i, cs[0].vi);
+                    let targets = cs.iter().map(|c| (c.op, c.target(&start)));
+                    (
+                        cs.len(),
+                        cur.distance(&best_value(&cur, targets, &mut s)),
+                        i,
+                    )
+                })
+                .collect();
+            order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let mut covered = vec![false; component.len()];
+            let mut changed = false;
+            for (_, _, i) in order {
+                let pending: Vec<&Constraint> =
+                    round.of(i).iter().filter(|c| !covered[c.vi]).collect();
+                let Some(first) = pending.first() else {
+                    continue;
+                };
+                let cur = value(&now, i, first.vi);
+                let targets = pending.iter().map(|c| (c.op, c.target(&now)));
+                let v = best_value(&cur, targets, &mut s);
+                if v != cur {
+                    assign.insert(round.cells[i], v.clone());
+                    now[i] = Some(v.clone());
+                    changed = true;
+                }
+                for c in pending {
+                    if c.op.holds(&v, c.target(&now)) {
+                        covered[c.vi] = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        assign
+    }
+
+    /// A small numeric value: an `Int`, or a `Float` equal to one half
+    /// the time.
+    fn arb_num(g: &mut SplitMix64) -> Value {
+        let k = g.range(0i64..6);
+        match g.range(0..3) {
+            0 => Value::Float(k as f64),
+            1 => Value::Float(k as f64 + 0.5),
+            _ => Value::Int(k),
+        }
+    }
+
+    /// Up to 30 two-tuple violations over a few rows with two numeric
+    /// attributes, each with one fix per attribute under a random op,
+    /// one in five against a constant: dense enough that cells share
+    /// partners and degrees tie.
+    fn arb_component(g: &mut SplitMix64) -> Vec<Detected> {
+        let rows = g.range(2usize..10);
+        let table: Vec<[Value; 2]> = (0..rows).map(|_| [arb_num(g), arb_num(g)]).collect();
+        (0..g.range(1usize..30))
+            .map(|_| {
+                let a = g.range(0..rows);
+                let b = (a + g.range(1..rows)) % rows;
+                let cell = |t: usize, attr: usize| Cell::new(t as u64, attr);
+                let mut v = Violation::new("dc");
+                for (t, attr) in [(a, 0), (a, 1), (b, 0), (b, 1)] {
+                    v.add_cell(cell(t, attr), table[t][attr].clone());
+                }
+                let fixes = (0..2)
+                    .map(|attr| {
+                        let rhs = if g.chance(0.2) {
+                            FixRhs::Const(arb_num(g))
+                        } else {
+                            FixRhs::Cell(cell(b, attr), table[b][attr].clone())
+                        };
+                        let op = OPS[g.range(0..6usize)];
+                        Fix::compare(cell(a, attr), table[a][attr].clone(), op, rhs)
+                    })
+                    .collect();
+                (v, fixes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shortcuts_match_the_full_sort_and_fresh_searches() {
+        check(256, |g| {
+            let dets = arb_component(g);
+            let component: Vec<&Detected> = dets.iter().collect();
+            let algo = HypergraphRepair::default();
+            assert_eq!(
+                algo.repair(&component),
+                reference_repair(&component, algo.max_rounds),
+                "{dets:?}"
+            );
+        });
     }
 }

@@ -87,7 +87,7 @@ pub fn repair_partitioned(
     let parts = partition_component(component, config.k);
     let mut global = Assignment::new();
     let mut immutable: HashSet<Cell> = HashSet::new();
-    for iteration in 0..config.max_iterations.max(1) {
+    for _ in 0..config.max_iterations.max(1) {
         // every part repairs its still-unresolved violations in
         // isolation, observing the partially repaired data (overlay) and
         // with immutable values reinforced as constant candidates so the
@@ -131,10 +131,7 @@ pub fn repair_partitioned(
         for (p, assign) in proposals {
             for (cell, value) in assign {
                 if immutable.contains(&cell) {
-                    if global.get(&cell) != Some(&value) {
-                        continue; // slave repair undone, retried next round
-                    }
-                    continue;
+                    continue; // immutable: a contradicting slave repair is undone
                 }
                 if let Some(&owner) = claimed_this_round.get(&cell) {
                     if owner != p {
@@ -151,7 +148,6 @@ pub fn repair_partitioned(
         // everything applied so far becomes immutable for later rounds —
         // "an updated value cannot change in the following iterations"
         immutable.extend(global.keys().copied());
-        let _ = iteration;
         if !changed {
             break;
         }

@@ -2,7 +2,8 @@
 //! against the union-find oracle, the zero-copy component-grouping
 //! gate, the per-component driver against one whole-set repair instance
 //! on detected FD/CFD/DC workloads, and the master/slave partitioned
-//! path against the serial oracle on randomized equivalence-class inputs.
+//! path against the serial oracle on randomized equivalence-class inputs,
+//! plus `HypergraphRepair`'s assignments pinned on two DC inputs.
 //!
 //! Deep-clone accounting is process-global, so tests that produce or
 //! assert on the counter take a shared lock (the partitioned path
@@ -10,8 +11,9 @@
 //! stay at zero).
 
 use bigdansing_common::rng::check;
-use bigdansing_common::{Cell, Schema, Table, Value};
+use bigdansing_common::{stable_hash_of, Cell, Schema, Table, Value};
 use bigdansing_dataflow::Engine;
+use bigdansing_datagen::tax;
 use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::{components_bsp_edges, components_union_find};
@@ -105,6 +107,26 @@ fn fused_repair_is_zero_copy_and_metered() {
     }
 }
 
+/// 1,500 rows, salary increasing, every 101st rate pulled ~40 ranks
+/// down: one component of ~40 `t1.salary > t2.salary & t1.rate <
+/// t2.rate` violations per dirty row.
+fn salary_rate_table() -> Table {
+    Table::from_rows(
+        "dc",
+        Schema::parse("salary,rate"),
+        (0..1500)
+            .map(|i| {
+                let rate = if i % 101 == 0 {
+                    i as f64 - 40.5
+                } else {
+                    i as f64
+                };
+                vec![Value::Int(10 * i), Value::Float(rate)]
+            })
+            .collect(),
+    )
+}
+
 /// The per-component driver against one repair instance over the whole
 /// violation set (the NADEEF-style baseline, Fig 12(b)'s serial arm), on
 /// real detect output of the three repairable shapes: the assignments
@@ -140,22 +162,7 @@ fn per_component_repair_equals_one_whole_set_instance() {
             })
             .collect(),
     );
-    // salary increasing, every 101st rate pulled ~40 ranks down: one
-    // component of ~40 violations per dirty row
-    let dc = Table::from_rows(
-        "dc",
-        Schema::parse("salary,rate"),
-        (0..1500)
-            .map(|i| {
-                let rate = if i % 101 == 0 {
-                    i as f64 - 40.5
-                } else {
-                    i as f64
-                };
-                vec![Value::Int(10 * i), Value::Float(rate)]
-            })
-            .collect(),
-    );
+    let dc = salary_rate_table();
     let hypergraph = HypergraphRepair::default();
     let shapes: [(Table, Arc<dyn Rule>, &dyn RepairAlgorithm); 3] = [
         (
@@ -274,4 +281,30 @@ fn partitioned_repair_converges_to_the_serial_oracle() {
             assert!(violation_resolved(d, &partitioned));
         }
     });
+}
+
+/// `HypergraphRepair`'s assignments on two DC inputs, pinned as a digest
+/// of the sorted `(cell, value)` list plus its length: a change to the
+/// repair's internals must not move a single repaired cell.
+#[test]
+fn hypergraph_repair_assignments_are_pinned() {
+    let _serial = lock();
+    const DC: &str = "t1.salary > t2.salary & t1.rate < t2.rate";
+    let digest = |table: &Table| {
+        let rule: Arc<dyn Rule> = Arc::new(DcRule::parse(DC, table.schema()).unwrap());
+        let detected = Executor::new(Engine::parallel(2))
+            .detect(table, &[rule])
+            .unwrap()
+            .detected;
+        let mut assign: Vec<(Cell, Value)> = repair_serial(&detected, &HypergraphRepair::default())
+            .into_iter()
+            .collect();
+        assign.sort();
+        (assign.len(), stable_hash_of(&format!("{assign:?}")))
+    };
+    assert_eq!(digest(&salary_rate_table()), (14, 6834357657236130532));
+    assert_eq!(
+        digest(&tax::taxb(5_000, 0.05, 3).dirty),
+        (315, 8916150611539598923)
+    );
 }
