@@ -6,8 +6,9 @@
 use crate::report::{Cell, Report};
 use crate::{rows, time_best};
 use bigdansing_common::metrics::Metrics;
-use bigdansing_dataflow::Engine;
+use bigdansing_dataflow::{Engine, IsolationOptions, RuleGuard};
 use bigdansing_datagen::{tax, tpch};
+use bigdansing_plan::physical::pipeline_for_rule;
 use bigdansing_plan::Executor;
 use bigdansing_repair::cc::{components_bsp_edges, components_union_find};
 use bigdansing_rules::{FdRule, Rule};
@@ -130,9 +131,12 @@ pub fn ablation_storage() -> Report {
     let exec = Executor::new(Engine::parallel(workers()));
     let (_, regular) = time_best(|| exec.detect(&gt.dirty, &[Arc::clone(&rule)]).unwrap());
     let shuffled = Metrics::get(&exec.engine().metrics().records_shuffled);
-    let store = PartitionedStore::build(&gt.dirty, &[tax::attr::ZIPCODE]);
-    let engine = Engine::parallel(workers());
-    let (_, pushed) = time_best(|| store.detect_pushdown(&engine, &rule).unwrap());
+    let store = PartitionedStore::on_columns(&gt.dirty, &[tax::attr::ZIPCODE]);
+    let pushdown = Executor::new(Engine::parallel(workers()));
+    let pipeline = pipeline_for_rule(Arc::clone(&rule), gt.dirty.name());
+    let guard = [RuleGuard::arm(rule.name(), &IsolationOptions::default())];
+    let pushed = || pushdown.detect_held(&[&pipeline], store.all(), None, &guard);
+    let (_, pushed) = time_best(|| pushed().unwrap());
     r.row(vec![
         format!("Block pushdown, detection time ({}K rows)", n / 1000).into(),
         Cell::Secs(regular),
@@ -141,7 +145,7 @@ pub fn ablation_storage() -> Report {
     r.row(vec![
         "Block pushdown, records shuffled".into(),
         shuffled.into(),
-        Metrics::get(&engine.metrics().records_shuffled).into(),
+        Metrics::get(&pushdown.engine().metrics().records_shuffled).into(),
     ]);
 
     // Scope pushdown: full columnar read vs projected read

@@ -57,16 +57,19 @@ impl Table {
         self.tuples.is_empty()
     }
 
-    /// Look up a tuple by id. Ids are usually dense, so try a direct index
-    /// first and fall back to a scan (ids stay stable across repairs but a
-    /// table may be a scoped subset).
+    /// Look up a tuple by id.
     pub fn tuple(&self, id: TupleId) -> Option<&Tuple> {
-        if let Some(t) = self.tuples.get(id as usize) {
-            if t.id() == id {
-                return Some(t);
-            }
+        self.position(id).map(|at| &self.tuples[at])
+    }
+
+    /// The position of tuple `id`. Ids are usually dense, so try a direct
+    /// index first and fall back to a scan (ids stay stable across
+    /// repairs but a table may be a scoped subset).
+    pub fn position(&self, id: TupleId) -> Option<usize> {
+        match self.tuples.get(id as usize) {
+            Some(t) if t.id() == id => Some(id as usize),
+            _ => self.tuples.iter().position(|t| t.id() == id),
         }
-        self.tuples.iter().find(|t| t.id() == id)
     }
 
     /// The current value of `cell`.

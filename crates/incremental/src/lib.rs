@@ -9,8 +9,9 @@
 //! tuples changed since the last run. This crate keeps a cleansing
 //! [`Session`] alive across delta batches:
 //!
-//! * a **persistent candidate index** per rule group (bucket key →
-//!   scoped tuples) survives between batches, so candidate generation
+//! * a **persistent candidate index** per rule group — the executor's
+//!   resident `BucketStore`, bucket key → scoped tuples — survives
+//!   between batches, so candidate generation
 //!   touches only the buckets a delta dirties. Inequality rules keep
 //!   only their records;
 //! * detection is the batch executor's own Detect body
@@ -52,7 +53,6 @@
 
 pub mod delta;
 mod durable;
-mod index;
 mod report;
 pub mod session;
 mod store;

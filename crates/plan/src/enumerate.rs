@@ -15,61 +15,28 @@
 //! Enumeration is semi-naive: [`PairRule::pairs`] takes a freshness
 //! predicate and yields exactly the pairs with at least one fresh
 //! member (`Δ×R ∪ Δ×Δ`). A full detect is the same enumeration with
-//! everything fresh; the batch loop's re-detects pass the tuples repair
-//! changed (a [`Delta`]) as the mask over the dirty buckets of the
-//! table, carrying the earlier detections whose [`Origin`] the delta
-//! left untouched, and a session passes its delta mask over
-//! `residents ∪ news`.
+//! everything fresh; a re-detect — a batch round after repair, or a
+//! session apply — passes the changed tuples (a [`Delta`]) as the mask
+//! over the buckets of the resident [`crate::store::BucketStore`] they
+//! touched, and the caller carries the earlier detections whose
+//! [`Origin`] the delta left untouched.
 //!
 //! Rules that block on the same source columns share their buckets:
 //! their Block keys are those columns' values, so one bucket — and its
 //! [`bucket_hash`] — serves every one of them.
 
-use crate::physical::{IterateStrategy, RulePipeline};
+use crate::physical::IterateStrategy;
 use bigdansing_common::codec::Codec;
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Error, StableHasher, Tuple, TupleId, Value};
+use bigdansing_common::{stable_hash_of, Error, Tuple, TupleId, Value};
 use bigdansing_rules::{BlockKey, Rule};
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The LSH tag of a bucket member: the band of the bucket this copy of
 /// the unit sits in, and the unit's bucket hash for every band.
 pub type Band = (u32, Arc<[u64]>);
-
-/// The buckets one scoped unit is indexed under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexKeys {
-    /// Not bucketed: single-unit rules detect unit by unit, and
-    /// inequality rules use the sorted OCJoin index instead.
-    None,
-    /// One bucket: the rule's Block key, or the empty *global* key
-    /// shared by every unit of an unblocked pair strategy.
-    One(BlockKey),
-    /// One bucket per LSH band: band `k` uses the key `(k, hashes[k])`.
-    Bands(Arc<[u64]>),
-}
-
-impl IndexKeys {
-    /// Every bucket as an owned key plus the member's [`Band`] tag —
-    /// the form a persistent index stores. Band keys embed the band
-    /// index next to the bucket hash, so buckets of different bands can
-    /// never be confused.
-    pub fn buckets(self) -> Vec<(BlockKey, Option<Band>)> {
-        match self {
-            IndexKeys::None => Vec::new(),
-            IndexKeys::One(key) => vec![(key, None)],
-            IndexKeys::Bands(hashes) => (0..hashes.len())
-                .map(|k| {
-                    let key = vec![Value::Int(k as i64), Value::Int(hashes[k] as i64)];
-                    (BlockKey::from(key), Some((k as u32, Arc::clone(&hashes))))
-                })
-                .collect(),
-        }
-    }
-}
 
 /// The candidate unit a detection came from — what a later delta needs
 /// to know to decide whether the detection still stands: it is
@@ -81,83 +48,17 @@ impl IndexKeys {
 pub enum Origin {
     /// A single unit (both ids equal) or a pair of units.
     Unit(TupleId, TupleId),
-    /// A whole bucket, by its [`bucket_hash`].
+    /// A whole bucket: its [`bucket_hash`], or in a
+    /// [`crate::Executor::detect_held`] pass its index among the buckets
+    /// handed over.
     Bucket(u64),
 }
 
-/// The hash that names the Block bucket `unit` sits in. Buckets are
-/// marked dirty and whole-bucket detections retracted by this hash, so
-/// a collision only ever makes two buckets dirty together: the pass
-/// that re-detects dirty buckets and the caller that retracts their
-/// earlier detections agree on which those are.
+/// The hash that names the Block bucket `unit` sits in: the
+/// [`stable_hash_of`] its Block key. A list unit's detections are
+/// retracted by it when its bucket changes.
 pub fn bucket_hash(rule: &dyn Rule, unit: &Tuple) -> u64 {
-    key_hash(rule.block(unit).unwrap_or_default().iter())
-}
-
-/// The stable hash of the Block key made of `values`, without building
-/// the key: it hashes exactly as the [`BlockKey`] holding them would.
-fn key_hash<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_usize(values.len()); // a slice's length prefix
-    values.for_each(|v| v.hash(&mut h));
-    h.finish()
-}
-
-/// [`key_hash`] of `t`'s values at `cols`: by the
-/// [`Rule::block_columns`] contract, the [`bucket_hash`] of every Scope
-/// output of `t` under a rule that declares them.
-fn columns_hash(cols: &[usize], t: &Tuple) -> u64 {
-    key_hash(cols.iter().map(|&c| t.value(c)))
-}
-
-/// What a Block pass buckets by. A rule alone in its group keys its
-/// Scope outputs with its own Block; rules that declare the same
-/// [`Rule::block_columns`] share one pass keyed by those source
-/// columns, so the source tuple crosses the shuffle once and each rule
-/// scopes it in the reducer. Either way a bucket's hash is the
-/// [`bucket_hash`] of every member's units in it, because their Block
-/// keys are those column values.
-#[derive(Clone)]
-pub(crate) enum BlockBy {
-    /// One rule's Block over its Scope outputs.
-    Rule(Arc<dyn Rule>),
-    /// Source-schema columns shared by every rule of the group.
-    Columns(Arc<[usize]>),
-}
-
-impl BlockBy {
-    /// The key of a group's pipelines, in registration order: shared
-    /// columns when there are several (the planner grouped them by
-    /// them), the lone rule's Block otherwise.
-    pub(crate) fn of(group: &[&RulePipeline]) -> BlockBy {
-        match group {
-            [one] => BlockBy::Rule(Arc::clone(&one.rule)),
-            [lead, ..] => BlockBy::Columns(
-                lead.rule
-                    .block_columns()
-                    .expect("grouped pipelines declare their block columns")
-                    .into(),
-            ),
-            [] => unreachable!("a group has at least one pipeline"),
-        }
-    }
-
-    /// The Block key of a shuffled record.
-    pub(crate) fn key(&self, record: &Tuple) -> BlockKey {
-        match self {
-            BlockBy::Rule(rule) => rule.block(record).unwrap_or_default(),
-            BlockBy::Columns(cols) => cols.iter().map(|&c| record.value(c).clone()).collect(),
-        }
-    }
-
-    /// The hash of [`BlockBy::key`] — the bucket's [`Origin::Bucket`]
-    /// name.
-    pub(crate) fn hash(&self, record: &Tuple) -> u64 {
-        match self {
-            BlockBy::Rule(rule) => bucket_hash(rule.as_ref(), record),
-            BlockBy::Columns(cols) => columns_hash(cols, record),
-        }
-    }
+    stable_hash_of(&rule.block(unit).unwrap_or_default())
 }
 
 impl Codec for Origin {
@@ -177,18 +78,15 @@ impl Codec for Origin {
     }
 }
 
-/// The semi-naive delta of a re-detect: what changed since the
+/// The semi-naive delta of a re-detect: the tuples changed since the
 /// detections being extended were produced. A pass given a delta
 /// evaluates only the candidate units with at least one changed member
-/// (`Δ×R ∪ Δ×Δ`; whole dirty buckets for list rules); a pass given none
-/// treats every tuple as fresh — a full detect.
+/// (`Δ×R ∪ Δ×Δ`; whole changed buckets for list rules); a pass given
+/// none treats every tuple as fresh — a full detect.
 #[derive(Debug, Clone, Default)]
 pub struct Delta {
     /// Ids of the changed tuples: the freshness mask.
     pub ids: HashSet<TupleId>,
-    /// Their versions before and after the change — every bucket either
-    /// version is indexed under is dirty.
-    pub versions: Vec<Tuple>,
 }
 
 impl Delta {
@@ -196,44 +94,35 @@ impl Delta {
     pub fn is_fresh(&self, unit: &Tuple) -> bool {
         self.ids.contains(&unit.id())
     }
-
-    /// The dirty Block buckets of `pipeline`, by [`bucket_hash`]: those
-    /// either version of a changed tuple sits in. They are read off the
-    /// source columns when the rule declares its
-    /// [`Rule::block_columns`], so a pass it shares with other rules and
-    /// a pass it runs alone agree on them; otherwise off the rule's
-    /// Scope outputs.
-    pub fn dirty_buckets(&self, pipeline: &RulePipeline) -> HashSet<u64> {
-        let rule = pipeline.rule.as_ref();
-        match rule.block_columns().filter(|_| pipeline.use_scope) {
-            Some(cols) => self
-                .versions
-                .iter()
-                .map(|t| columns_hash(cols, t))
-                .collect(),
-            None => {
-                let scoped = self.versions.iter().flat_map(|t| rule.scope(t));
-                scoped.map(|unit| bucket_hash(rule, &unit)).collect()
-            }
-        }
-    }
 }
 
 impl IterateStrategy {
-    /// The buckets `unit` (a Scope output of `rule`) is indexed under.
-    pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> IndexKeys {
+    /// The buckets `unit` (a Scope output of `rule`) is indexed under,
+    /// each with the member's [`Band`] tag: none (single units, and
+    /// inequality rules, which join their records afresh), the rule's
+    /// Block key, the one empty *global* key of an unblocked pair
+    /// strategy, or one key per LSH band — band `k` under
+    /// `(k, hashes[k])`, so buckets of different bands never meet.
+    pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> Vec<(BlockKey, Option<Band>)> {
         match self {
-            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => IndexKeys::None,
+            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => Vec::new(),
             IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList => {
-                IndexKeys::One(rule.block(unit).unwrap_or_default())
+                vec![(rule.block(unit).unwrap_or_default(), None)]
             }
             IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
-                IndexKeys::One(BlockKey::new())
+                vec![(BlockKey::new(), None)]
             }
             IterateStrategy::LshBlocks {
                 bands,
                 rows_per_band,
-            } => IndexKeys::Bands(rule.lsh_band_hashes(unit, *bands, *rows_per_band).into()),
+            } => {
+                let hashes: Arc<[u64]> = rule.lsh_band_hashes(unit, *bands, *rows_per_band).into();
+                let band = |k: usize| {
+                    let key = vec![Value::Int(k as i64), Value::Int(hashes[k] as i64)];
+                    (BlockKey::from(key), Some((k as u32, Arc::clone(&hashes))))
+                };
+                (0..hashes.len()).map(band).collect()
+            }
         }
     }
 
@@ -271,6 +160,12 @@ pub trait Member {
         None
     }
 
+    /// The member holding `tuple` in a resident bucket, with its
+    /// [`Band`] tag in an LSH bucket.
+    fn resident(tuple: Tuple, band: Option<Band>) -> Self
+    where
+        Self: Sized;
+
     /// A bucket as the unit slice a whole-bucket Detect borrows: the
     /// bucket itself when its members are bare units, else a copy of
     /// their handles.
@@ -287,6 +182,10 @@ impl Member for Tuple {
         self
     }
 
+    fn resident(tuple: Tuple, _: Option<Band>) -> Tuple {
+        tuple
+    }
+
     fn units(bucket: &[Tuple]) -> Cow<'_, [Tuple]> {
         Cow::Borrowed(bucket)
     }
@@ -300,6 +199,11 @@ impl Member for (u32, Arc<[u64]>, Tuple) {
 
     fn band(&self) -> Option<(u32, &[u64])> {
         Some((self.0, &self.1))
+    }
+
+    fn resident(tuple: Tuple, band: Option<Band>) -> Self {
+        let (k, hashes) = band.expect("an LSH member has a band");
+        (k, hashes, tuple)
     }
 }
 
@@ -461,41 +365,15 @@ mod tests {
         let row = t(1, "Robert");
         let scoped = &fd.scope(&row)[0];
         let blocked = IterateStrategy::BlockPairs { ordered: false };
-        assert_eq!(
-            blocked.index_keys(&fd, scoped),
-            IndexKeys::One(fd.block(scoped).unwrap())
-        );
-        assert_eq!(
-            IterateStrategy::UCrossProduct.index_keys(&fd, scoped),
-            IndexKeys::One(BlockKey::new())
-        );
-        assert_eq!(
-            IterateStrategy::SingleUnits.index_keys(&fd, scoped),
-            IndexKeys::None
-        );
-        assert!(IndexKeys::None.buckets().is_empty());
-    }
-
-    #[test]
-    fn shared_columns_key_and_hash_like_every_members_block() {
-        use crate::physical::pipeline_for_rule;
-        use bigdansing_common::stable_hash_of;
-        let schema = bigdansing_common::Schema::parse("zipcode,city,state");
-        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
-        let rules = [fd("zipcode -> city"), fd("zipcode -> state")];
-        let pipelines = rules.clone().map(|r| pipeline_for_rule(r, "t"));
-        let by = BlockBy::of(&[&pipelines[0], &pipelines[1]]);
-        let row = Tuple::new(
-            7,
-            vec![Value::Int(90210), Value::str("LA"), Value::str("CA")],
-        );
-        for rule in &rules {
-            let unit = &rule.scope(&row)[0];
-            let key = rule.block(unit).unwrap();
-            assert_eq!(by.key(&row), key);
-            assert_eq!(by.hash(&row), bucket_hash(rule.as_ref(), unit));
-            assert_eq!(by.hash(&row), stable_hash_of(&key));
-        }
+        let keys = |s: IterateStrategy| -> Vec<BlockKey> {
+            s.index_keys(&fd, scoped)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect()
+        };
+        assert_eq!(keys(blocked), vec![fd.block(scoped).unwrap()]);
+        assert_eq!(keys(IterateStrategy::UCrossProduct), vec![BlockKey::new()]);
+        assert!(keys(IterateStrategy::SingleUnits).is_empty());
     }
 
     #[test]
@@ -506,7 +384,7 @@ mod tests {
             bands: p.bands,
             rows_per_band: p.rows_per_band,
         };
-        let buckets = strategy.index_keys(&r, &t(1, "Robert")).buckets();
+        let buckets = strategy.index_keys(&r, &t(1, "Robert"));
         assert_eq!(buckets.len(), p.bands);
         for (k, (key, band)) in buckets.iter().enumerate() {
             assert_eq!(key.values()[0], Value::Int(k as i64));

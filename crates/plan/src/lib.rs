@@ -23,8 +23,9 @@
 //!    checkpointing at stage boundaries under the disk-backed mode.
 //!
 //! [`enumerate`] holds the candidate-enumeration core — index keys and
-//! the pair rule per Iterate strategy — that the executor's reducers and
-//! the incremental session's persistent index both call.
+//! the pair rule per Iterate strategy — that the executor's reducers
+//! call, and [`store`] the one resident bucket store that batch
+//! re-detects, incremental sessions and storage pushdown read.
 
 pub mod consolidate;
 pub mod enumerate;
@@ -32,9 +33,11 @@ pub mod executor;
 pub mod job;
 pub mod logical;
 pub mod physical;
+pub mod store;
 
-pub use enumerate::{Delta, IndexKeys, Member, Origin, PairCounts, PairRule};
+pub use enumerate::{Delta, Member, Origin, PairCounts, PairRule};
 pub use executor::{DetectOutput, Executor, Held};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};
+pub use store::BucketStore;

@@ -214,6 +214,17 @@ pub fn block_groups(pipelines: &[RulePipeline]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The standard pipelines of `rules` over `src`, each rule's Iterate
+/// strategy chosen under the job-level LSH override (as a batch cleanse
+/// and a session both run them).
+pub fn pipelines(rules: &[Arc<dyn Rule>], src: &str, lsh: Option<LshParams>) -> Vec<RulePipeline> {
+    let pipeline = |rule: &Arc<dyn Rule>| RulePipeline {
+        strategy: choose_strategy_with(rule.as_ref(), lsh),
+        ..pipeline_for_rule(Arc::clone(rule), src)
+    };
+    rules.iter().map(pipeline).collect()
+}
+
 /// Build the standard pipeline for a rule directly (the path used when a
 /// declarative rule is registered without a hand-written job).
 pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> RulePipeline {

@@ -12,9 +12,9 @@
 //! cost and change accounting — and is parameterised only by a
 //! [`RepairTarget`]: how the caller (re-)detects and how it mutates its
 //! table. Both targets re-detect semi-naively — only the candidate
-//! units a round's updates touched — and differ in where the resident
-//! side lives: the batch loop filters the table for the dirty buckets
-//! each round, a session probes its persistent index. The driver never
+//! units a round's updates touched — over the same kind of resident
+//! bucket store: the batch loop keeps its Block groups' buckets between
+//! rounds, a session keeps every group's between batches. The driver never
 //! asks for a detect it can answer itself: a verdict on the final table
 //! costs a detect only when something was applied since the last one.
 

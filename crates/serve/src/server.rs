@@ -244,8 +244,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
             }
         };
         let keep = req.keep_alive() && !ctx.shutdown.load(Ordering::SeqCst);
-        let (status, body) = route(&req, ctx);
-        http::respond(&mut writer, status, "application/json", &body, keep)?;
+        let (status, content_type, body) = route(&req, ctx);
+        http::respond(&mut writer, status, content_type, &body, keep)?;
         if !keep {
             return Ok(());
         }
@@ -265,7 +265,18 @@ fn err_body(msg: &str) -> String {
     format!("{{\"error\": \"{}\"}}", json_escape(msg))
 }
 
-fn route(req: &Request, ctx: &Ctx) -> (u16, String) {
+/// Route a request: its status, content type and body. Every body is
+/// JSON but a tenant's table, which is CSV.
+fn route(req: &Request, ctx: &Ctx) -> (u16, &'static str, String) {
+    let (status, body) = answer(req, ctx);
+    let content_type = match (req.method.as_str(), &req.segments()[..], status) {
+        ("GET", ["tenant", _, "table"], 200) => "text/csv",
+        _ => "application/json",
+    };
+    (status, content_type, body)
+}
+
+fn answer(req: &Request, ctx: &Ctx) -> (u16, String) {
     let segs = req.segments();
     match (req.method.as_str(), segs.as_slice()) {
         ("GET", ["healthz"]) => (200, "{\"ok\": true}".into()),
@@ -300,10 +311,7 @@ fn route(req: &Request, ctx: &Ctx) -> (u16, String) {
             tenant_query(ctx, id, |t, reply| Msg::Report { tenant: t, reply })
         }
         ("GET", ["tenant", id, "table"]) => {
-            let (status, body) = tenant_query(ctx, id, |t, reply| Msg::Table { tenant: t, reply });
-            // table comes back as CSV, not JSON — but respond() fixes
-            // one content type per call site; wrap errors only
-            (status, body)
+            tenant_query(ctx, id, |t, reply| Msg::Table { tenant: t, reply })
         }
         _ => (404, err_body("no such route")),
     }
@@ -422,11 +430,13 @@ pub mod client {
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
 
-    /// A minimal response: status code and body.
+    /// A minimal response: status code, content type and body.
     #[derive(Debug)]
     pub struct Response {
         /// HTTP status code.
         pub status: u16,
+        /// The `Content-Type` header's value, lowercased.
+        pub content_type: String,
         /// Response body.
         pub body: String,
     }
@@ -475,7 +485,7 @@ pub mod client {
                         format!("bad status line {status_line:?}"),
                     )
                 })?;
-            let mut len = 0usize;
+            let (mut len, mut content_type) = (0usize, String::new());
             loop {
                 let mut h = String::new();
                 let n = self.reader.read_line(&mut h)?;
@@ -486,12 +496,15 @@ pub mod client {
                 let lower = h.to_ascii_lowercase();
                 if let Some(v) = lower.strip_prefix("content-length:") {
                     len = v.trim().parse().unwrap_or(0);
+                } else if let Some(v) = lower.strip_prefix("content-type:") {
+                    content_type = v.trim().to_string();
                 }
             }
             let mut body = vec![0u8; len];
             self.reader.read_exact(&mut body)?;
             Ok(Response {
                 status,
+                content_type,
                 body: String::from_utf8_lossy(&body).into_owned(),
             })
         }

@@ -72,11 +72,13 @@ fn streamed_table_matches_offline_oracle() {
     }
     let got = c.get("/tenant/acme/table").unwrap();
     assert_eq!(got.status, 200);
+    assert_eq!(got.content_type, "text/csv", "the table is CSV");
     let want = oracle_table(fd_rules(&schema()), CleanseOptions::default(), &bodies);
     assert_eq!(got.body, want, "streamed table must equal offline cleanse");
 
     let report = c.get("/tenant/acme/report").unwrap();
     assert_eq!(report.status, 200);
+    assert_eq!(report.content_type, "application/json");
     assert_eq!(json_u64(&report.body, "records_in"), 7);
     assert_eq!(json_u64(&report.body, "violations"), 0);
     server.shutdown();
