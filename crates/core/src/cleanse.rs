@@ -5,11 +5,11 @@
 
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::{PDataset, RuleGuard};
-use bigdansing_plan::physical::{block_groups, pipelines};
-use bigdansing_plan::{BucketStore, Delta, Executor, Held, IterateStrategy, Origin, RulePipeline};
+use bigdansing_dataflow::PDataset;
+use bigdansing_plan::physical::pipelines;
+use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, RuleGroup};
 use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
-use bigdansing_rules::{BlockKey, Rule};
+use bigdansing_rules::Rule;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -91,45 +91,33 @@ pub struct CleanseResult {
     pub outcome: CleanseOutcome,
 }
 
-/// Book-keeping for one rule across a job's detect rounds.
-#[derive(Default)]
-struct RuleTracker {
-    name: String,
-    units_processed: u64,
-    units_skipped: u64,
-    /// The failure that quarantined the rule, once one has.
-    quarantined: Option<String>,
-}
-
-/// Summarize the trackers into the per-rule health report and the job
+/// Summarize the rules' health — every group's members, in
+/// registration order — into the per-rule health report and the job
 /// completeness fraction.
-fn health_report(trackers: &[RuleTracker]) -> CleanseOutcome {
-    let mut rules = Vec::with_capacity(trackers.len());
-    let mut score_sum = 0.0f64;
-    for t in trackers {
-        let (health, score) = match &t.quarantined {
-            Some(cause) => (
-                RuleHealth::Quarantined {
-                    cause: cause.clone(),
-                },
-                0.0,
-            ),
-            None if t.units_skipped > 0 => (
-                RuleHealth::Degraded {
-                    units_skipped: t.units_skipped,
-                },
-                t.units_processed as f64 / (t.units_processed + t.units_skipped) as f64,
-            ),
-            None => (RuleHealth::Completed, 1.0),
-        };
-        score_sum += score;
-        rules.push((t.name.clone(), health));
-    }
-    let completeness = if trackers.is_empty() {
-        1.0
-    } else {
-        score_sum / trackers.len() as f64
+fn health_report(groups: &[RuleGroup<Tuple>]) -> CleanseOutcome {
+    let mut members: Vec<&GroupMember> = groups.iter().flat_map(|g| &g.members).collect();
+    members.sort_by_key(|m| m.rule);
+    let health = |m: &&GroupMember| match (&m.quarantined, m.units_skipped) {
+        (Some(cause), _) => (
+            RuleHealth::Quarantined {
+                cause: cause.clone(),
+            },
+            0.0,
+        ),
+        (None, 0) => (RuleHealth::Completed, 1.0),
+        (None, units_skipped) => {
+            let done = m.units_processed as f64;
+            let score = done / (done + units_skipped as f64);
+            (RuleHealth::Degraded { units_skipped }, score)
+        }
     };
+    let (health, scores): (Vec<_>, Vec<f64>) = members.iter().map(health).unzip();
+    let names = members.iter().map(|m| m.pipeline.rule.name().to_string());
+    let completeness = match scores.len() {
+        0 => 1.0,
+        n => scores.iter().sum::<f64>() / n as f64,
+    };
+    let rules = names.zip(health).collect();
     CleanseOutcome {
         rules,
         completeness,
@@ -144,215 +132,118 @@ fn health_report(trackers: &[RuleTracker]) -> CleanseOutcome {
 /// member. The first detect is the same pass with nothing carried and
 /// every tuple fresh.
 ///
-/// A Block group's full pass keeps the buckets its shuffle built as the
-/// group's resident store; a later round reindexes only the tuples
-/// repair changed and re-detects only the buckets that lost or gained a
-/// member, through the call a session apply makes. A Block group without
-/// a store (its last pass fell back to re-running members one by one)
-/// carries nothing and runs in full again, which reseeds the store.
-/// Every other strategy re-runs its pass over the table, masked by the
-/// changed tuples.
+/// Each [`RuleGroup`] runs its passes and owns its rules' health. A
+/// Block group's full pass keeps the buckets its shuffle built as the
+/// group's resident store; a later round re-detects through
+/// [`RuleGroup::redetect`], the call a session apply makes, over the
+/// tuples repair changed. A Block group without a store (its full pass
+/// fell back to running members one by one) carries nothing and runs
+/// in full again, which reseeds the store. Every other strategy re-runs
+/// its pass over the table, masked by the changed tuples.
 struct BatchTarget<'a> {
     executor: &'a Executor,
-    pipelines: Vec<RulePipeline>,
-    /// The pipelines' [`block_groups`]: each group is one detect pass.
-    groups: Vec<Vec<usize>>,
-    options: &'a CleanseOptions,
-    trackers: Vec<RuleTracker>,
+    groups: Vec<RuleGroup<Tuple>>,
     table: Table,
     /// The detections of the table as of the last detect…
     detected: Vec<Detected>,
     /// …and, index for index, the rule and candidate unit behind each.
     origins: Vec<(usize, Origin)>,
-    /// Per rule: `detected` holds its complete detections as of the
-    /// last detect. A rule that was skipped or failed carries nothing
-    /// and is next detected in full.
-    current: Vec<bool>,
-    /// Per group: a Block group's resident buckets, once a full pass of
-    /// the group built them.
-    stores: Vec<Option<BucketStore<Tuple>>>,
     /// What `apply` changed since the last detect — the ids, and each
     /// tuple's old version at its table position (`None`: nothing).
     pending: Option<(Delta, Vec<(u64, Tuple)>)>,
 }
 
-/// How a detect round runs a group.
-enum Pass<'p> {
-    /// Over the table: in full, or masked by the delta.
-    Table(Option<&'p Arc<Delta>>),
-    /// Over the touched buckets of the group's resident store, masked
-    /// by the delta, with each bucket's key.
-    Resident(Held<Tuple>, Vec<BlockKey>, &'p Arc<Delta>),
-}
-
 impl BatchTarget<'_> {
     /// Drop the carried detections whose origin fails `stands`.
     fn retract(&mut self, stands: impl Fn(&(usize, Origin)) -> bool) {
-        let keep: Vec<bool> = self.origins.iter().map(stands).collect();
-        let mut kept = keep.iter();
-        self.detected
-            .retain(|_| *kept.next().expect("one origin per detection"));
-        let mut kept = keep.iter();
-        self.origins
-            .retain(|_| *kept.next().expect("one origin per detection"));
+        let keep: Vec<bool> = self.origins.iter().map(&stands).collect();
+        let mut kept = keep.into_iter();
+        self.detected.retain(|_| kept.next() == Some(true));
+        self.origins.retain(stands);
     }
-
-    /// Run the rules `members` of group `g` as one pass, each under a
-    /// fresh guard, and fold the run into the job: the guards'
-    /// counters, then the detections — or, in partial mode, the
-    /// quarantine of the rules it ran. A full pass of a Block group
-    /// keeps its buckets as the group's resident store. A failed group
-    /// of several first re-runs each member alone, so only a faulty rule
-    /// is quarantined, and keeps no store; the failed run's guards count
-    /// nothing. Strict mode propagates the failure.
-    fn run_members(&mut self, g: usize, members: &[usize], pass: &Pass) -> Result<()> {
-        let options = self.options;
-        let iso = &options.isolation;
-        let group: Vec<&RulePipeline> = members.iter().map(|&i| &self.pipelines[i]).collect();
-        let guards: Vec<_> = group
-            .iter()
-            .map(|p| RuleGuard::arm(p.rule.name(), iso))
-            .collect();
-        let (executor, schema) = (self.executor, self.table.schema());
-        // each pass reads its own copy of the table's handles, which it
-        // consumes: no loaded copy outlives the pass
-        let data = || PDataset::from_vec(executor.engine().clone(), self.table.tuples().to_vec());
-        let mut seeded = None;
-        let run = match pass {
-            Pass::Table(None) => executor
-                .run_resident(data(), schema, &group, Some(&guards))
-                .map(|(outs, store)| {
-                    seeded = store;
-                    outs
-                }),
-            Pass::Table(delta) => executor.run_group(data(), schema, &group, Some(&guards), *delta),
-            Pass::Resident(h, _, d) => executor.detect_held(&group, h.clone(), Some(d), &guards),
-        };
-        if run
-            .as_ref()
-            .is_err_and(|e| rule_error(e) && iso.is_partial())
-            && members.len() > 1
-        {
-            for &i in members {
-                self.run_members(g, &[i], pass)?;
-            }
-            self.stores[g] = None;
-            return Ok(());
-        }
-        let metrics = self.executor.engine().metrics().clone();
-        for (&i, guard) in members.iter().zip(&guards) {
-            let tracker = &mut self.trackers[i];
-            tracker.units_processed += guard.units_processed();
-            tracker.units_skipped += guard.units_skipped();
-            Metrics::add(&metrics.units_skipped, guard.units_skipped());
-        }
-        // a resident pass's list unit is named by its bucket's key's hash
-        let name = |origin| match (origin, pass) {
-            (Origin::Bucket(at), Pass::Resident(_, keys, _)) => {
-                Origin::Bucket(stable_hash_of(&keys[at as usize]))
-            }
-            _ => origin,
-        };
-        match run {
-            Ok(outs) => {
-                for (&i, o) in members.iter().zip(outs) {
-                    self.current[i] = true;
-                    self.detected.extend(o.detected);
-                    self.origins
-                        .extend(o.origins.into_iter().map(|unit| (i, name(unit))));
-                }
-                self.stores[g] = seeded.or(self.stores[g].take());
-            }
-            Err(e) if rule_error(&e) && iso.is_partial() => {
-                for &i in members {
-                    self.trackers[i].quarantined = Some(e.to_string());
-                    Metrics::add(&metrics.rules_quarantined, 1);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-}
-
-/// Whether `e` can be a rule's fault. Cancellation and admission errors
-/// are about the job, so no rule is quarantined for them.
-fn rule_error(e: &Error) -> bool {
-    !matches!(e, Error::Cancelled { .. } | Error::Rejected { .. })
 }
 
 impl RepairTarget for BatchTarget<'_> {
-    /// One isolation-aware detect round: a shared scan, then every
-    /// group of non-quarantined rules as one pass, each rule under its
-    /// own [`RuleGuard`]. A group runs semi-naively only when every
-    /// member carries its detections, and a Block group its store;
-    /// otherwise it runs in full, after dropping what its members
-    /// carried. In partial mode a failing rule is quarantined for the
-    /// rest of the job, as a session quarantines it, and what it carried
-    /// is dropped with it — a failed group of several re-runs each
-    /// member alone first, so only the faulty rule is; strict mode
-    /// propagates the first failure.
-    /// Cancellation and admission errors always propagate — they are
-    /// about the job, not a rule.
+    /// One isolation-aware detect round: a shared scan, then one pass
+    /// per group of non-quarantined rules, each rule under its own
+    /// guard ([`RuleGroup::run`]). From the second round on a group runs
+    /// semi-naively — a Block group only while it holds its store —
+    /// and otherwise in full, after dropping what its members carried.
+    /// A rule a pass quarantined (partial mode) contributes nothing from
+    /// then on; strict mode propagates the first failure.
     fn detect(&mut self) -> Result<&[Detected]> {
         let engine = self.executor.engine().clone();
+        let metrics = engine.metrics();
         // the first detect scans the table once, whatever its groups; a
         // re-detect counts what it touches as reprocessed instead
-        if self.pending.is_none() {
-            Metrics::add(&engine.metrics().tuples_scanned, self.table.len() as u64);
+        let first = self.pending.is_none();
+        if first {
+            Metrics::add(&metrics.tuples_scanned, self.table.len() as u64);
         }
         let (delta, olds) = self.pending.take().unwrap_or_default();
         let delta = Arc::new(delta);
+        let executor = self.executor;
         for g in 0..self.groups.len() {
             engine.check_cancelled()?;
-            let healthy = |&i: &usize| self.trackers[i].quarantined.is_none();
-            let members: Vec<usize> = self.groups[g].iter().copied().filter(healthy).collect();
-            if members.is_empty() {
-                self.stores[g] = None;
+            let group = &self.groups[g];
+            if group.healthy().is_empty() {
                 continue;
             }
+            let rules: Vec<usize> = group.members.iter().map(|m| m.rule).collect();
             let block = matches!(
-                self.pipelines[members[0]].strategy,
+                group.members[0].pipeline.strategy,
                 IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. }
             );
             // a Block group carries its detections only with its store
-            let carried =
-                members.iter().all(|&i| self.current[i]) && (!block || self.stores[g].is_some());
-            if !carried && members.iter().any(|&i| self.current[i]) {
-                self.retract(|(rule, _)| !members.contains(rule));
+            let carried = !first && (!block || group.store.is_some());
+            if !carried {
+                self.retract(|(rule, _)| !rules.contains(rule));
             }
-            for &i in &members {
-                self.current[i] = false;
-            }
-            if let Some(store) = self.stores[g].as_mut().filter(|_| carried) {
+            let table = &self.table;
+            let outs = if carried && block {
                 // reindex what repair changed: old versions out, new in
-                let table = &self.table;
-                let seq_of = |id| table.position(id).expect("a live tuple") as u64;
                 let now = |at: u64| &table.tuples()[at as usize];
                 let changes = olds
                     .iter()
                     .map(|(at, was)| (was.id(), Some(was), Some(now(*at))));
-                let change = store.reindex(changes, seq_of);
-                let (held, keys) = store.buckets(&change.keys, None);
-                let m = engine.metrics();
-                Metrics::add(&m.tuples_reprocessed, held.ids().len() as u64);
-                Metrics::add(&m.blocks_dirty, keys.len() as u64);
+                let seq_of = |id| table.position(id).expect("a live tuple") as u64;
+                let done = self.groups[g].redetect(executor, changes, seq_of, &delta)?;
+                Metrics::add(&metrics.tuples_reprocessed, done.ids.len() as u64);
+                Metrics::add(&metrics.blocks_dirty, done.keys.len() as u64);
                 // a changed bucket's list detections go with it
-                let hashes: HashSet<u64> = change.keys.keys().map(stable_hash_of).collect();
+                let hashes: HashSet<u64> = done.change.keys.keys().map(stable_hash_of).collect();
                 self.retract(|(rule, origin)| match origin {
-                    Origin::Bucket(hash) => !members.contains(rule) || !hashes.contains(hash),
+                    Origin::Bucket(hash) => !rules.contains(rule) || !hashes.contains(hash),
                     Origin::Unit(..) => true,
                 });
-                self.run_members(g, &members, &Pass::Resident(held, keys, &delta))?;
-                continue;
+                done.outs
+            } else {
+                // each pass reads its own copy of the table's handles,
+                // which it consumes: no loaded copy outlives the pass
+                let data = || PDataset::from_vec(engine.clone(), table.tuples().to_vec());
+                let schema = table.schema();
+                self.groups[g].run(metrics, |group, guards| match carried {
+                    true => executor
+                        .run_group(data(), schema, group, Some(guards), Some(&delta))
+                        .map(|outs| (outs, None)),
+                    false => executor.run_resident(data(), schema, group, Some(guards)),
+                })?
+            };
+            for (m, out) in outs {
+                let rule = self.groups[g].members[m].rule;
+                self.detected.extend(out.detected);
+                self.origins
+                    .extend(out.origins.into_iter().map(|o| (rule, o)));
             }
-            self.stores[g] = None;
-            self.run_members(g, &members, &Pass::Table(carried.then_some(&delta)))?;
         }
-        // a rule that was skipped or failed contributes nothing
-        if !self.current.iter().all(|c| *c) {
-            let current = self.current.clone();
-            self.retract(|(rule, _)| current[*rule]);
+        // a quarantined rule contributes nothing
+        let members = self.groups.iter().flat_map(|g| &g.members);
+        let quarantined: HashSet<usize> = members
+            .filter(|m| m.quarantined.is_some())
+            .map(|m| m.rule)
+            .collect();
+        if !quarantined.is_empty() {
+            self.retract(|(rule, _)| !quarantined.contains(rule));
         }
         Ok(&self.detected)
     }
@@ -403,24 +294,12 @@ pub fn cleanse_loop(
     }
     validate_lsh_override(&options, rules)?;
     let pipelines = pipelines(rules, table.name(), options.lsh);
-    let groups = block_groups(&pipelines);
     let mut target = BatchTarget {
         executor,
-        stores: groups.iter().map(|_| None).collect(),
-        groups,
-        pipelines,
-        options: &options,
-        trackers: rules
-            .iter()
-            .map(|r| RuleTracker {
-                name: r.name().to_string(),
-                ..RuleTracker::default()
-            })
-            .collect(),
+        groups: RuleGroup::of(&pipelines, options.isolation, false),
         table: table.clone(),
         detected: Vec::new(),
         origins: Vec::new(),
-        current: vec![false; rules.len()],
         pending: None,
     };
     let rounds = run_rounds(
@@ -434,7 +313,7 @@ pub fn cleanse_loop(
         },
     )?;
     Ok(CleanseResult {
-        outcome: health_report(&target.trackers),
+        outcome: health_report(&target.groups),
         table: target.table,
         iterations: rounds.iterations,
         total_violations: rounds.total_violations,
@@ -450,9 +329,10 @@ mod tests {
     use super::*;
     use bigdansing_common::{LshParams, Schema};
     use bigdansing_dataflow::{Engine, IsolationOptions};
+    use bigdansing_incremental::{DeltaBatch, Session};
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{
-        DcRule, DedupRule, DetectUnit, FdRule, Fix, UdfRule, UnitKind, Violation,
+        BlockKey, DcRule, DedupRule, DetectUnit, FdRule, Fix, UdfRule, UnitKind, Violation,
     };
     use std::collections::HashMap;
 
@@ -721,7 +601,8 @@ mod tests {
     /// A faulty rule in a shared Block pass is quarantined alone, and the
     /// group's later rounds run in full until a pass rebuilds its
     /// buckets: a list rule of the group neither repeats a detection nor
-    /// keeps one its bucket's repair made stale.
+    /// keeps one its bucket's repair made stale. A session over the same
+    /// rules does the same through one delta.
     #[test]
     fn a_quarantine_in_a_shared_block_pass_keeps_list_detections_exact() {
         // zip 1: an FD violation; zip 2: a fixable note; zip 3: a note
@@ -772,22 +653,58 @@ mod tests {
             .build();
         let fd: Arc<dyn Rule> = Arc::new(FdRule::parse("zipcode -> city", &schema).unwrap());
         let list: Arc<dyn Rule> = Arc::new(OnZip(list));
+        let faulty: Arc<dyn Rule> = Arc::new(OnZip(faulty));
+        let opts = CleanseOptions {
+            isolation: IsolationOptions::partial(),
+            ..Default::default()
+        };
         let run = |rules: Vec<Arc<dyn Rule>>| {
             let exec = Executor::new(Engine::sequential());
-            let opts = CleanseOptions {
-                isolation: IsolationOptions::partial(),
-                ..Default::default()
-            };
-            cleanse_loop(&exec, &rules, &t, opts).unwrap()
+            cleanse_loop(&exec, &rules, &t, opts.clone()).unwrap()
         };
-        let oracle = run(vec![Arc::clone(&fd), Arc::clone(&list)]);
-        let res = run(vec![fd, list, Arc::new(OnZip(faulty))]);
+        let healthy = vec![Arc::clone(&fd), Arc::clone(&list)];
+        let oracle = run(healthy.clone());
+        let res = run(vec![
+            Arc::clone(&fd),
+            Arc::clone(&list),
+            Arc::clone(&faulty),
+        ]);
         assert_eq!(res.outcome.quarantined().count(), 1);
         assert!(!oracle.converged, "the '!' note stays unfixable");
         assert_eq!(oracle.cells_changed, 2);
         assert_eq!(res.table.diff_cells(&oracle.table), 0);
         let counts = |r: &CleanseResult| (r.iterations, r.total_violations, r.converged);
         assert_eq!(counts(&res), counts(&oracle));
+
+        // a session quarantines the faulty rule alone, in its shared
+        // pass, and then ends a delta exactly as the healthy rules do
+        let apply = |rules: Vec<Arc<dyn Rule>>| {
+            let exec = Executor::new(Engine::sequential());
+            let mut s = Session::new(exec, rules, &t, opts.clone()).unwrap();
+            let row = |z, c: &str, n: &str| vec![Value::Int(z), Value::str(c), Value::str(n)];
+            let delta = DeltaBatch::new()
+                .insert(7, row(2, "NY", "c"))
+                .update(5, row(3, "SD", "e"))
+                .insert(8, row(1, "SF", "x"));
+            s.apply(delta).unwrap();
+            s
+        };
+        let (oracle, res) = (apply(healthy), apply(vec![fd, list, faulty]));
+        let quarantined = res.quarantined_rules();
+        let names: Vec<&str> = quarantined.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["udf:faulty_zip"]);
+        assert_eq!(
+            format!("{:?}", res.table()),
+            format!("{:?}", oracle.table())
+        );
+        assert_eq!(
+            format!("{:?}", res.detected()),
+            format!("{:?}", oracle.detected())
+        );
+        assert!(
+            !oracle.detected().is_empty(),
+            "the '!' note is still detected"
+        );
     }
 
     /// The re-detect after a repair touches only what the repair

@@ -3,7 +3,6 @@
 //! batches, and recovery (base + state-frame fold, deterministic index
 //! rebuild, replay of the batch records past the folded watermark).
 
-use crate::session::GroupIndex;
 use crate::session::{CleanseOptions, Session};
 use crate::wal::{
     self, DeltaFrame, DurabilityOptions, RecoverStats, SessionState, Upsert, Wal, WindowState,
@@ -12,7 +11,7 @@ use crate::window::Win;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Error, Result, Table, Tuple, TupleId};
 use bigdansing_dataflow::Dio;
-use bigdansing_plan::Executor;
+use bigdansing_plan::{Executor, RuleGroup};
 use bigdansing_rules::Rule;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -95,7 +94,7 @@ impl Session {
     /// Rebuild a session from a durable directory: read its log (cutting
     /// a torn tail left by a crash mid-append, see [`wal`]), verify the
     /// folded state was produced by the same rule set, rebuild the
-    /// per-rule indexes deterministically, then replay the batch records
+    /// group stores deterministically, then replay the batch records
     /// past the folded watermark. A batch that was logged but whose apply
     /// never finished — including one that *poisoned* the previous
     /// session — is applied now. If anything was replayed, a state frame
@@ -143,7 +142,7 @@ impl Session {
     }
 
     /// Rebuild a session from snapshot state: table, sequence numbers,
-    /// violation store (ids preserved), and freshly re-scoped per-rule
+    /// violation store (ids preserved), and freshly re-scoped per-group
     /// indexes — no detection runs, the store is trusted.
     fn from_state(
         executor: Executor,
@@ -216,10 +215,10 @@ impl Session {
     fn rebuild_indexes(&mut self) {
         let workers = self.executor.engine().workers();
         let (table, seqs) = (&self.table, &self.seqs);
-        let rebuild = |indexes: &mut [GroupIndex]| {
-            for index in indexes {
+        let rebuild = |groups: &mut [RuleGroup]| {
+            for store in groups.iter_mut().filter_map(|g| g.store.as_mut()) {
                 let live = table.tuples().iter().map(|t| (t.id(), None, Some(t)));
-                index.store.reindex(live, |id| seqs[&id]);
+                store.reindex(live, |id| seqs[&id]);
             }
         };
         let share = self.groups.len().div_ceil(workers);

@@ -11,12 +11,14 @@
 //!
 //! * a **persistent candidate index** per rule group — the executor's
 //!   resident `BucketStore`, bucket key → scoped tuples — survives
-//!   between batches, so candidate generation
-//!   touches only the buckets a delta dirties. Inequality rules keep
-//!   only their records;
+//!   between batches, so candidate generation touches only the buckets
+//!   a delta dirties. Inequality rules keep their records in one global
+//!   bucket;
 //! * detection is the batch executor's own Detect body
-//!   ([`bigdansing_plan::Executor::detect_held`]) run over what the
-//!   index holds, with the delta as the freshness mask: the touched
+//!   ([`bigdansing_plan::Executor::detect_held`]), run for each group in
+//!   one pass of its healthy rules by the batch loop's own
+//!   [`bigdansing_plan::RuleGroup`], over what the index holds, with the
+//!   delta as the freshness mask: the touched
 //!   buckets, the new records, or — under an inequality rule's batch
 //!   OCJoin — every held record, giving `delta×base ∪ delta×delta`
 //!   candidate units through the engine's lazy Stage API, so the rule

@@ -1,19 +1,22 @@
 //! The incremental cleansing [`Session`]: delta-driven detection over
-//! persistent per-rule indexes, violation retraction, and re-repair
-//! through the same rounds driver as the batch `cleanse_loop`.
+//! persistent per-group bucket stores, violation retraction, and
+//! re-repair through the same rounds driver as the batch `cleanse_loop`.
 //!
 //! # Oracle equivalence
 //!
 //! The session maintains one invariant: **after every index update, the
 //! violation store equals a full `Executor::detect` over the current
 //! table, as a multiset**. Batch and session detect with one body, the
-//! executor's — the batch over buckets a shuffle builds with every
-//! member fresh, the session over buckets its `BucketStore`s keep in
-//! table order, with the delta as the freshness mask. The session only
-//! chooses what each rule re-evaluates and maps each detection's
-//! origin back to the provenance its store keeps. When a tuple changes,
-//! every violation whose generating unit involved it is retracted and
-//! exactly the units that involve its new version
+//! executor's, and drive it through one type, [`RuleGroup`] — the batch
+//! over buckets a shuffle builds with every member fresh, the session
+//! over buckets its groups' `BucketStore`s keep in table order, with the
+//! delta as the freshness mask. Every mutation (batch, window expiry,
+//! repair) captures each tuple's version before it first changes it, so
+//! a group's store is told what it holds. A group re-detects in one pass
+//! of its healthy rules, and the session maps each detection's origin
+//! back to the provenance its violation store keeps. When a tuple
+//! changes, every violation whose generating unit involved it is
+//! retracted and exactly the units that involve its new version
 //! (`delta×resident ∪ delta×delta`) are re-detected; units among
 //! untouched residents are unchanged by construction.
 //!
@@ -36,19 +39,25 @@ use crate::wal::{ProvState, StoredState};
 use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::table::remove_sorted;
-use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::{Engine, IsolationOptions, RuleGuard};
-use bigdansing_plan::physical::{block_groups, pipelines};
-use bigdansing_plan::store::Reindexed;
-use bigdansing_plan::{BucketStore, Delta, Executor, Held, IterateStrategy, Origin, RulePipeline};
+use bigdansing_common::{
+    stable_hash_of, Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value,
+};
+use bigdansing_dataflow::{Engine, IsolationOptions};
+use bigdansing_plan::physical::pipelines;
+use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, RuleGroup};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{
     run_rounds, Assignment, Detected, RepairStrategy, RepairTarget, RoundsOptions,
 };
 use bigdansing_rules::{BlockKey, Rule};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+
+/// The tuples an apply changed: each id with the version the group
+/// stores hold (`None`: none — an insert). For an id changed several
+/// times, the version captured first.
+pub(crate) type Touched = BTreeMap<TupleId, Option<Tuple>>;
 
 /// Options of a cleansing job: the batch `cleanse_loop` and a
 /// [`Session`] take the same knobs, so a session and a from-scratch run
@@ -119,61 +128,6 @@ pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) 
     Ok(())
 }
 
-/// One rule of a group, with its own health.
-pub(crate) struct GroupRule {
-    /// The rule's registration index.
-    pub(crate) ri: usize,
-    /// The rule's pipeline, its Iterate strategy chosen under the
-    /// session-level LSH override.
-    pub(crate) pipeline: RulePipeline,
-    /// The fault that quarantined this rule (partial isolation mode):
-    /// redetection skips it for the rest of the session. `None` while
-    /// healthy.
-    pub(crate) quarantined: Option<String>,
-}
-
-/// The persistent state of one rule group, as [`block_groups`] forms
-/// it for a batch detect: its rules with their health, over the group's
-/// resident bucket store — the source tuples once for rules that block
-/// on the same columns, one rule's Scope outputs otherwise.
-pub(crate) struct GroupIndex {
-    /// The group's rules, in registration order.
-    pub(crate) rules: Vec<GroupRule>,
-    /// The group's resident buckets.
-    pub(crate) store: BucketStore,
-}
-
-impl GroupIndex {
-    /// One empty index per [`block_groups`] group of `rules`, each
-    /// rule's Iterate strategy chosen under the session-level LSH
-    /// geometry override.
-    pub(crate) fn for_rules(rules: &[Arc<dyn Rule>], lsh: Option<LshParams>) -> Vec<GroupIndex> {
-        let pipelines = pipelines(rules, "", lsh);
-        let group = |members: Vec<usize>| {
-            let group: Vec<&RulePipeline> = members.iter().map(|&ri| &pipelines[ri]).collect();
-            let store = BucketStore::new(&group);
-            let rule = |(ri, p): (usize, &&RulePipeline)| GroupRule {
-                ri,
-                pipeline: (*p).clone(),
-                quarantined: None,
-            };
-            let rules = members.iter().copied().zip(&group).map(rule).collect();
-            GroupIndex { rules, store }
-        };
-        block_groups(&pipelines).into_iter().map(group).collect()
-    }
-
-    /// Quarantine rule `m` of the group. The store is dropped once no
-    /// rule of the group is left healthy.
-    pub(crate) fn quarantine(&mut self, m: usize, cause: &str) {
-        self.rules[m].quarantined = Some(cause.to_string());
-        if self.rules.iter().all(|r| r.quarantined.is_some()) {
-            let group: Vec<&RulePipeline> = self.rules.iter().map(|r| &r.pipeline).collect();
-            self.store = BucketStore::new(&group);
-        }
-    }
-}
-
 /// A long-lived incremental cleansing session over one base table.
 pub struct Session {
     pub(crate) executor: Executor,
@@ -184,7 +138,7 @@ pub struct Session {
     pub(crate) table: Table,
     /// Sequence number per live tuple: base tuples keep their position,
     /// inserts get fresh increasing numbers (they append at the end),
-    /// updates keep theirs, deletes drop theirs. The per-rule indexes
+    /// updates keep theirs, deletes drop theirs. The group stores
     /// order bucket members by it.
     pub(crate) seqs: HashMap<TupleId, u64>,
     /// The sequence numbers again, as a column beside the table:
@@ -195,10 +149,8 @@ pub struct Session {
     pub(crate) seq_col: Vec<u64>,
     /// The next sequence number; above everything in `seq_col`.
     pub(crate) next_seq: u64,
-    /// One resident bucket store per rule group ([`GroupIndex`]).
-    pub(crate) groups: Vec<GroupIndex>,
-    /// Where each rule sits, by registration index: `(group, member)`.
-    rule_at: Vec<(usize, usize)>,
+    /// The rule groups, each over its resident bucket store.
+    pub(crate) groups: Vec<RuleGroup>,
     pub(crate) store: Store,
     /// True when the last repair loop ended stably: violation-free, or
     /// with every surviving fix filtered as a no-op (never by the freeze
@@ -219,8 +171,8 @@ pub struct Session {
 
 impl Session {
     /// A session skeleton over `table` with `seq_col` beside it — id
-    /// lookup, empty per-rule indexes and store — before any detection
-    /// or index build. Every session constructor comes through here, so
+    /// lookup, empty group stores and violation store — before any
+    /// detection or index build. Every session constructor comes through here, so
     /// the options are checked here once, and so is everything position
     /// lookup rests on: one sequence number per tuple, strictly
     /// increasing, no tuple id twice (`duplicate` words that error).
@@ -253,16 +205,8 @@ impl Session {
                 return Err(duplicate(t.id()));
             }
         }
-        let groups = GroupIndex::for_rules(&rules, options.lsh);
-        let mut rule_at = vec![(0, 0); rules.len()];
-        for (g, group) in groups.iter().enumerate() {
-            for (m, r) in group.rules.iter().enumerate() {
-                rule_at[r.ri] = (g, m);
-            }
-        }
         Ok(Session {
-            groups,
-            rule_at,
+            groups: RuleGroup::of(&pipelines(&rules, "", options.lsh), options.isolation, true),
             executor,
             rules,
             options,
@@ -279,7 +223,7 @@ impl Session {
         })
     }
 
-    /// Open a session over `table`: builds the per-rule indexes and the
+    /// Open a session over `table`: builds the group stores and the
     /// initial violation store (a full detect's worth of violations,
     /// with provenance). The base table is *not* repaired — the first
     /// [`Session::apply`] cleanses pre-existing violations together with
@@ -304,12 +248,12 @@ impl Session {
             })?;
         session.win = win;
         let mut stats = ApplyStats::default();
-        let all: BTreeSet<TupleId> = table.tuples().iter().map(Tuple::id).collect();
+        let all: Touched = table.tuples().iter().map(|t| (t.id(), None)).collect();
         session.redetect(&all, &mut stats)?;
         // A base table longer than the window already has closed
         // windows behind its watermark: retire them now so the session
         // starts with only live-window rows.
-        let mut expired = BTreeSet::new();
+        let mut expired = Touched::new();
         if session.expire_past_watermark(&mut expired) > 0 {
             session.redetect(&expired, &mut stats)?;
         }
@@ -362,18 +306,10 @@ impl Session {
     /// `(rule name, cause)` pairs in registration order. Empty in
     /// strict mode and for healthy sessions.
     pub fn quarantined_rules(&self) -> Vec<(String, String)> {
-        self.group_rules()
-            .filter_map(|r| {
-                r.quarantined
-                    .as_ref()
-                    .map(|c| (r.pipeline.rule.name().to_string(), c.clone()))
-            })
-            .collect()
-    }
-
-    /// Every rule's group entry, in registration order.
-    fn group_rules(&self) -> impl Iterator<Item = &GroupRule> {
-        self.rule_at.iter().map(|&(g, m)| &self.groups[g].rules[m])
+        let mut members: Vec<&GroupMember> = self.groups.iter().flat_map(|g| &g.members).collect();
+        members.sort_by_key(|m| m.rule);
+        let named = |m: &GroupMember| Some((m.pipeline.rule.name().into(), m.quarantined.clone()?));
+        members.into_iter().filter_map(named).collect()
     }
 
     /// Apply one delta batch: materialize it, re-detect only the dirty
@@ -418,7 +354,7 @@ impl Session {
             _ => None,
         };
 
-        self.materialize(&batch);
+        let touched = self.materialize(&batch);
 
         // The table is mutated; everything below must finish for the
         // indexes and violation store to match it again. A governed
@@ -427,7 +363,7 @@ impl Session {
         // let later applies fail loudly instead of computing on
         // corrupted state. For durable sessions the batch is already in
         // the log, so recovery replays it against consistent state.
-        match self.detect_and_repair(&batch, &engine) {
+        match self.detect_and_repair(&batch, touched, &engine) {
             Ok(report) => {
                 if let Some(seq) = wal_seq {
                     let d = self.durable.as_mut().expect("wal_seq implies durable");
@@ -452,11 +388,14 @@ impl Session {
 
     /// The post-materialization half of [`Session::apply`]: index
     /// maintenance, delta-driven detection, retraction, and re-repair.
-    fn detect_and_repair(&mut self, batch: &DeltaBatch, engine: &Engine) -> Result<DeltaReport> {
+    fn detect_and_repair(
+        &mut self,
+        batch: &DeltaBatch,
+        mut touched: Touched,
+        engine: &Engine,
+    ) -> Result<DeltaReport> {
         let mut report = DeltaReport::default();
-        let mut touched: BTreeSet<TupleId> = BTreeSet::new();
         for op in &batch.ops {
-            touched.insert(op.id());
             match op {
                 DeltaOp::Insert(_) => report.inserted += 1,
                 DeltaOp::Update(_) => report.updated += 1,
@@ -517,10 +456,7 @@ impl Session {
         report.violations_added = stats.added;
         report.violations_retracted = stats.retracted;
         report.violations_remaining = self.store.len();
-        report.rules_quarantined = self
-            .group_rules()
-            .filter(|r| r.quarantined.is_some())
-            .count() as u64;
+        report.rules_quarantined = self.quarantined_rules().len() as u64;
         let m = engine.metrics();
         Metrics::add(&m.tuples_reprocessed, report.tuples_reprocessed);
         Metrics::add(&m.blocks_dirty, report.blocks_dirty);
@@ -573,10 +509,14 @@ impl Session {
     /// under the next sequence numbers, updates replace their row, and
     /// the rows deletes leave behind are compacted away in one pass at
     /// the end (until then positions hold, so later ops of the batch
-    /// still resolve).
-    fn materialize(&mut self, batch: &DeltaBatch) {
+    /// still resolve). Returns the tuples the batch touched, each with
+    /// its version before the batch.
+    fn materialize(&mut self, batch: &DeltaBatch) -> Touched {
         let mut dead = Vec::new();
+        let mut touched = Touched::new();
         for op in &batch.ops {
+            let id = op.id();
+            touched.entry(id).or_insert_with(|| self.version(id));
             match op {
                 DeltaOp::Insert(t) => {
                     self.seqs.insert(t.id(), self.next_seq);
@@ -594,12 +534,18 @@ impl Session {
             }
         }
         self.remove_rows(dead);
+        touched
     }
 
     /// The position of live tuple `id` in the table: its sequence number,
     /// found in the sorted column beside the table.
     pub(crate) fn position(&self, id: TupleId) -> Option<usize> {
         position_in(&self.seqs, &self.seq_col, id)
+    }
+
+    /// The live version of tuple `id`, if it is live.
+    pub(crate) fn version(&self, id: TupleId) -> Option<Tuple> {
+        Some(self.table.tuples()[self.position(id)?].clone())
     }
 
     /// Forget live tuple `id`'s sequence number (telling a durable
@@ -635,132 +581,85 @@ impl Session {
         t.get(cell.attr as usize)
     }
 
-    /// Re-detect everything the dirty tuples can influence: remove their
-    /// old scoped entries from the indexes, retract their violations,
-    /// and re-detect each healthy rule over what its index holds with
-    /// the dirty tuples as the freshness mask
-    /// (`delta×resident ∪ delta×delta`).
-    fn redetect(&mut self, dirty: &BTreeSet<TupleId>, stats: &mut ApplyStats) -> Result<()> {
-        let engine = self.executor.engine().clone();
+    /// Re-detect everything the touched tuples can influence: retract
+    /// their violations, then have every rule group reindex them and
+    /// re-detect what its store holds with the live ones as the
+    /// freshness mask (`delta×resident ∪ delta×delta`). Each detection
+    /// is stored with the provenance its [`Origin`] names, after the
+    /// detections whose unit is a changed bucket (a list rule's) are
+    /// retracted, and a rule the pass quarantined takes its stored
+    /// violations with it. The records handed over count as
+    /// reprocessed, and every changed bucket as dirty for each healthy
+    /// rule of its group.
+    fn redetect(&mut self, touched: &Touched, stats: &mut ApplyStats) -> Result<()> {
         // Every table mutation comes through here, so this is where a
         // durable session learns what its next delta frame must carry.
         if let Some(d) = &mut self.durable {
-            d.dirty.extend(dirty);
+            d.dirty.extend(touched.keys());
         }
-        // The live versions of the dirty tuples (absent ids were deleted).
-        let fresh: HashMap<TupleId, Tuple> = dirty
-            .iter()
-            .filter_map(|id| Some((*id, self.table.tuples()[self.position(*id)?].clone())))
-            .collect();
         // Rule-agnostic retraction by generating-unit tuple ids.
-        for stored in self.store.retract_tuples(dirty) {
+        for stored in self.store.retract_tuples(touched.keys()) {
             stats.retract(&stored);
         }
+        // each id with the version the stores hold and its live one
+        let versions: Vec<_> = touched
+            .iter()
+            .map(|(&id, held)| (id, held.as_ref(), self.version(id)))
+            .collect();
+        let fresh = versions.iter().filter(|(_, _, now)| now.is_some());
         let mask = Arc::new(Delta {
-            ids: fresh.keys().copied().collect(),
+            ids: fresh.map(|(id, _, _)| *id).collect(),
         });
-        let partial = self.options.isolation.is_partial();
-        // Rules run in registration order; a group's index is brought
-        // up to date once, by its first healthy rule.
-        let mut changes: Vec<Option<Reindexed>> = self.groups.iter().map(|_| None).collect();
-        for ri in 0..self.rule_at.len() {
-            engine.check_cancelled()?;
-            let (g, m) = self.rule_at[ri];
-            let index = &mut self.groups[g];
-            if index.rules[m].quarantined.is_some() {
+        for group in self.groups.iter_mut() {
+            self.executor.engine().check_cancelled()?;
+            let healthy = group.healthy();
+            if healthy.is_empty() {
                 continue;
             }
-            let change = changes[g].get_or_insert_with(|| {
-                let changes = dirty.iter().map(|id| (*id, None, fresh.get(id)));
-                index.store.reindex(changes, |id| self.seqs[&id])
-            });
-            match self.redetect_rule(ri, change, &mask, stats) {
-                Ok(()) => {}
-                // Cancellation and admission failures are about the
-                // job, not the rule — never quarantine for them.
-                Err(e @ Error::Cancelled { .. }) | Err(e @ Error::Rejected { .. }) => {
-                    return Err(e)
+            let changes = versions
+                .iter()
+                .map(|(id, held, now)| (*id, *held, now.as_ref()));
+            let (store, seqs) = (&mut self.store, &self.seqs);
+            let done = group.redetect(&self.executor, changes, |id| seqs[&id], &mask)?;
+            for rule in healthy.iter().map(|&m| group.members[m].rule) {
+                for key in done.change.keys.keys() {
+                    stats.blocks.insert((rule, key.clone()));
+                    for stored in store.retract_block(rule, key) {
+                        stats.retract(&stored);
+                    }
                 }
-                // Partial mode: a mid-apply fault leaves this rule's
-                // index integrity unknown, so one strike quarantines —
-                // drop its state and carry on with the other rules.
-                Err(e) if partial => self.quarantine_rule(ri, &e.to_string(), stats, &engine),
-                Err(e) => return Err(e),
             }
-        }
-        Ok(())
-    }
-
-    /// Quarantine rule `ri`: record the cause and retract its stored
-    /// violations so repair never acts on a faulted rule's stale
-    /// detections; its group's index goes once no rule of the group is
-    /// left. The other rules' state is untouched.
-    fn quarantine_rule(&mut self, ri: usize, cause: &str, stats: &mut ApplyStats, engine: &Engine) {
-        let (g, m) = self.rule_at[ri];
-        self.groups[g].quarantine(m, cause);
-        for stored in self.store.retract_rule(ri) {
-            stats.retract(&stored);
-        }
-        Metrics::add(&engine.metrics().rules_quarantined, 1);
-    }
-
-    /// Re-detect rule `ri` after its group's store took `change`. A list
-    /// rule first retracts what the buckets that changed detected. The
-    /// executor then evaluates what the store hands it, under the rule's
-    /// guard (time budget, straggler gate), and each detection is stored
-    /// with the provenance its [`Origin`] names. The records handed over
-    /// are counted as reprocessed, and the changed buckets as dirty.
-    fn redetect_rule(
-        &mut self,
-        ri: usize,
-        change: &Reindexed,
-        mask: &Arc<Delta>,
-        stats: &mut ApplyStats,
-    ) -> Result<()> {
-        let (g, m) = self.rule_at[ri];
-        let pipeline = &self.groups[g].rules[m].pipeline;
-        if pipeline.strategy == IterateStrategy::BlockList {
-            for key in change.keys.keys() {
-                for stored in self.store.retract_block(ri, key) {
+            stats.reprocessed.extend(done.ids);
+            let named: HashMap<u64, &BlockKey> =
+                done.keys.iter().map(|k| (stable_hash_of(k), k)).collect();
+            for (m, out) in done.outs {
+                let member = &group.members[m];
+                let single = member.pipeline.strategy == IterateStrategy::SingleUnits;
+                for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
+                    let prov = match origin {
+                        Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
+                        Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
+                        Origin::Bucket(hash) => ProvState::Block(named[&hash].values().to_vec()),
+                    };
+                    let stored = StoredState {
+                        id: 0, // assigned by the store
+                        rule: member.rule as u64,
+                        violation,
+                        fixes,
+                        prov,
+                    };
+                    stats.added += 1;
+                    stats.mark(&stored);
+                    store.add(stored);
+                }
+            }
+            // a rule the pass quarantined takes its stored violations along
+            let members = healthy.into_iter().map(|m| &group.members[m]);
+            for member in members.filter(|m| m.quarantined.is_some()) {
+                for stored in store.retract_rule(member.rule) {
                     stats.retract(&stored);
                 }
             }
-        }
-        stats
-            .blocks
-            .extend(change.keys.keys().map(|key| (ri, key.clone())));
-        let Some((held, keys)) = self.groups[g].store.held(pipeline, change) else {
-            return Ok(());
-        };
-        if let (Held::Records(_), IterateStrategy::OcJoin(_)) = (&held, &pipeline.strategy) {
-            stats.blocks.insert((ri, BlockKey::new()));
-        }
-        stats.reprocessed.extend(held.ids());
-        let guard = RuleGuard::arm(pipeline.rule.name(), &self.options.isolation);
-        let guards = std::slice::from_ref(&guard);
-        let out = self
-            .executor
-            .detect_held(&[pipeline], held, Some(mask), guards);
-        let skipped = &self.executor.engine().metrics().units_skipped;
-        Metrics::add(skipped, guard.units_skipped());
-        let out = out?.remove(0);
-        let single = pipeline.strategy == IterateStrategy::SingleUnits;
-        for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
-            let prov = match origin {
-                Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
-                Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
-                Origin::Bucket(at) => ProvState::Block(keys[at as usize].values().to_vec()),
-            };
-            let stored = StoredState {
-                id: 0, // assigned by the store
-                rule: ri as u64,
-                violation,
-                fixes,
-                prov,
-            };
-            stats.added += 1;
-            stats.mark(&stored);
-            self.store.add(stored);
         }
         Ok(())
     }
@@ -819,16 +718,17 @@ impl RepairTarget for SessionTarget<'_> {
     }
 
     fn apply(&mut self, updates: &Assignment) -> Result<()> {
+        let session = &mut *self.session;
+        let ids = updates.keys().map(|c| c.tuple);
+        let touched: Touched = ids.map(|id| (id, session.version(id))).collect();
         let Session {
             table,
             seqs,
             seq_col,
             ..
-        } = &mut *self.session;
+        } = &mut *session;
         table.apply_at(updates, |id| position_in(seqs, seq_col, id))?;
-        let session = &mut *self.session;
-        let dirty: BTreeSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
-        session.redetect(&dirty, self.stats)
+        session.redetect(&touched, self.stats)
     }
 }
 
@@ -1154,5 +1054,56 @@ mod tests {
             CleanseOptions::default(),
         )
         .is_err());
+    }
+
+    /// Two FDs on one key share one rule group: every re-detect of an
+    /// apply — the batch's, then one per repair round — is one pass over
+    /// the group's buckets, and the apply reports what the session did
+    /// when it re-detected each FD in a pass of its own.
+    #[test]
+    fn two_fds_on_one_key_redetect_in_one_pass_per_round() {
+        let schema = Schema::parse("zipcode,city,state");
+        let row = |zip, city: &str, state: &str| {
+            vec![Value::Int(zip), Value::str(city), Value::str(state)]
+        };
+        let table = Table::from_rows(
+            "t",
+            schema.clone(),
+            vec![
+                row(90210, "LA", "CA"),
+                row(90210, "LA", "CA"),
+                row(90210, "SF", "CA"),
+                row(10001, "NY", "NY"),
+                row(10001, "NY", "NJ"),
+                row(60601, "CH", "IL"),
+            ],
+        );
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
+        let rules = vec![fd("zipcode -> city"), fd("zipcode -> state")];
+        let exec = Executor::new(Engine::sequential());
+        let mut s = Session::new(exec, rules, &table, CleanseOptions::default()).unwrap();
+        let report = s
+            .apply(
+                DeltaBatch::new()
+                    .insert(6, row(60601, "CH", "WI"))
+                    .update(3, row(10001, "NYC", "NY"))
+                    .delete(1)
+                    .insert(7, row(90210, "LA", "NV")),
+            )
+            .unwrap();
+        let plan = s.executor().engine().explain();
+        let redetects: Vec<&str> = plan.lines().filter(|l| l.contains("redetect(")).collect();
+        // the open, the batch, and the one repair round
+        assert_eq!(redetects.len(), 3, "{plan}");
+        let shared = "redetect(fd:zipcode->city, fd:zipcode->state)";
+        assert!(redetects.iter().all(|l| l.ends_with(shared)), "{plan}");
+        let counts = (
+            report.tuples_reprocessed,
+            report.blocks_dirty,
+            report.violations_added,
+            report.violations_retracted,
+        );
+        assert_eq!(counts, (7, 6, 6, 9));
+        assert!(report.converged && s.is_clean());
     }
 }

@@ -83,7 +83,10 @@ impl Store {
 
     /// Retract every violation whose generating unit involved a dirty
     /// tuple. Returns the removed items.
-    pub(crate) fn retract_tuples(&mut self, dirty: &BTreeSet<TupleId>) -> Vec<StoredState> {
+    pub(crate) fn retract_tuples<'a>(
+        &mut self,
+        dirty: impl IntoIterator<Item = &'a TupleId>,
+    ) -> Vec<StoredState> {
         let mut ids: BTreeSet<u64> = BTreeSet::new();
         for t in dirty {
             if let Some(set) = self.by_tuple.get(t) {

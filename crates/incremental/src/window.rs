@@ -22,9 +22,9 @@
 //! windows, `slide < size` sliding ones.
 
 use crate::delta::{DeltaBatch, DeltaOp};
-use crate::session::Session;
+use crate::session::{Session, Touched};
 use bigdansing_common::{Error, Result, TupleId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Geometry of a violation window, counted in logical events
 /// (arrival ordinals), not wall-clock time.
@@ -209,17 +209,20 @@ impl Session {
     /// Retire every tuple whose last containing window closed behind
     /// the watermark: remove it from the table (the same compaction an
     /// explicit delete goes through), drop its sequence number and event
-    /// time, and add its id to `touched` so the caller's redetect
-    /// retracts its violations through the provenance indexes. Returns
+    /// time, and add it to `touched` with the version the group stores
+    /// hold, so the caller's redetect retracts its violations through
+    /// the provenance indexes and drops it from the buckets. Returns
     /// how many tuples were retired. No-op for unwindowed sessions.
-    pub(crate) fn expire_past_watermark(&mut self, touched: &mut BTreeSet<TupleId>) -> usize {
+    pub(crate) fn expire_past_watermark(&mut self, touched: &mut Touched) -> usize {
         let expired = match &mut self.win {
             Some(win) => win.pop_expired(),
             None => return 0,
         };
+        for &id in &expired {
+            touched.entry(id).or_insert_with(|| self.version(id));
+        }
         let dead = expired.iter().map(|id| self.unlink(*id)).collect();
         self.remove_rows(dead);
-        touched.extend(&expired);
         expired.len()
     }
 }

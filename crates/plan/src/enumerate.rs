@@ -48,9 +48,7 @@ pub type Band = (u32, Arc<[u64]>);
 pub enum Origin {
     /// A single unit (both ids equal) or a pair of units.
     Unit(TupleId, TupleId),
-    /// A whole bucket: its [`bucket_hash`], or in a
-    /// [`crate::Executor::detect_held`] pass its index among the buckets
-    /// handed over.
+    /// A whole bucket: its [`bucket_hash`].
     Bucket(u64),
 }
 
@@ -98,20 +96,20 @@ impl Delta {
 
 impl IterateStrategy {
     /// The buckets `unit` (a Scope output of `rule`) is indexed under,
-    /// each with the member's [`Band`] tag: none (single units, and
-    /// inequality rules, which join their records afresh), the rule's
-    /// Block key, the one empty *global* key of an unblocked pair
-    /// strategy, or one key per LSH band — band `k` under
-    /// `(k, hashes[k])`, so buckets of different bands never meet.
+    /// each with the member's [`Band`] tag: none (single units), the
+    /// rule's Block key, the one empty *global* key of an unblocked pair
+    /// strategy or an inequality rule (which joins the bucket afresh),
+    /// or one key per LSH band — band `k` under `(k, hashes[k])`, so
+    /// buckets of different bands never meet.
     pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> Vec<(BlockKey, Option<Band>)> {
         match self {
-            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => Vec::new(),
+            IterateStrategy::SingleUnits => Vec::new(),
             IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList => {
                 vec![(rule.block(unit).unwrap_or_default(), None)]
             }
-            IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
-                vec![(BlockKey::new(), None)]
-            }
+            IterateStrategy::UCrossProduct
+            | IterateStrategy::CrossProduct
+            | IterateStrategy::OcJoin(_) => vec![(BlockKey::new(), None)],
             IterateStrategy::LshBlocks {
                 bands,
                 rows_per_band,

@@ -145,17 +145,18 @@ impl Detector {
     /// the pairs the shared [`PairRule`] draws from it with the delta as
     /// the freshness mask (no delta: all members fresh — a full detect
     /// is the delta enumeration with an empty resident side), or the
-    /// whole bucket as one list unit when there is no pair rule. A list
-    /// unit's [`Origin::Bucket`] is `name`, or the bucket's
-    /// [`bucket_hash`] without one.
+    /// whole bucket as one list unit when there is no pair rule. Under a
+    /// delta a pair rule passes over a bucket with no fresh member
+    /// before the gate: it holds no candidate unit. A list unit's
+    /// [`Origin::Bucket`] is its bucket's [`bucket_hash`].
     fn bucket<M: Member>(
         &self,
         bucket: &[M],
-        name: Option<u64>,
         delta: Option<&Delta>,
         tally: &mut Tally,
     ) -> Result<()> {
-        if bucket.is_empty() {
+        let stale = |d: &Delta| !bucket.iter().any(|m| d.is_fresh(m.tuple()));
+        if bucket.is_empty() || (self.pair_rule.is_some() && delta.is_some_and(stale)) {
             return Ok(());
         }
         if let Some(g) = &self.guard {
@@ -169,7 +170,7 @@ impl Detector {
         }
         let Some(pairs) = self.pair_rule else {
             let block = M::units(bucket);
-            let name = name.unwrap_or_else(|| bucket_hash(self.rule.as_ref(), &block[0]));
+            let name = bucket_hash(self.rule.as_ref(), &block[0]);
             let found = self.rule.detect(&DetectUnit::List(&block));
             tally
                 .found
@@ -225,25 +226,24 @@ fn lone(detectors: Vec<Detector>) -> Detector {
 /// bucket through every detector — scoped by the detector's rule first
 /// when `shared` (the bucket holds the source tuples of a shared Block
 /// pass), into one buffer reused across buckets — then the tallies
-/// closed. Each bucket comes with its list-unit name (see
-/// [`Detector::bucket`]).
+/// closed.
 fn reduce<'b, M: Member + 'b>(
     detectors: &[Detector],
-    buckets: impl Iterator<Item = (Option<u64>, &'b [M])>,
+    buckets: impl Iterator<Item = &'b [M]>,
     shared: bool,
     delta: Option<&Delta>,
     metrics: &Metrics,
 ) -> Result<Vec<Found>> {
     let mut tallies: Vec<Tally> = detectors.iter().map(|_| Tally::default()).collect();
     let mut scoped = Vec::new();
-    for (name, bucket) in buckets {
+    for bucket in buckets {
         for (d, tally) in detectors.iter().zip(&mut tallies) {
             if shared {
                 scoped.clear();
                 scoped.extend(bucket.iter().flat_map(|m| d.rule.scope(m.tuple())));
-                d.bucket(&scoped, name, delta, tally)?;
+                d.bucket(&scoped, delta, tally)?;
             } else {
-                d.bucket(bucket, name, delta, tally)?;
+                d.bucket(bucket, delta, tally)?;
             }
         }
     }
@@ -266,8 +266,8 @@ fn batch_reducer<K, M: Member>(
 ) -> impl Fn(Vec<(K, Vec<M>)>) -> Result<Vec<Found>> {
     move |buckets| {
         let delta = delta.as_deref();
-        let named = buckets.iter().map(|(_, bucket)| (None, &bucket[..]));
-        let found = reduce(&detectors, named, shared, delta, &metrics)?;
+        let units = buckets.iter().map(|(_, bucket)| &bucket[..]);
+        let found = reduce(&detectors, units, shared, delta, &metrics)?;
         if delta.is_some() {
             let records: usize = buckets.iter().map(|(_, bucket)| bucket.len()).sum();
             Metrics::add(&metrics.tuples_reprocessed, records as u64);
@@ -349,8 +349,7 @@ pub enum Held<M> {
     Records(Vec<Tuple>),
     /// Buckets of a bucketed strategy.
     Buckets {
-        /// Members in table order. A list unit's [`Origin::Bucket`] is
-        /// its bucket's index here.
+        /// Members in table order.
         buckets: Vec<Vec<M>>,
         /// The members are source tuples of a shared Block index, which
         /// the rule scopes first.
@@ -675,12 +674,11 @@ impl Executor {
             }
             Held::Buckets { buckets, scope } => {
                 let delta = delta.cloned();
-                let named: Vec<(u64, Vec<M>)> = (0..).zip(buckets).collect();
-                PDataset::from_vec(self.engine.clone(), named)
+                PDataset::from_vec(self.engine.clone(), buckets)
                     .stage()
-                    .map_parts(op, move |part: Vec<(u64, Vec<M>)>| {
-                        let named = part.iter().map(|(at, bucket)| (Some(*at), &bucket[..]));
-                        reduce(&detectors, named, scope, delta.as_deref(), &metrics)
+                    .map_parts(op, move |part: Vec<Vec<M>>| {
+                        let buckets = part.iter().map(|bucket| &bucket[..]);
+                        reduce(&detectors, buckets, scope, delta.as_deref(), &metrics)
                     })
                     .run()?
             }

@@ -1,0 +1,217 @@
+//! A rule group as [`block_groups`] forms it: the unit a batch cleanse
+//! round and an incremental session apply both drive. It holds its
+//! members' pipelines and health, and the group's resident
+//! [`BucketStore`] while it keeps one.
+//!
+//! Two operations run every detect pass of either caller:
+//! * [`RuleGroup::run`] runs one pass of the healthy members, each under
+//!   a fresh [`RuleGuard`], and owns partial-mode quarantine: a pass that
+//!   fails on a rule's fault is re-run member by member, so only a faulty
+//!   member is quarantined;
+//! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
+//!   re-detects the union of what the healthy members pick, as one
+//!   [`Executor::detect_held`] pass through `run`.
+//!
+//! What a detection means stays the caller's: the batch carries its
+//! detections between rounds, a session keeps them with provenance.
+
+use crate::enumerate::{Delta, Member};
+use crate::executor::{DetectOutput, Executor};
+use crate::physical::{block_groups, RulePipeline};
+use crate::store::{BucketStore, Entry, Reindexed};
+use bigdansing_common::error::{Error, Result};
+use bigdansing_common::metrics::Metrics;
+use bigdansing_common::{Tuple, TupleId};
+use bigdansing_dataflow::fault::RuleGuard;
+use bigdansing_dataflow::IsolationOptions;
+use bigdansing_rules::BlockKey;
+use std::sync::Arc;
+
+/// One rule of a group, with its health over the passes it ran in.
+pub struct GroupMember {
+    /// The rule's registration index.
+    pub rule: usize,
+    /// The rule's pipeline.
+    pub pipeline: RulePipeline,
+    /// The failure that quarantined the rule (partial mode): no later
+    /// pass runs it. `None` while healthy.
+    pub quarantined: Option<String>,
+    /// Candidate units its passes processed…
+    pub units_processed: u64,
+    /// …and its straggler guards skipped.
+    pub units_skipped: u64,
+}
+
+/// What one [`RuleGroup::run`] produced: every member that ran to
+/// completion, by its index in [`RuleGroup::members`], with its
+/// detections.
+pub type Ran = Vec<(usize, DetectOutput)>;
+
+/// What one [`RuleGroup::redetect`] did.
+pub struct Redetected {
+    /// What the reindex changed.
+    pub change: Reindexed,
+    /// The key of each bucket handed over; empty for records.
+    pub keys: Vec<BlockKey>,
+    /// The id of every record or bucket member handed over.
+    pub ids: Vec<TupleId>,
+    /// What the pass over them found.
+    pub outs: Ran,
+}
+
+/// One detect pass of some members of a group, each under its guard:
+/// their detections, member for member, and the buckets the pass kept
+/// when it seeds the group's store.
+pub type PassOutput<M> = Result<(Vec<DetectOutput>, Option<BucketStore<M>>)>;
+
+/// A rule group: its members in registration order, over the group's
+/// resident buckets (`M` as in [`BucketStore`]).
+pub struct RuleGroup<M = Entry> {
+    /// The group's rules.
+    pub members: Vec<GroupMember>,
+    /// The resident buckets: a session's from the start, a batch Block
+    /// group's once a pass of all its healthy members seeded them.
+    /// Dropped once no member is healthy.
+    pub store: Option<BucketStore<M>>,
+    /// The job's isolation options, which every guard is armed with.
+    iso: IsolationOptions,
+}
+
+impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
+    /// One group per [`block_groups`] group of `pipelines`, every member
+    /// healthy; with `resident`, each over an empty store.
+    pub fn of(pipelines: &[RulePipeline], iso: IsolationOptions, resident: bool) -> Vec<Self> {
+        let group = |rules: Vec<usize>| {
+            let member = |rule: usize| GroupMember {
+                rule,
+                pipeline: pipelines[rule].clone(),
+                quarantined: None,
+                units_processed: 0,
+                units_skipped: 0,
+            };
+            let members: Vec<GroupMember> = rules.into_iter().map(member).collect();
+            let all: Vec<&RulePipeline> = members.iter().map(|m| &m.pipeline).collect();
+            let store = resident.then(|| BucketStore::new(&all));
+            RuleGroup {
+                members,
+                store,
+                iso,
+            }
+        };
+        block_groups(pipelines).into_iter().map(group).collect()
+    }
+
+    /// The indices of the healthy members.
+    pub fn healthy(&self) -> Vec<usize> {
+        let members = self.members.iter().enumerate();
+        let healthy = members.filter(|(_, m)| m.quarantined.is_none());
+        healthy.map(|(at, _)| at).collect()
+    }
+
+    /// Whether partial mode quarantines a rule for `e`. Cancellation and
+    /// admission errors are about the job, never a rule's fault.
+    fn quarantines(&self, e: &Error) -> bool {
+        self.iso.is_partial() && !matches!(e, Error::Cancelled { .. } | Error::Rejected { .. })
+    }
+
+    /// Run one pass of the healthy members, each under a fresh guard,
+    /// and fold it into their health: the guards' counters, then the
+    /// detections — or, when partial mode quarantines on the failure,
+    /// the quarantine of the members it ran, which are not healthy any
+    /// more. A shared pass that fails so is re-run member by member
+    /// instead, so only a faulty member is quarantined. A pass of all
+    /// healthy members may seed the store. Strict mode, cancellation and
+    /// admission errors propagate.
+    pub fn run(
+        &mut self,
+        metrics: &Metrics,
+        pass: impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput<M>,
+    ) -> Result<Ran> {
+        let mut ran = Ran::default();
+        let seeded = self.pass(&self.healthy(), metrics, &pass, &mut ran)?;
+        self.store = seeded
+            .or(self.store.take())
+            .filter(|_| !self.healthy().is_empty());
+        Ok(ran)
+    }
+
+    /// [`RuleGroup::run`] over `members`, into `ran`; returns the buckets
+    /// the pass seeded. The guards of a shared pass re-run member by
+    /// member count nothing, and the re-runs seed no store.
+    fn pass(
+        &mut self,
+        members: &[usize],
+        metrics: &Metrics,
+        pass: &impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput<M>,
+        ran: &mut Ran,
+    ) -> Result<Option<BucketStore<M>>> {
+        let group: Vec<&RulePipeline> =
+            members.iter().map(|&m| &self.members[m].pipeline).collect();
+        let arm = |p: &&RulePipeline| RuleGuard::arm(p.rule.name(), &self.iso);
+        let guards: Vec<_> = group.iter().map(arm).collect();
+        let run = pass(&group, &guards);
+        if members.len() > 1 && run.as_ref().is_err_and(|e| self.quarantines(e)) {
+            for &m in members {
+                self.pass(&[m], metrics, pass, ran)?;
+            }
+            return Ok(None);
+        }
+        for (&m, guard) in members.iter().zip(&guards) {
+            let member = &mut self.members[m];
+            member.units_processed += guard.units_processed();
+            member.units_skipped += guard.units_skipped();
+            Metrics::add(&metrics.units_skipped, guard.units_skipped());
+        }
+        match run {
+            Ok((outs, seeded)) => {
+                ran.extend(members.iter().copied().zip(outs));
+                Ok(seeded)
+            }
+            Err(e) if self.quarantines(&e) => {
+                for &m in members {
+                    self.members[m].quarantined = Some(e.to_string());
+                    Metrics::add(&metrics.rules_quarantined, 1);
+                }
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Reindex the changed tuples into the store — each change an id,
+    /// the version the store holds and its new version, as
+    /// [`BucketStore::reindex`] takes them — then re-detect the union of
+    /// what the healthy members pick ([`BucketStore::held`]) in one
+    /// [`Executor::detect_held`] pass through [`RuleGroup::run`], with
+    /// `mask` as the freshness mask. When nothing is picked no pass runs,
+    /// and every healthy member finds nothing new.
+    pub fn redetect<'a>(
+        &mut self,
+        executor: &Executor,
+        changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
+        seq_of: impl Fn(TupleId) -> u64,
+        mask: &Arc<Delta>,
+    ) -> Result<Redetected> {
+        let store = self.store.as_mut().expect("a group re-detects its store");
+        let change = store.reindex(changes, seq_of);
+        let members = self.members.iter().filter(|m| m.quarantined.is_none());
+        let healthy: Vec<&RulePipeline> = members.map(|m| &m.pipeline).collect();
+        let picked = store.held(&healthy, &change);
+        let outs = self.run(executor.engine().metrics(), |group, guards| match &picked {
+            Some((held, _)) => Ok((
+                executor.detect_held(group, held.clone(), Some(mask), guards)?,
+                None,
+            )),
+            None => Ok((vec![DetectOutput::default(); group.len()], None)),
+        })?;
+        let (ids, keys) = picked
+            .map(|(held, keys)| (held.ids(), keys))
+            .unwrap_or_default();
+        Ok(Redetected {
+            change,
+            keys,
+            ids,
+            outs,
+        })
+    }
+}

@@ -24,12 +24,14 @@
 //!
 //! [`enumerate`] holds the candidate-enumeration core — index keys and
 //! the pair rule per Iterate strategy — that the executor's reducers
-//! call, and [`store`] the one resident bucket store that batch
-//! re-detects, incremental sessions and storage pushdown read.
+//! call, [`store`] the one resident bucket store that batch re-detects,
+//! incremental sessions and storage pushdown read, and [`group`] the
+//! rule group that batch rounds and session applies both drive over it.
 
 pub mod consolidate;
 pub mod enumerate;
 pub mod executor;
+pub mod group;
 pub mod job;
 pub mod logical;
 pub mod physical;
@@ -37,6 +39,7 @@ pub mod store;
 
 pub use enumerate::{Delta, Member, Origin, PairCounts, PairRule};
 pub use executor::{DetectOutput, Executor, Held};
+pub use group::{GroupMember, Ran, Redetected, RuleGroup};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};

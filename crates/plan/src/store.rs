@@ -7,17 +7,23 @@
 //! * a batch Block pass hands its reducer's buckets over
 //!   ([`crate::Executor::run_resident`]), and the cleanse loop's later
 //!   rounds reindex only the tuples repair changed;
-//! * an incremental session keeps one store per rule group and
-//!   reindexes each delta;
+//! * an incremental session keeps one store per rule group, built at
+//!   open by indexing every base tuple as an insert, and reindexes each
+//!   delta;
 //! * the storage manager builds one from a table on its key columns
 //!   ([`BucketStore::on_columns`]), and pushdown is a detect over every
 //!   bucket.
 //!
-//! The store only *chooses* what is re-detected ([`BucketStore::held`],
-//! [`BucketStore::buckets`]). Detection itself — the straggler gate,
-//! pair enumeration with a delta as the freshness mask, Detect and
-//! GenFix — is [`crate::Executor::detect_held`]'s, as for a shuffled
-//! pass.
+//! The store keeps buckets only, with no record of what it indexed per
+//! tuple: every change names the version its buckets hold, and
+//! [`BucketStore::reindex`] drops that version's members and merges the
+//! new version's in, bucket by touched bucket.
+//!
+//! The store only *chooses* what is re-detected ([`BucketStore::held`]).
+//! Detection itself — the straggler gate, pair enumeration with a delta
+//! as the freshness mask, Detect and GenFix — is
+//! [`crate::Executor::detect_held`]'s, as for a shuffled pass, run for a
+//! whole group by [`crate::group::RuleGroup::redetect`].
 
 use crate::enumerate::{Band, Member, PairRule};
 use crate::executor::Held;
@@ -116,40 +122,33 @@ impl Keying {
 
 /// Resident candidate buckets over one group's records, members in
 /// table order. `M` is what a bucket holds: bare units for a batch Block
-/// pass or a storage partitioning, [`Entry`] for a session.
+/// pass or a storage partitioning, [`Entry`] for a session. The store
+/// keeps no record of what it indexed: a change names the version its
+/// buckets hold.
 #[derive(Clone, Debug)]
 pub struct BucketStore<M = Entry> {
     keying: Keying,
-    /// Records per source tuple (`rep` order) with the sequence number
-    /// they were indexed under, for a store that indexed them itself.
-    /// A store seeded from buckets built elsewhere records nothing
-    /// (`None`): a change names the version it holds.
-    records: Option<HashMap<TupleId, (u64, Vec<Tuple>)>>,
     /// Bucket key → members, in shards: one per reducer partition of the
     /// pass that seeded the store, so seeding merges nothing. A key sits
     /// in one shard.
     shards: Vec<HashMap<BlockKey, Vec<M>>>,
 }
 
+/// One touched bucket of a [`BucketStore::reindex`]: the ids whose held
+/// version leaves it, and the new members it gains, in table order.
+type Touch<M> = (Vec<TupleId>, Vec<(u64, M)>);
+
 impl<M: Member + Clone> BucketStore<M> {
     /// An empty store for a group as [`crate::physical::block_groups`]
     /// forms it.
     pub fn new(group: &[&RulePipeline]) -> BucketStore<M> {
-        BucketStore {
-            keying: Keying::of(group),
-            records: Some(HashMap::new()),
-            shards: vec![HashMap::new()],
-        }
+        BucketStore::seeded(Keying::of(group), vec![HashMap::new()])
     }
 
     /// A store over buckets already built, one shard per map (at least
     /// one).
     pub(crate) fn seeded(keying: Keying, shards: Vec<HashMap<BlockKey, Vec<M>>>) -> Self {
-        BucketStore {
-            keying,
-            records: None,
-            shards,
-        }
+        BucketStore { keying, shards }
     }
 
     /// `table`'s tuples bucketed by their values at `columns`: the
@@ -188,93 +187,66 @@ impl<M: Member + Clone> BucketStore<M> {
         self.shards.iter().all(HashMap::is_empty)
     }
 
-    fn shard_of(&self, key: &BlockKey) -> Option<usize> {
-        self.shards.iter().position(|s| s.contains_key(key))
+    fn get(&self, key: &BlockKey) -> Option<&Vec<M>> {
+        self.shards.iter().find_map(|s| s.get(key))
     }
 
     /// Replace the indexed versions of the given tuples, each change an
-    /// id, the version the buckets hold and its new version (`None`: not
-    /// held, or deleted): drop the id's old members, then index its new
-    /// version. A store that indexed its records drops what it recorded;
-    /// a seeded one drops the members of the held version the change
-    /// names, and refuses a change that names none. `seq_of` gives every
-    /// live tuple's table-order sequence number; members stay sorted by
-    /// it.
+    /// id, the version the buckets hold (`None`: none) and its new
+    /// version (`None`: deleted). Each bucket the changes touch takes
+    /// one `retain` of the held versions and one ordered merge of the
+    /// new ones, so a change costs what its buckets hold, not what it
+    /// has changed. `seq_of` gives every live tuple's table-order
+    /// sequence number; members stay sorted by it.
+    ///
+    /// # Panics
+    ///
+    /// When a new version enters a bucket that still holds a member
+    /// with its id: the change did not name the version the store held.
     pub fn reindex<'a>(
         &mut self,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
     ) -> Reindexed {
-        let mut keys: BTreeMap<BlockKey, bool> = BTreeMap::new();
+        let mut touched: BTreeMap<BlockKey, Touch<M>> = BTreeMap::new();
         let mut news: Vec<((u64, u32), Tuple)> = Vec::new();
         for (id, old, new) in changes {
-            let reps = match &mut self.records {
-                Some(records) => records.remove(&id).unwrap_or_default().1,
-                None => self
-                    .keying
-                    .records_of(old.expect("a seeded store is told the version it holds")),
-            };
-            for (key, _) in reps.iter().flat_map(|t| self.keying.buckets_of(t)) {
-                if let Some(at) = self.shard_of(&key) {
-                    let slot = self.shards[at].get_mut(&key).expect("the shard holds it");
-                    slot.retain(|m| m.tuple().id() != id);
-                    if slot.is_empty() {
-                        self.shards[at].remove(&key);
-                    }
+            for held in old.map(|t| self.keying.records_of(t)).unwrap_or_default() {
+                for (key, _) in self.keying.buckets_of(&held) {
+                    touched.entry(key).or_default().0.push(id);
                 }
-                keys.entry(key).or_insert(false);
             }
             if let Some(t) = new {
-                let (seq, reps) = (seq_of(id), self.keying.records_of(t));
-                let placed = reps.iter().enumerate();
-                news.extend(placed.map(|(rep, s)| ((seq, rep as u32), s.clone())));
-                if let Some(records) = &mut self.records {
-                    records.insert(id, (seq, reps));
-                }
+                let seq = seq_of(id);
+                let reps = (0..).zip(self.keying.records_of(t));
+                news.extend(reps.map(|(rep, s)| ((seq, rep), s)));
             }
         }
         news.sort_by_key(|(pos, _)| *pos);
         for ((seq, _), t) in &news {
             for (key, band) in self.keying.buckets_of(t) {
-                let at = self.shard_of(&key).unwrap_or(0);
-                let slot = self.shards[at].entry(key.clone()).or_default();
-                // a rebuild appends in table order: try the tail first
-                let before = |m: &M| seq_of(m.tuple().id()) <= *seq;
-                let at = match slot.last() {
-                    Some(last) if !before(last) => slot.partition_point(before),
-                    _ => slot.len(),
-                };
-                slot.insert(at, M::resident(t.clone(), band));
-                keys.insert(key, true);
+                let member = M::resident(t.clone(), band);
+                touched.entry(key).or_default().1.push((*seq, member));
             }
+        }
+        let mut keys = BTreeMap::new();
+        for (key, (mut gone, adds)) in touched {
+            let gained = !adds.is_empty();
+            let at = self.shards.iter().position(|s| s.contains_key(&key));
+            let shard = &mut self.shards[at.unwrap_or(0)];
+            let slot = shard.entry(key.clone()).or_default();
+            if !gone.is_empty() {
+                gone.sort_unstable();
+                slot.retain(|m| gone.binary_search(&m.tuple().id()).is_err());
+            }
+            merge(slot, adds, &seq_of);
+            if slot.is_empty() {
+                shard.remove(&key);
+            }
+            keys.insert(key, gained);
         }
         let news = news.into_iter().map(|(_, t)| t).collect();
         Reindexed { news, keys }
-    }
-
-    /// The buckets of `keys` that still have members, with their keys,
-    /// index for index: every one, or under a pair rule only those that
-    /// gained a member and hold a pair (only those can yield new pairs).
-    pub fn buckets(
-        &self,
-        keys: &BTreeMap<BlockKey, bool>,
-        pairs: Option<PairRule>,
-    ) -> (Held<M>, Vec<BlockKey>) {
-        let (mut buckets, mut names) = (Vec::new(), Vec::new());
-        for (key, gained) in keys {
-            let Some(bucket) = self.shards.iter().find_map(|s| s.get(key)) else {
-                continue;
-            };
-            let (first, rest) = (bucket[0].tuple(), &bucket[1..]);
-            let pairing = |r: PairRule| rest.iter().any(|m| r.admits(first, m.tuple()));
-            if pairs.is_some_and(|r| !gained || !pairing(r)) {
-                continue;
-            }
-            buckets.push(bucket.clone());
-            names.push(key.clone());
-        }
-        let scope = self.columns().is_some();
-        (Held::Buckets { buckets, scope }, names)
     }
 
     /// Every bucket, for a detect over the whole store.
@@ -284,46 +256,91 @@ impl<M: Member + Clone> BucketStore<M> {
         Held::Buckets { buckets, scope }
     }
 
-    /// What `pipeline` re-evaluates after a [`BucketStore::reindex`],
-    /// with the key of each bucket in it, index for index — `None` when
-    /// that is nothing. Single units: the new records. An inequality
-    /// rule: every held record, in table order, once a record is new. A
-    /// pair rule: the buckets that gained a member and hold a pair. A
-    /// list rule: every bucket that changed and still has members.
+    /// What the `members` of the store's group re-evaluate after a
+    /// [`BucketStore::reindex`] — the union of what each one picks —
+    /// with the key of each bucket in it, index for index; `None` when
+    /// that is nothing. Single units pick the new records. An inequality
+    /// rule picks every record of its one global bucket, in table order,
+    /// once a record is new. A pair rule picks the buckets that gained a
+    /// member and hold a pair, a list rule every bucket that changed and
+    /// still has members.
     pub fn held(
         &self,
-        pipeline: &RulePipeline,
+        members: &[&RulePipeline],
         change: &Reindexed,
     ) -> Option<(Held<M>, Vec<BlockKey>)> {
-        let records = match &pipeline.strategy {
-            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) if change.news.is_empty() => {
-                return None
-            }
-            IterateStrategy::SingleUnits => change.news.clone(),
-            IterateStrategy::OcJoin(_) => {
-                let mut held: Vec<((u64, usize), &Tuple)> = Vec::new();
-                for (seq, reps) in self.records.iter().flat_map(HashMap::values) {
-                    held.extend(reps.iter().enumerate().map(|(rep, t)| ((*seq, rep), t)));
-                }
-                held.sort_unstable_by_key(|(pos, _)| *pos);
-                held.into_iter().map(|(_, t)| t.clone()).collect()
-            }
-            bucketed => {
-                let (held, names) = self.buckets(&change.keys, bucketed.pair_rule());
-                return (!names.is_empty()).then_some((held, names));
-            }
+        let records = |records: &dyn Fn() -> Vec<Tuple>| {
+            (!change.news.is_empty()).then(|| (Held::Records(records()), Vec::new()))
         };
-        Some((Held::Records(records), Vec::new()))
+        match &members[0].strategy {
+            IterateStrategy::SingleUnits => records(&|| change.news.clone()),
+            IterateStrategy::OcJoin(_) => records(&|| {
+                let global = self.iter().flat_map(|(_, bucket)| bucket);
+                global.map(|m| m.tuple().clone()).collect()
+            }),
+            _ => {
+                let (mut buckets, mut names) = (Vec::new(), Vec::new());
+                for (key, &gained) in &change.keys {
+                    let Some(bucket) = self.get(key) else {
+                        continue;
+                    };
+                    let (first, rest) = (bucket[0].tuple(), &bucket[1..]);
+                    let pairing = |r: PairRule| rest.iter().any(|m| r.admits(first, m.tuple()));
+                    let picks = |p: &&RulePipeline| match p.strategy.pair_rule() {
+                        Some(r) => gained && pairing(r),
+                        None => true,
+                    };
+                    if members.iter().any(picks) {
+                        buckets.push(bucket.clone());
+                        names.push(key.clone());
+                    }
+                }
+                let scope = self.columns().is_some();
+                let held = Held::Buckets { buckets, scope };
+                (!names.is_empty()).then_some((held, names))
+            }
+        }
     }
+}
+
+/// Merge `adds` — new members with their sequence numbers, in table
+/// order — into `slot`, whose members are in table order by `seq_of`:
+/// one binary search per new member, and one move of the members from
+/// the first insertion point on.
+fn merge<M: Member>(slot: &mut Vec<M>, adds: Vec<(u64, M)>, seq_of: impl Fn(TupleId) -> u64) {
+    let seq = |m: &M| seq_of(m.tuple().id());
+    let place = |(at_seq, new): &(u64, M)| {
+        let at = slot.partition_point(|m| seq(m) < *at_seq);
+        let held = slot.get(at).is_some_and(|m| seq(m) == *at_seq);
+        assert!(
+            !held,
+            "tuple {} enters a bucket holding it",
+            new.tuple().id()
+        );
+        at
+    };
+    let ats: Vec<usize> = adds.iter().map(place).collect();
+    let Some(&first) = ats.first() else {
+        return;
+    };
+    let mut tail = slot.split_off(first).into_iter();
+    let mut moved = first;
+    for (at, (_, m)) in ats.into_iter().zip(adds) {
+        slot.extend(tail.by_ref().take(at - moved));
+        moved = at;
+        slot.push(m);
+    }
+    slot.extend(tail);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::bucket_hash;
-    use crate::physical::pipeline_for_rule;
-    use bigdansing_common::{stable_hash_of, Schema, Value};
-    use bigdansing_rules::{FdRule, Rule};
+    use crate::physical::{pipeline_for_rule, pipelines};
+    use bigdansing_common::rng::{check, SplitMix64};
+    use bigdansing_common::{stable_hash_of, LshParams, Schema, Value};
+    use bigdansing_rules::{DcRule, DedupRule, FdRule, Rule};
     use std::sync::Arc;
 
     #[test]
@@ -357,11 +374,12 @@ mod tests {
         assert_eq!((store.iter().count(), store.len()), (2, 3));
         // tuple 1 moves into zip 1's bucket, between tuples 0 and 2
         let moved = row(1, 1);
-        let change = store.reindex([(1, None, Some(&moved))].into_iter(), |id| id);
+        let change = store.reindex([(1, Some(&rows[1]), Some(&moved))].into_iter(), |id| id);
         let zip = |z| BlockKey::single(Value::Int(z));
         let touched = BTreeMap::from([(zip(1), true), (zip(2), false)]);
         assert_eq!(change.keys, touched);
-        let (Held::Buckets { buckets, .. }, names) = store.buckets(&change.keys, None) else {
+        let (Held::Buckets { buckets, .. }, names) = store.held(&[&pipeline], &change).unwrap()
+        else {
             unreachable!("a Block store holds buckets");
         };
         assert_eq!(names, vec![zip(1)]);
@@ -369,10 +387,10 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
-    /// A store seeded from a lone FD's buckets of Scope outputs records
-    /// nothing: a change names the version its buckets hold, which moves
-    /// the FD's scoped record between buckets in table order, and a
-    /// change that names none is refused.
+    /// A store seeded from a lone FD's buckets of Scope outputs: a change
+    /// names the version its buckets hold, which moves the FD's scoped
+    /// record between buckets in table order, and a new version entering
+    /// a bucket that still holds its id is refused.
     #[test]
     fn a_seeded_store_reindexes_the_held_version() {
         let schema = Schema::parse("zipcode,name,city");
@@ -392,7 +410,8 @@ mod tests {
             BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded]);
         let old = std::mem::replace(&mut table[1], row(1, 1));
         let change = store.reindex([(1, Some(&old), Some(&table[1]))].into_iter(), |id| id);
-        let (Held::Buckets { buckets, scope }, names) = store.buckets(&change.keys, None) else {
+        let (Held::Buckets { buckets, scope }, names) = store.held(&[&pipeline], &change).unwrap()
+        else {
             unreachable!("a Block store holds buckets");
         };
         assert!(!scope, "a lone rule's buckets hold its scoped records");
@@ -402,6 +421,140 @@ mod tests {
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.reindex([(0, None, Some(&table[0]))].into_iter(), |id| id)
         }));
-        assert!(refused.is_err(), "a seeded store needs the held version");
+        assert!(refused.is_err(), "an insert into a bucket holding its id");
+    }
+
+    /// A bucket as the property compares it: each member's tuple and
+    /// LSH band, in bucket order.
+    type Shown = BTreeMap<BlockKey, Vec<String>>;
+
+    fn show(t: &Tuple, band: Option<u32>) -> String {
+        format!("{t:?}@{band:?}")
+    }
+
+    /// Random insert/update/delete batches, several changes per reindex
+    /// and several into one bucket, against every keying: after each
+    /// reindex every bucket equals a from-scratch bucketing of the live
+    /// tuples in table order, and `keys` names exactly the buckets that
+    /// lost or gained a member.
+    #[test]
+    fn reindex_matches_a_rebuild_after_every_batch() {
+        let schema = Schema::parse("zipcode,name,city,salary,rate");
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
+        let dc = "t1.salary > t2.salary & t1.rate < t2.rate";
+        let dc: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
+        let dedup = DedupRule::new("udf:dedup", 1, 0.8).with_lsh(LshParams::default());
+        let fds = pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t", None);
+        let ucross = RulePipeline {
+            strategy: IterateStrategy::UCrossProduct,
+            ..pipeline_for_rule(fd("city -> rate"), "t")
+        };
+        let lone = |rule| pipelines(&[rule], "t", None).remove(0);
+        let groups = [
+            vec![fds[0].clone(), fds[1].clone()],
+            vec![lone(fd("zipcode -> city"))],
+            vec![ucross],
+            vec![lone(dc)],
+            vec![lone(Arc::new(dedup))],
+        ];
+        assert!(matches!(groups[3][0].strategy, IterateStrategy::OcJoin(_)));
+        assert!(matches!(
+            groups[4][0].strategy,
+            IterateStrategy::LshBlocks { .. }
+        ));
+        const NAMES: [&str; 4] = ["anne marie", "anna marie", "bob stone", "bobby stone"];
+        let draw_row = |g: &mut SplitMix64, id| {
+            let name = NAMES[g.range(0..NAMES.len())];
+            let city = ["LA", "SF"][g.range(0..2usize)];
+            let row = [g.range(0..3i64), 0, 0, g.range(0..4i64), g.range(0..4i64)];
+            let mut values: Vec<Value> = row.into_iter().map(Value::Int).collect();
+            (values[1], values[2]) = (Value::str(name), Value::str(city));
+            Tuple::new(id, values)
+        };
+        for group in &groups {
+            let members: Vec<&RulePipeline> = group.iter().collect();
+            check(24, |g| {
+                let keying = Keying::of(&members);
+                let bucketed = |t: &Tuple| {
+                    let records = keying.records_of(t).into_iter();
+                    records.flat_map(|r| {
+                        keying
+                            .buckets_of(&r)
+                            .into_iter()
+                            .map(move |b| (r.clone(), b))
+                    })
+                };
+                let mut store: BucketStore = BucketStore::new(&members);
+                // id → (seq, live version)
+                let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
+                let (mut next_id, mut next_seq) = (0u64, 0u64);
+                for _ in 0..12 {
+                    let mut changes: BTreeMap<u64, (Option<Tuple>, Option<Tuple>)> =
+                        BTreeMap::new();
+                    for _ in 0..g.range(1..7usize) {
+                        let pick = (!live.is_empty()).then(|| {
+                            let at = g.range(0..live.len());
+                            *live.keys().nth(at).expect("in range")
+                        });
+                        let (id, new) = match (g.range(0..3u8), pick) {
+                            (1, Some(id)) => (id, Some(draw_row(g, id))),
+                            (2, Some(id)) => (id, None),
+                            _ => {
+                                next_id += 1;
+                                (next_id - 1, Some(draw_row(g, next_id - 1)))
+                            }
+                        };
+                        if changes.contains_key(&id) {
+                            continue;
+                        }
+                        let held = live.get(&id).map(|(_, t)| t.clone());
+                        match &new {
+                            Some(t) => {
+                                let seq = live.get(&id).map_or(next_seq, |(seq, _)| *seq);
+                                next_seq = next_seq.max(seq + 1);
+                                live.insert(id, (seq, t.clone()));
+                            }
+                            None => {
+                                live.remove(&id);
+                            }
+                        }
+                        changes.insert(id, (held, new));
+                    }
+                    let batch = changes
+                        .iter()
+                        .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
+                    let change = store.reindex(batch, |id| live[&id].0);
+                    let mut keys: BTreeMap<BlockKey, bool> = BTreeMap::new();
+                    for (old, new) in changes.values() {
+                        for (_, (key, _)) in old.iter().flat_map(bucketed) {
+                            keys.entry(key).or_insert(false);
+                        }
+                        for (_, (key, _)) in new.iter().flat_map(bucketed) {
+                            keys.insert(key, true);
+                        }
+                    }
+                    assert_eq!(
+                        change.keys, keys,
+                        "the buckets that lost or gained a member"
+                    );
+                    let mut scratch = Shown::new();
+                    let mut in_order: Vec<&(u64, Tuple)> = live.values().collect();
+                    in_order.sort_by_key(|(seq, _)| *seq);
+                    for (_, t) in in_order {
+                        for (r, (key, band)) in bucketed(t) {
+                            let member = show(&r, band.map(|(b, _)| b));
+                            scratch.entry(key).or_default().push(member);
+                        }
+                    }
+                    let held = store.iter().map(|(key, bucket)| {
+                        let members = bucket
+                            .iter()
+                            .map(|m| show(m.tuple(), m.band().map(|b| b.0)));
+                        (key.clone(), members.collect())
+                    });
+                    assert_eq!(held.collect::<Shown>(), scratch);
+                }
+            });
+        }
     }
 }
