@@ -73,13 +73,26 @@ fn shingle_hash(chars: &[char]) -> u64 {
     h.finish()
 }
 
+/// The first 64 draws of a [`SplitMix64`] seeded 0, the permutation
+/// seeds, drawn at compile time, and the generator that draws the ones
+/// after them while a longer signature folds each shingle.
+static SEEDS: ([u64; 64], SplitMix64) = {
+    let (mut seeds, mut permutations, mut i) = ([0; 64], SplitMix64::new(0), 0);
+    while i < seeds.len() {
+        seeds[i] = permutations.next_u64();
+        i += 1;
+    }
+    (seeds, permutations)
+};
+
 /// Compute the MinHash signature of `s`: `num_hashes` values, each the
 /// minimum over the string's character shingles under one seeded
 /// permutation.
 ///
 /// Permutation `i` mixes the base shingle hash with the `i`-th draw of a
 /// [`SplitMix64`] seeded 0, so the seeds never depend on process state
-/// and one FNV hash per shingle serves every permutation.
+/// and one FNV hash per shingle serves every permutation. The output is
+/// the one allocation of an all-ASCII string.
 ///
 /// The string is lowercased first so the signature matches the
 /// case-insensitive spirit of [`crate::sim::similar`]-style matching of
@@ -88,29 +101,31 @@ fn shingle_hash(chars: &[char]) -> u64 {
 /// strings always produce identical signatures.
 pub fn compute_minhash_signature(s: &str, num_hashes: usize, shingle: usize) -> Vec<u64> {
     let width = shingle.max(1);
-    let mut permutations = SplitMix64::new(0);
-    let seeds: Vec<u64> = (0..num_hashes).map(|_| permutations.next_u64()).collect();
     let mut signature = vec![u64::MAX; num_hashes];
     let mut fold = |base: u64| {
-        for (slot, seed) in signature.iter_mut().zip(&seeds) {
+        for (slot, seed) in signature.iter_mut().zip(&SEEDS.0) {
             *slot = (*slot).min(mix(base ^ seed));
+        }
+        let mut permutations = SEEDS.1.clone();
+        for slot in signature.iter_mut().skip(SEEDS.0.len()) {
+            *slot = (*slot).min(mix(base ^ permutations.next_u64()));
         }
     };
     if s.is_ascii() {
-        // Fast path for the common all-ASCII value: lowercase in place
-        // on bytes and hash byte windows. `write_u32(byte as u32)`
-        // matches `write_u32(char as u32)` exactly, so the signature is
-        // bit-identical to the generic path below.
-        let bytes = s.to_ascii_lowercase().into_bytes();
+        // Fast path for the common all-ASCII value: hash byte windows,
+        // lowercasing each byte as it is hashed. `write_u32(byte as
+        // u32)` matches `write_u32(char as u32)` exactly, so the
+        // signature is bit-identical to the generic path below.
+        let bytes = s.as_bytes();
         let hash_window = |w: &[u8]| {
             let mut h = StableHasher::default();
             for &b in w {
-                h.write_u32(b as u32);
+                h.write_u32(b.to_ascii_lowercase() as u32);
             }
             h.finish()
         };
         if bytes.len() < width {
-            fold(hash_window(&bytes));
+            fold(hash_window(bytes));
         } else {
             for window in bytes.windows(width) {
                 fold(hash_window(window));
@@ -288,5 +303,25 @@ mod tests {
         let buckets = lsh_buckets_from_signature(&sig, 3, 2);
         assert_eq!(buckets.len(), 3);
         assert!(buckets[0] != buckets[1] && buckets[1] != buckets[2]);
+    }
+
+    /// Past the seeds drawn at compile time, a long signature keeps
+    /// drawing the same stream: every permutation `i` is the `i`-th draw
+    /// of a generator seeded 0, on both the ASCII and the generic path.
+    #[test]
+    fn long_signatures_continue_the_seed_stream() {
+        let n = SEEDS.0.len() + 9;
+        let mut permutations = SplitMix64::new(0);
+        let seeds: Vec<u64> = (0..n).map(|_| permutations.next_u64()).collect();
+        for s in ["Florence", "MÜLLER", "a"] {
+            let chars: Vec<char> = s.chars().flat_map(|c| c.to_lowercase()).collect();
+            let bases: Vec<u64> = match chars.len() {
+                0 | 1 => vec![shingle_hash(&chars)],
+                _ => chars.windows(2).map(shingle_hash).collect(),
+            };
+            let min_under = |seed: &u64| bases.iter().map(|b| mix(b ^ seed)).min().unwrap();
+            let expected: Vec<u64> = seeds.iter().map(min_under).collect();
+            assert_eq!(compute_minhash_signature(s, n, 2), expected, "{s:?}");
+        }
     }
 }

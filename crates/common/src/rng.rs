@@ -24,7 +24,7 @@ const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// well-spread hashes from structured keys (MinHash permutations, fault
 /// coordinates).
 #[inline]
-pub fn mix(mut x: u64) -> u64 {
+pub const fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -40,12 +40,12 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// A generator whose stream is fixed by `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
+    pub const fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
     /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub const fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
         mix(self.state)
     }

@@ -7,7 +7,7 @@ use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::PDataset;
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, RuleGroup};
+use bigdansing_plan::{Delta, Executor, GroupMember, Origin, RuleGroup};
 use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
 use bigdansing_rules::Rule;
 use std::collections::HashSet;
@@ -190,10 +190,7 @@ impl RepairTarget for BatchTarget<'_> {
                 continue;
             }
             let rules: Vec<usize> = group.members.iter().map(|m| m.rule).collect();
-            let block = matches!(
-                group.members[0].pipeline.strategy,
-                IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. }
-            );
+            let block = group.members[0].pipeline.strategy.blocks();
             // a Block group carries its detections only with its store
             let carried = !first && (!block || group.store.is_some());
             if !carried {
@@ -207,7 +204,7 @@ impl RepairTarget for BatchTarget<'_> {
                     .iter()
                     .map(|(at, was)| (was.id(), Some(was), Some(now(*at))));
                 let seq_of = |id| table.position(id).expect("a live tuple") as u64;
-                let done = self.groups[g].redetect(executor, changes, seq_of, &delta)?;
+                let done = self.groups[g].redetect(executor, changes, seq_of, Some(&delta))?;
                 Metrics::add(&metrics.tuples_reprocessed, done.ids.len() as u64);
                 Metrics::add(&metrics.blocks_dirty, done.keys.len() as u64);
                 // a changed bucket's list detections go with it

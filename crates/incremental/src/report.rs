@@ -67,14 +67,20 @@ pub(crate) struct ApplyStats {
 }
 
 impl ApplyStats {
-    /// Account one retracted violation.
-    pub(crate) fn retract(&mut self, stored: &StoredState) {
-        self.retracted += 1;
+    /// Account one added violation.
+    pub(crate) fn add(&mut self, stored: &StoredState) {
+        self.added += 1;
         self.mark(stored);
     }
 
+    /// Account retracted violations.
+    pub(crate) fn retract(&mut self, gone: Vec<StoredState>) {
+        self.retracted += gone.len() as u64;
+        gone.iter().for_each(|stored| self.mark(stored));
+    }
+
     /// Mark the tuples of an added or retracted violation.
-    pub(crate) fn mark(&mut self, s: &StoredState) {
+    fn mark(&mut self, s: &StoredState) {
         self.markers.extend(s.violation.tuple_ids());
         if let ProvState::Tuples(ids) = &s.prov {
             self.markers.extend(ids.iter().copied());

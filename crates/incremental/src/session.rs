@@ -44,7 +44,7 @@ use bigdansing_common::{
 };
 use bigdansing_dataflow::{Engine, IsolationOptions};
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, RuleGroup};
+use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{
@@ -223,11 +223,15 @@ impl Session {
         })
     }
 
-    /// Open a session over `table`: builds the group stores and the
-    /// initial violation store (a full detect's worth of violations,
-    /// with provenance). The base table is *not* repaired — the first
-    /// [`Session::apply`] cleanses pre-existing violations together with
-    /// the batch's.
+    /// Open a session over `table`: the paper's detect phase over the
+    /// whole table, as the first semi-naive iteration with every row
+    /// fresh. Each rule group runs one full pass ([`RuleGroup::open`]):
+    /// a Block group keeps the buckets its shuffle built as its store,
+    /// as a batch cleanse's first round does, and any other group
+    /// indexes the table and detects over its store. The detections fill
+    /// the violation store with provenance, as an apply's do. The base
+    /// table is *not* repaired — the first [`Session::apply`] cleanses
+    /// pre-existing violations together with the batch's.
     pub fn new(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
@@ -247,15 +251,18 @@ impl Session {
                 Error::Repair(format!("duplicate tuple id {id} in base table"))
             })?;
         session.win = win;
-        let mut stats = ApplyStats::default();
-        let all: Touched = table.tuples().iter().map(|t| (t.id(), None)).collect();
-        session.redetect(&all, &mut stats)?;
+        for group in session.groups.iter_mut() {
+            session.executor.engine().check_cancelled()?;
+            let outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
+            let keys = group.store.iter().flat_map(|s| s.iter().map(|(k, _)| k));
+            keep(&mut session.store, group, outs, keys, |_| {});
+        }
         // A base table longer than the window already has closed
         // windows behind its watermark: retire them now so the session
         // starts with only live-window rows.
         let mut expired = Touched::new();
         if session.expire_past_watermark(&mut expired) > 0 {
-            session.redetect(&expired, &mut stats)?;
+            session.redetect(&expired, &mut ApplyStats::default())?;
         }
         Ok(session)
     }
@@ -598,9 +605,7 @@ impl Session {
             d.dirty.extend(touched.keys());
         }
         // Rule-agnostic retraction by generating-unit tuple ids.
-        for stored in self.store.retract_tuples(touched.keys()) {
-            stats.retract(&stored);
-        }
+        stats.retract(self.store.retract_tuples(touched.keys()));
         // each id with the version the stores hold and its live one
         let versions: Vec<_> = touched
             .iter()
@@ -619,46 +624,21 @@ impl Session {
             let changes = versions
                 .iter()
                 .map(|(id, held, now)| (*id, *held, now.as_ref()));
-            let (store, seqs) = (&mut self.store, &self.seqs);
-            let done = group.redetect(&self.executor, changes, |id| seqs[&id], &mask)?;
+            let done = group.redetect(&self.executor, changes, |id| self.seqs[&id], Some(&mask))?;
             for rule in healthy.iter().map(|&m| group.members[m].rule) {
                 for key in done.change.keys.keys() {
                     stats.blocks.insert((rule, key.clone()));
-                    for stored in store.retract_block(rule, key) {
-                        stats.retract(&stored);
-                    }
+                    stats.retract(self.store.retract_block(rule, key));
                 }
             }
             stats.reprocessed.extend(done.ids);
-            let named: HashMap<u64, &BlockKey> =
-                done.keys.iter().map(|k| (stable_hash_of(k), k)).collect();
-            for (m, out) in done.outs {
-                let member = &group.members[m];
-                let single = member.pipeline.strategy == IterateStrategy::SingleUnits;
-                for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
-                    let prov = match origin {
-                        Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
-                        Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
-                        Origin::Bucket(hash) => ProvState::Block(named[&hash].values().to_vec()),
-                    };
-                    let stored = StoredState {
-                        id: 0, // assigned by the store
-                        rule: member.rule as u64,
-                        violation,
-                        fixes,
-                        prov,
-                    };
-                    stats.added += 1;
-                    stats.mark(&stored);
-                    store.add(stored);
-                }
-            }
+            keep(&mut self.store, group, done.outs, done.keys.iter(), |s| {
+                stats.add(s)
+            });
             // a rule the pass quarantined takes its stored violations along
             let members = healthy.into_iter().map(|m| &group.members[m]);
             for member in members.filter(|m| m.quarantined.is_some()) {
-                for stored in store.retract_rule(member.rule) {
-                    stats.retract(&stored);
-                }
+                stats.retract(self.store.retract_rule(member.rule));
             }
         }
         Ok(())
@@ -683,6 +663,44 @@ impl Session {
         }
         let roots: BTreeSet<u64> = stats.markers.iter().map(|&id| uf.find(id)).collect();
         roots.len() as u64
+    }
+}
+
+/// Store the detections of `outs`, a pass of `group`'s members, each
+/// under its rule with the provenance its [`Origin`] names — the tuple
+/// ids of its unit, or the key among `keys` of the bucket a list rule
+/// detected over — handing each to `each` first.
+fn keep<'a>(
+    store: &mut Store,
+    group: &RuleGroup,
+    outs: Ran,
+    keys: impl Iterator<Item = &'a BlockKey>,
+    mut each: impl FnMut(&StoredState),
+) {
+    let mut origins = outs.iter().flat_map(|(_, out)| &out.origins);
+    let lists = origins.any(|o| matches!(o, Origin::Bucket(_)));
+    // a list unit's origin is its bucket's hash: name the keys only for one
+    let keys = keys.take_while(|_| lists).map(|k| (stable_hash_of(k), k));
+    let named: HashMap<u64, &BlockKey> = keys.collect();
+    for (m, out) in outs {
+        let member = &group.members[m];
+        let single = member.pipeline.strategy == IterateStrategy::SingleUnits;
+        for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
+            let prov = match origin {
+                Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
+                Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
+                Origin::Bucket(hash) => ProvState::Block(named[&hash].values().to_vec()),
+            };
+            let stored = StoredState {
+                id: 0, // assigned by the store
+                rule: member.rule as u64,
+                violation,
+                fixes,
+                prov,
+            };
+            each(&stored);
+            store.add(stored);
+        }
     }
 }
 
@@ -1056,10 +1074,11 @@ mod tests {
         .is_err());
     }
 
-    /// Two FDs on one key share one rule group: every re-detect of an
-    /// apply — the batch's, then one per repair round — is one pass over
-    /// the group's buckets, and the apply reports what the session did
-    /// when it re-detected each FD in a pass of its own.
+    /// Two FDs on one key share one rule group: the open is one full
+    /// pass of both, every re-detect of an apply — the batch's, then one
+    /// per repair round — is one pass over the group's buckets, and the
+    /// apply reports what the session did when it re-detected each FD in
+    /// a pass of its own.
     #[test]
     fn two_fds_on_one_key_redetect_in_one_pass_per_round() {
         let schema = Schema::parse("zipcode,city,state");
@@ -1092,9 +1111,15 @@ mod tests {
             )
             .unwrap();
         let plan = s.executor().engine().explain();
+        let open = "iterate+detect+genfix(fd:zipcode->city, fd:zipcode->state)";
+        assert_eq!(
+            plan.lines().filter(|l| l.contains(open)).count(),
+            1,
+            "{plan}"
+        );
         let redetects: Vec<&str> = plan.lines().filter(|l| l.contains("redetect(")).collect();
-        // the open, the batch, and the one repair round
-        assert_eq!(redetects.len(), 3, "{plan}");
+        // the batch, and the one repair round
+        assert_eq!(redetects.len(), 2, "{plan}");
         let shared = "redetect(fd:zipcode->city, fd:zipcode->state)";
         assert!(redetects.iter().all(|l| l.ends_with(shared)), "{plan}");
         let counts = (
@@ -1104,6 +1129,22 @@ mod tests {
             report.violations_retracted,
         );
         assert_eq!(counts, (7, 6, 6, 9));
+        assert!(report.converged && s.is_clean());
+    }
+
+    /// A session over an empty table — as serve opens every tenant —
+    /// runs no pass at open, and its first insert is detected.
+    #[test]
+    fn an_empty_open_runs_no_pass() {
+        let mut s = fd_session(Vec::new());
+        let plan = s.executor().engine().explain();
+        assert!(s.executor().engine().stage_plan().is_empty(), "{plan}");
+        let row = |zip, city: &str| vec![Value::Int(zip), Value::str(city)];
+        let batch = DeltaBatch::new()
+            .insert(0, row(1, "LA"))
+            .insert(1, row(1, "SF"));
+        let report = s.apply(batch).unwrap();
+        assert_eq!(report.violations_added, 1);
         assert!(report.converged && s.is_clean());
     }
 }

@@ -17,7 +17,10 @@ pub(crate) struct Store {
     pub(crate) items: BTreeMap<u64, StoredState>,
     pub(crate) next: u64,
     by_tuple: HashMap<TupleId, BTreeSet<u64>>,
-    by_block: HashMap<(u64, Vec<Value>), BTreeSet<u64>>,
+    /// Rule → block key values → the violations detected over that
+    /// block: a lookup borrows the key, and misses on the rule alone for
+    /// a rule that detects no block.
+    by_block: HashMap<u64, HashMap<Vec<Value>, BTreeSet<u64>>>,
 }
 
 impl Store {
@@ -47,8 +50,8 @@ impl Store {
                 }
             }
             ProvState::Block(key) => {
-                let slot = (stored.rule, key.clone());
-                self.by_block.entry(slot).or_default().insert(id);
+                let blocks = self.by_block.entry(stored.rule).or_default();
+                blocks.entry(key.clone()).or_default().insert(id);
             }
         }
         self.items.insert(id, stored);
@@ -69,11 +72,11 @@ impl Store {
                 }
             }
             ProvState::Block(key) => {
-                let k = (stored.rule, key.clone());
-                if let Some(set) = self.by_block.get_mut(&k) {
+                let blocks = self.by_block.entry(stored.rule).or_default();
+                if let Some(set) = blocks.get_mut(key) {
                     set.remove(&id);
                     if set.is_empty() {
-                        self.by_block.remove(&k);
+                        blocks.remove(key);
                     }
                 }
             }
@@ -110,11 +113,11 @@ impl Store {
 
     /// Retract every violation attributed to `(rule, key)`.
     pub(crate) fn retract_block(&mut self, rule: usize, key: &BlockKey) -> Vec<StoredState> {
-        let ids: Vec<u64> = self
+        let held = self
             .by_block
-            .get(&(rule as u64, key.values().to_vec()))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+            .get(&(rule as u64))
+            .and_then(|b| b.get(key.values()));
+        let ids: Vec<u64> = held.into_iter().flatten().copied().collect();
         ids.into_iter().filter_map(|id| self.remove(id)).collect()
     }
 

@@ -95,6 +95,12 @@ impl Delta {
 }
 
 impl IterateStrategy {
+    /// Whether the strategy blocks (`BlockPairs`/`BlockList`): a full
+    /// pass shuffles into buckets a [`crate::BucketStore`] can keep.
+    pub fn blocks(&self) -> bool {
+        matches!(self, Self::BlockPairs { .. } | Self::BlockList)
+    }
+
     /// The buckets `unit` (a Scope output of `rule`) is indexed under,
     /// each with the member's [`Band`] tag: none (single units), the
     /// rule's Block key, the one empty *global* key of an unblocked pair

@@ -38,8 +38,8 @@ use std::sync::Arc;
 type Found = (u64, (Origin, (Violation, Vec<Fix>)));
 
 /// The buckets a Block pass's reducer partitions hand over, one map per
-/// partition: the shards of the group's [`BucketStore`].
-type Shards = Arc<Mutex<Vec<HashMap<BlockKey, Vec<Tuple>>>>>;
+/// partition: the shards of the group's [`BucketStore`], members as `M`.
+type Shards<M> = Arc<Mutex<Vec<HashMap<BlockKey, Vec<M>>>>>;
 
 /// The result of running detection: each violation paired with its
 /// possible fixes (the input to the repair stage). The association is
@@ -438,15 +438,15 @@ impl Executor {
     /// with a typed `Error::Rule` (strict mode).
     ///
     /// With `shards`, a Block pass's reducer partitions hand their
-    /// buckets over instead of dropping them.
-    fn iterate_and_detect(
+    /// buckets over, each member made an `M`, instead of dropping them.
+    fn iterate_and_detect<M: Member + Send + 'static>(
         &self,
         data: PDataset<Tuple>,
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
-        shards: Option<Shards>,
+        shards: Option<Shards<M>>,
     ) -> Result<Vec<DetectOutput>> {
         self.engine.check_cancelled()?;
         let clones_before = deep_clones_total();
@@ -493,8 +493,9 @@ impl Executor {
                 let key = by.clone();
                 let keep = move |buckets: Vec<(_, Vec<Tuple>)>| {
                     if let Some(shards) = &shards {
-                        let keyed = buckets.into_iter().map(|(_, b)| (by.key(&b[0]), b));
-                        shards.lock().push(keyed.collect());
+                        let made = |b| Vec::into_iter(b).map(|t| M::resident(t, None)).collect();
+                        let keyed = |(_, b): (_, Vec<Tuple>)| (by.key(&b[0]), made(b));
+                        shards.lock().push(buckets.into_iter().map(keyed).collect());
                     }
                 };
                 let reducer = batch_reducer(detectors, shared, delta, metrics, keep);
@@ -609,22 +610,22 @@ impl Executor {
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
     ) -> Result<Vec<DetectOutput>> {
-        self.iterate_and_detect(data, schema, group, guards, delta, None)
+        self.iterate_and_detect::<Tuple>(data, schema, group, guards, delta, None)
     }
 
     /// A full [`Executor::run_group`] whose Block reducer hands its
     /// buckets over instead of dropping them: they come back as the
-    /// group's resident [`BucketStore`] (`None` for a group that does
-    /// not block), which later re-detects read through
-    /// [`Executor::detect_held`].
-    pub fn run_resident(
+    /// group's resident [`BucketStore`] of `M` members (`None` for a
+    /// group that does not block), members in the order of `data`,
+    /// which later re-detects read through [`Executor::detect_held`].
+    pub fn run_resident<M: Member + Clone + Send + 'static>(
         &self,
         data: PDataset<Tuple>,
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
-    ) -> Result<(Vec<DetectOutput>, Option<BucketStore<Tuple>>)> {
-        let shards: Shards = Arc::new(Mutex::new(Vec::new()));
+    ) -> Result<(Vec<DetectOutput>, Option<BucketStore<M>>)> {
+        let shards: Shards<M> = Arc::new(Mutex::new(Vec::new()));
         let keep = Some(Arc::clone(&shards));
         let outs = self.iterate_and_detect(data, schema, group, guards, None, keep)?;
         // only a Block pass hands buckets over: one map per partition

@@ -3,14 +3,18 @@
 //! members' pipelines and health, and the group's resident
 //! [`BucketStore`] while it keeps one.
 //!
-//! Two operations run every detect pass of either caller:
+//! Three operations run every detect pass of either caller:
 //! * [`RuleGroup::run`] runs one pass of the healthy members, each under
 //!   a fresh [`RuleGuard`], and owns partial-mode quarantine: a pass that
 //!   fails on a rule's fault is re-run member by member, so only a faulty
 //!   member is quarantined;
 //! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
 //!   re-detects the union of what the healthy members pick, as one
-//!   [`Executor::detect_held`] pass through `run`.
+//!   [`Executor::detect_held`] pass through `run`;
+//! * [`RuleGroup::open`] detects over a whole table with every record
+//!   fresh and fills the store with it: a Block group keeps the buckets
+//!   of its shuffled pass, any other group indexes the table and
+//!   re-detects it.
 //!
 //! What a detection means stays the caller's: the batch carries its
 //! detections between rounds, a session keeps them with provenance.
@@ -21,9 +25,9 @@ use crate::physical::{block_groups, RulePipeline};
 use crate::store::{BucketStore, Entry, Reindexed};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Tuple, TupleId};
+use bigdansing_common::{Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::RuleGuard;
-use bigdansing_dataflow::IsolationOptions;
+use bigdansing_dataflow::{IsolationOptions, PDataset};
 use bigdansing_rules::BlockKey;
 use std::sync::Arc;
 
@@ -183,14 +187,15 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     /// [`BucketStore::reindex`] takes them — then re-detect the union of
     /// what the healthy members pick ([`BucketStore::held`]) in one
     /// [`Executor::detect_held`] pass through [`RuleGroup::run`], with
-    /// `mask` as the freshness mask. When nothing is picked no pass runs,
-    /// and every healthy member finds nothing new.
+    /// `mask` as the freshness mask (`None`: every record is fresh). When
+    /// nothing is picked no pass runs, and every healthy member finds
+    /// nothing new.
     pub fn redetect<'a>(
         &mut self,
         executor: &Executor,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
-        mask: &Arc<Delta>,
+        mask: Option<&Arc<Delta>>,
     ) -> Result<Redetected> {
         let store = self.store.as_mut().expect("a group re-detects its store");
         let change = store.reindex(changes, seq_of);
@@ -199,7 +204,7 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
         let picked = store.held(&healthy, &change);
         let outs = self.run(executor.engine().metrics(), |group, guards| match &picked {
             Some((held, _)) => Ok((
-                executor.detect_held(group, held.clone(), Some(mask), guards)?,
+                executor.detect_held(group, held.clone(), mask, guards)?,
                 None,
             )),
             None => Ok((vec![DetectOutput::default(); group.len()], None)),
@@ -213,5 +218,36 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
             ids,
             outs,
         })
+    }
+
+    /// Detect over `table` — its tuples in table order, `seq_of` their
+    /// sequence numbers — as the first semi-naive iteration, with every
+    /// record fresh, and leave the store holding the table. A Block
+    /// group runs one [`Executor::run_resident`] pass through
+    /// [`RuleGroup::run`], whose shuffled buckets become the store; when
+    /// partial mode re-ran its members one by one, the re-runs seed
+    /// nothing, and the table is indexed into the store with no second
+    /// detect. Any other group indexes the table as inserts and
+    /// re-detects what its members pick from it, which for an empty
+    /// table is nothing: no pass runs.
+    pub fn open(
+        &mut self,
+        executor: &Executor,
+        table: &Table,
+        seq_of: impl Fn(TupleId) -> u64,
+    ) -> Result<Ran> {
+        let inserts = || table.tuples().iter().map(|t| (t.id(), None, Some(t)));
+        if table.is_empty() || !self.members[0].pipeline.strategy.blocks() {
+            return Ok(self.redetect(executor, inserts(), seq_of, None)?.outs);
+        }
+        let data = || PDataset::from_vec(executor.engine().clone(), table.tuples().to_vec());
+        let ran = self.run(executor.engine().metrics(), |group, guards| {
+            executor.run_resident(data(), table.schema(), group, Some(guards))
+        })?;
+        // a store no pass seeded is still the empty one the group began with
+        if let Some(store) = self.store.as_mut().filter(|s| s.is_empty()) {
+            store.reindex(inserts(), seq_of);
+        }
+        Ok(ran)
     }
 }

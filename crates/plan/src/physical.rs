@@ -191,11 +191,8 @@ pub fn translate(plan: LogicalPlan) -> Result<PhysicalPlan> {
 /// in ascending order.
 pub fn block_groups(pipelines: &[RulePipeline]) -> Vec<Vec<usize>> {
     fn shares(p: &RulePipeline) -> Option<(&str, &[usize])> {
-        let blocks = matches!(
-            p.strategy,
-            IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList
-        );
-        let columns = p.rule.block_columns().filter(|_| blocks && p.use_scope)?;
+        let blocks = p.strategy.blocks() && p.use_scope;
+        let columns = p.rule.block_columns().filter(|_| blocks)?;
         Some((p.source.as_str(), columns))
     }
     let mut groups: Vec<Vec<usize>> = Vec::new();

@@ -7,9 +7,9 @@
 //! * a batch Block pass hands its reducer's buckets over
 //!   ([`crate::Executor::run_resident`]), and the cleanse loop's later
 //!   rounds reindex only the tuples repair changed;
-//! * an incremental session keeps one store per rule group, built at
-//!   open by indexing every base tuple as an insert, and reindexes each
-//!   delta;
+//! * an incremental session keeps one store per rule group — a Block
+//!   group's seeded at open by the same full pass, any other group's by
+//!   indexing every base tuple as an insert — and reindexes each delta;
 //! * the storage manager builds one from a table on its key columns
 //!   ([`BucketStore::on_columns`]), and pushdown is a detect over every
 //!   bucket.
@@ -555,6 +555,69 @@ mod tests {
                     assert_eq!(held.collect::<Shown>(), scratch);
                 }
             });
+        }
+    }
+
+    /// What a store holds, bucket for bucket: each member's tuple and
+    /// LSH band, in bucket order.
+    fn shown<M: Member + Clone>(store: &BucketStore<M>) -> Shown {
+        let buckets = store.iter().map(|(key, bucket)| {
+            let members = bucket
+                .iter()
+                .map(|m| show(m.tuple(), m.band().map(|b| b.0)));
+            (key.clone(), members.collect())
+        });
+        buckets.collect()
+    }
+
+    /// The buckets a full Block pass's shuffle hands over equal the store
+    /// a reindex of the same table as inserts builds: bucket for bucket,
+    /// members in table order, on one worker and on two. Covers two FDs
+    /// sharing their key's columns, a lone FD over its Scope outputs, and
+    /// a list rule.
+    #[test]
+    fn a_shuffled_store_matches_a_reindex_of_the_table() {
+        use crate::Executor;
+        use bigdansing_dataflow::{Engine, PDataset};
+        use bigdansing_rules::{UdfRule, UnitKind};
+        let schema = Schema::parse("zipcode,city,state");
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
+        let list = UdfRule::builder("udf:zip-list", |_| Vec::new())
+            .unit_kind(UnitKind::List)
+            .block(|t| Some(BlockKey::single(t.value(0).clone())))
+            .build();
+        let groups = [
+            pipelines(&[fd("zipcode -> city"), fd("zipcode -> state")], "t", None),
+            pipelines(&[fd("zipcode -> city")], "t", None),
+            pipelines(&[Arc::new(list)], "t", None),
+        ];
+        assert!(matches!(groups[2][0].strategy, IterateStrategy::BlockList));
+        for engine in [Engine::sequential(), Engine::parallel(2)] {
+            let executor = Executor::new(engine.clone());
+            for group in &groups {
+                let members: Vec<&RulePipeline> = group.iter().collect();
+                check(16, |g| {
+                    // ids run against table order, so that order by id is
+                    // not order by position
+                    let n = g.range(1..48u64);
+                    let row = |at: u64| {
+                        let zip = Value::Int(g.range(0..5i64));
+                        let city = Value::str(["LA", "SF", "NY"][g.range(0..3usize)]);
+                        let state = Value::str(["CA", "NY"][g.range(0..2usize)]);
+                        Tuple::new(n - at, vec![zip, city, state])
+                    };
+                    let rows: Vec<Tuple> = (0..n).map(row).collect();
+                    let data = PDataset::from_vec(engine.clone(), rows.clone());
+                    let (_, seeded) = executor
+                        .run_resident::<Entry>(data, &schema, &members, None)
+                        .unwrap();
+                    let seeded = seeded.expect("a Block pass seeds a store");
+                    let mut built: BucketStore = BucketStore::new(&members);
+                    let inserts = rows.iter().map(|t| (t.id(), None, Some(t)));
+                    built.reindex(inserts, |id| n - id);
+                    assert_eq!(shown(&seeded), shown(&built));
+                });
+            }
         }
     }
 }
