@@ -134,12 +134,15 @@ fn health_report(groups: &[RuleGroup<Tuple>]) -> CleanseOutcome {
 ///
 /// Each [`RuleGroup`] runs its passes and owns its rules' health. A
 /// Block group's full pass keeps the buckets its shuffle built as the
-/// group's resident store; a later round re-detects through
+/// group's resident store, an inequality rule's the sorted range parts
+/// of its OCJoin; a later round re-detects through
 /// [`RuleGroup::redetect`], the call a session apply makes, over the
-/// tuples repair changed. A Block group without a store (its full pass
-/// fell back to running members one by one) carries nothing and runs
-/// in full again, which reseeds the store. Every other strategy re-runs
-/// its pass over the table, masked by the changed tuples.
+/// tuples repair changed — an inequality rule joins only them against
+/// the parts. A Block group without a store (its full pass fell back to
+/// running members one by one) carries nothing and runs in full again,
+/// which reseeds the store. Every other strategy (single units, LSH,
+/// cross products) re-runs its pass over the table, masked by the
+/// changed tuples.
 struct BatchTarget<'a> {
     executor: &'a Executor,
     groups: Vec<RuleGroup<Tuple>>,
@@ -153,7 +156,25 @@ struct BatchTarget<'a> {
     pending: Option<(Delta, Vec<(u64, Tuple)>)>,
 }
 
-impl BatchTarget<'_> {
+impl<'a> BatchTarget<'a> {
+    /// A target over `table` that has detected nothing yet.
+    fn new(
+        executor: &'a Executor,
+        rules: &[Arc<dyn Rule>],
+        table: &Table,
+        options: &CleanseOptions,
+    ) -> Self {
+        let pipelines = pipelines(rules, table.name(), options.lsh);
+        BatchTarget {
+            executor,
+            groups: RuleGroup::of(&pipelines, options.isolation, false),
+            table: table.clone(),
+            detected: Vec::new(),
+            origins: Vec::new(),
+            pending: None,
+        }
+    }
+
     /// Drop the carried detections whose origin fails `stands`.
     fn retract(&mut self, stands: impl Fn(&(usize, Origin)) -> bool) {
         let keep: Vec<bool> = self.origins.iter().map(&stands).collect();
@@ -167,8 +188,9 @@ impl RepairTarget for BatchTarget<'_> {
     /// One isolation-aware detect round: a shared scan, then one pass
     /// per group of non-quarantined rules, each rule under its own
     /// guard ([`RuleGroup::run`]). From the second round on a group runs
-    /// semi-naively — a Block group only while it holds its store —
-    /// and otherwise in full, after dropping what its members carried.
+    /// semi-naively — a group whose full pass seeds a store only while
+    /// it holds it — and otherwise in full, after dropping what its
+    /// members carried.
     /// A rule a pass quarantined (partial mode) contributes nothing from
     /// then on; strict mode propagates the first failure.
     fn detect(&mut self) -> Result<&[Detected]> {
@@ -190,14 +212,14 @@ impl RepairTarget for BatchTarget<'_> {
                 continue;
             }
             let rules: Vec<usize> = group.members.iter().map(|m| m.rule).collect();
-            let block = group.members[0].pipeline.strategy.blocks();
-            // a Block group carries its detections only with its store
-            let carried = !first && (!block || group.store.is_some());
+            let resides = group.members[0].pipeline.strategy.resides();
+            // a resident group carries its detections only with its store
+            let carried = !first && (!resides || group.store.is_some());
             if !carried {
                 self.retract(|(rule, _)| !rules.contains(rule));
             }
             let table = &self.table;
-            let outs = if carried && block {
+            let outs = if carried && resides {
                 // reindex what repair changed: old versions out, new in
                 let now = |at: u64| &table.tuples()[at as usize];
                 let changes = olds
@@ -290,15 +312,7 @@ pub fn cleanse_loop(
         return Err(Error::Repair("no rules registered".into()));
     }
     validate_lsh_override(&options, rules)?;
-    let pipelines = pipelines(rules, table.name(), options.lsh);
-    let mut target = BatchTarget {
-        executor,
-        groups: RuleGroup::of(&pipelines, options.isolation, false),
-        table: table.clone(),
-        detected: Vec::new(),
-        origins: Vec::new(),
-        pending: None,
-    };
+    let mut target = BatchTarget::new(executor, rules, table, &options);
     let rounds = run_rounds(
         executor.engine(),
         &mut target,
@@ -736,6 +750,98 @@ mod tests {
         assert!(plan.contains("redetect(fd:zipcode->city)"), "{plan}");
         let maps = plan.lines().filter(|l| l.contains("shuffle-map")).count();
         assert_eq!(maps, 1, "re-detects read the resident buckets: {plan}");
+    }
+
+    /// The batch target, checking after every detect that the join index
+    /// of its inequality rule holds the rule's scope of the current table
+    /// — what an index rebuilt from the table holds.
+    struct JoinChecked<'a> {
+        target: BatchTarget<'a>,
+        rule: Arc<dyn Rule>,
+        detects: usize,
+    }
+
+    impl RepairTarget for JoinChecked<'_> {
+        fn detect(&mut self) -> Result<&[Detected]> {
+            self.target.detect()?;
+            self.detects += 1;
+            let store = self.target.groups[0].store.as_ref();
+            let index = store
+                .and_then(|s| s.join())
+                .expect("a DC group holds a join index");
+            let shown = |ts: Vec<&Tuple>| {
+                let mut shown: Vec<String> = ts.iter().map(|t| format!("{t:?}")).collect();
+                shown.sort();
+                shown
+            };
+            let table = self.target.table.tuples().iter();
+            let scoped: Vec<Tuple> = table.flat_map(|t| self.rule.scope(t)).collect();
+            assert_eq!(
+                shown(index.records().collect()),
+                shown(scoped.iter().collect())
+            );
+            Ok(&self.target.detected)
+        }
+
+        fn cell_value(&self, cell: Cell) -> Option<&Value> {
+            self.target.cell_value(cell)
+        }
+
+        fn apply(&mut self, updates: &Assignment) -> Result<()> {
+            self.target.apply(updates)
+        }
+    }
+
+    /// An inequality DC that takes three detect rounds or more on two
+    /// workers: each re-detect joins the repaired rows against the join
+    /// index the round before merged, which holds the current table after
+    /// every round, and the run ends where a sequential cleanse ends.
+    #[test]
+    fn a_dc_cleanse_joins_each_round_against_the_merged_index() {
+        use bigdansing_repair::RoundsOptions;
+        let schema = Schema::parse("salary,rate");
+        let rows = (0..240i64).map(|i| {
+            let s = (i * 37) % 161 - 80;
+            vec![Value::Int(s), Value::Int(s / 8 + (i * 7) % 3 - 1)]
+        });
+        let t = Table::from_rows("tax", schema.clone(), rows.collect());
+        let dc = "t1.salary >= t2.salary & t1.rate <= t2.rate";
+        let rule: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
+        let rules = vec![Arc::clone(&rule)];
+        let options = CleanseOptions {
+            strategy: RepairStrategy::ParallelBlackBox(Arc::new(HypergraphRepair::default())),
+            ..Default::default()
+        };
+        let exec = Executor::new(Engine::parallel(2));
+        let target = BatchTarget::new(&exec, &rules, &t, &options);
+        let mut checked = JoinChecked {
+            target,
+            rule,
+            detects: 0,
+        };
+        let rounds = RoundsOptions {
+            max_iterations: options.max_iterations,
+            max_changes_per_cell: options.max_changes_per_cell,
+            strategy: &options.strategy,
+            repair_options: options.repair_options,
+        };
+        let got = run_rounds(exec.engine(), &mut checked, rounds).unwrap();
+        assert!(checked.detects >= 3, "{} detect rounds", checked.detects);
+        let seq = Executor::new(Engine::sequential());
+        let want = cleanse_loop(&seq, &rules, &t, options.clone()).unwrap();
+        let table = |t: &Table| bigdansing_common::csv::to_string(t);
+        assert_eq!(table(&checked.target.table), table(&want.table));
+        let counts = (got.iterations, got.cells_changed, got.converged);
+        assert_eq!(
+            counts,
+            (want.iterations, want.cells_changed, want.converged)
+        );
+        let plan = exec.engine().explain();
+        let sorts = plan.lines().filter(|l| l.contains("ocjoin.sort")).count();
+        assert_eq!(
+            sorts, 1,
+            "re-detects join against the resident parts: {plan}"
+        );
     }
 
     #[test]

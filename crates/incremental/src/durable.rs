@@ -207,11 +207,11 @@ impl Session {
 
     /// Re-index every live tuple into the per-group indexes — the same
     /// entries incremental maintenance would have accumulated, rebuilt
-    /// in one pass through the same insert path. That is all an
-    /// inequality rule needs too: its next apply joins the records with
-    /// the delta as the fresh side. The indexes share
+    /// in one pass through the same insert path. The indexes share
     /// nothing but the table they read, so a parallel engine's workers
-    /// each take a share of the groups.
+    /// each take a share of the groups. An inequality rule's join index
+    /// stages the records as one change, which its first re-detect folds
+    /// in by partitioning and sorting them.
     fn rebuild_indexes(&mut self) {
         let workers = self.executor.engine().workers();
         let (table, seqs) = (&self.table, &self.seqs);

@@ -12,17 +12,18 @@
 //! * a **persistent candidate index** per rule group — the executor's
 //!   resident `BucketStore`, bucket key → scoped tuples — survives
 //!   between batches, so candidate generation touches only the buckets
-//!   a delta dirties. Inequality rules keep their records in one global
-//!   bucket;
+//!   a delta dirties. Inequality rules keep their records sorted in the
+//!   range parts of a resident OCJoin (`bigdansing_ocjoin::JoinIndex`);
 //! * detection is the batch executor's own Detect body
 //!   ([`bigdansing_plan::Executor::detect_held`]), run for each group in
 //!   one pass of its healthy rules by the batch loop's own
 //!   [`bigdansing_plan::RuleGroup`], over what the index holds, with the
-//!   delta as the freshness mask: the touched
-//!   buckets, the new records, or — under an inequality rule's batch
-//!   OCJoin — every held record, giving `delta×base ∪ delta×delta`
-//!   candidate units through the engine's lazy Stage API, so the rule
-//!   guards, fault retries, memory budgets, and cancellation all apply;
+//!   delta as the freshness mask: the touched buckets or the new
+//!   records — which an inequality rule joins against its sorted parts
+//!   ([`bigdansing_plan::Executor::detect_join`]) — giving
+//!   `delta×base ∪ delta×delta` candidate units through the engine's
+//!   stages, so the rule guards, fault retries, memory budgets, and
+//!   cancellation all apply;
 //! * a **violation store** records, for every live violation, the data
 //!   units that produced it, so violations whose contributing rows were
 //!   deleted or updated are *retracted* instead of recomputed;

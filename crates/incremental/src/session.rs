@@ -754,7 +754,8 @@ impl RepairTarget for SessionTarget<'_> {
 mod tests {
     use super::*;
     use bigdansing_common::Schema;
-    use bigdansing_rules::{DetectUnit, FdRule, Violation};
+    use bigdansing_repair::HypergraphRepair;
+    use bigdansing_rules::{DcRule, DetectUnit, FdRule, Violation};
 
     fn fd_session(rows: Vec<Vec<Value>>) -> Session {
         let schema = Schema::parse("zipcode,city");
@@ -1130,6 +1131,35 @@ mod tests {
         );
         assert_eq!(counts, (7, 6, 6, 9));
         assert!(report.converged && s.is_clean());
+    }
+
+    /// A DC session joins an apply's delta against the join index its
+    /// open seeded: a one-row update of 500 rows reprocesses the rows it
+    /// and its repair changed, and sorts nothing.
+    #[test]
+    fn a_dc_apply_joins_only_its_delta() {
+        let schema = Schema::parse("salary,rate");
+        let row = |salary, rate| vec![Value::Int(salary), Value::Int(rate)];
+        let rows = (0..500).map(|i| row(10 * i, i)).collect();
+        let table = Table::from_rows("tax", schema.clone(), rows);
+        let dc = "t1.salary > t2.salary & t1.rate < t2.rate";
+        let rules: Vec<Arc<dyn Rule>> = vec![Arc::new(DcRule::parse(dc, &schema).unwrap())];
+        let exec = Executor::new(Engine::parallel(2));
+        let options = CleanseOptions {
+            strategy: RepairStrategy::ParallelBlackBox(Arc::new(HypergraphRepair::default())),
+            ..Default::default()
+        };
+        let mut s = Session::new(exec, rules, &table, options).unwrap();
+        assert!(s.is_clean());
+        s.executor().engine().clear_stage_plan();
+        // (85, 7) outearns row 8 at a lower rate: one violation
+        let report = s.apply(DeltaBatch::new().update(7, row(85, 7))).unwrap();
+        assert_eq!(report.violations_added, 1);
+        assert!(report.converged && s.is_clean());
+        assert!(report.tuples_reprocessed <= 2, "{report:?}");
+        let plan = s.executor().engine().explain();
+        assert!(!plan.contains("ocjoin.sort"), "{plan}");
+        assert!(plan.contains("ocjoin.merge-join+redetect("), "{plan}");
     }
 
     /// A session over an empty table — as serve opens every tenant —

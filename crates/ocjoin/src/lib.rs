@@ -29,11 +29,19 @@
 //!
 //! The join takes a freshness mask ([`IsFresh`]) and is then
 //! semi-naive: it enumerates only the pairs with a fresh member, each
-//! once. The mask serves both incremental callers — a batch re-detect
-//! marks the tuples a repair round changed, and an incremental session
-//! joins every record it holds with its delta batch as the fresh side.
+//! once.
+//!
+//! Its resident form, a [`JoinIndex`], keeps the sorted range parts of
+//! steps 1–2 between joins, so that later joins skip them. Both
+//! incremental callers — a batch re-detect after a repair round, and an
+//! incremental session's apply — stage their change in it: the held
+//! versions of the changed and deleted records turn stale, and the new
+//! versions are sorted into one small Δ part. The next join is
+//! ΔR ⋈ R ∪ R ⋈ ΔR ∪ ΔR ⋈ ΔR — steps 3–4 over the parts plus Δ, skipping
+//! stale members — and a merge then folds Δ into the touched parts'
+//! sorted arrays.
 
 pub mod naive;
 pub mod ocjoin;
 
-pub use ocjoin::{try_ocjoin, try_ocjoin_sink, IsFresh, OcJoinConfig, ALL_FRESH};
+pub use ocjoin::{try_ocjoin, try_ocjoin_sink, IsFresh, JoinIndex, OcJoinConfig, ALL_FRESH};

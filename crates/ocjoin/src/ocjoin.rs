@@ -1,4 +1,4 @@
-//! Algorithm 2: the OCJoin operator.
+//! Algorithm 2: the OCJoin operator, and its resident form.
 //!
 //! The join phase is **streaming**: [`try_ocjoin_sink`] enumerates
 //! joined pairs and feeds each one straight into a caller-supplied
@@ -22,11 +22,20 @@
 //!   its secondary range. Enumeration reads contiguous key arrays and
 //!   machine words instead of scan-and-verify over every
 //!   primary-condition candidate.
+//!
+//! A [`JoinIndex`] keeps a join's range parts — the sorted key arrays,
+//! the permutation and the left order — between joins, the structure of
+//! the incremental IEJoin (Khayyat et al., VLDBJ 2017). A change is
+//! staged into it: the held versions of the records it replaces or
+//! deletes are marked stale, and its new versions are sorted into one
+//! small Δ part. The next join is then ΔR ⋈ R ∪ R ⋈ ΔR ∪ ΔR ⋈ ΔR, pruned
+//! and swept as any join, skipping stale members, and a merge folds Δ
+//! into the parts.
 
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Tuple, Value};
-use bigdansing_dataflow::{PDataset, PassKind};
+use bigdansing_common::{Tuple, TupleId, Value};
+use bigdansing_dataflow::{Engine, PDataset, PassKind};
 use bigdansing_rules::ops::Op;
 use bigdansing_rules::OrderCond;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,21 +48,25 @@ pub struct OcJoinConfig {
     pub nb_parts: usize,
 }
 
-/// One range partition with cached statistics for pruning: min/max of
-/// the partitioning attribute, the primary condition's right keys
-/// sorted (the "Sorts" lists of Algorithm 2, copied once into a
-/// contiguous array) with the tuple index of each, and — for joins
-/// with two ordering conditions — IEJoin's arrays.
+/// One range partition — or the fresh or the resident members of one —
+/// with cached statistics for pruning: min/max of the partitioning
+/// attribute, the primary condition's right keys sorted (the "Sorts"
+/// lists of Algorithm 2, copied once into a contiguous array) with the
+/// tuple index of each, and — for joins with two ordering conditions —
+/// IEJoin's arrays.
+#[derive(Clone, Debug)]
 struct Part {
     tuples: Vec<Tuple>,
-    /// The freshness mask of each tuple, evaluated once.
-    fresh_flags: Vec<bool>,
+    /// Whether the members are fresh: a semi-naive join pairs two parts
+    /// only when one of them is.
+    fresh: bool,
+    /// The members a staged change replaced or deleted: every join
+    /// skips them, and the next merge drops them.
+    stale: Vec<bool>,
     /// The primary right keys ascending, and the tuple index of each.
     keys: Vec<Value>,
     order: Vec<u32>,
     sweep: Option<Sweep>,
-    /// What a resident (non-fresh) `t1` joins against.
-    fresh: FreshSide,
     min_left: Value,
     max_left: Value,
     min_right: Value,
@@ -61,6 +74,7 @@ struct Part {
 }
 
 /// IEJoin's arrays for the second ordering condition `t1.C op t2.D`.
+#[derive(Clone, Debug)]
 struct Sweep {
     /// Tuple indices sorted by the primary left attribute; `None` when
     /// that is the primary right attribute, whose `order` serves.
@@ -74,17 +88,6 @@ struct Sweep {
     rank: Vec<u32>,
 }
 
-/// The fresh members of a [`Part`] as a right side of their own: a
-/// semi-naive join pairs a resident `t1` only with fresh `t2`s.
-enum FreshSide {
-    /// Every member is fresh: the part itself.
-    Whole,
-    /// The fresh members, sorted and indexed like any part.
-    Some(Box<Part>),
-    /// No member is fresh.
-    Empty,
-}
-
 /// The freshness mask of a semi-naive join: pairs of two tuples it
 /// rejects are not enumerated. A full join passes [`ALL_FRESH`].
 pub type IsFresh<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
@@ -92,14 +95,20 @@ pub type IsFresh<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
 /// Everything is fresh: the mask of a full join.
 pub const ALL_FRESH: IsFresh<'static> = &|_| true;
 
+/// Nothing is fresh: the mask of resident parts.
+const NONE_FRESH: IsFresh<'static> = &|_| false;
+
 /// True when the join sweeps: its first two conditions are orderings.
 fn sweeps(conds: &[OrderCond]) -> bool {
     matches!(conds, [c1, c2, ..] if c1.op.is_ordering() && c2.op.is_ordering())
 }
 
+/// Ascending keys and the tuple index of each.
+type Sorted = (Vec<Value>, Vec<u32>);
+
 /// The values of `attr` ascending, and the tuple index of each: one
 /// sort of `(key, index)` pairs, so ties stay in index order.
-fn sorted_keys(tuples: &[Tuple], attr: usize) -> (Vec<Value>, Vec<u32>) {
+fn sorted_keys(tuples: &[Tuple], attr: usize) -> Sorted {
     let mut pairs: Vec<(Value, u32)> = tuples
         .iter()
         .zip(0..)
@@ -126,47 +135,104 @@ fn matching(keys: &[Value], op: Op, v: &Value) -> (usize, usize) {
 }
 
 impl Part {
-    fn build(tuples: Vec<Tuple>, conds: &[OrderCond], is_fresh: IsFresh) -> Option<Part> {
+    fn build(tuples: Vec<Tuple>, conds: &[OrderCond], fresh: bool) -> Option<Part> {
         if tuples.is_empty() {
             return None;
         }
-        let fresh_flags: Vec<bool> = tuples.iter().map(is_fresh).collect();
-        let fresh = if fresh_flags.iter().all(|&f| f) {
-            FreshSide::Whole
-        } else {
-            let fresh = tuples.iter().zip(&fresh_flags).filter(|(_, &f)| f);
-            Part::build(fresh.map(|(t, _)| t.clone()).collect(), conds, ALL_FRESH)
-                .map_or(FreshSide::Empty, |p| FreshSide::Some(Box::new(p)))
-        };
         let (left_attr, right_attr) = (conds[0].left_attr, conds[0].right_attr);
-        let (keys, order) = sorted_keys(&tuples, right_attr);
-        let lefts = tuples.iter().map(|t| t.value(left_attr));
+        let primary = sorted_keys(&tuples, right_attr);
+        let secondary = sweeps(conds).then(|| {
+            let left_order = (left_attr != right_attr).then(|| sorted_keys(&tuples, left_attr).1);
+            (sorted_keys(&tuples, conds[1].right_attr), left_order)
+        });
+        Some(Part::sorted(tuples, conds, primary, secondary, fresh))
+    }
+
+    /// A part over `tuples` in the given orders: the primary right keys
+    /// and, for a sweep, the secondary right keys and the left order.
+    fn sorted(
+        tuples: Vec<Tuple>,
+        conds: &[OrderCond],
+        (keys, order): Sorted,
+        secondary: Option<(Sorted, Option<Vec<u32>>)>,
+        fresh: bool,
+    ) -> Part {
+        let lefts = tuples.iter().map(|t| t.value(conds[0].left_attr));
         let (min_left, max_left) = (lefts.clone().min(), lefts.max());
-        let sweep = sweeps(conds).then(|| {
-            let (sec_keys, sec_order) = sorted_keys(&tuples, conds[1].right_attr);
+        let sweep = secondary.map(|((sec_keys, sec_order), left_order)| {
             let mut rank_of = vec![0u32; tuples.len()];
             for (r, &i) in (0..).zip(&sec_order) {
                 rank_of[i as usize] = r;
             }
             Sweep {
-                left_order: (left_attr != right_attr).then(|| sorted_keys(&tuples, left_attr).1),
+                left_order,
                 keys: sec_keys,
                 order: sec_order,
                 rank: order.iter().map(|&i| rank_of[i as usize]).collect(),
             }
         });
-        Some(Part {
-            min_left: min_left?.clone(),
-            max_left: max_left?.clone(),
+        Part {
+            min_left: min_left.expect("a part has members").clone(),
+            max_left: max_left.expect("a part has members").clone(),
             min_right: keys[0].clone(),
             max_right: keys[keys.len() - 1].clone(),
+            stale: vec![false; tuples.len()],
             tuples,
-            fresh_flags,
             keys,
             order,
             sweep,
             fresh,
-        })
+        }
+    }
+
+    /// This part with its stale members dropped and `adds` merged in,
+    /// every member resident, or `None` when no member is left. Each
+    /// sorted array keeps its live run and takes the additions by one
+    /// stable sort, which merges the two runs and leaves ties in index
+    /// order, as [`Part::build`] would.
+    fn merged(&self, adds: &[Tuple], conds: &[OrderCond]) -> Option<Part> {
+        let mut remap = vec![u32::MAX; self.tuples.len()];
+        let mut tuples = Vec::with_capacity(self.tuples.len() + adds.len());
+        for (i, t) in self.tuples.iter().enumerate() {
+            if !self.stale[i] {
+                remap[i] = tuples.len() as u32;
+                tuples.push(t.clone());
+            }
+        }
+        let added = tuples.len() as u32..(tuples.len() + adds.len()) as u32;
+        tuples.extend_from_slice(adds);
+        let merge = |held: &[u32], attr| {
+            let key = |i: &u32| tuples[*i as usize].value(attr);
+            let live = held.iter().map(|&i| remap[i as usize]);
+            let mut order: Vec<u32> = live
+                .filter(|&i| i != u32::MAX)
+                .chain(added.clone())
+                .collect();
+            order.sort_by(|a, b| key(a).cmp(key(b)));
+            (order.iter().map(|i| key(i).clone()).collect(), order)
+        };
+        let primary = merge(&self.order, conds[0].right_attr);
+        let secondary = self.sweep.as_ref().map(|s| {
+            let left = conds[0].left_attr;
+            let left_order = s.left_order.as_ref().map(|held| merge(held, left).1);
+            (merge(&s.order, conds[1].right_attr), left_order)
+        });
+        (!tuples.is_empty()).then(|| Part::sorted(tuples, conds, primary, secondary, false))
+    }
+
+    /// The members that are not stale.
+    fn members(&self) -> impl Iterator<Item = &Tuple> {
+        let members = self.tuples.iter().zip(&self.stale);
+        members.filter(|(_, &stale)| !stale).map(|(t, _)| t)
+    }
+
+    /// The index of the live member `id` whose primary right key is
+    /// `key`.
+    fn live(&self, id: TupleId, key: &Value) -> Option<usize> {
+        let from = self.keys.partition_point(|k| k < key);
+        let ties = self.keys[from..].iter().take_while(|&k| k == key);
+        let mut ties = ties.zip(&self.order[from..]).map(|(_, &i)| i as usize);
+        ties.find(|&i| !self.stale[i] && self.tuples[i].id() == id)
     }
 }
 
@@ -178,7 +244,7 @@ impl Part {
 /// the pairs whose min/max ranges can satisfy `t1.A op t2.B` (Algorithm
 /// 2, line 7, made sound for pure inequality conditions), in row-major
 /// order, plus the count of pruned pairs.
-fn feasible_tasks(op: Op, parts: &[Part]) -> (Vec<(usize, usize)>, u64) {
+fn feasible_tasks(op: Op, parts: &[&Part]) -> (Vec<(usize, usize)>, u64) {
     let p = parts.len();
     let mut tasks: Vec<(usize, usize)> = Vec::new();
     match op {
@@ -226,38 +292,46 @@ fn holds_all(t1: &Tuple, t2: &Tuple, rest: &[OrderCond]) -> bool {
             .all(|c| c.op.holds(t1.value(c.left_attr), t2.value(c.right_attr)))
 }
 
-/// The merge pass for one (left-role, right-role) partition pair. The
-/// join is semi-naive: a fresh `t1` meets every `t2`, a resident one
-/// only the fresh `t2`s, so fresh and resident `t1`s join separately,
-/// against `right` and against its fresh side. Pairs stream into
-/// `emit`; nothing is materialized here.
+/// `conds` with the roles of `t1` and `t2` swapped, when a part's
+/// arrays serve the swapped join as well: each condition the part is
+/// sorted by compares an attribute with itself.
+fn flipped(conds: &[OrderCond]) -> Option<Vec<OrderCond>> {
+    let sorted = if sweeps(conds) { 2 } else { 1 };
+    let same = conds[..sorted].iter().all(|c| c.left_attr == c.right_attr);
+    let flip = |c: &OrderCond| OrderCond {
+        left_attr: c.right_attr,
+        op: c.op.flip(),
+        right_attr: c.left_attr,
+    };
+    same.then(|| conds.iter().map(flip).collect())
+}
+
+/// The merge pass for one (left-role, right-role) pair of parts, one
+/// of them fresh: a fresh `t1` meets every `t2`, a resident one the
+/// fresh `t2`s, and stale members take part on neither side. A
+/// resident part meets a smaller fresh one (R ⋈ ΔR) as the fresh
+/// part's join with it in swapped roles when the parts' arrays allow
+/// ([`flipped`]): a join walks its left side, so its cost then follows
+/// the change, not the part. Pairs stream into `emit`; nothing is
+/// materialized here.
 fn enumerate_pair<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
 {
-    let join = if sweeps(conds) { sweep::<E> } else { scan::<E> };
-    let fresh = &left.fresh_flags;
-    match &right.fresh {
-        FreshSide::Whole => join(left, &|_| true, right, conds, emit),
-        FreshSide::Some(fresh_right) => {
-            join(left, &|i| fresh[i], right, conds, emit)?;
-            join(left, &|i| !fresh[i], fresh_right, conds, emit)
-        }
-        FreshSide::Empty => join(left, &|i| fresh[i], right, conds, emit),
+    let swap = right.fresh && !left.fresh && right.tuples.len() < left.tuples.len();
+    if let Some(flipped) = flipped(conds).filter(|_| swap) {
+        let join = if sweeps(conds) { sweep } else { scan };
+        return join(right, left, &flipped, &mut |a, b| emit(b, a));
     }
+    let join = if sweeps(conds) { sweep::<E> } else { scan::<E> };
+    join(left, right, conds, emit)
 }
 
 /// The sort-merge pass of single-condition and equality-primary joins:
-/// for each taken `t1`, binary-search `right`'s primary keys for the
+/// for each live `t1`, binary-search `right`'s primary keys for the
 /// range matching the primary condition, then verify the remaining
-/// conditions per candidate.
-fn scan<E>(
-    left: &Part,
-    take: &dyn Fn(usize) -> bool,
-    right: &Part,
-    conds: &[OrderCond],
-    emit: &mut E,
-) -> Result<()>
+/// conditions per live candidate.
+fn scan<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
 {
@@ -269,13 +343,13 @@ where
         &conds[1..]
     };
     for (i, t1) in left.tuples.iter().enumerate() {
-        if !take(i) {
+        if left.stale[i] {
             continue;
         }
         let (lo, hi) = matching(&right.keys, primary.op, t1.value(primary.left_attr));
         for &j in &right.order[lo..hi] {
             let t2 = &right.tuples[j as usize];
-            if holds_all(t1, t2, rest) {
+            if !right.stale[j as usize] && holds_all(t1, t2, rest) {
                 emit(t1, t2)?;
             }
         }
@@ -283,21 +357,15 @@ where
     Ok(())
 }
 
-/// IEJoin's sweep of the taken `t1`s against `right`, for a join whose
+/// IEJoin's sweep of the live `t1`s against `right`, for a join whose
 /// first two conditions `t1.A op1 t2.B` and `t1.C op2 t2.D` are
 /// orderings. The `t1`s are visited in `A` order — ascending for
 /// `>`/`≥`, descending for `<`/`≤` — so the `t2`s meeting `op1` only
 /// grow: a monotone pointer over `right`'s sorted `B` keys sets the bit
-/// of each newcomer at its `D` rank, *before* the `t1` probes, so ties
+/// of each live newcomer at its `D` rank, *before* the `t1` probes, so ties
 /// fall out of `op1` itself. Each `t1` then emits the set bits in its
 /// `op2` range of the `D` keys and verifies the rest per pair.
-fn sweep<E>(
-    left: &Part,
-    take: &dyn Fn(usize) -> bool,
-    right: &Part,
-    conds: &[OrderCond],
-    emit: &mut E,
-) -> Result<()>
+fn sweep<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
 {
@@ -312,7 +380,7 @@ where
     let (mut set_lo, mut set_hi) = (usize::MAX, 0);
     let ascending = matches!(c1.op, Op::Gt | Op::Ge);
     let mut visit = |i: &u32| -> Result<()> {
-        if !take(*i as usize) {
+        if left.stale[*i as usize] {
             return Ok(());
         }
         let t1 = &left.tuples[*i as usize];
@@ -322,9 +390,11 @@ where
             if !c1.op.holds(a, &right.keys[at]) {
                 break;
             }
-            let r = rs.rank[at] as usize;
-            bits[r / 64] |= 1 << (r % 64);
-            (set_lo, set_hi) = (set_lo.min(r), set_hi.max(r + 1));
+            if !right.stale[right.order[at] as usize] {
+                let r = rs.rank[at] as usize;
+                bits[r / 64] |= 1 << (r % 64);
+                (set_lo, set_hi) = (set_lo.min(r), set_hi.max(r + 1));
+            }
             (lo, hi) = if ascending {
                 (lo + 1, hi)
             } else {
@@ -363,6 +433,221 @@ where
     }
 }
 
+/// Range-partition `input` on `attr` into `nb_parts` ranges (zero: the
+/// engine's default), reading the key in place (no per-record Value
+/// construction).
+fn range_parts(input: PDataset<Tuple>, attr: usize, nb_parts: usize) -> Result<Vec<Vec<Tuple>>> {
+    let nb_parts = match nb_parts {
+        0 => input.engine().default_partitions(),
+        n => n,
+    };
+    input
+        .range_partition_by(|t: &Tuple| t.value(attr), nb_parts)?
+        .into_partitions()
+}
+
+/// Sort each range partition's fresh and resident members into a
+/// [`Part`] each. Partitions are borrowed (tuples clone cheaply), so a
+/// panicking sort task re-runs against intact input.
+fn sort_parts(
+    engine: &Engine,
+    raw: &[Vec<Tuple>],
+    conds: &[OrderCond],
+    is_fresh: IsFresh,
+) -> Result<Vec<Part>> {
+    let parts = engine.run_stage(raw, |_, p: &Vec<Tuple>| {
+        let (fresh, resident) = p.iter().cloned().partition(|t| is_fresh(t));
+        Ok([(fresh, true), (resident, false)].map(|(ts, f)| Part::build(ts, conds, f)))
+    })?;
+    Ok(parts.into_iter().flatten().flatten().collect())
+}
+
+/// OCJoin's state kept between joins: the range parts of a join, each
+/// with its sorted key arrays, so that a change joins as the small side
+/// instead of re-running the join. [`JoinIndex::build`] runs Algorithm
+/// 2's partitioning and sorting phases, [`JoinIndex::join_sink`] its
+/// pruning and joining phases over the pairs with a fresh member,
+/// [`JoinIndex::stage`] stages a change, and [`JoinIndex::merge`] folds
+/// it in, after which nothing is fresh.
+#[derive(Clone, Debug)]
+pub struct JoinIndex {
+    conds: Vec<OrderCond>,
+    /// The range parts, in ascending order of the partitioning key.
+    parts: Vec<Part>,
+    /// A staged change's new versions: the fresh side of the next join.
+    news: Vec<Tuple>,
+    /// `nbParts` of a re-partition; zero for the engine's default.
+    nb_parts: usize,
+}
+
+impl JoinIndex {
+    /// An empty index over `conds`.
+    pub fn new(conds: &[OrderCond]) -> JoinIndex {
+        JoinIndex {
+            conds: conds.to_vec(),
+            parts: Vec::new(),
+            news: Vec::new(),
+            nb_parts: 0,
+        }
+    }
+
+    /// Algorithm 2's partitioning phase — a range partition on the
+    /// primary left attribute ("OCJoin chooses the first attribute
+    /// involved in the first condition", §4.3) — and its sorting phase,
+    /// one task per partition under the engine's retry policy with panic
+    /// isolation. `is_fresh` marks what the next join enumerates.
+    ///
+    /// `conds` must be non-empty: a typed error otherwise, as the job
+    /// path must never bring down the process.
+    pub fn build(
+        input: PDataset<Tuple>,
+        conds: &[OrderCond],
+        config: OcJoinConfig,
+        is_fresh: IsFresh,
+    ) -> Result<JoinIndex> {
+        if conds.is_empty() {
+            return Err(Error::InvalidPlan(
+                "OCJoin needs at least one condition".into(),
+            ));
+        }
+        let engine = input.engine().clone();
+        let raw = range_parts(input, conds[0].left_attr, config.nb_parts)?;
+        let ranges = vec!["ocjoin.range-partition".into()];
+        engine.record_pass(PassKind::ShuffleMap, ranges, raw.len());
+        let parts = sort_parts(&engine, &raw, conds, is_fresh)?;
+        engine.record_pass(PassKind::Join, vec!["ocjoin.sort".into()], raw.len());
+        Ok(JoinIndex {
+            conds: conds.to_vec(),
+            parts,
+            news: Vec::new(),
+            nb_parts: config.nb_parts,
+        })
+    }
+
+    /// Algorithm 2's pruning and joining phases: every ordered pair
+    /// `(t1, t2)` (with `t1.id() != t2.id()`) meeting every condition
+    /// and holding a fresh member, each once, handed to `sink` inside
+    /// the join task, which appends whatever records it derives to the
+    /// task's output. A staged change's new versions are sorted into
+    /// one Δ part first, which joins the parts as the fresh side. Pruning
+    /// is a driver-side sweep over the parts' statistics that also drops
+    /// every pair of parts without a fresh member; the join tasks run
+    /// under the engine's retry policy with panic isolation. `label`
+    /// names the fused consumer in the recorded pass, and
+    /// `pairs_generated` counts every enumerated pair, attributed once
+    /// per successfully completed task.
+    pub fn join_sink<R, F>(&self, engine: &Engine, label: &str, sink: F) -> Result<PDataset<R>>
+    where
+        R: Send,
+        F: Fn(&Tuple, &Tuple, &mut Vec<R>) -> Result<()> + Sync,
+    {
+        let delta = Part::build(self.news.clone(), &self.conds, true);
+        let parts: Vec<&Part> = self.parts.iter().chain(&delta).collect();
+        let (mut tasks, pruned) = feasible_tasks(self.conds[0].op, &parts);
+        tasks.retain(|&(i, j)| parts[i].fresh || parts[j].fresh);
+        Metrics::add(&engine.metrics().partitions_pruned, pruned);
+        Metrics::add(&engine.metrics().partitions_joined, tasks.len() as u64);
+
+        let pairs_seen = AtomicU64::new(0);
+        let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
+            let mut out = Vec::new();
+            let mut local = 0u64;
+            enumerate_pair(parts[i], parts[j], &self.conds, &mut |a, b| {
+                local += 1;
+                sink(a, b, &mut out)
+            })?;
+            // Counted only when the attempt completes, so retried tasks do
+            // not double-count.
+            pairs_seen.fetch_add(local, Ordering::Relaxed);
+            Ok(out)
+        })?;
+        Metrics::add(
+            &engine.metrics().pairs_generated,
+            pairs_seen.load(Ordering::Relaxed),
+        );
+        engine.record_pass(
+            PassKind::Join,
+            vec![format!("ocjoin.merge-join+{label}")],
+            partitions.len(),
+        );
+        Ok(PDataset::from_partitions(engine.clone(), partitions))
+    }
+
+    /// Stage a change: the held versions `gone` of the records it
+    /// replaces or deletes turn stale, and its new versions `news` are
+    /// the only fresh records. The next join then enumerates exactly the
+    /// pairs with a new version.
+    ///
+    /// # Panics
+    ///
+    /// When a change is staged already, or no live member of the index
+    /// is a record of `gone`: the change did not name what it held.
+    pub fn stage<'a>(&mut self, gone: impl IntoIterator<Item = &'a Tuple>, news: Vec<Tuple>) {
+        assert!(self.news.is_empty(), "a staged change is merged first");
+        let attr = self.conds[0].right_attr;
+        for t in gone {
+            let mut parts = self.parts.iter_mut();
+            let held = parts.find_map(|p| Some((p.live(t.id(), t.value(attr))?, p)));
+            let (at, part) = held.unwrap_or_else(|| panic!("tuple {} is not indexed", t.id()));
+            part.stale[at] = true;
+        }
+        self.news = news;
+    }
+
+    /// Fold the staged change in by a fixed rule, after which every
+    /// member is resident. Stale members are dropped, and each new
+    /// record joins the first part whose range reaches its partitioning
+    /// key (else the last): a touched part merges them into each sorted
+    /// array by one stable sort, in a task of its own under the engine's
+    /// retry policy. A change at least as large as the rest of the index
+    /// re-partitions and re-sorts the whole of it instead, as an empty
+    /// index's first change does. Either is one recorded pass,
+    /// `ocjoin.fold-delta`; with no change staged nothing runs.
+    pub fn merge(&mut self, engine: &Engine) -> Result<()> {
+        let news = std::mem::take(&mut self.news);
+        if news.is_empty() && self.parts.iter().all(|p| !p.stale.contains(&true)) {
+            self.parts.iter_mut().for_each(|p| p.fresh = false);
+            return Ok(());
+        }
+        if news.len() >= self.records().count() {
+            let all = self.records().cloned().chain(news).collect();
+            let all = PDataset::from_vec(engine.clone(), all);
+            let raw = range_parts(all, self.conds[0].left_attr, self.nb_parts)?;
+            self.parts = sort_parts(engine, &raw, &self.conds, NONE_FRESH)?;
+        } else {
+            let attr = self.conds[0].left_attr;
+            let mut adds: Vec<Vec<Tuple>> = vec![Vec::new(); self.parts.len()];
+            for t in news {
+                let at = self.parts.partition_point(|p| p.max_left < *t.value(attr));
+                adds[at.min(self.parts.len() - 1)].push(t);
+            }
+            let work: Vec<(&Part, Vec<Tuple>)> = self.parts.iter().zip(adds).collect();
+            let merged = engine.run_stage(&work, |_, (part, adds)| {
+                let touched = !adds.is_empty() || part.stale.contains(&true);
+                Ok(touched.then(|| part.merged(adds, &self.conds)))
+            })?;
+            let parts = std::mem::take(&mut self.parts).into_iter().zip(merged);
+            let kept = |(mut part, merged): (Part, Option<Option<Part>>)| {
+                merged.unwrap_or_else(|| {
+                    part.fresh = false;
+                    Some(part)
+                })
+            };
+            self.parts = parts.filter_map(kept).collect();
+        }
+        let fold = vec!["ocjoin.fold-delta".into()];
+        engine.record_pass(PassKind::Join, fold, self.parts.len());
+        Ok(())
+    }
+
+    /// The live records: every part's, then a staged change's new
+    /// versions.
+    pub fn records(&self) -> impl Iterator<Item = &Tuple> {
+        let parts = self.parts.iter().flat_map(Part::members);
+        parts.chain(&self.news)
+    }
+}
+
 /// OCJoin: all ordered pairs `(t1, t2)` (with `t1.id() != t2.id()`)
 /// satisfying every condition in `conds`, computed with range
 /// partitioning + sorting + pruning + merge joining, and collected.
@@ -377,19 +662,10 @@ pub fn try_ocjoin(
     })
 }
 
-/// Streaming OCJoin: each enumerated pair is handed to `sink` inside
-/// the join task, which appends whatever records it derives (typically
-/// detected violations) to the task's output — the `(Tuple, Tuple)`
-/// pair list is never materialized. `label` names the fused consumer in
-/// the recorded pass. `pairs_generated` counts every enumerated pair,
-/// attributed once per successfully completed task.
-///
-/// `conds` must be non-empty (a typed error otherwise — the job path
-/// must never bring down the process); the first condition drives
-/// partitioning ("OCJoin chooses the first attribute involved in the
-/// first condition", §4.3). The sorting and joining phases run under
-/// the engine's retry policy with panic isolation; the partitioning and
-/// pruning phases are driver-side and cannot lose worker tasks.
+/// Streaming OCJoin: [`JoinIndex::build`] over `input`, then
+/// [`JoinIndex::join_sink`] — each enumerated pair is handed to `sink`
+/// inside the join task, so the `(Tuple, Tuple)` pair list is never
+/// materialized. `conds` must be non-empty (a typed error otherwise).
 ///
 /// The join is semi-naive under `is_fresh`: only pairs with a fresh
 /// member are enumerated, each once. [`ALL_FRESH`] is the full join.
@@ -405,71 +681,8 @@ where
     R: Send,
     F: Fn(&Tuple, &Tuple, &mut Vec<R>) -> Result<()> + Sync,
 {
-    if conds.is_empty() {
-        return Err(Error::InvalidPlan(
-            "OCJoin needs at least one condition".into(),
-        ));
-    }
     let engine = input.engine().clone();
-    let nb_parts = if config.nb_parts == 0 {
-        engine.default_partitions()
-    } else {
-        config.nb_parts
-    };
-    let primary = conds[0];
-
-    // Partitioning phase: range partition on the primary left attribute,
-    // reading the key in place (no per-record Value construction).
-    let raw = input
-        .range_partition_by(|t: &Tuple| t.value(primary.left_attr), nb_parts)?
-        .into_partitions()?;
-    engine.record_pass(
-        PassKind::ShuffleMap,
-        vec!["ocjoin.range-partition".into()],
-        raw.len(),
-    );
-
-    // Sorting phase: partitions are borrowed (tuples clone cheaply), so
-    // a panicking sort task re-runs against intact input.
-    let parts: Vec<Part> = engine
-        .run_stage(&raw, |_, p: &Vec<Tuple>| {
-            Ok(Part::build(p.clone(), conds, is_fresh))
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-    engine.record_pass(PassKind::Join, vec!["ocjoin.sort".into()], raw.len());
-
-    // Pruning phase: sorted interval sweep over partition statistics.
-    let (tasks, pruned) = feasible_tasks(primary.op, &parts);
-    Metrics::add(&engine.metrics().partitions_pruned, pruned);
-    Metrics::add(&engine.metrics().partitions_joined, tasks.len() as u64);
-
-    // Joining phase (parallel over surviving partition pairs).
-    let parts_ref = &parts;
-    let pairs_seen = AtomicU64::new(0);
-    let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
-        let mut out = Vec::new();
-        let mut local = 0u64;
-        enumerate_pair(&parts_ref[i], &parts_ref[j], conds, &mut |a, b| {
-            local += 1;
-            sink(a, b, &mut out)
-        })?;
-        // Counted only when the attempt completes, so retried tasks do
-        // not double-count.
-        pairs_seen.fetch_add(local, Ordering::Relaxed);
-        Ok(out)
-    })?;
-    Metrics::add(
-        &engine.metrics().pairs_generated,
-        pairs_seen.load(Ordering::Relaxed),
-    );
-    engine.record_pass(
-        PassKind::Join,
-        vec![format!("ocjoin.merge-join+{label}")],
-        partitions.len(),
-    );
-    Ok(PDataset::from_partitions(engine, partitions))
+    JoinIndex::build(input, conds, config, is_fresh)?.join_sink(&engine, label, sink)
 }
 
 #[cfg(test)]
@@ -479,6 +692,7 @@ mod tests {
     use bigdansing_common::rng::check;
     use bigdansing_common::rng::SplitMix64;
     use bigdansing_dataflow::Engine;
+    use std::collections::{BTreeMap, HashSet};
 
     fn tup(id: u64, salary: i64, rate: i64) -> Tuple {
         Tuple::new(id, vec![Value::Int(salary), Value::Int(rate)])
@@ -598,7 +812,7 @@ mod tests {
                     op: Op::Lt,
                     right_attr: 0,
                 }],
-                ALL_FRESH,
+                true,
             )
             .unwrap()
         };
@@ -610,12 +824,13 @@ mod tests {
             mk(-5, 2, 400),
             mk(33, 33, 500),
         ];
+        let parts: Vec<&Part> = parts.iter().collect();
         for op in [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Ne] {
             let (tasks, pruned) = feasible_tasks(op, &parts);
             let mut oracle: Vec<(usize, usize)> = Vec::new();
             for i in 0..parts.len() {
                 for j in 0..parts.len() {
-                    if feasible(op, &parts[i], &parts[j]) {
+                    if feasible(op, parts[i], parts[j]) {
                         oracle.push((i, j));
                     }
                 }
@@ -850,6 +1065,111 @@ mod tests {
             let mut expected = pair_ids(cross_join_filter(PDataset::from_vec(e, data), &conds));
             expected.retain(|&(a, b)| flags[a as usize] || flags[b as usize]);
             assert_eq!(masked, expected);
+        });
+    }
+
+    /// Every sorted array of every part of `index` holds what
+    /// [`Part::build`] would give the part's live members.
+    fn assert_sorted(index: &JoinIndex) {
+        let conds = &index.conds;
+        for part in &index.parts {
+            assert!(!part.stale.contains(&true) && !part.fresh);
+            let built = Part::build(part.tuples.clone(), conds, false).unwrap();
+            let arrays = |p: &Part| {
+                let sweep = p.sweep.as_ref();
+                let sweep = sweep.map(|s| (s.left_order.clone(), s.keys.clone(), s.order.clone()));
+                let stats = [&p.min_left, &p.max_left, &p.min_right, &p.max_right];
+                let rank = p.sweep.as_ref().map(|s| s.rank.clone());
+                format!("{:?}", (&p.keys, &p.order, sweep, rank, stats))
+            };
+            assert_eq!(arrays(part), arrays(&built));
+        }
+    }
+
+    /// A resident index joins each change as the small side: after 1–4
+    /// rounds of random updates, inserts and deletes, each round's
+    /// Δ-join is the pair multiset of a join over the current table
+    /// masked by the round's new versions, and the merged index holds
+    /// the current table, sorted as a fresh build sorts it. Covers the
+    /// four DC shapes of CI's smoke step, a one-condition and a
+    /// three-condition join, conditions across attributes (which walk a
+    /// resident part against the change rather than swap roles), ties,
+    /// negative values, and parts of more than 64 rows.
+    #[test]
+    fn delta_join_is_the_masked_join_of_the_current_table() {
+        let c = |left_attr, op, right_attr| OrderCond {
+            left_attr,
+            op,
+            right_attr,
+        };
+        let shapes = [
+            vec![c(0, Op::Gt, 0), c(1, Op::Lt, 1)],
+            vec![c(0, Op::Ge, 0), c(1, Op::Le, 1)],
+            vec![c(0, Op::Lt, 0), c(1, Op::Ge, 1)],
+            vec![c(1, Op::Lt, 1), c(0, Op::Gt, 0)],
+            vec![c(0, Op::Lt, 0)],
+            vec![c(0, Op::Gt, 0), c(1, Op::Lt, 1), c(2, Op::Ge, 0)],
+            vec![c(0, Op::Gt, 1), c(1, Op::Le, 2)],
+        ];
+        let ids = |pairs: Result<PDataset<(u64, u64)>>| {
+            let mut ids = pairs.unwrap().collect().unwrap();
+            ids.sort_unstable();
+            ids
+        };
+        let collect = |a: &Tuple, b: &Tuple, out: &mut Vec<(u64, u64)>| {
+            out.push((a.id(), b.id()));
+            Ok(())
+        };
+        check(32, |g| {
+            let conds = &shapes[g.range(0..shapes.len())];
+            let hi: i64 = [4, 40][g.range(0..2usize)];
+            let row = |g: &mut SplitMix64, id| {
+                let cell = |g: &mut SplitMix64| match g.range(0..10) {
+                    0 => Value::Null,
+                    1 => Value::Float(g.range(-hi..hi) as f64),
+                    _ => Value::Int(g.range(-hi..hi)),
+                };
+                Tuple::new(id, (0..3).map(|_| cell(g)).collect())
+            };
+            let n = g.range(0..=400u64);
+            let mut table: BTreeMap<u64, Tuple> = (0..n).map(|id| (id, row(g, id))).collect();
+            let config = OcJoinConfig {
+                nb_parts: g.range(1usize..5),
+            };
+            let e = Engine::parallel(2);
+            let rows = PDataset::from_vec(e.clone(), table.values().cloned().collect());
+            let mut index = JoinIndex::build(rows, conds, config, ALL_FRESH).unwrap();
+            index.merge(&e).unwrap();
+            let mut next = n;
+            for _ in 0..g.range(1..=4) {
+                let share = [0.01, 0.1, 0.6][g.range(0..3usize)];
+                let (mut gone, mut news) = (Vec::new(), Vec::new());
+                for id in table.keys().copied().collect::<Vec<_>>() {
+                    if g.chance(share) {
+                        gone.push(table.remove(&id).unwrap());
+                        if g.chance(0.7) {
+                            news.push(row(g, id));
+                        }
+                    }
+                }
+                news.extend((0..g.range(0..5)).map(|k| row(g, next + k)));
+                next += news.len() as u64;
+                table.extend(news.iter().map(|t| (t.id(), t.clone())));
+                let fresh: HashSet<u64> = news.iter().map(Tuple::id).collect();
+                index.stage(&gone, news);
+                let delta = ids(index.join_sink(&e, "delta", collect));
+                let current = PDataset::from_vec(e.clone(), table.values().cloned().collect());
+                let mask = |t: &Tuple| fresh.contains(&t.id());
+                let masked = try_ocjoin_sink(current, conds, config, &mask, "masked", collect);
+                assert_eq!(delta, ids(masked));
+                index.merge(&e).unwrap();
+                let mut held: Vec<String> = index.records().map(|t| format!("{t:?}")).collect();
+                held.sort();
+                let mut live: Vec<String> = table.values().map(|t| format!("{t:?}")).collect();
+                live.sort();
+                assert_eq!(held, live);
+                assert_sorted(&index);
+            }
         });
     }
 }

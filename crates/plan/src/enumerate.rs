@@ -44,7 +44,7 @@ pub type Band = (u32, Arc<[u64]>);
 /// rules, whose unit is the whole bucket) when its bucket loses or
 /// gains a member. `Copy`, so recording it costs a detect pass no
 /// allocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Origin {
     /// A single unit (both ids equal) or a pair of units.
     Unit(TupleId, TupleId),
@@ -101,11 +101,18 @@ impl IterateStrategy {
         matches!(self, Self::BlockPairs { .. } | Self::BlockList)
     }
 
+    /// Whether a full pass seeds the group's [`crate::BucketStore`]: a
+    /// Block pass hands over its buckets, an OCJoin pass its sorted
+    /// range parts.
+    pub fn resides(&self) -> bool {
+        self.blocks() || matches!(self, Self::OcJoin(_))
+    }
+
     /// The buckets `unit` (a Scope output of `rule`) is indexed under,
     /// each with the member's [`Band`] tag: none (single units), the
     /// rule's Block key, the one empty *global* key of an unblocked pair
-    /// strategy or an inequality rule (which joins the bucket afresh),
-    /// or one key per LSH band — band `k` under `(k, hashes[k])`, so
+    /// strategy or an inequality rule (whose join index stands in for
+    /// the bucket), or one key per LSH band — band `k` under `(k, hashes[k])`, so
     /// buckets of different bands never meet.
     pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> Vec<(BlockKey, Option<Band>)> {
         match self {

@@ -28,8 +28,8 @@ use bigdansing_common::metrics::{deep_clones_total, Metrics};
 use bigdansing_common::{KeyDict, Mutex, Schema, Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, Stage};
-use bigdansing_ocjoin::{try_ocjoin_sink, OcJoinConfig};
-use bigdansing_rules::{BlockKey, DetectUnit, Fix, OrderCond, Rule, RuleExt, Violation};
+use bigdansing_ocjoin::{JoinIndex, OcJoinConfig};
+use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -307,34 +307,20 @@ fn single_units(
         .run()
 }
 
-/// The OCJoin arm, a streaming join: every enumerated pair — under a
-/// delta only those with a fresh member — flows straight into Detect
-/// (+GenFix) inside the join task; the pair list is never materialized.
-fn oc_join(
-    stage: Stage<Tuple, Tuple>,
-    op: &str,
-    d: &Detector,
-    conds: &[OrderCond],
-    delta: Option<&Delta>,
-    metrics: &Metrics,
-) -> Result<PDataset<Found>> {
+/// The OCJoin arm, a streaming join: every pair `index` enumerates —
+/// the pairs with a fresh member — flows straight into Detect (+GenFix)
+/// inside the join task; the pair list is never materialized.
+fn oc_join(engine: &Engine, index: &JoinIndex, op: &str, d: &Detector) -> Result<PDataset<Found>> {
+    let metrics = engine.metrics();
     let pairs_before = Metrics::get(&metrics.pairs_generated);
-    let is_fresh = |t: &Tuple| delta.is_none_or(|d| d.is_fresh(t));
-    let detected = try_ocjoin_sink(
-        stage.into_dataset()?,
-        conds,
-        OcJoinConfig::default(),
-        &is_fresh,
-        op,
-        |a, b, out| {
-            d.check_budget()?;
-            d.count_units(1);
-            let unit = Origin::Unit(a.id(), b.id());
-            let vs = d.rule.detect_pair(a, b);
-            out.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
-            Ok(())
-        },
-    )?;
+    let detected = index.join_sink(engine, op, |a, b, out| {
+        d.check_budget()?;
+        d.count_units(1);
+        let unit = Origin::Unit(a.id(), b.id());
+        let vs = d.rule.detect_pair(a, b);
+        out.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
+        Ok(())
+    })?;
     let pairs = Metrics::get(&metrics.pairs_generated) - pairs_before;
     Metrics::add(&metrics.detect_calls, pairs);
     Ok(detected)
@@ -345,7 +331,7 @@ fn oc_join(
 #[derive(Clone)]
 pub enum Held<M> {
     /// Scoped records in table order: each one a unit of a single-unit
-    /// rule, or all of them the input of an inequality rule's OCJoin.
+    /// rule, or the new versions an inequality rule's join index staged.
     Records(Vec<Tuple>),
     /// Buckets of a bucketed strategy.
     Buckets {
@@ -376,13 +362,13 @@ pub struct Executor {
 }
 
 /// The plan-trace label of a group's detect pass: a full detect, or a
-/// semi-naive re-detect under a delta.
-fn detect_op(group: &[&RulePipeline], delta: Option<&Arc<Delta>>) -> String {
+/// semi-naive re-detect.
+fn detect_op(group: &[&RulePipeline], semi_naive: bool) -> String {
     let names: Vec<&str> = group.iter().map(|p| p.rule.name()).collect();
     let names = names.join(", ");
-    match delta {
-        None => format!("iterate+detect+genfix({names})"),
-        Some(_) => format!("redetect({names})"),
+    match semi_naive {
+        false => format!("iterate+detect+genfix({names})"),
+        true => format!("redetect({names})"),
     }
 }
 
@@ -439,6 +425,7 @@ impl Executor {
     ///
     /// With `shards`, a Block pass's reducer partitions hand their
     /// buckets over, each member made an `M`, instead of dropping them.
+    /// An OCJoin pass returns the join index it built.
     fn iterate_and_detect<M: Member + Send + 'static>(
         &self,
         data: PDataset<Tuple>,
@@ -447,7 +434,7 @@ impl Executor {
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
         shards: Option<Shards<M>>,
-    ) -> Result<Vec<DetectOutput>> {
+    ) -> Result<(Vec<DetectOutput>, Option<JoinIndex>)> {
         self.engine.check_cancelled()?;
         let clones_before = deep_clones_total();
         let guard = |m: usize| guards.map(|g| Arc::clone(&g[m]));
@@ -458,7 +445,7 @@ impl Executor {
         let lead = group[0];
         let names: Vec<&str> = group.iter().map(|p| p.rule.name()).collect();
         let names = names.join(", ");
-        let detect_op = detect_op(group, delta);
+        let detect_op = detect_op(group, delta.is_some());
         // PScope: queued as a narrow op — no pass of its own. A shared
         // Block pass scopes in its reducer instead.
         let shared = group.len() > 1;
@@ -470,6 +457,7 @@ impl Executor {
             data.stage()
         };
         let delta = delta.cloned();
+        let mut join = None;
         let found = match &lead.strategy {
             IterateStrategy::SingleUnits => {
                 single_units(stage, detect_op, lone(detectors), delta, metrics)
@@ -573,16 +561,17 @@ impl Executor {
                     })
                     .run()
             }
-            IterateStrategy::OcJoin(conds) => oc_join(
-                stage,
-                &detect_op,
-                &lone(detectors),
-                conds,
-                delta.as_deref(),
-                &metrics,
-            ),
+            IterateStrategy::OcJoin(conds) => {
+                // under a delta only the pairs with a fresh member
+                let is_fresh = |t: &Tuple| delta.as_ref().is_none_or(|d| d.is_fresh(t));
+                let data = stage.into_dataset()?;
+                let config = OcJoinConfig::default();
+                let index = join.insert(JoinIndex::build(data, conds, config, &is_fresh)?);
+                oc_join(&self.engine, index, &detect_op, &lone(detectors))
+            }
         }?;
-        self.collect_detected(found, group.len(), clones_before)
+        let outs = self.collect_detected(found, group.len(), clones_before)?;
+        Ok((outs, join))
     }
 
     /// Run one group of pipelines — as [`block_groups`] forms them, in
@@ -610,14 +599,18 @@ impl Executor {
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
     ) -> Result<Vec<DetectOutput>> {
-        self.iterate_and_detect::<Tuple>(data, schema, group, guards, delta, None)
+        let (outs, _) =
+            self.iterate_and_detect::<Tuple>(data, schema, group, guards, delta, None)?;
+        Ok(outs)
     }
 
     /// A full [`Executor::run_group`] whose Block reducer hands its
     /// buckets over instead of dropping them: they come back as the
-    /// group's resident [`BucketStore`] of `M` members (`None` for a
-    /// group that does not block), members in the order of `data`,
-    /// which later re-detects read through [`Executor::detect_held`].
+    /// group's resident [`BucketStore`] of `M` members, members in the
+    /// order of `data`, which later re-detects read through
+    /// [`Executor::detect_held`]. An OCJoin pass keeps its sorted range
+    /// parts as the store's [`JoinIndex`] instead, for
+    /// [`Executor::detect_join`]. `None` for any other group.
     pub fn run_resident<M: Member + Clone + Send + 'static>(
         &self,
         data: PDataset<Tuple>,
@@ -627,10 +620,13 @@ impl Executor {
     ) -> Result<(Vec<DetectOutput>, Option<BucketStore<M>>)> {
         let shards: Shards<M> = Arc::new(Mutex::new(Vec::new()));
         let keep = Some(Arc::clone(&shards));
-        let outs = self.iterate_and_detect(data, schema, group, guards, None, keep)?;
-        // only a Block pass hands buckets over: one map per partition
-        let shards = std::mem::take(&mut *shards.lock());
-        let store = (!shards.is_empty()).then(|| BucketStore::seeded(Keying::of(group), shards));
+        let (outs, join) = self.iterate_and_detect(data, schema, group, guards, None, keep)?;
+        // a Block pass hands buckets over, one map per partition, and an
+        // OCJoin pass its join index
+        let mut shards = std::mem::take(&mut *shards.lock());
+        let seeded = !shards.is_empty() || join.is_some();
+        shards.resize_with(shards.len().max(1), HashMap::new);
+        let store = seeded.then(|| BucketStore::seeded(Keying::of(group), shards, join));
         Ok((outs, store))
     }
 
@@ -638,8 +634,8 @@ impl Executor {
     /// member under its guard, in one pass labelled as
     /// [`Executor::run_group`] labels it. It is the Detect body of the
     /// shuffled passes over buckets the caller keeps: records run
-    /// through the single-unit or OCJoin arm (a lone rule), buckets
-    /// through the bucketed reducer. With a delta the pass is
+    /// through the single-unit arm (a lone rule), buckets through the
+    /// bucketed reducer. With a delta the pass is
     /// semi-naive, the delta the freshness mask; without one every
     /// record is fresh. The caller chose the records itself, so single
     /// units are not masked again, and the pass counts no
@@ -661,17 +657,11 @@ impl Executor {
         let detectors: Vec<Detector> = (0..group.len())
             .map(|m| Detector::new(m, group[m], Some(Arc::clone(&guards[m]))))
             .collect();
-        let op = detect_op(group, delta);
+        let op = detect_op(group, delta.is_some());
         let found = match held {
             Held::Records(records) => {
                 let stage = PDataset::from_vec(self.engine.clone(), records).stage();
-                let d = lone(detectors);
-                match &group[0].strategy {
-                    IterateStrategy::OcJoin(conds) => {
-                        oc_join(stage, &op, &d, conds, delta.map(|d| &**d), &metrics)?
-                    }
-                    _ => single_units(stage, op, d, None, metrics)?,
-                }
+                single_units(stage, op, lone(detectors), None, metrics)?
             }
             Held::Buckets { buckets, scope } => {
                 let delta = delta.cloned();
@@ -685,6 +675,30 @@ impl Executor {
             }
         };
         self.collect_detected(found, group.len(), clones_before)
+    }
+
+    /// Detect a lone inequality rule over the change its resident
+    /// [`JoinIndex`] staged, under its guard: the Δ-join of the new
+    /// versions with the index's parts, in one pass labelled as a
+    /// re-detect. The detections come out in the order of their units,
+    /// which the layout of the index's parts does not decide. The caller
+    /// counts what it handed over.
+    pub fn detect_join(
+        &self,
+        group: &[&RulePipeline],
+        index: &JoinIndex,
+        guards: &[Arc<RuleGuard>],
+    ) -> Result<Vec<DetectOutput>> {
+        self.engine.check_cancelled()?;
+        let clones_before = deep_clones_total();
+        let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
+        let found = oc_join(&self.engine, index, &detect_op(group, true), &d)?;
+        let mut outs = self.collect_detected(found, 1, clones_before)?;
+        let out = &mut outs[0];
+        let mut found: Vec<_> = out.origins.drain(..).zip(out.detected.drain(..)).collect();
+        found.sort_by_key(|(origin, _)| *origin);
+        (out.origins, out.detected) = found.into_iter().unzip();
+        Ok(outs)
     }
 
     /// The final stage-boundary materialization of a detect pass, with

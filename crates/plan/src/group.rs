@@ -10,11 +10,13 @@
 //!   member is quarantined;
 //! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
 //!   re-detects the union of what the healthy members pick, as one
-//!   [`Executor::detect_held`] pass through `run`;
+//!   [`Executor::detect_held`] pass through `run` — an inequality rule's
+//!   as one [`Executor::detect_join`] of the change against its join
+//!   index, which folds the change in before the next;
 //! * [`RuleGroup::open`] detects over a whole table with every record
 //!   fresh and fills the store with it: a Block group keeps the buckets
-//!   of its shuffled pass, any other group indexes the table and
-//!   re-detects it.
+//!   of its shuffled pass, an inequality rule the sorted range parts of
+//!   its OCJoin, any other group indexes the table and re-detects it.
 //!
 //! What a detection means stays the caller's: the batch carries its
 //! detections between rounds, a session keeps them with provenance.
@@ -73,9 +75,9 @@ pub type PassOutput<M> = Result<(Vec<DetectOutput>, Option<BucketStore<M>>)>;
 pub struct RuleGroup<M = Entry> {
     /// The group's rules.
     pub members: Vec<GroupMember>,
-    /// The resident buckets: a session's from the start, a batch Block
-    /// group's once a pass of all its healthy members seeded them.
-    /// Dropped once no member is healthy.
+    /// The resident buckets or join index: a session's from the start, a
+    /// batch Block or inequality group's once a pass of all its healthy
+    /// members seeded them. Dropped once no member is healthy.
     pub store: Option<BucketStore<M>>,
     /// The job's isolation options, which every guard is armed with.
     iso: IsolationOptions,
@@ -187,9 +189,11 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     /// [`BucketStore::reindex`] takes them — then re-detect the union of
     /// what the healthy members pick ([`BucketStore::held`]) in one
     /// [`Executor::detect_held`] pass through [`RuleGroup::run`], with
-    /// `mask` as the freshness mask (`None`: every record is fresh). When
-    /// nothing is picked no pass runs, and every healthy member finds
-    /// nothing new.
+    /// `mask` as the freshness mask (`None`: every record is fresh). A
+    /// join index first folds in the change the re-detect before it
+    /// joined ([`BucketStore::settle`]), then joins the change it
+    /// staged in one [`Executor::detect_join`] pass. When nothing is
+    /// picked no pass runs, and every healthy member finds nothing new.
     pub fn redetect<'a>(
         &mut self,
         executor: &Executor,
@@ -197,18 +201,26 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
         seq_of: impl Fn(TupleId) -> u64,
         mask: Option<&Arc<Delta>>,
     ) -> Result<Redetected> {
-        let store = self.store.as_mut().expect("a group re-detects its store");
+        // out of the group while its pass runs: the pass reads it
+        let mut store = self.store.take().expect("a group re-detects its store");
+        store.settle(executor.engine())?;
         let change = store.reindex(changes, seq_of);
         let members = self.members.iter().filter(|m| m.quarantined.is_none());
         let healthy: Vec<&RulePipeline> = members.map(|m| &m.pipeline).collect();
         let picked = store.held(&healthy, &change);
-        let outs = self.run(executor.engine().metrics(), |group, guards| match &picked {
-            Some((held, _)) => Ok((
-                executor.detect_held(group, held.clone(), mask, guards)?,
-                None,
-            )),
-            None => Ok((vec![DetectOutput::default(); group.len()], None)),
+        let outs = self.run(executor.engine().metrics(), |group, guards| {
+            let outs = match (&picked, store.join()) {
+                (Some(_), Some(index)) => executor.detect_join(group, index, guards)?,
+                (Some((held, _)), None) => {
+                    executor.detect_held(group, held.clone(), mask, guards)?
+                }
+                (None, _) => vec![DetectOutput::default(); group.len()],
+            };
+            Ok((outs, None))
         })?;
+        if !self.healthy().is_empty() {
+            self.store = Some(store);
+        }
         let (ids, keys) = picked
             .map(|(held, keys)| (held.ids(), keys))
             .unwrap_or_default();
@@ -227,7 +239,8 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     /// [`RuleGroup::run`], whose shuffled buckets become the store; when
     /// partial mode re-ran its members one by one, the re-runs seed
     /// nothing, and the table is indexed into the store with no second
-    /// detect. Any other group indexes the table as inserts and
+    /// detect. An inequality rule's OCJoin pass seeds its join index the
+    /// same way. Any other group indexes the table as inserts and
     /// re-detects what its members pick from it, which for an empty
     /// table is nothing: no pass runs.
     pub fn open(
@@ -237,7 +250,7 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
         seq_of: impl Fn(TupleId) -> u64,
     ) -> Result<Ran> {
         let inserts = || table.tuples().iter().map(|t| (t.id(), None, Some(t)));
-        if table.is_empty() || !self.members[0].pipeline.strategy.blocks() {
+        if table.is_empty() || !self.members[0].pipeline.strategy.resides() {
             return Ok(self.redetect(executor, inserts(), seq_of, None)?.outs);
         }
         let data = || PDataset::from_vec(executor.engine().clone(), table.tuples().to_vec());

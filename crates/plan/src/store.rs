@@ -8,8 +8,9 @@
 //!   ([`crate::Executor::run_resident`]), and the cleanse loop's later
 //!   rounds reindex only the tuples repair changed;
 //! * an incremental session keeps one store per rule group — a Block
-//!   group's seeded at open by the same full pass, any other group's by
-//!   indexing every base tuple as an insert — and reindexes each delta;
+//!   or inequality group's seeded at open by the same full pass, any
+//!   other group's by indexing every base tuple as an insert — and
+//!   reindexes each delta;
 //! * the storage manager builds one from a table on its key columns
 //!   ([`BucketStore::on_columns`]), and pushdown is a detect over every
 //!   bucket.
@@ -19,16 +20,26 @@
 //! [`BucketStore::reindex`] drops that version's members and merges the
 //! new version's in, bucket by touched bucket.
 //!
+//! An inequality rule's store holds no buckets: a [`JoinIndex`] over
+//! its scoped records stands in for its one global bucket, seeded by the
+//! sorted range parts of its first full OCJoin pass. A reindex stages
+//! the change in it — the held versions stale, the new ones the fresh
+//! side of the next join — and [`BucketStore::settle`] folds a joined
+//! change in, before the next one is staged.
+//!
 //! The store only *chooses* what is re-detected ([`BucketStore::held`]).
 //! Detection itself — the straggler gate, pair enumeration with a delta
 //! as the freshness mask, Detect and GenFix — is
-//! [`crate::Executor::detect_held`]'s, as for a shuffled pass, run for a
-//! whole group by [`crate::group::RuleGroup::redetect`].
+//! [`crate::Executor::detect_held`]'s, as for a shuffled pass, or
+//! [`crate::Executor::detect_join`]'s over a join index, run for a whole
+//! group by [`crate::group::RuleGroup::redetect`].
 
 use crate::enumerate::{Band, Member, PairRule};
 use crate::executor::Held;
 use crate::physical::{IterateStrategy, RulePipeline};
-use bigdansing_common::{Table, Tuple, TupleId};
+use bigdansing_common::{Result, Table, Tuple, TupleId};
+use bigdansing_dataflow::Engine;
+use bigdansing_ocjoin::JoinIndex;
 use bigdansing_rules::BlockKey;
 use std::collections::{BTreeMap, HashMap};
 
@@ -121,10 +132,10 @@ impl Keying {
 }
 
 /// Resident candidate buckets over one group's records, members in
-/// table order. `M` is what a bucket holds: bare units for a batch Block
-/// pass or a storage partitioning, [`Entry`] for a session. The store
-/// keeps no record of what it indexed: a change names the version its
-/// buckets hold.
+/// table order, or an inequality rule's join index. `M` is what a
+/// bucket holds: bare units for a batch Block pass or a storage
+/// partitioning, [`Entry`] for a session. The store keeps no record of
+/// what it indexed: a change names the version its buckets hold.
 #[derive(Clone, Debug)]
 pub struct BucketStore<M = Entry> {
     keying: Keying,
@@ -132,6 +143,8 @@ pub struct BucketStore<M = Entry> {
     /// pass that seeded the store, so seeding merges nothing. A key sits
     /// in one shard.
     shards: Vec<HashMap<BlockKey, Vec<M>>>,
+    /// An inequality rule's records, sorted into range parts.
+    join: Option<JoinIndex>,
 }
 
 /// One touched bucket of a [`BucketStore::reindex`]: the ids whose held
@@ -142,13 +155,25 @@ impl<M: Member + Clone> BucketStore<M> {
     /// An empty store for a group as [`crate::physical::block_groups`]
     /// forms it.
     pub fn new(group: &[&RulePipeline]) -> BucketStore<M> {
-        BucketStore::seeded(Keying::of(group), vec![HashMap::new()])
+        let join = match &group[0].strategy {
+            IterateStrategy::OcJoin(conds) => Some(JoinIndex::new(conds)),
+            _ => None,
+        };
+        BucketStore::seeded(Keying::of(group), vec![HashMap::new()], join)
     }
 
     /// A store over buckets already built, one shard per map (at least
-    /// one).
-    pub(crate) fn seeded(keying: Keying, shards: Vec<HashMap<BlockKey, Vec<M>>>) -> Self {
-        BucketStore { keying, shards }
+    /// one), and an inequality rule's join index.
+    pub(crate) fn seeded(
+        keying: Keying,
+        shards: Vec<HashMap<BlockKey, Vec<M>>>,
+        join: Option<JoinIndex>,
+    ) -> Self {
+        BucketStore {
+            keying,
+            shards,
+            join,
+        }
     }
 
     /// `table`'s tuples bucketed by their values at `columns`: the
@@ -160,7 +185,7 @@ impl<M: Member + Clone> BucketStore<M> {
             let slot = buckets.entry(keying.key(t)).or_default();
             slot.push(M::resident(t.clone(), None));
         }
-        BucketStore::seeded(keying, vec![buckets])
+        BucketStore::seeded(keying, vec![buckets], None)
     }
 
     /// The source columns the store buckets by, when it holds source
@@ -177,14 +202,32 @@ impl<M: Member + Clone> BucketStore<M> {
         self.shards.iter().flatten()
     }
 
-    /// Number of members across the buckets.
+    /// Number of members across the buckets, or records of the join
+    /// index.
     pub fn len(&self) -> usize {
-        self.iter().map(|(_, bucket)| bucket.len()).sum()
+        let joined = self.join.as_ref().map_or(0, |j| j.records().count());
+        joined + self.iter().map(|(_, bucket)| bucket.len()).sum::<usize>()
     }
 
-    /// True when no bucket holds a member.
+    /// True when no bucket, nor the join index, holds a member.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
+        let held = |j: &JoinIndex| j.records().next().is_some();
+        !self.join.as_ref().is_some_and(held) && self.shards.iter().all(HashMap::is_empty)
+    }
+
+    /// An inequality rule's join index.
+    pub fn join(&self) -> Option<&JoinIndex> {
+        self.join.as_ref()
+    }
+
+    /// Fold the change a [`BucketStore::reindex`] staged in the join
+    /// index into it ([`JoinIndex::merge`]), once the change is joined
+    /// and before the next is staged; buckets take a change as it comes,
+    /// so this does nothing to them.
+    pub fn settle(&mut self, engine: &Engine) -> Result<()> {
+        self.join
+            .as_mut()
+            .map_or(Ok(()), |index| index.merge(engine))
     }
 
     fn get(&self, key: &BlockKey) -> Option<&Vec<M>> {
@@ -199,23 +242,27 @@ impl<M: Member + Clone> BucketStore<M> {
     /// has changed. `seq_of` gives every live tuple's table-order
     /// sequence number; members stay sorted by it.
     ///
+    /// A join index instead stages the change, held versions stale and
+    /// new ones fresh ([`JoinIndex::stage`]), until
+    /// [`BucketStore::settle`] folds it in; the one global bucket it
+    /// stands in for is the bucket the change touched. A change staged
+    /// before must have been folded in.
+    ///
     /// # Panics
     ///
     /// When a new version enters a bucket that still holds a member
-    /// with its id: the change did not name the version the store held.
+    /// with its id, or a join index holds no held version: the change
+    /// did not name the version the store held.
     pub fn reindex<'a>(
         &mut self,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
     ) -> Reindexed {
-        let mut touched: BTreeMap<BlockKey, Touch<M>> = BTreeMap::new();
+        let mut gone: Vec<(TupleId, Tuple)> = Vec::new();
         let mut news: Vec<((u64, u32), Tuple)> = Vec::new();
         for (id, old, new) in changes {
-            for held in old.map(|t| self.keying.records_of(t)).unwrap_or_default() {
-                for (key, _) in self.keying.buckets_of(&held) {
-                    touched.entry(key).or_default().0.push(id);
-                }
-            }
+            let held = old.map(|t| self.keying.records_of(t)).unwrap_or_default();
+            gone.extend(held.into_iter().map(|r| (id, r)));
             if let Some(t) = new {
                 let seq = seq_of(id);
                 let reps = (0..).zip(self.keying.records_of(t));
@@ -223,6 +270,20 @@ impl<M: Member + Clone> BucketStore<M> {
             }
         }
         news.sort_by_key(|(pos, _)| *pos);
+        if let Some(index) = &mut self.join {
+            let touched = !gone.is_empty() || !news.is_empty();
+            let keys = touched.then(|| (BlockKey::new(), !news.is_empty()));
+            let news: Vec<Tuple> = news.into_iter().map(|(_, t)| t).collect();
+            index.stage(gone.iter().map(|(_, held)| held), news.clone());
+            let keys = keys.into_iter().collect();
+            return Reindexed { news, keys };
+        }
+        let mut touched: BTreeMap<BlockKey, Touch<M>> = BTreeMap::new();
+        for (id, held) in &gone {
+            for (key, _) in self.keying.buckets_of(held) {
+                touched.entry(key).or_default().0.push(*id);
+            }
+        }
         for ((seq, _), t) in &news {
             for (key, band) in self.keying.buckets_of(t) {
                 let member = M::resident(t.clone(), band);
@@ -259,11 +320,11 @@ impl<M: Member + Clone> BucketStore<M> {
     /// What the `members` of the store's group re-evaluate after a
     /// [`BucketStore::reindex`] — the union of what each one picks —
     /// with the key of each bucket in it, index for index; `None` when
-    /// that is nothing. Single units pick the new records. An inequality
-    /// rule picks every record of its one global bucket, in table order,
-    /// once a record is new. A pair rule picks the buckets that gained a
-    /// member and hold a pair, a list rule every bucket that changed and
-    /// still has members.
+    /// that is nothing. Single units pick the new records, and so does
+    /// an inequality rule: they are the fresh side its join index
+    /// staged. A pair rule picks the buckets that gained a member and
+    /// hold a pair, a list rule every bucket that changed and still has
+    /// members.
     pub fn held(
         &self,
         members: &[&RulePipeline],
@@ -273,11 +334,9 @@ impl<M: Member + Clone> BucketStore<M> {
             (!change.news.is_empty()).then(|| (Held::Records(records()), Vec::new()))
         };
         match &members[0].strategy {
-            IterateStrategy::SingleUnits => records(&|| change.news.clone()),
-            IterateStrategy::OcJoin(_) => records(&|| {
-                let global = self.iter().flat_map(|(_, bucket)| bucket);
-                global.map(|m| m.tuple().clone()).collect()
-            }),
+            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => {
+                records(&|| change.news.clone())
+            }
             _ => {
                 let (mut buckets, mut names) = (Vec::new(), Vec::new());
                 for (key, &gained) in &change.keys {
@@ -340,6 +399,7 @@ mod tests {
     use crate::physical::{pipeline_for_rule, pipelines};
     use bigdansing_common::rng::{check, SplitMix64};
     use bigdansing_common::{stable_hash_of, LshParams, Schema, Value};
+    use bigdansing_dataflow::Engine;
     use bigdansing_rules::{DcRule, DedupRule, FdRule, Rule};
     use std::sync::Arc;
 
@@ -407,7 +467,7 @@ mod tests {
             (zip(2), scoped(&[&table[1]])),
         ]);
         let mut store: BucketStore<Tuple> =
-            BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded]);
+            BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded], None);
         let old = std::mem::replace(&mut table[1], row(1, 1));
         let change = store.reindex([(1, Some(&old), Some(&table[1]))].into_iter(), |id| id);
         let (Held::Buckets { buckets, scope }, names) = store.held(&[&pipeline], &change).unwrap()
@@ -552,7 +612,18 @@ mod tests {
                             .map(|m| show(m.tuple(), m.band().map(|b| b.0)));
                         (key.clone(), members.collect())
                     });
-                    assert_eq!(held.collect::<Shown>(), scratch);
+                    let mut held = held.collect::<Shown>();
+                    // a join index stands in for the one global bucket,
+                    // in its own order
+                    store.settle(&Engine::sequential()).unwrap();
+                    if let Some(index) = store.join() {
+                        let records = index.records().map(|t| show(t, None));
+                        held.insert(BlockKey::new(), records.collect());
+                        held.values_mut().for_each(|b| b.sort());
+                        scratch.values_mut().for_each(|b| b.sort());
+                        held.retain(|_, b| !b.is_empty());
+                    }
+                    assert_eq!(held, scratch);
                 }
             });
         }
@@ -578,7 +649,7 @@ mod tests {
     #[test]
     fn a_shuffled_store_matches_a_reindex_of_the_table() {
         use crate::Executor;
-        use bigdansing_dataflow::{Engine, PDataset};
+        use bigdansing_dataflow::PDataset;
         use bigdansing_rules::{UdfRule, UnitKind};
         let schema = Schema::parse("zipcode,city,state");
         let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
