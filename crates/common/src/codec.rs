@@ -107,9 +107,10 @@ impl Codec for Value {
                 f.encode(buf);
             }
             Value::Str(s) => {
+                let bytes = s.as_bytes();
                 buf.push(3);
-                (s.len() as u64).encode(buf);
-                buf.extend_from_slice(s.as_bytes());
+                (bytes.len() as u64).encode(buf);
+                buf.extend_from_slice(bytes);
             }
         }
     }

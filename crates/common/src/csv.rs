@@ -9,16 +9,17 @@
 //!
 //! Most records hold no quote at all. Such a record is split on `,`
 //! into borrowed slices and each field is typed straight from its
-//! slice, so a string cell costs one allocation (its `Arc<str>`); only
-//! a record with a `"` runs the quote-aware loop. Delta CSV
+//! slice, so a string cell of up to 22 bytes costs no allocation (it is
+//! held inline in its [`Value`]) and a longer one costs one; only a
+//! record with a `"` runs the quote-aware loop. Delta CSV
 //! (`incremental`) reads its records through the same [`records`],
 //! [`for_each_field`] and [`field_value`], so quoting means the same in
 //! a base file and in a delta.
 
 use crate::quarantine::Quarantine;
 use crate::{Error, Result, Schema, Table, Tuple, TupleId, Value};
-use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Split one CSV record into raw fields. Always runs the quote-aware
@@ -138,16 +139,21 @@ pub fn field_value(raw: &str, quoted: bool) -> Value {
 
 /// Append `field`, quoted if it contains a delimiter, quote or line
 /// break.
-fn push_field(out: &mut String, field: &str) {
+fn push_field(out: &mut Vec<u8>, field: &[u8]) {
     if field
-        .bytes()
+        .iter()
         .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
     {
-        out.push('"');
-        out.push_str(&field.replace('"', "\"\""));
-        out.push('"');
+        out.push(b'"');
+        for &b in field {
+            if b == b'"' {
+                out.push(b'"');
+            }
+            out.push(b);
+        }
+        out.push(b'"');
     } else {
-        out.push_str(field);
+        out.extend_from_slice(field);
     }
 }
 
@@ -236,36 +242,41 @@ fn read_to_parts(path: &Path) -> Result<(String, String)> {
     Ok((text, name))
 }
 
-/// Render a table as CSV text (with a header line), every field written
-/// straight into one buffer.
+/// Render a table as CSV text (with a header line).
 pub fn to_string(table: &Table) -> String {
-    let mut out = String::with_capacity(8 * table.len() * table.schema().arity());
+    String::from_utf8(to_bytes(table)).expect("every field is UTF-8")
+}
+
+/// The bytes of [`to_string`], every field written straight into one
+/// buffer from its bytes: a string cell is never re-checked as UTF-8.
+fn to_bytes(table: &Table) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 * table.len() * table.schema().arity());
     for (i, a) in table.schema().attrs().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        push_field(&mut out, a);
+        push_field(&mut out, a.as_bytes());
     }
-    out.push('\n');
+    out.push(b'\n');
     for t in table.tuples() {
         for (i, v) in t.iter_values().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             match v {
-                Value::Str(s) => push_field(&mut out, s),
+                Value::Str(s) => push_field(&mut out, s.as_bytes()),
                 // numbers and Null never need quoting
-                other => write!(out, "{other}").expect("writing to a String cannot fail"),
+                other => write!(out, "{other}").expect("writing to a Vec cannot fail"),
             }
         }
-        out.push('\n');
+        out.push(b'\n');
     }
     out
 }
 
 /// Write a table as CSV to disk.
 pub fn write_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    fs::write(path, to_string(table))?;
+    fs::write(path, to_bytes(table))?;
     Ok(())
 }
 

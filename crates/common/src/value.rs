@@ -10,6 +10,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A single cell value.
@@ -21,15 +22,129 @@ pub enum Value {
     Int(i64),
     /// 64-bit float, ordered with `total_cmp`.
     Float(f64),
-    /// UTF-8 string; `Arc` keeps tuple cloning cheap, every clone
-    /// sharing the one allocation made when the cell was parsed.
-    Str(Arc<str>),
+    /// UTF-8 string: up to [`Text::INLINE`] bytes held in the cell
+    /// itself, a longer one in an `Arc` every clone shares.
+    Str(Text),
+}
+
+// A string cell of up to 22 bytes costs no allocation only while the
+// whole value stays three words.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
+/// The string of a [`Value::Str`] cell.
+///
+/// A string of at most [`Text::INLINE`] bytes is stored inline, so
+/// parsing, cloning and dropping it touch no heap; a longer one keeps
+/// one shared `Arc<str>`. Every constructor goes through [`Text::new`],
+/// so equal strings always have the same representation. Comparison
+/// and hashing read the bytes alone: `Ord` is `str` order and `Hash`
+/// writes what hashing the `&str` writes.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; Text::INLINE] },
+    Shared(Arc<str>),
+}
+
+impl Text {
+    /// The longest string held inline: what fits beside the tags in
+    /// a 24-byte [`Value`].
+    pub const INLINE: usize = 22;
+
+    /// Store `s`, inline when it fits.
+    pub fn new(s: &str) -> Text {
+        match s.len() {
+            len @ 0..=Text::INLINE => {
+                let mut bytes = [0; Text::INLINE];
+                bytes[..len].copy_from_slice(s.as_bytes());
+                Text(Repr::Inline {
+                    len: len as u8,
+                    bytes,
+                })
+            }
+            _ => Text(Repr::Shared(Arc::from(s))),
+        }
+    }
+
+    /// The string's bytes, read without a UTF-8 check.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline bytes are copied from a str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    /// Byte order, which is `str` order. Clones of one long cell (a
+    /// tuple copied between stages, a repair's value written into other
+    /// cells) share one `Arc`, so the pointer check settles them before
+    /// any byte comparison.
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Repr::Shared(a), Repr::Shared(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
+    }
+}
+
+impl Hash for Text {
+    /// What `str`'s `Hash` writes: the bytes, then `0xff`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::new(s.as_ref()))
     }
 
     /// True when the value is [`Value::Null`].
@@ -131,11 +246,6 @@ impl Ord for Value {
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
             (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
             (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
-            // Clones of one cell (a tuple copied between stages, a
-            // repair's value written into other cells) share one `Arc`,
-            // so the pointer check settles them before any byte
-            // comparison.
-            (Value::Str(a), Value::Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
@@ -195,7 +305,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::str(v)
     }
 }
 
@@ -203,6 +313,7 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use crate::rng::{arb, check, SplitMix64};
+    use crate::stable_hash_of;
 
     #[test]
     fn ordering_across_types_is_by_rank() {
@@ -299,6 +410,95 @@ mod tests {
                 assert_eq!(ha.finish(), hb.finish());
             }
         });
+    }
+
+    /// 0–40 bytes of letters (none spells a float, so `parse_lossy`
+    /// keeps the string) and `é`, `€`, `😀`; every other case puts one
+    /// multi-byte char across the inline limit.
+    fn arb_text(g: &mut SplitMix64) -> String {
+        const WIDE: [char; 3] = ['é', '€', '😀'];
+        let target = g.range(0..=40);
+        let mut s = String::new();
+        if g.range(0..2) == 0 {
+            let c = WIDE[g.range(0..3usize)];
+            let start = Text::INLINE - g.range(1..c.len_utf8());
+            s.extend(std::iter::repeat_n('o', start));
+            s.push(c);
+        }
+        while s.len() < target {
+            let c = match g.range(0..4) {
+                0 => WIDE[g.range(0..3usize)],
+                _ => char::from(g.range(b'o'..=b'z')),
+            };
+            s.push(if s.len() + c.len_utf8() <= 40 { c } else { 'o' });
+        }
+        s
+    }
+
+    #[test]
+    fn every_constructor_builds_one_text() {
+        use crate::codec::Codec;
+        check(512, |g| {
+            let s = arb_text(g);
+            let v = Value::str(&s);
+            let Value::Str(text) = &v else {
+                panic!("{s:?} is not a string")
+            };
+            assert_eq!(
+                matches!(text.0, Repr::Inline { .. }),
+                s.len() <= Text::INLINE
+            );
+            let mut bytes = Vec::new();
+            v.encode(&mut bytes);
+            let mut built = vec![
+                Value::from(s.clone()),
+                Value::decode(&mut &bytes[..]).unwrap(),
+            ];
+            if !s.is_empty() {
+                let csv = crate::csv::parse_str("t", &format!("s\n{s}\n"), true, None).unwrap();
+                built.extend([Value::parse_lossy(&s), csv.tuples()[0].value(0).clone()]);
+            }
+            for other in &built {
+                assert_eq!(other, &v, "{s:?}");
+                assert_eq!(stable_hash_of(other), stable_hash_of(&v));
+            }
+            assert_eq!(v.to_string(), s);
+            let t = arb_text(g);
+            assert_eq!(v.cmp(&Value::str(&t)), s.as_str().cmp(&t), "{s:?} vs {t:?}");
+        });
+    }
+
+    /// Taken from the `Arc<str>` cells that preceded inline ones: the
+    /// stable hash and the codec bytes of a 22-byte string, a 23-byte
+    /// one and one whose `€` straddles byte 22.
+    #[test]
+    fn string_hash_and_codec_are_pinned() {
+        use crate::codec::Codec;
+        let pins = [
+            (
+                "abcdefghijklmnopqrstuv",
+                0x3c44fba900ba4196,
+                "0316000000000000006162636465666768696a6b6c6d6e6f70717273747576",
+            ),
+            (
+                "abcdefghijklmnopqrstuvw",
+                0x1659e407d79acc5c,
+                "0317000000000000006162636465666768696a6b6c6d6e6f7071727374757677",
+            ),
+            (
+                "aaaaaaaaaaaaaaaaaaaa€",
+                0x717b4b126e6ebf04,
+                "0317000000000000006161616161616161616161616161616161616161e282ac",
+            ),
+        ];
+        for (s, hash, codec) in pins {
+            let v = Value::str(s);
+            assert_eq!(stable_hash_of(&v), hash, "{s:?}");
+            let mut bytes = Vec::new();
+            v.encode(&mut bytes);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, codec, "{s:?}");
+        }
     }
 
     #[test]

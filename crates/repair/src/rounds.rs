@@ -131,7 +131,11 @@ pub fn run_rounds(
             only_noops_left = !froze;
             break;
         }
-        for (cell, value) in &applicable {
+        // summed in cell order: a float sum in `HashMap` order would
+        // differ in its last bits from run to run
+        let mut changed: Vec<_> = applicable.iter().collect();
+        changed.sort_unstable_by_key(|(cell, _)| **cell);
+        for (cell, value) in changed {
             if let Some(old) = target.cell_value(*cell) {
                 report.repair_cost += old.distance(value);
             }

@@ -684,14 +684,15 @@ mod cleanse_loop_vs_full_redetect {
     }
 
     /// What a cleanse run is compared on.
-    fn outcome(table: &Table, r: RoundsReport) -> (String, [usize; 4], bool) {
+    fn outcome(table: &Table, r: RoundsReport) -> (String, [usize; 4], u64, bool) {
         let counts = [
             r.iterations,
             r.total_violations,
             r.cells_changed,
             r.frozen_cells,
         ];
-        (csv::to_string(table), counts, r.converged)
+        let cost = r.repair_cost.to_bits();
+        (csv::to_string(table), counts, cost, r.converged)
     }
 
     #[test]
