@@ -15,7 +15,7 @@
 use bigdansing::{
     csv, read_snapshot_table, BigDansing, CleanseOptions, DedupRule, DeltaBatch, DurabilityOptions,
     Engine, EquivalenceClassRepair, ExecMode, HypergraphRepair, IsolationOptions, LshParams,
-    MemoryBudget, Quarantine, RepairOptions, RepairStrategy,
+    MemoryBudget, PassRecord, Quarantine, RepairOptions, RepairStrategy,
 };
 use bigdansing_common::metrics::MetricsSnapshot;
 use bigdansing_common::Table;
@@ -77,12 +77,12 @@ OPTIONS:
                          master/slave protocol (default: unlimited)
   --repair-k N           parts per partitioned component (default: 4)
   --max-iterations N     detect/repair rounds (default: 10)
-  --lsh-bands N          LSH bands for similarity rules (default: 8;
+  --lsh-bands N          LSH bands of the --dedup rules (default: 8;
                          more bands = higher recall, more candidates)
-  --lsh-rows N           MinHash rows hashed per LSH band (default: 3;
-                         more rows = stricter buckets, fewer
-                         candidates); both flags require a similarity
-                         rule such as --dedup
+  --lsh-rows N           MinHash rows hashed per LSH band of the
+                         --dedup rules (default: 3; more rows =
+                         stricter buckets, fewer candidates); both
+                         flags require a --dedup rule
   --deadline-ms N        cancel the job after N ms of wall-clock time
   --memory-budget-mb N   soft memory budget for checkpointed data; the
                          coldest datasets spill to disk past it (hard
@@ -175,9 +175,9 @@ impl Args {
         iso
     }
 
-    /// The LSH banding geometry the flags describe: `None` when neither
-    /// flag was given (rules keep their defaults), otherwise the
-    /// defaults with the given dimension(s) overridden.
+    /// The banding geometry of the `--dedup` rules: `None` when neither
+    /// flag was given (the rules keep the default), otherwise the
+    /// default with the given dimension(s) overridden.
     fn lsh_params(&self) -> Option<LshParams> {
         if self.lsh_bands.is_none() && self.lsh_rows.is_none() {
             return None;
@@ -212,7 +212,6 @@ impl Args {
             max_iterations: self.max_iterations,
             isolation: self.isolation(),
             repair_options: self.repair_options(),
-            lsh: self.lsh_params(),
             ..Default::default()
         })
     }
@@ -440,11 +439,14 @@ fn summarize(engine: &Engine, summary: fn(&MetricsSnapshot) -> Option<String>) {
     }
 }
 
-/// The fused stage graph (`--explain`): the per-pass trace from the
-/// engine, then the one-line fusion summary derived from metrics.
-fn explain(engine: &Engine) -> String {
-    let summary = bigdansing::report::plan_summary(&engine.metrics().snapshot());
-    let lines: Vec<String> = std::iter::once(engine.explain()).chain(summary).collect();
+/// The fused stage graph (`--explain`) of `passes`, then the one-line
+/// fusion summary derived from the engine's metrics.
+fn explain(engine: &Engine, passes: &[PassRecord]) -> String {
+    use bigdansing::report::{plan_summary, render_plan};
+    let summary = plan_summary(&engine.metrics().snapshot());
+    let lines: Vec<String> = std::iter::once(render_plan(passes))
+        .chain(summary)
+        .collect();
     lines.join("\n")
 }
 
@@ -456,7 +458,8 @@ fn run_recover(args: &Args) -> Result<u8, String> {
         csv::write_file(session.table(), output).map_err(|e| e.to_string())?;
         eprintln!("wrote {output}");
     }
-    for line in session_epilogue(args, sys.engine(), &session) {
+    let passes = sys.engine().plan_trace();
+    for line in session_epilogue(args, sys.engine(), &session, &passes) {
         eprintln!("{line}");
     }
     Ok(session_exit_code(&session))
@@ -494,9 +497,16 @@ fn recover(args: &Args) -> Result<(BigDansing, bigdansing::Session), String> {
 }
 
 /// What `delta` and `recover` print after a session's last batch: the
-/// repair summary, the quarantined rules, the stage graph of every pass
-/// the session ran under `--explain`, and the fault summary.
-fn session_epilogue(args: &Args, engine: &Engine, session: &bigdansing::Session) -> Vec<String> {
+/// repair summary, the quarantined rules, under `--explain` the stage
+/// graph of `passes` — every pass the command ran, collected after each
+/// of its jobs, since a job's start clears the engine's trace — and the
+/// fault summary.
+fn session_epilogue(
+    args: &Args,
+    engine: &Engine,
+    session: &bigdansing::Session,
+    passes: &[PassRecord],
+) -> Vec<String> {
     use bigdansing::report::{fault_summary, repair_summary};
     let m = engine.metrics().snapshot();
     let mut lines: Vec<String> = repair_summary(&m).into_iter().collect();
@@ -510,7 +520,7 @@ fn session_epilogue(args: &Args, engine: &Engine, session: &bigdansing::Session)
         ));
     }
     if args.explain {
-        lines.push(explain(engine));
+        lines.push(explain(engine, passes));
     }
     lines.extend(fault_summary(&m));
     lines
@@ -543,17 +553,19 @@ fn run_serve(args: &Args) -> Result<u8, String> {
     opts.workers = args.workers;
     opts.max_batch = args.max_batch;
     opts.max_latency = Duration::from_millis(args.max_latency_ms);
-    opts.window = args
+    opts.durability = args
+        .durable_dir
+        .as_ref()
+        .map(|dir| DurabilityOptions::new(dir).snapshot_every(args.snapshot_every));
+    opts.deadline = args.deadline_ms.map(Duration::from_millis);
+    opts.max_pending = args.max_pending;
+    opts.cleanse = args.cleanse_options()?;
+    opts.cleanse.window = args
         .window
         .as_deref()
         .map(bigdansing::WindowSpec::parse)
         .transpose()
         .map_err(|e| e.to_string())?;
-    opts.durable_root = args.durable_dir.clone().map(PathBuf::from);
-    opts.snapshot_every = args.snapshot_every;
-    opts.deadline = args.deadline_ms.map(Duration::from_millis);
-    opts.max_pending = args.max_pending;
-    opts.cleanse = args.cleanse_options()?;
 
     let mut server = Server::start(&args.listen, opts).map_err(|e| e.to_string())?;
     eprintln!(
@@ -595,7 +607,7 @@ fn run() -> Result<u8, String> {
             }
             let out = sys.detect(&table).map_err(|e| e.to_string())?;
             if args.explain {
-                eprintln!("{}", explain(sys.engine()));
+                eprintln!("{}", explain(sys.engine(), &sys.engine().plan_trace()));
             }
             summarize(sys.engine(), bigdansing::report::fault_summary);
             eprintln!(
@@ -621,6 +633,7 @@ fn run() -> Result<u8, String> {
             let result = sys
                 .cleanse(&table, args.cleanse_options()?)
                 .map_err(|e| e.to_string())?;
+            let mut passes = sys.engine().plan_trace();
             eprintln!(
                 "cleansed in {} iteration(s): {} cells changed, cost {:.3}, converged: {}",
                 result.iterations, result.cells_changed, result.repair_cost, result.converged
@@ -634,12 +647,13 @@ fn run() -> Result<u8, String> {
             eprintln!("wrote {output}");
             if let Some(stem) = &args.report {
                 let residue = sys.detect(&result.table).map_err(|e| e.to_string())?;
+                passes.extend(sys.engine().plan_trace());
                 bigdansing::report::write_reports(&residue, Some(&result.table), stem)
                     .map_err(|e| e.to_string())?;
                 eprintln!("residual violations: {}", residue.violation_count());
             }
             if args.explain {
-                eprintln!("{}", explain(sys.engine()));
+                eprintln!("{}", explain(sys.engine(), &passes));
             }
             summarize(sys.engine(), bigdansing::report::fault_summary);
         }
@@ -680,6 +694,7 @@ fn run() -> Result<u8, String> {
                 "session open: {} pre-existing violation(s)",
                 session.violation_count()
             );
+            let mut passes = sys.engine().plan_trace();
             for path in &args.deltas {
                 let batch =
                     DeltaBatch::read_file(path, table.schema()).map_err(|e| e.to_string())?;
@@ -687,6 +702,7 @@ fn run() -> Result<u8, String> {
                 let report = sys
                     .apply_delta(&mut session, batch)
                     .map_err(|e| e.to_string())?;
+                passes.extend(sys.engine().plan_trace());
                 eprintln!(
                     "applied `{path}` ({ops} op(s)): {} tuple(s) reprocessed, \
                      {} dirty block(s), +{}/-{} violation(s), \
@@ -706,7 +722,7 @@ fn run() -> Result<u8, String> {
                 csv::write_file(session.table(), output).map_err(|e| e.to_string())?;
                 eprintln!("wrote {output}");
             }
-            for line in session_epilogue(&args, sys.engine(), &session) {
+            for line in session_epilogue(&args, sys.engine(), &session, &passes) {
                 eprintln!("{line}");
             }
             status = session_exit_code(&session);
@@ -872,7 +888,8 @@ mod tests {
         let path = dir.to_str().unwrap();
         let args = parse(&[&["recover", path], &fds[..]].concat()).unwrap();
         let (sys, session) = recover(&args).unwrap();
-        let printed = session_epilogue(&args, sys.engine(), &session).join("\n");
+        let passes = sys.engine().plan_trace();
+        let printed = session_epilogue(&args, sys.engine(), &session, &passes).join("\n");
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(printed.contains("stage graph:"), "{printed}");
         let redetects: Vec<&str> = printed

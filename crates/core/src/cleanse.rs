@@ -1,14 +1,15 @@
 //! The batch cleanse loop (§2.2 of the paper): isolation-aware,
 //! semi-naive detect rounds driven through the shared detect ⇄ repair
-//! rounds driver, [`bigdansing_repair::rounds`], which owns the
+//! rounds driver, [`bigdansing_incremental::rounds`], which owns the
 //! freeze-counter termination rule and the change accounting.
 
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::PDataset;
+use bigdansing_incremental::{run_rounds, RepairTarget};
 use bigdansing_plan::physical::pipelines;
 use bigdansing_plan::{Delta, Executor, GroupMember, Origin, RuleGroup};
-use bigdansing_repair::{run_rounds, Assignment, Detected, RepairTarget, RoundsOptions};
+use bigdansing_repair::{Assignment, Detected};
 use bigdansing_rules::Rule;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 // The options and strategy selection live below this crate so the
 // incremental session shares them; re-exported here for source
 // compatibility.
-pub use bigdansing_incremental::{validate_lsh_override, CleanseOptions};
+pub use bigdansing_incremental::CleanseOptions;
 pub use bigdansing_repair::RepairStrategy;
 
 /// One rule's health at the end of a cleansing run.
@@ -164,7 +165,7 @@ impl<'a> BatchTarget<'a> {
         table: &Table,
         options: &CleanseOptions,
     ) -> Self {
-        let pipelines = pipelines(rules, table.name(), options.lsh);
+        let pipelines = pipelines(rules, table.name());
         BatchTarget {
             executor,
             groups: RuleGroup::of(&pipelines, options.isolation, false),
@@ -311,18 +312,8 @@ pub fn cleanse_loop(
     if rules.is_empty() {
         return Err(Error::Repair("no rules registered".into()));
     }
-    validate_lsh_override(&options, rules)?;
     let mut target = BatchTarget::new(executor, rules, table, &options);
-    let rounds = run_rounds(
-        executor.engine(),
-        &mut target,
-        RoundsOptions {
-            max_iterations: options.max_iterations,
-            max_changes_per_cell: options.max_changes_per_cell,
-            strategy: &options.strategy,
-            repair_options: options.repair_options,
-        },
-    )?;
+    let rounds = run_rounds(executor.engine(), &mut target, &options)?;
     Ok(CleanseResult {
         outcome: health_report(&target.groups),
         table: target.table,
@@ -338,12 +329,12 @@ pub fn cleanse_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigdansing_common::{LshParams, Schema};
+    use bigdansing_common::Schema;
     use bigdansing_dataflow::{Engine, IsolationOptions};
     use bigdansing_incremental::{DeltaBatch, Session};
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{
-        BlockKey, DcRule, DedupRule, DetectUnit, FdRule, Fix, UdfRule, UnitKind, Violation,
+        BlockKey, DcRule, DetectUnit, FdRule, Fix, UdfRule, UnitKind, Violation,
     };
     use std::collections::HashMap;
 
@@ -438,29 +429,6 @@ mod tests {
         let t = fd_table();
         let exec = Executor::new(Engine::sequential());
         assert!(cleanse_loop(&exec, &[], &t, CleanseOptions::default()).is_err());
-    }
-
-    /// The job-level LSH geometry override only makes sense for
-    /// similarity rules: a rule set without one rejects it up front
-    /// with an actionable error instead of silently ignoring it.
-    #[test]
-    fn lsh_override_requires_a_similarity_rule() {
-        let t = fd_table();
-        let exec = Executor::new(Engine::sequential());
-        let opts = CleanseOptions {
-            lsh: Some(LshParams::default()),
-            ..Default::default()
-        };
-        let err = cleanse_loop(&exec, &fd_rules(t.schema()), &t, opts.clone()).unwrap_err();
-        assert!(
-            err.to_string().contains("similarity rule"),
-            "unhelpful error: {err}"
-        );
-        // an LSH-blocked dedup rule satisfies the validation
-        let rules: Vec<Arc<dyn Rule>> = vec![Arc::new(
-            DedupRule::new("udf:dedup", 1, 0.9).with_lsh(LshParams::default()),
-        )];
-        assert!(validate_lsh_override(&opts, &rules).is_ok());
     }
 
     #[test]
@@ -798,7 +766,6 @@ mod tests {
     /// every round, and the run ends where a sequential cleanse ends.
     #[test]
     fn a_dc_cleanse_joins_each_round_against_the_merged_index() {
-        use bigdansing_repair::RoundsOptions;
         let schema = Schema::parse("salary,rate");
         let rows = (0..240i64).map(|i| {
             let s = (i * 37) % 161 - 80;
@@ -819,13 +786,7 @@ mod tests {
             rule,
             detects: 0,
         };
-        let rounds = RoundsOptions {
-            max_iterations: options.max_iterations,
-            max_changes_per_cell: options.max_changes_per_cell,
-            strategy: &options.strategy,
-            repair_options: options.repair_options,
-        };
-        let got = run_rounds(exec.engine(), &mut checked, rounds).unwrap();
+        let got = run_rounds(exec.engine(), &mut checked, &options).unwrap();
         assert!(checked.detects >= 3, "{} detect rounds", checked.detects);
         let seq = Executor::new(Engine::sequential());
         let want = cleanse_loop(&seq, &rules, &t, options.clone()).unwrap();

@@ -62,10 +62,7 @@ pub mod cleanse;
 pub mod report;
 pub mod system;
 
-pub use cleanse::{
-    validate_lsh_override, CleanseOptions, CleanseOutcome, CleanseResult, RepairStrategy,
-    RuleHealth,
-};
+pub use cleanse::{CleanseOptions, CleanseOutcome, CleanseResult, RepairStrategy, RuleHealth};
 pub use system::{AdmissionControl, AdmissionPermit, AdmissionPolicy, BigDansing};
 
 // Re-export the workspace's main vocabulary so downstream users can
@@ -81,7 +78,7 @@ pub use bigdansing_incremental::{
 
 pub use bigdansing_dataflow::{
     CancellationToken, Engine, EngineBuilder, ExecMode, FaultInjector, FaultMode, FaultPolicy,
-    IsolationOptions, JobGuard, MemoryBudget, PDataset,
+    IsolationOptions, JobGuard, MemoryBudget, PDataset, PassRecord,
 };
 pub use bigdansing_plan::{DetectOutput, Executor, IterateStrategy, Job};
 pub use bigdansing_repair::blackbox::RepairOptions;

@@ -12,6 +12,8 @@ use bigdansing_plan::DetectOutput;
 use std::fmt::Write as _;
 use std::path::Path;
 
+pub use bigdansing_dataflow::stage::render_plan;
+
 fn csv_quote(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))

@@ -357,10 +357,10 @@ impl Engine {
         let token = CancellationToken::new(name, deadline.map(|d| Instant::now() + d));
         *self.inner.current.lock() = token.clone();
         // The pass trace describes one job; start it afresh here so
-        // reads (`explain` / `plan_trace` / `stage_plan`) can stay
-        // non-destructive and be called any number of times after the
-        // job without losing the record.
-        self.clear_stage_plan();
+        // reads (`explain` / `plan_trace`) can stay non-destructive and
+        // be called any number of times after the job without losing
+        // the record.
+        self.inner.plan_trace.lock().clear();
         JobGuard {
             engine: self.clone(),
             token,
@@ -459,31 +459,19 @@ impl Engine {
         });
     }
 
-    /// Snapshot of the physical passes recorded so far (in execution
-    /// order).
-    pub fn stage_plan(&self) -> Vec<PassRecord> {
-        self.inner.plan_trace.lock().clone()
-    }
-
-    /// Non-destructive alias for [`Engine::stage_plan`]: the recorded
-    /// pass trace of the current (or most recent) job. Reading it —
-    /// like calling [`Engine::explain`] — never clears the trace; the
-    /// trace resets when the next job begins.
+    /// The physical passes of the current (or most recent) job, in
+    /// execution order. Reading it — like calling [`Engine::explain`] —
+    /// never clears the trace; the trace resets when the next job
+    /// begins.
     pub fn plan_trace(&self) -> Vec<PassRecord> {
-        self.stage_plan()
+        self.inner.plan_trace.lock().clone()
     }
 
     /// Human-readable dump of the stage graph: which logical operators
     /// fused into which physical passes. Surfaced by the CLI's
     /// `--explain` flag.
     pub fn explain(&self) -> String {
-        render_plan(&self.stage_plan())
-    }
-
-    /// Forget the recorded pass trace (metrics are left alone). Useful
-    /// between jobs sharing one engine.
-    pub fn clear_stage_plan(&self) {
-        self.inner.plan_trace.lock().clear();
+        render_plan(&self.plan_trace())
     }
 
     /// Split `data` into `nparts` round-robin-balanced partitions.
@@ -655,7 +643,6 @@ mod tests {
         assert_eq!(e.explain(), first, "second explain must see the same plan");
         assert_eq!(e.plan_trace().len(), 1);
         assert_eq!(e.explain(), first, "explain after plan_trace still intact");
-        assert_eq!(e.stage_plan().len(), 1);
         // a new job starts a fresh trace
         let guard = e.begin_job("next", None);
         assert!(e.plan_trace().is_empty(), "begin_job resets the trace");

@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(out, (0..200).collect::<Vec<u64>>());
         assert!(Metrics::get(&e.metrics().bytes_spilled) > 0);
         // the materializing checkpoint is the one recorded pass
-        let plan = e.stage_plan();
+        let plan = e.plan_trace();
         assert_eq!(plan.len(), 1);
         assert_eq!(
             (plan[0].kind, plan[0].partitions),
@@ -366,7 +366,7 @@ mod tests {
             .checkpoint()
             .unwrap();
         assert_eq!(Metrics::get(&e.metrics().bytes_tracked), 0);
-        assert!(e.stage_plan().is_empty(), "nothing materialized");
+        assert!(e.plan_trace().is_empty(), "nothing materialized");
         assert_eq!(cp.into_partitions().unwrap().concat().len(), 50);
     }
 

@@ -492,7 +492,7 @@ mod tests {
             .unwrap();
         assert_eq!(Metrics::get(&e.metrics().passes_executed), 1);
         assert_eq!(Metrics::get(&e.metrics().stages_fused), 2);
-        let plan = e.stage_plan();
+        let plan = e.plan_trace();
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].kind, PassKind::Narrow);
         assert_eq!(plan[0].ops, vec!["a", "b", "c"]);
@@ -575,7 +575,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let kinds: Vec<PassKind> = e.stage_plan().iter().map(|p| p.kind).collect();
+        let kinds: Vec<PassKind> = e.plan_trace().iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -586,8 +586,8 @@ mod tests {
         );
         // The map op fused into the shuffle-map pass; the group build
         // fused into the downstream narrow pass.
-        assert_eq!(e.stage_plan()[0].ops, vec!["tag", "block.key"]);
-        assert_eq!(e.stage_plan()[2].ops, vec!["block.group"]);
+        assert_eq!(e.plan_trace()[0].ops, vec!["tag", "block.key"]);
+        assert_eq!(e.plan_trace()[2].ops, vec!["block.group"]);
         assert_eq!(Metrics::get(&e.metrics().records_shuffled), 40);
     }
 
@@ -712,7 +712,7 @@ mod tests {
         assert!(plan.contains("scope + block.key"), "{plan}");
         assert!(plan.contains("block.group + detect"), "{plan}");
         // the materializing checkpoint is a pass of its own, recorded once
-        let kinds: Vec<PassKind> = e.stage_plan().iter().map(|p| p.kind).collect();
+        let kinds: Vec<PassKind> = e.plan_trace().iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -722,7 +722,8 @@ mod tests {
                 PassKind::Checkpoint
             ]
         );
-        e.clear_stage_plan();
+        // the next job starts from an empty trace
+        drop(e.begin_job("next", None));
         assert!(e.explain().contains("no fused passes"));
     }
 }

@@ -999,4 +999,24 @@ mod tests {
         assert!(err_of(s.snapshot()).to_string().contains("poisoned"));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Two opens of one base write the same base frame, byte for byte:
+    /// the open stores its detections in the order of their units, not
+    /// in the order a shuffle's buckets come out in.
+    #[test]
+    fn the_base_frame_is_byte_reproducible() {
+        let row = |i: i64| vec![Value::Int(i % 40), Value::str(format!("c{}", i % 7))];
+        let table = Table::from_rows("t", zip_city(), (0..600).map(row).collect());
+        let frame = |tag| {
+            let dir = durable_dir(tag);
+            drop(open_on(Engine::parallel(2), &dir, &table, 8).unwrap());
+            let bytes = std::fs::read(wal::snapshot_path(&dir)).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        assert!(
+            frame("repro-a") == frame("repro-b"),
+            "the base frames differ"
+        );
+    }
 }

@@ -47,6 +47,10 @@
 //! after a crash — or after an apply error that would otherwise leave
 //! the session poisoned.
 //!
+//! [`rounds`] is the iterative detect ⇄ repair driver (§2.2) that both
+//! the batch cleanse loop and sessions run through, limited by the
+//! job's [`CleanseOptions`].
+//!
 //! Streaming sessions can bound their working set with a **violation
 //! window** ([`WindowSpec`]): each arriving record gets a logical event
 //! time, and tuples whose last containing window closed behind the
@@ -57,13 +61,15 @@
 pub mod delta;
 mod durable;
 mod report;
+pub mod rounds;
 pub mod session;
 mod store;
 pub mod wal;
 pub mod window;
 
 pub use delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
-pub use session::{validate_lsh_override, CleanseOptions, DeltaReport, Session};
+pub use rounds::{run_rounds, RepairTarget, RoundsReport};
+pub use session::{CleanseOptions, DeltaReport, Session};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};
 pub use window::WindowSpec;
 

@@ -18,11 +18,11 @@
 //! asks for a detect it can answer itself: a verdict on the final table
 //! costs a detect only when something was applied since the last one.
 
-use crate::blackbox::RepairOptions;
-use crate::{run_repair, Assignment, Detected, RepairStrategy};
+use crate::CleanseOptions;
 use bigdansing_common::error::Result;
 use bigdansing_common::{Cell, Value};
 use bigdansing_dataflow::Engine;
+use bigdansing_repair::{run_repair, Assignment, Detected};
 use std::collections::HashMap;
 
 /// What the rounds driver needs from the table it repairs.
@@ -43,19 +43,6 @@ pub trait RepairTarget {
     /// Apply one round's cell updates to the table, and to whatever the
     /// target keeps in sync with it.
     fn apply(&mut self, updates: &Assignment) -> Result<()>;
-}
-
-/// The knobs of the rounds driver.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundsOptions<'a> {
-    /// Maximum detect ⇄ repair iterations (at least one round runs).
-    pub max_iterations: usize,
-    /// Freeze threshold: after this many updates a cell stops changing.
-    pub max_changes_per_cell: usize,
-    /// Repair strategy.
-    pub strategy: &'a RepairStrategy,
-    /// Options forwarded to the parallel black-box driver.
-    pub repair_options: RepairOptions,
 }
 
 /// What a run of the rounds driver did.
@@ -82,11 +69,14 @@ pub struct RoundsReport {
 }
 
 /// Run detect ⇄ repair rounds over `target` until it is clean, only
-/// unfixable violations remain, or the iteration cap is reached.
+/// unfixable violations remain, or the iteration cap is reached. Of
+/// `options`, the driver reads the round limits (`max_iterations`, at
+/// least one round runs, and `max_changes_per_cell`), `strategy` and
+/// `repair_options`.
 pub fn run_rounds(
     engine: &Engine,
     target: &mut impl RepairTarget,
-    options: RoundsOptions<'_>,
+    options: &CleanseOptions,
 ) -> Result<RoundsReport> {
     let mut report = RoundsReport::default();
     let mut change_count: HashMap<Cell, usize> = HashMap::new();
@@ -106,7 +96,7 @@ pub fn run_rounds(
         }
         report.iterations += 1;
         report.total_violations += detected.len();
-        let assignment = run_repair(engine, detected, options.strategy, options.repair_options)?;
+        let assignment = run_repair(engine, detected, &options.strategy, options.repair_options)?;
 
         // honour frozen cells, drop no-ops, count changes
         let mut applicable: Assignment = HashMap::new();
@@ -217,13 +207,12 @@ mod tests {
     }
 
     fn run(stub: &mut Stub, max_iterations: usize) -> RoundsReport {
-        let options = RoundsOptions {
+        let options = CleanseOptions {
             max_iterations,
             max_changes_per_cell: usize::MAX,
-            strategy: &RepairStrategy::default(),
-            repair_options: RepairOptions::default(),
+            ..CleanseOptions::default()
         };
-        run_rounds(&Engine::sequential(), stub, options).unwrap()
+        run_rounds(&Engine::sequential(), stub, &options).unwrap()
     }
 
     /// The driver asks for a detect only when it cannot answer itself:

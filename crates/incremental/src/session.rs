@@ -20,7 +20,7 @@
 //! (`delta×resident ∪ delta×delta`) are re-detected; units among
 //! untouched residents are unchanged by construction.
 //!
-//! The repair phase runs [`bigdansing_repair::run_rounds`] — the one
+//! The repair phase runs [`crate::rounds::run_rounds`] — the one
 //! detect ⇄ repair driver — with the store as its detect and the
 //! changed cells of each round fed back through the incremental
 //! detection path. The one *scoped* shortcut — skipping repair entirely
@@ -34,22 +34,19 @@ use crate::delta::{check_arity, DeltaBatch, DeltaOp};
 use crate::durable::Durable;
 use crate::report::ApplyStats;
 pub use crate::report::DeltaReport;
+use crate::rounds::{run_rounds, RepairTarget};
 use crate::store::Store;
 use crate::wal::{ProvState, StoredState};
 use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::table::remove_sorted;
-use bigdansing_common::{
-    stable_hash_of, Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value,
-};
+use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::{Engine, IsolationOptions};
 use bigdansing_plan::physical::pipelines;
 use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
-use bigdansing_repair::{
-    run_rounds, Assignment, Detected, RepairStrategy, RepairTarget, RoundsOptions,
-};
+use bigdansing_repair::{Assignment, Detected, RepairStrategy};
 use bigdansing_rules::{BlockKey, Rule};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -90,13 +87,6 @@ pub struct CleanseOptions {
     /// behaviour. Ignored by the batch loop (a one-shot table has no
     /// stream to window).
     pub window: Option<WindowSpec>,
-    /// Job-level override of the MinHash/LSH banding geometry. Applies
-    /// to every registered similarity rule (a rule whose
-    /// [`Rule::lsh`] is `Some`); a job that sets this while no
-    /// registered rule declares LSH blocking is rejected up front
-    /// ([`validate_lsh_override`]) — the override would silently do
-    /// nothing.
-    pub lsh: Option<LshParams>,
 }
 
 impl Default for CleanseOptions {
@@ -108,24 +98,8 @@ impl Default for CleanseOptions {
             repair_options: RepairOptions::default(),
             isolation: IsolationOptions::default(),
             window: None,
-            lsh: None,
         }
     }
-}
-
-/// Reject a job-level LSH override that no rule can honour: the
-/// banding geometry only applies to similarity rules, so if none of
-/// the registered rules declares LSH blocking the override is a
-/// configuration mistake, not a no-op.
-pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) -> Result<()> {
-    if options.lsh.is_some() && !rules.iter().any(|r| r.lsh().is_some()) {
-        return Err(Error::Repair(
-            "LSH blocking options apply only to similarity rules, but no registered rule \
-             declares LSH blocking — register a dedup/similarity rule or drop the LSH options"
-                .into(),
-        ));
-    }
-    Ok(())
 }
 
 /// A long-lived incremental cleansing session over one base table.
@@ -172,10 +146,10 @@ pub struct Session {
 impl Session {
     /// A session skeleton over `table` with `seq_col` beside it — id
     /// lookup, empty group stores and violation store — before any
-    /// detection or index build. Every session constructor comes through here, so
-    /// the options are checked here once, and so is everything position
-    /// lookup rests on: one sequence number per tuple, strictly
-    /// increasing, no tuple id twice (`duplicate` words that error).
+    /// detection or index build. Every session constructor comes through
+    /// here, so everything position lookup rests on is checked here
+    /// once: one sequence number per tuple, strictly increasing, no tuple
+    /// id twice (`duplicate` words that error).
     pub(crate) fn skeleton(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
@@ -187,7 +161,6 @@ impl Session {
         if rules.is_empty() {
             return Err(Error::Repair("no rules registered".into()));
         }
-        validate_lsh_override(&options, &rules)?;
         if seq_col.len() != table.len() {
             return Err(Error::Corrupt(
                 "sequence numbers do not cover the table".into(),
@@ -206,7 +179,7 @@ impl Session {
             }
         }
         Ok(Session {
-            groups: RuleGroup::of(&pipelines(&rules, "", options.lsh), options.isolation, true),
+            groups: RuleGroup::of(&pipelines(&rules, ""), options.isolation, true),
             executor,
             rules,
             options,
@@ -253,7 +226,11 @@ impl Session {
         session.win = win;
         for group in session.groups.iter_mut() {
             session.executor.engine().check_cancelled()?;
-            let outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
+            let mut outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
+            // stored in unit order, not shuffle order, the violation
+            // ids — and a durable session's base frame — do not vary
+            // from run to run
+            outs.iter_mut().for_each(|(_, out)| out.sort_by_origin());
             let keys = group.store.iter().flat_map(|s| s.iter().map(|(k, _)| k));
             keep(&mut session.store, group, outs, keys, |_| {});
         }
@@ -439,16 +416,7 @@ impl Session {
                 stats: &mut stats,
                 detected: Vec::new(),
             };
-            let rounds = run_rounds(
-                engine,
-                &mut target,
-                RoundsOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: &options.strategy,
-                    repair_options: options.repair_options,
-                },
-            )?;
+            let rounds = run_rounds(engine, &mut target, &options)?;
             report.iterations = rounds.iterations;
             report.total_violations = rounds.total_violations;
             report.cells_changed = rounds.cells_changed;
@@ -1151,9 +1119,12 @@ mod tests {
         };
         let mut s = Session::new(exec, rules, &table, options).unwrap();
         assert!(s.is_clean());
-        s.executor().engine().clear_stage_plan();
-        // (85, 7) outearns row 8 at a lower rate: one violation
-        let report = s.apply(DeltaBatch::new().update(7, row(85, 7))).unwrap();
+        // (85, 7) outearns row 8 at a lower rate: one violation; the
+        // apply runs as a job of its own, so the trace holds it alone
+        let job = s.executor().engine().begin_job("apply", None);
+        let report = job
+            .complete(s.apply(DeltaBatch::new().update(7, row(85, 7))))
+            .unwrap();
         assert_eq!(report.violations_added, 1);
         assert!(report.converged && s.is_clean());
         assert!(report.tuples_reprocessed <= 2, "{report:?}");
@@ -1168,7 +1139,7 @@ mod tests {
     fn an_empty_open_runs_no_pass() {
         let mut s = fd_session(Vec::new());
         let plan = s.executor().engine().explain();
-        assert!(s.executor().engine().stage_plan().is_empty(), "{plan}");
+        assert!(s.executor().engine().plan_trace().is_empty(), "{plan}");
         let row = |zip, city: &str| vec![Value::Int(zip), Value::str(city)];
         let batch = DeltaBatch::new()
             .insert(0, row(1, "LA"))

@@ -123,11 +123,8 @@ impl IterateStrategy {
             IterateStrategy::UCrossProduct
             | IterateStrategy::CrossProduct
             | IterateStrategy::OcJoin(_) => vec![(BlockKey::new(), None)],
-            IterateStrategy::LshBlocks {
-                bands,
-                rows_per_band,
-            } => {
-                let hashes: Arc<[u64]> = rule.lsh_band_hashes(unit, *bands, *rows_per_band).into();
+            IterateStrategy::LshBlocks => {
+                let hashes: Arc<[u64]> = rule.lsh_band_hashes(unit).into();
                 let band = |k: usize| {
                     let key = vec![Value::Int(k as i64), Value::Int(hashes[k] as i64)];
                     (BlockKey::from(key), Some((k as u32, Arc::clone(&hashes))))
@@ -152,7 +149,7 @@ impl IterateStrategy {
             IterateStrategy::BlockPairs { ordered } => rule(*ordered, false, false),
             IterateStrategy::UCrossProduct => rule(false, false, false),
             IterateStrategy::CrossProduct => rule(true, true, false),
-            IterateStrategy::LshBlocks { .. } => rule(false, false, true),
+            IterateStrategy::LshBlocks => rule(false, false, true),
             IterateStrategy::SingleUnits
             | IterateStrategy::BlockList
             | IterateStrategy::OcJoin(_) => None,
@@ -391,11 +388,7 @@ mod tests {
     fn band_buckets_embed_the_band_index() {
         let p = LshParams::default();
         let r = DedupRule::new("udf:dedup", 0, 0.8).with_lsh(p);
-        let strategy = IterateStrategy::LshBlocks {
-            bands: p.bands,
-            rows_per_band: p.rows_per_band,
-        };
-        let buckets = strategy.index_keys(&r, &t(1, "Robert"));
+        let buckets = IterateStrategy::LshBlocks.index_keys(&r, &t(1, "Robert"));
         assert_eq!(buckets.len(), p.bands);
         for (k, (key, band)) in buckets.iter().enumerate() {
             assert_eq!(key.values()[0], Value::Int(k as i64));
@@ -435,12 +428,7 @@ mod tests {
 
     #[test]
     fn first_shared_band_compares_each_pair_once() {
-        let rule = IterateStrategy::LshBlocks {
-            bands: 3,
-            rows_per_band: 1,
-        }
-        .pair_rule()
-        .unwrap();
+        let rule = IterateStrategy::LshBlocks.pair_rule().unwrap();
         // a and b agree on bands 0 and 2: compared in band 0's bucket,
         // pruned in band 2's.
         let (ha, hb): (Arc<[u64]>, Arc<[u64]>) = (vec![7, 1, 9].into(), vec![7, 2, 9].into());

@@ -61,6 +61,20 @@ impl DetectOutput {
         self.origins.extend(other.origins);
     }
 
+    /// Order the detections by the units they came from ([`Origin`]'s
+    /// order; stable, so one unit's detections keep theirs). A pass
+    /// emits them in the order of its buckets or join parts, which a
+    /// shuffle or an index layout decides, not the table.
+    pub fn sort_by_origin(&mut self) {
+        let mut found: Vec<_> = self
+            .origins
+            .drain(..)
+            .zip(self.detected.drain(..))
+            .collect();
+        found.sort_by_key(|(origin, _)| *origin);
+        (self.origins, self.detected) = found.into_iter().unzip();
+    }
+
     /// True when no violations were found.
     pub fn is_clean(&self) -> bool {
         self.detected.is_empty()
@@ -492,10 +506,7 @@ impl Executor {
                     .map_parts(detect_op, reducer)
                     .run()
             }
-            &IterateStrategy::LshBlocks {
-                bands,
-                rows_per_band,
-            } => {
+            IterateStrategy::LshBlocks => {
                 // MinHash/LSH banding: each scoped tuple fans out into
                 // one record per band (an O(1) handle clone — the Arc'd
                 // payload is shared), keyed by its `(band, bucket hash)`
@@ -508,8 +519,7 @@ impl Executor {
                 let reducer = batch_reducer(detectors, false, delta, metrics, drop);
                 stage
                     .flat_map(format!("lsh-signature({names})"), move |t: Tuple| {
-                        let hashes: Arc<[u64]> =
-                            rule.lsh_band_hashes(&t, bands, rows_per_band).into();
+                        let hashes: Arc<[u64]> = rule.lsh_band_hashes(&t).into();
                         Ok((0..hashes.len() as u32)
                             .map(move |k| (k, Arc::clone(&hashes), t.clone()))
                             .collect::<Vec<_>>())
@@ -694,10 +704,7 @@ impl Executor {
         let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
         let found = oc_join(&self.engine, index, &detect_op(group, true), &d)?;
         let mut outs = self.collect_detected(found, 1, clones_before)?;
-        let out = &mut outs[0];
-        let mut found: Vec<_> = out.origins.drain(..).zip(out.detected.drain(..)).collect();
-        found.sort_by_key(|(origin, _)| *origin);
-        (out.origins, out.detected) = found.into_iter().unzip();
+        outs[0].sort_by_origin();
         Ok(outs)
     }
 

@@ -23,7 +23,7 @@
 
 use crate::consolidate::consolidate;
 use crate::logical::{LogicalPlan, OpKind};
-use bigdansing_common::{LshParams, Result};
+use bigdansing_common::Result;
 use bigdansing_rules::{OrderCond, Rule, UnitKind};
 use std::sync::Arc;
 
@@ -44,12 +44,8 @@ pub enum IterateStrategy {
     /// once per band by its signature's band hash, pairs are enumerated
     /// within buckets, and a pair sharing several bands is compared
     /// exactly once (in the *first* band both signatures agree on).
-    LshBlocks {
-        /// Number of LSH bands (per-tuple replication factor).
-        bands: usize,
-        /// Signature rows hashed together per band.
-        rows_per_band: usize,
-    },
+    /// The banding geometry is the rule's own [`Rule::lsh`].
+    LshBlocks,
     /// The UCrossProduct enhancer: all unordered pairs, n(n−1)/2.
     UCrossProduct,
     /// Plain cross product: all ordered pairs (minus the diagonal).
@@ -102,24 +98,12 @@ pub struct PhysicalPlan {
 
 /// Pick the Iterate implementation for a rule (§4.2's enhancer rules).
 pub fn choose_strategy(rule: &dyn Rule) -> IterateStrategy {
-    choose_strategy_with(rule, None)
-}
-
-/// [`choose_strategy`] under a job-level override of the MinHash/LSH
-/// banding geometry — the strategy both the batch cleanse loop and an
-/// incremental session run a rule with. The override only touches rules
-/// routed to [`IterateStrategy::LshBlocks`].
-pub fn choose_strategy_with(rule: &dyn Rule, lsh: Option<LshParams>) -> IterateStrategy {
     match rule.unit_kind() {
         UnitKind::Single => IterateStrategy::SingleUnits,
         UnitKind::List => IterateStrategy::BlockList,
         UnitKind::Pair => {
-            if let Some(declared) = rule.lsh() {
-                let p = lsh.unwrap_or(declared);
-                IterateStrategy::LshBlocks {
-                    bands: p.bands,
-                    rows_per_band: p.rows_per_band,
-                }
+            if rule.lsh().is_some() {
+                IterateStrategy::LshBlocks
             } else if rule.blocks() {
                 IterateStrategy::BlockPairs {
                     ordered: !rule.symmetric(),
@@ -211,15 +195,13 @@ pub fn block_groups(pipelines: &[RulePipeline]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The standard pipelines of `rules` over `src`, each rule's Iterate
-/// strategy chosen under the job-level LSH override (as a batch cleanse
-/// and a session both run them).
-pub fn pipelines(rules: &[Arc<dyn Rule>], src: &str, lsh: Option<LshParams>) -> Vec<RulePipeline> {
-    let pipeline = |rule: &Arc<dyn Rule>| RulePipeline {
-        strategy: choose_strategy_with(rule.as_ref(), lsh),
-        ..pipeline_for_rule(Arc::clone(rule), src)
-    };
-    rules.iter().map(pipeline).collect()
+/// The standard pipelines of `rules` over `src` (as a batch cleanse and
+/// a session both run them).
+pub fn pipelines(rules: &[Arc<dyn Rule>], src: &str) -> Vec<RulePipeline> {
+    rules
+        .iter()
+        .map(|rule| pipeline_for_rule(Arc::clone(rule), src))
+        .collect()
 }
 
 /// Build the standard pipeline for a rule directly (the path used when a
@@ -239,7 +221,7 @@ pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> Rule
 mod tests {
     use super::*;
     use crate::job::Job;
-    use bigdansing_common::{Schema, Tuple, Value};
+    use bigdansing_common::{LshParams, Schema, Tuple, Value};
     use bigdansing_rules::{CfdRule, DcRule, DedupRule, FdRule};
 
     fn schema() -> Schema {
@@ -301,23 +283,14 @@ mod tests {
             rows_per_band: 4,
             shingle: 2,
         });
-        assert_eq!(
-            choose_strategy(&r),
-            IterateStrategy::LshBlocks {
-                bands: 6,
-                rows_per_band: 4
-            }
-        );
+        assert_eq!(choose_strategy(&r), IterateStrategy::LshBlocks);
         // LSH wins even when a prefix is also configured, and even when
         // the prefix is 0 (the UCrossProduct fallback is for rules with
         // *no* candidate-generation hint at all).
         let r = DedupRule::new("udf:dedup", 0, 0.8)
             .with_block_prefix(0)
             .with_lsh(LshParams::default());
-        assert!(matches!(
-            choose_strategy(&r),
-            IterateStrategy::LshBlocks { .. }
-        ));
+        assert_eq!(choose_strategy(&r), IterateStrategy::LshBlocks);
     }
 
     #[test]

@@ -504,12 +504,12 @@ mod tests {
         let dc = "t1.salary > t2.salary & t1.rate < t2.rate";
         let dc: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
         let dedup = DedupRule::new("udf:dedup", 1, 0.8).with_lsh(LshParams::default());
-        let fds = pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t", None);
+        let fds = pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t");
         let ucross = RulePipeline {
             strategy: IterateStrategy::UCrossProduct,
             ..pipeline_for_rule(fd("city -> rate"), "t")
         };
-        let lone = |rule| pipelines(&[rule], "t", None).remove(0);
+        let lone = |rule| pipelines(&[rule], "t").remove(0);
         let groups = [
             vec![fds[0].clone(), fds[1].clone()],
             vec![lone(fd("zipcode -> city"))],
@@ -518,10 +518,7 @@ mod tests {
             vec![lone(Arc::new(dedup))],
         ];
         assert!(matches!(groups[3][0].strategy, IterateStrategy::OcJoin(_)));
-        assert!(matches!(
-            groups[4][0].strategy,
-            IterateStrategy::LshBlocks { .. }
-        ));
+        assert!(matches!(groups[4][0].strategy, IterateStrategy::LshBlocks));
         const NAMES: [&str; 4] = ["anne marie", "anna marie", "bob stone", "bobby stone"];
         let draw_row = |g: &mut SplitMix64, id| {
             let name = NAMES[g.range(0..NAMES.len())];
@@ -658,9 +655,9 @@ mod tests {
             .block(|t| Some(BlockKey::single(t.value(0).clone())))
             .build();
         let groups = [
-            pipelines(&[fd("zipcode -> city"), fd("zipcode -> state")], "t", None),
-            pipelines(&[fd("zipcode -> city")], "t", None),
-            pipelines(&[Arc::new(list)], "t", None),
+            pipelines(&[fd("zipcode -> city"), fd("zipcode -> state")], "t"),
+            pipelines(&[fd("zipcode -> city")], "t"),
+            pipelines(&[Arc::new(list)], "t"),
         ];
         assert!(matches!(groups[2][0].strategy, IterateStrategy::BlockList));
         for engine in [Engine::sequential(), Engine::parallel(2)] {

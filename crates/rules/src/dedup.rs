@@ -130,15 +130,12 @@ impl Rule for DedupRule {
         self.lsh
     }
 
-    fn lsh_band_hashes(&self, unit: &Tuple, bands: usize, rows_per_band: usize) -> Vec<u64> {
-        let shingle = self.lsh.map(|p| p.shingle).unwrap_or(2);
-        let params = LshParams {
-            bands,
-            rows_per_band,
-            shingle,
+    fn lsh_band_hashes(&self, unit: &Tuple) -> Vec<u64> {
+        let Some(params) = &self.lsh else {
+            return Vec::new();
         };
         let s = unit.value(self.sim_attr).as_str().unwrap_or("");
-        minhash::band_hashes(s, &params)
+        minhash::band_hashes(s, params)
     }
 
     fn unit_kind(&self) -> UnitKind {
@@ -246,11 +243,11 @@ mod tests {
         assert!(!r.blocks(), "LSH replaces the prefix Block operator");
         assert_eq!(r.block(&row), None);
         let p = LshParams::default();
-        let hashes = r.lsh_band_hashes(&row, p.bands, p.rows_per_band);
+        let hashes = r.lsh_band_hashes(&row);
         assert_eq!(hashes.len(), p.bands);
         assert_eq!(
             hashes,
-            r.lsh_band_hashes(&row, p.bands, p.rows_per_band),
+            r.lsh_band_hashes(&row),
             "band hashes must be deterministic"
         );
     }

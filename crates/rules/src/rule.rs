@@ -147,11 +147,11 @@ pub trait Rule: Send + Sync {
     }
 
     /// One bucket hash per LSH band for `unit` — the multi-key analogue
-    /// of [`Rule::block`]. Must return exactly `bands` hashes for every
-    /// unit when [`Rule::lsh`] is `Some` (and is never called
-    /// otherwise). The default returns no hashes.
-    fn lsh_band_hashes(&self, unit: &Tuple, bands: usize, rows_per_band: usize) -> Vec<u64> {
-        let _ = (unit, bands, rows_per_band);
+    /// of [`Rule::block`]. Must return exactly [`Rule::lsh`]'s `bands`
+    /// hashes for every unit when [`Rule::lsh`] is `Some` (and is never
+    /// called otherwise). The default returns no hashes.
+    fn lsh_band_hashes(&self, unit: &Tuple) -> Vec<u64> {
+        let _ = unit;
         Vec::new()
     }
 

@@ -173,18 +173,12 @@ impl Rule for UdfRule {
         self.lsh.map(|(_, p)| p)
     }
 
-    fn lsh_band_hashes(&self, unit: &Tuple, bands: usize, rows_per_band: usize) -> Vec<u64> {
-        let (attr, declared) = match self.lsh {
-            Some(pair) => pair,
-            None => return Vec::new(),
+    fn lsh_band_hashes(&self, unit: &Tuple) -> Vec<u64> {
+        let Some((attr, params)) = &self.lsh else {
+            return Vec::new();
         };
-        let params = LshParams {
-            bands,
-            rows_per_band,
-            shingle: declared.shingle,
-        };
-        let s = unit.value(attr).as_str().unwrap_or("");
-        minhash::band_hashes(s, &params)
+        let s = unit.value(*attr).as_str().unwrap_or("");
+        minhash::band_hashes(s, params)
     }
 
     fn unit_kind(&self) -> UnitKind {

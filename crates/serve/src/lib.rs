@@ -55,8 +55,7 @@ pub use shard::{shard_for, FlushReply};
 
 use bigdansing::{CleanseOptions, Rule};
 use bigdansing_common::{Error, Result, Schema};
-use bigdansing_incremental::WindowSpec;
-use std::path::PathBuf;
+use bigdansing_incremental::DurabilityOptions;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,20 +81,17 @@ pub struct ServeOptions {
     pub max_batch: usize,
     /// Micro-batcher: flush once the oldest parked op is this stale.
     pub max_latency: Duration,
-    /// Violation window applied to every tenant session.
-    pub window: Option<WindowSpec>,
     /// When set, tenant sessions are durable under
-    /// `root/shard{i}/{tenant}` and resume across restarts.
-    pub durable_root: Option<PathBuf>,
-    /// Snapshot cadence for durable sessions (batches per snapshot).
-    pub snapshot_every: u64,
+    /// `dir/shard{i}/{tenant}`, snapshot at its cadence, and resume
+    /// across restarts.
+    pub durability: Option<DurabilityOptions>,
     /// Wall-clock deadline per governed apply.
     pub deadline: Option<Duration>,
     /// Admission queue depth (jobs beyond `shards` running +
     /// this many queued are rejected with 429-style errors).
     pub max_pending: Option<usize>,
-    /// Repair strategy / isolation knobs forwarded to the sessions.
-    /// `cleanse.window` is overwritten by [`Self::window`].
+    /// Every tenant session's options: repair strategy, isolation and
+    /// the violation window.
     pub cleanse: CleanseOptions,
 }
 
@@ -111,9 +107,7 @@ impl ServeOptions {
             http_threads: 4,
             max_batch: 256,
             max_latency: Duration::from_millis(25),
-            window: None,
-            durable_root: None,
-            snapshot_every: 8,
+            durability: None,
             deadline: None,
             max_pending: None,
             cleanse: CleanseOptions::default(),

@@ -16,7 +16,7 @@
 //! even on an otherwise idle shard.
 
 use crate::ServeOptions;
-use bigdansing::{BigDansing, CleanseOptions, DurabilityOptions, Session};
+use bigdansing::{BigDansing, DurabilityOptions, Session};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{csv, Result, Table};
 use bigdansing_incremental::wal::snapshot_path;
@@ -224,12 +224,10 @@ impl Shard {
             return Ok(i);
         }
         let empty = Table::from_rows(name, self.opts.schema.clone(), Vec::new());
-        let copts = self.cleanse_options();
-        let session = match self.tenant_dir(name) {
-            Some(dir) => {
-                let durability =
-                    DurabilityOptions::new(&dir).snapshot_every(self.opts.snapshot_every);
-                if snapshot_path(&dir).exists() {
+        let copts = self.opts.cleanse.clone();
+        let session = match self.tenant_durability(name) {
+            Some(durability) => {
+                if snapshot_path(&durability.dir).exists() {
                     // a previous incarnation left durable state: resume it
                     self.sys.recover_session(copts, durability)?.0
                 } else {
@@ -253,17 +251,13 @@ impl Shard {
         Ok(self.tenants.len() - 1)
     }
 
-    fn cleanse_options(&self) -> CleanseOptions {
-        let mut c = self.opts.cleanse.clone();
-        c.window = self.opts.window;
-        c
-    }
-
-    fn tenant_dir(&self, name: &str) -> Option<std::path::PathBuf> {
-        self.opts
-            .durable_root
-            .as_ref()
-            .map(|root| root.join(format!("shard{}", self.index)).join(name))
+    /// The tenant's durability: the service's, rooted at
+    /// `dir/shard{i}/{tenant}`.
+    fn tenant_durability(&self, name: &str) -> Option<DurabilityOptions> {
+        self.opts.durability.as_ref().map(|d| DurabilityOptions {
+            dir: d.dir.join(format!("shard{}", self.index)).join(name),
+            ..d.clone()
+        })
     }
 
     fn ingest(
@@ -313,8 +307,7 @@ impl Shard {
     /// Apply the tenant's parked ops as one batch and fan the outcome
     /// out to every waiter.
     fn flush_tenant(&mut self, i: usize) -> Result<FlushReply> {
-        let opts_snapshot_every = self.opts.snapshot_every;
-        let durable = self.tenant_dir(&self.tenants[i].name.clone());
+        let durable = self.tenant_durability(&self.tenants[i].name);
         let t = &mut self.tenants[i];
         t.due = None;
         let ops = std::mem::take(&mut t.pending);
@@ -333,16 +326,9 @@ impl Shard {
             // a poisoned durable session can be rebuilt in place: the
             // failed batch is already in the log, so recovery replays it
             if applied.is_err() && t.session.is_poisoned() {
-                if let Some(dir) = &durable {
-                    let copts = {
-                        let mut c = self.opts.cleanse.clone();
-                        c.window = self.opts.window;
-                        c
-                    };
-                    if let Ok((s, _)) = self.sys.recover_session(
-                        copts,
-                        DurabilityOptions::new(dir).snapshot_every(opts_snapshot_every),
-                    ) {
+                if let Some(durability) = durable {
+                    let copts = self.opts.cleanse.clone();
+                    if let Ok((s, _)) = self.sys.recover_session(copts, durability) {
                         t.session = s;
                     }
                 }

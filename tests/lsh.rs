@@ -328,3 +328,54 @@ fn durable_lsh_session_survives_snapshot_and_recover() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The banding geometry a rule declares is the one its Block runs with,
+/// in a batch detect and in a session alike: a 4-band, 2-row rule reads
+/// the candidate, pruned and band-bucket counts pinned for it.
+#[test]
+fn a_rules_own_geometry_sets_its_candidates() {
+    use bigdansing_datagen::customer::{attr::NAME, customer1};
+    let (table, _) = customer1(200, 7);
+    let geometry = LshParams {
+        bands: 4,
+        rows_per_band: 2,
+        ..LshParams::default()
+    };
+    let system = || {
+        let mut sys = BigDansing::parallel(2);
+        sys.add_rule(Arc::new(
+            DedupRule::new("udf:dedup", NAME, 0.85).with_lsh(geometry),
+        ));
+        sys
+    };
+    let counts = |sys: &BigDansing| {
+        let m = sys.engine().metrics().snapshot();
+        (
+            m.lsh_candidate_pairs,
+            m.lsh_pairs_pruned,
+            m.lsh_bands_probed,
+        )
+    };
+
+    let batch = system();
+    batch.detect(&table).unwrap();
+    assert_eq!(counts(&batch), (10146, 4902, 370), "batch detect");
+
+    // a session over all but the last 30 rows, which then arrive as
+    // inserts: its open and its apply both band by the rule's geometry
+    let (rows, last) = table.tuples().split_at(table.len() - 30);
+    let base = Table::new("customer1", table.schema().clone(), rows.to_vec());
+    let inserts = last
+        .iter()
+        .fold(DeltaBatch::new(), |b, t| b.insert(t.id(), t.to_values()));
+    let session = system();
+    let mut s = session
+        .open_session(&base, CleanseOptions::default())
+        .unwrap();
+    session.apply_delta(&mut s, inserts).unwrap();
+    assert_eq!(
+        counts(&session),
+        (11238, 5493, 500),
+        "session open and apply"
+    );
+}

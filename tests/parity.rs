@@ -520,9 +520,8 @@ mod cleanse_loop_vs_full_redetect {
     use bigdansing::HypergraphRepair;
     use bigdansing_common::rng::check;
     use bigdansing_common::{csv, LshParams, Tuple};
-    use bigdansing_repair::{
-        run_rounds, Assignment, Detected, RepairTarget, RoundsOptions, RoundsReport,
-    };
+    use bigdansing_incremental::{run_rounds, RepairTarget, RoundsReport};
+    use bigdansing_repair::{Assignment, Detected};
     use bigdansing_rules::{BlockKey, DetectUnit, Fix, UdfRule, UnitKind};
 
     /// The oracle: the shared rounds driver over a target that
@@ -702,7 +701,7 @@ mod cleanse_loop_vs_full_redetect {
         assert!(has(|s| matches!(s, IterateStrategy::SingleUnits)));
         assert!(has(|s| matches!(s, IterateStrategy::BlockPairs { .. })));
         assert!(has(|s| matches!(s, IterateStrategy::BlockList)));
-        assert!(has(|s| matches!(s, IterateStrategy::LshBlocks { .. })));
+        assert!(has(|s| matches!(s, IterateStrategy::LshBlocks)));
         assert!(has(|s| matches!(s, IterateStrategy::UCrossProduct)));
         assert!(has(|s| matches!(s, IterateStrategy::CrossProduct)));
         assert!(has(|s| matches!(s, IterateStrategy::OcJoin(_))));
@@ -781,17 +780,7 @@ mod cleanse_loop_vs_full_redetect {
                     table: table.clone(),
                     detected: Vec::new(),
                 };
-                let rounds = run_rounds(
-                    exec.engine(),
-                    &mut oracle,
-                    RoundsOptions {
-                        max_iterations: options.max_iterations,
-                        max_changes_per_cell: options.max_changes_per_cell,
-                        strategy: &options.strategy,
-                        repair_options: options.repair_options,
-                    },
-                )
-                .unwrap();
+                let rounds = run_rounds(exec.engine(), &mut oracle, &options).unwrap();
                 assert_eq!(
                     outcome(&cleansed, got),
                     outcome(&oracle.table, rounds),

@@ -547,10 +547,7 @@ fn masked_pairs_are_the_fresh_subset_of_all_pairs() {
             S::BlockPairs { ordered: true },
             S::UCrossProduct,
             S::CrossProduct,
-            S::LshBlocks {
-                bands: 3,
-                rows_per_band: 1,
-            },
+            S::LshBlocks,
         ] {
             let rule = strategy.pair_rule().unwrap();
             let (mut all, mut masked) = (Vec::new(), Vec::new());

@@ -5,7 +5,7 @@
 
 use bigdansing::{BigDansing, CleanseOptions, IsolationOptions, Rule};
 use bigdansing_common::{csv, Schema, Table};
-use bigdansing_incremental::{DeltaBatch, WindowSpec};
+use bigdansing_incremental::{DeltaBatch, DurabilityOptions, WindowSpec};
 use bigdansing_rules::{FdRule, UdfRule, UnitKind};
 use bigdansing_serve::client::Client;
 use bigdansing_serve::ingest::Json;
@@ -302,7 +302,7 @@ fn oversized_request_heads_are_refused_and_the_server_survives() {
 fn windowed_retraction_matches_window_aware_oracle() {
     let spec = WindowSpec::tumbling(4).unwrap();
     let mut opts = base_opts();
-    opts.window = Some(spec);
+    opts.cleanse.window = Some(spec);
     let mut server = Server::start("127.0.0.1:0", opts).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
 
@@ -413,8 +413,7 @@ fn durable_tenants_resume_across_restarts() {
 
     let mk_opts = || {
         let mut opts = base_opts();
-        opts.durable_root = Some(root.clone());
-        opts.snapshot_every = 2;
+        opts.durability = Some(DurabilityOptions::new(&root).snapshot_every(2));
         opts
     };
     let mut server = Server::start("127.0.0.1:0", mk_opts()).unwrap();
@@ -458,7 +457,7 @@ fn corrupt_tenant_log_reports_the_corruption() {
     let _ = std::fs::remove_dir_all(&root);
     let mk_opts = || {
         let mut opts = base_opts();
-        opts.durable_root = Some(root.clone());
+        opts.durability = Some(DurabilityOptions::new(&root));
         opts
     };
     let mut server = Server::start("127.0.0.1:0", mk_opts()).unwrap();
