@@ -5,14 +5,14 @@
 
 use crate::report::{Cell, Report};
 use crate::{rows, time_best};
+use bigdansing_common::layout;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_dataflow::{Engine, IsolationOptions, RuleGuard};
 use bigdansing_datagen::{tax, tpch};
 use bigdansing_plan::physical::pipeline_for_rule;
-use bigdansing_plan::Executor;
+use bigdansing_plan::{Executor, PartitionedStore};
 use bigdansing_repair::cc::{components_bsp_edges, components_union_find};
 use bigdansing_rules::{FdRule, Rule};
-use bigdansing_storage::{layout, PartitionedStore};
 use std::sync::Arc;
 
 fn workers() -> usize {

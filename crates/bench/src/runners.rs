@@ -4,7 +4,7 @@ use crate::{time, time_best};
 use bigdansing::{CleanseOptions, CleanseResult};
 use bigdansing_common::{Result, Table};
 use bigdansing_dataflow::Engine;
-use bigdansing_plan::{Executor, IterateStrategy, RulePipeline};
+use bigdansing_plan::Executor;
 use bigdansing_repair::{repair_serial, Detected};
 use bigdansing_rules::Rule;
 use std::sync::Arc;
@@ -82,29 +82,6 @@ pub fn shark_detect(engine: Engine, table: &Table, rule: &Arc<dyn Rule>) -> (usi
     (out.len(), secs)
 }
 
-/// Run one rule with a *forced* Iterate strategy — the Figure 11(c)
-/// physical-operator ablation (OCJoin vs UCrossProduct vs CrossProduct).
-pub fn bd_detect_with_strategy(
-    engine: Engine,
-    table: &Table,
-    rule: &Arc<dyn Rule>,
-    strategy: IterateStrategy,
-) -> (usize, f64) {
-    let exec = Executor::new(engine);
-    let pipeline = RulePipeline {
-        rule: Arc::clone(rule),
-        source: table.name().to_string(),
-        use_scope: true,
-        strategy,
-        use_genfix: false,
-    };
-    let (out, secs) = time_best(|| {
-        exec.run_group(exec.load(table), table.schema(), &[&pipeline], None, None)
-            .unwrap()
-    });
-    (out[0].violation_count(), secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,24 +132,5 @@ mod tests {
         assert!(res.converged);
         let (_, secs) = nadeef_cleanse(&t, &rules, &bigdansing_repair::EquivalenceClassRepair, 5);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn forced_strategies_agree() {
-        let t = table();
-        let rule = fd(&t);
-        let (a, _) = bd_detect_with_strategy(
-            Engine::sequential(),
-            &t,
-            &rule,
-            IterateStrategy::UCrossProduct,
-        );
-        let (b, _) = bd_detect_with_strategy(
-            Engine::sequential(),
-            &t,
-            &rule,
-            IterateStrategy::BlockPairs { ordered: false },
-        );
-        assert_eq!(a, b);
     }
 }

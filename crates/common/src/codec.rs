@@ -439,23 +439,6 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Write `bytes` to `path` atomically: write a `.tmp` sibling, fsync
-/// it, rename over the target, and (best effort) fsync the directory.
-/// A crash leaves either the old file or the new one — never a torn
-/// mix, at worst an orphaned `.tmp` that startup sweeps away.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path);
-    Ok(())
-}
-
 /// Best-effort fsync of `path`'s parent directory so the rename itself
 /// is durable (POSIX requires a directory sync for that).
 pub fn sync_parent_dir(path: &Path) {
@@ -467,28 +450,6 @@ pub fn sync_parent_dir(path: &Path) {
     }
     #[cfg(not(unix))]
     let _ = path;
-}
-
-/// Frame `payload` and write it atomically to `path`.
-pub fn write_frame_file(path: &Path, kind: u8, payload: &[u8]) -> Result<()> {
-    let frame = encode_frame(kind, payload);
-    atomic_write(path, &frame).map_err(|e| Error::Io(format!("{}: {e}", path.display())))
-}
-
-/// Read `path` and decode exactly one frame from it, rejecting
-/// trailing garbage. Returns `(kind, payload)`.
-pub fn read_frame_file(path: &Path) -> Result<(u8, Vec<u8>)> {
-    let bytes = std::fs::read(path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
-    let mut slice = bytes.as_slice();
-    let frame = decode_frame(&mut slice)?;
-    if !slice.is_empty() {
-        return Err(Error::Corrupt(format!(
-            "{}: {} trailing byte(s) after frame",
-            path.display(),
-            slice.len()
-        )));
-    }
-    Ok(frame)
 }
 
 #[cfg(test)]
@@ -706,27 +667,5 @@ mod tests {
         let msg = err.to_string();
         assert!(matches!(err, Error::Corrupt(_)), "{msg}");
         assert!(msg.contains("version"), "{msg}");
-    }
-
-    #[test]
-    fn atomic_write_and_frame_file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("bd-codec-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.bin");
-        write_frame_file(&path, 9, b"abc").unwrap();
-        // no .tmp sibling survives a successful write
-        assert!(!tmp_sibling(&path).exists());
-        let (kind, body) = read_frame_file(&path).unwrap();
-        assert_eq!((kind, body.as_slice()), (9, &b"abc"[..]));
-        // overwrite is atomic too: old content fully replaced
-        write_frame_file(&path, 9, b"defgh").unwrap();
-        let (_, body) = read_frame_file(&path).unwrap();
-        assert_eq!(body, b"defgh");
-        // trailing garbage after the frame is corruption, not a panic
-        let mut raw = std::fs::read(&path).unwrap();
-        raw.push(0xFF);
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(read_frame_file(&path), Err(Error::Corrupt(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,6 +23,8 @@
 //! * [`metrics`] — lightweight counters used to validate experiment shape,
 //! * [`codec`] — the binary row codec used by the disk-backed execution
 //!   mode that simulates Hadoop-style per-stage materialization,
+//! * [`layout`] — the binary column-oriented table file with Scope
+//!   pushdown (Appendix F (3)),
 //! * [`quarantine`] — reports of malformed input rows set aside by the
 //!   lenient parse modes instead of aborting the load,
 //! * [`sync`] — the poison-ignoring [`Mutex`] every crate locks with,
@@ -34,6 +36,7 @@ pub mod csv;
 pub mod error;
 pub mod hash;
 pub mod keys;
+pub mod layout;
 pub mod metrics;
 pub mod minhash;
 pub mod quarantine;

@@ -6,28 +6,32 @@
 //! pairs pruned by OCJoin. These counters let tests and EXPERIMENTS.md
 //! verify those claims structurally, independent of wall-clock noise.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of deep row/key payload copies (a fresh
-/// `Vec<Value>` cloned out of an existing tuple or blocking key).
-///
-/// This lives outside [`Metrics`] because the copies happen deep inside
-/// `Tuple`/`BlockKey` clone paths that have no engine handle. The
-/// executor attributes deltas of this counter to a job's
-/// [`Metrics::tuples_cloned`] around each pipeline run.
-static DEEP_CLONES: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` deep payload copies against the process-wide counter.
-#[inline]
-pub fn record_deep_clones(n: u64) {
-    DEEP_CLONES.fetch_add(n, Ordering::Relaxed);
+thread_local! {
+    /// This thread's count of deep row/key payload copies (a fresh
+    /// `Vec<Value>` cloned out of an existing tuple or blocking key).
+    ///
+    /// The copies happen deep inside `Tuple`/`BlockKey` clone paths that
+    /// have no engine handle, so they are tallied per thread; the task
+    /// runner charges what each task attempt made to its engine's
+    /// [`Metrics::tuples_cloned`].
+    static COPY_TALLY: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Read the process-wide deep-copy counter (monotone; never reset).
+/// Record `n` deep payload copies against this thread's tally.
 #[inline]
-pub fn deep_clones_total() -> u64 {
-    DEEP_CLONES.load(Ordering::Relaxed)
+pub fn record_deep_clones(n: u64) {
+    COPY_TALLY.with(|c| c.set(c.get().wrapping_add(n)));
+}
+
+/// Replace this thread's deep-copy tally with `n`, returning what it
+/// held.
+#[inline]
+pub fn swap_deep_clones(n: u64) -> u64 {
+    COPY_TALLY.with(|c| c.replace(n))
 }
 
 /// Declares every counter exactly once. One `doc comment + name` entry
@@ -137,9 +141,10 @@ counters! {
     /// Violation-graph connected components re-repaired incrementally.
     components_rerepaired,
     /// Deep row/key payload copies (fresh `Vec<Value>` materialized from
-    /// an existing tuple or blocking key) attributed to this job. The
-    /// zero-copy detect path keeps this at 0: shuffles and pair
-    /// enumeration move `Arc` handles and `KeyId`s, never row payloads.
+    /// an existing tuple or blocking key) made inside this engine's
+    /// tasks, failed attempts included. The zero-copy detect path keeps
+    /// this at 0: shuffles and pair enumeration move `Arc` handles and
+    /// `KeyId`s, never row payloads.
     tuples_cloned,
     /// Bytes moved across wide boundaries (shuffle / co-group /
     /// range-repartition), computed as record size × records routed.

@@ -111,21 +111,6 @@ pub fn parse_str_lenient(name: &str, text: &str) -> Result<(Table, Quarantine)> 
     parse_inner(name, text, false)
 }
 
-/// Extract the triples back from a triple table.
-pub fn from_table(table: &Table) -> Vec<Triple> {
-    table
-        .tuples()
-        .iter()
-        .map(|t| {
-            Triple::new(
-                t.value(SUBJECT).to_string(),
-                t.value(PREDICATE).to_string(),
-                t.value(OBJECT).to_string(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +162,9 @@ mod tests {
         ];
         let table = to_table("rdf", &triples);
         assert_eq!(table.schema(), &triple_schema());
-        assert_eq!(from_table(&table), triples);
+        assert_eq!(table.len(), 2);
+        let advisor = table.tuple(1).unwrap();
+        assert_eq!(advisor.value(PREDICATE), &Value::str("advised_by"));
+        assert_eq!(advisor.value(OBJECT), &Value::str("William"));
     }
 }

@@ -160,8 +160,8 @@ impl Tuple {
     }
 
     /// Materialize the logical row as an owned `Vec<Value>`. This is a
-    /// deep payload copy and counts against the `tuples_cloned` metric;
-    /// the detect hot path never calls it.
+    /// deep payload copy, counted in the `tuples_cloned` metric of the
+    /// engine whose task makes it; the detect hot path never calls it.
     pub fn to_values(&self) -> Vec<Value> {
         record_deep_clones(1);
         self.iter_values().cloned().collect()
@@ -204,8 +204,8 @@ impl Tuple {
     }
 
     /// A new tuple with the same id and `idx` replaced by `v`. This
-    /// materializes the row (a deep copy, counted in `tuples_cloned`);
-    /// it runs on the repair path, not during detection.
+    /// materializes the row (a deep copy, see [`Tuple::to_values`]); it
+    /// runs on the repair path, not during detection.
     pub fn with_value(&self, idx: usize, v: Value) -> Tuple {
         let mut values = self.to_values();
         values[idx] = v;
@@ -336,13 +336,13 @@ mod tests {
     #[test]
     fn projection_is_a_view_not_a_copy() {
         let t = tup();
-        let before = crate::metrics::deep_clones_total();
+        crate::metrics::swap_deep_clones(0);
         let p = t.project(&[1, 2]);
         assert!(p.is_view());
         assert!(Arc::ptr_eq(&t.values, &p.values), "payload must be shared");
         assert_eq!(
-            crate::metrics::deep_clones_total(),
-            before,
+            crate::metrics::swap_deep_clones(0),
+            0,
             "projection must not deep-copy values"
         );
     }

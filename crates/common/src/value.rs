@@ -147,11 +147,6 @@ impl Value {
         Value::Str(Text::new(s.as_ref()))
     }
 
-    /// True when the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// The value as an `f64` if it is numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

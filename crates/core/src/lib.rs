@@ -72,8 +72,8 @@ pub use bigdansing_common::{
     Value,
 };
 pub use bigdansing_incremental::{
-    apply_batch_to_table, read_snapshot_table, DeltaBatch, DeltaOp, DeltaReport, DurabilityOptions,
-    RecoverStats, Session, WindowSpec,
+    read_snapshot_table, DeltaBatch, DeltaOp, DeltaReport, DurabilityOptions, RecoverStats,
+    Session, WindowSpec,
 };
 
 pub use bigdansing_dataflow::{

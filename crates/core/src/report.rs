@@ -215,8 +215,7 @@ pub fn repair_summary(m: &MetricsSnapshot) -> Option<String> {
 /// physical passes ran and how many logical stages were fused away
 /// into them (plus shuffle volume when a wide boundary ran).
 ///
-/// Returns `None` when no fused passes were recorded (e.g. a run built
-/// entirely from the eager combinators).
+/// Returns `None` when no pass ran (e.g. a run with no rules).
 pub fn plan_summary(m: &MetricsSnapshot) -> Option<String> {
     if m.passes_executed == 0 {
         return None;

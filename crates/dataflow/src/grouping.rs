@@ -10,11 +10,6 @@ use bigdansing_common::stable_hash_of;
 use bigdansing_common::Mutex;
 use std::hash::Hash;
 
-// The hasher moved to `bigdansing_common::hash` so key dictionaries can
-// cache the same hash the shuffle routes by; re-exported here for the
-// existing callers.
-pub use bigdansing_common::StableHasher;
-
 /// The reducer bucket `key` hashes to — deterministic across runs.
 /// `KeyId` keys hash only their cached stable half, so encoded keys
 /// route without re-hashing the key payload.

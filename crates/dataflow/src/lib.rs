@@ -70,7 +70,6 @@ pub use fault::{
     FaultInjector, FaultMode, FaultPolicy, FaultSite, IoFault, IsolationOptions, RuleGuard,
 };
 pub use govern::{CancellationToken, MemoryBudget};
-pub use grouping::StableHasher;
 pub use pdataset::PDataset;
 pub use stage::{PassKind, PassRecord, Stage};
 

@@ -12,7 +12,7 @@
 use crate::fault::{FaultInjector, FaultPolicy};
 use crate::govern::CancellationToken;
 use bigdansing_common::error::Error;
-use bigdansing_common::metrics::Metrics;
+use bigdansing_common::metrics::{swap_deep_clones, Metrics};
 use bigdansing_common::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -122,12 +122,19 @@ where
         // Error::Cancelled directly (not a retriable task failure).
         ctx.cancel.check()?;
         attempt += 1;
+        // Deep copies are tallied per thread: this attempt's go to the
+        // task's engine, and an enclosing inline task gets its own back.
+        let outer = swap_deep_clones(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = &ctx.injector {
                 inj.inject_task(ctx.stage, i, attempt);
             }
             f(i, item)
         }));
+        let made = swap_deep_clones(outer);
+        if made > 0 {
+            Metrics::add(&ctx.metrics.tuples_cloned, made);
+        }
         let (cause, deterministic) = match outcome {
             Ok(Ok(r)) => return Ok(r),
             Ok(Err(e @ Error::Cancelled { .. })) => return Err(e),

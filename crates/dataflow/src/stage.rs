@@ -27,9 +27,15 @@ use crate::grouping::{bucket_of, merge_buckets};
 use crate::pdataset::PDataset;
 use bigdansing_common::codec::Codec;
 use bigdansing_common::error::Result;
+use bigdansing_common::StableHasher;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 use std::sync::Arc;
+
+/// The reducers' group maps hash with a fixed state, so a reducer emits
+/// its groups — and a detect pass its detections — in the same order in
+/// every process.
+type Stable = BuildHasherDefault<StableHasher>;
 
 /// What kind of physical pass a [`PassRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,7 +365,7 @@ where
         let ds = PDataset::from_partitions(engine, buckets);
         Ok(
             Stage::over(ds).map_parts(format!("{name}.group"), |bucket: Vec<(K, T)>| {
-                let mut groups: HashMap<K, Vec<T>> = HashMap::new();
+                let mut groups: HashMap<K, Vec<T>, Stable> = HashMap::default();
                 for (k, t) in bucket {
                     groups.entry(k).or_default().push(t);
                 }
@@ -398,7 +404,7 @@ where
         let zipped: Vec<(Vec<(K, T)>, Vec<(K, U)>)> =
             buckets_l.into_iter().zip(buckets_r).collect();
         let partitions = engine.run_stage(&zipped, |_, (bl, br)| {
-            let mut groups: HashMap<K, (Vec<T>, Vec<U>)> = HashMap::new();
+            let mut groups: HashMap<K, (Vec<T>, Vec<U>), Stable> = HashMap::default();
             // The zipped buckets stay borrowed so retries re-run intact;
             // records are cloned in, but each key only once per distinct
             // key (not once per record per side).

@@ -24,7 +24,6 @@
 
 use bigdansing_common::csv::{self, split_line};
 use bigdansing_common::{Error, Quarantine, Result, Schema, Table, Tuple, TupleId, Value};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// One change to the base table.
@@ -184,54 +183,6 @@ fn parse_delta_record(record: &str, schema: &Schema) -> std::result::Result<Delt
     })
 }
 
-/// The index of every tuple in `table`, by id.
-fn positions(table: &Table) -> HashMap<TupleId, usize> {
-    let by_id = table.tuples().iter().enumerate();
-    by_id.map(|(i, t)| (t.id(), i)).collect()
-}
-
-/// Materialize `batch` against `table`: deletes remove the row, updates
-/// replace values in place (the tuple keeps its position), inserts
-/// append at the end in batch order. This is the from-scratch oracle
-/// the incremental [`crate::Session`] must agree with.
-pub fn apply_batch_to_table(table: &Table, batch: &DeltaBatch) -> Result<Table> {
-    let mut tuples: Vec<Option<Tuple>> = table.tuples().iter().cloned().map(Some).collect();
-    let mut pos = positions(table);
-    for op in &batch.ops {
-        match op {
-            DeltaOp::Insert(t) => {
-                if pos.contains_key(&t.id()) {
-                    return Err(Error::Parse(format!(
-                        "delta inserts tuple {} which already exists",
-                        t.id()
-                    )));
-                }
-                check_arity(table, t)?;
-                pos.insert(t.id(), tuples.len());
-                tuples.push(Some(t.clone()));
-            }
-            DeltaOp::Update(t) => {
-                let idx = *pos.get(&t.id()).ok_or_else(|| {
-                    Error::Parse(format!("delta updates missing tuple {}", t.id()))
-                })?;
-                check_arity(table, t)?;
-                tuples[idx] = Some(t.clone());
-            }
-            DeltaOp::Delete(id) => {
-                let idx = pos
-                    .remove(id)
-                    .ok_or_else(|| Error::Parse(format!("delta deletes missing tuple {id}")))?;
-                tuples[idx] = None;
-            }
-        }
-    }
-    Ok(Table::new(
-        table.name().to_string(),
-        table.schema().clone(),
-        tuples.into_iter().flatten().collect(),
-    ))
-}
-
 pub(crate) fn check_arity(table: &Table, t: &Tuple) -> Result<()> {
     if t.arity() != table.schema().arity() {
         return Err(Error::Parse(format!(
@@ -248,18 +199,6 @@ pub(crate) fn check_arity(table: &Table, t: &Tuple) -> Result<()> {
 mod tests {
     use super::*;
     use bigdansing_common::rng::{check, SplitMix64};
-
-    fn base() -> Table {
-        let schema = Schema::parse("zipcode,city");
-        Table::from_rows(
-            "t",
-            schema,
-            vec![
-                vec![Value::Int(1), Value::str("LA")],
-                vec![Value::Int(2), Value::str("NY")],
-            ],
-        )
-    }
 
     #[test]
     fn parse_all_op_kinds() {
@@ -400,44 +339,5 @@ mod tests {
                 .collect();
             assert_eq!(got, loaded.tuples());
         });
-    }
-
-    #[test]
-    fn materialize_preserves_order() {
-        let t = base();
-        let batch = DeltaBatch::new()
-            .update(0, vec![Value::Int(1), Value::str("SF")])
-            .delete(1)
-            .insert(7, vec![Value::Int(3), Value::str("CH")]);
-        let out = apply_batch_to_table(&t, &batch).unwrap();
-        let ids: Vec<_> = out.tuples().iter().map(Tuple::id).collect();
-        assert_eq!(ids, vec![0, 7]);
-        assert_eq!(out.tuple(0).unwrap().value(1), &Value::str("SF"));
-    }
-
-    #[test]
-    fn delete_then_reinsert_moves_to_end() {
-        let t = base();
-        let batch = DeltaBatch::new()
-            .delete(0)
-            .insert(0, vec![Value::Int(9), Value::str("XX")]);
-        let out = apply_batch_to_table(&t, &batch).unwrap();
-        let ids: Vec<_> = out.tuples().iter().map(Tuple::id).collect();
-        assert_eq!(ids, vec![1, 0]);
-    }
-
-    #[test]
-    fn materialize_rejects_conflicts() {
-        let t = base();
-        assert!(
-            apply_batch_to_table(&t, &DeltaBatch::new().insert(0, vec![])).is_err(),
-            "insert of existing id"
-        );
-        assert!(apply_batch_to_table(
-            &t,
-            &DeltaBatch::new().update(9, vec![Value::Int(1), Value::str("a")])
-        )
-        .is_err());
-        assert!(apply_batch_to_table(&t, &DeltaBatch::new().delete(9)).is_err());
     }
 }

@@ -67,7 +67,7 @@ mod store;
 pub mod wal;
 pub mod window;
 
-pub use delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
+pub use delta::{DeltaBatch, DeltaOp};
 pub use rounds::{run_rounds, RepairTarget, RoundsReport};
 pub use session::{CleanseOptions, DeltaReport, Session};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};

@@ -443,10 +443,9 @@ impl Session {
     }
 
     /// Check a batch against the live id set without mutating anything,
-    /// replaying [`crate::apply_batch_to_table`]'s op-order semantics: an
-    /// op sees the ids as the ops before it left them, so an update or
-    /// delete may target an id inserted earlier in the same batch (never
-    /// later), and a deleted id may be inserted again.
+    /// in op order: an op sees the ids as the ops before it left them, so
+    /// an update or delete may target an id inserted earlier in the same
+    /// batch (never later), and a deleted id may be inserted again.
     fn validate(&self, batch: &DeltaBatch) -> Result<()> {
         // liveness of the ids earlier ops of this batch changed
         let mut staged: HashMap<TupleId, bool> = HashMap::new();

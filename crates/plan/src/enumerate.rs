@@ -199,22 +199,6 @@ impl Member for Tuple {
     }
 }
 
-/// The batch LSH shuffle record: `(band, band hashes, unit)`.
-impl Member for (u32, Arc<[u64]>, Tuple) {
-    fn tuple(&self) -> &Tuple {
-        &self.2
-    }
-
-    fn band(&self) -> Option<(u32, &[u64])> {
-        Some((self.0, &self.1))
-    }
-
-    fn resident(tuple: Tuple, band: Option<Band>) -> Self {
-        let (k, hashes) = band.expect("an LSH member has a band");
-        (k, hashes, tuple)
-    }
-}
-
 /// Running totals over [`PairRule::pairs`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairCounts {
@@ -344,6 +328,7 @@ impl PairRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Entry;
     use bigdansing_common::LshParams;
     use bigdansing_rules::{DedupRule, FdRule};
     use std::convert::Infallible;
@@ -432,7 +417,8 @@ mod tests {
         // a and b agree on bands 0 and 2: compared in band 0's bucket,
         // pruned in band 2's.
         let (ha, hb): (Arc<[u64]>, Arc<[u64]>) = (vec![7, 1, 9].into(), vec![7, 2, 9].into());
-        let bucket = |band: u32| vec![(band, ha.clone(), t(1, "a")), (band, hb.clone(), t(2, "b"))];
+        let member = |band: u32, h: &Arc<[u64]>, u| Entry::resident(u, Some((band, h.clone())));
+        let bucket = |band: u32| vec![member(band, &ha, t(1, "a")), member(band, &hb, t(2, "b"))];
         let (first, counts) = collect(rule, &bucket(0), |_| true);
         assert_eq!((first, counts.pruned), (vec![(1, 2)], 0));
         let (later, counts) = collect(rule, &bucket(2), |_| true);

@@ -22,9 +22,9 @@
 
 use crate::enumerate::{bucket_hash, Delta, Member, Origin, PairCounts, PairRule};
 use crate::physical::{block_groups, pipeline_for_rule, IterateStrategy, RulePipeline};
-use crate::store::{BucketStore, Keying};
+use crate::store::{BucketStore, Entry, Keying};
 use bigdansing_common::error::{Error, Result};
-use bigdansing_common::metrics::{deep_clones_total, Metrics};
+use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{KeyDict, Mutex, Schema, Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, Stage};
@@ -88,12 +88,6 @@ impl DetectOutput {
     /// Number of violations.
     pub fn violation_count(&self) -> usize {
         self.detected.len()
-    }
-
-    /// All possible fixes, flattened (borrowed, no intermediate
-    /// allocation).
-    pub fn all_fixes(&self) -> impl Iterator<Item = &Fix> {
-        self.detected.iter().flat_map(|(_, fs)| fs.iter())
     }
 
     /// Number of possible fixes.
@@ -450,7 +444,6 @@ impl Executor {
         shards: Option<Shards<M>>,
     ) -> Result<(Vec<DetectOutput>, Option<JoinIndex>)> {
         self.engine.check_cancelled()?;
-        let clones_before = deep_clones_total();
         let guard = |m: usize| guards.map(|g| Arc::clone(&g[m]));
         let detectors: Vec<Detector> = (0..group.len())
             .map(|m| Detector::new(m, group[m], guard(m)))
@@ -521,15 +514,16 @@ impl Executor {
                     .flat_map(format!("lsh-signature({names})"), move |t: Tuple| {
                         let hashes: Arc<[u64]> = rule.lsh_band_hashes(&t).into();
                         Ok((0..hashes.len() as u32)
-                            .map(move |k| (k, Arc::clone(&hashes), t.clone()))
+                            .map(move |k| {
+                                Entry::resident(t.clone(), Some((k, Arc::clone(&hashes))))
+                            })
                             .collect::<Vec<_>>())
                     })
-                    .group_by_key(
-                        &format!("block({names})"),
-                        move |(k, hashes, _): &(u32, Arc<[u64]>, Tuple)| {
-                            Ok((*k, hashes[*k as usize]))
-                        },
-                    )?
+                    // every record carries its band
+                    .group_by_key(&format!("block({names})"), |e: &Entry| {
+                        Ok(e.band()
+                            .map_or((0, 0), |(k, hashes)| (k, hashes[k as usize])))
+                    })?
                     .map_parts(detect_op, reducer)
                     .run()
             }
@@ -580,7 +574,7 @@ impl Executor {
                 oc_join(&self.engine, index, &detect_op, &lone(detectors))
             }
         }?;
-        let outs = self.collect_detected(found, group.len(), clones_before)?;
+        let outs = self.collect_detected(found, group.len())?;
         Ok((outs, join))
     }
 
@@ -662,7 +656,6 @@ impl Executor {
         M: Member + Clone + Send + Sync + 'static,
     {
         self.engine.check_cancelled()?;
-        let clones_before = deep_clones_total();
         let metrics = self.engine.metrics().clone();
         let detectors: Vec<Detector> = (0..group.len())
             .map(|m| Detector::new(m, group[m], Some(Arc::clone(&guards[m]))))
@@ -684,7 +677,7 @@ impl Executor {
                     .run()?
             }
         };
-        self.collect_detected(found, group.len(), clones_before)
+        self.collect_detected(found, group.len())
     }
 
     /// Detect a lone inequality rule over the change its resident
@@ -700,29 +693,23 @@ impl Executor {
         guards: &[Arc<RuleGuard>],
     ) -> Result<Vec<DetectOutput>> {
         self.engine.check_cancelled()?;
-        let clones_before = deep_clones_total();
         let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
         let found = oc_join(&self.engine, index, &detect_op(group, true), &d)?;
-        let mut outs = self.collect_detected(found, 1, clones_before)?;
+        let mut outs = self.collect_detected(found, 1)?;
         outs[0].sort_by_origin();
         Ok(outs)
     }
 
     /// The final stage-boundary materialization of a detect pass, with
-    /// its accounting: violations found, and the pass's deep-copy
-    /// activity (tuple materializations, key clones) attributed to the
-    /// engine's `tuples_cloned` counter. Splits the detections by the
+    /// its accounting: violations found. Splits the detections by the
     /// member of `members` that found them.
     fn collect_detected(
         &self,
         found: PDataset<Found>,
         members: usize,
-        clones_before: u64,
     ) -> Result<Vec<DetectOutput>> {
-        let metrics = self.engine.metrics();
         let found = found.checkpoint()?.collect()?;
-        Metrics::add(&metrics.violations, found.len() as u64);
-        Metrics::add(&metrics.tuples_cloned, deep_clones_total() - clones_before);
+        Metrics::add(&self.engine.metrics().violations, found.len() as u64);
         let mut sizes = vec![0; members];
         for (member, _) in &found {
             sizes[*member as usize] += 1;
@@ -806,7 +793,6 @@ impl Executor {
     ) -> Result<DetectOutput> {
         self.engine.check_cancelled()?;
         let metrics = self.engine.metrics().clone();
-        let clones_before = deep_clones_total();
         let rl = Arc::clone(&rule);
         let rr = Arc::clone(&rule);
         // Scope fuses into each side's shuffle-map pass.
@@ -859,7 +845,7 @@ impl Executor {
                 Ok(out)
             })
             .run()?;
-        let found = self.collect_detected(detected_ds, 1, clones_before)?;
+        let found = self.collect_detected(detected_ds, 1)?;
         Ok(found.into_iter().next().unwrap_or_default())
     }
 }

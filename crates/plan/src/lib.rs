@@ -24,9 +24,11 @@
 //!
 //! [`enumerate`] holds the candidate-enumeration core — index keys and
 //! the pair rule per Iterate strategy — that the executor's reducers
-//! call, [`store`] the one resident bucket store that batch re-detects,
-//! incremental sessions and storage pushdown read, and [`group`] the
-//! rule group that batch rounds and session applies both drive over it.
+//! call, [`store`] the one resident bucket store that batch re-detects
+//! and incremental sessions read, with the storage manager's
+//! content-partitioned and replicated stores over it (Appendix F), and
+//! [`group`] the rule group that batch rounds and session applies both
+//! drive over it.
 
 pub mod consolidate;
 pub mod enumerate;
@@ -43,4 +45,4 @@ pub use group::{GroupMember, Ran, Redetected, RuleGroup};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};
-pub use store::BucketStore;
+pub use store::{BucketStore, PartitionedStore, ReplicatedStore};

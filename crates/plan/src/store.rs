@@ -11,9 +11,10 @@
 //!   or inequality group's seeded at open by the same full pass, any
 //!   other group's by indexing every base tuple as an insert — and
 //!   reindexes each delta;
-//! * the storage manager builds one from a table on its key columns
-//!   ([`BucketStore::on_columns`]), and pushdown is a detect over every
-//!   bucket.
+//! * the storage manager's [`PartitionedStore`] is one built from a
+//!   table on its key columns ([`BucketStore::on_columns`]), and a
+//!   [`ReplicatedStore`] holds one per blocking key; Block pushdown is a
+//!   detect over every bucket.
 //!
 //! The store keeps buckets only, with no record of what it indexed per
 //! tuple: every change names the version its buckets hold, and
@@ -392,6 +393,50 @@ fn merge<M: Member>(slot: &mut Vec<M>, adds: Vec<(u64, M)>, seq_of: impl Fn(Tupl
     slot.extend(tail);
 }
 
+/// A table stored pre-grouped on the values of one attribute set
+/// (Appendix F (1)): content-based partitioning, built with
+/// [`BucketStore::on_columns`]. Block pushdown is
+/// [`crate::Executor::detect_held`] over every block
+/// ([`BucketStore::all`]) with the rule's pipeline: each rule scopes a
+/// block's full-width tuples, and its Block is *not* invoked — the
+/// store's grouping stands in for it, which is only sound when the
+/// store's [`BucketStore::columns`] are the rule's blocking attributes.
+pub type PartitionedStore = BucketStore<Tuple>;
+
+/// A dataset stored as several content-partitioned replicas, each on a
+/// different blocking key (Appendix F (2)), so jobs that block on
+/// different keys all find a co-located copy.
+#[derive(Debug, Clone)]
+pub struct ReplicatedStore {
+    replicas: Vec<PartitionedStore>,
+}
+
+impl ReplicatedStore {
+    /// Build one replica per attribute set in `keys`.
+    pub fn build(table: &Table, keys: &[Vec<usize>]) -> ReplicatedStore {
+        ReplicatedStore {
+            replicas: keys
+                .iter()
+                .map(|attrs| PartitionedStore::on_columns(table, attrs))
+                .collect(),
+        }
+    }
+
+    /// The replica able to serve a rule blocking on `attrs` without a
+    /// shuffle, if one exists: one keyed on the same attributes, in any
+    /// order.
+    pub fn replica_for(&self, attrs: &[usize]) -> Option<&PartitionedStore> {
+        let sorted = |cols: &[usize]| {
+            let mut cols = cols.to_vec();
+            cols.sort_unstable();
+            cols
+        };
+        self.replicas
+            .iter()
+            .find(|r| r.columns().is_some_and(|c| sorted(c) == sorted(attrs)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,6 +731,126 @@ mod tests {
                     assert_eq!(shown(&seeded), shown(&built));
                 });
             }
+        }
+    }
+
+    mod storage {
+        use super::super::*;
+        use crate::physical::pipeline_for_rule;
+        use crate::Executor;
+        use bigdansing_common::metrics::Metrics;
+        use bigdansing_common::{Schema, Value};
+        use bigdansing_dataflow::{Engine, IsolationOptions, RuleGuard};
+        use bigdansing_rules::{FdRule, Fix, Rule, Violation};
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        fn table() -> Table {
+            let schema = Schema::parse("zipcode,city");
+            Table::from_rows(
+                "t",
+                schema,
+                vec![
+                    vec![Value::Int(1), Value::str("LA")],
+                    vec![Value::Int(1), Value::str("SF")],
+                    vec![Value::Int(2), Value::str("NY")],
+                    vec![Value::Int(1), Value::str("LA")],
+                ],
+            )
+        }
+
+        #[test]
+        fn builds_blocks_by_content() {
+            let t = table();
+            let store = PartitionedStore::on_columns(&t, &[0]);
+            assert_eq!(store.iter().count(), 2);
+            assert_eq!(store.len(), 4);
+            assert_eq!(store.columns(), Some(&[0][..]));
+        }
+
+        #[test]
+        fn pushdown_matches_shuffled_detection_without_shuffling() {
+            let t = table();
+            let rule: Arc<dyn Rule> =
+                Arc::new(FdRule::parse("zipcode -> city", t.schema()).unwrap());
+            let store = PartitionedStore::on_columns(&t, &[0]);
+            let pushdown = Executor::new(Engine::parallel(2));
+            let pipeline = pipeline_for_rule(Arc::clone(&rule), t.name());
+            let guard = RuleGuard::arm(rule.name(), &IsolationOptions::default());
+            let guards = std::slice::from_ref(&guard);
+            let pushed = pushdown
+                .detect_held(&[&pipeline], store.all(), None, guards)
+                .unwrap()
+                .remove(0);
+            let metrics = pushdown.engine().metrics();
+            assert_eq!(
+                Metrics::get(&metrics.records_shuffled),
+                0,
+                "Block pushdown must not shuffle"
+            );
+            let exec = Executor::new(Engine::parallel(2));
+            let normal = exec.detect(&t, &[Arc::clone(&rule)]).unwrap();
+            let key = |vs: &[(Violation, Vec<Fix>)]| -> BTreeSet<Vec<u64>> {
+                vs.iter().map(|(v, _)| v.tuple_ids()).collect()
+            };
+            assert_eq!(key(&pushed.detected), key(&normal.detected));
+            assert!(!pushed.is_clean());
+        }
+
+        #[test]
+        fn blocks_hold_every_tuple_once() {
+            let t = table();
+            let store = PartitionedStore::on_columns(&t, &[0]);
+            let mut tuples: Vec<Tuple> = store.iter().flat_map(|(_, b)| b.clone()).collect();
+            tuples.sort_by_key(|t| t.id());
+            let back = Table::new("t", t.schema().clone(), tuples);
+            assert_eq!(t.diff_cells(&back), 0);
+        }
+
+        #[test]
+        fn null_keys_group_together() {
+            let schema = Schema::parse("a,b");
+            let t = Table::from_rows(
+                "t",
+                schema,
+                vec![
+                    vec![Value::Null, Value::Int(1)],
+                    vec![Value::Null, Value::Int(2)],
+                    vec![Value::Int(5), Value::Int(3)],
+                ],
+            );
+            let store = PartitionedStore::on_columns(&t, &[0]);
+            assert_eq!(store.iter().count(), 2);
+        }
+
+        fn three_columns() -> Table {
+            Table::from_rows(
+                "t",
+                Schema::parse("zipcode,phone,city"),
+                vec![
+                    vec![Value::Int(1), Value::str("555"), Value::str("LA")],
+                    vec![Value::Int(1), Value::str("666"), Value::str("SF")],
+                    vec![Value::Int(2), Value::str("555"), Value::str("NY")],
+                ],
+            )
+        }
+
+        #[test]
+        fn each_replica_serves_its_own_key() {
+            let store = ReplicatedStore::build(&three_columns(), &[vec![0], vec![1]]);
+            assert!(store.replica_for(&[0]).is_some());
+            assert!(store.replica_for(&[1]).is_some());
+            assert!(store.replica_for(&[2]).is_none());
+            assert!(store.replica_for(&[0, 1]).is_none());
+            assert_eq!(store.replica_for(&[0]).unwrap().iter().count(), 2);
+            assert_eq!(store.replica_for(&[1]).unwrap().iter().count(), 2);
+        }
+
+        #[test]
+        fn composite_keys_resolve_order_insensitively() {
+            let store = ReplicatedStore::build(&three_columns(), &[vec![0, 1]]);
+            assert!(store.replica_for(&[1, 0]).is_some());
+            assert!(store.replica_for(&[0]).is_none());
         }
     }
 }

@@ -17,7 +17,7 @@ use crate::hypergraph::Hypergraph;
 use crate::partition::{repair_partitioned, PartitionConfig};
 use crate::{Assignment, Detected};
 use bigdansing_common::error::Result;
-use bigdansing_common::metrics::{deep_clones_total, Metrics};
+use bigdansing_common::metrics::Metrics;
 use bigdansing_dataflow::stage::PassKind;
 use bigdansing_dataflow::Engine;
 
@@ -58,9 +58,9 @@ impl Default for RepairOptions {
 ///
 /// Records `components_found` / `components_partitioned` /
 /// `repair_cells_assigned` on the engine's metrics (plus
-/// `cc_supersteps` via the CC pass), and attributes deep payload copies
-/// made during the round to `tuples_cloned` — zero on the
-/// component-grouping path, which moves only indexes.
+/// `cc_supersteps` via the CC pass). Component tasks run on the
+/// engine, so their deep payload copies count in `tuples_cloned` —
+/// zero on the component-grouping path, which moves only indexes.
 pub fn repair_parallel(
     engine: &Engine,
     detected: &[Detected],
@@ -70,7 +70,6 @@ pub fn repair_parallel(
     if detected.is_empty() {
         return Ok(Assignment::new());
     }
-    let clones_before = deep_clones_total();
     let graph = Hypergraph::build(detected);
     let bsp = components_bsp(engine, graph.topology())?;
     let groups = group_by_component(&bsp.edge_labels);
@@ -113,10 +112,6 @@ pub fn repair_parallel(
         out.extend(r);
     }
     Metrics::add(&metrics.repair_cells_assigned, out.len() as u64);
-    Metrics::add(
-        &metrics.tuples_cloned,
-        deep_clones_total().saturating_sub(clones_before),
-    );
     Ok(out)
 }
 
@@ -186,7 +181,6 @@ mod tests {
 
     #[test]
     fn grouping_path_is_zero_copy_and_metered() {
-        let _serial = crate::testsync::lock();
         let detected: Vec<Detected> = (0..20)
             .map(|i| fd_detected(10 * i, "LA", 10 * i + 1, "SF", 2))
             .collect();
@@ -214,7 +208,6 @@ mod tests {
 
     #[test]
     fn oversized_components_take_the_partitioned_path() {
-        let _serial = crate::testsync::lock();
         // a chain component with 6 violations, threshold 2 → partitioned
         let mut detected = Vec::new();
         for i in 0..6u64 {

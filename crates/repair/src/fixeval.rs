@@ -154,7 +154,6 @@ mod tests {
 
     #[test]
     fn overlay_rewrites_observed_values() {
-        let _serial = crate::testsync::lock();
         let mut v = Violation::new("r");
         v.add_cell(cell(1), Value::str("SF"));
         let fix = Fix::assign_cell(cell(1), Value::str("SF"), cell(2), Value::str("LA"));

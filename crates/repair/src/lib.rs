@@ -44,16 +44,3 @@ pub type Assignment = HashMap<Cell, Value>;
 /// A detected violation together with its possible fixes — the repair
 /// stage's input unit.
 pub type Detected = (bigdansing_rules::Violation, Vec<bigdansing_rules::Fix>);
-
-#[cfg(test)]
-pub(crate) mod testsync {
-    //! Serializes tests that produce or assert on the process-global
-    //! deep-clone counter, so the zero-copy gate's window stays clean.
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub fn lock() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}

@@ -218,7 +218,6 @@ mod tests {
 
     #[test]
     fn partitioned_repair_resolves_everything() {
-        let _serial = crate::testsync::lock();
         let comp: Vec<Detected> = (0..12).map(|i| fd_detected(i, "LA", i + 1, "SF")).collect();
         let assign = repair_partitioned(
             &EquivalenceClassRepair,
@@ -235,7 +234,6 @@ mod tests {
 
     #[test]
     fn master_values_never_flip() {
-        let _serial = crate::testsync::lock();
         // Example 2's shape: overlapping violations whose naive split
         // repairs contradict. With the protocol, once a cell is set it
         // stays set.
@@ -270,7 +268,6 @@ mod tests {
 
     #[test]
     fn k_one_degenerates_to_plain_repair() {
-        let _serial = crate::testsync::lock();
         let comp: Vec<Detected> = vec![fd_detected(1, "A", 2, "B")];
         let direct = EquivalenceClassRepair.repair(&refs(&comp));
         let part = repair_partitioned(

@@ -13,4 +13,3 @@ pub use bigdansing_ocjoin as ocjoin;
 pub use bigdansing_plan as plan;
 pub use bigdansing_repair as repair;
 pub use bigdansing_rules as rules;
-pub use bigdansing_storage as storage;

@@ -11,14 +11,16 @@
 //! order-sensitive unblocked pair UDF (CrossProduct).
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, BlockKey, CleanseOptions, DedupRule, DeltaBatch, DetectUnit,
-    Fix, Rule, Session, Tuple, UdfRule, UnitKind, Violation,
+    BigDansing, BlockKey, CleanseOptions, DedupRule, DeltaBatch, DetectUnit, Fix, Rule, Session,
+    Tuple, UdfRule, UnitKind, Violation,
 };
 use bigdansing_common::{Schema, Table, Value};
 use bigdansing_rules::FdRule;
 use std::sync::Arc;
 
 mod support;
+
+use support::apply_batch_to_table;
 
 fn tax_table() -> Table {
     // zipcode,city,salary,rate — seeded with an FD violation (rows 0/1)
@@ -383,11 +385,8 @@ fn bench_style_win_on_small_delta() {
 // ---------------------------------------------------------------------
 
 mod in_place_apply {
-    use super::{canon, rows_of};
-    use bigdansing::{
-        apply_batch_to_table, BigDansing, CleanseOptions, DeltaBatch, Session, Table, Tuple,
-        WindowSpec,
-    };
+    use super::{apply_batch_to_table, canon, rows_of};
+    use bigdansing::{BigDansing, CleanseOptions, DeltaBatch, Session, Table, Tuple, WindowSpec};
     use bigdansing_common::rng::{self, SplitMix64};
     use bigdansing_common::{Schema, Value};
     use std::collections::HashMap;
@@ -602,4 +601,58 @@ mod in_place_apply {
         check(rows.clone(), batches.clone(), None);
         check(rows, batches, WindowSpec::sliding(4, 2).ok());
     }
+}
+
+// ---------------------------------------------------------------------
+// The oracle itself: op order, positions and conflicts
+// ---------------------------------------------------------------------
+
+fn two_rows() -> Table {
+    Table::from_rows(
+        "t",
+        Schema::parse("zipcode,city"),
+        vec![
+            vec![Value::Int(1), Value::str("LA")],
+            vec![Value::Int(2), Value::str("NY")],
+        ],
+    )
+}
+
+#[test]
+fn materialize_preserves_order() {
+    let t = two_rows();
+    let batch = DeltaBatch::new()
+        .update(0, vec![Value::Int(1), Value::str("SF")])
+        .delete(1)
+        .insert(7, vec![Value::Int(3), Value::str("CH")]);
+    let out = apply_batch_to_table(&t, &batch).unwrap();
+    let ids: Vec<_> = out.tuples().iter().map(Tuple::id).collect();
+    assert_eq!(ids, vec![0, 7]);
+    assert_eq!(out.tuple(0).unwrap().value(1), &Value::str("SF"));
+}
+
+#[test]
+fn delete_then_reinsert_moves_to_end() {
+    let t = two_rows();
+    let batch = DeltaBatch::new()
+        .delete(0)
+        .insert(0, vec![Value::Int(9), Value::str("XX")]);
+    let out = apply_batch_to_table(&t, &batch).unwrap();
+    let ids: Vec<_> = out.tuples().iter().map(Tuple::id).collect();
+    assert_eq!(ids, vec![1, 0]);
+}
+
+#[test]
+fn materialize_rejects_conflicts() {
+    let t = two_rows();
+    assert!(
+        apply_batch_to_table(&t, &DeltaBatch::new().insert(0, vec![])).is_err(),
+        "insert of existing id"
+    );
+    assert!(apply_batch_to_table(
+        &t,
+        &DeltaBatch::new().update(9, vec![Value::Int(1), Value::str("a")])
+    )
+    .is_err());
+    assert!(apply_batch_to_table(&t, &DeltaBatch::new().delete(9)).is_err());
 }

@@ -14,13 +14,18 @@
 //!   every delta batch, including after a durable snapshot + recover.
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, CleanseOptions, DedupRule, DeltaBatch, DurabilityOptions,
-    LshParams, Session,
+    BigDansing, CleanseOptions, DedupRule, DeltaBatch, DurabilityOptions, LshParams, Session,
 };
 use bigdansing_common::minhash::{band_hashes, compute_minhash_signature};
 use bigdansing_common::rng::{check, SplitMix64};
 use bigdansing_common::{Schema, Table, Value};
 use std::sync::Arc;
+
+// The suite uses the oracle alone, not the shared UDFs.
+#[allow(dead_code)]
+mod support;
+
+use support::apply_batch_to_table;
 
 fn name_table(names: &[&str]) -> Table {
     Table::from_rows(

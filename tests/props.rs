@@ -2,18 +2,21 @@
 //! full stack.
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, CleanseOptions, DeltaBatch, DurabilityOptions,
-    IsolationOptions, RuleHealth, Session,
+    BigDansing, CleanseOptions, DeltaBatch, DurabilityOptions, IsolationOptions, RuleHealth,
+    Session,
 };
 use bigdansing_common::rng::{check, SplitMix64};
 use bigdansing_common::{Schema, Table, Value};
 use bigdansing_dataflow::Engine;
-use bigdansing_plan::Executor;
+use bigdansing_plan::store::Entry;
+use bigdansing_plan::{Executor, Member};
 use bigdansing_rules::{DedupRule, FdRule, Rule, UdfRule, UnitKind};
 use std::ops::Range;
 use std::sync::Arc;
 
 mod support;
+
+use support::apply_batch_to_table;
 
 /// `(a, b, c)` rows over `0..6 × 0..4 × 0..4`, a row count drawn from
 /// `rows`.
@@ -530,18 +533,18 @@ fn masked_pairs_are_the_fresh_subset_of_all_pairs() {
         // Bucket of LSH band `band`: every member agrees on that band's
         // hash (7); the other bands collide at random. Column 0 tags a
         // member with its bucket position, ids repeat (Scope replicas).
-        let bucket: Vec<(u32, Arc<[u64]>, bigdansing::Tuple)> = members
+        let bucket: Vec<Entry> = members
             .iter()
             .enumerate()
             .map(|(pos, (id, _, h1, h2))| {
                 let mut hashes = vec![*h1, *h2];
                 hashes.insert(band as usize, 7);
                 let tuple = bigdansing::Tuple::new(*id, vec![Value::Int(pos as i64)]);
-                (band, hashes.into(), tuple)
+                Entry::resident(tuple, Some((band, hashes.into())))
             })
             .collect();
         let pos = |t: &bigdansing::Tuple| t.value(0).as_i64().unwrap() as usize;
-        let fresh = |m: &(u32, Arc<[u64]>, bigdansing::Tuple)| members[pos(&m.2)].1;
+        let fresh = |m: &Entry| members[pos(m.tuple())].1;
         for strategy in [
             S::BlockPairs { ordered: false },
             S::BlockPairs { ordered: true },

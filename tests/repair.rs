@@ -4,11 +4,6 @@
 //! on detected FD/CFD/DC workloads, and the master/slave partitioned
 //! path against the serial oracle on randomized equivalence-class inputs,
 //! plus `HypergraphRepair`'s assignments pinned on two DC inputs.
-//!
-//! Deep-clone accounting is process-global, so tests that produce or
-//! assert on the counter take a shared lock (the partitioned path
-//! overlays violations — a metered clone — while the grouping path must
-//! stay at zero).
 
 use bigdansing_common::rng::check;
 use bigdansing_common::{stable_hash_of, Cell, Schema, Table, Value};
@@ -24,13 +19,7 @@ use bigdansing_repair::{
 };
 use bigdansing_rules::{CfdRule, DcRule, FdRule, Fix, Rule, Violation};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use std::sync::Arc;
 
 fn fd_detected(a: u64, va: &str, b: u64, vb: &str, attr: usize) -> Detected {
     let ca = Cell::new(a, attr);
@@ -81,7 +70,6 @@ fn bsp_components_match_union_find_on_chain_star_and_mesh() {
 
 #[test]
 fn fused_repair_is_zero_copy_and_metered() {
-    let _serial = lock();
     let detected: Vec<Detected> = (0..32)
         .map(|i| fd_detected(10 * i, "LA", 10 * i + 1, "SF", 2))
         .collect();
@@ -133,7 +121,6 @@ fn salary_rate_table() -> Table {
 /// must be identical, so the component split can never change a repair.
 #[test]
 fn per_component_repair_equals_one_whole_set_instance() {
-    let _serial = lock();
     // 4-row zipcode blocks whose first row's city is garbled: the
     // hypergraph shatters into one small component per block
     let fd = Table::from_rows(
@@ -254,7 +241,6 @@ fn partitioned_repair_converges_to_the_serial_oracle() {
             .map(|_| (g.range(0..3), g.range(1..5)))
             .collect();
         let k = g.range(2usize..5);
-        let _serial = lock();
         let detected: Vec<Detected> = blocks
             .iter()
             .enumerate()
@@ -288,7 +274,6 @@ fn partitioned_repair_converges_to_the_serial_oracle() {
 /// repair's internals must not move a single repaired cell.
 #[test]
 fn hypergraph_repair_assignments_are_pinned() {
-    let _serial = lock();
     const DC: &str = "t1.salary > t2.salary & t1.rate < t2.rate";
     let digest = |table: &Table| {
         let rule: Arc<dyn Rule> = Arc::new(DcRule::parse(DC, table.schema()).unwrap());

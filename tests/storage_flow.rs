@@ -3,14 +3,14 @@
 //! shuffle-free pushdown that agrees with the regular pipeline.
 
 use bigdansing::{report, BigDansing};
+use bigdansing_common::layout;
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Error, Result};
 use bigdansing_dataflow::{Engine, FaultMode, IsolationOptions, RuleGuard};
 use bigdansing_datagen::{tax, GroundTruth};
 use bigdansing_plan::physical::pipeline_for_rule;
-use bigdansing_plan::{DetectOutput, Executor};
+use bigdansing_plan::{DetectOutput, Executor, PartitionedStore, ReplicatedStore};
 use bigdansing_rules::{FdRule, Rule};
-use bigdansing_storage::{layout, PartitionedStore, ReplicatedStore};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

@@ -1,9 +1,69 @@
-//! Rules shared by the integration suites: UDFs that make the planner
-//! choose the whole-block list strategy (BlockList) and the
-//! order-sensitive unblocked pair strategy (CrossProduct), over any
-//! table whose column 0 should determine column 1.
+//! Code shared by the integration suites: the from-scratch oracle a
+//! session's table must agree with ([`apply_batch_to_table`]), and UDFs
+//! that make the planner choose the whole-block list strategy
+//! (BlockList) and the order-sensitive unblocked pair strategy
+//! (CrossProduct), over any table whose column 0 should determine
+//! column 1.
 
-use bigdansing::{BlockKey, DetectUnit, Fix, Tuple, UdfRule, UnitKind, Violation};
+use bigdansing::{
+    BlockKey, DeltaBatch, DeltaOp, DetectUnit, Error, Fix, Result, Table, Tuple, UdfRule, UnitKind,
+    Violation,
+};
+use std::collections::HashMap;
+
+/// Materialize `batch` against `table`: deletes remove the row, updates
+/// replace values in place (the tuple keeps its position), inserts
+/// append at the end in batch order. This is the from-scratch oracle
+/// the incremental `Session` must agree with.
+pub fn apply_batch_to_table(table: &Table, batch: &DeltaBatch) -> Result<Table> {
+    let mut tuples: Vec<Option<Tuple>> = table.tuples().iter().cloned().map(Some).collect();
+    let by_id = table.tuples().iter().enumerate();
+    let mut pos: HashMap<u64, usize> = by_id.map(|(i, t)| (t.id(), i)).collect();
+    let arity = table.schema().arity();
+    let check_arity = |t: &Tuple| {
+        if t.arity() == arity {
+            return Ok(());
+        }
+        Err(Error::Parse(format!(
+            "delta tuple {} has arity {}, schema needs {arity}",
+            t.id(),
+            t.arity(),
+        )))
+    };
+    for op in &batch.ops {
+        match op {
+            DeltaOp::Insert(t) => {
+                if pos.contains_key(&t.id()) {
+                    return Err(Error::Parse(format!(
+                        "delta inserts tuple {} which already exists",
+                        t.id()
+                    )));
+                }
+                check_arity(t)?;
+                pos.insert(t.id(), tuples.len());
+                tuples.push(Some(t.clone()));
+            }
+            DeltaOp::Update(t) => {
+                let idx = *pos.get(&t.id()).ok_or_else(|| {
+                    Error::Parse(format!("delta updates missing tuple {}", t.id()))
+                })?;
+                check_arity(t)?;
+                tuples[idx] = Some(t.clone());
+            }
+            DeltaOp::Delete(id) => {
+                let idx = pos
+                    .remove(id)
+                    .ok_or_else(|| Error::Parse(format!("delta deletes missing tuple {id}")))?;
+                tuples[idx] = None;
+            }
+        }
+    }
+    Ok(Table::new(
+        table.name().to_string(),
+        table.schema().clone(),
+        tuples.into_iter().flatten().collect(),
+    ))
+}
 
 /// "Two rows disagree on column 1": the violation over both cells and
 /// the fix equating them, as an FD would emit.

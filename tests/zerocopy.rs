@@ -16,10 +16,6 @@
 //! (`DetectUnit<'_>` is `Copy`) and Scope views carry their own column
 //! map, so a rule's Scope selector keeps its refcount through a whole
 //! detect and cleanse.
-//!
-//! Deep-clone accounting is process-global, so every test here takes a
-//! shared lock to keep concurrently running tests from attributing each
-//! other's clones.
 
 use bigdansing::{BigDansing, CleanseOptions};
 use bigdansing_common::metrics::Metrics;
@@ -28,12 +24,12 @@ use bigdansing_dataflow::{Engine, ExecMode, FaultInjector, FaultPolicy, MemoryBu
 use bigdansing_datagen::tax;
 use bigdansing_plan::{DetectOutput, Executor};
 use bigdansing_rules::{
-    BlockKey, CfdRule, DcRule, DedupRule, DetectUnit, FdRule, Fix, OrderCond, Rule, UnitKind,
-    Violation,
+    BlockKey, CfdRule, DcRule, DedupRule, DetectUnit, FdRule, Fix, OrderCond, Rule, UdfRule,
+    UnitKind, Violation,
 };
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 // Candidate units are loans: building, passing and dropping one never
 // touches a refcount.
@@ -41,15 +37,6 @@ const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<DetectUnit<'static>>();
 };
-
-/// Serializes the tests in this binary: the deep-clone counter is a
-/// process-wide atomic, and the `tuples_cloned == 0` gate must not see
-/// another test's attribution window.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Byte-level signature of a detect run: violations with their fixes,
 /// rendered through `Debug` so any drift in ids, cells, values, or fix
@@ -135,7 +122,6 @@ fn shape_suite() -> Vec<Shape> {
 
 #[test]
 fn zero_copy_path_matches_deep_clone_oracle_under_injected_faults() {
-    let _g = lock();
     let mut panics = 0;
     for (shape, table, rule, _) in shape_suite() {
         let oracle = {
@@ -168,7 +154,6 @@ fn zero_copy_path_matches_deep_clone_oracle_under_injected_faults() {
 
 #[test]
 fn zero_copy_path_matches_deep_clone_oracle_under_memory_budget() {
-    let _g = lock();
     let mut spills = 0;
     for (shape, table, rule, _) in shape_suite() {
         let oracle = {
@@ -203,7 +188,6 @@ fn every_shape_is_zero_copy_and_enumerates_the_sequential_candidates() {
     // beside it: a parallel engine enumerates, and detects, exactly the
     // candidates the sequential one does, so a faster run can never be
     // a run that looked at fewer pairs.
-    let _g = lock();
     for (shape, table, rule, _) in shape_suite() {
         let counts = |engine: Engine| {
             let exec = Executor::new(engine);
@@ -230,7 +214,6 @@ fn rules_on_one_block_key_shuffle_each_row_once_without_copies() {
     // first detect shuffles every row once, not once per rule,
     // deep-copies nothing, and enumerates and finds exactly what the
     // three rules do alone on the sequential engine.
-    let _g = lock();
     let table = tax::taxa(300, 0.10, 36).dirty;
     let schema = table.schema();
     let rules: Vec<Arc<dyn Rule>> = vec![
@@ -257,10 +240,53 @@ fn rules_on_one_block_key_shuffle_each_row_once_without_copies() {
 }
 
 #[test]
+fn a_copy_made_on_another_thread_is_not_charged_to_a_running_pass() {
+    // Deep copies count against the task that makes them. The rule's
+    // first Detect call parks the pass between two barriers while
+    // another thread materializes 100 rows; none of them is the pass's.
+    let parked = Arc::new((Barrier::new(2), Barrier::new(2)));
+    let first = AtomicBool::new(true);
+    let barriers = Arc::clone(&parked);
+    let rule: Arc<dyn Rule> = Arc::new(
+        UdfRule::builder("udf:parked", move |_| {
+            if first.swap(false, Ordering::SeqCst) {
+                barriers.0.wait();
+                barriers.1.wait();
+            }
+            Vec::new()
+        })
+        .block(|t| Some(BlockKey::single(t.value(0).clone())))
+        .build(),
+    );
+    let table = Table::from_rows(
+        "t",
+        Schema::parse("zip,city"),
+        vec![
+            vec![Value::Int(1), Value::str("LA")],
+            vec![Value::Int(1), Value::str("SF")],
+        ],
+    );
+    let other = std::thread::spawn(move || {
+        let row = Tuple::new(9, vec![Value::Int(2), Value::str("NY")]);
+        parked.0.wait();
+        for _ in 0..100 {
+            assert_eq!(row.to_values().len(), 2);
+        }
+        parked.1.wait();
+    });
+    let exec = Executor::new(Engine::sequential());
+    let out = exec.detect(&table, &[rule]).unwrap();
+    other.join().unwrap();
+    assert!(out.is_clean());
+    let m = exec.engine().metrics().snapshot();
+    assert_eq!(m.detect_calls, 1, "the pair must reach the parked Detect");
+    assert_eq!(m.tuples_cloned, 0, "another thread's copies were charged");
+}
+
+#[test]
 fn streaming_ocjoin_detect_reports_shuffle_bytes_and_pairs() {
     // The rewired DC path must still account its shuffle volume and
     // pair count even though pairs are never materialized.
-    let _g = lock();
     let gt = tax::taxb(150, 0.10, 35);
     let rule: Arc<dyn Rule> = Arc::new(
         DcRule::parse(
@@ -333,7 +359,6 @@ fn no_view_or_candidate_unit_holds_a_shared_refcount() {
     // count from inside Detect — views and units alive — and after a
     // full detect and a two-round cleanse, on 1, 2 and 4 workers.
     assert_eq!(std::mem::size_of::<Tuple>(), 40);
-    let _g = lock();
     for (shape, table, rule, sel) in shape_suite() {
         let Some(sel) = sel else { continue };
         let probe = Arc::new(SelectorProbe {
