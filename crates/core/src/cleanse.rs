@@ -95,7 +95,7 @@ pub struct CleanseResult {
 /// Summarize the rules' health — every group's members, in
 /// registration order — into the per-rule health report and the job
 /// completeness fraction.
-fn health_report(groups: &[RuleGroup<Tuple>]) -> CleanseOutcome {
+fn health_report(groups: &[RuleGroup]) -> CleanseOutcome {
     let mut members: Vec<&GroupMember> = groups.iter().flat_map(|g| &g.members).collect();
     members.sort_by_key(|m| m.rule);
     let health = |m: &&GroupMember| match (&m.quarantined, m.units_skipped) {
@@ -135,18 +135,20 @@ fn health_report(groups: &[RuleGroup<Tuple>]) -> CleanseOutcome {
 ///
 /// Each [`RuleGroup`] runs its passes and owns its rules' health. A
 /// Block group's full pass keeps the buckets its shuffle built as the
-/// group's resident store, an inequality rule's the sorted range parts
-/// of its OCJoin; a later round re-detects through
-/// [`RuleGroup::redetect`], the call a session apply makes, over the
-/// tuples repair changed — an inequality rule joins only them against
-/// the parts. A Block group without a store (its full pass fell back to
-/// running members one by one) carries nothing and runs in full again,
-/// which reseeds the store. Every other strategy (single units, LSH,
-/// cross products) re-runs its pass over the table, masked by the
-/// changed tuples.
+/// group's resident store, an LSH rule's the sorted band runs of its
+/// shuffle, an inequality rule's the sorted range parts of its OCJoin;
+/// a later round re-detects through [`RuleGroup::redetect`], the call a
+/// session apply makes, over the tuples repair changed — an LSH rule
+/// computes signatures for only them and detects only the runs they
+/// joined, an inequality rule joins only them against the parts. A
+/// resident group without a store (its full pass fell back to running
+/// members one by one) carries nothing and runs in full again, which
+/// reseeds the store. Every other strategy (single units, cross
+/// products) re-runs its pass over the table, masked by the changed
+/// tuples.
 struct BatchTarget<'a> {
     executor: &'a Executor,
-    groups: Vec<RuleGroup<Tuple>>,
+    groups: Vec<RuleGroup>,
     table: Table,
     /// The detections of the table as of the last detect…
     detected: Vec<Detected>,
@@ -231,7 +233,12 @@ impl RepairTarget for BatchTarget<'_> {
                 Metrics::add(&metrics.tuples_reprocessed, done.ids.len() as u64);
                 Metrics::add(&metrics.blocks_dirty, done.keys.len() as u64);
                 // a changed bucket's list detections go with it
-                let hashes: HashSet<u64> = done.change.keys.keys().map(stable_hash_of).collect();
+                let hashes: HashSet<u64> = done
+                    .change
+                    .keys
+                    .iter()
+                    .map(|(k, _)| stable_hash_of(k))
+                    .collect();
                 self.retract(|(rule, origin)| match origin {
                     Origin::Bucket(hash) => !rules.contains(rule) || !hashes.contains(hash),
                     Origin::Unit(..) => true,
@@ -242,11 +249,12 @@ impl RepairTarget for BatchTarget<'_> {
                 // which it consumes: no loaded copy outlives the pass
                 let data = || PDataset::from_vec(engine.clone(), table.tuples().to_vec());
                 let schema = table.schema();
+                let seq_of = |id| table.position(id).expect("a live tuple") as u64;
                 self.groups[g].run(metrics, |group, guards| match carried {
                     true => executor
                         .run_group(data(), schema, group, Some(guards), Some(&delta))
                         .map(|outs| (outs, None)),
-                    false => executor.run_resident(data(), schema, group, Some(guards)),
+                    false => executor.run_resident(data(), schema, group, Some(guards), &seq_of),
                 })?
             };
             for (m, out) in outs {

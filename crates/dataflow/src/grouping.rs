@@ -1,5 +1,6 @@
 //! The hash shuffle's routing and reducer-side merge, shared by
-//! [`crate::Stage::group_by_key`] and [`crate::Stage::co_group`] — the
+//! [`crate::Stage::group_by_key`], [`crate::Stage::partition_by`] and
+//! [`crate::Stage::co_group`] — the
 //! substrate of the physical Block and CoBlock operators (Appendix G:
 //! Spark-PBlock uses `groupBy()`, Spark-CoBlock adds a key `join()`).
 
@@ -12,8 +13,9 @@ use std::hash::Hash;
 
 /// The reducer bucket `key` hashes to — deterministic across runs.
 /// `KeyId` keys hash only their cached stable half, so encoded keys
-/// route without re-hashing the key payload.
-pub(crate) fn bucket_of<K: Hash>(key: &K, nbuckets: usize) -> usize {
+/// route without re-hashing the key payload. A store that keeps a
+/// shuffle's reducer shares routes later records by it too.
+pub fn bucket_of<K: Hash>(key: &K, nbuckets: usize) -> usize {
     (stable_hash_of(key) as usize) % nbuckets
 }
 
@@ -21,16 +23,11 @@ pub(crate) fn bucket_of<K: Hash>(key: &K, nbuckets: usize) -> usize {
 /// lists into one bucket per reducer. Reducers run in parallel and
 /// *move* their slices out of shared slots rather than cloning, so the
 /// merge is a pointer shuffle, not a copy. Counts shuffled records.
-#[allow(clippy::type_complexity)]
-pub(crate) fn merge_buckets<K, T>(
+pub(crate) fn merge_buckets<T: Send>(
     engine: &Engine,
-    bucketed: Vec<Vec<Vec<(K, T)>>>,
+    bucketed: Vec<Vec<Vec<T>>>,
     reducers: usize,
-) -> Vec<Vec<(K, T)>>
-where
-    K: Send,
-    T: Send,
-{
+) -> Vec<Vec<T>> {
     let total: usize = bucketed.iter().flat_map(|bs| bs.iter().map(Vec::len)).sum();
     Metrics::add(&engine.metrics().records_shuffled, total as u64);
     // Bytes that cross the shuffle boundary. Records are shuffled as
@@ -39,9 +36,9 @@ where
     // moves — not the pinned payloads, which never do.
     Metrics::add(
         &engine.metrics().bytes_shuffled,
-        (std::mem::size_of::<(K, T)>() * total) as u64,
+        (std::mem::size_of::<T>() * total) as u64,
     );
-    let slots: Vec<Vec<Mutex<Option<Vec<(K, T)>>>>> = bucketed
+    let slots: Vec<Vec<Mutex<Option<Vec<T>>>>> = bucketed
         .into_iter()
         .map(|bs| bs.into_iter().map(|b| Mutex::new(Some(b))).collect())
         .collect();
@@ -49,7 +46,7 @@ where
         engine.workers(),
         (0..reducers).collect::<Vec<usize>>(),
         |_, r| {
-            let mut bucket: Vec<(K, T)> = Vec::new();
+            let mut bucket: Vec<T> = Vec::new();
             for part in &slots {
                 if let Some(b) = part.get(r).and_then(|slot| slot.lock().take()) {
                     if bucket.is_empty() {

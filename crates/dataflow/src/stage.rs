@@ -316,11 +316,17 @@ where
 
     /// Map side of a shuffle, recorded as one **shuffle-map** pass named
     /// `op`: run the fused chain over every input partition, key each
-    /// record, and bucket it by the reducer its key hashes to.
-    #[allow(clippy::type_complexity)]
-    fn shuffle_map<K, KF>(self, op: String, key: KF) -> Result<(Engine, Vec<Vec<Vec<(K, T)>>>)>
+    /// record, and bucket what `keep` makes of it by the reducer its key
+    /// hashes to.
+    fn shuffle_map<K, U, KF>(
+        self,
+        op: String,
+        key: KF,
+        keep: impl Fn(K, T) -> U + Sync,
+    ) -> Result<(Engine, Vec<Vec<Vec<U>>>)>
     where
-        K: Hash + Send,
+        K: Hash,
+        U: Send,
         KF: Fn(&T) -> Result<K> + Sync,
     {
         let Stage {
@@ -331,18 +337,38 @@ where
         let (engine, parts) = data.take_parts()?;
         let reducers = engine.default_partitions();
         let bucketed = engine.run_stage(&parts, |_, part: &Vec<S>| {
-            let mut buckets: Vec<Vec<(K, T)>> = (0..reducers).map(|_| Vec::new()).collect();
+            let mut buckets: Vec<Vec<U>> = (0..reducers).map(|_| Vec::new()).collect();
             for r in chain(part) {
                 let t = r?;
                 let k = key(&t)?;
                 let b = bucket_of(&k, reducers);
-                buckets[b].push((k, t));
+                buckets[b].push(keep(k, t));
             }
             Ok(buckets)
         })?;
         ops.push(op);
         engine.record_pass(PassKind::ShuffleMap, ops, parts.len());
         Ok((engine, bucketed))
+    }
+
+    /// Shuffle boundary without grouping: force the chain and route
+    /// every record to the reducer its key hashes to
+    /// ([`crate::grouping::bucket_of`]), in a **shuffle-map** and a
+    /// **merge** pass as [`Stage::group_by_key`] does. A reducer's
+    /// share keeps the records of each input partition in order, and
+    /// the partitions in theirs; what it does with the share is queued
+    /// on the returned stage.
+    pub fn partition_by<K, KF>(self, name: &str, key: KF) -> Result<Stage<T, T>>
+    where
+        T: Clone + Sync,
+        K: Hash,
+        KF: Fn(&T) -> Result<K> + Sync,
+    {
+        let (engine, bucketed) = self.shuffle_map(format!("{name}.key"), key, |_, t| t)?;
+        let reducers = engine.default_partitions();
+        let shares = merge_buckets(&engine, bucketed, reducers);
+        engine.record_pass(PassKind::ShuffleMerge, Vec::new(), reducers);
+        Ok(Stage::over(PDataset::from_partitions(engine, shares)))
     }
 
     /// Shuffle boundary: force the chain and group its output by a
@@ -358,7 +384,7 @@ where
         K: Hash + Eq + Clone + Send + Sync + 'static,
         KF: Fn(&T) -> Result<K> + Sync,
     {
-        let (engine, bucketed) = self.shuffle_map(format!("{name}.key"), key)?;
+        let (engine, bucketed) = self.shuffle_map(format!("{name}.key"), key, |k, t| (k, t))?;
         let reducers = engine.default_partitions();
         let buckets = merge_buckets(&engine, bucketed, reducers);
         engine.record_pass(PassKind::ShuffleMerge, Vec::new(), reducers);
@@ -394,8 +420,10 @@ where
         KL: Fn(&T) -> Result<K> + Sync,
         KR: Fn(&U) -> Result<K> + Sync,
     {
-        let (engine, bucketed_l) = self.shuffle_map(format!("{name}.key-left"), key_left)?;
-        let (_, bucketed_r) = other.shuffle_map(format!("{name}.key-right"), key_right)?;
+        let (engine, bucketed_l) =
+            self.shuffle_map(format!("{name}.key-left"), key_left, |k, t| (k, t))?;
+        let (_, bucketed_r) =
+            other.shuffle_map(format!("{name}.key-right"), key_right, |k, u| (k, u))?;
         let reducers = engine.default_partitions();
         let buckets_l = merge_buckets(&engine, bucketed_l, reducers);
         let buckets_r = merge_buckets(&engine, bucketed_r, reducers);

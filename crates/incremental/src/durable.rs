@@ -201,7 +201,7 @@ impl Session {
         session.stable = state.stable;
         session.applies = state.applies;
         session.win = win;
-        session.rebuild_indexes();
+        session.rebuild_indexes()?;
         Ok(session)
     }
 
@@ -209,28 +209,32 @@ impl Session {
     /// entries incremental maintenance would have accumulated, rebuilt
     /// in one pass through the same insert path. The indexes share
     /// nothing but the table they read, so a parallel engine's workers
-    /// each take a share of the groups. An inequality rule's join index
-    /// stages the records as one change, which its first re-detect folds
-    /// in by partitioning and sorting them.
-    fn rebuild_indexes(&mut self) {
-        let workers = self.executor.engine().workers();
+    /// each take a share of the groups. An LSH rule's band index computes
+    /// every record's band hashes and sorts its entries into shards; an
+    /// inequality rule's join index stages the records as one change,
+    /// which its first re-detect folds in by partitioning and sorting
+    /// them. Neither is ever read from the log.
+    fn rebuild_indexes(&mut self) -> Result<()> {
+        let engine = self.executor.engine();
         let (table, seqs) = (&self.table, &self.seqs);
-        let rebuild = |groups: &mut [RuleGroup]| {
+        let rebuild = |groups: &mut [RuleGroup]| -> Result<()> {
             for store in groups.iter_mut().filter_map(|g| g.store.as_mut()) {
                 let live = table.tuples().iter().map(|t| (t.id(), None, Some(t)));
-                store.reindex(live, |id| seqs[&id]);
+                store.reindex(engine, live, |id| seqs[&id])?;
             }
+            Ok(())
         };
-        let share = self.groups.len().div_ceil(workers);
+        let share = self.groups.len().div_ceil(engine.workers());
         if share == self.groups.len() {
             return rebuild(&mut self.groups);
         }
-        // scope joins every thread and re-raises a rule's panic here
         std::thread::scope(|scope| {
-            for indexes in self.groups.chunks_mut(share) {
-                scope.spawn(|| rebuild(indexes));
-            }
-        });
+            let chunks = self.groups.chunks_mut(share);
+            let spawned: Vec<_> = chunks.map(|g| scope.spawn(|| rebuild(g))).collect();
+            // re-raise a rule's panic here
+            let mut joined = spawned.into_iter().map(|h| h.join());
+            joined.try_for_each(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        })
     }
 
     /// Bring the log's state up to date with the session. Returns the

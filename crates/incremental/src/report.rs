@@ -60,6 +60,8 @@ pub struct DeltaReport {
 pub(crate) struct ApplyStats {
     pub(crate) reprocessed: BTreeSet<TupleId>,
     pub(crate) blocks: BTreeSet<(usize, BlockKey)>,
+    /// The LSH band buckets dirtied, per rule: band and bucket hash.
+    pub(crate) runs: BTreeSet<(usize, u32, u64)>,
     pub(crate) added: u64,
     pub(crate) retracted: u64,
     /// Tuple ids of violations added or retracted (component markers).

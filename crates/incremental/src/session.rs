@@ -43,7 +43,9 @@ use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::{Engine, IsolationOptions};
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Delta, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
+use bigdansing_plan::{
+    Bucket, Delta, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup,
+};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{Assignment, Detected, RepairStrategy};
@@ -200,8 +202,9 @@ impl Session {
     /// whole table, as the first semi-naive iteration with every row
     /// fresh. Each rule group runs one full pass ([`RuleGroup::open`]):
     /// a Block group keeps the buckets its shuffle built as its store,
-    /// as a batch cleanse's first round does, and any other group
-    /// indexes the table and detects over its store. The detections fill
+    /// an LSH group its sorted band runs, as a batch cleanse's first
+    /// round does, and any other group indexes the table and detects
+    /// over its store. The detections fill
     /// the violation store with provenance, as an apply's do. The base
     /// table is *not* repaired — the first [`Session::apply`] cleanses
     /// pre-existing violations together with the batch's.
@@ -226,11 +229,7 @@ impl Session {
         session.win = win;
         for group in session.groups.iter_mut() {
             session.executor.engine().check_cancelled()?;
-            let mut outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
-            // stored in unit order, not shuffle order, the violation
-            // ids — and a durable session's base frame — do not vary
-            // from run to run
-            outs.iter_mut().for_each(|(_, out)| out.sort_by_origin());
+            let outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
             let keys = group.store.iter().flat_map(|s| s.iter().map(|(k, _)| k));
             keep(&mut session.store, group, outs, keys, |_| {});
         }
@@ -427,7 +426,7 @@ impl Session {
         }
 
         report.tuples_reprocessed = stats.reprocessed.len() as u64;
-        report.blocks_dirty = stats.blocks.len() as u64;
+        report.blocks_dirty = (stats.blocks.len() + stats.runs.len()) as u64;
         report.violations_added = stats.added;
         report.violations_retracted = stats.retracted;
         report.violations_remaining = self.store.len();
@@ -593,15 +592,19 @@ impl Session {
                 .map(|(id, held, now)| (*id, *held, now.as_ref()));
             let done = group.redetect(&self.executor, changes, |id| self.seqs[&id], Some(&mask))?;
             for rule in healthy.iter().map(|&m| group.members[m].rule) {
-                for key in done.change.keys.keys() {
+                for (key, _) in &done.change.keys {
                     stats.blocks.insert((rule, key.clone()));
                     stats.retract(self.store.retract_block(rule, key));
                 }
+                let runs = done
+                    .change
+                    .runs()
+                    .map(|((band, hash), _)| (rule, band, hash));
+                stats.runs.extend(runs);
             }
             stats.reprocessed.extend(done.ids);
-            keep(&mut self.store, group, done.outs, done.keys.iter(), |s| {
-                stats.add(s)
-            });
+            let keys = done.keys.iter().filter_map(Bucket::block);
+            keep(&mut self.store, group, done.outs, keys, |s| stats.add(s));
             // a rule the pass quarantined takes its stored violations along
             let members = healthy.into_iter().map(|m| &group.members[m]);
             for member in members.filter(|m| m.quarantined.is_some()) {

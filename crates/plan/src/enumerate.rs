@@ -3,9 +3,10 @@
 //! the batch reducers in [`crate::executor`] and the incremental
 //! session's persistent index.
 //!
-//! * **Index keys** ([`IterateStrategy::index_keys`]) — under which
-//!   buckets a scoped unit is indexed: none, its Block key, the single
-//!   global key, or one `(band, bucket hash)` key per LSH band.
+//! * **Index keys** ([`IterateStrategy::index_key`]) — under which
+//!   bucket a scoped unit is indexed: none, its Block key, or the single
+//!   global key. An LSH unit sits in one run per band of its group's
+//!   [`crate::lsh::LshIndex`] instead, keyed by `(band, bucket hash)`.
 //! * **The pair rule** ([`PairRule::pairs`]) — which pairs of a
 //!   bucket's members are candidates and how they are oriented:
 //!   `(earlier, later)` only or both orientations, the CrossProduct
@@ -28,15 +29,10 @@
 use crate::physical::IterateStrategy;
 use bigdansing_common::codec::Codec;
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{stable_hash_of, Error, Tuple, TupleId, Value};
+use bigdansing_common::{stable_hash_of, Error, Tuple, TupleId};
 use bigdansing_rules::{BlockKey, Rule};
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::Arc;
-
-/// The LSH tag of a bucket member: the band of the bucket this copy of
-/// the unit sits in, and the unit's bucket hash for every band.
-pub type Band = (u32, Arc<[u64]>);
 
 /// The candidate unit a detection came from — what a later delta needs
 /// to know to decide whether the detection still stands: it is
@@ -102,35 +98,27 @@ impl IterateStrategy {
     }
 
     /// Whether a full pass seeds the group's [`crate::BucketStore`]: a
-    /// Block pass hands over its buckets, an OCJoin pass its sorted
-    /// range parts.
+    /// Block pass hands over its buckets, an LSH pass its sorted band
+    /// runs, an OCJoin pass its sorted range parts.
     pub fn resides(&self) -> bool {
-        self.blocks() || matches!(self, Self::OcJoin(_))
+        self.blocks() || matches!(self, Self::LshBlocks | Self::OcJoin(_))
     }
 
-    /// The buckets `unit` (a Scope output of `rule`) is indexed under,
-    /// each with the member's [`Band`] tag: none (single units), the
-    /// rule's Block key, the one empty *global* key of an unblocked pair
-    /// strategy or an inequality rule (whose join index stands in for
-    /// the bucket), or one key per LSH band — band `k` under `(k, hashes[k])`, so
-    /// buckets of different bands never meet.
-    pub fn index_keys(&self, rule: &dyn Rule, unit: &Tuple) -> Vec<(BlockKey, Option<Band>)> {
+    /// The bucket `unit` (a Scope output of `rule`) is indexed under:
+    /// the rule's Block key, or the one empty *global* key of an
+    /// unblocked pair strategy or an inequality rule (whose join index
+    /// stands in for the bucket). `None` for single units, and for LSH
+    /// units, whose band runs their group's [`crate::lsh::LshIndex`]
+    /// keeps.
+    pub fn index_key(&self, rule: &dyn Rule, unit: &Tuple) -> Option<BlockKey> {
         match self {
-            IterateStrategy::SingleUnits => Vec::new(),
+            IterateStrategy::SingleUnits | IterateStrategy::LshBlocks => None,
             IterateStrategy::BlockPairs { .. } | IterateStrategy::BlockList => {
-                vec![(rule.block(unit).unwrap_or_default(), None)]
+                Some(rule.block(unit).unwrap_or_default())
             }
             IterateStrategy::UCrossProduct
             | IterateStrategy::CrossProduct
-            | IterateStrategy::OcJoin(_) => vec![(BlockKey::new(), None)],
-            IterateStrategy::LshBlocks => {
-                let hashes: Arc<[u64]> = rule.lsh_band_hashes(unit).into();
-                let band = |k: usize| {
-                    let key = vec![Value::Int(k as i64), Value::Int(hashes[k] as i64)];
-                    (BlockKey::from(key), Some((k as u32, Arc::clone(&hashes))))
-                };
-                (0..hashes.len()).map(band).collect()
-            }
+            | IterateStrategy::OcJoin(_) => Some(BlockKey::new()),
         }
     }
 
@@ -162,17 +150,11 @@ pub trait Member {
     /// The scoped unit.
     fn tuple(&self) -> &Tuple;
 
-    /// The band of the bucket this member sits in and the unit's bucket
-    /// hash per band (LSH buckets only).
+    /// In an LSH run, the band of the run and the unit's bucket hash per
+    /// band, from its record.
     fn band(&self) -> Option<(u32, &[u64])> {
         None
     }
-
-    /// The member holding `tuple` in a resident bucket, with its
-    /// [`Band`] tag in an LSH bucket.
-    fn resident(tuple: Tuple, band: Option<Band>) -> Self
-    where
-        Self: Sized;
 
     /// A bucket as the unit slice a whole-bucket Detect borrows: the
     /// bucket itself when its members are bare units, else a copy of
@@ -188,10 +170,6 @@ pub trait Member {
 impl Member for Tuple {
     fn tuple(&self) -> &Tuple {
         self
-    }
-
-    fn resident(tuple: Tuple, _: Option<Band>) -> Tuple {
-        tuple
     }
 
     fn units(bucket: &[Tuple]) -> Cow<'_, [Tuple]> {
@@ -328,13 +306,23 @@ impl PairRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Entry;
-    use bigdansing_common::LshParams;
-    use bigdansing_rules::{DedupRule, FdRule};
+    use bigdansing_common::Value;
+    use bigdansing_rules::FdRule;
     use std::convert::Infallible;
 
     fn t(id: u64, name: &str) -> Tuple {
         Tuple::new(id, vec![Value::str(name), Value::str("LA")])
+    }
+
+    /// An LSH run member: the run's band, the unit's hashes, the unit.
+    impl Member for (u32, &[u64; 3], Tuple) {
+        fn tuple(&self) -> &Tuple {
+            &self.2
+        }
+
+        fn band(&self) -> Option<(u32, &[u64])> {
+            Some((self.0, self.1))
+        }
     }
 
     fn collect<M: Member>(
@@ -352,35 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn index_keys_per_strategy() {
+    fn index_key_per_strategy() {
         let schema = bigdansing_common::Schema::parse("name,city");
         let fd = FdRule::parse("name -> city", &schema).unwrap();
         let row = t(1, "Robert");
         let scoped = &fd.scope(&row)[0];
+        let key = |s: IterateStrategy| s.index_key(&fd, scoped);
         let blocked = IterateStrategy::BlockPairs { ordered: false };
-        let keys = |s: IterateStrategy| -> Vec<BlockKey> {
-            s.index_keys(&fd, scoped)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect()
-        };
-        assert_eq!(keys(blocked), vec![fd.block(scoped).unwrap()]);
-        assert_eq!(keys(IterateStrategy::UCrossProduct), vec![BlockKey::new()]);
-        assert!(keys(IterateStrategy::SingleUnits).is_empty());
-    }
-
-    #[test]
-    fn band_buckets_embed_the_band_index() {
-        let p = LshParams::default();
-        let r = DedupRule::new("udf:dedup", 0, 0.8).with_lsh(p);
-        let buckets = IterateStrategy::LshBlocks.index_keys(&r, &t(1, "Robert"));
-        assert_eq!(buckets.len(), p.bands);
-        for (k, (key, band)) in buckets.iter().enumerate() {
-            assert_eq!(key.values()[0], Value::Int(k as i64));
-            let (band, hashes) = band.as_ref().unwrap();
-            assert_eq!(*band as usize, k);
-            assert_eq!(key.values()[1], Value::Int(hashes[k] as i64));
-        }
+        assert_eq!(key(blocked), fd.block(scoped));
+        assert_eq!(key(IterateStrategy::UCrossProduct), Some(BlockKey::new()));
+        assert_eq!(key(IterateStrategy::SingleUnits), None);
+        assert_eq!(key(IterateStrategy::LshBlocks), None);
     }
 
     #[test]
@@ -416,9 +386,8 @@ mod tests {
         let rule = IterateStrategy::LshBlocks.pair_rule().unwrap();
         // a and b agree on bands 0 and 2: compared in band 0's bucket,
         // pruned in band 2's.
-        let (ha, hb): (Arc<[u64]>, Arc<[u64]>) = (vec![7, 1, 9].into(), vec![7, 2, 9].into());
-        let member = |band: u32, h: &Arc<[u64]>, u| Entry::resident(u, Some((band, h.clone())));
-        let bucket = |band: u32| vec![member(band, &ha, t(1, "a")), member(band, &hb, t(2, "b"))];
+        let (ha, hb) = ([7, 1, 9], [7, 2, 9]);
+        let bucket = |band: u32| vec![(band, &ha, t(1, "a")), (band, &hb, t(2, "b"))];
         let (first, counts) = collect(rule, &bucket(0), |_| true);
         assert_eq!((first, counts.pruned), (vec![(1, 2)], 0));
         let (later, counts) = collect(rule, &bucket(2), |_| true);

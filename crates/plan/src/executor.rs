@@ -21,25 +21,28 @@
 //! by the same pass; every other strategy runs one pipeline.
 
 use crate::enumerate::{bucket_hash, Delta, Member, Origin, PairCounts, PairRule};
+use crate::lsh::{self, BandEntry, LshIndex, Records};
 use crate::physical::{block_groups, pipeline_for_rule, IterateStrategy, RulePipeline};
-use crate::store::{BucketStore, Entry, Keying};
+use crate::store::{BucketStore, Keying};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{KeyDict, Mutex, Schema, Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
-use bigdansing_dataflow::{Engine, PDataset, Stage};
+use bigdansing_dataflow::{Engine, PDataset, PassKind, Stage};
 use bigdansing_ocjoin::{JoinIndex, OcJoinConfig};
 use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One detection as a detect pass produces it: the group member that
 /// found it, where it came from, the violation, and its possible fixes.
 type Found = (u64, (Origin, (Violation, Vec<Fix>)));
 
-/// The buckets a Block pass's reducer partitions hand over, one map per
-/// partition: the shards of the group's [`BucketStore`], members as `M`.
-type Shards<M> = Arc<Mutex<Vec<HashMap<BlockKey, Vec<M>>>>>;
+/// What a resident pass's reducer partitions hand over, one share per
+/// partition: a Block pass's buckets, or an LSH pass's sorted band
+/// entries — the shards of the group's [`BucketStore`].
+type Shares<T> = Arc<Mutex<Vec<T>>>;
 
 /// The result of running detection: each violation paired with its
 /// possible fixes (the input to the repair stage). The association is
@@ -59,20 +62,6 @@ impl DetectOutput {
     pub fn extend(&mut self, other: DetectOutput) {
         self.detected.extend(other.detected);
         self.origins.extend(other.origins);
-    }
-
-    /// Order the detections by the units they came from ([`Origin`]'s
-    /// order; stable, so one unit's detections keep theirs). A pass
-    /// emits them in the order of its buckets or join parts, which a
-    /// shuffle or an index layout decides, not the table.
-    pub fn sort_by_origin(&mut self) {
-        let mut found: Vec<_> = self
-            .origins
-            .drain(..)
-            .zip(self.detected.drain(..))
-            .collect();
-        found.sort_by_key(|(origin, _)| *origin);
-        (self.origins, self.detected) = found.into_iter().unzip();
     }
 
     /// True when no violations were found.
@@ -259,19 +248,17 @@ fn reduce<'b, M: Member + 'b>(
     Ok(finished.flat_map(|(d, t)| d.finish(t, metrics)).collect())
 }
 
-/// The reducer of a batch Block or LSH pass: [`reduce`] over the
-/// shuffled buckets, whatever key grouped them (a Block pass's `KeyId`,
-/// an LSH pass's `(band, bucket hash)`); a semi-naive pass counts what
-/// it touched — the records of the buckets that reached it, and the
-/// buckets. Then `keep` takes the buckets — last, so that a retried
-/// partition hands them over once.
-fn batch_reducer<K, M: Member>(
+/// The reducer of a batch Block pass: [`reduce`] over the shuffled
+/// buckets; a semi-naive pass counts what it touched — the records of
+/// the buckets that reached it, and the buckets. Then `keep` takes the
+/// buckets — last, so that a retried partition hands them over once.
+fn batch_reducer<K>(
     detectors: Vec<Detector>,
     shared: bool,
     delta: Option<Arc<Delta>>,
     metrics: Arc<Metrics>,
-    keep: impl Fn(Vec<(K, Vec<M>)>) + Send + Sync,
-) -> impl Fn(Vec<(K, Vec<M>)>) -> Result<Vec<Found>> {
+    keep: impl Fn(Vec<(K, Vec<Tuple>)>) + Send + Sync,
+) -> impl Fn(Vec<(K, Vec<Tuple>)>) -> Result<Vec<Found>> {
     move |buckets| {
         let delta = delta.as_deref();
         let units = buckets.iter().map(|(_, bucket)| &bucket[..]);
@@ -284,6 +271,25 @@ fn batch_reducer<K, M: Member>(
         keep(buckets);
         Ok(found)
     }
+}
+
+/// The reducer body of an LSH pass over band runs: each run through the
+/// detector as a bucket, its members read in place from the group's
+/// records.
+fn lsh_runs<'r>(
+    d: &Detector,
+    records: &'r Records,
+    runs: impl Iterator<Item = &'r [BandEntry]>,
+    delta: Option<&Delta>,
+    metrics: &Metrics,
+) -> Result<Vec<Found>> {
+    let (mut tally, mut members) = (Tally::default(), Vec::new());
+    for run in runs {
+        members.clear();
+        members.extend(lsh::members(records, run));
+        d.bucket(&members, delta, &mut tally)?;
+    }
+    Ok(d.finish(tally, metrics))
 }
 
 /// The single-unit arm: Detect over every record `stage` yields — under
@@ -337,30 +343,18 @@ fn oc_join(engine: &Engine, index: &JoinIndex, op: &str, d: &Detector) -> Result
 /// What a resident [`BucketStore`] hands [`Executor::detect_held`] to
 /// detect over.
 #[derive(Clone)]
-pub enum Held<M> {
-    /// Scoped records in table order: each one a unit of a single-unit
-    /// rule, or the new versions an inequality rule's join index staged.
+pub enum Held {
+    /// Scoped records in table order, each one a unit of a single-unit
+    /// rule.
     Records(Vec<Tuple>),
     /// Buckets of a bucketed strategy.
     Buckets {
         /// Members in table order.
-        buckets: Vec<Vec<M>>,
+        buckets: Vec<Vec<Tuple>>,
         /// The members are source tuples of a shared Block index, which
         /// the rule scopes first.
         scope: bool,
     },
-}
-
-impl<M: Member> Held<M> {
-    /// The tuple id of every record or bucket member handed over.
-    pub fn ids(&self) -> Vec<TupleId> {
-        match self {
-            Held::Records(records) => records.iter().map(Tuple::id).collect(),
-            Held::Buckets { buckets: b, .. } => {
-                b.iter().flatten().map(|m| m.tuple().id()).collect()
-            }
-        }
-    }
 }
 
 /// Runs physical pipelines on a dataflow engine.
@@ -431,18 +425,19 @@ impl Executor {
     /// blocks are counted on the guard (partial mode) or abort the pass
     /// with a typed `Error::Rule` (strict mode).
     ///
-    /// With `shards`, a Block pass's reducer partitions hand their
-    /// buckets over, each member made an `M`, instead of dropping them.
-    /// An OCJoin pass returns the join index it built.
-    fn iterate_and_detect<M: Member + Send + 'static>(
+    /// With `resident` — the sequence number of every tuple of `data`,
+    /// in its order — the pass hands over what it built as the group's
+    /// [`BucketStore`]: a Block pass's reducers their buckets, an LSH
+    /// pass's their sorted band entries, an OCJoin pass its join index.
+    fn iterate_and_detect(
         &self,
         data: PDataset<Tuple>,
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
-        shards: Option<Shards<M>>,
-    ) -> Result<(Vec<DetectOutput>, Option<JoinIndex>)> {
+        resident: Option<&dyn Fn(TupleId) -> u64>,
+    ) -> Result<(Vec<DetectOutput>, Option<BucketStore>)> {
         self.engine.check_cancelled()?;
         let guard = |m: usize| guards.map(|g| Arc::clone(&g[m]));
         let detectors: Vec<Detector> = (0..group.len())
@@ -464,14 +459,14 @@ impl Executor {
             data.stage()
         };
         let delta = delta.cloned();
-        let mut join = None;
+        let keying = Keying::of(group);
+        let mut store = None;
         let found = match &lead.strategy {
             IterateStrategy::SingleUnits => {
                 single_units(stage, detect_op, lone(detectors), delta, metrics)
             }
             IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
-                let by = Keying::of(group);
-                let block_op = match &by {
+                let block_op = match &keying {
                     Keying::Lone(_) => format!("block({names})"),
                     Keying::Columns(cols) => {
                         let attrs: Vec<&str> = cols
@@ -485,47 +480,77 @@ impl Executor {
                 // downstream routing/grouping moves 8-byte `KeyId`s, not
                 // `Value` payloads.
                 let dict = Arc::new(KeyDict::new());
-                let key = by.clone();
+                let (key, by) = (keying.clone(), keying.clone());
+                let shares: Shares<HashMap<BlockKey, Vec<Tuple>>> =
+                    Arc::new(Mutex::new(Vec::new()));
+                let kept = resident.map(|_| Arc::clone(&shares));
                 let keep = move |buckets: Vec<(_, Vec<Tuple>)>| {
-                    if let Some(shards) = &shards {
-                        let made = |b| Vec::into_iter(b).map(|t| M::resident(t, None)).collect();
-                        let keyed = |(_, b): (_, Vec<Tuple>)| (by.key(&b[0]), made(b));
-                        shards.lock().push(buckets.into_iter().map(keyed).collect());
+                    if let Some(kept) = &kept {
+                        let keyed = |(_, b): (_, Vec<Tuple>)| (by.key(&b[0]), b);
+                        kept.lock().push(buckets.into_iter().map(keyed).collect());
                     }
                 };
                 let reducer = batch_reducer(detectors, shared, delta, metrics, keep);
-                stage
+                let found = stage
                     .group_by_key(&block_op, move |t| Ok(dict.encode(key.key(t))))?
                     .map_parts(detect_op, reducer)
-                    .run()
+                    .run()?;
+                if resident.is_some() {
+                    let mut shards = std::mem::take(&mut *shares.lock());
+                    shards.resize_with(shards.len().max(1), HashMap::new);
+                    store = Some(BucketStore::seeded(keying, shards));
+                }
+                Ok(found)
             }
             IterateStrategy::LshBlocks => {
-                // MinHash/LSH banding: each scoped tuple fans out into
-                // one record per band (an O(1) handle clone — the Arc'd
-                // payload is shared), keyed by its `(band, bucket hash)`
-                // pair. The pair is already a fixed-size hash, so the
-                // shuffle routes and groups on it as is: no dictionary.
-                // A delta does not thin this shuffle: the signature, not
-                // the shuffle, is what a record costs, and it is needed
-                // to know the buckets. The mask skips the clean ones.
+                // MinHash/LSH banding: one narrow pass computes every
+                // scoped unit's band hashes, once. The shuffle then
+                // routes one compact entry per unit and band by its
+                // `(band, bucket hash)`, and each reducer sorts its
+                // share, so a band bucket is a run of equal keys,
+                // members in table order, which Detect reads in place.
                 let rule = Arc::clone(&lead.rule);
-                let reducer = batch_reducer(detectors, false, delta, metrics, drop);
-                stage
-                    .flat_map(format!("lsh-signature({names})"), move |t: Tuple| {
-                        let hashes: Arc<[u64]> = rule.lsh_band_hashes(&t).into();
-                        Ok((0..hashes.len() as u32)
-                            .map(move |k| {
-                                Entry::resident(t.clone(), Some((k, Arc::clone(&hashes))))
-                            })
-                            .collect::<Vec<_>>())
+                let signed = stage
+                    .map(format!("lsh-signature({names})"), move |t: Tuple| {
+                        let hashes = rule.lsh_band_hashes(&t);
+                        Ok((t, hashes))
                     })
-                    // every record carries its band
-                    .group_by_key(&format!("block({names})"), |e: &Entry| {
-                        Ok(e.band()
-                            .map_or((0, 0), |(k, hashes)| (k, hashes[k as usize])))
-                    })?
-                    .map_parts(detect_op, reducer)
-                    .run()
+                    .collect()?;
+                let records = Arc::new(lsh::records(signed, resident));
+                let slots: Vec<u32> = (0..records.len() as u32).collect();
+                let (fan, read) = (Arc::clone(&records), Arc::clone(&records));
+                let d = lone(detectors);
+                let shares: Shares<Vec<BandEntry>> = Arc::new(Mutex::new(Vec::new()));
+                let kept = resident.map(|_| Arc::clone(&shares));
+                let found = PDataset::from_vec(self.engine.clone(), slots)
+                    .stage()
+                    .flat_map(format!("lsh-band({names})"), move |slot| {
+                        Ok(lsh::entries(&fan, slot))
+                    })
+                    .partition_by(&format!("block({names})"), |e: &BandEntry| Ok(e.run()))?
+                    .map_parts(detect_op, move |mut share: Vec<BandEntry>| {
+                        share.sort_unstable();
+                        let delta = delta.as_deref();
+                        let found = lsh_runs(&d, &read, lsh::shard_runs(&share), delta, &metrics)?;
+                        if delta.is_some() {
+                            Metrics::add(&metrics.tuples_reprocessed, share.len() as u64);
+                            let runs = lsh::shard_runs(&share).count();
+                            Metrics::add(&metrics.blocks_dirty, runs as u64);
+                        }
+                        // last, so that a retried partition hands it over once
+                        if let Some(kept) = &kept {
+                            kept.lock().push(share);
+                        }
+                        Ok(found)
+                    })
+                    .run()?;
+                if resident.is_some() {
+                    let shares = std::mem::take(&mut *shares.lock());
+                    let reducers = self.engine.default_partitions();
+                    let seeded = store.insert(BucketStore::seeded(keying, vec![HashMap::new()]));
+                    seeded.lsh = Some(LshIndex::seeded(records, shares, reducers));
+                }
+                Ok(found)
             }
             IterateStrategy::UCrossProduct | IterateStrategy::CrossProduct => {
                 // Unblocked pair strategies draw their pairs from the
@@ -570,12 +595,17 @@ impl Executor {
                 let is_fresh = |t: &Tuple| delta.as_ref().is_none_or(|d| d.is_fresh(t));
                 let data = stage.into_dataset()?;
                 let config = OcJoinConfig::default();
-                let index = join.insert(JoinIndex::build(data, conds, config, &is_fresh)?);
-                oc_join(&self.engine, index, &detect_op, &lone(detectors))
+                let index = JoinIndex::build(data, conds, config, &is_fresh)?;
+                let found = oc_join(&self.engine, &index, &detect_op, &lone(detectors));
+                if resident.is_some() {
+                    let seeded = store.insert(BucketStore::seeded(keying, vec![HashMap::new()]));
+                    seeded.join = Some(index);
+                }
+                found
             }
         }?;
         let outs = self.collect_detected(found, group.len())?;
-        Ok((outs, join))
+        Ok((outs, store))
     }
 
     /// Run one group of pipelines — as [`block_groups`] forms them, in
@@ -603,35 +633,27 @@ impl Executor {
         guards: Option<&[Arc<RuleGuard>]>,
         delta: Option<&Arc<Delta>>,
     ) -> Result<Vec<DetectOutput>> {
-        let (outs, _) =
-            self.iterate_and_detect::<Tuple>(data, schema, group, guards, delta, None)?;
+        let (outs, _) = self.iterate_and_detect(data, schema, group, guards, delta, None)?;
         Ok(outs)
     }
 
-    /// A full [`Executor::run_group`] whose Block reducer hands its
-    /// buckets over instead of dropping them: they come back as the
-    /// group's resident [`BucketStore`] of `M` members, members in the
-    /// order of `data`, which later re-detects read through
-    /// [`Executor::detect_held`]. An OCJoin pass keeps its sorted range
-    /// parts as the store's [`JoinIndex`] instead, for
+    /// A full [`Executor::run_group`] that hands what its passes built
+    /// over instead of dropping it, as the group's resident
+    /// [`BucketStore`], which later re-detects read: a Block pass's
+    /// buckets, members in the order of `data`, for
+    /// [`Executor::detect_held`]; an LSH pass's sorted band runs, its
+    /// records numbered by `seq_of`, for [`Executor::detect_runs`]; an
+    /// OCJoin pass's sorted range parts as the store's [`JoinIndex`], for
     /// [`Executor::detect_join`]. `None` for any other group.
-    pub fn run_resident<M: Member + Clone + Send + 'static>(
+    pub fn run_resident(
         &self,
         data: PDataset<Tuple>,
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
-    ) -> Result<(Vec<DetectOutput>, Option<BucketStore<M>>)> {
-        let shards: Shards<M> = Arc::new(Mutex::new(Vec::new()));
-        let keep = Some(Arc::clone(&shards));
-        let (outs, join) = self.iterate_and_detect(data, schema, group, guards, None, keep)?;
-        // a Block pass hands buckets over, one map per partition, and an
-        // OCJoin pass its join index
-        let mut shards = std::mem::take(&mut *shards.lock());
-        let seeded = !shards.is_empty() || join.is_some();
-        shards.resize_with(shards.len().max(1), HashMap::new);
-        let store = seeded.then(|| BucketStore::seeded(Keying::of(group), shards, join));
-        Ok((outs, store))
+        seq_of: &dyn Fn(TupleId) -> u64,
+    ) -> Result<(Vec<DetectOutput>, Option<BucketStore>)> {
+        self.iterate_and_detect(data, schema, group, guards, None, Some(seq_of))
     }
 
     /// Detect a group over what a resident [`BucketStore`] holds, each
@@ -645,16 +667,13 @@ impl Executor {
     /// units are not masked again, and the pass counts no
     /// `tuples_reprocessed` / `blocks_dirty`: the caller counts what it
     /// handed over.
-    pub fn detect_held<M>(
+    pub fn detect_held(
         &self,
         group: &[&RulePipeline],
-        held: Held<M>,
+        held: Held,
         delta: Option<&Arc<Delta>>,
         guards: &[Arc<RuleGuard>],
-    ) -> Result<Vec<DetectOutput>>
-    where
-        M: Member + Clone + Send + Sync + 'static,
-    {
+    ) -> Result<Vec<DetectOutput>> {
         self.engine.check_cancelled()?;
         let metrics = self.engine.metrics().clone();
         let detectors: Vec<Detector> = (0..group.len())
@@ -670,7 +689,7 @@ impl Executor {
                 let delta = delta.cloned();
                 PDataset::from_vec(self.engine.clone(), buckets)
                     .stage()
-                    .map_parts(op, move |part: Vec<Vec<M>>| {
+                    .map_parts(op, move |part: Vec<Vec<Tuple>>| {
                         let buckets = part.iter().map(|bucket| &bucket[..]);
                         reduce(&detectors, buckets, scope, delta.as_deref(), &metrics)
                     })
@@ -680,12 +699,38 @@ impl Executor {
         self.collect_detected(found, group.len())
     }
 
+    /// Detect a lone LSH rule over the runs of its resident [`LshIndex`]
+    /// that [`BucketStore::held`] picked — per shard, their entry ranges
+    /// — under its guard, with `delta` as the freshness mask, in one pass
+    /// labelled as a re-detect: one task per shard with picked runs,
+    /// each reading its runs and their records in place. The caller
+    /// counts what it handed over.
+    pub fn detect_runs(
+        &self,
+        group: &[&RulePipeline],
+        index: &LshIndex,
+        runs: &[Vec<Range<usize>>],
+        delta: Option<&Arc<Delta>>,
+        guards: &[Arc<RuleGuard>],
+    ) -> Result<Vec<DetectOutput>> {
+        self.engine.check_cancelled()?;
+        let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
+        let metrics = self.engine.metrics();
+        let shards: Vec<usize> = (0..runs.len()).filter(|&s| !runs[s].is_empty()).collect();
+        let found = self.engine.run_stage(&shards, |_, &s| {
+            let picked = runs[s].iter().map(|range| index.run(s, range.clone()));
+            lsh_runs(&d, index.records(), picked, delta.map(|d| &**d), metrics)
+        })?;
+        let op = vec![detect_op(group, true)];
+        self.engine.record_pass(PassKind::Narrow, op, shards.len());
+        let found = PDataset::from_partitions(self.engine.clone(), found);
+        self.collect_detected(found, 1)
+    }
+
     /// Detect a lone inequality rule over the change its resident
     /// [`JoinIndex`] staged, under its guard: the Δ-join of the new
     /// versions with the index's parts, in one pass labelled as a
-    /// re-detect. The detections come out in the order of their units,
-    /// which the layout of the index's parts does not decide. The caller
-    /// counts what it handed over.
+    /// re-detect. The caller counts what it handed over.
     pub fn detect_join(
         &self,
         group: &[&RulePipeline],
@@ -695,20 +740,33 @@ impl Executor {
         self.engine.check_cancelled()?;
         let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
         let found = oc_join(&self.engine, index, &detect_op(group, true), &d)?;
-        let mut outs = self.collect_detected(found, 1)?;
-        outs[0].sort_by_origin();
-        Ok(outs)
+        self.collect_detected(found, 1)
     }
 
     /// The final stage-boundary materialization of a detect pass, with
     /// its accounting: violations found. Splits the detections by the
-    /// member of `members` that found them.
+    /// member of `members` that found them, each member's in the order
+    /// of the units they came from ([`Origin`]'s order; stable, so one
+    /// unit's detections keep theirs): a pass emits them in the order of
+    /// its buckets, runs or join parts, which a shuffle, an index layout
+    /// or the worker count decides, not the table.
     fn collect_detected(
         &self,
         found: PDataset<Found>,
         members: usize,
     ) -> Result<Vec<DetectOutput>> {
         let found = found.checkpoint()?.collect()?;
+        let key = |(at, (m, (origin, _))): (usize, &Found)| match *origin {
+            Origin::Unit(a, b) => [*m, 0, a, b, at as u64],
+            Origin::Bucket(hash) => [*m, 1, hash, 0, at as u64],
+        };
+        let mut order: Vec<[u64; 5]> = found.iter().enumerate().map(key).collect();
+        order.sort_unstable();
+        let mut found: Vec<Option<Found>> = found.into_iter().map(Some).collect();
+        let found = order
+            .into_iter()
+            .map(|k| found[k[4] as usize].take().expect("once"));
+        let found: Vec<Found> = found.collect();
         Metrics::add(&self.engine.metrics().violations, found.len() as u64);
         let mut sizes = vec![0; members];
         for (member, _) in &found {

@@ -10,27 +10,28 @@
 //!   member is quarantined;
 //! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
 //!   re-detects the union of what the healthy members pick, as one
-//!   [`Executor::detect_held`] pass through `run` — an inequality rule's
-//!   as one [`Executor::detect_join`] of the change against its join
-//!   index, which folds the change in before the next;
+//!   [`Executor::detect_held`] pass through `run` — an LSH rule's as one
+//!   [`Executor::detect_runs`] over the band runs the change fed, an
+//!   inequality rule's as one [`Executor::detect_join`] of the change
+//!   against its join index, which folds the change in before the next;
 //! * [`RuleGroup::open`] detects over a whole table with every record
 //!   fresh and fills the store with it: a Block group keeps the buckets
-//!   of its shuffled pass, an inequality rule the sorted range parts of
-//!   its OCJoin, any other group indexes the table and re-detects it.
+//!   of its shuffled pass, an LSH rule its sorted band runs, an
+//!   inequality rule the sorted range parts of its OCJoin, any other
+//!   group indexes the table and re-detects it.
 //!
 //! What a detection means stays the caller's: the batch carries its
 //! detections between rounds, a session keeps them with provenance.
 
-use crate::enumerate::{Delta, Member};
+use crate::enumerate::Delta;
 use crate::executor::{DetectOutput, Executor};
 use crate::physical::{block_groups, RulePipeline};
-use crate::store::{BucketStore, Entry, Reindexed};
+use crate::store::{Bucket, BucketStore, Pick, Picked, Reindexed};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::RuleGuard;
 use bigdansing_dataflow::{IsolationOptions, PDataset};
-use bigdansing_rules::BlockKey;
 use std::sync::Arc;
 
 /// One rule of a group, with its health over the passes it ran in.
@@ -57,8 +58,8 @@ pub type Ran = Vec<(usize, DetectOutput)>;
 pub struct Redetected {
     /// What the reindex changed.
     pub change: Reindexed,
-    /// The key of each bucket handed over; empty for records.
-    pub keys: Vec<BlockKey>,
+    /// Each bucket or run handed over; empty for records.
+    pub keys: Vec<Bucket>,
     /// The id of every record or bucket member handed over.
     pub ids: Vec<TupleId>,
     /// What the pass over them found.
@@ -66,24 +67,25 @@ pub struct Redetected {
 }
 
 /// One detect pass of some members of a group, each under its guard:
-/// their detections, member for member, and the buckets the pass kept
-/// when it seeds the group's store.
-pub type PassOutput<M> = Result<(Vec<DetectOutput>, Option<BucketStore<M>>)>;
+/// their detections, member for member, and the store the pass kept
+/// when it seeds the group's.
+pub type PassOutput = Result<(Vec<DetectOutput>, Option<BucketStore>)>;
 
 /// A rule group: its members in registration order, over the group's
-/// resident buckets (`M` as in [`BucketStore`]).
-pub struct RuleGroup<M = Entry> {
+/// resident store.
+pub struct RuleGroup {
     /// The group's rules.
     pub members: Vec<GroupMember>,
-    /// The resident buckets or join index: a session's from the start, a
-    /// batch Block or inequality group's once a pass of all its healthy
-    /// members seeded them. Dropped once no member is healthy.
-    pub store: Option<BucketStore<M>>,
+    /// The resident buckets, band runs or join index: a session's from
+    /// the start, a batch Block, LSH or inequality group's once a pass of
+    /// all its healthy members seeded them. Dropped once no member is
+    /// healthy.
+    pub store: Option<BucketStore>,
     /// The job's isolation options, which every guard is armed with.
     iso: IsolationOptions,
 }
 
-impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
+impl RuleGroup {
     /// One group per [`block_groups`] group of `pipelines`, every member
     /// healthy; with `resident`, each over an empty store.
     pub fn of(pipelines: &[RulePipeline], iso: IsolationOptions, resident: bool) -> Vec<Self> {
@@ -131,7 +133,7 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     pub fn run(
         &mut self,
         metrics: &Metrics,
-        pass: impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput<M>,
+        pass: impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput,
     ) -> Result<Ran> {
         let mut ran = Ran::default();
         let seeded = self.pass(&self.healthy(), metrics, &pass, &mut ran)?;
@@ -148,9 +150,9 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
         &mut self,
         members: &[usize],
         metrics: &Metrics,
-        pass: &impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput<M>,
+        pass: &impl Fn(&[&RulePipeline], &[Arc<RuleGuard>]) -> PassOutput,
         ran: &mut Ran,
-    ) -> Result<Option<BucketStore<M>>> {
+    ) -> Result<Option<BucketStore>> {
         let group: Vec<&RulePipeline> =
             members.iter().map(|&m| &self.members[m].pipeline).collect();
         let arm = |p: &&RulePipeline| RuleGuard::arm(p.rule.name(), &self.iso);
@@ -187,11 +189,12 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     /// Reindex the changed tuples into the store — each change an id,
     /// the version the store holds and its new version, as
     /// [`BucketStore::reindex`] takes them — then re-detect the union of
-    /// what the healthy members pick ([`BucketStore::held`]) in one
-    /// [`Executor::detect_held`] pass through [`RuleGroup::run`], with
-    /// `mask` as the freshness mask (`None`: every record is fresh). A
-    /// join index first folds in the change the re-detect before it
-    /// joined ([`BucketStore::settle`]), then joins the change it
+    /// what the healthy members pick ([`BucketStore::held`]) in one pass
+    /// through [`RuleGroup::run`], with `mask` as the freshness mask
+    /// (`None`: every record is fresh): [`Executor::detect_held`] over
+    /// records or buckets, [`Executor::detect_runs`] over an LSH index's
+    /// runs. A join index first folds in the change the re-detect before
+    /// it joined ([`BucketStore::settle`]), then joins the change it
     /// staged in one [`Executor::detect_join`] pass. When nothing is
     /// picked no pass runs, and every healthy member finds nothing new.
     pub fn redetect<'a>(
@@ -203,27 +206,32 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
     ) -> Result<Redetected> {
         // out of the group while its pass runs: the pass reads it
         let mut store = self.store.take().expect("a group re-detects its store");
-        store.settle(executor.engine())?;
-        let change = store.reindex(changes, seq_of);
+        let engine = executor.engine();
+        store.settle(engine)?;
+        let change = store.reindex(engine, changes, seq_of)?;
         let members = self.members.iter().filter(|m| m.quarantined.is_none());
         let healthy: Vec<&RulePipeline> = members.map(|m| &m.pipeline).collect();
-        let picked = store.held(&healthy, &change);
-        let outs = self.run(executor.engine().metrics(), |group, guards| {
-            let outs = match (&picked, store.join()) {
-                (Some(_), Some(index)) => executor.detect_join(group, index, guards)?,
-                (Some((held, _)), None) => {
+        let (pick, keys, ids) = match store.held(&healthy, &change) {
+            Some(Picked { pick, keys, ids }) => (Some(pick), keys, ids),
+            None => Default::default(),
+        };
+        let outs = self.run(engine.metrics(), |group, guards| {
+            let outs = match &pick {
+                Some(Pick::Held(held)) => {
                     executor.detect_held(group, held.clone(), mask, guards)?
                 }
-                (None, _) => vec![DetectOutput::default(); group.len()],
+                Some(Pick::Runs(index, runs)) => {
+                    executor.detect_runs(group, index, runs, mask, guards)?
+                }
+                Some(Pick::Join(index)) => executor.detect_join(group, index, guards)?,
+                None => vec![DetectOutput::default(); group.len()],
             };
             Ok((outs, None))
         })?;
+        drop(pick);
         if !self.healthy().is_empty() {
             self.store = Some(store);
         }
-        let (ids, keys) = picked
-            .map(|(held, keys)| (held.ids(), keys))
-            .unwrap_or_default();
         Ok(Redetected {
             change,
             keys,
@@ -234,15 +242,14 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
 
     /// Detect over `table` — its tuples in table order, `seq_of` their
     /// sequence numbers — as the first semi-naive iteration, with every
-    /// record fresh, and leave the store holding the table. A Block
-    /// group runs one [`Executor::run_resident`] pass through
-    /// [`RuleGroup::run`], whose shuffled buckets become the store; when
-    /// partial mode re-ran its members one by one, the re-runs seed
-    /// nothing, and the table is indexed into the store with no second
-    /// detect. An inequality rule's OCJoin pass seeds its join index the
-    /// same way. Any other group indexes the table as inserts and
-    /// re-detects what its members pick from it, which for an empty
-    /// table is nothing: no pass runs.
+    /// record fresh, and leave the store holding the table. A Block, LSH
+    /// or inequality group runs one [`Executor::run_resident`] pass
+    /// through [`RuleGroup::run`], whose buckets, band runs or join index
+    /// become the store; when partial mode re-ran its members one by
+    /// one, the re-runs seed nothing, and the table is indexed into the
+    /// store with no second detect. Any other group indexes the table as
+    /// inserts and re-detects what its members pick from it, which for
+    /// an empty table is nothing: no pass runs.
     pub fn open(
         &mut self,
         executor: &Executor,
@@ -255,11 +262,11 @@ impl<M: Member + Clone + Send + Sync + 'static> RuleGroup<M> {
         }
         let data = || PDataset::from_vec(executor.engine().clone(), table.tuples().to_vec());
         let ran = self.run(executor.engine().metrics(), |group, guards| {
-            executor.run_resident(data(), table.schema(), group, Some(guards))
+            executor.run_resident(data(), table.schema(), group, Some(guards), &seq_of)
         })?;
         // a store no pass seeded is still the empty one the group began with
         if let Some(store) = self.store.as_mut().filter(|s| s.is_empty()) {
-            store.reindex(inserts(), seq_of);
+            store.reindex(executor.engine(), inserts(), seq_of)?;
         }
         Ok(ran)
     }

@@ -26,7 +26,8 @@
 //! the pair rule per Iterate strategy — that the executor's reducers
 //! call, [`store`] the one resident bucket store that batch re-detects
 //! and incremental sessions read, with the storage manager's
-//! content-partitioned and replicated stores over it (Appendix F), and
+//! content-partitioned and replicated stores over it (Appendix F),
+//! [`lsh`] the resident band index an LSH group's store keeps, and
 //! [`group`] the rule group that batch rounds and session applies both
 //! drive over it.
 
@@ -36,6 +37,7 @@ pub mod executor;
 pub mod group;
 pub mod job;
 pub mod logical;
+pub mod lsh;
 pub mod physical;
 pub mod store;
 
@@ -44,5 +46,6 @@ pub use executor::{DetectOutput, Executor, Held};
 pub use group::{GroupMember, Ran, Redetected, RuleGroup};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
+pub use lsh::LshIndex;
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};
-pub use store::{BucketStore, PartitionedStore, ReplicatedStore};
+pub use store::{Bucket, BucketStore, PartitionedStore, ReplicatedStore};

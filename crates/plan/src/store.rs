@@ -4,11 +4,11 @@
 //! side of semi-naive evaluation).
 //!
 //! Three users read the same store:
-//! * a batch Block pass hands its reducer's buckets over
-//!   ([`crate::Executor::run_resident`]), and the cleanse loop's later
-//!   rounds reindex only the tuples repair changed;
-//! * an incremental session keeps one store per rule group — a Block
-//!   or inequality group's seeded at open by the same full pass, any
+//! * a batch Block, LSH or inequality pass hands what its reducers
+//!   built over ([`crate::Executor::run_resident`]), and the cleanse
+//!   loop's later rounds reindex only the tuples repair changed;
+//! * an incremental session keeps one store per rule group — a Block,
+//!   LSH or inequality group's seeded at open by the same full pass, any
 //!   other group's by indexing every base tuple as an insert — and
 //!   reindexes each delta;
 //! * the storage manager's [`PartitionedStore`] is one built from a
@@ -21,6 +21,11 @@
 //! [`BucketStore::reindex`] drops that version's members and merges the
 //! new version's in, bucket by touched bucket.
 //!
+//! An LSH rule's store holds no buckets either: an [`LshIndex`] keeps
+//! its records with their band hashes and its band buckets as runs of
+//! sorted entries, seeded by the sorted reducer shares of its first
+//! full pass. A reindex computes signatures for the new versions only.
+//!
 //! An inequality rule's store holds no buckets: a [`JoinIndex`] over
 //! its scoped records stands in for its one global bucket, seeded by the
 //! sorted range parts of its first full OCJoin pass. A reindex stages
@@ -28,43 +33,46 @@
 //! side of the next join — and [`BucketStore::settle`] folds a joined
 //! change in, before the next one is staged.
 //!
+//! Neither index is ever serialized: a recovered session rebuilds it
+//! from its table by the same reindex, as all inserts.
+//!
 //! The store only *chooses* what is re-detected ([`BucketStore::held`]).
 //! Detection itself — the straggler gate, pair enumeration with a delta
 //! as the freshness mask, Detect and GenFix — is
 //! [`crate::Executor::detect_held`]'s, as for a shuffled pass, or
+//! [`crate::Executor::detect_runs`]' over an LSH index's runs, or
 //! [`crate::Executor::detect_join`]'s over a join index, run for a whole
 //! group by [`crate::group::RuleGroup::redetect`].
 
-use crate::enumerate::{Band, Member, PairRule};
+use crate::enumerate::{Member, PairRule};
 use crate::executor::Held;
+use crate::lsh::{LshIndex, Touched};
 use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::{Result, Table, Tuple, TupleId};
 use bigdansing_dataflow::Engine;
 use bigdansing_ocjoin::JoinIndex;
 use bigdansing_rules::BlockKey;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
-/// A session's bucket member: the scoped unit and, in an LSH bucket,
-/// its band tag.
-#[derive(Clone)]
-pub struct Entry {
-    tuple: Tuple,
-    band: Option<Band>,
+/// A bucket a reindex touched or a re-detect handed over: a Block
+/// bucket by its key, or an LSH band bucket by its band and bucket hash.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Bucket {
+    /// A Block bucket (the one empty key: an unblocked strategy's or an
+    /// inequality rule's global bucket).
+    Block(BlockKey),
+    /// An LSH band bucket, a run of its group's [`LshIndex`].
+    Band(u32, u64),
 }
 
-impl Member for Entry {
-    fn tuple(&self) -> &Tuple {
-        &self.tuple
-    }
-
-    fn band(&self) -> Option<(u32, &[u64])> {
-        self.band
-            .as_ref()
-            .map(|(band, hashes)| (*band, &hashes[..]))
-    }
-
-    fn resident(tuple: Tuple, band: Option<Band>) -> Entry {
-        Entry { tuple, band }
+impl Bucket {
+    /// The key of a Block bucket.
+    pub fn block(&self) -> Option<&BlockKey> {
+        match self {
+            Bucket::Block(key) => Some(key),
+            Bucket::Band(..) => None,
+        }
     }
 }
 
@@ -72,13 +80,25 @@ impl Member for Entry {
 pub struct Reindexed {
     /// The newly indexed records, in table order.
     pub news: Vec<Tuple>,
-    /// Every bucket that lost or gained a member, and whether it gained
-    /// one (only those can yield new pairs).
-    pub keys: BTreeMap<BlockKey, bool>,
+    /// Every Block bucket that lost or gained a member, in key order,
+    /// and whether it gained one (only those can yield new pairs).
+    pub keys: Vec<(BlockKey, bool)>,
+    /// Per shard of an LSH index, what the change did to its runs.
+    runs: Vec<Touched>,
+}
+
+impl Reindexed {
+    /// Every LSH band bucket that lost or gained a member — its band and
+    /// bucket hash — and whether it gained one.
+    pub fn runs(&self) -> impl Iterator<Item = ((u32, u64), bool)> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|touched| touched.runs.iter().copied())
+    }
 }
 
 /// How a group's records are bucketed. A rule alone keys its Scope
-/// outputs with its [`IterateStrategy::index_keys`]; rules that declare
+/// outputs with its [`IterateStrategy::index_key`]; rules that declare
 /// the same [`bigdansing_rules::Rule::block_columns`] share buckets
 /// keyed by those source columns, so a source tuple is held (and crosses
 /// a shuffle) once and each rule scopes it where it is detected. Either
@@ -88,7 +108,7 @@ pub struct Reindexed {
 pub(crate) enum Keying {
     /// Source tuples, bucketed by their values at these columns.
     Columns(Vec<usize>),
-    /// One rule's Scope outputs, bucketed by its index keys.
+    /// One rule's Scope outputs, bucketed by its index key.
     Lone(RulePipeline),
 }
 
@@ -123,70 +143,95 @@ impl Keying {
         }
     }
 
-    /// The buckets a record sits in.
-    fn buckets_of(&self, record: &Tuple) -> Vec<(BlockKey, Option<Band>)> {
+    /// The bucket a record sits in, if any.
+    fn bucket_of(&self, record: &Tuple) -> Option<BlockKey> {
         match self {
-            Keying::Columns(_) => vec![(self.key(record), None)],
-            Keying::Lone(lone) => lone.strategy.index_keys(lone.rule.as_ref(), record),
+            Keying::Columns(_) => Some(self.key(record)),
+            Keying::Lone(lone) => lone.strategy.index_key(lone.rule.as_ref(), record),
         }
     }
 }
 
 /// Resident candidate buckets over one group's records, members in
-/// table order, or an inequality rule's join index. `M` is what a
-/// bucket holds: bare units for a batch Block pass or a storage
-/// partitioning, [`Entry`] for a session. The store keeps no record of
-/// what it indexed: a change names the version its buckets hold.
+/// table order, or an LSH rule's band index, or an inequality rule's
+/// join index. The store keeps no record of what it indexed in buckets:
+/// a change names the version its buckets hold.
 #[derive(Clone, Debug)]
-pub struct BucketStore<M = Entry> {
+pub struct BucketStore {
     keying: Keying,
     /// Bucket key → members, in shards: one per reducer partition of the
     /// pass that seeded the store, so seeding merges nothing. A key sits
     /// in one shard.
-    shards: Vec<HashMap<BlockKey, Vec<M>>>,
+    shards: Vec<HashMap<BlockKey, Vec<Tuple>>>,
+    /// An LSH rule's records and band runs.
+    pub(crate) lsh: Option<LshIndex>,
     /// An inequality rule's records, sorted into range parts.
-    join: Option<JoinIndex>,
+    pub(crate) join: Option<JoinIndex>,
 }
 
 /// One touched bucket of a [`BucketStore::reindex`]: the ids whose held
 /// version leaves it, and the new members it gains, in table order.
-type Touch<M> = (Vec<TupleId>, Vec<(u64, M)>);
+type Touch = (Vec<TupleId>, Vec<(u64, Tuple)>);
 
-impl<M: Member + Clone> BucketStore<M> {
+/// What the members of a group re-detect after a
+/// [`BucketStore::reindex`], as [`BucketStore::held`] picks it.
+pub enum Pick<'a> {
+    /// Records or buckets, for [`crate::Executor::detect_held`].
+    Held(Held),
+    /// The runs of an LSH index that gained a member and hold a pair —
+    /// per shard, their entry ranges — for
+    /// [`crate::Executor::detect_runs`].
+    Runs(&'a LshIndex, Vec<Vec<Range<usize>>>),
+    /// The change a join index staged, for
+    /// [`crate::Executor::detect_join`].
+    Join(&'a JoinIndex),
+}
+
+/// A [`Pick`] with what it hands over.
+pub struct Picked<'a> {
+    /// What to detect over.
+    pub pick: Pick<'a>,
+    /// Each bucket or run handed over; empty for records.
+    pub keys: Vec<Bucket>,
+    /// The id of every record or bucket member handed over.
+    pub ids: Vec<TupleId>,
+}
+
+impl BucketStore {
     /// An empty store for a group as [`crate::physical::block_groups`]
     /// forms it.
-    pub fn new(group: &[&RulePipeline]) -> BucketStore<M> {
-        let join = match &group[0].strategy {
-            IterateStrategy::OcJoin(conds) => Some(JoinIndex::new(conds)),
-            _ => None,
-        };
-        BucketStore::seeded(Keying::of(group), vec![HashMap::new()], join)
+    pub fn new(group: &[&RulePipeline]) -> BucketStore {
+        let mut store = BucketStore::seeded(Keying::of(group), vec![HashMap::new()]);
+        match &group[0].strategy {
+            IterateStrategy::OcJoin(conds) => store.join = Some(JoinIndex::new(conds)),
+            IterateStrategy::LshBlocks => {
+                store.lsh = Some(LshIndex::seeded(Default::default(), Vec::new(), 1))
+            }
+            _ => {}
+        }
+        store
     }
 
     /// A store over buckets already built, one shard per map (at least
-    /// one), and an inequality rule's join index.
-    pub(crate) fn seeded(
-        keying: Keying,
-        shards: Vec<HashMap<BlockKey, Vec<M>>>,
-        join: Option<JoinIndex>,
-    ) -> Self {
+    /// one).
+    pub(crate) fn seeded(keying: Keying, shards: Vec<HashMap<BlockKey, Vec<Tuple>>>) -> Self {
         BucketStore {
             keying,
             shards,
-            join,
+            lsh: None,
+            join: None,
         }
     }
 
     /// `table`'s tuples bucketed by their values at `columns`: the
     /// table, content-partitioned.
-    pub fn on_columns(table: &Table, columns: &[usize]) -> BucketStore<M> {
+    pub fn on_columns(table: &Table, columns: &[usize]) -> BucketStore {
         let keying = Keying::Columns(columns.to_vec());
-        let mut buckets: HashMap<BlockKey, Vec<M>> = HashMap::new();
+        let mut buckets: HashMap<BlockKey, Vec<Tuple>> = HashMap::new();
         for t in table.tuples() {
-            let slot = buckets.entry(keying.key(t)).or_default();
-            slot.push(M::resident(t.clone(), None));
+            buckets.entry(keying.key(t)).or_default().push(t.clone());
         }
-        BucketStore::seeded(keying, vec![buckets], None)
+        BucketStore::seeded(keying, vec![buckets])
     }
 
     /// The source columns the store buckets by, when it holds source
@@ -199,21 +244,30 @@ impl<M: Member + Clone> BucketStore<M> {
     }
 
     /// Every bucket, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&BlockKey, &Vec<M>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&BlockKey, &Vec<Tuple>)> {
         self.shards.iter().flatten()
     }
 
-    /// Number of members across the buckets, or records of the join
-    /// index.
+    /// Number of members across the buckets, or records of the LSH or
+    /// join index.
     pub fn len(&self) -> usize {
         let joined = self.join.as_ref().map_or(0, |j| j.records().count());
-        joined + self.iter().map(|(_, bucket)| bucket.len()).sum::<usize>()
+        let banded = self.lsh.as_ref().map_or(0, LshIndex::len);
+        joined + banded + self.iter().map(|(_, bucket)| bucket.len()).sum::<usize>()
     }
 
-    /// True when no bucket, nor the join index, holds a member.
+    /// True when no bucket, nor an index, holds a member.
     pub fn is_empty(&self) -> bool {
         let held = |j: &JoinIndex| j.records().next().is_some();
-        !self.join.as_ref().is_some_and(held) && self.shards.iter().all(HashMap::is_empty)
+        let banded = self.lsh.as_ref().is_some_and(|index| !index.is_empty());
+        !banded
+            && !self.join.as_ref().is_some_and(held)
+            && self.shards.iter().all(HashMap::is_empty)
+    }
+
+    /// An LSH rule's band index.
+    pub fn lsh(&self) -> Option<&LshIndex> {
+        self.lsh.as_ref()
     }
 
     /// An inequality rule's join index.
@@ -223,15 +277,15 @@ impl<M: Member + Clone> BucketStore<M> {
 
     /// Fold the change a [`BucketStore::reindex`] staged in the join
     /// index into it ([`JoinIndex::merge`]), once the change is joined
-    /// and before the next is staged; buckets take a change as it comes,
-    /// so this does nothing to them.
+    /// and before the next is staged; buckets and band runs take a
+    /// change as it comes, so this does nothing to them.
     pub fn settle(&mut self, engine: &Engine) -> Result<()> {
         self.join
             .as_mut()
             .map_or(Ok(()), |index| index.merge(engine))
     }
 
-    fn get(&self, key: &BlockKey) -> Option<&Vec<M>> {
+    fn get(&self, key: &BlockKey) -> Option<&Vec<Tuple>> {
         self.shards.iter().find_map(|s| s.get(key))
     }
 
@@ -243,6 +297,10 @@ impl<M: Member + Clone> BucketStore<M> {
     /// has changed. `seq_of` gives every live tuple's table-order
     /// sequence number; members stay sorted by it.
     ///
+    /// An LSH index computes the band hashes of the new versions' records
+    /// on `engine`'s workers, and merges each touched shard anew without
+    /// the held versions' entries and with the new ones ([`LshIndex`]).
+    ///
     /// A join index instead stages the change, held versions stale and
     /// new ones fresh ([`JoinIndex::stage`]), until
     /// [`BucketStore::settle`] folds it in; the one global bucket it
@@ -251,14 +309,15 @@ impl<M: Member + Clone> BucketStore<M> {
     ///
     /// # Panics
     ///
-    /// When a new version enters a bucket that still holds a member
-    /// with its id, or a join index holds no held version: the change
+    /// When a new version enters a bucket or index that still holds a
+    /// member with its id, or an index holds no held version: the change
     /// did not name the version the store held.
     pub fn reindex<'a>(
         &mut self,
+        engine: &Engine,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
-    ) -> Reindexed {
+    ) -> Result<Reindexed> {
         let mut gone: Vec<(TupleId, Tuple)> = Vec::new();
         let mut news: Vec<((u64, u32), Tuple)> = Vec::new();
         for (id, old, new) in changes {
@@ -271,27 +330,41 @@ impl<M: Member + Clone> BucketStore<M> {
             }
         }
         news.sort_by_key(|(pos, _)| *pos);
+        if let (Some(index), Keying::Lone(lone)) = (&mut self.lsh, &self.keying) {
+            let names = lone.rule.name();
+            let label = format!("lsh-signature({names})");
+            // an LSH index finds a tuple's held records by its id
+            let mut ids: Vec<TupleId> = gone.iter().map(|(id, _)| *id).collect();
+            ids.dedup();
+            let runs = index.reindex(engine, lone.rule.as_ref(), &label, &ids, &news)?;
+            let news = news.into_iter().map(|(_, t)| t).collect();
+            let keys = Vec::new();
+            return Ok(Reindexed { news, keys, runs });
+        }
         if let Some(index) = &mut self.join {
             let touched = !gone.is_empty() || !news.is_empty();
             let keys = touched.then(|| (BlockKey::new(), !news.is_empty()));
             let news: Vec<Tuple> = news.into_iter().map(|(_, t)| t).collect();
             index.stage(gone.iter().map(|(_, held)| held), news.clone());
             let keys = keys.into_iter().collect();
-            return Reindexed { news, keys };
+            return Ok(Reindexed {
+                news,
+                keys,
+                runs: Vec::new(),
+            });
         }
-        let mut touched: BTreeMap<BlockKey, Touch<M>> = BTreeMap::new();
+        let mut touched: BTreeMap<BlockKey, Touch> = BTreeMap::new();
         for (id, held) in &gone {
-            for (key, _) in self.keying.buckets_of(held) {
+            if let Some(key) = self.keying.bucket_of(held) {
                 touched.entry(key).or_default().0.push(*id);
             }
         }
         for ((seq, _), t) in &news {
-            for (key, band) in self.keying.buckets_of(t) {
-                let member = M::resident(t.clone(), band);
-                touched.entry(key).or_default().1.push((*seq, member));
+            if let Some(key) = self.keying.bucket_of(t) {
+                touched.entry(key).or_default().1.push((*seq, t.clone()));
             }
         }
-        let mut keys = BTreeMap::new();
+        let mut keys = Vec::new();
         for (key, (mut gone, adds)) in touched {
             let gained = !adds.is_empty();
             let at = self.shards.iter().position(|s| s.contains_key(&key));
@@ -299,20 +372,24 @@ impl<M: Member + Clone> BucketStore<M> {
             let slot = shard.entry(key.clone()).or_default();
             if !gone.is_empty() {
                 gone.sort_unstable();
-                slot.retain(|m| gone.binary_search(&m.tuple().id()).is_err());
+                slot.retain(|m| gone.binary_search(&m.id()).is_err());
             }
             merge(slot, adds, &seq_of);
             if slot.is_empty() {
                 shard.remove(&key);
             }
-            keys.insert(key, gained);
+            keys.push((key, gained));
         }
         let news = news.into_iter().map(|(_, t)| t).collect();
-        Reindexed { news, keys }
+        Ok(Reindexed {
+            news,
+            keys,
+            runs: Vec::new(),
+        })
     }
 
     /// Every bucket, for a detect over the whole store.
-    pub fn all(&self) -> Held<M> {
+    pub fn all(&self) -> Held {
         let buckets = self.iter().map(|(_, bucket)| bucket.clone()).collect();
         let scope = self.columns().is_some();
         Held::Buckets { buckets, scope }
@@ -320,44 +397,67 @@ impl<M: Member + Clone> BucketStore<M> {
 
     /// What the `members` of the store's group re-evaluate after a
     /// [`BucketStore::reindex`] — the union of what each one picks —
-    /// with the key of each bucket in it, index for index; `None` when
-    /// that is nothing. Single units pick the new records, and so does
-    /// an inequality rule: they are the fresh side its join index
-    /// staged. A pair rule picks the buckets that gained a member and
-    /// hold a pair, a list rule every bucket that changed and still has
+    /// or `None` when that is nothing. Single units pick the new
+    /// records, and so does an inequality rule: they are the fresh side
+    /// its join index staged. A pair rule picks the buckets that gained
+    /// a member and hold a pair — an LSH rule the runs of its index that
+    /// did — and a list rule every bucket that changed and still has
     /// members.
-    pub fn held(
-        &self,
-        members: &[&RulePipeline],
-        change: &Reindexed,
-    ) -> Option<(Held<M>, Vec<BlockKey>)> {
-        let records = |records: &dyn Fn() -> Vec<Tuple>| {
-            (!change.news.is_empty()).then(|| (Held::Records(records()), Vec::new()))
-        };
-        match &members[0].strategy {
-            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => {
-                records(&|| change.news.clone())
+    pub fn held(&self, members: &[&RulePipeline], change: &Reindexed) -> Option<Picked<'_>> {
+        let news = || change.news.iter().map(Tuple::id).collect();
+        match (&members[0].strategy, &self.lsh, &self.join) {
+            (_, _, Some(index)) => (!change.news.is_empty()).then(|| Picked {
+                pick: Pick::Join(index),
+                keys: Vec::new(),
+                ids: news(),
+            }),
+            (IterateStrategy::SingleUnits, ..) => (!change.news.is_empty()).then(|| Picked {
+                pick: Pick::Held(Held::Records(change.news.clone())),
+                keys: Vec::new(),
+                ids: news(),
+            }),
+            (_, Some(index), _) => {
+                let pairs = |touched: &Touched| touched.pairs.clone();
+                let runs: Vec<Vec<Range<usize>>> = change.runs.iter().map(pairs).collect();
+                let picked = runs.iter().enumerate().flat_map(|(shard, ranges)| {
+                    ranges
+                        .iter()
+                        .map(move |range| index.run(shard, range.clone()))
+                });
+                let (mut keys, mut ids) = (Vec::new(), Vec::new());
+                for run in picked {
+                    let (band, hash) = run[0].run();
+                    keys.push(Bucket::Band(band, hash));
+                    let members = crate::lsh::members(index.records(), run);
+                    ids.extend(members.map(|m| m.tuple().id()));
+                }
+                (!keys.is_empty()).then_some(Picked {
+                    pick: Pick::Runs(index, runs),
+                    keys,
+                    ids,
+                })
             }
             _ => {
-                let (mut buckets, mut names) = (Vec::new(), Vec::new());
-                for (key, &gained) in &change.keys {
+                let (mut buckets, mut keys) = (Vec::new(), Vec::new());
+                for (key, gained) in &change.keys {
                     let Some(bucket) = self.get(key) else {
                         continue;
                     };
-                    let (first, rest) = (bucket[0].tuple(), &bucket[1..]);
-                    let pairing = |r: PairRule| rest.iter().any(|m| r.admits(first, m.tuple()));
+                    let (first, rest) = (&bucket[0], &bucket[1..]);
+                    let pairing = |r: PairRule| rest.iter().any(|m| r.admits(first, m));
                     let picks = |p: &&RulePipeline| match p.strategy.pair_rule() {
-                        Some(r) => gained && pairing(r),
+                        Some(r) => *gained && pairing(r),
                         None => true,
                     };
                     if members.iter().any(picks) {
                         buckets.push(bucket.clone());
-                        names.push(key.clone());
+                        keys.push(Bucket::Block(key.clone()));
                     }
                 }
+                let ids = buckets.iter().flatten().map(Tuple::id).collect();
                 let scope = self.columns().is_some();
-                let held = Held::Buckets { buckets, scope };
-                (!names.is_empty()).then_some((held, names))
+                let pick = Pick::Held(Held::Buckets { buckets, scope });
+                (!keys.is_empty()).then_some(Picked { pick, keys, ids })
             }
         }
     }
@@ -367,16 +467,12 @@ impl<M: Member + Clone> BucketStore<M> {
 /// order — into `slot`, whose members are in table order by `seq_of`:
 /// one binary search per new member, and one move of the members from
 /// the first insertion point on.
-fn merge<M: Member>(slot: &mut Vec<M>, adds: Vec<(u64, M)>, seq_of: impl Fn(TupleId) -> u64) {
-    let seq = |m: &M| seq_of(m.tuple().id());
-    let place = |(at_seq, new): &(u64, M)| {
+fn merge(slot: &mut Vec<Tuple>, adds: Vec<(u64, Tuple)>, seq_of: impl Fn(TupleId) -> u64) {
+    let seq = |m: &Tuple| seq_of(m.id());
+    let place = |(at_seq, new): &(u64, Tuple)| {
         let at = slot.partition_point(|m| seq(m) < *at_seq);
         let held = slot.get(at).is_some_and(|m| seq(m) == *at_seq);
-        assert!(
-            !held,
-            "tuple {} enters a bucket holding it",
-            new.tuple().id()
-        );
+        assert!(!held, "tuple {} enters a bucket holding it", new.id());
         at
     };
     let ats: Vec<usize> = adds.iter().map(place).collect();
@@ -401,7 +497,7 @@ fn merge<M: Member>(slot: &mut Vec<M>, adds: Vec<(u64, M)>, seq_of: impl Fn(Tupl
 /// block's full-width tuples, and its Block is *not* invoked — the
 /// store's grouping stands in for it, which is only sound when the
 /// store's [`BucketStore::columns`] are the rule's blocking attributes.
-pub type PartitionedStore = BucketStore<Tuple>;
+pub type PartitionedStore = BucketStore;
 
 /// A dataset stored as several content-partitioned replicas, each on a
 /// different blocking key (Appendix F (2)), so jobs that block on
@@ -448,6 +544,18 @@ mod tests {
     use bigdansing_rules::{DcRule, DedupRule, FdRule, Rule};
     use std::sync::Arc;
 
+    /// A picked bucket store's buckets and their keys.
+    fn buckets(picked: Option<Picked<'_>>) -> (Vec<Vec<Tuple>>, bool, Vec<Bucket>) {
+        match picked {
+            Some(Picked {
+                pick: Pick::Held(Held::Buckets { buckets, scope }),
+                keys,
+                ..
+            }) => (buckets, scope, keys),
+            _ => unreachable!("a Block store holds buckets"),
+        }
+    }
+
     #[test]
     fn shared_columns_key_and_hash_like_every_members_block() {
         let schema = Schema::parse("zipcode,city,state");
@@ -472,23 +580,23 @@ mod tests {
         let schema = Schema::parse("zipcode,city");
         let fd: Arc<dyn Rule> = Arc::new(FdRule::parse("zipcode -> city", &schema).unwrap());
         let pipeline = pipeline_for_rule(fd, "t");
-        let mut store: BucketStore = BucketStore::new(&[&pipeline]);
+        let mut store = BucketStore::new(&[&pipeline]);
+        let e = Engine::sequential();
         let row = |id, zip| Tuple::new(id, vec![Value::Int(zip), Value::str("LA")]);
         let rows = [row(0, 1), row(1, 2), row(2, 1)];
-        store.reindex(rows.iter().map(|t| (t.id(), None, Some(t))), |id| id);
+        let inserts = rows.iter().map(|t| (t.id(), None, Some(t)));
+        store.reindex(&e, inserts, |id| id).unwrap();
         assert_eq!((store.iter().count(), store.len()), (2, 3));
         // tuple 1 moves into zip 1's bucket, between tuples 0 and 2
         let moved = row(1, 1);
-        let change = store.reindex([(1, Some(&rows[1]), Some(&moved))].into_iter(), |id| id);
+        let update = [(1, Some(&rows[1]), Some(&moved))].into_iter();
+        let change = store.reindex(&e, update, |id| id).unwrap();
         let zip = |z| BlockKey::single(Value::Int(z));
-        let touched = BTreeMap::from([(zip(1), true), (zip(2), false)]);
+        let touched = vec![(zip(1), true), (zip(2), false)];
         assert_eq!(change.keys, touched);
-        let (Held::Buckets { buckets, .. }, names) = store.held(&[&pipeline], &change).unwrap()
-        else {
-            unreachable!("a Block store holds buckets");
-        };
-        assert_eq!(names, vec![zip(1)]);
-        let ids: Vec<u64> = buckets[0].iter().map(|m| m.tuple().id()).collect();
+        let (buckets, _, names) = buckets(store.held(&[&pipeline], &change));
+        assert_eq!(names, vec![Bucket::Block(zip(1))]);
+        let ids: Vec<u64> = buckets[0].iter().map(Tuple::id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -511,34 +619,33 @@ mod tests {
             (zip(1), scoped(&[&table[0], &table[2]])),
             (zip(2), scoped(&[&table[1]])),
         ]);
-        let mut store: BucketStore<Tuple> =
-            BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded], None);
+        let mut store = BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded]);
+        let e = Engine::sequential();
         let old = std::mem::replace(&mut table[1], row(1, 1));
-        let change = store.reindex([(1, Some(&old), Some(&table[1]))].into_iter(), |id| id);
-        let (Held::Buckets { buckets, scope }, names) = store.held(&[&pipeline], &change).unwrap()
-        else {
-            unreachable!("a Block store holds buckets");
-        };
+        let update = [(1, Some(&old), Some(&table[1]))].into_iter();
+        let change = store.reindex(&e, update, |id| id).unwrap();
+        let (buckets, scope, names) = buckets(store.held(&[&pipeline], &change));
         assert!(!scope, "a lone rule's buckets hold its scoped records");
-        assert_eq!(names, vec![zip(1)]);
+        assert_eq!(names, vec![Bucket::Block(zip(1))]);
         let all = scoped(&table.iter().collect::<Vec<_>>());
         assert_eq!(format!("{:?}", buckets[0]), format!("{all:?}"));
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.reindex([(0, None, Some(&table[0]))].into_iter(), |id| id)
+            store.reindex(&e, [(0, None, Some(&table[0]))].into_iter(), |id| id)
         }));
         assert!(refused.is_err(), "an insert into a bucket holding its id");
     }
 
-    /// A bucket as the property compares it: each member's tuple and
-    /// LSH band, in bucket order.
+    /// A bucket as the property compares it: each member's tuple, in
+    /// bucket order.
     type Shown = BTreeMap<BlockKey, Vec<String>>;
 
-    fn show(t: &Tuple, band: Option<u32>) -> String {
-        format!("{t:?}@{band:?}")
+    fn show(t: &Tuple) -> String {
+        format!("{t:?}")
     }
 
     /// Random insert/update/delete batches, several changes per reindex
-    /// and several into one bucket, against every keying: after each
+    /// and several into one bucket, against every bucket keying (an LSH
+    /// group's index has its own property below): after each
     /// reindex every bucket equals a from-scratch bucketing of the live
     /// tuples in table order, and `keys` names exactly the buckets that
     /// lost or gained a member.
@@ -548,7 +655,6 @@ mod tests {
         let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
         let dc = "t1.salary > t2.salary & t1.rate < t2.rate";
         let dc: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
-        let dedup = DedupRule::new("udf:dedup", 1, 0.8).with_lsh(LshParams::default());
         let fds = pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t");
         let ucross = RulePipeline {
             strategy: IterateStrategy::UCrossProduct,
@@ -560,10 +666,8 @@ mod tests {
             vec![lone(fd("zipcode -> city"))],
             vec![ucross],
             vec![lone(dc)],
-            vec![lone(Arc::new(dedup))],
         ];
         assert!(matches!(groups[3][0].strategy, IterateStrategy::OcJoin(_)));
-        assert!(matches!(groups[4][0].strategy, IterateStrategy::LshBlocks));
         const NAMES: [&str; 4] = ["anne marie", "anna marie", "bob stone", "bobby stone"];
         let draw_row = |g: &mut SplitMix64, id| {
             let name = NAMES[g.range(0..NAMES.len())];
@@ -579,14 +683,10 @@ mod tests {
                 let keying = Keying::of(&members);
                 let bucketed = |t: &Tuple| {
                     let records = keying.records_of(t).into_iter();
-                    records.flat_map(|r| {
-                        keying
-                            .buckets_of(&r)
-                            .into_iter()
-                            .map(move |b| (r.clone(), b))
-                    })
+                    records.flat_map(|r| keying.bucket_of(&r).map(|key| (r, key)))
                 };
-                let mut store: BucketStore = BucketStore::new(&members);
+                let mut store = BucketStore::new(&members);
+                let e = Engine::sequential();
                 // id → (seq, live version)
                 let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
                 let (mut next_id, mut next_seq) = (0u64, 0u64);
@@ -625,16 +725,17 @@ mod tests {
                     let batch = changes
                         .iter()
                         .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
-                    let change = store.reindex(batch, |id| live[&id].0);
+                    let change = store.reindex(&e, batch, |id| live[&id].0).unwrap();
                     let mut keys: BTreeMap<BlockKey, bool> = BTreeMap::new();
                     for (old, new) in changes.values() {
-                        for (_, (key, _)) in old.iter().flat_map(bucketed) {
+                        for (_, key) in old.iter().flat_map(bucketed) {
                             keys.entry(key).or_insert(false);
                         }
-                        for (_, (key, _)) in new.iter().flat_map(bucketed) {
+                        for (_, key) in new.iter().flat_map(bucketed) {
                             keys.insert(key, true);
                         }
                     }
+                    let keys: Vec<_> = keys.into_iter().collect();
                     assert_eq!(
                         change.keys, keys,
                         "the buckets that lost or gained a member"
@@ -643,23 +744,16 @@ mod tests {
                     let mut in_order: Vec<&(u64, Tuple)> = live.values().collect();
                     in_order.sort_by_key(|(seq, _)| *seq);
                     for (_, t) in in_order {
-                        for (r, (key, band)) in bucketed(t) {
-                            let member = show(&r, band.map(|(b, _)| b));
-                            scratch.entry(key).or_default().push(member);
+                        for (r, key) in bucketed(t) {
+                            scratch.entry(key).or_default().push(show(&r));
                         }
                     }
-                    let held = store.iter().map(|(key, bucket)| {
-                        let members = bucket
-                            .iter()
-                            .map(|m| show(m.tuple(), m.band().map(|b| b.0)));
-                        (key.clone(), members.collect())
-                    });
-                    let mut held = held.collect::<Shown>();
+                    let mut held = shown(&store);
                     // a join index stands in for the one global bucket,
                     // in its own order
-                    store.settle(&Engine::sequential()).unwrap();
+                    store.settle(&e).unwrap();
                     if let Some(index) = store.join() {
-                        let records = index.records().map(|t| show(t, None));
+                        let records = index.records().map(show);
                         held.insert(BlockKey::new(), records.collect());
                         held.values_mut().for_each(|b| b.sort());
                         scratch.values_mut().for_each(|b| b.sort());
@@ -671,15 +765,144 @@ mod tests {
         }
     }
 
-    /// What a store holds, bucket for bucket: each member's tuple and
-    /// LSH band, in bucket order.
-    fn shown<M: Member + Clone>(store: &BucketStore<M>) -> Shown {
-        let buckets = store.iter().map(|(key, bucket)| {
-            let members = bucket
-                .iter()
-                .map(|m| show(m.tuple(), m.band().map(|b| b.0)));
-            (key.clone(), members.collect())
-        });
+    /// An LSH group's band index under random insert/update/delete
+    /// batches — equal names, empty and `Null` names, case-only edits
+    /// (which keep every band hash) and names either side of the 22-byte
+    /// inline-string limit — on one worker and on two. After every batch
+    /// the index holds the runs a fresh build over the live table holds,
+    /// members in table order, and the Δ re-detect of the runs the batch
+    /// fed finds what a full LSH pass over the live table finds with the
+    /// batch as its freshness mask.
+    #[test]
+    fn lsh_index_matches_a_fresh_build_after_every_batch() {
+        use crate::group::RuleGroup;
+        use crate::{Delta, Executor};
+        use bigdansing_dataflow::{IsolationOptions, PDataset};
+        let schema = Schema::parse("id,name");
+        const NAMES: [&str; 8] = [
+            "anne marie",
+            "anna marie",
+            "",
+            "bobby stone",
+            "abcdefghijklmnopqrstu",   // 21 bytes: inline
+            "abcdefghijklmnopqrstuv",  // 22 bytes: inline
+            "abcdefghijklmnopqrstuvw", // 23 bytes: on the heap
+            "abcdefghijklmnopqrstuvx",
+        ];
+        let flip = |v: &Value| match v.as_str() {
+            Some(s) if s.starts_with(|c: char| c.is_lowercase()) => Value::str(s.to_uppercase()),
+            Some(s) => Value::str(s.to_lowercase()),
+            None => Value::Null,
+        };
+        // a collision-prone geometry: similar names share many bands
+        let geometry = LshParams {
+            bands: 4,
+            rows_per_band: 2,
+            shingle: 2,
+        };
+        let dedup = DedupRule::new("udf:dedup", 1, 0.6).with_lsh(geometry);
+        let rules: Vec<Arc<dyn Rule>> = vec![Arc::new(dedup)];
+        let group = pipelines(&rules, "t");
+        let members: Vec<&RulePipeline> = group.iter().collect();
+        assert!(matches!(members[0].strategy, IterateStrategy::LshBlocks));
+        let runs = |index: &LshIndex| -> BTreeMap<(u32, u64), Vec<String>> {
+            let shown =
+                |(run, tuples): (_, Vec<&Tuple>)| (run, tuples.into_iter().map(show).collect());
+            index.buckets().map(shown).collect()
+        };
+        let found = |outs: Vec<(usize, crate::DetectOutput)>| -> Vec<String> {
+            let outs = outs
+                .into_iter()
+                .flat_map(|(_, out)| out.origins.into_iter().zip(out.detected));
+            outs.map(|found| format!("{found:?}")).collect()
+        };
+        for engine in [Engine::sequential(), Engine::parallel(2)] {
+            let executor = Executor::new(engine.clone());
+            check(24, |g| {
+                let draw = |g: &mut SplitMix64, id: u64| {
+                    let name = match g.range(0..10u8) {
+                        0 => Value::Null,
+                        _ => Value::str(NAMES[g.range(0..NAMES.len())]),
+                    };
+                    Tuple::new(id, vec![Value::Int(id as i64), name])
+                };
+                let iso = IsolationOptions::default();
+                let mut group = RuleGroup::of(&group, iso, true).remove(0);
+                // id → (seq, live version)
+                let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
+                let (mut next_id, mut next_seq) = (0u64, 0u64);
+                for _ in 0..8 {
+                    let mut changes: BTreeMap<u64, (Option<Tuple>, Option<Tuple>)> =
+                        BTreeMap::new();
+                    for _ in 0..g.range(1..12usize) {
+                        let pick = (!live.is_empty()).then(|| {
+                            let at = g.range(0..live.len());
+                            *live.keys().nth(at).expect("in range")
+                        });
+                        let (id, new) = match (g.range(0..4u8), pick) {
+                            (1, Some(id)) => (id, Some(draw(g, id))),
+                            (2, Some(id)) => {
+                                let t = &live[&id].1;
+                                let name = flip(t.value(1));
+                                (id, Some(Tuple::new(id, vec![t.value(0).clone(), name])))
+                            }
+                            (3, Some(id)) => (id, None),
+                            _ => {
+                                next_id += 1;
+                                (next_id - 1, Some(draw(g, next_id - 1)))
+                            }
+                        };
+                        if changes.contains_key(&id) {
+                            continue;
+                        }
+                        let held = live.get(&id).map(|(_, t)| t.clone());
+                        match &new {
+                            Some(t) => {
+                                let seq = live.get(&id).map_or(next_seq, |(seq, _)| *seq);
+                                next_seq = next_seq.max(seq + 1);
+                                live.insert(id, (seq, t.clone()));
+                            }
+                            None => {
+                                live.remove(&id);
+                            }
+                        }
+                        changes.insert(id, (held, new));
+                    }
+                    let fresh = changes.iter().filter(|(_, (_, new))| new.is_some());
+                    let mask = Arc::new(Delta {
+                        ids: fresh.map(|(id, _)| *id).collect(),
+                    });
+                    let batch = changes
+                        .iter()
+                        .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
+                    let seq_of = |id| live[&id].0;
+                    let done = group
+                        .redetect(&executor, batch, seq_of, Some(&mask))
+                        .unwrap();
+                    let mut table: Vec<&(u64, Tuple)> = live.values().collect();
+                    table.sort_by_key(|(seq, _)| *seq);
+                    let table: Vec<Tuple> = table.into_iter().map(|(_, t)| t.clone()).collect();
+                    let data = || PDataset::from_vec(engine.clone(), table.clone());
+                    let (_, fresh) = executor
+                        .run_resident(data(), &schema, &members, None, &seq_of)
+                        .unwrap();
+                    let (index, fresh) = (group.store.as_ref().unwrap().lsh(), fresh.unwrap());
+                    assert_eq!(runs(index.unwrap()), runs(fresh.lsh().unwrap()));
+                    let masked = executor
+                        .run_group(data(), &schema, &members, None, Some(&mask))
+                        .unwrap();
+                    assert_eq!(found(done.outs), found(vec![(0, masked[0].clone())]));
+                }
+            });
+        }
+    }
+
+    /// What a store holds, bucket for bucket: each member's tuple, in
+    /// bucket order.
+    fn shown(store: &BucketStore) -> Shown {
+        let buckets = store
+            .iter()
+            .map(|(key, bucket)| (key.clone(), bucket.iter().map(show).collect()));
         buckets.collect()
     }
 
@@ -721,13 +944,14 @@ mod tests {
                     };
                     let rows: Vec<Tuple> = (0..n).map(row).collect();
                     let data = PDataset::from_vec(engine.clone(), rows.clone());
+                    let seq_of = |id| n - id;
                     let (_, seeded) = executor
-                        .run_resident::<Entry>(data, &schema, &members, None)
+                        .run_resident(data, &schema, &members, None, &seq_of)
                         .unwrap();
                     let seeded = seeded.expect("a Block pass seeds a store");
-                    let mut built: BucketStore = BucketStore::new(&members);
+                    let mut built = BucketStore::new(&members);
                     let inserts = rows.iter().map(|t| (t.id(), None, Some(t)));
-                    built.reindex(inserts, |id| n - id);
+                    built.reindex(&engine, inserts, seq_of).unwrap();
                     assert_eq!(shown(&seeded), shown(&built));
                 });
             }

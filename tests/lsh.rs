@@ -12,13 +12,19 @@
 //! * **Batch ↔ incremental parity** — a session over an LSH-blocked
 //!   dedup rule stays byte-identical to a from-scratch cleanse after
 //!   every delta batch, including after a durable snapshot + recover.
+//! * **One signature per record version** — the resident band index
+//!   computes a record's band hashes when the record enters it, and a
+//!   detect round after a change computes them for the changed records
+//!   only.
 
 use bigdansing::{
     BigDansing, CleanseOptions, DedupRule, DeltaBatch, DurabilityOptions, LshParams, Session,
 };
 use bigdansing_common::minhash::{band_hashes, compute_minhash_signature};
 use bigdansing_common::rng::{check, SplitMix64};
-use bigdansing_common::{Schema, Table, Value};
+use bigdansing_common::{Schema, Table, Tuple, Value};
+use bigdansing_rules::{BlockKey, DetectUnit, Fix, OrderCond, Rule, UnitKind, Violation};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // The suite uses the oracle alone, not the shared UDFs.
@@ -382,5 +388,166 @@ fn a_rules_own_geometry_sets_its_candidates() {
         counts(&session),
         (11238, 5493, 500),
         "session open and apply"
+    );
+}
+
+/// A `--dedup name:0.85`-style rule that counts the band hashes computed
+/// through it: every other call goes straight to the rule it wraps.
+struct Counted {
+    rule: DedupRule,
+    calls: AtomicU64,
+}
+
+impl Counted {
+    fn new() -> Arc<Counted> {
+        let rule = DedupRule::new("udf:dedup(name)", 0, 0.85).with_lsh(LshParams::default());
+        Arc::new(Counted {
+            rule,
+            calls: AtomicU64::new(0),
+        })
+    }
+
+    /// The band-hash computations since the last call.
+    fn take(&self) -> u64 {
+        self.calls.swap(0, Ordering::SeqCst)
+    }
+}
+
+impl Rule for Counted {
+    fn name(&self) -> &str {
+        self.rule.name()
+    }
+    fn scope(&self, unit: &Tuple) -> Vec<Tuple> {
+        self.rule.scope(unit)
+    }
+    fn block(&self, unit: &Tuple) -> Option<BlockKey> {
+        self.rule.block(unit)
+    }
+    fn blocks(&self) -> bool {
+        self.rule.blocks()
+    }
+    fn block_columns(&self) -> Option<&[usize]> {
+        self.rule.block_columns()
+    }
+    fn lsh(&self) -> Option<LshParams> {
+        self.rule.lsh()
+    }
+    fn lsh_band_hashes(&self, unit: &Tuple) -> Vec<u64> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.rule.lsh_band_hashes(unit)
+    }
+    fn unit_kind(&self) -> UnitKind {
+        self.rule.unit_kind()
+    }
+    fn symmetric(&self) -> bool {
+        self.rule.symmetric()
+    }
+    fn ordering_conditions(&self) -> Vec<OrderCond> {
+        self.rule.ordering_conditions()
+    }
+    fn detect(&self, input: &DetectUnit<'_>) -> Vec<Violation> {
+        self.rule.detect(input)
+    }
+    fn gen_fix(&self, violation: &Violation) -> Vec<Fix> {
+        self.rule.gen_fix(violation)
+    }
+}
+
+/// Rows of `b` that differ from the row of `a` with their id.
+fn rows_changed(a: &Table, b: &Table) -> u64 {
+    let was: std::collections::HashMap<u64, Vec<Value>> =
+        a.tuples().iter().map(|t| (t.id(), t.to_values())).collect();
+    let changed = b
+        .tuples()
+        .iter()
+        .filter(|t| was.get(&t.id()) != Some(&t.to_values()));
+    changed.count() as u64
+}
+
+/// 60 clusters of a 14-letter name and two one-edit variants of it, in
+/// a stride so that a cluster's rows are not adjacent.
+fn clustered_names(seed: u64) -> Table {
+    let mut names = Vec::new();
+    for c in 0..60u64 {
+        let base: Vec<u8> = (0..14)
+            .map(|p| b'a' + (SplitMix64::new((seed << 16) | (c << 8) | p).next_u64() % 26) as u8)
+            .collect();
+        for pos in [3, 10] {
+            let mut v = base.clone();
+            v[pos] = b'z';
+            names.push(String::from_utf8(v).unwrap());
+        }
+        names.push(String::from_utf8(base).unwrap());
+    }
+    let order = (0..names.len()).map(|i| names[(i * 7) % names.len()].as_str());
+    name_table(&order.collect::<Vec<_>>())
+}
+
+/// Band hashes are computed once per record version. A batch cleanse
+/// computes them once per scoped record in its first detect round and,
+/// in each later round, once per record repair changed, on one worker
+/// and on two. A session computes them once per record at open, then
+/// once per record a batch changes, plus once per record its repair
+/// rounds change.
+#[test]
+fn signatures_are_computed_once_per_record_version() {
+    let table = clustered_names(3);
+    for workers in [1, 2] {
+        let rule = Counted::new();
+        let mut sys = BigDansing::parallel(workers);
+        sys.add_rule(rule.clone());
+        let out = sys.cleanse(&table, CleanseOptions::default()).unwrap();
+        // equal names stay duplicates: the loop ends on no-op fixes
+        let changed = rows_changed(&table, &out.table);
+        assert!(changed > 0, "the repair changes rows");
+        assert_eq!(out.cells_changed as u64, changed, "no row changes twice");
+        assert_eq!(
+            rule.take(),
+            table.len() as u64 + changed,
+            "batch, {workers} worker(s)"
+        );
+    }
+
+    // a session over the repaired table, which is clean
+    let base = {
+        let mut sys = BigDansing::parallel(2);
+        sys.add_rule(Counted::new());
+        sys.cleanse(&table, CleanseOptions::default())
+            .unwrap()
+            .table
+    };
+    let rule = Counted::new();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(rule.clone());
+    let mut session = sys.open_session(&base, CleanseOptions::default()).unwrap();
+    assert_eq!(rule.take(), base.len() as u64, "session open");
+    let (first, second) = (base.tuples()[0].id(), base.tuples()[1].id());
+    let row = |name: &str| vec![Value::str(name), Value::str("LA")];
+    // strangers: no repair round changes anything
+    let strangers = DeltaBatch::new()
+        .insert(1_000, row("qqqqqqqqqqqqqqqq"))
+        .insert(1_001, row("wwwwwwwwwwwwwwww"))
+        .update(first, row("eeeeeeeeeeeeeeee"))
+        .delete(second);
+    let mut current = apply_batch_to_table(&base, &strangers).unwrap();
+    sys.apply_delta(&mut session, strangers).unwrap();
+    assert_eq!(rule.take(), 3, "two inserts and an update");
+    assert_eq!(rows_changed(&current, session.table()), 0);
+    // a near-duplicate of a live name: its repair changes rows
+    let name = base.tuples()[2].value(0).as_str().unwrap().to_string();
+    let twin = format!("{}x", &name[..name.len() - 1]);
+    let batch = DeltaBatch::new().insert(1_002, row(&twin));
+    current = apply_batch_to_table(&current, &batch).unwrap();
+    let report = sys.apply_delta(&mut session, batch).unwrap();
+    let repaired = rows_changed(&current, session.table());
+    assert!(repaired > 0, "the repair changes rows");
+    assert_eq!(
+        report.cells_changed as u64, repaired,
+        "no row changes twice"
+    );
+    assert_eq!(
+        rule.take(),
+        1 + repaired,
+        "an insert, then what repair changed"
     );
 }

@@ -8,7 +8,6 @@ use bigdansing::{
 use bigdansing_common::rng::{check, SplitMix64};
 use bigdansing_common::{Schema, Table, Value};
 use bigdansing_dataflow::Engine;
-use bigdansing_plan::store::Entry;
 use bigdansing_plan::{Executor, Member};
 use bigdansing_rules::{DedupRule, FdRule, Rule, UdfRule, UnitKind};
 use std::ops::Range;
@@ -517,6 +516,20 @@ fn intact_frame_roundtrips() {
 // The shared pair rule: delta enumeration is a filter of the batch one.
 // ---------------------------------------------------------------------
 
+/// A member of an LSH band bucket: the bucket's band, the unit's hash
+/// per band, the unit.
+struct BandMember(u32, Vec<u64>, bigdansing::Tuple);
+
+impl Member for BandMember {
+    fn tuple(&self) -> &bigdansing::Tuple {
+        &self.2
+    }
+
+    fn band(&self) -> Option<(u32, &[u64])> {
+        Some((self.0, &self.1))
+    }
+}
+
 /// For every pair rule, enumerating a bucket under a freshness mask
 /// yields exactly the all-fresh (batch) enumeration filtered to the
 /// pairs with at least one fresh member — and no rule ever emits a
@@ -533,18 +546,18 @@ fn masked_pairs_are_the_fresh_subset_of_all_pairs() {
         // Bucket of LSH band `band`: every member agrees on that band's
         // hash (7); the other bands collide at random. Column 0 tags a
         // member with its bucket position, ids repeat (Scope replicas).
-        let bucket: Vec<Entry> = members
+        let bucket: Vec<BandMember> = members
             .iter()
             .enumerate()
             .map(|(pos, (id, _, h1, h2))| {
                 let mut hashes = vec![*h1, *h2];
                 hashes.insert(band as usize, 7);
                 let tuple = bigdansing::Tuple::new(*id, vec![Value::Int(pos as i64)]);
-                Entry::resident(tuple, Some((band, hashes.into())))
+                BandMember(band, hashes, tuple)
             })
             .collect();
         let pos = |t: &bigdansing::Tuple| t.value(0).as_i64().unwrap() as usize;
-        let fresh = |m: &Entry| members[pos(m.tuple())].1;
+        let fresh = |m: &BandMember| members[pos(m.tuple())].1;
         for strategy in [
             S::BlockPairs { ordered: false },
             S::BlockPairs { ordered: true },
