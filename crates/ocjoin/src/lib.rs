@@ -21,8 +21,13 @@
 //!    2015): `t1`s in primary order set the bits of the `t2`s meeting
 //!    the first condition, in secondary-key order, and each `t1` emits
 //!    the set bits in its second condition's range. Otherwise a
-//!    sort-merge pass binary-searches the sorted keys for the primary
-//!    condition's range and verifies the remaining conditions.
+//!    sort-merge pass takes the sorted keys in the primary condition's
+//!    range and verifies the remaining conditions. When each sorted
+//!    condition compares an attribute with itself, both read the `t1`
+//!    keys from the part's own sorted arrays and every range from
+//!    IEJoin's offset array (one galloping merge of two key arrays),
+//!    touching a tuple only for a candidate pair; across attributes they
+//!    read the keys through the tuples and binary-search the ranges.
 //!
 //! [`naive`] holds the CrossProduct + post-filter comparator used by the
 //! physical-operator ablation (Figure 11(c)).
@@ -39,7 +44,8 @@
 //! versions are sorted into one small Δ part. The next join is
 //! ΔR ⋈ R ∪ R ⋈ ΔR ∪ ΔR ⋈ ΔR — steps 3–4 over the parts plus Δ, skipping
 //! stale members — and a merge then folds Δ into the touched parts'
-//! sorted arrays.
+//! sorted arrays, merging the sorted additions into each array's live
+//! run.
 
 pub mod naive;
 pub mod ocjoin;

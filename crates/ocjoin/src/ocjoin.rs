@@ -4,7 +4,9 @@
 //! joined pairs and feeds each one straight into a caller-supplied
 //! sink inside the join tasks, so the full pair list is never
 //! materialized. [`try_ocjoin`] is that join with a sink that collects
-//! the pairs, for callers that want them (tests, ablations).
+//! the pairs, for callers that want them (tests, ablations). Each join
+//! task hands its records over in the order of the ids of the pairs
+//! that derived them, so no part layout decides their order.
 //!
 //! Two further refinements over the paper's pseudocode:
 //!
@@ -23,6 +25,20 @@
 //!   machine words instead of scan-and-verify over every
 //!   primary-condition candidate.
 //!
+//! When every sorted condition compares an attribute with itself
+//! (`t1.A op t2.A`, every DC shape of the paper's tax rules), a part's
+//! sorted right keys are also its members' left keys, and the join
+//! reads only the parts' arrays until a pair is emitted: `t1`'s primary
+//! key is `keys[p]` at its primary position `p`, its secondary key
+//! `keys[rank[p]]` of the secondary array, and the range of right keys
+//! each left key matches comes from IEJoin's offset array — one
+//! galloping merge of the two ascending key arrays, each bound found by
+//! an exponential search from the one before: O(n + m) for a full join,
+//! O(n log m) for a small Δ. The same merge bounds the single-condition
+//! scan, whose `t1`s are then visited in primary order. A condition
+//! across attributes (`t1.A op t2.B`) reads each visited `t1`'s keys
+//! through its tuple and binary-searches the right keys instead.
+//!
 //! A [`JoinIndex`] keeps a join's range parts — the sorted key arrays,
 //! the permutation and the left order — between joins, the structure of
 //! the incremental IEJoin (Khayyat et al., VLDBJ 2017). A change is
@@ -30,7 +46,8 @@
 //! deletes are marked stale, and its new versions are sorted into one
 //! small Δ part. The next join is then ΔR ⋈ R ∪ R ⋈ ΔR ∪ ΔR ⋈ ΔR, pruned
 //! and swept as any join, skipping stale members, and a merge folds Δ
-//! into the parts.
+//! into the parts, merging each array's live run with the sorted
+//! additions.
 
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
@@ -134,6 +151,75 @@ fn matching(keys: &[Value], op: Op, v: &Value) -> (usize, usize) {
     }
 }
 
+/// `keys.partition_point(pred)`, known to be at least `from`: an
+/// exponential search from `from`, then a binary one within its last
+/// step — O(log d) for a bound `d` positions on.
+fn gallop(keys: &[Value], from: usize, pred: impl Fn(&Value) -> bool) -> usize {
+    let (mut at, mut step) = (from, 1);
+    while at + step <= keys.len() && pred(&keys[at + step - 1]) {
+        at += step;
+        step *= 2;
+    }
+    at + keys[at..keys.len().min(at + step)].partition_point(pred)
+}
+
+/// IEJoin's offset array: for each of ascending `vs`, the positions
+/// `[lo, hi)` of ascending `keys` that [`matching`] gives it, from one
+/// galloping merge of the two arrays — each bound is searched from the
+/// one before.
+fn offsets(vs: &[Value], op: Op, keys: &[Value]) -> Vec<(u32, u32)> {
+    let len = keys.len();
+    // how many keys lie below the last `v`, and up to it
+    let (mut below, mut upto) = (0, 0);
+    let bound = |v: &Value| {
+        if matches!(op, Op::Le | Op::Gt | Op::Eq) {
+            below = gallop(keys, below, |k| k < v);
+        }
+        if matches!(op, Op::Lt | Op::Ge | Op::Eq) {
+            upto = gallop(keys, upto.max(below), |k| k <= v);
+        }
+        let (lo, hi) = match op {
+            Op::Lt => (upto, len),
+            Op::Le => (below, len),
+            Op::Gt => (0, below),
+            Op::Ge => (0, upto),
+            Op::Eq => (below, upto),
+            Op::Ne => (0, len),
+        };
+        (lo as u32, hi as u32)
+    };
+    vs.iter().map(bound).collect()
+}
+
+/// One sorted array of a merged part: the live run of a held array —
+/// its `keys`, and its `held` tuple indices renumbered by `remap`
+/// (`u32::MAX` for a dropped member) — merged with the sorted
+/// additions. Ties take the live run first: index order, as
+/// [`Part::build`] sorts.
+fn merge_live<'a>(
+    keys: impl Iterator<Item = &'a Value>,
+    held: &[u32],
+    remap: &[u32],
+    (add_keys, add_order): Sorted,
+) -> Sorted {
+    let live = keys.zip(held).map(|(k, &i)| (k, remap[i as usize]));
+    let mut live = live.filter(|&(_, i)| i != u32::MAX).peekable();
+    let mut adds = add_keys.into_iter().zip(add_order).peekable();
+    let len = held.len() + adds.len();
+    let (mut keys, mut order) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    loop {
+        let (k, i) = match (live.peek(), adds.peek()) {
+            (Some(h), Some(a)) if a.0 < *h.0 => adds.next().expect("peeked"),
+            (Some(_), _) => live.next().map(|(k, i)| (k.clone(), i)).expect("peeked"),
+            (None, Some(_)) => adds.next().expect("peeked"),
+            (None, None) => break,
+        };
+        keys.push(k);
+        order.push(i);
+    }
+    (keys, order)
+}
+
 impl Part {
     fn build(tuples: Vec<Tuple>, conds: &[OrderCond], fresh: bool) -> Option<Part> {
         if tuples.is_empty() {
@@ -158,7 +244,11 @@ impl Part {
         fresh: bool,
     ) -> Part {
         let lefts = tuples.iter().map(|t| t.value(conds[0].left_attr));
-        let (min_left, max_left) = (lefts.clone().min(), lefts.max());
+        // a same-attribute primary's right keys are its left keys
+        let (min_left, max_left) = match conds[0].left_attr == conds[0].right_attr {
+            true => (keys.first(), keys.last()),
+            false => (lefts.clone().min(), lefts.max()),
+        };
         let sweep = secondary.map(|((sec_keys, sec_order), left_order)| {
             let mut rank_of = vec![0u32; tuples.len()];
             for (r, &i) in (0..).zip(&sec_order) {
@@ -187,9 +277,10 @@ impl Part {
 
     /// This part with its stale members dropped and `adds` merged in,
     /// every member resident, or `None` when no member is left. Each
-    /// sorted array keeps its live run and takes the additions by one
-    /// stable sort, which merges the two runs and leaves ties in index
-    /// order, as [`Part::build`] would.
+    /// sorted array keeps its live run and its keys and merges in the
+    /// additions sorted by the same attribute ([`merge_live`]); only a
+    /// cross-attribute primary's left order reads its keys through the
+    /// tuples, as no array holds them.
     fn merged(&self, adds: &[Tuple], conds: &[OrderCond]) -> Option<Part> {
         let mut remap = vec![u32::MAX; self.tuples.len()];
         let mut tuples = Vec::with_capacity(self.tuples.len() + adds.len());
@@ -199,23 +290,22 @@ impl Part {
                 tuples.push(t.clone());
             }
         }
-        let added = tuples.len() as u32..(tuples.len() + adds.len()) as u32;
+        let base = tuples.len() as u32;
         tuples.extend_from_slice(adds);
-        let merge = |held: &[u32], attr| {
-            let key = |i: &u32| tuples[*i as usize].value(attr);
-            let live = held.iter().map(|&i| remap[i as usize]);
-            let mut order: Vec<u32> = live
-                .filter(|&i| i != u32::MAX)
-                .chain(added.clone())
-                .collect();
-            order.sort_by(|a, b| key(a).cmp(key(b)));
-            (order.iter().map(|i| key(i).clone()).collect(), order)
+        let added = |attr| {
+            let (keys, order) = sorted_keys(adds, attr);
+            (keys, order.into_iter().map(|i| base + i).collect())
         };
-        let primary = merge(&self.order, conds[0].right_attr);
+        let (left, right) = (conds[0].left_attr, conds[0].right_attr);
+        let primary = merge_live(self.keys.iter(), &self.order, &remap, added(right));
         let secondary = self.sweep.as_ref().map(|s| {
-            let left = conds[0].left_attr;
-            let left_order = s.left_order.as_ref().map(|held| merge(held, left).1);
-            (merge(&s.order, conds[1].right_attr), left_order)
+            let left_order = s.left_order.as_ref().map(|held| {
+                let keys = held.iter().map(|&i| self.tuples[i as usize].value(left));
+                merge_live(keys, held, &remap, added(left)).1
+            });
+            let rights = added(conds[1].right_attr);
+            let secondary = merge_live(s.keys.iter(), &s.order, &remap, rights);
+            (secondary, left_order)
         });
         (!tuples.is_empty()).then(|| Part::sorted(tuples, conds, primary, secondary, false))
     }
@@ -292,18 +382,24 @@ fn holds_all(t1: &Tuple, t2: &Tuple, rest: &[OrderCond]) -> bool {
             .all(|c| c.op.holds(t1.value(c.left_attr), t2.value(c.right_attr)))
 }
 
-/// `conds` with the roles of `t1` and `t2` swapped, when a part's
-/// arrays serve the swapped join as well: each condition the part is
-/// sorted by compares an attribute with itself.
-fn flipped(conds: &[OrderCond]) -> Option<Vec<OrderCond>> {
+/// True when each condition the parts are sorted by compares an
+/// attribute with itself: a part's sorted right keys are then its
+/// members' left keys as well, which the join reads in place and a
+/// swapped join reuses.
+fn in_place(conds: &[OrderCond]) -> bool {
     let sorted = if sweeps(conds) { 2 } else { 1 };
-    let same = conds[..sorted].iter().all(|c| c.left_attr == c.right_attr);
+    conds[..sorted].iter().all(|c| c.left_attr == c.right_attr)
+}
+
+/// `conds` with the roles of `t1` and `t2` swapped, when a part's
+/// arrays serve the swapped join as well ([`in_place`]).
+fn flipped(conds: &[OrderCond]) -> Option<Vec<OrderCond>> {
     let flip = |c: &OrderCond| OrderCond {
         left_attr: c.right_attr,
         op: c.op.flip(),
         right_attr: c.left_attr,
     };
-    same.then(|| conds.iter().map(flip).collect())
+    in_place(conds).then(|| conds.iter().map(flip).collect())
 }
 
 /// The merge pass for one (left-role, right-role) pair of parts, one
@@ -328,9 +424,12 @@ where
 }
 
 /// The sort-merge pass of single-condition and equality-primary joins:
-/// for each live `t1`, binary-search `right`'s primary keys for the
-/// range matching the primary condition, then verify the remaining
-/// conditions per live candidate.
+/// each live `t1` takes `right`'s primary keys in the range matching the
+/// primary condition, and the remaining conditions are verified per
+/// live candidate. In place ([`in_place`]) the `t1`s are visited in
+/// primary order, reading their keys from `left.keys` and their ranges
+/// from the offset array; otherwise in index order, each key read
+/// through its tuple and its range binary-searched.
 fn scan<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
@@ -342,19 +441,29 @@ where
     } else {
         &conds[1..]
     };
-    for (i, t1) in left.tuples.iter().enumerate() {
+    let mut visit = |i: usize, (lo, hi): (usize, usize)| -> Result<()> {
         if left.stale[i] {
-            continue;
+            return Ok(());
         }
-        let (lo, hi) = matching(&right.keys, primary.op, t1.value(primary.left_attr));
+        let t1 = &left.tuples[i];
         for &j in &right.order[lo..hi] {
             let t2 = &right.tuples[j as usize];
             if !right.stale[j as usize] && holds_all(t1, t2, rest) {
                 emit(t1, t2)?;
             }
         }
+        Ok(())
+    };
+    if in_place(conds) {
+        let ranges = offsets(&left.keys, primary.op, &right.keys);
+        let mut walk = left.order.iter().zip(ranges);
+        walk.try_for_each(|(&i, (lo, hi))| visit(i as usize, (lo as usize, hi as usize)))
+    } else {
+        left.tuples.iter().enumerate().try_for_each(|(i, t1)| {
+            let range = matching(&right.keys, primary.op, t1.value(primary.left_attr));
+            visit(i, range)
+        })
     }
-    Ok(())
 }
 
 /// IEJoin's sweep of the live `t1`s against `right`, for a join whose
@@ -364,7 +473,11 @@ where
 /// grow: a monotone pointer over `right`'s sorted `B` keys sets the bit
 /// of each live newcomer at its `D` rank, *before* the `t1` probes, so ties
 /// fall out of `op1` itself. Each `t1` then emits the set bits in its
-/// `op2` range of the `D` keys and verifies the rest per pair.
+/// `op2` range of the `D` keys and verifies the rest per pair. In place
+/// ([`in_place`]: `A = B` and `C = D`) the walk reads `t1`'s `A` key as
+/// `left.keys[p]` at its primary position `p` and its `op2` range from
+/// the offset array at its `D` rank `rank[p]`; otherwise both keys are
+/// read through the tuple and the range binary-searched.
 fn sweep<E>(left: &Part, right: &Part, conds: &[OrderCond], emit: &mut E) -> Result<()>
 where
     E: FnMut(&Tuple, &Tuple) -> Result<()>,
@@ -379,12 +492,25 @@ where
     // the ranks `[set_lo, set_hi)` hold every set bit
     let (mut set_lo, mut set_hi) = (usize::MAX, 0);
     let ascending = matches!(c1.op, Op::Gt | Op::Ge);
-    let mut visit = |i: &u32| -> Result<()> {
-        if left.stale[*i as usize] {
+    // the `op2` range of each of `left`'s secondary ranks
+    let ranges = in_place(conds).then(|| offsets(&ls.keys, c2.op, &rs.keys));
+    let left_order = ls.left_order.as_deref().unwrap_or(&left.order);
+    let mut visit = |p: usize| -> Result<()> {
+        let i = left_order[p] as usize;
+        if left.stale[i] {
             return Ok(());
         }
-        let t1 = &left.tuples[*i as usize];
-        let a = t1.value(c1.left_attr);
+        let t1 = &left.tuples[i];
+        let (a, (from, to)) = match &ranges {
+            Some(ranges) => {
+                let (from, to) = ranges[ls.rank[p] as usize];
+                (&left.keys[p], (from as usize, to as usize))
+            }
+            None => {
+                let range = matching(&rs.keys, c2.op, t1.value(c2.left_attr));
+                (t1.value(c1.left_attr), range)
+            }
+        };
         while lo < hi {
             let at = if ascending { lo } else { hi - 1 };
             if !c1.op.holds(a, &right.keys[at]) {
@@ -401,7 +527,6 @@ where
                 (lo, hi - 1)
             };
         }
-        let (from, to) = matching(&rs.keys, c2.op, t1.value(c2.left_attr));
         let (from, to) = (from.max(set_lo), to.min(set_hi));
         if from >= to {
             return Ok(());
@@ -425,12 +550,25 @@ where
         }
         Ok(())
     };
-    let left_order = ls.left_order.as_deref().unwrap_or(&left.order);
     if ascending {
-        left_order.iter().try_for_each(&mut visit)
+        (0..left_order.len()).try_for_each(&mut visit)
     } else {
-        left_order.iter().rev().try_for_each(&mut visit)
+        (0..left_order.len()).rev().try_for_each(&mut visit)
     }
+}
+
+/// A join task's records `out` reordered by `ids`, the ids of the pair
+/// that derived each (stable, so one pair's records keep their order):
+/// a walk's order follows its parts' keys, not the table.
+fn in_pair_order<R>(out: Vec<R>, ids: &[(TupleId, TupleId)]) -> Vec<R> {
+    if ids.is_sorted() {
+        return out;
+    }
+    let mut order: Vec<u32> = (0..out.len() as u32).collect();
+    order.sort_unstable_by_key(|&k| (ids[k as usize], k));
+    let mut out: Vec<Option<R>> = out.into_iter().map(Some).collect();
+    let take = |k: u32| out[k as usize].take().expect("each record once");
+    order.into_iter().map(take).collect()
 }
 
 /// Range-partition `input` on `attr` into `nb_parts` ranges (zero: the
@@ -528,14 +666,15 @@ impl JoinIndex {
     /// `(t1, t2)` (with `t1.id() != t2.id()`) meeting every condition
     /// and holding a fresh member, each once, handed to `sink` inside
     /// the join task, which appends whatever records it derives to the
-    /// task's output. A staged change's new versions are sorted into
-    /// one Δ part first, which joins the parts as the fresh side. Pruning
-    /// is a driver-side sweep over the parts' statistics that also drops
-    /// every pair of parts without a fresh member; the join tasks run
-    /// under the engine's retry policy with panic isolation. `label`
-    /// names the fused consumer in the recorded pass, and
-    /// `pairs_generated` counts every enumerated pair, attributed once
-    /// per successfully completed task.
+    /// task's output; a task's records come out in the order of the ids
+    /// of the pairs behind them. A staged change's new versions are
+    /// sorted into one Δ part first, which joins the parts as the fresh
+    /// side. Pruning is a sweep, before the tasks start, over the parts'
+    /// statistics that also drops every pair of parts without a fresh
+    /// member; the join tasks run under the engine's retry policy with
+    /// panic isolation. `label` names the fused consumer in the recorded
+    /// pass, and `pairs_generated` counts every enumerated pair,
+    /// attributed once per successfully completed task.
     pub fn join_sink<R, F>(&self, engine: &Engine, label: &str, sink: F) -> Result<PDataset<R>>
     where
         R: Send,
@@ -550,16 +689,19 @@ impl JoinIndex {
 
         let pairs_seen = AtomicU64::new(0);
         let partitions = engine.run_stage(&tasks, |_, &(i, j)| {
-            let mut out = Vec::new();
+            // what the sink derived, and the ids of the pair behind each
+            let (mut out, mut ids) = (Vec::new(), Vec::new());
             let mut local = 0u64;
             enumerate_pair(parts[i], parts[j], &self.conds, &mut |a, b| {
                 local += 1;
-                sink(a, b, &mut out)
+                sink(a, b, &mut out)?;
+                ids.resize(out.len(), (a.id(), b.id()));
+                Ok(())
             })?;
             // Counted only when the attempt completes, so retried tasks do
             // not double-count.
             pairs_seen.fetch_add(local, Ordering::Relaxed);
-            Ok(out)
+            Ok(in_pair_order(out, &ids))
         })?;
         Metrics::add(
             &engine.metrics().pairs_generated,
@@ -1170,6 +1312,173 @@ mod tests {
                 assert_eq!(held, live);
                 assert_sorted(&index);
             }
+        });
+    }
+
+    /// IEJoin's sweep as it read every visited `t1`'s keys through its
+    /// tuple and binary-searched its secondary range, with a plain flag
+    /// per right rank for the bit array: the pairs [`sweep`] must emit,
+    /// in the order it must emit them.
+    fn tuple_sweep(left: &Part, right: &Part, conds: &[OrderCond]) -> Vec<(u64, u64)> {
+        let (c1, c2, rest) = (conds[0], conds[1], &conds[2..]);
+        let (Some(ls), Some(rs)) = (&left.sweep, &right.sweep) else {
+            unreachable!("sweep arrays are built for two ordering conditions")
+        };
+        let ascending = matches!(c1.op, Op::Gt | Op::Ge);
+        let mut walk = ls.left_order.clone().unwrap_or_else(|| left.order.clone());
+        if !ascending {
+            walk.reverse();
+        }
+        let (mut set, mut pairs) = (vec![false; right.keys.len()], Vec::new());
+        let (mut lo, mut hi) = (0, right.keys.len());
+        for i in walk.into_iter().filter(|&i| !left.stale[i as usize]) {
+            let t1 = &left.tuples[i as usize];
+            while lo < hi {
+                let at = if ascending { lo } else { hi - 1 };
+                if !c1.op.holds(t1.value(c1.left_attr), &right.keys[at]) {
+                    break;
+                }
+                set[rs.rank[at] as usize] = !right.stale[right.order[at] as usize];
+                (lo, hi) = if ascending {
+                    (lo + 1, hi)
+                } else {
+                    (lo, hi - 1)
+                };
+            }
+            let (from, to) = matching(&rs.keys, c2.op, t1.value(c2.left_attr));
+            for r in (from..to).filter(|&r| set[r]) {
+                let t2 = &right.tuples[rs.order[r] as usize];
+                if holds_all(t1, t2, rest) {
+                    pairs.push((t1.id(), t2.id()));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The in-place join — keys read from the parts' arrays, ranges from
+    /// the offset array — over sorted conditions that each compare an
+    /// attribute with itself: the four DC shapes of CI's smoke step,
+    /// random pairs with a `<`/`>` primary, one-condition scans and
+    /// `=`/`≠`-primary scans, a third condition across attributes or `≠`
+    /// a third of the time; `Null`s, `Float`s tying with `Int`s, and
+    /// heavy ties. A full join, then a staged change — one row against
+    /// parts of hundreds, or a share of the table leaving stale members
+    /// — each yields the cross product's pairs with a fresh member; every
+    /// sweep over two parts of the staged index (Δ included) emits the
+    /// pairs of [`tuple_sweep`] in its order; and the fold leaves every
+    /// array as a fresh build sorts it.
+    #[test]
+    fn in_place_join_matches_the_tuple_reads() {
+        let c = |left_attr, op, right_attr| OrderCond {
+            left_attr,
+            op,
+            right_attr,
+        };
+        let ci = [
+            vec![c(0, Op::Gt, 0), c(1, Op::Lt, 1)],
+            vec![c(0, Op::Ge, 0), c(1, Op::Le, 1)],
+            vec![c(0, Op::Lt, 0), c(1, Op::Ge, 1)],
+            vec![c(1, Op::Lt, 1), c(0, Op::Gt, 0)],
+        ];
+        let ids = |pairs: Result<PDataset<(u64, u64)>>| {
+            let mut ids = pairs.unwrap().collect().unwrap();
+            ids.sort_unstable();
+            ids
+        };
+        let collect = |a: &Tuple, b: &Tuple, out: &mut Vec<(u64, u64)>| {
+            out.push((a.id(), b.id()));
+            Ok(())
+        };
+        check(40, |g| {
+            let same = |g: &mut SplitMix64, ops: &[Op]| {
+                let (op, a) = (ops[g.range(0..ops.len())], g.range(0..3));
+                c(a, op, a)
+            };
+            let mut conds = match g.range(0..4) {
+                0 => ci[g.range(0..ci.len())].clone(),
+                1 => vec![same(g, &[Op::Lt, Op::Gt]), same(g, &OPS)],
+                2 => vec![same(g, &OPS)],
+                _ => vec![same(g, &[Op::Eq, Op::Ne]), same(g, &OPS)],
+            };
+            if g.chance(0.33) {
+                let a = g.range(0..3);
+                let op = if g.chance(0.5) {
+                    OPS[g.range(0..4usize)]
+                } else {
+                    Op::Ne
+                };
+                conds.push(c(a, op, (a + g.range(1..3usize)) % 3));
+            }
+            let hi: i64 = [3, 12, 200][g.range(0..3usize)];
+            let row = |g: &mut SplitMix64, id| {
+                let cell = |g: &mut SplitMix64| match g.range(0..10) {
+                    0 => Value::Null,
+                    1 => Value::Float(g.range(-hi..hi) as f64 + [0.0, 0.5][g.range(0..2usize)]),
+                    _ => Value::Int(g.range(-hi..hi)),
+                };
+                Tuple::new(id, (0..3).map(|_| cell(g)).collect())
+            };
+            let n = g.range(0..=500u64);
+            let mut table: BTreeMap<u64, Tuple> = (0..n).map(|id| (id, row(g, id))).collect();
+            let e = Engine::parallel(2);
+            let rows = |table: &BTreeMap<u64, Tuple>| {
+                PDataset::from_vec(e.clone(), table.values().cloned().collect())
+            };
+            let cross = |table: &BTreeMap<u64, Tuple>, fresh: &dyn Fn(u64) -> bool| {
+                let mut pairs = pair_ids(cross_join_filter(rows(table), &conds));
+                pairs.retain(|&(a, b)| fresh(a) || fresh(b));
+                pairs
+            };
+            let config = OcJoinConfig {
+                nb_parts: g.range(1usize..4),
+            };
+            let mut index = JoinIndex::build(rows(&table), &conds, config, ALL_FRESH).unwrap();
+            let full = ids(index.join_sink(&e, "full", collect));
+            assert_eq!(full, cross(&table, &|_| true));
+            index.merge(&e).unwrap();
+            let (mut gone, mut news) = (Vec::new(), Vec::new());
+            if g.chance(0.5) {
+                // one row: an update, or an insert
+                let held: Vec<u64> = table.keys().copied().collect();
+                let id = match held.len() {
+                    0 => n,
+                    len if g.chance(0.7) => held[g.range(0..len)],
+                    _ => n,
+                };
+                gone.extend(table.remove(&id));
+                news.push(row(g, id));
+            } else {
+                let share = [0.05, 0.3][g.range(0..2usize)];
+                for id in table.keys().copied().collect::<Vec<_>>() {
+                    if g.chance(share) {
+                        gone.push(table.remove(&id).unwrap());
+                        if g.chance(0.7) {
+                            news.push(row(g, id));
+                        }
+                    }
+                }
+            }
+            table.extend(news.iter().map(|t| (t.id(), t.clone())));
+            let fresh: HashSet<u64> = news.iter().map(Tuple::id).collect();
+            index.stage(&gone, news.clone());
+            let delta = ids(index.join_sink(&e, "delta", collect));
+            assert_eq!(delta, cross(&table, &|id| fresh.contains(&id)));
+            if sweeps(&conds) {
+                let delta = Part::build(news, &conds, true);
+                let parts: Vec<&Part> = index.parts.iter().chain(&delta).collect();
+                for (left, right) in parts.iter().flat_map(|l| parts.iter().map(move |r| (l, r))) {
+                    let mut walked = Vec::new();
+                    sweep(left, right, &conds, &mut |a: &Tuple, b: &Tuple| {
+                        walked.push((a.id(), b.id()));
+                        Ok(())
+                    })
+                    .unwrap();
+                    assert_eq!(walked, tuple_sweep(left, right, &conds));
+                }
+            }
+            index.merge(&e).unwrap();
+            assert_sorted(&index);
         });
     }
 }

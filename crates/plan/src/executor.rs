@@ -31,7 +31,8 @@ use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, PassKind, Stage};
 use bigdansing_ocjoin::{JoinIndex, OcJoinConfig};
 use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -211,6 +212,14 @@ impl Detector {
     }
 }
 
+/// A detect task's detections in the order
+/// [`Executor::collect_detected`] merges them by: by member, then by
+/// [`Origin`] — stable, so one unit's detections keep theirs.
+fn in_origin_order(mut found: Vec<Found>) -> Vec<Found> {
+    found.sort_by_cached_key(|&(member, (origin, _))| (member, origin));
+    found
+}
+
 /// The one detector of a strategy that never shares its pass.
 fn lone(detectors: Vec<Detector>) -> Detector {
     match <[Detector; 1]>::try_from(detectors) {
@@ -245,7 +254,8 @@ fn reduce<'b, M: Member + 'b>(
         }
     }
     let finished = detectors.iter().zip(tallies);
-    Ok(finished.flat_map(|(d, t)| d.finish(t, metrics)).collect())
+    let found = finished.flat_map(|(d, t)| d.finish(t, metrics)).collect();
+    Ok(in_origin_order(found))
 }
 
 /// The reducer of a batch Block pass: [`reduce`] over the shuffled
@@ -289,7 +299,7 @@ fn lsh_runs<'r>(
         members.extend(lsh::members(records, run));
         d.bucket(&members, delta, &mut tally)?;
     }
-    Ok(d.finish(tally, metrics))
+    Ok(in_origin_order(d.finish(tally, metrics)))
 }
 
 /// The single-unit arm: Detect over every record `stage` yields — under
@@ -316,14 +326,16 @@ fn single_units(
                 found.extend(vs.into_iter().map(|v| d.fixed(unit, v)));
             }
             d.count_units(part.len() as u64);
-            Ok(found)
+            Ok(in_origin_order(found))
         })
         .run()
 }
 
 /// The OCJoin arm, a streaming join: every pair `index` enumerates —
 /// the pairs with a fresh member — flows straight into Detect (+GenFix)
-/// inside the join task; the pair list is never materialized.
+/// inside the join task; the pair list is never materialized. A join
+/// task hands its detections over in the order of their pairs' ids,
+/// which is [`Origin`] order for the lone member.
 fn oc_join(engine: &Engine, index: &JoinIndex, op: &str, d: &Detector) -> Result<PDataset<Found>> {
     let metrics = engine.metrics();
     let pairs_before = Metrics::get(&metrics.pairs_generated);
@@ -586,7 +598,7 @@ impl Executor {
                         }
                         Metrics::add(&metrics.detect_calls, units);
                         d.count_units(units);
-                        Ok(found)
+                        Ok(in_origin_order(found))
                     })
                     .run()
             }
@@ -749,35 +761,39 @@ impl Executor {
     /// of the units they came from ([`Origin`]'s order; stable, so one
     /// unit's detections keep theirs): a pass emits them in the order of
     /// its buckets, runs or join parts, which a shuffle, an index layout
-    /// or the worker count decides, not the table.
+    /// or the worker count decides, not the table. Each task sorted its
+    /// own detections ([`in_origin_order`]), so this only merges the
+    /// sorted partitions, ties in partition order.
     fn collect_detected(
         &self,
         found: PDataset<Found>,
         members: usize,
     ) -> Result<Vec<DetectOutput>> {
-        let found = found.checkpoint()?.collect()?;
-        let key = |(at, (m, (origin, _))): (usize, &Found)| match *origin {
-            Origin::Unit(a, b) => [*m, 0, a, b, at as u64],
-            Origin::Bucket(hash) => [*m, 1, hash, 0, at as u64],
-        };
-        let mut order: Vec<[u64; 5]> = found.iter().enumerate().map(key).collect();
-        order.sort_unstable();
-        let mut found: Vec<Option<Found>> = found.into_iter().map(Some).collect();
-        let found = order
-            .into_iter()
-            .map(|k| found[k[4] as usize].take().expect("once"));
-        let found: Vec<Found> = found.collect();
-        Metrics::add(&self.engine.metrics().violations, found.len() as u64);
+        let runs = found.checkpoint()?.into_partitions()?;
+        let key = |(member, (origin, _)): &Found| (*member, *origin);
+        debug_assert!(runs.iter().all(|run| run.is_sorted_by_key(key)));
         let mut sizes = vec![0; members];
-        for (member, _) in &found {
+        for (member, _) in runs.iter().flatten() {
             sizes[*member as usize] += 1;
         }
+        let total = sizes.iter().sum::<usize>() as u64;
+        Metrics::add(&self.engine.metrics().violations, total);
         let sized = |n| DetectOutput {
             detected: Vec::with_capacity(n),
             origins: Vec::with_capacity(n),
         };
         let mut outs: Vec<DetectOutput> = sizes.into_iter().map(sized).collect();
-        for (member, (origin, detected)) in found {
+        // each run's next detection, queued by its key
+        let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+        let mut heads: Vec<Option<Found>> = runs.iter_mut().map(Iterator::next).collect();
+        let queued = |r: usize, head: &Option<Found>| Some(Reverse((key(head.as_ref()?), r)));
+        let mut queue: BinaryHeap<_> = (0..runs.len())
+            .filter_map(|r| queued(r, &heads[r]))
+            .collect();
+        while let Some(Reverse((_, r))) = queue.pop() {
+            let head = std::mem::replace(&mut heads[r], runs[r].next());
+            queue.extend(queued(r, &heads[r]));
+            let (member, (origin, detected)) = head.expect("a queued head");
             let out = &mut outs[member as usize];
             out.origins.push(origin);
             out.detected.push(detected);
@@ -900,7 +916,7 @@ impl Executor {
                 }
                 Metrics::add(&metrics.pairs_generated, pairs);
                 Metrics::add(&metrics.detect_calls, pairs);
-                Ok(out)
+                Ok(in_origin_order(out))
             })
             .run()?;
         let found = self.collect_detected(detected_ds, 1)?;
