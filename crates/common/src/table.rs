@@ -78,46 +78,13 @@ impl Table {
             .and_then(|t| t.get(cell.attr as usize))
     }
 
-    /// Apply a set of cell assignments, returning the updated table.
-    /// Unknown cells are reported as errors so repair bugs surface early.
+    /// Apply a set of cell assignments, returning the updated table
+    /// ([`Table::apply_at`] on a copy). Unknown cells are reported as
+    /// errors so repair bugs surface early.
     pub fn apply(&self, assignments: &HashMap<Cell, Value>) -> Result<Table> {
-        let mut by_tuple: HashMap<TupleId, Vec<(usize, &Value)>> = HashMap::new();
-        for (cell, v) in assignments {
-            by_tuple
-                .entry(cell.tuple)
-                .or_default()
-                .push((cell.attr as usize, v));
-        }
-        let mut tuples = Vec::with_capacity(self.tuples.len());
-        let mut seen = 0usize;
-        for t in &self.tuples {
-            match by_tuple.get(&t.id()) {
-                Some(edits) => {
-                    let mut values = t.to_values();
-                    for (attr, v) in edits {
-                        if *attr >= values.len() {
-                            return Err(Error::Repair(format!(
-                                "fix targets attribute {attr} of arity-{} tuple {}",
-                                values.len(),
-                                t.id()
-                            )));
-                        }
-                        values[*attr] = (*v).clone();
-                    }
-                    seen += 1;
-                    tuples.push(Tuple::new(t.id(), values));
-                }
-                None => tuples.push(t.clone()),
-            }
-        }
-        if seen != by_tuple.len() {
-            return Err(Error::Repair(format!(
-                "{} fixes target tuples missing from `{}`",
-                by_tuple.len() - seen,
-                self.name
-            )));
-        }
-        Ok(Table::new(self.name.clone(), self.schema.clone(), tuples))
+        let mut table = self.clone();
+        table.apply_at(assignments, |id| self.position(id))?;
+        Ok(table)
     }
 
     /// Replace the tuple at `position` in place. The caller is
@@ -141,12 +108,10 @@ impl Table {
         remove_sorted(&mut self.tuples, positions);
     }
 
-    /// In-place counterpart of [`Table::apply`] for callers that can
-    /// resolve a tuple id to its position (`position_of`): mutates only
-    /// the targeted rows instead of rebuilding the whole tuple vector.
+    /// Apply a set of cell assignments in place, each tuple id resolved
+    /// to its position by `position_of`: only the targeted rows change.
     /// Every assignment is validated before anything is touched, so an
-    /// error leaves the table unchanged (the same all-or-nothing
-    /// behavior as `apply`).
+    /// error leaves the table unchanged.
     pub fn apply_at(
         &mut self,
         assignments: &HashMap<Cell, Value>,

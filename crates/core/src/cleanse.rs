@@ -1,14 +1,16 @@
 //! The batch cleanse loop (§2.2 of the paper): isolation-aware,
 //! semi-naive detect rounds driven through the shared detect ⇄ repair
 //! rounds driver, [`bigdansing_incremental::rounds`], which owns the
-//! freeze-counter termination rule and the change accounting.
+//! freeze-counter termination rule and the change accounting. Each
+//! round detects every rule group as a session apply does: the first
+//! opens it over the table, every later one re-detects what repair
+//! changed from the group's resident store.
 
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
-use bigdansing_dataflow::PDataset;
 use bigdansing_incremental::{run_rounds, RepairTarget};
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Delta, Executor, GroupMember, Origin, RuleGroup};
+use bigdansing_plan::{Executor, GroupMember, Origin, RuleGroup};
 use bigdansing_repair::{Assignment, Detected};
 use bigdansing_rules::Rule;
 use std::collections::HashSet;
@@ -130,22 +132,16 @@ fn health_report(groups: &[RuleGroup]) -> CleanseOutcome {
 /// with the candidate unit each came from, `apply` retracts the ones a
 /// round's updates invalidate and records which tuples changed, and the
 /// next detect re-evaluates only the candidate units with a changed
-/// member. The first detect is the same pass with nothing carried and
-/// every tuple fresh.
+/// member.
 ///
-/// Each [`RuleGroup`] runs its passes and owns its rules' health. A
-/// Block group's full pass keeps the buckets its shuffle built as the
-/// group's resident store, an LSH rule's the sorted band runs of its
-/// shuffle, an inequality rule's the sorted range parts of its OCJoin;
-/// a later round re-detects through [`RuleGroup::redetect`], the call a
-/// session apply makes, over the tuples repair changed — an LSH rule
-/// computes signatures for only them and detects only the runs they
-/// joined, an inequality rule joins only them against the parts. A
-/// resident group without a store (its full pass fell back to running
-/// members one by one) carries nothing and runs in full again, which
-/// reseeds the store. Every other strategy (single units, cross
-/// products) re-runs its pass over the table, masked by the changed
-/// tuples.
+/// Each [`RuleGroup`] runs its passes, owns its rules' health and keeps
+/// its resident store, and the batch drives it as a session does: the
+/// first detect is [`RuleGroup::open`], one full pass that seeds the
+/// store, and every later one [`RuleGroup::redetect`] over the tuples
+/// repair changed — single units detect only those, a Block group only
+/// the buckets they joined, an LSH rule only the runs they joined, an
+/// inequality rule joins only them against its parts, and a cross
+/// product pairs only them with its one global bucket.
 struct BatchTarget<'a> {
     executor: &'a Executor,
     groups: Vec<RuleGroup>,
@@ -154,9 +150,9 @@ struct BatchTarget<'a> {
     detected: Vec<Detected>,
     /// …and, index for index, the rule and candidate unit behind each.
     origins: Vec<(usize, Origin)>,
-    /// What `apply` changed since the last detect — the ids, and each
-    /// tuple's old version at its table position (`None`: nothing).
-    pending: Option<(Delta, Vec<(u64, Tuple)>)>,
+    /// What `apply` changed since the last detect: each changed tuple's
+    /// table position and old version.
+    pending: Option<Vec<(u64, Tuple)>>,
 }
 
 impl<'a> BatchTarget<'a> {
@@ -170,7 +166,7 @@ impl<'a> BatchTarget<'a> {
         let pipelines = pipelines(rules, table.name());
         BatchTarget {
             executor,
-            groups: RuleGroup::of(&pipelines, options.isolation, false),
+            groups: RuleGroup::of(&pipelines, options.isolation),
             table: table.clone(),
             detected: Vec::new(),
             origins: Vec::new(),
@@ -190,10 +186,8 @@ impl<'a> BatchTarget<'a> {
 impl RepairTarget for BatchTarget<'_> {
     /// One isolation-aware detect round: a shared scan, then one pass
     /// per group of non-quarantined rules, each rule under its own
-    /// guard ([`RuleGroup::run`]). From the second round on a group runs
-    /// semi-naively — a group whose full pass seeds a store only while
-    /// it holds it — and otherwise in full, after dropping what its
-    /// members carried.
+    /// guard ([`RuleGroup::run`]) — the group's open in the first round,
+    /// its re-detect of what repair changed in every later one.
     /// A rule a pass quarantined (partial mode) contributes nothing from
     /// then on; strict mode propagates the first failure.
     fn detect(&mut self) -> Result<&[Detected]> {
@@ -205,31 +199,24 @@ impl RepairTarget for BatchTarget<'_> {
         if first {
             Metrics::add(&metrics.tuples_scanned, self.table.len() as u64);
         }
-        let (delta, olds) = self.pending.take().unwrap_or_default();
-        let delta = Arc::new(delta);
+        let olds = self.pending.take().unwrap_or_default();
         let executor = self.executor;
         for g in 0..self.groups.len() {
             engine.check_cancelled()?;
-            let group = &self.groups[g];
-            if group.healthy().is_empty() {
+            if self.groups[g].healthy().is_empty() {
                 continue;
             }
-            let rules: Vec<usize> = group.members.iter().map(|m| m.rule).collect();
-            let resides = group.members[0].pipeline.strategy.resides();
-            // a resident group carries its detections only with its store
-            let carried = !first && (!resides || group.store.is_some());
-            if !carried {
-                self.retract(|(rule, _)| !rules.contains(rule));
-            }
             let table = &self.table;
-            let outs = if carried && resides {
+            let seq_of = |id| table.position(id).expect("a live tuple") as u64;
+            let outs = if first {
+                self.groups[g].open(executor, table, seq_of)?
+            } else {
                 // reindex what repair changed: old versions out, new in
                 let now = |at: u64| &table.tuples()[at as usize];
                 let changes = olds
                     .iter()
                     .map(|(at, was)| (was.id(), Some(was), Some(now(*at))));
-                let seq_of = |id| table.position(id).expect("a live tuple") as u64;
-                let done = self.groups[g].redetect(executor, changes, seq_of, Some(&delta))?;
+                let done = self.groups[g].redetect(executor, changes, seq_of)?;
                 Metrics::add(&metrics.tuples_reprocessed, done.ids.len() as u64);
                 Metrics::add(&metrics.blocks_dirty, done.keys.len() as u64);
                 // a changed bucket's list detections go with it
@@ -239,23 +226,13 @@ impl RepairTarget for BatchTarget<'_> {
                     .iter()
                     .map(|(k, _)| stable_hash_of(k))
                     .collect();
+                let members = &self.groups[g].members;
+                let rules: Vec<usize> = members.iter().map(|m| m.rule).collect();
                 self.retract(|(rule, origin)| match origin {
                     Origin::Bucket(hash) => !rules.contains(rule) || !hashes.contains(hash),
                     Origin::Unit(..) => true,
                 });
                 done.outs
-            } else {
-                // each pass reads its own copy of the table's handles,
-                // which it consumes: no loaded copy outlives the pass
-                let data = || PDataset::from_vec(engine.clone(), table.tuples().to_vec());
-                let schema = table.schema();
-                let seq_of = |id| table.position(id).expect("a live tuple") as u64;
-                self.groups[g].run(metrics, |group, guards| match carried {
-                    true => executor
-                        .run_group(data(), schema, group, Some(guards), Some(&delta))
-                        .map(|outs| (outs, None)),
-                    false => executor.run_resident(data(), schema, group, Some(guards), &seq_of),
-                })?
             };
             for (m, out) in outs {
                 let rule = self.groups[g].members[m].rule;
@@ -287,13 +264,12 @@ impl RepairTarget for BatchTarget<'_> {
     /// replaces.
     fn apply(&mut self, updates: &Assignment) -> Result<()> {
         let ids: HashSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
-        let (delta, was) = self.pending.get_or_insert_with(Default::default);
+        let was = self.pending.get_or_insert_with(Default::default);
         let table = &self.table;
-        for &id in ids.difference(&delta.ids) {
+        for &id in &ids {
             let at = table.position(id).expect("a live tuple");
             was.push((at as u64, table.tuples()[at].clone()));
         }
-        delta.ids.extend(&ids);
         self.table = self.table.apply(updates)?;
         self.retract(|(_, origin)| match origin {
             Origin::Unit(a, b) => !ids.contains(a) && !ids.contains(b),
@@ -586,10 +562,11 @@ mod tests {
     }
 
     /// A faulty rule in a shared Block pass is quarantined alone, and the
-    /// group's later rounds run in full until a pass rebuilds its
-    /// buckets: a list rule of the group neither repeats a detection nor
-    /// keeps one its bucket's repair made stale. A session over the same
-    /// rules does the same through one delta.
+    /// group's later rounds re-detect from the store its open indexed
+    /// after the member-by-member re-run: a list rule of the group
+    /// neither repeats a detection nor keeps one its bucket's repair made
+    /// stale. A session over the same rules does the same through one
+    /// delta.
     #[test]
     fn a_quarantine_in_a_shared_block_pass_keeps_list_detections_exact() {
         // zip 1: an FD violation; zip 2: a fixable note; zip 3: a note
@@ -726,6 +703,50 @@ mod tests {
         assert!(plan.contains("redetect(fd:zipcode->city)"), "{plan}");
         let maps = plan.lines().filter(|l| l.contains("shuffle-map")).count();
         assert_eq!(maps, 1, "re-detects read the resident buckets: {plan}");
+    }
+
+    /// An unblocked rule re-detects from its store too: the second
+    /// round pairs only the repaired rows with the one global bucket,
+    /// with no second cartesian pass over the table.
+    #[test]
+    fn a_cross_product_redetects_only_the_pairs_of_changed_rows() {
+        // the FD zipcode -> city as an unblocked, symmetric pair rule:
+        // 30 zip codes × 4 rows, one garbled city in 3 of them
+        let schema = Schema::parse("zipcode,city");
+        let rows = (0..120i64).map(|i| {
+            let city = if i % 40 == 1 { "??" } else { "ok" };
+            vec![Value::Int(i / 4), Value::str(city)]
+        });
+        let t = Table::from_rows("t", schema, rows.collect());
+        let fd = UdfRule::builder("udf:zip-city", |unit| match *unit {
+            DetectUnit::Pair(a, b) if a.value(0) == b.value(0) && a.value(1) != b.value(1) => {
+                vec![Violation::new("udf:zip-city")
+                    .with_cell(a.cell(1), a.value(1).clone())
+                    .with_cell(b.cell(1), b.value(1).clone())]
+            }
+            _ => Vec::new(),
+        })
+        .gen_fix(|v| match v.cells() {
+            [(a, x), (b, y)] => vec![Fix::assign_cell(*a, x.clone(), *b, y.clone())],
+            _ => Vec::new(),
+        })
+        .build();
+        let rules: Vec<Arc<dyn Rule>> = vec![Arc::new(fd)];
+        let exec = Executor::new(Engine::parallel(2));
+        let res = cleanse_loop(&exec, &rules, &t, CleanseOptions::default()).unwrap();
+        assert!(res.converged);
+        assert_eq!((res.iterations, res.cells_changed), (1, 3));
+        let plan = exec.engine().explain();
+        let passes = plan
+            .lines()
+            .filter(|l| l.contains("self-cartesian"))
+            .count();
+        assert_eq!(passes, 1, "round 2 reads the resident bucket: {plan}");
+        let (n, changed) = (t.len() as u64, 3);
+        let full = n * (n - 1) / 2;
+        let with_a_changed_member = changed * (n - 1) - changed * (changed - 1) / 2;
+        let pairs = exec.engine().metrics().snapshot().pairs_generated;
+        assert_eq!(pairs, full + with_a_changed_member);
     }
 
     /// The batch target, checking after every detect that the join index

@@ -12,9 +12,11 @@
 //! cost and change accounting — and is parameterised only by a
 //! [`RepairTarget`]: how the caller (re-)detects and how it mutates its
 //! table. Both targets re-detect semi-naively — only the candidate
-//! units a round's updates touched — over the same kind of resident
-//! bucket store: the batch loop keeps its Block groups' buckets between
-//! rounds, a session keeps every group's between batches. The driver never
+//! units a round's updates touched — and drive every rule group the
+//! same way: [`bigdansing_plan::RuleGroup::open`] once, over the whole
+//! table, then [`bigdansing_plan::RuleGroup::redetect`] of each change
+//! against the group's resident store, which the batch loop keeps
+//! between rounds and a session between batches too. The driver never
 //! asks for a detect it can answer itself: a verdict on the final table
 //! costs a detect only when something was applied since the last one.
 

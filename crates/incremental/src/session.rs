@@ -43,9 +43,7 @@ use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::{Engine, IsolationOptions};
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{
-    Bucket, Delta, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup,
-};
+use bigdansing_plan::{Bucket, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{Assignment, Detected, RepairStrategy};
@@ -181,7 +179,7 @@ impl Session {
             }
         }
         Ok(Session {
-            groups: RuleGroup::of(&pipelines(&rules, ""), options.isolation, true),
+            groups: RuleGroup::of(&pipelines(&rules, ""), options.isolation),
             executor,
             rules,
             options,
@@ -577,10 +575,6 @@ impl Session {
             .iter()
             .map(|(&id, held)| (id, held.as_ref(), self.version(id)))
             .collect();
-        let fresh = versions.iter().filter(|(_, _, now)| now.is_some());
-        let mask = Arc::new(Delta {
-            ids: fresh.map(|(id, _, _)| *id).collect(),
-        });
         for group in self.groups.iter_mut() {
             self.executor.engine().check_cancelled()?;
             let healthy = group.healthy();
@@ -590,7 +584,7 @@ impl Session {
             let changes = versions
                 .iter()
                 .map(|(id, held, now)| (*id, *held, now.as_ref()));
-            let done = group.redetect(&self.executor, changes, |id| self.seqs[&id], Some(&mask))?;
+            let done = group.redetect(&self.executor, changes, |id| self.seqs[&id])?;
             for rule in healthy.iter().map(|&m| group.members[m].rule) {
                 for (key, _) in &done.change.keys {
                     stats.blocks.insert((rule, key.clone()));

@@ -32,10 +32,6 @@
 //! [`naive`] holds the CrossProduct + post-filter comparator used by the
 //! physical-operator ablation (Figure 11(c)).
 //!
-//! The join takes a freshness mask ([`IsFresh`]) and is then
-//! semi-naive: it enumerates only the pairs with a fresh member, each
-//! once.
-//!
 //! Its resident form, a [`JoinIndex`], keeps the sorted range parts of
 //! steps 1–2 between joins, so that later joins skip them. Both
 //! incremental callers — a batch re-detect after a repair round, and an
@@ -45,9 +41,10 @@
 //! ΔR ⋈ R ∪ R ⋈ ΔR ∪ ΔR ⋈ ΔR — steps 3–4 over the parts plus Δ, skipping
 //! stale members — and a merge then folds Δ into the touched parts'
 //! sorted arrays, merging the sorted additions into each array's live
-//! run.
+//! run. That Δ-join is the only semi-naive join: a join built from a
+//! dataset enumerates every pair.
 
 pub mod naive;
 pub mod ocjoin;
 
-pub use ocjoin::{try_ocjoin, try_ocjoin_sink, IsFresh, JoinIndex, OcJoinConfig, ALL_FRESH};
+pub use ocjoin::{try_ocjoin, try_ocjoin_sink, JoinIndex, OcJoinConfig};

@@ -65,12 +65,11 @@ pub struct OcJoinConfig {
     pub nb_parts: usize,
 }
 
-/// One range partition — or the fresh or the resident members of one —
-/// with cached statistics for pruning: min/max of the partitioning
-/// attribute, the primary condition's right keys sorted (the "Sorts"
-/// lists of Algorithm 2, copied once into a contiguous array) with the
-/// tuple index of each, and — for joins with two ordering conditions —
-/// IEJoin's arrays.
+/// One range partition, fresh or resident, with cached statistics for
+/// pruning: min/max of the partitioning attribute, the primary
+/// condition's right keys sorted (the "Sorts" lists of Algorithm 2,
+/// copied once into a contiguous array) with the tuple index of each,
+/// and — for joins with two ordering conditions — IEJoin's arrays.
 #[derive(Clone, Debug)]
 struct Part {
     tuples: Vec<Tuple>,
@@ -104,16 +103,6 @@ struct Sweep {
     /// `order` (IEJoin's permutation array).
     rank: Vec<u32>,
 }
-
-/// The freshness mask of a semi-naive join: pairs of two tuples it
-/// rejects are not enumerated. A full join passes [`ALL_FRESH`].
-pub type IsFresh<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
-
-/// Everything is fresh: the mask of a full join.
-pub const ALL_FRESH: IsFresh<'static> = &|_| true;
-
-/// Nothing is fresh: the mask of resident parts.
-const NONE_FRESH: IsFresh<'static> = &|_| false;
 
 /// True when the join sweeps: its first two conditions are orderings.
 fn sweeps(conds: &[OrderCond]) -> bool {
@@ -584,20 +573,19 @@ fn range_parts(input: PDataset<Tuple>, attr: usize, nb_parts: usize) -> Result<V
         .into_partitions()
 }
 
-/// Sort each range partition's fresh and resident members into a
-/// [`Part`] each. Partitions are borrowed (tuples clone cheaply), so a
-/// panicking sort task re-runs against intact input.
+/// Sort each range partition into a [`Part`], fresh or resident.
+/// Partitions are borrowed (tuples clone cheaply), so a panicking sort
+/// task re-runs against intact input.
 fn sort_parts(
     engine: &Engine,
     raw: &[Vec<Tuple>],
     conds: &[OrderCond],
-    is_fresh: IsFresh,
+    fresh: bool,
 ) -> Result<Vec<Part>> {
     let parts = engine.run_stage(raw, |_, p: &Vec<Tuple>| {
-        let (fresh, resident) = p.iter().cloned().partition(|t| is_fresh(t));
-        Ok([(fresh, true), (resident, false)].map(|(ts, f)| Part::build(ts, conds, f)))
+        Ok(Part::build(p.clone(), conds, fresh))
     })?;
-    Ok(parts.into_iter().flatten().flatten().collect())
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// OCJoin's state kept between joins: the range parts of a join, each
@@ -633,7 +621,7 @@ impl JoinIndex {
     /// primary left attribute ("OCJoin chooses the first attribute
     /// involved in the first condition", §4.3) — and its sorting phase,
     /// one task per partition under the engine's retry policy with panic
-    /// isolation. `is_fresh` marks what the next join enumerates.
+    /// isolation. Every record is fresh until the first merge.
     ///
     /// `conds` must be non-empty: a typed error otherwise, as the job
     /// path must never bring down the process.
@@ -641,7 +629,6 @@ impl JoinIndex {
         input: PDataset<Tuple>,
         conds: &[OrderCond],
         config: OcJoinConfig,
-        is_fresh: IsFresh,
     ) -> Result<JoinIndex> {
         if conds.is_empty() {
             return Err(Error::InvalidPlan(
@@ -652,7 +639,7 @@ impl JoinIndex {
         let raw = range_parts(input, conds[0].left_attr, config.nb_parts)?;
         let ranges = vec!["ocjoin.range-partition".into()];
         engine.record_pass(PassKind::ShuffleMap, ranges, raw.len());
-        let parts = sort_parts(&engine, &raw, conds, is_fresh)?;
+        let parts = sort_parts(&engine, &raw, conds, true)?;
         engine.record_pass(PassKind::Join, vec!["ocjoin.sort".into()], raw.len());
         Ok(JoinIndex {
             conds: conds.to_vec(),
@@ -755,7 +742,7 @@ impl JoinIndex {
             let all = self.records().cloned().chain(news).collect();
             let all = PDataset::from_vec(engine.clone(), all);
             let raw = range_parts(all, self.conds[0].left_attr, self.nb_parts)?;
-            self.parts = sort_parts(engine, &raw, &self.conds, NONE_FRESH)?;
+            self.parts = sort_parts(engine, &raw, &self.conds, false)?;
         } else {
             let attr = self.conds[0].left_attr;
             let mut adds: Vec<Vec<Tuple>> = vec![Vec::new(); self.parts.len()];
@@ -798,7 +785,7 @@ pub fn try_ocjoin(
     conds: &[OrderCond],
     config: OcJoinConfig,
 ) -> Result<PDataset<(Tuple, Tuple)>> {
-    try_ocjoin_sink(input, conds, config, ALL_FRESH, "pairs", |a, b, out| {
+    try_ocjoin_sink(input, conds, config, "pairs", |a, b, out| {
         out.push((a.clone(), b.clone()));
         Ok(())
     })
@@ -808,14 +795,10 @@ pub fn try_ocjoin(
 /// [`JoinIndex::join_sink`] — each enumerated pair is handed to `sink`
 /// inside the join task, so the `(Tuple, Tuple)` pair list is never
 /// materialized. `conds` must be non-empty (a typed error otherwise).
-///
-/// The join is semi-naive under `is_fresh`: only pairs with a fresh
-/// member are enumerated, each once. [`ALL_FRESH`] is the full join.
 pub fn try_ocjoin_sink<R, F>(
     input: PDataset<Tuple>,
     conds: &[OrderCond],
     config: OcJoinConfig,
-    is_fresh: IsFresh,
     label: &str,
     sink: F,
 ) -> Result<PDataset<R>>
@@ -824,7 +807,7 @@ where
     F: Fn(&Tuple, &Tuple, &mut Vec<R>) -> Result<()> + Sync,
 {
     let engine = input.engine().clone();
-    JoinIndex::build(input, conds, config, is_fresh)?.join_sink(&engine, label, sink)
+    JoinIndex::build(input, conds, config)?.join_sink(&engine, label, sink)
 }
 
 #[cfg(test)]
@@ -1109,7 +1092,6 @@ mod tests {
             PDataset::from_vec(sink_engine.clone(), data),
             &conds,
             OcJoinConfig { nb_parts: 4 },
-            ALL_FRESH,
             "collect-ids",
             |a, b, out| {
                 out.push((a.id(), b.id()));
@@ -1176,40 +1158,6 @@ mod tests {
         });
     }
 
-    /// The semi-naive join under a mask is exactly the full join's
-    /// pairs with at least one fresh member, each emitted once.
-    #[test]
-    fn masked_join_is_the_fresh_subset_of_the_full_join() {
-        check(32, |g| {
-            let (data, conds) = arb_join(g);
-            let nb_parts = g.range(1usize..8);
-            // few, half or most rows fresh: parts with no, some and
-            // only fresh members
-            let share = [0.02, 0.5, 0.98][g.range(0..3usize)];
-            let flags: Vec<bool> = data.iter().map(|_| g.chance(share)).collect();
-            let fresh = |t: &Tuple| flags[t.id() as usize];
-            let e = Engine::parallel(3);
-            let mut masked: Vec<(u64, u64)> = try_ocjoin_sink(
-                PDataset::from_vec(e.clone(), data.clone()),
-                &conds,
-                OcJoinConfig { nb_parts },
-                &fresh,
-                "collect-ids",
-                |a, b, out| {
-                    out.push((a.id(), b.id()));
-                    Ok(())
-                },
-            )
-            .unwrap()
-            .collect()
-            .unwrap();
-            masked.sort_unstable();
-            let mut expected = pair_ids(cross_join_filter(PDataset::from_vec(e, data), &conds));
-            expected.retain(|&(a, b)| flags[a as usize] || flags[b as usize]);
-            assert_eq!(masked, expected);
-        });
-    }
-
     /// Every sorted array of every part of `index` holds what
     /// [`Part::build`] would give the part's live members.
     fn assert_sorted(index: &JoinIndex) {
@@ -1230,8 +1178,8 @@ mod tests {
 
     /// A resident index joins each change as the small side: after 1–4
     /// rounds of random updates, inserts and deletes, each round's
-    /// Δ-join is the pair multiset of a join over the current table
-    /// masked by the round's new versions, and the merged index holds
+    /// Δ-join is the pair multiset of a full join over the current table
+    /// with a new version of the round as a member, and the merged index holds
     /// the current table, sorted as a fresh build sorts it. Covers the
     /// four DC shapes of CI's smoke step, a one-condition and a
     /// three-condition join, conditions across attributes (which walk a
@@ -1280,7 +1228,7 @@ mod tests {
             };
             let e = Engine::parallel(2);
             let rows = PDataset::from_vec(e.clone(), table.values().cloned().collect());
-            let mut index = JoinIndex::build(rows, conds, config, ALL_FRESH).unwrap();
+            let mut index = JoinIndex::build(rows, conds, config).unwrap();
             index.merge(&e).unwrap();
             let mut next = n;
             for _ in 0..g.range(1..=4) {
@@ -1301,9 +1249,9 @@ mod tests {
                 index.stage(&gone, news);
                 let delta = ids(index.join_sink(&e, "delta", collect));
                 let current = PDataset::from_vec(e.clone(), table.values().cloned().collect());
-                let mask = |t: &Tuple| fresh.contains(&t.id());
-                let masked = try_ocjoin_sink(current, conds, config, &mask, "masked", collect);
-                assert_eq!(delta, ids(masked));
+                let mut masked = ids(try_ocjoin_sink(current, conds, config, "full", collect));
+                masked.retain(|(a, b)| fresh.contains(a) || fresh.contains(b));
+                assert_eq!(delta, masked);
                 index.merge(&e).unwrap();
                 let mut held: Vec<String> = index.records().map(|t| format!("{t:?}")).collect();
                 held.sort();
@@ -1433,7 +1381,7 @@ mod tests {
             let config = OcJoinConfig {
                 nb_parts: g.range(1usize..4),
             };
-            let mut index = JoinIndex::build(rows(&table), &conds, config, ALL_FRESH).unwrap();
+            let mut index = JoinIndex::build(rows(&table), &conds, config).unwrap();
             let full = ids(index.join_sink(&e, "full", collect));
             assert_eq!(full, cross(&table, &|_| true));
             index.merge(&e).unwrap();

@@ -17,10 +17,11 @@
 //! predicate and yields exactly the pairs with at least one fresh
 //! member (`Δ×R ∪ Δ×Δ`). A full detect is the same enumeration with
 //! everything fresh; a re-detect — a batch round after repair, or a
-//! session apply — passes the changed tuples (a [`Delta`]) as the mask
-//! over the buckets of the resident [`crate::store::BucketStore`] they
-//! touched, and the caller carries the earlier detections whose
-//! [`Origin`] the delta left untouched.
+//! session apply, both through [`crate::group::RuleGroup::redetect`] —
+//! passes the changed tuples (a [`Delta`]) as the mask over the buckets
+//! of the resident [`crate::store::BucketStore`] they touched, and the
+//! caller carries the earlier detections whose [`Origin`] the delta left
+//! untouched.
 //!
 //! Rules that block on the same source columns share their buckets:
 //! their Block keys are those columns' values, so one bucket — and its
@@ -95,13 +96,6 @@ impl IterateStrategy {
     /// pass shuffles into buckets a [`crate::BucketStore`] can keep.
     pub fn blocks(&self) -> bool {
         matches!(self, Self::BlockPairs { .. } | Self::BlockList)
-    }
-
-    /// Whether a full pass seeds the group's [`crate::BucketStore`]: a
-    /// Block pass hands over its buckets, an LSH pass its sorted band
-    /// runs, an OCJoin pass its sorted range parts.
-    pub fn resides(&self) -> bool {
-        self.blocks() || matches!(self, Self::LshBlocks | Self::OcJoin(_))
     }
 
     /// The bucket `unit` (a Scope output of `rule`) is indexed under:

@@ -258,26 +258,18 @@ fn reduce<'b, M: Member + 'b>(
     Ok(in_origin_order(found))
 }
 
-/// The reducer of a batch Block pass: [`reduce`] over the shuffled
-/// buckets; a semi-naive pass counts what it touched — the records of
-/// the buckets that reached it, and the buckets. Then `keep` takes the
-/// buckets — last, so that a retried partition hands them over once.
+/// The reducer of a full Block pass: [`reduce`] over the shuffled
+/// buckets, then `keep` takes the buckets — last, so that a retried
+/// partition hands them over once.
 fn batch_reducer<K>(
     detectors: Vec<Detector>,
     shared: bool,
-    delta: Option<Arc<Delta>>,
     metrics: Arc<Metrics>,
     keep: impl Fn(Vec<(K, Vec<Tuple>)>) + Send + Sync,
 ) -> impl Fn(Vec<(K, Vec<Tuple>)>) -> Result<Vec<Found>> {
     move |buckets| {
-        let delta = delta.as_deref();
         let units = buckets.iter().map(|(_, bucket)| &bucket[..]);
-        let found = reduce(&detectors, units, shared, delta, &metrics)?;
-        if delta.is_some() {
-            let records: usize = buckets.iter().map(|(_, bucket)| bucket.len()).sum();
-            Metrics::add(&metrics.tuples_reprocessed, records as u64);
-            Metrics::add(&metrics.blocks_dirty, buckets.len() as u64);
-        }
+        let found = reduce(&detectors, units, shared, None, &metrics)?;
         keep(buckets);
         Ok(found)
     }
@@ -302,21 +294,15 @@ fn lsh_runs<'r>(
     Ok(in_origin_order(d.finish(tally, metrics)))
 }
 
-/// The single-unit arm: Detect over every record `stage` yields — under
-/// a delta only the fresh ones, counted as reprocessed.
+/// The single-unit arm: Detect over every record `stage` yields.
 fn single_units(
     stage: Stage<Tuple, Tuple>,
     op: String,
     d: Detector,
-    delta: Option<Arc<Delta>>,
     metrics: Arc<Metrics>,
 ) -> Result<PDataset<Found>> {
     stage
-        .map_parts(op, move |mut part: Vec<Tuple>| {
-            if let Some(delta) = &delta {
-                part.retain(|t| delta.is_fresh(t));
-                Metrics::add(&metrics.tuples_reprocessed, part.len() as u64);
-            }
+        .map_parts(op, move |part: Vec<Tuple>| {
             Metrics::add(&metrics.detect_calls, part.len() as u64);
             let mut found = Vec::new();
             for t in &part {
@@ -332,10 +318,11 @@ fn single_units(
 }
 
 /// The OCJoin arm, a streaming join: every pair `index` enumerates —
-/// the pairs with a fresh member — flows straight into Detect (+GenFix)
-/// inside the join task; the pair list is never materialized. A join
-/// task hands its detections over in the order of their pairs' ids,
-/// which is [`Origin`] order for the lone member.
+/// every pair of a full join, those with a new version of a Δ-join —
+/// flows straight into Detect (+GenFix) inside the join task; the pair
+/// list is never materialized. A join task hands its detections over in
+/// the order of their pairs' ids, which is [`Origin`] order for the
+/// lone member.
 fn oc_join(engine: &Engine, index: &JoinIndex, op: &str, d: &Detector) -> Result<PDataset<Found>> {
     let metrics = engine.metrics();
     let pairs_before = Metrics::get(&metrics.pairs_generated);
@@ -376,7 +363,7 @@ pub struct Executor {
 }
 
 /// The plan-trace label of a group's detect pass: a full detect, or a
-/// semi-naive re-detect.
+/// semi-naive re-detect from the group's store.
 fn detect_op(group: &[&RulePipeline], semi_naive: bool) -> String {
     let names: Vec<&str> = group.iter().map(|p| p.rule.name()).collect();
     let names = names.join(", ");
@@ -419,11 +406,9 @@ impl Executor {
     /// the group's columns, and each member scopes a bucket's tuples in
     /// the reducer, into one buffer reused across buckets.
     ///
-    /// With a [`Delta`] the pass is semi-naive — only candidate units
-    /// with a changed member are evaluated, each arm below says how —
-    /// is labelled `redetect(<rules>)` in the plan trace, and counts
-    /// what it touched in `tuples_reprocessed` / `blocks_dirty`. Without
-    /// one everything is fresh: the same pass, as a full detect.
+    /// The pass is always a full detect over `data`: a later round
+    /// re-detects from the group's store instead
+    /// ([`crate::group::RuleGroup::redetect`]).
     ///
     /// Every forced pass runs fault-tolerantly: partition tasks execute
     /// under panic isolation and are retried per the engine's
@@ -447,7 +432,6 @@ impl Executor {
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
-        delta: Option<&Arc<Delta>>,
         resident: Option<&dyn Fn(TupleId) -> u64>,
     ) -> Result<(Vec<DetectOutput>, Option<BucketStore>)> {
         self.engine.check_cancelled()?;
@@ -459,7 +443,7 @@ impl Executor {
         let lead = group[0];
         let names: Vec<&str> = group.iter().map(|p| p.rule.name()).collect();
         let names = names.join(", ");
-        let detect_op = detect_op(group, delta.is_some());
+        let detect_op = detect_op(group, false);
         // PScope: queued as a narrow op — no pass of its own. A shared
         // Block pass scopes in its reducer instead.
         let shared = group.len() > 1;
@@ -470,12 +454,11 @@ impl Executor {
         } else {
             data.stage()
         };
-        let delta = delta.cloned();
         let keying = Keying::of(group);
         let mut store = None;
         let found = match &lead.strategy {
             IterateStrategy::SingleUnits => {
-                single_units(stage, detect_op, lone(detectors), delta, metrics)
+                single_units(stage, detect_op, lone(detectors), metrics)
             }
             IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
                 let block_op = match &keying {
@@ -502,7 +485,7 @@ impl Executor {
                         kept.lock().push(buckets.into_iter().map(keyed).collect());
                     }
                 };
-                let reducer = batch_reducer(detectors, shared, delta, metrics, keep);
+                let reducer = batch_reducer(detectors, shared, metrics, keep);
                 let found = stage
                     .group_by_key(&block_op, move |t| Ok(dict.encode(key.key(t))))?
                     .map_parts(detect_op, reducer)
@@ -542,13 +525,7 @@ impl Executor {
                     .partition_by(&format!("block({names})"), |e: &BandEntry| Ok(e.run()))?
                     .map_parts(detect_op, move |mut share: Vec<BandEntry>| {
                         share.sort_unstable();
-                        let delta = delta.as_deref();
-                        let found = lsh_runs(&d, &read, lsh::shard_runs(&share), delta, &metrics)?;
-                        if delta.is_some() {
-                            Metrics::add(&metrics.tuples_reprocessed, share.len() as u64);
-                            let runs = lsh::shard_runs(&share).count();
-                            Metrics::add(&metrics.blocks_dirty, runs as u64);
-                        }
+                        let found = lsh_runs(&d, &read, lsh::shard_runs(&share), None, &metrics)?;
                         // last, so that a retried partition hands it over once
                         if let Some(kept) = &kept {
                             kept.lock().push(share);
@@ -568,8 +545,7 @@ impl Executor {
                 // Unblocked pair strategies draw their pairs from the
                 // engine's parallel cartesian primitives rather than one
                 // global bucket; the pair rule picks the primitive and
-                // supplies the diagonal filter, the delta the
-                // freshness filter.
+                // supplies the diagonal filter.
                 let d = lone(detectors);
                 let pair_rule = d.pair_rule.expect("cross products enumerate pairs");
                 let data = stage.into_dataset()?;
@@ -584,10 +560,7 @@ impl Executor {
                         let mut found = Vec::new();
                         let mut units = 0u64;
                         for (a, b) in &part {
-                            let fresh = delta
-                                .as_ref()
-                                .is_none_or(|d| d.is_fresh(a) || d.is_fresh(b));
-                            if !fresh || !pair_rule.admits(a, b) {
+                            if !pair_rule.admits(a, b) {
                                 continue;
                             }
                             d.check_budget()?;
@@ -603,11 +576,8 @@ impl Executor {
                     .run()
             }
             IterateStrategy::OcJoin(conds) => {
-                // under a delta only the pairs with a fresh member
-                let is_fresh = |t: &Tuple| delta.as_ref().is_none_or(|d| d.is_fresh(t));
                 let data = stage.into_dataset()?;
-                let config = OcJoinConfig::default();
-                let index = JoinIndex::build(data, conds, config, &is_fresh)?;
+                let index = JoinIndex::build(data, conds, OcJoinConfig::default())?;
                 let found = oc_join(&self.engine, &index, &detect_op, &lone(detectors));
                 if resident.is_some() {
                     let seeded = store.insert(BucketStore::seeded(keying, vec![HashMap::new()]));
@@ -633,19 +603,16 @@ impl Executor {
     /// loop arms one guard per rule pass and reads its processed/skipped
     /// counters afterwards. Any member's failure fails the group's pass.
     ///
-    /// With a [`Delta`] the pass is semi-naive: it returns only the
-    /// detections of candidate units with a changed member, which the
-    /// caller adds to the earlier detections the delta left standing
-    /// (see [`DetectOutput::origins`]). `None` is a full detect.
+    /// The pass is a full detect. A caller that detects again after a
+    /// change re-detects from a [`crate::group::RuleGroup`]'s store.
     pub fn run_group(
         &self,
         data: PDataset<Tuple>,
         schema: &Schema,
         group: &[&RulePipeline],
         guards: Option<&[Arc<RuleGuard>]>,
-        delta: Option<&Arc<Delta>>,
     ) -> Result<Vec<DetectOutput>> {
-        let (outs, _) = self.iterate_and_detect(data, schema, group, guards, delta, None)?;
+        let (outs, _) = self.iterate_and_detect(data, schema, group, guards, None)?;
         Ok(outs)
     }
 
@@ -665,7 +632,7 @@ impl Executor {
         guards: Option<&[Arc<RuleGuard>]>,
         seq_of: &dyn Fn(TupleId) -> u64,
     ) -> Result<(Vec<DetectOutput>, Option<BucketStore>)> {
-        self.iterate_and_detect(data, schema, group, guards, None, Some(seq_of))
+        self.iterate_and_detect(data, schema, group, guards, Some(seq_of))
     }
 
     /// Detect a group over what a resident [`BucketStore`] holds, each
@@ -695,7 +662,7 @@ impl Executor {
         let found = match held {
             Held::Records(records) => {
                 let stage = PDataset::from_vec(self.engine.clone(), records).stage();
-                single_units(stage, op, lone(detectors), None, metrics)?
+                single_units(stage, op, lone(detectors), metrics)?
             }
             Held::Buckets { buckets, scope } => {
                 let delta = delta.cloned();
@@ -828,7 +795,7 @@ impl Executor {
         for group in block_groups(pipelines) {
             let members: Vec<&RulePipeline> = group.iter().map(|&i| &pipelines[i]).collect();
             let (data, schema) = source(&members[0].source)?;
-            let found = self.run_group(data, schema, &members, None, None)?;
+            let found = self.run_group(data, schema, &members, None)?;
             for (i, out) in group.into_iter().zip(found) {
                 outs[i] = out;
             }
@@ -852,7 +819,7 @@ impl Executor {
             strategy: IterateStrategy::UCrossProduct,
             use_genfix: true,
         };
-        let found = self.run_group(self.load(table), table.schema(), &[&pipeline], None, None)?;
+        let found = self.run_group(self.load(table), table.schema(), &[&pipeline], None)?;
         Ok(found.into_iter().next().unwrap_or_default())
     }
 
@@ -1034,7 +1001,7 @@ mod tests {
     ) -> Result<DetectOutput> {
         let guards = std::slice::from_ref(guard);
         let data = exec.load(table);
-        let mut out = exec.run_group(data, table.schema(), &[pipeline], Some(guards), None)?;
+        let mut out = exec.run_group(data, table.schema(), &[pipeline], Some(guards))?;
         Ok(out.remove(0))
     }
 

@@ -1,24 +1,27 @@
 //! A rule group as [`block_groups`] forms it: the unit a batch cleanse
-//! round and an incremental session apply both drive. It holds its
-//! members' pipelines and health, and the group's resident
-//! [`BucketStore`] while it keeps one.
+//! round and an incremental session apply both drive, the same way. It
+//! holds its members' pipelines and health, and the group's resident
+//! [`BucketStore`] from construction until no member is healthy.
 //!
-//! Three operations run every detect pass of either caller:
+//! Three operations run every detect pass of either caller — `open`
+//! once, over the whole table, and `redetect` after every change:
 //! * [`RuleGroup::run`] runs one pass of the healthy members, each under
 //!   a fresh [`RuleGuard`], and owns partial-mode quarantine: a pass that
 //!   fails on a rule's fault is re-run member by member, so only a faulty
 //!   member is quarantined;
 //! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
-//!   re-detects the union of what the healthy members pick, as one
+//!   re-detects the union of what the healthy members pick, with the
+//!   changed tuples' new versions as the freshness mask, as one
 //!   [`Executor::detect_held`] pass through `run` — an LSH rule's as one
 //!   [`Executor::detect_runs`] over the band runs the change fed, an
 //!   inequality rule's as one [`Executor::detect_join`] of the change
 //!   against its join index, which folds the change in before the next;
-//! * [`RuleGroup::open`] detects over a whole table with every record
-//!   fresh and fills the store with it: a Block group keeps the buckets
-//!   of its shuffled pass, an LSH rule its sorted band runs, an
-//!   inequality rule the sorted range parts of its OCJoin, any other
-//!   group indexes the table and re-detects it.
+//! * [`RuleGroup::open`] runs one full pass over a whole table and
+//!   fills the store with it: a Block group keeps the buckets of its
+//!   shuffled pass, an LSH rule its sorted band runs, an inequality rule
+//!   the sorted range parts of its OCJoin; any other group, or a pass
+//!   partial mode re-ran member by member, indexes the table into the
+//!   store afterwards.
 //!
 //! What a detection means stays the caller's: the batch carries its
 //! detections between rounds, a session keeps them with provenance.
@@ -76,10 +79,8 @@ pub type PassOutput = Result<(Vec<DetectOutput>, Option<BucketStore>)>;
 pub struct RuleGroup {
     /// The group's rules.
     pub members: Vec<GroupMember>,
-    /// The resident buckets, band runs or join index: a session's from
-    /// the start, a batch Block, LSH or inequality group's once a pass of
-    /// all its healthy members seeded them. Dropped once no member is
-    /// healthy.
+    /// The resident buckets, band runs or join index, empty until
+    /// [`RuleGroup::open`] fills them. Dropped once no member is healthy.
     pub store: Option<BucketStore>,
     /// The job's isolation options, which every guard is armed with.
     iso: IsolationOptions,
@@ -87,8 +88,8 @@ pub struct RuleGroup {
 
 impl RuleGroup {
     /// One group per [`block_groups`] group of `pipelines`, every member
-    /// healthy; with `resident`, each over an empty store.
-    pub fn of(pipelines: &[RulePipeline], iso: IsolationOptions, resident: bool) -> Vec<Self> {
+    /// healthy, each over an empty store.
+    pub fn of(pipelines: &[RulePipeline], iso: IsolationOptions) -> Vec<Self> {
         let group = |rules: Vec<usize>| {
             let member = |rule: usize| GroupMember {
                 rule,
@@ -99,10 +100,9 @@ impl RuleGroup {
             };
             let members: Vec<GroupMember> = rules.into_iter().map(member).collect();
             let all: Vec<&RulePipeline> = members.iter().map(|m| &m.pipeline).collect();
-            let store = resident.then(|| BucketStore::new(&all));
             RuleGroup {
+                store: Some(BucketStore::new(&all)),
                 members,
-                store,
                 iso,
             }
         };
@@ -190,10 +190,9 @@ impl RuleGroup {
     /// the version the store holds and its new version, as
     /// [`BucketStore::reindex`] takes them — then re-detect the union of
     /// what the healthy members pick ([`BucketStore::held`]) in one pass
-    /// through [`RuleGroup::run`], with `mask` as the freshness mask
-    /// (`None`: every record is fresh): [`Executor::detect_held`] over
-    /// records or buckets, [`Executor::detect_runs`] over an LSH index's
-    /// runs. A join index first folds in the change the re-detect before
+    /// through [`RuleGroup::run`], with the ids that have a new version
+    /// as the freshness mask: [`Executor::detect_held`] over records or
+    /// buckets, [`Executor::detect_runs`] over an LSH index's runs. A join index first folds in the change the re-detect before
     /// it joined ([`BucketStore::settle`]), then joins the change it
     /// staged in one [`Executor::detect_join`] pass. When nothing is
     /// picked no pass runs, and every healthy member finds nothing new.
@@ -202,13 +201,19 @@ impl RuleGroup {
         executor: &Executor,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
-        mask: Option<&Arc<Delta>>,
     ) -> Result<Redetected> {
         // out of the group while its pass runs: the pass reads it
         let mut store = self.store.take().expect("a group re-detects its store");
         let engine = executor.engine();
         store.settle(engine)?;
-        let change = store.reindex(engine, changes, seq_of)?;
+        let mut mask = Delta::default();
+        let fresh = |(id, _, new): &(TupleId, _, Option<_>)| {
+            if new.is_some() {
+                mask.ids.insert(*id);
+            }
+        };
+        let change = store.reindex(engine, changes.inspect(fresh), seq_of)?;
+        let mask = Arc::new(mask);
         let members = self.members.iter().filter(|m| m.quarantined.is_none());
         let healthy: Vec<&RulePipeline> = members.map(|m| &m.pipeline).collect();
         let (pick, keys, ids) = match store.held(&healthy, &change) {
@@ -218,10 +223,10 @@ impl RuleGroup {
         let outs = self.run(engine.metrics(), |group, guards| {
             let outs = match &pick {
                 Some(Pick::Held(held)) => {
-                    executor.detect_held(group, held.clone(), mask, guards)?
+                    executor.detect_held(group, held.clone(), Some(&mask), guards)?
                 }
                 Some(Pick::Runs(index, runs)) => {
-                    executor.detect_runs(group, index, runs, mask, guards)?
+                    executor.detect_runs(group, index, runs, Some(&mask), guards)?
                 }
                 Some(Pick::Join(index)) => executor.detect_join(group, index, guards)?,
                 None => vec![DetectOutput::default(); group.len()],
@@ -241,15 +246,13 @@ impl RuleGroup {
     }
 
     /// Detect over `table` — its tuples in table order, `seq_of` their
-    /// sequence numbers — as the first semi-naive iteration, with every
-    /// record fresh, and leave the store holding the table. A Block, LSH
-    /// or inequality group runs one [`Executor::run_resident`] pass
-    /// through [`RuleGroup::run`], whose buckets, band runs or join index
-    /// become the store; when partial mode re-ran its members one by
-    /// one, the re-runs seed nothing, and the table is indexed into the
-    /// store with no second detect. Any other group indexes the table as
-    /// inserts and re-detects what its members pick from it, which for
-    /// an empty table is nothing: no pass runs.
+    /// sequence numbers — in one full [`Executor::run_resident`] pass
+    /// through [`RuleGroup::run`], and leave the store holding the
+    /// table. A Block, LSH or inequality pass's buckets, band runs or
+    /// join index become the store. A pass that seeds none — single
+    /// units, cross products, or members partial mode re-ran one by one
+    /// — leaves the store empty, and the table is indexed into it with
+    /// no second detect. An empty table runs no pass.
     pub fn open(
         &mut self,
         executor: &Executor,
@@ -257,8 +260,8 @@ impl RuleGroup {
         seq_of: impl Fn(TupleId) -> u64,
     ) -> Result<Ran> {
         let inserts = || table.tuples().iter().map(|t| (t.id(), None, Some(t)));
-        if table.is_empty() || !self.members[0].pipeline.strategy.resides() {
-            return Ok(self.redetect(executor, inserts(), seq_of, None)?.outs);
+        if table.is_empty() {
+            return Ok(self.redetect(executor, inserts(), seq_of)?.outs);
         }
         let data = || PDataset::from_vec(executor.engine().clone(), table.tuples().to_vec());
         let ran = self.run(executor.engine().metrics(), |group, guards| {

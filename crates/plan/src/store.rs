@@ -3,14 +3,13 @@
 //! the change touched (Appendix F's Block pushdown, and the resident
 //! side of semi-naive evaluation).
 //!
-//! Three users read the same store:
-//! * a batch Block, LSH or inequality pass hands what its reducers
-//!   built over ([`crate::Executor::run_resident`]), and the cleanse
-//!   loop's later rounds reindex only the tuples repair changed;
-//! * an incremental session keeps one store per rule group — a Block,
-//!   LSH or inequality group's seeded at open by the same full pass, any
-//!   other group's by indexing every base tuple as an insert — and
-//!   reindexes each delta;
+//! Two users read the same store:
+//! * every rule group keeps one, a batch cleanse's and an incremental
+//!   session's alike ([`crate::group::RuleGroup`]): its first full pass
+//!   seeds it — a Block, LSH or inequality pass hands what its reducers
+//!   built over ([`crate::Executor::run_resident`]), any other group
+//!   indexes every tuple as an insert — and each later cleanse round or
+//!   session delta reindexes only the tuples it changed;
 //! * the storage manager's [`PartitionedStore`] is one built from a
 //!   table on its key columns ([`BucketStore::on_columns`]), and a
 //!   [`ReplicatedStore`] holds one per blocking key; Block pushdown is a
@@ -771,13 +770,15 @@ mod tests {
     /// inline-string limit — on one worker and on two. After every batch
     /// the index holds the runs a fresh build over the live table holds,
     /// members in table order, and the Δ re-detect of the runs the batch
-    /// fed finds what a full LSH pass over the live table finds with the
-    /// batch as its freshness mask.
+    /// fed finds what a full LSH pass over the live table finds in the
+    /// units with a member the batch inserted or updated.
     #[test]
     fn lsh_index_matches_a_fresh_build_after_every_batch() {
+        use crate::enumerate::Origin;
         use crate::group::RuleGroup;
-        use crate::{Delta, Executor};
+        use crate::Executor;
         use bigdansing_dataflow::{IsolationOptions, PDataset};
+        use std::collections::HashSet;
         let schema = Schema::parse("id,name");
         const NAMES: [&str; 8] = [
             "anne marie",
@@ -827,7 +828,7 @@ mod tests {
                     Tuple::new(id, vec![Value::Int(id as i64), name])
                 };
                 let iso = IsolationOptions::default();
-                let mut group = RuleGroup::of(&group, iso, true).remove(0);
+                let mut group = RuleGroup::of(&group, iso).remove(0);
                 // id → (seq, live version)
                 let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
                 let (mut next_id, mut next_seq) = (0u64, 0u64);
@@ -868,17 +869,13 @@ mod tests {
                         }
                         changes.insert(id, (held, new));
                     }
-                    let fresh = changes.iter().filter(|(_, (_, new))| new.is_some());
-                    let mask = Arc::new(Delta {
-                        ids: fresh.map(|(id, _)| *id).collect(),
-                    });
+                    let news = changes.iter().filter(|(_, (_, new))| new.is_some());
+                    let news: HashSet<u64> = news.map(|(id, _)| *id).collect();
                     let batch = changes
                         .iter()
                         .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
                     let seq_of = |id| live[&id].0;
-                    let done = group
-                        .redetect(&executor, batch, seq_of, Some(&mask))
-                        .unwrap();
+                    let done = group.redetect(&executor, batch, seq_of).unwrap();
                     let mut table: Vec<&(u64, Tuple)> = live.values().collect();
                     table.sort_by_key(|(seq, _)| *seq);
                     let table: Vec<Tuple> = table.into_iter().map(|(_, t)| t.clone()).collect();
@@ -888,10 +885,19 @@ mod tests {
                         .unwrap();
                     let (index, fresh) = (group.store.as_ref().unwrap().lsh(), fresh.unwrap());
                     assert_eq!(runs(index.unwrap()), runs(fresh.lsh().unwrap()));
-                    let masked = executor
-                        .run_group(data(), &schema, &members, None, Some(&mask))
-                        .unwrap();
-                    assert_eq!(found(done.outs), found(vec![(0, masked[0].clone())]));
+                    let mut full = executor
+                        .run_group(data(), &schema, &members, None)
+                        .unwrap()
+                        .remove(0);
+                    let changed = |o: &Origin| match o {
+                        Origin::Unit(a, b) => news.contains(a) || news.contains(b),
+                        Origin::Bucket(_) => unreachable!("an LSH rule detects pairs"),
+                    };
+                    let keep: Vec<bool> = full.origins.iter().map(changed).collect();
+                    let mut kept = keep.iter();
+                    full.detected.retain(|_| *kept.next().unwrap());
+                    full.origins.retain(changed);
+                    assert_eq!(found(done.outs), found(vec![(0, full)]));
                 }
             });
         }

@@ -62,7 +62,7 @@ fn main() {
     let exec = Executor::new(Engine::sequential());
     for pipeline in &physical::translate(plan).unwrap().pipelines {
         let out = exec
-            .run_group(exec.load(&table), table.schema(), &[pipeline], None, None)
+            .run_group(exec.load(&table), table.schema(), &[pipeline], None)
             .unwrap();
         println!(
             "executed {} → {} violation(s)",

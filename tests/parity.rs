@@ -255,7 +255,7 @@ fn ocjoin_pipeline_matches_cross_product_pipeline() {
             use_genfix: false,
         };
         let out = exec
-            .run_group(exec.load(&table), table.schema(), &[&p], None, None)
+            .run_group(exec.load(&table), table.schema(), &[&p], None)
             .unwrap();
         keys(out[0].detected.iter().map(|(v, _)| v).collect())
     };

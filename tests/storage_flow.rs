@@ -152,7 +152,7 @@ fn pushdown_gates_outlier_blocks_like_the_shuffled_pass() {
     let guards = [RuleGuard::arm(rule.name(), &partial)];
     let data = exec.load(&gt.dirty);
     let schema = gt.dirty.schema();
-    let shuffled = exec.run_group(data, schema, &[&pipeline], Some(&guards), None);
+    let shuffled = exec.run_group(data, schema, &[&pipeline], Some(&guards));
     let shuffled = shuffled.unwrap().remove(0);
 
     assert!(
