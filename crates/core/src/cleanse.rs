@@ -1,74 +1,25 @@
-//! The batch cleanse loop (§2.2 of the paper): isolation-aware,
-//! semi-naive detect rounds driven through the shared detect ⇄ repair
-//! rounds driver, [`bigdansing_incremental::rounds`], which owns the
-//! freeze-counter termination rule and the change accounting. Each
-//! round detects every rule group as a session apply does: the first
-//! opens it over the table, every later one re-detects what repair
-//! changed from the group's resident store.
+//! The batch cleanse loop (§2.2 of the paper): a cleansing
+//! [`Session`] over the table, with no log and no window, whose one
+//! empty apply runs the detect ⇄ repair rounds. The session's open is
+//! the first detect, every rule group's one full pass over the table
+//! with every row fresh — the first semi-naive iteration — and each
+//! repair round re-detects only what it changed through the session's
+//! violation store and the groups' resident stores
+//! ([`bigdansing_incremental::rounds`] owns the freeze-counter
+//! termination rule and the change accounting). The repaired table,
+//! the rounds' counts and the rules' health are the result.
 
-use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
-use bigdansing_incremental::{run_rounds, RepairTarget};
-use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Executor, GroupMember, Origin, RuleGroup};
-use bigdansing_repair::{Assignment, Detected};
+use bigdansing_common::{Result, Table};
+use bigdansing_incremental::{DeltaBatch, Session};
+use bigdansing_plan::Executor;
 use bigdansing_rules::Rule;
-use std::collections::HashSet;
 use std::sync::Arc;
 
-// The options and strategy selection live below this crate so the
-// incremental session shares them; re-exported here for source
-// compatibility.
-pub use bigdansing_incremental::CleanseOptions;
+// The options, strategy selection and health report live below this
+// crate, next to the session that produces them; re-exported here for
+// source compatibility.
+pub use bigdansing_incremental::{CleanseOptions, CleanseOutcome, RuleHealth};
 pub use bigdansing_repair::RepairStrategy;
-
-/// One rule's health at the end of a cleansing run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuleHealth {
-    /// Every pass completed, nothing skipped.
-    Completed,
-    /// The rule ran, but the straggler guard skipped candidate units.
-    Degraded {
-        /// Candidate units skipped by the outlier-block guard.
-        units_skipped: u64,
-    },
-    /// A detect pass of the rule failed in partial mode: the rule was
-    /// abandoned for the rest of the job and its detections dropped.
-    Quarantined {
-        /// The failure that quarantined the rule.
-        cause: String,
-    },
-}
-
-/// Per-rule health and the job-level completeness fraction a
-/// best-effort cleanse delivers alongside the repaired table.
-#[derive(Debug, Clone, Default)]
-pub struct CleanseOutcome {
-    /// `(rule name, health)` in registration order.
-    pub rules: Vec<(String, RuleHealth)>,
-    /// Fraction in `[0, 1]` of the job's detection work that actually
-    /// ran: each rule scores `units processed / units enumerated`,
-    /// quarantined rules score 0, and the job's fraction is the mean
-    /// over rules. `1.0` means a complete, undegraded cleanse.
-    pub completeness: f64,
-}
-
-impl CleanseOutcome {
-    /// True when any rule ended degraded or quarantined.
-    pub fn is_degraded(&self) -> bool {
-        self.rules
-            .iter()
-            .any(|(_, h)| !matches!(h, RuleHealth::Completed))
-    }
-
-    /// The quarantined rules, with the failure that tripped each one.
-    pub fn quarantined(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.rules.iter().filter_map(|(name, h)| match h {
-            RuleHealth::Quarantined { cause } => Some((name.as_str(), cause.as_str())),
-            _ => None,
-        })
-    }
-}
 
 /// The outcome of a cleansing run.
 #[derive(Debug, Clone)]
@@ -94,213 +45,30 @@ pub struct CleanseResult {
     pub outcome: CleanseOutcome,
 }
 
-/// Summarize the rules' health — every group's members, in
-/// registration order — into the per-rule health report and the job
-/// completeness fraction.
-fn health_report(groups: &[RuleGroup]) -> CleanseOutcome {
-    let mut members: Vec<&GroupMember> = groups.iter().flat_map(|g| &g.members).collect();
-    members.sort_by_key(|m| m.rule);
-    let health = |m: &&GroupMember| match (&m.quarantined, m.units_skipped) {
-        (Some(cause), _) => (
-            RuleHealth::Quarantined {
-                cause: cause.clone(),
-            },
-            0.0,
-        ),
-        (None, 0) => (RuleHealth::Completed, 1.0),
-        (None, units_skipped) => {
-            let done = m.units_processed as f64;
-            let score = done / (done + units_skipped as f64);
-            (RuleHealth::Degraded { units_skipped }, score)
-        }
-    };
-    let (health, scores): (Vec<_>, Vec<f64>) = members.iter().map(health).unzip();
-    let names = members.iter().map(|m| m.pipeline.rule.name().to_string());
-    let completeness = match scores.len() {
-        0 => 1.0,
-        n => scores.iter().sum::<f64>() / n as f64,
-    };
-    let rules = names.zip(health).collect();
-    CleanseOutcome {
-        rules,
-        completeness,
-    }
-}
-
-/// The batch side of the shared rounds driver. Detection is
-/// semi-naive: the target keeps the detections of the current table
-/// with the candidate unit each came from, `apply` retracts the ones a
-/// round's updates invalidate and records which tuples changed, and the
-/// next detect re-evaluates only the candidate units with a changed
-/// member.
-///
-/// Each [`RuleGroup`] runs its passes, owns its rules' health and keeps
-/// its resident store, and the batch drives it as a session does: the
-/// first detect is [`RuleGroup::open`], one full pass that seeds the
-/// store, and every later one [`RuleGroup::redetect`] over the tuples
-/// repair changed — single units detect only those, a Block group only
-/// the buckets they joined, an LSH rule only the runs they joined, an
-/// inequality rule joins only them against its parts, and a cross
-/// product pairs only them with its one global bucket.
-struct BatchTarget<'a> {
-    executor: &'a Executor,
-    groups: Vec<RuleGroup>,
-    table: Table,
-    /// The detections of the table as of the last detect…
-    detected: Vec<Detected>,
-    /// …and, index for index, the rule and candidate unit behind each.
-    origins: Vec<(usize, Origin)>,
-    /// What `apply` changed since the last detect: each changed tuple's
-    /// table position and old version.
-    pending: Option<Vec<(u64, Tuple)>>,
-}
-
-impl<'a> BatchTarget<'a> {
-    /// A target over `table` that has detected nothing yet.
-    fn new(
-        executor: &'a Executor,
-        rules: &[Arc<dyn Rule>],
-        table: &Table,
-        options: &CleanseOptions,
-    ) -> Self {
-        let pipelines = pipelines(rules, table.name());
-        BatchTarget {
-            executor,
-            groups: RuleGroup::of(&pipelines, options.isolation),
-            table: table.clone(),
-            detected: Vec::new(),
-            origins: Vec::new(),
-            pending: None,
-        }
-    }
-
-    /// Drop the carried detections whose origin fails `stands`.
-    fn retract(&mut self, stands: impl Fn(&(usize, Origin)) -> bool) {
-        let keep: Vec<bool> = self.origins.iter().map(&stands).collect();
-        let mut kept = keep.into_iter();
-        self.detected.retain(|_| kept.next() == Some(true));
-        self.origins.retain(stands);
-    }
-}
-
-impl RepairTarget for BatchTarget<'_> {
-    /// One isolation-aware detect round: a shared scan, then one pass
-    /// per group of non-quarantined rules, each rule under its own
-    /// guard ([`RuleGroup::run`]) — the group's open in the first round,
-    /// its re-detect of what repair changed in every later one.
-    /// A rule a pass quarantined (partial mode) contributes nothing from
-    /// then on; strict mode propagates the first failure.
-    fn detect(&mut self) -> Result<&[Detected]> {
-        let engine = self.executor.engine().clone();
-        let metrics = engine.metrics();
-        // the first detect scans the table once, whatever its groups; a
-        // re-detect counts what it touches as reprocessed instead
-        let first = self.pending.is_none();
-        if first {
-            Metrics::add(&metrics.tuples_scanned, self.table.len() as u64);
-        }
-        let olds = self.pending.take().unwrap_or_default();
-        let executor = self.executor;
-        for g in 0..self.groups.len() {
-            engine.check_cancelled()?;
-            if self.groups[g].healthy().is_empty() {
-                continue;
-            }
-            let table = &self.table;
-            let seq_of = |id| table.position(id).expect("a live tuple") as u64;
-            let outs = if first {
-                self.groups[g].open(executor, table, seq_of)?
-            } else {
-                // reindex what repair changed: old versions out, new in
-                let now = |at: u64| &table.tuples()[at as usize];
-                let changes = olds
-                    .iter()
-                    .map(|(at, was)| (was.id(), Some(was), Some(now(*at))));
-                let done = self.groups[g].redetect(executor, changes, seq_of)?;
-                Metrics::add(&metrics.tuples_reprocessed, done.ids.len() as u64);
-                Metrics::add(&metrics.blocks_dirty, done.keys.len() as u64);
-                // a changed bucket's list detections go with it
-                let hashes: HashSet<u64> = done
-                    .change
-                    .keys
-                    .iter()
-                    .map(|(k, _)| stable_hash_of(k))
-                    .collect();
-                let members = &self.groups[g].members;
-                let rules: Vec<usize> = members.iter().map(|m| m.rule).collect();
-                self.retract(|(rule, origin)| match origin {
-                    Origin::Bucket(hash) => !rules.contains(rule) || !hashes.contains(hash),
-                    Origin::Unit(..) => true,
-                });
-                done.outs
-            };
-            for (m, out) in outs {
-                let rule = self.groups[g].members[m].rule;
-                self.detected.extend(out.detected);
-                self.origins
-                    .extend(out.origins.into_iter().map(|o| (rule, o)));
-            }
-        }
-        // a quarantined rule contributes nothing
-        let members = self.groups.iter().flat_map(|g| &g.members);
-        let quarantined: HashSet<usize> = members
-            .filter(|m| m.quarantined.is_some())
-            .map(|m| m.rule)
-            .collect();
-        if !quarantined.is_empty() {
-            self.retract(|(rule, _)| !quarantined.contains(rule));
-        }
-        Ok(&self.detected)
-    }
-
-    fn cell_value(&self, cell: Cell) -> Option<&Value> {
-        self.table.cell_value(cell)
-    }
-
-    /// Apply a round's updates, keeping the old version of every tuple
-    /// they change for the next detect's reindex, and retract the
-    /// detections of every unit with a changed member right away, so
-    /// the next detect's output never sits in memory next to what it
-    /// replaces.
-    fn apply(&mut self, updates: &Assignment) -> Result<()> {
-        let ids: HashSet<TupleId> = updates.keys().map(|c| c.tuple).collect();
-        let was = self.pending.get_or_insert_with(Default::default);
-        let table = &self.table;
-        for &id in &ids {
-            let at = table.position(id).expect("a live tuple");
-            was.push((at as u64, table.tuples()[at].clone()));
-        }
-        self.table = self.table.apply(updates)?;
-        self.retract(|(_, origin)| match origin {
-            Origin::Unit(a, b) => !ids.contains(a) && !ids.contains(b),
-            Origin::Bucket(_) => true,
-        });
-        Ok(())
-    }
-}
-
-/// Run the full cleansing process over `table`.
+/// Run the full cleansing process over `table`: open a session over it
+/// and apply one empty batch.
 ///
 /// With [`bigdansing_dataflow::IsolationOptions::partial`] in the
 /// options, rule faults degrade the result instead of failing it: each
 /// rule's detection runs under its own guard, a rule whose pass fails is
 /// quarantined and its violations are excluded from repair, and the
 /// returned [`CleanseResult::outcome`] attributes what was lost to which
-/// rule.
+/// rule. A table that holds one tuple id twice is refused.
 pub fn cleanse_loop(
     executor: &Executor,
     rules: &[Arc<dyn Rule>],
     table: &Table,
     options: CleanseOptions,
 ) -> Result<CleanseResult> {
-    if rules.is_empty() {
-        return Err(Error::Repair("no rules registered".into()));
-    }
-    let mut target = BatchTarget::new(executor, rules, table, &options);
-    let rounds = run_rounds(executor.engine(), &mut target, &options)?;
+    let options = CleanseOptions {
+        window: None,
+        ..options
+    };
+    let mut session = Session::new(executor.clone(), rules.to_vec(), table, options)?;
+    let rounds = session.apply(DeltaBatch::new())?;
     Ok(CleanseResult {
-        outcome: health_report(&target.groups),
-        table: target.table,
+        outcome: session.outcome(),
+        table: session.into_table(),
         iterations: rounds.iterations,
         total_violations: rounds.total_violations,
         cells_changed: rounds.cells_changed,
@@ -313,9 +81,8 @@ pub fn cleanse_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigdansing_common::Schema;
+    use bigdansing_common::{Error, Schema, Tuple, Value};
     use bigdansing_dataflow::{Engine, IsolationOptions};
-    use bigdansing_incremental::{DeltaBatch, Session};
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{
         BlockKey, DcRule, DetectUnit, FdRule, Fix, UdfRule, UnitKind, Violation,
@@ -749,89 +516,17 @@ mod tests {
         assert_eq!(pairs, full + with_a_changed_member);
     }
 
-    /// The batch target, checking after every detect that the join index
-    /// of its inequality rule holds the rule's scope of the current table
-    /// — what an index rebuilt from the table holds.
-    struct JoinChecked<'a> {
-        target: BatchTarget<'a>,
-        rule: Arc<dyn Rule>,
-        detects: usize,
-    }
-
-    impl RepairTarget for JoinChecked<'_> {
-        fn detect(&mut self) -> Result<&[Detected]> {
-            self.target.detect()?;
-            self.detects += 1;
-            let store = self.target.groups[0].store.as_ref();
-            let index = store
-                .and_then(|s| s.join())
-                .expect("a DC group holds a join index");
-            let shown = |ts: Vec<&Tuple>| {
-                let mut shown: Vec<String> = ts.iter().map(|t| format!("{t:?}")).collect();
-                shown.sort();
-                shown
-            };
-            let table = self.target.table.tuples().iter();
-            let scoped: Vec<Tuple> = table.flat_map(|t| self.rule.scope(t)).collect();
-            assert_eq!(
-                shown(index.records().collect()),
-                shown(scoped.iter().collect())
-            );
-            Ok(&self.target.detected)
-        }
-
-        fn cell_value(&self, cell: Cell) -> Option<&Value> {
-            self.target.cell_value(cell)
-        }
-
-        fn apply(&mut self, updates: &Assignment) -> Result<()> {
-            self.target.apply(updates)
-        }
-    }
-
-    /// An inequality DC that takes three detect rounds or more on two
-    /// workers: each re-detect joins the repaired rows against the join
-    /// index the round before merged, which holds the current table after
-    /// every round, and the run ends where a sequential cleanse ends.
+    /// A table that holds one tuple id twice is refused, as a session
+    /// refuses it: every lookup of the id would resolve to one row.
     #[test]
-    fn a_dc_cleanse_joins_each_round_against_the_merged_index() {
-        let schema = Schema::parse("salary,rate");
-        let rows = (0..240i64).map(|i| {
-            let s = (i * 37) % 161 - 80;
-            vec![Value::Int(s), Value::Int(s / 8 + (i * 7) % 3 - 1)]
-        });
-        let t = Table::from_rows("tax", schema.clone(), rows.collect());
-        let dc = "t1.salary >= t2.salary & t1.rate <= t2.rate";
-        let rule: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
-        let rules = vec![Arc::clone(&rule)];
-        let options = CleanseOptions {
-            strategy: RepairStrategy::ParallelBlackBox(Arc::new(HypergraphRepair::default())),
-            ..Default::default()
-        };
-        let exec = Executor::new(Engine::parallel(2));
-        let target = BatchTarget::new(&exec, &rules, &t, &options);
-        let mut checked = JoinChecked {
-            target,
-            rule,
-            detects: 0,
-        };
-        let got = run_rounds(exec.engine(), &mut checked, &options).unwrap();
-        assert!(checked.detects >= 3, "{} detect rounds", checked.detects);
-        let seq = Executor::new(Engine::sequential());
-        let want = cleanse_loop(&seq, &rules, &t, options.clone()).unwrap();
-        let table = |t: &Table| bigdansing_common::csv::to_string(t);
-        assert_eq!(table(&checked.target.table), table(&want.table));
-        let counts = (got.iterations, got.cells_changed, got.converged);
-        assert_eq!(
-            counts,
-            (want.iterations, want.cells_changed, want.converged)
-        );
-        let plan = exec.engine().explain();
-        let sorts = plan.lines().filter(|l| l.contains("ocjoin.sort")).count();
-        assert_eq!(
-            sorts, 1,
-            "re-detects join against the resident parts: {plan}"
-        );
+    fn a_duplicate_tuple_id_is_refused() {
+        let schema = Schema::parse("zipcode,city");
+        let row = |city: &str| Tuple::new(0, vec![Value::Int(1), Value::str(city)]);
+        let t = Table::new("t", schema.clone(), vec![row("LA"), row("SF")]);
+        let exec = Executor::new(Engine::sequential());
+        let err = cleanse_loop(&exec, &fd_rules(&schema), &t, CleanseOptions::default());
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("duplicate tuple id 0"), "{err}");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! rebuild, replay of the batch records past the folded watermark).
 
 use crate::session::{CleanseOptions, Session};
+use crate::store::Store;
 use crate::wal::{
     self, DeltaFrame, DurabilityOptions, RecoverStats, SessionState, Upsert, Wal, WindowState,
 };
@@ -186,17 +187,14 @@ impl Session {
         let mut session = Session::skeleton(executor, rules, options, table, state.seqs, |id| {
             Error::Corrupt(format!("snapshot: duplicate tuple id {id}"))
         })?;
-        for item in state.items {
-            if item.rule as usize >= session.rules.len() {
-                return Err(Error::Corrupt(format!(
-                    "snapshot: violation references rule {} of {}",
-                    item.rule,
-                    session.rules.len()
-                )));
-            }
-            session.store.insert(item);
+        let rules = session.rules.len();
+        if let Some(item) = state.items.iter().find(|i| i.rule as usize >= rules) {
+            return Err(Error::Corrupt(format!(
+                "snapshot: violation references rule {} of {rules}",
+                item.rule
+            )));
         }
-        session.store.next = session.store.next.max(state.store_next);
+        session.store = Store::restore(state.items, state.store_next);
         session.next_seq = state.next_seq;
         session.stable = state.stable;
         session.applies = state.applies;
@@ -318,7 +316,7 @@ impl Session {
                 .copied()
                 .filter(|seq| *seq < d.file_next_seq)
                 .collect(),
-            items: self.store.items.values().cloned().collect(),
+            items: self.store.items().collect(),
         }
     }
 
@@ -326,7 +324,7 @@ impl Session {
     /// omitted — they are a deterministic function of the table and
     /// sequence numbers and are rebuilt on recovery.
     fn capture_state(&self) -> SessionState {
-        let items = self.store.items.values().cloned().collect();
+        let items = self.store.items().collect();
         SessionState {
             table_name: self.table.name().to_string(),
             attrs: self.table.schema().attrs().to_vec(),

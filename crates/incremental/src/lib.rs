@@ -16,7 +16,7 @@
 //!   range parts of a resident OCJoin (`bigdansing_ocjoin::JoinIndex`);
 //! * detection is the batch executor's own Detect body
 //!   ([`bigdansing_plan::Executor::detect_held`]), run for each group in
-//!   one pass of its healthy rules by the batch loop's own
+//!   one pass of its healthy rules by its
 //!   [`bigdansing_plan::RuleGroup`], over what the index holds, with the
 //!   delta as the freshness mask: the touched buckets or the new
 //!   records — which an inequality rule joins against its sorted parts
@@ -24,9 +24,10 @@
 //!   `delta×base ∪ delta×delta` candidate units through the engine's
 //!   stages, so the rule guards, fault retries, memory budgets, and
 //!   cancellation all apply;
-//! * a **violation store** records, for every live violation, the data
-//!   units that produced it, so violations whose contributing rows were
-//!   deleted or updated are *retracted* instead of recomputed;
+//! * a **violation store** keeps the live detections as the one vector
+//!   repair reads and records, beside each, the data units that
+//!   produced it, so violations whose contributing rows were deleted or
+//!   updated are *retracted* instead of recomputed;
 //! * re-repair is scoped: when a batch adds and retracts nothing and the
 //!   previous repair ended stably, the repair loop is skipped outright,
 //!   and the `components_rerepaired` metric tracks how many connected
@@ -47,9 +48,9 @@
 //! after a crash — or after an apply error that would otherwise leave
 //! the session poisoned.
 //!
-//! [`rounds`] is the iterative detect ⇄ repair driver (§2.2) that both
-//! the batch cleanse loop and sessions run through, limited by the
-//! job's [`CleanseOptions`].
+//! [`rounds`] is the iterative detect ⇄ repair driver (§2.2) a session
+//! runs through, limited by the job's [`CleanseOptions`]; the batch
+//! cleanse loop is a session over the table with one empty apply.
 //!
 //! Streaming sessions can bound their working set with a **violation
 //! window** ([`WindowSpec`]): each arriving record gets a logical event
@@ -69,7 +70,7 @@ pub mod window;
 
 pub use delta::{DeltaBatch, DeltaOp};
 pub use rounds::{run_rounds, RepairTarget, RoundsReport};
-pub use session::{CleanseOptions, DeltaReport, Session};
+pub use session::{CleanseOptions, CleanseOutcome, DeltaReport, RuleHealth, Session};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};
 pub use window::WindowSpec;
 

@@ -1,10 +1,11 @@
 //! What one apply did: the public [`DeltaReport`] and the per-apply
 //! bookkeeping it is filled from.
 
-use crate::wal::{ProvState, StoredState};
+use crate::wal::ProvState;
 use bigdansing_common::TupleId;
-use bigdansing_rules::BlockKey;
-use std::collections::BTreeSet;
+use bigdansing_plan::store::Reindexed;
+use bigdansing_plan::Bucket;
+use bigdansing_repair::Detected;
 
 /// What one [`crate::Session::apply`] did.
 #[derive(Debug, Clone, Default)]
@@ -55,37 +56,59 @@ pub struct DeltaReport {
     pub tuples_expired: usize,
 }
 
-/// Per-apply bookkeeping feeding the session metrics.
+/// Per-apply bookkeeping feeding the session metrics: what each group
+/// re-detect of the apply handed over and changed, kept as it came and
+/// counted once, at the apply's end ([`ApplyStats::distinct`]).
 #[derive(Default)]
 pub(crate) struct ApplyStats {
-    pub(crate) reprocessed: BTreeSet<TupleId>,
-    pub(crate) blocks: BTreeSet<(usize, BlockKey)>,
-    /// The LSH band buckets dirtied, per rule: band and bucket hash.
-    pub(crate) runs: BTreeSet<(usize, u32, u64)>,
+    pub(crate) reprocessed: Vec<TupleId>,
+    /// Each group re-detect's change, with the group's healthy rules.
+    pub(crate) changes: Vec<(Vec<usize>, Reindexed)>,
     pub(crate) added: u64,
     pub(crate) retracted: u64,
-    /// Tuple ids of violations added or retracted (component markers).
-    pub(crate) markers: BTreeSet<TupleId>,
 }
 
 impl ApplyStats {
-    /// Account one added violation.
-    pub(crate) fn add(&mut self, stored: &StoredState) {
-        self.added += 1;
-        self.mark(stored);
+    /// The distinct tuples reprocessed and `(rule, bucket)`s dirtied. A
+    /// change names each of its buckets once, so the buckets are sorted
+    /// out only when one rule's came from two changes.
+    pub(crate) fn distinct(mut self) -> (u64, u64) {
+        self.reprocessed.sort_unstable();
+        self.reprocessed.dedup();
+        let dirtied = self.changes.iter();
+        let dirtied = dirtied.filter(|(_, c)| !c.keys.is_empty() || c.runs().next().is_some());
+        let mut rules: Vec<usize> = dirtied.clone().flat_map(|(r, _)| r.clone()).collect();
+        let named = rules.len();
+        rules.sort_unstable();
+        rules.dedup();
+        let buckets = if rules.len() == named {
+            let each = |(rules, c): &(Vec<usize>, Reindexed)| {
+                rules.len() * (c.keys.len() + c.runs().count())
+            };
+            dirtied.map(each).sum()
+        } else {
+            let mut all = Vec::new();
+            for (rules, change) in dirtied {
+                for &rule in rules {
+                    let keys = change.keys.iter();
+                    all.extend(keys.map(|(key, _)| (rule, Bucket::Block(key.clone()))));
+                    let runs = change.runs();
+                    all.extend(runs.map(|((band, hash), _)| (rule, Bucket::Band(band, hash))));
+                }
+            }
+            all.sort_unstable();
+            all.dedup();
+            all.len()
+        };
+        (self.reprocessed.len() as u64, buckets as u64)
     }
+}
 
-    /// Account retracted violations.
-    pub(crate) fn retract(&mut self, gone: Vec<StoredState>) {
-        self.retracted += gone.len() as u64;
-        gone.iter().for_each(|stored| self.mark(stored));
-    }
-
-    /// Mark the tuples of an added or retracted violation.
-    fn mark(&mut self, s: &StoredState) {
-        self.markers.extend(s.violation.tuple_ids());
-        if let ProvState::Tuples(ids) = &s.prov {
-            self.markers.extend(ids.iter().copied());
-        }
+/// Mark the tuples of an added or retracted violation — its cells' and
+/// its unit's — as touching their component of the violation graph.
+pub(crate) fn mark(markers: &mut Vec<TupleId>, (violation, _): &Detected, prov: &ProvState) {
+    markers.extend(violation.cells().iter().map(|(cell, _)| cell.tuple));
+    if let ProvState::Tuples(ids) = prov {
+        markers.extend(ids);
     }
 }

@@ -1,5 +1,6 @@
-//! The iterative detect ⇄ repair rounds driver (§2.2 of the paper),
-//! shared by the batch cleanse loop and the incremental session.
+//! The iterative detect ⇄ repair rounds driver (§2.2 of the paper):
+//! the rounds of a session's apply, which are also the batch cleanse
+//! loop's — a batch cleanse is a session's one empty apply.
 //!
 //! "An iterative process terminates if there are no more violations or
 //! there are only violations with no corresponding possible fixes. The
@@ -11,12 +12,13 @@
 //! The driver owns the round body — repair, the freeze / no-op filter,
 //! cost and change accounting — and is parameterised only by a
 //! [`RepairTarget`]: how the caller (re-)detects and how it mutates its
-//! table. Both targets re-detect semi-naively — only the candidate
-//! units a round's updates touched — and drive every rule group the
-//! same way: [`bigdansing_plan::RuleGroup::open`] once, over the whole
-//! table, then [`bigdansing_plan::RuleGroup::redetect`] of each change
-//! against the group's resident store, which the batch loop keeps
-//! between rounds and a session between batches too. The driver never
+//! table. The session's target re-detects semi-naively — only the
+//! candidate units a round's updates touched — driving every rule
+//! group one way: [`bigdansing_plan::RuleGroup::open`] once, over the
+//! whole table, when the session opens, then
+//! [`bigdansing_plan::RuleGroup::redetect`] of each change against the
+//! group's resident store, which the session keeps between rounds and
+//! batches. The driver never
 //! asks for a detect it can answer itself: a verdict on the final table
 //! costs a detect only when something was applied since the last one.
 
@@ -33,11 +35,6 @@ pub trait RepairTarget {
     /// The slice is the target's own: it may be carried into the next
     /// round instead of being recomputed.
     fn detect(&mut self) -> Result<&[Detected]>;
-
-    /// Whether the current table is violation-free.
-    fn is_clean(&mut self) -> Result<bool> {
-        Ok(self.detect()?.is_empty())
-    }
 
     /// The current value of `cell` (`None` when the tuple is gone).
     fn cell_value(&self, cell: Cell) -> Option<&Value>;
@@ -139,7 +136,7 @@ pub fn run_rounds(
     // a loop that stopped on violations it could not fix holds their
     // detections: the table is known not to be clean
     if unverified {
-        report.converged = target.is_clean()?;
+        report.converged = target.detect()?.is_empty();
     }
     report.stable = report.converged || only_noops_left;
     Ok(report)

@@ -6,22 +6,24 @@
 //!
 //! The session maintains one invariant: **after every index update, the
 //! violation store equals a full `Executor::detect` over the current
-//! table, as a multiset**. Batch and session detect with one body, the
-//! executor's, and drive it through one type, [`RuleGroup`] — the batch
-//! over buckets a shuffle builds with every member fresh, the session
-//! over buckets its groups' `BucketStore`s keep in table order, with the
+//! table, as a multiset**. A batch cleanse is a session too — its open
+//! and one empty apply — so there is one detect body, the executor's,
+//! driven through one type, [`RuleGroup`]: the open over the buckets a
+//! shuffle builds with every member fresh, every later re-detect over
+//! the buckets its groups' `BucketStore`s keep in table order, with the
 //! delta as the freshness mask. Every mutation (batch, window expiry,
 //! repair) captures each tuple's version before it first changes it, so
 //! a group's store is told what it holds. A group re-detects in one pass
 //! of its healthy rules, and the session maps each detection's origin
 //! back to the provenance its violation store keeps. When a tuple
-//! changes, every violation whose generating unit involved it is
-//! retracted and exactly the units that involve its new version
-//! (`delta×resident ∪ delta×delta`) are re-detected; units among
-//! untouched residents are unchanged by construction.
+//! changes, exactly the units that involve its new version
+//! (`delta×resident ∪ delta×delta`) are re-detected, and one pass over
+//! the store retracts every violation whose generating unit involved
+//! it; units among untouched residents are unchanged by construction.
 //!
 //! The repair phase runs [`crate::rounds::run_rounds`] — the one
-//! detect ⇄ repair driver — with the store as its detect and the
+//! detect ⇄ repair driver — with the store's detections, lent as they
+//! are, as its detect and the
 //! changed cells of each round fed back through the incremental
 //! detection path. The one *scoped* shortcut — skipping repair entirely
 //! when a batch adds and retracts nothing and the previous run ended
@@ -32,11 +34,11 @@
 
 use crate::delta::{check_arity, DeltaBatch, DeltaOp};
 use crate::durable::Durable;
-use crate::report::ApplyStats;
 pub use crate::report::DeltaReport;
+use crate::report::{mark, ApplyStats};
 use crate::rounds::{run_rounds, RepairTarget};
 use crate::store::Store;
-use crate::wal::{ProvState, StoredState};
+use crate::wal::ProvState;
 use crate::window::{Win, WindowSpec};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::table::remove_sorted;
@@ -48,7 +50,7 @@ use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{Assignment, Detected, RepairStrategy};
 use bigdansing_rules::{BlockKey, Rule};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The tuples an apply changed: each id with the version the group
@@ -84,9 +86,57 @@ pub struct CleanseOptions {
     /// containing window closes behind the watermark are retired
     /// through the delete path after each apply — their violations
     /// retracted via the provenance indexes. `None` keeps the unbounded
-    /// behaviour. Ignored by the batch loop (a one-shot table has no
-    /// stream to window).
+    /// behaviour. The batch `cleanse_loop` sets it to `None`: a
+    /// one-shot table has no stream to window.
     pub window: Option<WindowSpec>,
+}
+
+/// One rule's health at the end of a cleansing run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RuleHealth {
+    /// Every pass completed, nothing skipped.
+    Completed,
+    /// The rule ran, but the straggler guard skipped candidate units.
+    Degraded {
+        /// Candidate units skipped by the outlier-block guard.
+        units_skipped: u64,
+    },
+    /// A detect pass of the rule failed in partial mode: the rule was
+    /// abandoned for the rest of the job and its detections dropped.
+    Quarantined {
+        /// The failure that quarantined the rule.
+        cause: String,
+    },
+}
+
+/// Per-rule health and the job-level completeness fraction a
+/// best-effort cleanse delivers alongside the repaired table.
+#[derive(Debug, Clone, Default)]
+pub struct CleanseOutcome {
+    /// `(rule name, health)` in registration order.
+    pub rules: Vec<(String, RuleHealth)>,
+    /// Fraction in `[0, 1]` of the job's detection work that actually
+    /// ran: each rule scores `units processed / units enumerated`,
+    /// quarantined rules score 0, and the job's fraction is the mean
+    /// over rules. `1.0` means a complete, undegraded cleanse.
+    pub completeness: f64,
+}
+
+impl CleanseOutcome {
+    /// True when any rule ended degraded or quarantined.
+    pub fn is_degraded(&self) -> bool {
+        self.rules
+            .iter()
+            .any(|(_, h)| !matches!(h, RuleHealth::Completed))
+    }
+
+    /// The quarantined rules, with the failure that tripped each one.
+    pub fn quarantined(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.rules.iter().filter_map(|(name, h)| match h {
+            RuleHealth::Quarantined { cause } => Some((name.as_str(), cause.as_str())),
+            _ => None,
+        })
+    }
 }
 
 impl Default for CleanseOptions {
@@ -179,7 +229,7 @@ impl Session {
             }
         }
         Ok(Session {
-            groups: RuleGroup::of(&pipelines(&rules, ""), options.isolation),
+            groups: RuleGroup::of(&pipelines(&rules, table.name()), options.isolation),
             executor,
             rules,
             options,
@@ -203,7 +253,8 @@ impl Session {
     /// an LSH group its sorted band runs, as a batch cleanse's first
     /// round does, and any other group indexes the table and detects
     /// over its store. The detections fill
-    /// the violation store with provenance, as an apply's do. The base
+    /// the violation store with provenance, as an apply's do, and the
+    /// table counts as scanned once. The base
     /// table is *not* repaired — the first [`Session::apply`] cleanses
     /// pre-existing violations together with the batch's.
     pub fn new(
@@ -225,18 +276,20 @@ impl Session {
                 Error::Repair(format!("duplicate tuple id {id} in base table"))
             })?;
         session.win = win;
+        let metrics = session.executor.engine().metrics();
+        Metrics::add(&metrics.tuples_scanned, table.len() as u64);
         for group in session.groups.iter_mut() {
             session.executor.engine().check_cancelled()?;
             let outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
             let keys = group.store.iter().flat_map(|s| s.iter().map(|(k, _)| k));
-            keep(&mut session.store, group, outs, keys, |_| {});
+            keep(&mut session.store, group, outs, keys, |_, _| {});
         }
         // A base table longer than the window already has closed
         // windows behind its watermark: retire them now so the session
         // starts with only live-window rows.
         let mut expired = Touched::new();
         if session.expire_past_watermark(&mut expired) > 0 {
-            session.redetect(&expired, &mut ApplyStats::default())?;
+            session.redetect(&expired, &mut ApplyStats::default(), None)?;
         }
         Ok(session)
     }
@@ -244,6 +297,11 @@ impl Session {
     /// The session's current (repaired-so-far) table.
     pub fn table(&self) -> &Table {
         &self.table
+    }
+
+    /// The session's table, ending the session.
+    pub fn into_table(self) -> Table {
+        self.table
     }
 
     /// The registered rules.
@@ -259,17 +317,17 @@ impl Session {
     /// Live violations with their fixes — always equal to a full detect
     /// over [`Session::table`].
     pub fn detected(&self) -> Vec<Detected> {
-        self.store.detected()
+        self.store.detected.clone()
     }
 
     /// Number of live violations.
     pub fn violation_count(&self) -> usize {
-        self.store.len()
+        self.store.detected.len()
     }
 
     /// True when the current table has no violations.
     pub fn is_clean(&self) -> bool {
-        self.store.is_empty()
+        self.store.detected.is_empty()
     }
 
     /// Number of batches applied so far.
@@ -283,14 +341,46 @@ impl Session {
         self.poisoned
     }
 
+    /// Every rule's health so far, in registration order, and the
+    /// completeness fraction of the detection work.
+    pub fn outcome(&self) -> CleanseOutcome {
+        let mut members: Vec<&GroupMember> = self.groups.iter().flat_map(|g| &g.members).collect();
+        members.sort_by_key(|m| m.rule);
+        let health = |m: &&GroupMember| match (&m.quarantined, m.units_skipped) {
+            (Some(cause), _) => (
+                RuleHealth::Quarantined {
+                    cause: cause.clone(),
+                },
+                0.0,
+            ),
+            (None, 0) => (RuleHealth::Completed, 1.0),
+            (None, units_skipped) => {
+                let done = m.units_processed as f64;
+                let score = done / (done + units_skipped as f64);
+                (RuleHealth::Degraded { units_skipped }, score)
+            }
+        };
+        let (health, scores): (Vec<_>, Vec<f64>) = members.iter().map(health).unzip();
+        let names = members.iter().map(|m| m.pipeline.rule.name().to_string());
+        let completeness = match scores.len() {
+            0 => 1.0,
+            n => scores.iter().sum::<f64>() / n as f64,
+        };
+        CleanseOutcome {
+            rules: names.zip(health).collect(),
+            completeness,
+        }
+    }
+
     /// Rules quarantined by partial-mode fault isolation, as
     /// `(rule name, cause)` pairs in registration order. Empty in
     /// strict mode and for healthy sessions.
     pub fn quarantined_rules(&self) -> Vec<(String, String)> {
-        let mut members: Vec<&GroupMember> = self.groups.iter().flat_map(|g| &g.members).collect();
-        members.sort_by_key(|m| m.rule);
-        let named = |m: &GroupMember| Some((m.pipeline.rule.name().into(), m.quarantined.clone()?));
-        members.into_iter().filter_map(named).collect()
+        let outcome = self.outcome();
+        let named = outcome.quarantined();
+        named
+            .map(|(name, cause)| (name.into(), cause.into()))
+            .collect()
     }
 
     /// Apply one delta batch: materialize it, re-detect only the dirty
@@ -396,8 +486,9 @@ impl Session {
 
         // Delta-driven detection + retraction.
         let mut stats = ApplyStats::default();
-        self.redetect(&touched, &mut stats)?;
-        report.components_rerepaired = self.touched_components(&stats);
+        let mut markers = Vec::new();
+        self.redetect(&touched, &mut stats, Some(&mut markers))?;
+        report.components_rerepaired = self.touched_components(markers);
 
         // Scoped re-repair: when the batch left the store untouched and
         // the previous loop ended stably, a batch loop's first round
@@ -405,13 +496,12 @@ impl Session {
         let skip = stats.added == 0 && stats.retracted == 0 && self.stable;
         report.repair_skipped = skip;
         if skip {
-            report.converged = self.store.is_empty();
+            report.converged = self.store.detected.is_empty();
         } else {
             let options = self.options.clone();
             let mut target = SessionTarget {
                 session: self,
                 stats: &mut stats,
-                detected: Vec::new(),
             };
             let rounds = run_rounds(engine, &mut target, &options)?;
             report.iterations = rounds.iterations;
@@ -423,11 +513,10 @@ impl Session {
             self.stable = rounds.stable;
         }
 
-        report.tuples_reprocessed = stats.reprocessed.len() as u64;
-        report.blocks_dirty = (stats.blocks.len() + stats.runs.len()) as u64;
         report.violations_added = stats.added;
         report.violations_retracted = stats.retracted;
-        report.violations_remaining = self.store.len();
+        (report.tuples_reprocessed, report.blocks_dirty) = stats.distinct();
+        report.violations_remaining = self.store.detected.len();
         report.rules_quarantined = self.quarantined_rules().len() as u64;
         let m = engine.metrics();
         Metrics::add(&m.tuples_reprocessed, report.tuples_reprocessed);
@@ -509,9 +598,14 @@ impl Session {
     }
 
     /// The position of live tuple `id` in the table: its sequence number,
-    /// found in the sorted column beside the table.
+    /// found in the sorted column beside the table — at its own index
+    /// while no row before it has left.
     pub(crate) fn position(&self, id: TupleId) -> Option<usize> {
-        position_in(&self.seqs, &self.seq_col, id)
+        let seq = *self.seqs.get(&id)?;
+        match self.seq_col.get(seq as usize) {
+            Some(&at) if at == seq => Some(seq as usize),
+            _ => self.seq_col.binary_search(&seq).ok(),
+        }
     }
 
     /// The live version of tuple `id`, if it is live.
@@ -552,80 +646,108 @@ impl Session {
         t.get(cell.attr as usize)
     }
 
-    /// Re-detect everything the touched tuples can influence: retract
-    /// their violations, then have every rule group reindex them and
-    /// re-detect what its store holds with the live ones as the
-    /// freshness mask (`delta×resident ∪ delta×delta`). Each detection
-    /// is stored with the provenance its [`Origin`] names, after the
-    /// detections whose unit is a changed bucket (a list rule's) are
-    /// retracted, and a rule the pass quarantined takes its stored
-    /// violations with it. The records handed over count as
+    /// Re-detect everything the touched tuples can influence. One pass
+    /// over the violation store first retracts every violation whose
+    /// unit holds a touched tuple, so no re-detect's output sits in
+    /// memory next to what it replaces. Then every rule group reindexes
+    /// the tuples and re-detects what its store holds with the live ones
+    /// as the freshness mask (`delta×resident ∪ delta×delta`); a second
+    /// pass, taken only when a list rule's bucket changed or a rule was
+    /// quarantined, retracts those buckets' and rules' violations; and
+    /// the groups' detections are appended in group order, each with the
+    /// provenance its [`Origin`] names. The records handed over count as
     /// reprocessed, and every changed bucket as dirty for each healthy
-    /// rule of its group.
-    fn redetect(&mut self, touched: &Touched, stats: &mut ApplyStats) -> Result<()> {
+    /// rule of its group. With `markers`, the tuples of every retracted
+    /// and added violation are marked there.
+    fn redetect(
+        &mut self,
+        touched: &Touched,
+        stats: &mut ApplyStats,
+        mut markers: Option<&mut Vec<TupleId>>,
+    ) -> Result<()> {
         // Every table mutation comes through here, so this is where a
         // durable session learns what its next delta frame must carry.
         if let Some(d) = &mut self.durable {
             d.dirty.extend(touched.keys());
         }
-        // Rule-agnostic retraction by generating-unit tuple ids.
-        stats.retract(self.store.retract_tuples(touched.keys()));
+        let mut each = |d: &Detected, p: &ProvState| {
+            if let Some(markers) = markers.as_deref_mut() {
+                mark(markers, d, p);
+            }
+        };
+        let ids: HashSet<TupleId> = touched.keys().copied().collect();
+        let gone = |_, prov: &ProvState| match prov {
+            ProvState::Tuples(unit) => unit.iter().any(|id| ids.contains(id)),
+            ProvState::Block(_) => false,
+        };
+        stats.retracted += self.store.retract(gone, &mut each);
         // each id with the version the stores hold and its live one
         let versions: Vec<_> = touched
             .iter()
             .map(|(&id, held)| (id, held.as_ref(), self.version(id)))
             .collect();
-        for group in self.groups.iter_mut() {
+        // every group's re-detect, with its healthy list rules
+        let (mut found, mut quarantined) = (Vec::new(), Vec::new());
+        for (g, group) in self.groups.iter_mut().enumerate() {
             self.executor.engine().check_cancelled()?;
-            let healthy = group.healthy();
-            if healthy.is_empty() {
+            let healthy = group.healthy().into_iter().map(|m| &group.members[m]);
+            let rules: Vec<usize> = healthy.clone().map(|m| m.rule).collect();
+            if rules.is_empty() {
                 continue;
             }
+            let list = |m: &&GroupMember| m.pipeline.strategy == IterateStrategy::BlockList;
+            let lists: Vec<usize> = healthy.filter(list).map(|m| m.rule).collect();
             let changes = versions
                 .iter()
                 .map(|(id, held, now)| (*id, *held, now.as_ref()));
             let done = group.redetect(&self.executor, changes, |id| self.seqs[&id])?;
-            for rule in healthy.iter().map(|&m| group.members[m].rule) {
-                for (key, _) in &done.change.keys {
-                    stats.blocks.insert((rule, key.clone()));
-                    stats.retract(self.store.retract_block(rule, key));
-                }
-                let runs = done
-                    .change
-                    .runs()
-                    .map(|((band, hash), _)| (rule, band, hash));
-                stats.runs.extend(runs);
+            let tripped = group.members.iter().filter(|m| m.quarantined.is_some());
+            let tripped = tripped.filter(|m| rules.contains(&m.rule));
+            quarantined.extend(tripped.map(|m| m.rule as u64));
+            found.push((g, rules, lists, done));
+        }
+        let mut dirty: HashSet<(u64, &[Value])> = HashSet::new();
+        for (_, _, lists, done) in &found {
+            for (key, _) in &done.change.keys {
+                dirty.extend(lists.iter().map(|&r| (r as u64, key.values())));
             }
-            stats.reprocessed.extend(done.ids);
+        }
+        if !dirty.is_empty() || !quarantined.is_empty() {
+            let gone = |rule, prov: &ProvState| {
+                let list =
+                    matches!(prov, ProvState::Block(key) if dirty.contains(&(rule, &key[..])));
+                list || quarantined.contains(&rule)
+            };
+            stats.retracted += self.store.retract(gone, &mut each);
+        }
+        // the new detections, in group order
+        for (g, rules, _, mut done) in found {
             let keys = done.keys.iter().filter_map(Bucket::block);
-            keep(&mut self.store, group, done.outs, keys, |s| stats.add(s));
-            // a rule the pass quarantined takes its stored violations along
-            let members = healthy.into_iter().map(|m| &group.members[m]);
-            for member in members.filter(|m| m.quarantined.is_some()) {
-                stats.retract(self.store.retract_rule(member.rule));
-            }
+            stats.added += keep(&mut self.store, &self.groups[g], done.outs, keys, &mut each);
+            stats.reprocessed.extend(done.ids);
+            // counted at the apply's end; the new records are the table's
+            done.change.news = Vec::new();
+            stats.changes.push((rules, done.change));
         }
         Ok(())
     }
 
     /// Count connected components of the violation graph (tuples linked
-    /// by sharing a violation) containing a tuple whose violations were
-    /// added or retracted this apply.
-    fn touched_components(&self, stats: &ApplyStats) -> u64 {
-        if stats.markers.is_empty() {
+    /// by sharing a violation) containing a tuple of `markers`: a tuple
+    /// whose violations were added or retracted this apply.
+    fn touched_components(&self, markers: Vec<TupleId>) -> u64 {
+        if markers.is_empty() {
             return 0;
         }
         let mut uf = UnionFind::new();
-        for stored in self.store.items.values() {
-            let mut ids: Vec<TupleId> = stored.violation.tuple_ids();
-            if let ProvState::Tuples(unit) = &stored.prov {
-                ids.extend(unit.iter().copied());
-            }
+        for (detected, prov) in self.store.iter() {
+            let mut ids = Vec::new();
+            mark(&mut ids, detected, prov);
             for w in ids.windows(2) {
                 uf.union(w[0], w[1]);
             }
         }
-        let roots: BTreeSet<u64> = stats.markers.iter().map(|&id| uf.find(id)).collect();
+        let roots: HashSet<u64> = markers.into_iter().map(|id| uf.find(id)).collect();
         roots.len() as u64
     }
 }
@@ -633,14 +755,15 @@ impl Session {
 /// Store the detections of `outs`, a pass of `group`'s members, each
 /// under its rule with the provenance its [`Origin`] names — the tuple
 /// ids of its unit, or the key among `keys` of the bucket a list rule
-/// detected over — handing each to `each` first.
+/// detected over — handing each to `each` first. Returns how many.
 fn keep<'a>(
     store: &mut Store,
     group: &RuleGroup,
     outs: Ran,
     keys: impl Iterator<Item = &'a BlockKey>,
-    mut each: impl FnMut(&StoredState),
-) {
+    mut each: impl FnMut(&Detected, &ProvState),
+) -> u64 {
+    let before = store.detected.len();
     let mut origins = outs.iter().flat_map(|(_, out)| &out.origins);
     let lists = origins.any(|o| matches!(o, Origin::Bucket(_)));
     // a list unit's origin is its bucket's hash: name the keys only for one
@@ -649,50 +772,31 @@ fn keep<'a>(
     for (m, out) in outs {
         let member = &group.members[m];
         let single = member.pipeline.strategy == IterateStrategy::SingleUnits;
-        for ((violation, fixes), origin) in out.detected.into_iter().zip(out.origins) {
+        for (detected, origin) in out.detected.into_iter().zip(out.origins) {
             let prov = match origin {
                 Origin::Unit(a, _) if single => ProvState::Tuples(vec![a]),
                 Origin::Unit(a, b) => ProvState::Tuples(vec![a, b]),
                 Origin::Bucket(hash) => ProvState::Block(named[&hash].values().to_vec()),
             };
-            let stored = StoredState {
-                id: 0, // assigned by the store
-                rule: member.rule as u64,
-                violation,
-                fixes,
-                prov,
-            };
-            each(&stored);
-            store.add(stored);
+            each(&detected, &prov);
+            store.add(member.rule, detected, prov);
         }
     }
+    (store.detected.len() - before) as u64
 }
 
-/// [`Session::position`] over the two fields it reads, for callers that
-/// hold the table mutably at the same time.
-fn position_in(seqs: &HashMap<TupleId, u64>, seq_col: &[u64], id: TupleId) -> Option<usize> {
-    seq_col.binary_search(seqs.get(&id)?).ok()
-}
-
-/// The session side of the shared rounds driver: detect is a read of
-/// the violation store, and a round's updates edit the table in place
-/// and flow back through incremental re-detection (only repair-changed
-/// tuples are dirty).
+/// The session side of the shared rounds driver: detect lends the
+/// violation store's detections, and a round's updates edit the table in
+/// place and flow back through incremental re-detection (only
+/// repair-changed tuples are dirty).
 struct SessionTarget<'a> {
     session: &'a mut Session,
     stats: &'a mut ApplyStats,
-    /// The store's detections as of the last [`RepairTarget::detect`].
-    detected: Vec<Detected>,
 }
 
 impl RepairTarget for SessionTarget<'_> {
     fn detect(&mut self) -> Result<&[Detected]> {
-        self.detected = self.session.store.detected();
-        Ok(&self.detected)
-    }
-
-    fn is_clean(&mut self) -> Result<bool> {
-        Ok(self.session.store.is_empty())
+        Ok(&self.session.store.detected)
     }
 
     fn cell_value(&self, cell: Cell) -> Option<&Value> {
@@ -701,16 +805,16 @@ impl RepairTarget for SessionTarget<'_> {
 
     fn apply(&mut self, updates: &Assignment) -> Result<()> {
         let session = &mut *self.session;
-        let ids = updates.keys().map(|c| c.tuple);
-        let touched: Touched = ids.map(|id| (id, session.version(id))).collect();
-        let Session {
-            table,
-            seqs,
-            seq_col,
-            ..
-        } = &mut *session;
-        table.apply_at(updates, |id| position_in(seqs, seq_col, id))?;
-        session.redetect(&touched, self.stats)
+        let mut ids: Vec<TupleId> = updates.keys().map(|c| c.tuple).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let at: Vec<Option<usize>> = ids.iter().map(|&id| session.position(id)).collect();
+        let rows = session.table.tuples();
+        let was = at.iter().map(|at| at.map(|at| rows[at].clone()));
+        let touched: Touched = ids.iter().copied().zip(was).collect();
+        let position = |id| at[ids.binary_search(&id).ok()?];
+        session.table.apply_at(updates, position)?;
+        session.redetect(&touched, self.stats, None)
     }
 }
 
@@ -1127,6 +1231,104 @@ mod tests {
         let plan = s.executor().engine().explain();
         assert!(!plan.contains("ocjoin.sort"), "{plan}");
         assert!(plan.contains("ocjoin.merge-join+redetect("), "{plan}");
+    }
+
+    /// The rounds target of a session's apply, checking after every
+    /// detect that the join index of its inequality rule holds the
+    /// rule's scope of the current table — what an index rebuilt from
+    /// the table holds.
+    struct JoinChecked<'a> {
+        target: SessionTarget<'a>,
+        rule: Arc<dyn Rule>,
+        detects: usize,
+    }
+
+    impl RepairTarget for JoinChecked<'_> {
+        fn detect(&mut self) -> Result<&[Detected]> {
+            self.detects += 1;
+            let session = &*self.target.session;
+            let store = session.groups[0].store.as_ref();
+            let index = store
+                .and_then(|s| s.join())
+                .expect("a DC group holds a join index");
+            let shown = |ts: Vec<&Tuple>| {
+                let mut shown: Vec<String> = ts.iter().map(|t| format!("{t:?}")).collect();
+                shown.sort();
+                shown
+            };
+            let table = session.table.tuples().iter();
+            let scoped: Vec<Tuple> = table.flat_map(|t| self.rule.scope(t)).collect();
+            assert_eq!(
+                shown(index.records().collect()),
+                shown(scoped.iter().collect())
+            );
+            self.target.detect()
+        }
+
+        fn cell_value(&self, cell: Cell) -> Option<&Value> {
+            self.target.cell_value(cell)
+        }
+
+        fn apply(&mut self, updates: &Assignment) -> Result<()> {
+            self.target.apply(updates)
+        }
+    }
+
+    /// An inequality DC that takes three detect rounds or more on two
+    /// workers, driven as a batch cleanse drives it — a session's open,
+    /// then the rounds of one empty apply: each re-detect joins the
+    /// repaired rows against the join index the round before merged,
+    /// which holds the current table after every round, and the run ends
+    /// where a sequential cleanse ends.
+    #[test]
+    fn a_dc_cleanse_joins_each_round_against_the_merged_index() {
+        let schema = Schema::parse("salary,rate");
+        let rows = (0..240i64).map(|i| {
+            let s = (i * 37) % 161 - 80;
+            vec![Value::Int(s), Value::Int(s / 8 + (i * 7) % 3 - 1)]
+        });
+        let t = Table::from_rows("tax", schema.clone(), rows.collect());
+        let dc = "t1.salary >= t2.salary & t1.rate <= t2.rate";
+        let rule: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
+        let rules = vec![Arc::clone(&rule)];
+        let options = CleanseOptions {
+            strategy: RepairStrategy::ParallelBlackBox(Arc::new(HypergraphRepair::default())),
+            ..Default::default()
+        };
+        let exec = Executor::new(Engine::parallel(2));
+        let engine = exec.engine().clone();
+        let mut s = Session::new(exec, rules.clone(), &t, options.clone()).unwrap();
+        let mut stats = ApplyStats::default();
+        s.redetect(&Touched::new(), &mut stats, None).unwrap();
+        let target = SessionTarget {
+            session: &mut s,
+            stats: &mut stats,
+        };
+        let mut checked = JoinChecked {
+            target,
+            rule,
+            detects: 0,
+        };
+        let got = run_rounds(&engine, &mut checked, &options).unwrap();
+        assert!(checked.detects >= 3, "{} detect rounds", checked.detects);
+        let seq = Executor::new(Engine::sequential());
+        let mut want = Session::new(seq, rules, &t, options).unwrap();
+        let want_rounds = want.apply(DeltaBatch::new()).unwrap();
+        let table = |t: &Table| bigdansing_common::csv::to_string(t);
+        assert_eq!(table(s.table()), table(want.table()));
+        let counts = (got.iterations, got.cells_changed, got.converged);
+        let want_counts = (
+            want_rounds.iterations,
+            want_rounds.cells_changed,
+            want_rounds.converged,
+        );
+        assert_eq!(counts, want_counts);
+        let plan = engine.explain();
+        let sorts = plan.lines().filter(|l| l.contains("ocjoin.sort")).count();
+        assert_eq!(
+            sorts, 1,
+            "re-detects join against the resident parts: {plan}"
+        );
     }
 
     /// A session over an empty table — as serve opens every tenant —

@@ -1,10 +1,11 @@
-//! A rule group as [`block_groups`] forms it: the unit a batch cleanse
-//! round and an incremental session apply both drive, the same way. It
+//! A rule group as [`block_groups`] forms it: the unit every detect of
+//! an incremental session — and so of a batch cleanse, which is one —
+//! drives. It
 //! holds its members' pipelines and health, and the group's resident
 //! [`BucketStore`] from construction until no member is healthy.
 //!
-//! Three operations run every detect pass of either caller — `open`
-//! once, over the whole table, and `redetect` after every change:
+//! Three operations run every detect pass — `open` once, over the whole
+//! table, and `redetect` after every change:
 //! * [`RuleGroup::run`] runs one pass of the healthy members, each under
 //!   a fresh [`RuleGuard`], and owns partial-mode quarantine: a pass that
 //!   fails on a rule's fault is re-run member by member, so only a faulty
@@ -23,8 +24,8 @@
 //!   partial mode re-ran member by member, indexes the table into the
 //!   store afterwards.
 //!
-//! What a detection means stays the caller's: the batch carries its
-//! detections between rounds, a session keeps them with provenance.
+//! What a detection means stays the caller's: a session keeps them with
+//! provenance.
 
 use crate::enumerate::Delta;
 use crate::executor::{DetectOutput, Executor};
@@ -63,7 +64,8 @@ pub struct Redetected {
     pub change: Reindexed,
     /// Each bucket or run handed over; empty for records.
     pub keys: Vec<Bucket>,
-    /// The id of every record or bucket member handed over.
+    /// The id of every record or bucket member handed over (an LSH
+    /// record's once, though it sits in a run per band).
     pub ids: Vec<TupleId>,
     /// What the pass over them found.
     pub outs: Ran,

@@ -107,6 +107,19 @@ pub(crate) fn members<'a>(
     })
 }
 
+/// The ids of the members of `runs`, each record's once, though it sits
+/// in a run per band.
+pub(crate) fn member_ids<'a>(
+    records: &Records,
+    runs: impl IntoIterator<Item = &'a [BandEntry]>,
+) -> Vec<TupleId> {
+    let mut seen = vec![false; records.len()];
+    let fresh = |e: &&BandEntry| !std::mem::replace(&mut seen[e.slot as usize], true);
+    let record = |e: &BandEntry| records[e.slot as usize].as_ref().expect("a live slot");
+    let entries = runs.into_iter().flatten().filter(fresh);
+    entries.map(|e| record(e).tuple.id()).collect()
+}
+
 /// The entries of the record at `slot`, one per band.
 pub(crate) fn entries(records: &Records, slot: u32) -> Vec<BandEntry> {
     let record = records[slot as usize].as_ref();

@@ -43,9 +43,9 @@
 //! [`crate::Executor::detect_join`]'s over a join index, run for a whole
 //! group by [`crate::group::RuleGroup::redetect`].
 
-use crate::enumerate::{Member, PairRule};
+use crate::enumerate::PairRule;
 use crate::executor::Held;
-use crate::lsh::{LshIndex, Touched};
+use crate::lsh::{BandEntry, LshIndex, Touched};
 use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::{Result, Table, Tuple, TupleId};
 use bigdansing_dataflow::Engine;
@@ -192,7 +192,8 @@ pub struct Picked<'a> {
     pub pick: Pick<'a>,
     /// Each bucket or run handed over; empty for records.
     pub keys: Vec<Bucket>,
-    /// The id of every record or bucket member handed over.
+    /// The id of every record or bucket member handed over (an LSH
+    /// record's once, though it sits in a run per band).
     pub ids: Vec<TupleId>,
 }
 
@@ -423,13 +424,13 @@ impl BucketStore {
                         .iter()
                         .map(move |range| index.run(shard, range.clone()))
                 });
-                let (mut keys, mut ids) = (Vec::new(), Vec::new());
-                for run in picked {
+                let picked: Vec<&[BandEntry]> = picked.collect();
+                let band = |run: &&[BandEntry]| {
                     let (band, hash) = run[0].run();
-                    keys.push(Bucket::Band(band, hash));
-                    let members = crate::lsh::members(index.records(), run);
-                    ids.extend(members.map(|m| m.tuple().id()));
-                }
+                    Bucket::Band(band, hash)
+                };
+                let keys: Vec<Bucket> = picked.iter().map(band).collect();
+                let ids = crate::lsh::member_ids(index.records(), picked);
                 (!keys.is_empty()).then_some(Picked {
                     pick: Pick::Runs(index, runs),
                     keys,
