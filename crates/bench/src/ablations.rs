@@ -135,7 +135,8 @@ pub fn ablation_storage() -> Report {
     let pushdown = Executor::new(Engine::parallel(workers()));
     let pipeline = pipeline_for_rule(Arc::clone(&rule), gt.dirty.name());
     let guard = [RuleGuard::arm(rule.name(), &IsolationOptions::default())];
-    let pushed = || pushdown.detect_held(&[&pipeline], store.all(), None, &guard);
+    let all = store.all();
+    let pushed = || pushdown.detect_picked(&[&pipeline], &store, &all, None, &guard);
     let (_, pushed) = time_best(|| pushed().unwrap());
     r.row(vec![
         format!("Block pushdown, detection time ({}K rows)", n / 1000).into(),

@@ -144,7 +144,7 @@ counters! {
     /// an existing tuple or blocking key) made inside this engine's
     /// tasks, failed attempts included. The zero-copy detect path keeps
     /// this at 0: shuffles and pair enumeration move `Arc` handles and
-    /// `KeyId`s, never row payloads.
+    /// run entries, never row payloads.
     tuples_cloned,
     /// Bytes moved across wide boundaries (shuffle / co-group /
     /// range-repartition), computed as record size × records routed.

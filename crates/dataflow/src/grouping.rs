@@ -12,9 +12,9 @@ use bigdansing_common::Mutex;
 use std::hash::Hash;
 
 /// The reducer bucket `key` hashes to — deterministic across runs.
-/// `KeyId` keys hash only their cached stable half, so encoded keys
-/// route without re-hashing the key payload. A store that keeps a
-/// shuffle's reducer shares routes later records by it too.
+/// `KeyId` keys (CoBlock's) hash only their cached stable half, so
+/// encoded keys route without re-hashing the key payload. A store that
+/// keeps a shuffle's reducer shares routes later records by it too.
 pub fn bucket_of<K: Hash>(key: &K, nbuckets: usize) -> usize {
     (stable_hash_of(key) as usize) % nbuckets
 }
@@ -31,9 +31,9 @@ pub(crate) fn merge_buckets<T: Send>(
     let total: usize = bucketed.iter().flat_map(|bs| bs.iter().map(Vec::len)).sum();
     Metrics::add(&engine.metrics().records_shuffled, total as u64);
     // Bytes that cross the shuffle boundary. Records are shuffled as
-    // handles (`Tuple` is an id + `Arc` + optional selector; keys are
-    // 8-byte `KeyId`s once encoded), so this measures what actually
-    // moves — not the pinned payloads, which never do.
+    // handles (`Tuple` is an id + `Arc` + optional selector; a Block or
+    // LSH pass shuffles 32-byte run entries), so this measures what
+    // actually moves — not the pinned payloads, which never do.
     Metrics::add(
         &engine.metrics().bytes_shuffled,
         (std::mem::size_of::<T>() * total) as u64,

@@ -10,17 +10,17 @@
 //! [`Session`] alive across delta batches:
 //!
 //! * a **persistent candidate index** per rule group — the executor's
-//!   resident `BucketStore`, bucket key → scoped tuples — survives
-//!   between batches, so candidate generation touches only the buckets
-//!   a delta dirties. Inequality rules keep their records sorted in the
-//!   range parts of a resident OCJoin (`bigdansing_ocjoin::JoinIndex`);
+//!   resident `BucketStore`, whose run index keeps each bucket as a run
+//!   of sorted entries over the scoped tuples — survives between
+//!   batches, so candidate generation touches only the runs a delta
+//!   dirties. Inequality rules keep their records sorted in the range
+//!   parts of a resident OCJoin (`bigdansing_ocjoin::JoinIndex`);
 //! * detection is the batch executor's own Detect body
-//!   ([`bigdansing_plan::Executor::detect_held`]), run for each group in
-//!   one pass of its healthy rules by its
+//!   ([`bigdansing_plan::Executor::detect_picked`]), run for each group
+//!   in one pass of its healthy rules by its
 //!   [`bigdansing_plan::RuleGroup`], over what the index holds, with the
-//!   delta as the freshness mask: the touched buckets or the new
-//!   records — which an inequality rule joins against its sorted parts
-//!   ([`bigdansing_plan::Executor::detect_join`]) — giving
+//!   delta as the freshness mask: the touched runs or the new records —
+//!   which an inequality rule joins against its sorted parts — giving
 //!   `delta×base ∪ delta×delta` candidate units through the engine's
 //!   stages, so the rule guards, fault retries, memory budgets, and
 //!   cancellation all apply;

@@ -4,7 +4,6 @@
 use crate::wal::ProvState;
 use bigdansing_common::TupleId;
 use bigdansing_plan::store::Reindexed;
-use bigdansing_plan::Bucket;
 use bigdansing_repair::Detected;
 
 /// What one [`crate::Session::apply`] did.
@@ -76,24 +75,19 @@ impl ApplyStats {
         self.reprocessed.sort_unstable();
         self.reprocessed.dedup();
         let dirtied = self.changes.iter();
-        let dirtied = dirtied.filter(|(_, c)| !c.keys.is_empty() || c.runs().next().is_some());
+        let dirtied = dirtied.filter(|(_, c)| c.runs().next().is_some());
         let mut rules: Vec<usize> = dirtied.clone().flat_map(|(r, _)| r.clone()).collect();
         let named = rules.len();
         rules.sort_unstable();
         rules.dedup();
         let buckets = if rules.len() == named {
-            let each = |(rules, c): &(Vec<usize>, Reindexed)| {
-                rules.len() * (c.keys.len() + c.runs().count())
-            };
+            let each = |(rules, c): &(Vec<usize>, Reindexed)| rules.len() * c.runs().count();
             dirtied.map(each).sum()
         } else {
             let mut all = Vec::new();
             for (rules, change) in dirtied {
                 for &rule in rules {
-                    let keys = change.keys.iter();
-                    all.extend(keys.map(|(key, _)| (rule, Bucket::Block(key.clone()))));
-                    let runs = change.runs();
-                    all.extend(runs.map(|((band, hash), _)| (rule, Bucket::Band(band, hash))));
+                    all.extend(change.runs().map(|(run, _)| (rule, run)));
                 }
             }
             all.sort_unstable();

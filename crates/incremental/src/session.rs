@@ -10,10 +10,11 @@
 //! and one empty apply — so there is one detect body, the executor's,
 //! driven through one type, [`RuleGroup`]: the open over the buckets a
 //! shuffle builds with every member fresh, every later re-detect over
-//! the buckets its groups' `BucketStore`s keep in table order, with the
+//! the runs its groups' `BucketStore`s keep in table order, with the
 //! delta as the freshness mask. Every mutation (batch, window expiry,
-//! repair) captures each tuple's version before it first changes it, so
-//! a group's store is told what it holds. A group re-detects in one pass
+//! repair) captures each tuple's version before it first changes it, and
+//! the version it leaves, so a group's store is told what it holds and
+//! what replaces it. A group re-detects in one pass
 //! of its healthy rules, and the session maps each detection's origin
 //! back to the provenance its violation store keeps. When a tuple
 //! changes, exactly the units that involve its new version
@@ -45,7 +46,7 @@ use bigdansing_common::table::remove_sorted;
 use bigdansing_common::{stable_hash_of, Cell, Error, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::{Engine, IsolationOptions};
 use bigdansing_plan::physical::pipelines;
-use bigdansing_plan::{Bucket, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
+use bigdansing_plan::{key_hash, Executor, GroupMember, IterateStrategy, Origin, Ran, RuleGroup};
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
 use bigdansing_repair::{Assignment, Detected, RepairStrategy};
@@ -54,9 +55,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The tuples an apply changed: each id with the version the group
-/// stores hold (`None`: none — an insert). For an id changed several
-/// times, the version captured first.
-pub(crate) type Touched = BTreeMap<TupleId, Option<Tuple>>;
+/// stores hold (`None`: none — an insert) and its live version (`None`:
+/// gone). For an id changed several times, the version captured first
+/// and the last.
+pub(crate) type Touched = BTreeMap<TupleId, (Option<Tuple>, Option<Tuple>)>;
 
 /// Options of a cleansing job: the batch `cleanse_loop` and a
 /// [`Session`] take the same knobs, so a session and a from-scratch run
@@ -249,9 +251,8 @@ impl Session {
     /// Open a session over `table`: the paper's detect phase over the
     /// whole table, as the first semi-naive iteration with every row
     /// fresh. Each rule group runs one full pass ([`RuleGroup::open`]):
-    /// a Block group keeps the buckets its shuffle built as its store,
-    /// an LSH group its sorted band runs, as a batch cleanse's first
-    /// round does, and any other group indexes the table and detects
+    /// a Block or LSH group keeps the sorted runs its shuffle built as
+    /// its store, as a batch cleanse's first round does, and any other group indexes the table and detects
     /// over its store. The detections fill
     /// the violation store with provenance, as an apply's do, and the
     /// table counts as scanned once. The base
@@ -281,7 +282,8 @@ impl Session {
         for group in session.groups.iter_mut() {
             session.executor.engine().check_cancelled()?;
             let outs = group.open(&session.executor, &session.table, |id| session.seqs[&id])?;
-            let keys = group.store.iter().flat_map(|s| s.iter().map(|(k, _)| k));
+            let stores = group.store.iter();
+            let keys = stores.flat_map(|s| s.buckets().map(|(key, _)| key));
             keep(&mut session.store, group, outs, keys, |_, _| {});
         }
         // A base table longer than the window already has closed
@@ -570,13 +572,18 @@ impl Session {
     /// the rows deletes leave behind are compacted away in one pass at
     /// the end (until then positions hold, so later ops of the batch
     /// still resolve). Returns the tuples the batch touched, each with
-    /// its version before the batch.
+    /// its version before the batch and after it.
     fn materialize(&mut self, batch: &DeltaBatch) -> Touched {
         let mut dead = Vec::new();
         let mut touched = Touched::new();
         for op in &batch.ops {
             let id = op.id();
-            touched.entry(id).or_insert_with(|| self.version(id));
+            let entry = touched.entry(id);
+            let (_, live) = entry.or_insert_with(|| (self.version(id), None));
+            *live = match op {
+                DeltaOp::Delete(_) => None,
+                DeltaOp::Insert(t) | DeltaOp::Update(t) => Some(t.clone()),
+            };
             match op {
                 DeltaOp::Insert(t) => {
                     self.seqs.insert(t.id(), self.next_seq);
@@ -681,11 +688,6 @@ impl Session {
             ProvState::Block(_) => false,
         };
         stats.retracted += self.store.retract(gone, &mut each);
-        // each id with the version the stores hold and its live one
-        let versions: Vec<_> = touched
-            .iter()
-            .map(|(&id, held)| (id, held.as_ref(), self.version(id)))
-            .collect();
         // every group's re-detect, with its healthy list rules
         let (mut found, mut quarantined) = (Vec::new(), Vec::new());
         for (g, group) in self.groups.iter_mut().enumerate() {
@@ -697,32 +699,33 @@ impl Session {
             }
             let list = |m: &&GroupMember| m.pipeline.strategy == IterateStrategy::BlockList;
             let lists: Vec<usize> = healthy.filter(list).map(|m| m.rule).collect();
-            let changes = versions
+            let changes = touched
                 .iter()
-                .map(|(id, held, now)| (*id, *held, now.as_ref()));
+                .map(|(id, (held, live))| (*id, held.as_ref(), live.as_ref()));
             let done = group.redetect(&self.executor, changes, |id| self.seqs[&id])?;
             let tripped = group.members.iter().filter(|m| m.quarantined.is_some());
             let tripped = tripped.filter(|m| rules.contains(&m.rule));
             quarantined.extend(tripped.map(|m| m.rule as u64));
             found.push((g, rules, lists, done));
         }
-        let mut dirty: HashSet<(u64, &[Value])> = HashSet::new();
+        // a list rule's run that changed: its buckets' detections go
+        let mut dirty: HashSet<(u64, u64)> = HashSet::new();
         for (_, _, lists, done) in &found {
-            for (key, _) in &done.change.keys {
-                dirty.extend(lists.iter().map(|&r| (r as u64, key.values())));
+            for ((_, hash), _) in done.change.runs() {
+                dirty.extend(lists.iter().map(|&r| (r as u64, hash)));
             }
         }
         if !dirty.is_empty() || !quarantined.is_empty() {
             let gone = |rule, prov: &ProvState| {
-                let list =
-                    matches!(prov, ProvState::Block(key) if dirty.contains(&(rule, &key[..])));
+                let list = matches!(prov, ProvState::Block(key)
+                    if dirty.contains(&(rule, key_hash(key.iter()))));
                 list || quarantined.contains(&rule)
             };
             stats.retracted += self.store.retract(gone, &mut each);
         }
         // the new detections, in group order
         for (g, rules, _, mut done) in found {
-            let keys = done.keys.iter().filter_map(Bucket::block);
+            let keys = std::mem::take(&mut done.keys).into_iter();
             stats.added += keep(&mut self.store, &self.groups[g], done.outs, keys, &mut each);
             stats.reprocessed.extend(done.ids);
             // counted at the apply's end; the new records are the table's
@@ -756,19 +759,19 @@ impl Session {
 /// under its rule with the provenance its [`Origin`] names — the tuple
 /// ids of its unit, or the key among `keys` of the bucket a list rule
 /// detected over — handing each to `each` first. Returns how many.
-fn keep<'a>(
+fn keep(
     store: &mut Store,
     group: &RuleGroup,
     outs: Ran,
-    keys: impl Iterator<Item = &'a BlockKey>,
+    keys: impl Iterator<Item = BlockKey>,
     mut each: impl FnMut(&Detected, &ProvState),
 ) -> u64 {
     let before = store.detected.len();
     let mut origins = outs.iter().flat_map(|(_, out)| &out.origins);
     let lists = origins.any(|o| matches!(o, Origin::Bucket(_)));
     // a list unit's origin is its bucket's hash: name the keys only for one
-    let keys = keys.take_while(|_| lists).map(|k| (stable_hash_of(k), k));
-    let named: HashMap<u64, &BlockKey> = keys.collect();
+    let keys = keys.take_while(|_| lists).map(|k| (stable_hash_of(&k), k));
+    let named: HashMap<u64, BlockKey> = keys.collect();
     for (m, out) in outs {
         let member = &group.members[m];
         let single = member.pipeline.strategy == IterateStrategy::SingleUnits;
@@ -809,11 +812,12 @@ impl RepairTarget for SessionTarget<'_> {
         ids.sort_unstable();
         ids.dedup();
         let at: Vec<Option<usize>> = ids.iter().map(|&id| session.position(id)).collect();
-        let rows = session.table.tuples();
-        let was = at.iter().map(|at| at.map(|at| rows[at].clone()));
-        let touched: Touched = ids.iter().copied().zip(was).collect();
+        let version = |rows: &[Tuple]| at.iter().map(|at| at.map(|at| rows[at].clone())).collect();
+        let was: Vec<_> = version(session.table.tuples());
         let position = |id| at[ids.binary_search(&id).ok()?];
         session.table.apply_at(updates, position)?;
+        let now: Vec<_> = version(session.table.tuples());
+        let touched: Touched = ids.iter().copied().zip(was.into_iter().zip(now)).collect();
         session.redetect(&touched, self.stats, None)
     }
 }

@@ -210,7 +210,7 @@ impl Session {
     /// the watermark: remove it from the table (the same compaction an
     /// explicit delete goes through), drop its sequence number and event
     /// time, and add it to `touched` with the version the group stores
-    /// hold, so the caller's redetect retracts its violations through
+    /// hold and no live one, so the caller's redetect retracts its violations through
     /// the provenance indexes and drops it from the buckets. Returns
     /// how many tuples were retired. No-op for unwindowed sessions.
     pub(crate) fn expire_past_watermark(&mut self, touched: &mut Touched) -> usize {
@@ -219,7 +219,10 @@ impl Session {
             None => return 0,
         };
         for &id in &expired {
-            touched.entry(id).or_insert_with(|| self.version(id));
+            touched
+                .entry(id)
+                .or_insert_with(|| (self.version(id), None))
+                .1 = None;
         }
         let dead = expired.iter().map(|id| self.unlink(*id)).collect();
         self.remove_rows(dead);

@@ -5,8 +5,9 @@
 //!
 //! * **Index keys** ([`IterateStrategy::index_key`]) — under which
 //!   bucket a scoped unit is indexed: none, its Block key, or the single
-//!   global key. An LSH unit sits in one run per band of its group's
-//!   [`crate::lsh::LshIndex`] instead, keyed by `(band, bucket hash)`.
+//!   global key, whose [`crate::store::key_hash`] keys the unit's run of
+//!   its group's [`crate::runs::RunIndex`]. An LSH unit sits in one run
+//!   per band instead, keyed by `(band, bucket hash)`.
 //! * **The pair rule** ([`PairRule::pairs`]) — which pairs of a
 //!   bucket's members are candidates and how they are oriented:
 //!   `(earlier, later)` only or both orientations, the CrossProduct
@@ -18,7 +19,7 @@
 //! member (`Δ×R ∪ Δ×Δ`). A full detect is the same enumeration with
 //! everything fresh; a re-detect — a batch round after repair, or a
 //! session apply, both through [`crate::group::RuleGroup::redetect`] —
-//! passes the changed tuples (a [`Delta`]) as the mask over the buckets
+//! passes the changed tuples (a [`Delta`]) as the mask over the runs
 //! of the resident [`crate::store::BucketStore`] they touched, and the
 //! caller carries the earlier detections whose [`Origin`] the delta left
 //! untouched.
@@ -102,8 +103,8 @@ impl IterateStrategy {
     /// the rule's Block key, or the one empty *global* key of an
     /// unblocked pair strategy or an inequality rule (whose join index
     /// stands in for the bucket). `None` for single units, and for LSH
-    /// units, whose band runs their group's [`crate::lsh::LshIndex`]
-    /// keeps.
+    /// units, which sit in a run of their group's [`crate::runs::RunIndex`]
+    /// per band.
     pub fn index_key(&self, rule: &dyn Rule, unit: &Tuple) -> Option<BlockKey> {
         match self {
             IterateStrategy::SingleUnits | IterateStrategy::LshBlocks => None,

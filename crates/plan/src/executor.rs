@@ -2,9 +2,12 @@
 //! (Appendix G of the paper, modulo the Spark→threads substitution).
 //!
 //! Pipelines are built against the lazy [`bigdansing_dataflow::Stage`] API, so narrow
-//! operators fuse: Scope flows straight into the shuffle-map side of
-//! Block, and the reducer-side group construction fuses with
-//! Iterate→Detect→GenFix into one pass per partition. The only
+//! operators fuse: Scope flows straight into the pass that hashes each
+//! record into its Block run, and the reducer-side sort of a share into
+//! runs fuses with Iterate→Detect→GenFix into one pass per partition.
+//! A Block bucket and an LSH band bucket are both runs of one layout
+//! ([`crate::runs`]), read in place by one reducer body, in a full pass
+//! and in a re-detect from a group's resident store alike. The only
 //! remaining materialization is the final [`PDataset::checkpoint`] —
 //! a no-op on the in-memory engines and a full disk round-trip on the
 //! Hadoop-like [`bigdansing_dataflow::ExecMode::DiskBacked`] engine.
@@ -13,37 +16,32 @@
 //!
 //! Pipelines run in the groups [`block_groups`] forms. Rules that block
 //! on the same source columns share one Block pass — Algorithm 1's
-//! consolidation carried across rules: one shuffle-map keyed on those
-//! columns (`block[zipcode](fd:zipcode->city, fd:zipcode->state)` in
-//! the plan trace), one merge, and one reducer that builds each bucket
-//! once and runs every member's Scope, candidate enumeration, Detect
-//! and GenFix over it. A rule alone on its key is a group of one, run
-//! by the same pass; every other strategy runs one pipeline.
+//! consolidation carried across rules: one shuffle-map of run entries
+//! keyed on those columns (`block[zipcode](fd:zipcode->city,
+//! fd:zipcode->state)` in the plan trace), one merge, and one reducer
+//! that sorts each bucket's run once and runs every member's Scope,
+//! candidate enumeration, Detect and GenFix over it. A rule alone on its
+//! key is a group of one, run by the same pass; every other strategy
+//! runs one pipeline.
 
 use crate::enumerate::{bucket_hash, Delta, Member, Origin, PairCounts, PairRule};
-use crate::lsh::{self, BandEntry, LshIndex, Records};
 use crate::physical::{block_groups, pipeline_for_rule, IterateStrategy, RulePipeline};
-use crate::store::{BucketStore, Keying};
+use crate::runs::{self, Entry, Records, RunIndex};
+use crate::store::{BucketStore, Index, Keying, Pick};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{KeyDict, Mutex, Schema, Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::{pairs_in_block, RuleGuard};
 use bigdansing_dataflow::{Engine, PDataset, PassKind, Stage};
 use bigdansing_ocjoin::{JoinIndex, OcJoinConfig};
-use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
+use bigdansing_rules::{DetectUnit, Fix, Rule, RuleExt, Violation};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::ops::Range;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One detection as a detect pass produces it: the group member that
 /// found it, where it came from, the violation, and its possible fixes.
 type Found = (u64, (Origin, (Violation, Vec<Fix>)));
-
-/// What a resident pass's reducer partitions hand over, one share per
-/// partition: a Block pass's buckets, or an LSH pass's sorted band
-/// entries — the shards of the group's [`BucketStore`].
-type Shares<T> = Arc<Mutex<Vec<T>>>;
 
 /// The result of running detection: each violation paired with its
 /// possible fixes (the input to the repair stage). The association is
@@ -228,70 +226,42 @@ fn lone(detectors: Vec<Detector>) -> Detector {
     }
 }
 
-/// The reducer body of every bucketed pass, batch or session: each
-/// bucket through every detector — scoped by the detector's rule first
-/// when `shared` (the bucket holds the source tuples of a shared Block
-/// pass), into one buffer reused across buckets — then the tallies
+/// The reducer body of every run pass, a full pass's or a re-detect's:
+/// each run of `runs` — split by key when two Block keys collide in it —
+/// through every detector, its members read in place from `records`;
+/// scoped by the detector's rule first when the group shares source
+/// tuples, into one buffer reused across buckets. Then the tallies are
 /// closed.
-fn reduce<'b, M: Member + 'b>(
+fn reduce<'r>(
     detectors: &[Detector],
-    buckets: impl Iterator<Item = &'b [M]>,
-    shared: bool,
+    keying: &Keying,
+    records: &'r Records,
+    runs: impl Iterator<Item = &'r [Entry]>,
     delta: Option<&Delta>,
     metrics: &Metrics,
 ) -> Result<Vec<Found>> {
+    let shared = keying.columns().is_some();
     let mut tallies: Vec<Tally> = detectors.iter().map(|_| Tally::default()).collect();
-    let mut scoped = Vec::new();
-    for bucket in buckets {
-        for (d, tally) in detectors.iter().zip(&mut tallies) {
-            if shared {
-                scoped.clear();
-                scoped.extend(bucket.iter().flat_map(|m| d.rule.scope(m.tuple())));
-                d.bucket(&scoped, delta, tally)?;
-            } else {
-                d.bucket(bucket, delta, tally)?;
+    let (mut members, mut buckets, mut scoped) = (Vec::new(), Vec::new(), Vec::new());
+    for run in runs {
+        members.clear();
+        members.extend(runs::members(records, run));
+        keying.split(&mut members, &mut buckets);
+        for bucket in buckets.iter().map(|at| &members[at.clone()]) {
+            for (d, tally) in detectors.iter().zip(&mut tallies) {
+                if shared {
+                    scoped.clear();
+                    scoped.extend(bucket.iter().flat_map(|m| d.rule.scope(m.tuple())));
+                    d.bucket(&scoped, delta, tally)?;
+                } else {
+                    d.bucket(bucket, delta, tally)?;
+                }
             }
         }
     }
     let finished = detectors.iter().zip(tallies);
     let found = finished.flat_map(|(d, t)| d.finish(t, metrics)).collect();
     Ok(in_origin_order(found))
-}
-
-/// The reducer of a full Block pass: [`reduce`] over the shuffled
-/// buckets, then `keep` takes the buckets — last, so that a retried
-/// partition hands them over once.
-fn batch_reducer<K>(
-    detectors: Vec<Detector>,
-    shared: bool,
-    metrics: Arc<Metrics>,
-    keep: impl Fn(Vec<(K, Vec<Tuple>)>) + Send + Sync,
-) -> impl Fn(Vec<(K, Vec<Tuple>)>) -> Result<Vec<Found>> {
-    move |buckets| {
-        let units = buckets.iter().map(|(_, bucket)| &bucket[..]);
-        let found = reduce(&detectors, units, shared, None, &metrics)?;
-        keep(buckets);
-        Ok(found)
-    }
-}
-
-/// The reducer body of an LSH pass over band runs: each run through the
-/// detector as a bucket, its members read in place from the group's
-/// records.
-fn lsh_runs<'r>(
-    d: &Detector,
-    records: &'r Records,
-    runs: impl Iterator<Item = &'r [BandEntry]>,
-    delta: Option<&Delta>,
-    metrics: &Metrics,
-) -> Result<Vec<Found>> {
-    let (mut tally, mut members) = (Tally::default(), Vec::new());
-    for run in runs {
-        members.clear();
-        members.extend(lsh::members(records, run));
-        d.bucket(&members, delta, &mut tally)?;
-    }
-    Ok(in_origin_order(d.finish(tally, metrics)))
 }
 
 /// The single-unit arm: Detect over every record `stage` yields.
@@ -337,23 +307,6 @@ fn oc_join(engine: &Engine, index: &JoinIndex, op: &str, d: &Detector) -> Result
     let pairs = Metrics::get(&metrics.pairs_generated) - pairs_before;
     Metrics::add(&metrics.detect_calls, pairs);
     Ok(detected)
-}
-
-/// What a resident [`BucketStore`] hands [`Executor::detect_held`] to
-/// detect over.
-#[derive(Clone)]
-pub enum Held {
-    /// Scoped records in table order, each one a unit of a single-unit
-    /// rule.
-    Records(Vec<Tuple>),
-    /// Buckets of a bucketed strategy.
-    Buckets {
-        /// Members in table order.
-        buckets: Vec<Vec<Tuple>>,
-        /// The members are source tuples of a shared Block index, which
-        /// the rule scopes first.
-        scope: bool,
-    },
 }
 
 /// Runs physical pipelines on a dataflow engine.
@@ -460,72 +413,52 @@ impl Executor {
             IterateStrategy::SingleUnits => {
                 single_units(stage, detect_op, lone(detectors), metrics)
             }
-            IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
-                let block_op = match &keying {
-                    Keying::Lone(_) => format!("block({names})"),
-                    Keying::Columns(cols) => {
-                        let attrs: Vec<&str> = cols
-                            .iter()
-                            .map(|&c| schema.name_of(c).unwrap_or("?"))
-                            .collect();
-                        format!("block[{}]({names})", attrs.join(","))
-                    }
-                };
-                // Blocking keys are dictionary-encoded once per pass:
-                // downstream routing/grouping moves 8-byte `KeyId`s, not
-                // `Value` payloads.
-                let dict = Arc::new(KeyDict::new());
-                let (key, by) = (keying.clone(), keying.clone());
-                let shares: Shares<HashMap<BlockKey, Vec<Tuple>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let kept = resident.map(|_| Arc::clone(&shares));
-                let keep = move |buckets: Vec<(_, Vec<Tuple>)>| {
-                    if let Some(kept) = &kept {
-                        let keyed = |(_, b): (_, Vec<Tuple>)| (by.key(&b[0]), b);
-                        kept.lock().push(buckets.into_iter().map(keyed).collect());
-                    }
-                };
-                let reducer = batch_reducer(detectors, shared, metrics, keep);
-                let found = stage
-                    .group_by_key(&block_op, move |t| Ok(dict.encode(key.key(t))))?
-                    .map_parts(detect_op, reducer)
-                    .run()?;
-                if resident.is_some() {
-                    let mut shards = std::mem::take(&mut *shares.lock());
-                    shards.resize_with(shards.len().max(1), HashMap::new);
-                    store = Some(BucketStore::seeded(keying, shards));
-                }
-                Ok(found)
-            }
-            IterateStrategy::LshBlocks => {
-                // MinHash/LSH banding: one narrow pass computes every
-                // scoped unit's band hashes, once. The shuffle then
-                // routes one compact entry per unit and band by its
-                // `(band, bucket hash)`, and each reducer sorts its
-                // share, so a band bucket is a run of equal keys,
-                // members in table order, which Detect reads in place.
-                let rule = Arc::clone(&lead.rule);
-                let signed = stage
-                    .map(format!("lsh-signature({names})"), move |t: Tuple| {
-                        let hashes = rule.lsh_band_hashes(&t);
-                        Ok((t, hashes))
+            IterateStrategy::BlockList
+            | IterateStrategy::BlockPairs { .. }
+            | IterateStrategy::LshBlocks => {
+                // One narrow pass hashes every record (a scoped unit, or
+                // a shared group's source tuple) once: its key's hash,
+                // or an LSH unit's band hashes. The shuffle then routes
+                // one compact entry per record and band by its run, and
+                // each reducer sorts its share, so a bucket is a run of
+                // equal keys, members in table order, which Detect
+                // reads in place.
+                let attrs = keying.columns().map(|cols| {
+                    let attrs = cols.iter().map(|&c| schema.name_of(c).unwrap_or("?"));
+                    format!("[{}]", attrs.collect::<Vec<_>>().join(","))
+                });
+                let block_op = format!("block{}({names})", attrs.unwrap_or_default());
+                let (bands, hashing, (hash_op, fan_op)) =
+                    (keying.bands(), keying.clone(), keying.ops());
+                let parts = stage
+                    .map_parts(format!("{hash_op}({names})"), move |units: Vec<Tuple>| {
+                        let mut hashes = Vec::with_capacity(units.len() * bands);
+                        units.iter().for_each(|t| hashing.hash_into(t, &mut hashes));
+                        Ok(vec![(units, hashes)])
                     })
                     .collect()?;
-                let records = Arc::new(lsh::records(signed, resident));
-                let slots: Vec<u32> = (0..records.len() as u32).collect();
+                let (records, places) = Records::hashed(parts, bands, resident);
+                let slots = places.len();
+                let (records, places) = (Arc::new(records), Arc::new(places));
                 let (fan, read) = (Arc::clone(&records), Arc::clone(&records));
-                let d = lone(detectors);
-                let shares: Shares<Vec<BandEntry>> = Arc::new(Mutex::new(Vec::new()));
+                let reducers = self.engine.default_partitions();
+                let shards = runs::shard_count(slots * bands, reducers);
+                let shares: Arc<Mutex<Vec<Vec<Entry>>>> = Arc::new(Mutex::new(Vec::new()));
                 let kept = resident.map(|_| Arc::clone(&shares));
-                let found = PDataset::from_vec(self.engine.clone(), slots)
+                let found = PDataset::from_vec(self.engine.clone(), (0..slots as u32).collect())
                     .stage()
-                    .flat_map(format!("lsh-band({names})"), move |slot| {
-                        Ok(lsh::entries(&fan, slot))
+                    .map_parts(format!("{fan_op}({names})"), move |slots: Vec<u32>| {
+                        let entry = |s: u32, run| Entry::at(run, places[s as usize], s, shards);
+                        Ok(slots
+                            .iter()
+                            .flat_map(|&s| fan.runs(s).map(move |run| entry(s, run)))
+                            .collect())
                     })
-                    .partition_by(&format!("block({names})"), |e: &BandEntry| Ok(e.run()))?
-                    .map_parts(detect_op, move |mut share: Vec<BandEntry>| {
+                    .partition_by(&block_op, |e: &Entry| Ok(e.run()))?
+                    .map_parts(detect_op, move |mut share: Vec<Entry>| {
                         share.sort_unstable();
-                        let found = lsh_runs(&d, &read, lsh::shard_runs(&share), None, &metrics)?;
+                        let runs = runs::shard_runs(&share);
+                        let found = reduce(&detectors, &keying, &read, runs, None, &metrics)?;
                         // last, so that a retried partition hands it over once
                         if let Some(kept) = &kept {
                             kept.lock().push(share);
@@ -535,9 +468,8 @@ impl Executor {
                     .run()?;
                 if resident.is_some() {
                     let shares = std::mem::take(&mut *shares.lock());
-                    let reducers = self.engine.default_partitions();
-                    let seeded = store.insert(BucketStore::seeded(keying, vec![HashMap::new()]));
-                    seeded.lsh = Some(LshIndex::seeded(records, shares, reducers));
+                    let index = RunIndex::seeded(records, shares, (shards, reducers));
+                    store = Some(BucketStore::seeded(group, Index::Runs(index)));
                 }
                 Ok(found)
             }
@@ -580,8 +512,7 @@ impl Executor {
                 let index = JoinIndex::build(data, conds, OcJoinConfig::default())?;
                 let found = oc_join(&self.engine, &index, &detect_op, &lone(detectors));
                 if resident.is_some() {
-                    let seeded = store.insert(BucketStore::seeded(keying, vec![HashMap::new()]));
-                    seeded.join = Some(index);
+                    store = Some(BucketStore::seeded(group, Index::Join(index)));
                 }
                 found
             }
@@ -618,12 +549,11 @@ impl Executor {
 
     /// A full [`Executor::run_group`] that hands what its passes built
     /// over instead of dropping it, as the group's resident
-    /// [`BucketStore`], which later re-detects read: a Block pass's
-    /// buckets, members in the order of `data`, for
-    /// [`Executor::detect_held`]; an LSH pass's sorted band runs, its
-    /// records numbered by `seq_of`, for [`Executor::detect_runs`]; an
-    /// OCJoin pass's sorted range parts as the store's [`JoinIndex`], for
-    /// [`Executor::detect_join`]. `None` for any other group.
+    /// [`BucketStore`], which later re-detects read through
+    /// [`Executor::detect_picked`]: a Block or LSH pass's sorted runs as
+    /// the store's [`RunIndex`], its records numbered by `seq_of`; an
+    /// OCJoin pass's sorted range parts as the store's [`JoinIndex`].
+    /// `None` for any other group.
     pub fn run_resident(
         &self,
         data: PDataset<Tuple>,
@@ -635,91 +565,60 @@ impl Executor {
         self.iterate_and_detect(data, schema, group, guards, Some(seq_of))
     }
 
-    /// Detect a group over what a resident [`BucketStore`] holds, each
-    /// member under its guard, in one pass labelled as
-    /// [`Executor::run_group`] labels it. It is the Detect body of the
-    /// shuffled passes over buckets the caller keeps: records run
-    /// through the single-unit arm (a lone rule), buckets through the
-    /// bucketed reducer. With a delta the pass is
-    /// semi-naive, the delta the freshness mask; without one every
-    /// record is fresh. The caller chose the records itself, so single
-    /// units are not masked again, and the pass counts no
-    /// `tuples_reprocessed` / `blocks_dirty`: the caller counts what it
-    /// handed over.
-    pub fn detect_held(
+    /// Detect a group over what its resident [`BucketStore`] picked
+    /// ([`BucketStore::held`]) or holds ([`BucketStore::all`]), each
+    /// member under its guard, in one pass labelled as a re-detect with a
+    /// delta and as [`Executor::run_group`] labels it without. Runs are
+    /// read in place through the reducer body of a shuffled pass — in
+    /// contiguous shares, one task each — new records run through the
+    /// single-unit arm, and a join index's staged change is Δ-joined with
+    /// its parts. With a delta the pass is semi-naive, the delta the
+    /// freshness mask; without one every record is fresh. Picked records
+    /// are not masked again, and the pass counts no `tuples_reprocessed`
+    /// / `blocks_dirty`: the caller counts what it handed over.
+    pub fn detect_picked(
         &self,
         group: &[&RulePipeline],
-        held: Held,
-        delta: Option<&Arc<Delta>>,
+        store: &BucketStore,
+        pick: &Pick,
+        delta: Option<&Delta>,
         guards: &[Arc<RuleGuard>],
     ) -> Result<Vec<DetectOutput>> {
         self.engine.check_cancelled()?;
-        let metrics = self.engine.metrics().clone();
         let detectors: Vec<Detector> = (0..group.len())
             .map(|m| Detector::new(m, group[m], Some(Arc::clone(&guards[m]))))
             .collect();
-        let op = detect_op(group, delta.is_some());
-        let found = match held {
-            Held::Records(records) => {
-                let stage = PDataset::from_vec(self.engine.clone(), records).stage();
-                single_units(stage, op, lone(detectors), metrics)?
+        let (op, metrics) = (detect_op(group, delta.is_some()), self.engine.metrics());
+        let found = match pick {
+            Pick::Records(records) => {
+                let stage = PDataset::from_vec(self.engine.clone(), records.clone()).stage();
+                single_units(stage, op, lone(detectors), metrics.clone())?
             }
-            Held::Buckets { buckets, scope } => {
-                let delta = delta.cloned();
-                PDataset::from_vec(self.engine.clone(), buckets)
-                    .stage()
-                    .map_parts(op, move |part: Vec<Vec<Tuple>>| {
-                        let buckets = part.iter().map(|bucket| &bucket[..]);
-                        reduce(&detectors, buckets, scope, delta.as_deref(), &metrics)
-                    })
-                    .run()?
+            Pick::Join => {
+                let index = store.join().expect("a join index");
+                oc_join(&self.engine, index, &op, &lone(detectors))?
+            }
+            Pick::Runs(runs) => {
+                let index = store.runs().expect("a run index");
+                let share = runs.len().div_ceil(self.engine.default_partitions());
+                let tasks: Vec<_> = runs.chunks(share.max(1)).collect();
+                let found = self.engine.run_stage(&tasks, |_, task| {
+                    let picked = task.iter().map(|(s, at)| index.run(*s, at.clone()));
+                    reduce(
+                        &detectors,
+                        &store.keying,
+                        &index.records,
+                        picked,
+                        delta,
+                        metrics,
+                    )
+                })?;
+                self.engine
+                    .record_pass(PassKind::Narrow, vec![op], tasks.len());
+                PDataset::from_partitions(self.engine.clone(), found)
             }
         };
         self.collect_detected(found, group.len())
-    }
-
-    /// Detect a lone LSH rule over the runs of its resident [`LshIndex`]
-    /// that [`BucketStore::held`] picked — per shard, their entry ranges
-    /// — under its guard, with `delta` as the freshness mask, in one pass
-    /// labelled as a re-detect: one task per shard with picked runs,
-    /// each reading its runs and their records in place. The caller
-    /// counts what it handed over.
-    pub fn detect_runs(
-        &self,
-        group: &[&RulePipeline],
-        index: &LshIndex,
-        runs: &[Vec<Range<usize>>],
-        delta: Option<&Arc<Delta>>,
-        guards: &[Arc<RuleGuard>],
-    ) -> Result<Vec<DetectOutput>> {
-        self.engine.check_cancelled()?;
-        let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
-        let metrics = self.engine.metrics();
-        let shards: Vec<usize> = (0..runs.len()).filter(|&s| !runs[s].is_empty()).collect();
-        let found = self.engine.run_stage(&shards, |_, &s| {
-            let picked = runs[s].iter().map(|range| index.run(s, range.clone()));
-            lsh_runs(&d, index.records(), picked, delta.map(|d| &**d), metrics)
-        })?;
-        let op = vec![detect_op(group, true)];
-        self.engine.record_pass(PassKind::Narrow, op, shards.len());
-        let found = PDataset::from_partitions(self.engine.clone(), found);
-        self.collect_detected(found, 1)
-    }
-
-    /// Detect a lone inequality rule over the change its resident
-    /// [`JoinIndex`] staged, under its guard: the Δ-join of the new
-    /// versions with the index's parts, in one pass labelled as a
-    /// re-detect. The caller counts what it handed over.
-    pub fn detect_join(
-        &self,
-        group: &[&RulePipeline],
-        index: &JoinIndex,
-        guards: &[Arc<RuleGuard>],
-    ) -> Result<Vec<DetectOutput>> {
-        self.engine.check_cancelled()?;
-        let d = Detector::new(0, group[0], Some(Arc::clone(&guards[0])));
-        let found = oc_join(&self.engine, index, &detect_op(group, true), &d)?;
-        self.collect_detected(found, 1)
     }
 
     /// The final stage-boundary materialization of a detect pass, with

@@ -13,16 +13,16 @@
 //! * [`RuleGroup::redetect`] reindexes changed tuples into the store and
 //!   re-detects the union of what the healthy members pick, with the
 //!   changed tuples' new versions as the freshness mask, as one
-//!   [`Executor::detect_held`] pass through `run` — an LSH rule's as one
-//!   [`Executor::detect_runs`] over the band runs the change fed, an
-//!   inequality rule's as one [`Executor::detect_join`] of the change
-//!   against its join index, which folds the change in before the next;
+//!   [`Executor::detect_picked`] pass through `run`: over the runs the
+//!   change fed — Block, cross-product and LSH buckets alike — over a
+//!   single-unit rule's new records, or a join of the change against an
+//!   inequality rule's join index, which folds the change in before the
+//!   next;
 //! * [`RuleGroup::open`] runs one full pass over a whole table and
-//!   fills the store with it: a Block group keeps the buckets of its
-//!   shuffled pass, an LSH rule its sorted band runs, an inequality rule
-//!   the sorted range parts of its OCJoin; any other group, or a pass
-//!   partial mode re-ran member by member, indexes the table into the
-//!   store afterwards.
+//!   fills the store with it: a Block or LSH group keeps the sorted runs
+//!   of its shuffled pass, an inequality rule the sorted range parts of
+//!   its OCJoin; any other group, or a pass partial mode re-ran member
+//!   by member, indexes the table into the store afterwards.
 //!
 //! What a detection means stays the caller's: a session keeps them with
 //! provenance.
@@ -30,12 +30,13 @@
 use crate::enumerate::Delta;
 use crate::executor::{DetectOutput, Executor};
 use crate::physical::{block_groups, RulePipeline};
-use crate::store::{Bucket, BucketStore, Pick, Picked, Reindexed};
+use crate::store::{BucketStore, Picked, Reindexed};
 use bigdansing_common::error::{Error, Result};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Table, Tuple, TupleId};
 use bigdansing_dataflow::fault::RuleGuard;
 use bigdansing_dataflow::{IsolationOptions, PDataset};
+use bigdansing_rules::BlockKey;
 use std::sync::Arc;
 
 /// One rule of a group, with its health over the passes it ran in.
@@ -62,8 +63,9 @@ pub type Ran = Vec<(usize, DetectOutput)>;
 pub struct Redetected {
     /// What the reindex changed.
     pub change: Reindexed,
-    /// Each bucket or run handed over; empty for records.
-    pub keys: Vec<Bucket>,
+    /// The key of every Block bucket handed over when a member is a
+    /// list rule; else empty.
+    pub keys: Vec<BlockKey>,
     /// The id of every record or bucket member handed over (an LSH
     /// record's once, though it sits in a run per band).
     pub ids: Vec<TupleId>,
@@ -81,7 +83,7 @@ pub type PassOutput = Result<(Vec<DetectOutput>, Option<BucketStore>)>;
 pub struct RuleGroup {
     /// The group's rules.
     pub members: Vec<GroupMember>,
-    /// The resident buckets, band runs or join index, empty until
+    /// The resident runs or join index, empty until
     /// [`RuleGroup::open`] fills them. Dropped once no member is healthy.
     pub store: Option<BucketStore>,
     /// The job's isolation options, which every guard is armed with.
@@ -193,11 +195,11 @@ impl RuleGroup {
     /// [`BucketStore::reindex`] takes them — then re-detect the union of
     /// what the healthy members pick ([`BucketStore::held`]) in one pass
     /// through [`RuleGroup::run`], with the ids that have a new version
-    /// as the freshness mask: [`Executor::detect_held`] over records or
-    /// buckets, [`Executor::detect_runs`] over an LSH index's runs. A join index first folds in the change the re-detect before
-    /// it joined ([`BucketStore::settle`]), then joins the change it
-    /// staged in one [`Executor::detect_join`] pass. When nothing is
-    /// picked no pass runs, and every healthy member finds nothing new.
+    /// as the freshness mask, by [`Executor::detect_picked`]. A join
+    /// index first folds in the change the re-detect before it joined
+    /// ([`BucketStore::settle`]), then joins the change it staged. When
+    /// nothing is picked no pass runs, and every healthy member finds
+    /// nothing new.
     pub fn redetect<'a>(
         &mut self,
         executor: &Executor,
@@ -215,7 +217,6 @@ impl RuleGroup {
             }
         };
         let change = store.reindex(engine, changes.inspect(fresh), seq_of)?;
-        let mask = Arc::new(mask);
         let members = self.members.iter().filter(|m| m.quarantined.is_none());
         let healthy: Vec<&RulePipeline> = members.map(|m| &m.pipeline).collect();
         let (pick, keys, ids) = match store.held(&healthy, &change) {
@@ -224,18 +225,11 @@ impl RuleGroup {
         };
         let outs = self.run(engine.metrics(), |group, guards| {
             let outs = match &pick {
-                Some(Pick::Held(held)) => {
-                    executor.detect_held(group, held.clone(), Some(&mask), guards)?
-                }
-                Some(Pick::Runs(index, runs)) => {
-                    executor.detect_runs(group, index, runs, Some(&mask), guards)?
-                }
-                Some(Pick::Join(index)) => executor.detect_join(group, index, guards)?,
+                Some(pick) => executor.detect_picked(group, &store, pick, Some(&mask), guards)?,
                 None => vec![DetectOutput::default(); group.len()],
             };
             Ok((outs, None))
         })?;
-        drop(pick);
         if !self.healthy().is_empty() {
             self.store = Some(store);
         }
@@ -250,8 +244,8 @@ impl RuleGroup {
     /// Detect over `table` — its tuples in table order, `seq_of` their
     /// sequence numbers — in one full [`Executor::run_resident`] pass
     /// through [`RuleGroup::run`], and leave the store holding the
-    /// table. A Block, LSH or inequality pass's buckets, band runs or
-    /// join index become the store. A pass that seeds none — single
+    /// table. A Block or LSH pass's runs, or an inequality pass's join
+    /// index, become the store. A pass that seeds none — single
     /// units, cross products, or members partial mode re-ran one by one
     /// — leaves the store empty, and the table is indexed into it with
     /// no second detect. An empty table runs no pass.

@@ -27,9 +27,9 @@
 //! call, [`store`] the one resident bucket store that batch re-detects
 //! and incremental sessions read, with the storage manager's
 //! content-partitioned and replicated stores over it (Appendix F),
-//! [`lsh`] the resident band index an LSH group's store keeps, and
-//! [`group`] the rule group that batch rounds and session applies both
-//! drive over it.
+//! [`runs`] the run index every bucketed group's store keeps — Block
+//! buckets and LSH band buckets alike — and [`group`] the rule group
+//! that batch rounds and session applies both drive over it.
 
 pub mod consolidate;
 pub mod enumerate;
@@ -37,15 +37,15 @@ pub mod executor;
 pub mod group;
 pub mod job;
 pub mod logical;
-pub mod lsh;
 pub mod physical;
+pub mod runs;
 pub mod store;
 
 pub use enumerate::{Delta, Member, Origin, PairCounts, PairRule};
-pub use executor::{DetectOutput, Executor, Held};
+pub use executor::{DetectOutput, Executor};
 pub use group::{GroupMember, Ran, Redetected, RuleGroup};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};
-pub use lsh::LshIndex;
 pub use physical::{IterateStrategy, PhysicalPlan, RulePipeline};
-pub use store::{Bucket, BucketStore, PartitionedStore, ReplicatedStore};
+pub use runs::{Run, RunIndex};
+pub use store::{key_hash, BucketStore, PartitionedStore, ReplicatedStore};

@@ -6,31 +6,31 @@
 //! Two users read the same store:
 //! * every rule group keeps one, a batch cleanse's and an incremental
 //!   session's alike ([`crate::group::RuleGroup`]): its first full pass
-//!   seeds it — a Block, LSH or inequality pass hands what its reducers
-//!   built over ([`crate::Executor::run_resident`]), any other group
-//!   indexes every tuple as an insert — and each later cleanse round or
-//!   session delta reindexes only the tuples it changed;
+//!   seeds it — a Block or LSH pass hands over the sorted runs its
+//!   reducers built, an inequality pass its join index
+//!   ([`crate::Executor::run_resident`]), any other group indexes every
+//!   tuple as an insert — and each later cleanse round or session delta
+//!   reindexes only the tuples it changed;
 //! * the storage manager's [`PartitionedStore`] is one built from a
 //!   table on its key columns ([`BucketStore::on_columns`]), and a
 //!   [`ReplicatedStore`] holds one per blocking key; Block pushdown is a
-//!   detect over every bucket.
+//!   detect over every run.
 //!
-//! The store keeps buckets only, with no record of what it indexed per
-//! tuple: every change names the version its buckets hold, and
-//! [`BucketStore::reindex`] drops that version's members and merges the
-//! new version's in, bucket by touched bucket.
+//! A store holds one of two indexes. Every bucketed group — Block
+//! buckets, the one global bucket of a cross product, LSH band buckets —
+//! keeps a [`RunIndex`]: its records with their hashes, and its buckets
+//! as runs of sorted entries. A Block bucket is the run of its key's
+//! [`key_hash`]; a run whose members' keys differ (two keys whose hashes
+//! collide) is split by key wherever a detect reads it. A reindex hashes
+//! the new versions only. A single-unit rule's index holds nothing: its
+//! re-detect reads the new records alone.
 //!
-//! An LSH rule's store holds no buckets either: an [`LshIndex`] keeps
-//! its records with their band hashes and its band buckets as runs of
-//! sorted entries, seeded by the sorted reducer shares of its first
-//! full pass. A reindex computes signatures for the new versions only.
-//!
-//! An inequality rule's store holds no buckets: a [`JoinIndex`] over
-//! its scoped records stands in for its one global bucket, seeded by the
-//! sorted range parts of its first full OCJoin pass. A reindex stages
-//! the change in it — the held versions stale, the new ones the fresh
-//! side of the next join — and [`BucketStore::settle`] folds a joined
-//! change in, before the next one is staged.
+//! An inequality rule's store holds a [`JoinIndex`] over its scoped
+//! records instead, which stands in for its one global bucket, seeded by
+//! the sorted range parts of its first full OCJoin pass. A reindex
+//! stages the change in it — the held versions stale, the new ones the
+//! fresh side of the next join — and [`BucketStore::settle`] folds a
+//! joined change in, before the next one is staged.
 //!
 //! Neither index is ever serialized: a recovered session rebuilds it
 //! from its table by the same reindex, as all inserts.
@@ -38,76 +38,63 @@
 //! The store only *chooses* what is re-detected ([`BucketStore::held`]).
 //! Detection itself — the straggler gate, pair enumeration with a delta
 //! as the freshness mask, Detect and GenFix — is
-//! [`crate::Executor::detect_held`]'s, as for a shuffled pass, or
-//! [`crate::Executor::detect_runs`]' over an LSH index's runs, or
-//! [`crate::Executor::detect_join`]'s over a join index, run for a whole
-//! group by [`crate::group::RuleGroup::redetect`].
+//! [`crate::Executor::detect_runs`]' over the picked runs, as for a
+//! shuffled pass, or [`crate::Executor::detect_records`]' over new
+//! records, or [`crate::Executor::detect_join`]'s over a join index, run
+//! for a whole group by [`crate::group::RuleGroup::redetect`].
 
 use crate::enumerate::PairRule;
-use crate::executor::Held;
-use crate::lsh::{BandEntry, LshIndex, Touched};
 use crate::physical::{IterateStrategy, RulePipeline};
-use bigdansing_common::{Result, Table, Tuple, TupleId};
+use crate::runs::{self, Entry, Run, RunIndex, RunMember, Touched};
+use bigdansing_common::{Result, StableHasher, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::Engine;
 use bigdansing_ocjoin::JoinIndex;
 use bigdansing_rules::BlockKey;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-/// A bucket a reindex touched or a re-detect handed over: a Block
-/// bucket by its key, or an LSH band bucket by its band and bucket hash.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Bucket {
-    /// A Block bucket (the one empty key: an unblocked strategy's or an
-    /// inequality rule's global bucket).
-    Block(BlockKey),
-    /// An LSH band bucket, a run of its group's [`LshIndex`].
-    Band(u32, u64),
-}
-
-impl Bucket {
-    /// The key of a Block bucket.
-    pub fn block(&self) -> Option<&BlockKey> {
-        match self {
-            Bucket::Block(key) => Some(key),
-            Bucket::Band(..) => None,
-        }
-    }
+/// The hash that keys the run of a Block bucket: the stable hash of its
+/// key cells, as [`bigdansing_common::stable_hash_of`] hashes a
+/// [`BlockKey`] or a slice of values. Unit tests keep one bit of it, so
+/// that every Block bucket has one of two hashes and runs hold
+/// colliding keys wherever a test reads them.
+pub fn key_hash<'a>(cells: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_usize(cells.len());
+    cells.for_each(|cell| cell.hash(&mut h));
+    h.finish() & if cfg!(test) { 1 } else { u64::MAX }
 }
 
 /// What one [`BucketStore::reindex`] changed.
 pub struct Reindexed {
     /// The newly indexed records, in table order.
     pub news: Vec<Tuple>,
-    /// Every Block bucket that lost or gained a member, in key order,
-    /// and whether it gained one (only those can yield new pairs).
-    pub keys: Vec<(BlockKey, bool)>,
-    /// Per shard of an LSH index, what the change did to its runs.
-    runs: Vec<Touched>,
+    /// What the change did to a run index's runs (to a join index's one
+    /// global bucket, as the empty key's run).
+    runs: Touched,
 }
 
 impl Reindexed {
-    /// Every LSH band bucket that lost or gained a member — its band and
-    /// bucket hash — and whether it gained one.
-    pub fn runs(&self) -> impl Iterator<Item = ((u32, u64), bool)> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|touched| touched.runs.iter().copied())
+    /// Every run that lost or gained a member — a Block bucket's is band 0
+    /// and its key's [`key_hash`] — and whether it gained one.
+    pub fn runs(&self) -> impl Iterator<Item = (Run, bool)> + '_ {
+        self.runs.iter().map(|(_, run, gained, _)| (*run, *gained))
     }
 }
 
 /// How a group's records are bucketed. A rule alone keys its Scope
-/// outputs with its [`IterateStrategy::index_key`]; rules that declare
-/// the same [`bigdansing_rules::Rule::block_columns`] share buckets
-/// keyed by those source columns, so a source tuple is held (and crosses
-/// a shuffle) once and each rule scopes it where it is detected. Either
-/// way a Block bucket's key is each member rule's Block key of the
-/// units in it, since those are the columns' values.
+/// outputs with its [`IterateStrategy`]; rules that declare the same
+/// [`bigdansing_rules::Rule::block_columns`] share buckets keyed by
+/// those source columns, so a source tuple is held (and crosses a
+/// shuffle) once and each rule scopes it where it is detected. Either
+/// way a Block bucket's key is each member rule's Block key of the units
+/// in it, since those are the columns' values.
 #[derive(Clone, Debug)]
 pub(crate) enum Keying {
     /// Source tuples, bucketed by their values at these columns.
     Columns(Vec<usize>),
-    /// One rule's Scope outputs, bucketed by its index key.
+    /// One rule's Scope outputs, bucketed by its strategy.
     Lone(RulePipeline),
 }
 
@@ -126,11 +113,81 @@ impl Keying {
         }
     }
 
+    /// The source columns of a shared group: its records are source
+    /// tuples, which each member scopes where it is detected.
+    pub(crate) fn columns(&self) -> Option<&[usize]> {
+        match self {
+            Keying::Columns(cols) => Some(cols),
+            Keying::Lone(_) => None,
+        }
+    }
+
     /// The Block key of a record of a Block group.
     pub(crate) fn key(&self, record: &Tuple) -> BlockKey {
         match self {
             Keying::Columns(cols) => cols.iter().map(|&c| record.value(c).clone()).collect(),
             Keying::Lone(lone) => lone.rule.block(record).unwrap_or_default(),
+        }
+    }
+
+    /// How many runs a record sits in: one per band of an LSH rule, one
+    /// for a Block or cross-product bucket, none for single units and
+    /// inequality rules.
+    pub(crate) fn bands(&self) -> usize {
+        let Keying::Lone(lone) = self else {
+            return 1;
+        };
+        match &lone.strategy {
+            IterateStrategy::LshBlocks => lone.rule.lsh().map_or(0, |g| g.bands),
+            IterateStrategy::SingleUnits | IterateStrategy::OcJoin(_) => 0,
+            _ => 1,
+        }
+    }
+
+    /// Push the hashes of the runs `record` sits in: its band hashes, or
+    /// the [`key_hash`] of its index key.
+    pub(crate) fn hash_into(&self, record: &Tuple, out: &mut Vec<u64>) {
+        match self {
+            Keying::Columns(cols) => out.push(key_hash(cols.iter().map(|&c| record.value(c)))),
+            Keying::Lone(lone) if lone.strategy == IterateStrategy::LshBlocks => {
+                out.extend(lone.rule.lsh_band_hashes(record))
+            }
+            Keying::Lone(lone) => {
+                let key = lone.strategy.index_key(lone.rule.as_ref(), record);
+                out.extend(key.map(|key| key_hash(key.values().iter())))
+            }
+        }
+    }
+
+    /// The labels of the two narrow passes a full pass runs before its
+    /// shuffle: the one that hashes every record, and the one that fans
+    /// each out into its entries.
+    pub(crate) fn ops(&self) -> (&'static str, &'static str) {
+        match self {
+            Keying::Lone(lone) if lone.strategy == IterateStrategy::LshBlocks => {
+                ("lsh-signature", "lsh-band")
+            }
+            _ => ("block-hash", "block-entry"),
+        }
+    }
+
+    /// The buckets of a run's members as ranges of `run` into `buckets`:
+    /// one per key of a Block group's run — which two keys whose hashes
+    /// collide share, its members then sorted by key (stably, so each
+    /// bucket's stay in table order) — and the whole run otherwise.
+    pub(crate) fn split(&self, run: &mut [RunMember<'_>], buckets: &mut Vec<Range<usize>>) {
+        let same = |a: &RunMember<'_>, b: &RunMember<'_>| match self {
+            Keying::Columns(cols) => cols.iter().all(|&c| a.1.value(c) == b.1.value(c)),
+            Keying::Lone(lone) => !lone.strategy.blocks() || self.key(a.1) == self.key(b.1),
+        };
+        if run.windows(2).any(|w| !same(&w[0], &w[1])) {
+            run.sort_by_cached_key(|m| self.key(m.1));
+        }
+        buckets.clear();
+        let mut at = 0;
+        for bucket in run.chunk_by(same) {
+            buckets.push(at..at + bucket.len());
+            at += bucket.len();
         }
     }
 
@@ -141,58 +198,47 @@ impl Keying {
             _ => vec![t.clone()],
         }
     }
-
-    /// The bucket a record sits in, if any.
-    fn bucket_of(&self, record: &Tuple) -> Option<BlockKey> {
-        match self {
-            Keying::Columns(_) => Some(self.key(record)),
-            Keying::Lone(lone) => lone.strategy.index_key(lone.rule.as_ref(), record),
-        }
-    }
 }
 
-/// Resident candidate buckets over one group's records, members in
-/// table order, or an LSH rule's band index, or an inequality rule's
-/// join index. The store keeps no record of what it indexed in buckets:
-/// a change names the version its buckets hold.
+/// The index a store holds.
+#[derive(Clone, Debug)]
+pub(crate) enum Index {
+    Runs(RunIndex),
+    Join(JoinIndex),
+}
+
+/// Resident candidate buckets over one group's records, as the runs of
+/// a [`RunIndex`], or an inequality rule's join index. The store keeps
+/// no record of what it indexed per tuple: a change names the version
+/// its index holds.
 #[derive(Clone, Debug)]
 pub struct BucketStore {
-    keying: Keying,
-    /// Bucket key → members, in shards: one per reducer partition of the
-    /// pass that seeded the store, so seeding merges nothing. A key sits
-    /// in one shard.
-    shards: Vec<HashMap<BlockKey, Vec<Tuple>>>,
-    /// An LSH rule's records and band runs.
-    pub(crate) lsh: Option<LshIndex>,
-    /// An inequality rule's records, sorted into range parts.
-    pub(crate) join: Option<JoinIndex>,
+    pub(crate) keying: Keying,
+    index: Index,
+    /// The group's rule names, which label its passes.
+    names: String,
 }
 
-/// One touched bucket of a [`BucketStore::reindex`]: the ids whose held
-/// version leaves it, and the new members it gains, in table order.
-type Touch = (Vec<TupleId>, Vec<(u64, Tuple)>);
-
-/// What the members of a group re-detect after a
-/// [`BucketStore::reindex`], as [`BucketStore::held`] picks it.
-pub enum Pick<'a> {
-    /// Records or buckets, for [`crate::Executor::detect_held`].
-    Held(Held),
-    /// The runs of an LSH index that gained a member and hold a pair —
-    /// per shard, their entry ranges — for
-    /// [`crate::Executor::detect_runs`].
-    Runs(&'a LshIndex, Vec<Vec<Range<usize>>>),
-    /// The change a join index staged, for
-    /// [`crate::Executor::detect_join`].
-    Join(&'a JoinIndex),
+/// What the members of a group detect over, as [`BucketStore::held`]
+/// picks it after a [`BucketStore::reindex`], or [`BucketStore::all`]
+/// lists it, for [`crate::Executor::detect_picked`].
+pub enum Pick {
+    /// New records of a single-unit rule.
+    Records(Vec<Tuple>),
+    /// Runs of the store's index: their shards and entry ranges.
+    Runs(Vec<(u32, Range<u32>)>),
+    /// The change a join index staged.
+    Join,
 }
 
 /// A [`Pick`] with what it hands over.
-pub struct Picked<'a> {
+pub struct Picked {
     /// What to detect over.
-    pub pick: Pick<'a>,
-    /// Each bucket or run handed over; empty for records.
-    pub keys: Vec<Bucket>,
-    /// The id of every record or bucket member handed over (an LSH
+    pub pick: Pick,
+    /// The key of every Block bucket handed over, when a member is a
+    /// list rule (whose detections name their bucket); else empty.
+    pub keys: Vec<BlockKey>,
+    /// The id of every record or run member handed over (an LSH
     /// record's once, though it sits in a run per band).
     pub ids: Vec<TupleId>,
 }
@@ -201,105 +247,126 @@ impl BucketStore {
     /// An empty store for a group as [`crate::physical::block_groups`]
     /// forms it.
     pub fn new(group: &[&RulePipeline]) -> BucketStore {
-        let mut store = BucketStore::seeded(Keying::of(group), vec![HashMap::new()]);
-        match &group[0].strategy {
-            IterateStrategy::OcJoin(conds) => store.join = Some(JoinIndex::new(conds)),
-            IterateStrategy::LshBlocks => {
-                store.lsh = Some(LshIndex::seeded(Default::default(), Vec::new(), 1))
-            }
-            _ => {}
+        let index = match &group[0].strategy {
+            IterateStrategy::OcJoin(conds) => Index::Join(JoinIndex::new(conds)),
+            _ => Index::Runs(RunIndex::default()),
+        };
+        let names: Vec<&str> = group.iter().map(|p| p.rule.name()).collect();
+        BucketStore {
+            keying: Keying::of(group),
+            index,
+            names: names.join(", "),
         }
-        store
     }
 
-    /// A store over buckets already built, one shard per map (at least
-    /// one).
-    pub(crate) fn seeded(keying: Keying, shards: Vec<HashMap<BlockKey, Vec<Tuple>>>) -> Self {
+    /// The store of a group's first full pass: its run index, or its
+    /// join index.
+    pub(crate) fn seeded(group: &[&RulePipeline], index: Index) -> Self {
         BucketStore {
-            keying,
-            shards,
-            lsh: None,
-            join: None,
+            index,
+            ..BucketStore::new(group)
         }
     }
 
     /// `table`'s tuples bucketed by their values at `columns`: the
     /// table, content-partitioned.
     pub fn on_columns(table: &Table, columns: &[usize]) -> BucketStore {
-        let keying = Keying::Columns(columns.to_vec());
-        let mut buckets: HashMap<BlockKey, Vec<Tuple>> = HashMap::new();
-        for t in table.tuples() {
-            buckets.entry(keying.key(t)).or_default().push(t.clone());
-        }
-        BucketStore::seeded(keying, vec![buckets])
+        let mut store = BucketStore {
+            keying: Keying::Columns(columns.to_vec()),
+            index: Index::Runs(RunIndex::default()),
+            names: format!("{columns:?}"),
+        };
+        let inserts = table.tuples().iter().map(|t| (t.id(), None, Some(t)));
+        let seqs: HashMap<TupleId, u64> = table.tuples().iter().map(Tuple::id).zip(0..).collect();
+        store
+            .reindex(&Engine::sequential(), inserts, |id| seqs[&id])
+            .expect("a sequential reindex");
+        store
     }
 
     /// The source columns the store buckets by, when it holds source
     /// tuples rather than one rule's Scope outputs.
     pub fn columns(&self) -> Option<&[usize]> {
-        match &self.keying {
-            Keying::Columns(cols) => Some(cols),
-            Keying::Lone(_) => None,
+        self.keying.columns()
+    }
+
+    /// The run index of a bucketed group.
+    pub fn runs(&self) -> Option<&RunIndex> {
+        match &self.index {
+            Index::Runs(index) => Some(index),
+            Index::Join(_) => None,
         }
-    }
-
-    /// Every bucket, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&BlockKey, &Vec<Tuple>)> {
-        self.shards.iter().flatten()
-    }
-
-    /// Number of members across the buckets, or records of the LSH or
-    /// join index.
-    pub fn len(&self) -> usize {
-        let joined = self.join.as_ref().map_or(0, |j| j.records().count());
-        let banded = self.lsh.as_ref().map_or(0, LshIndex::len);
-        joined + banded + self.iter().map(|(_, bucket)| bucket.len()).sum::<usize>()
-    }
-
-    /// True when no bucket, nor an index, holds a member.
-    pub fn is_empty(&self) -> bool {
-        let held = |j: &JoinIndex| j.records().next().is_some();
-        let banded = self.lsh.as_ref().is_some_and(|index| !index.is_empty());
-        !banded
-            && !self.join.as_ref().is_some_and(held)
-            && self.shards.iter().all(HashMap::is_empty)
-    }
-
-    /// An LSH rule's band index.
-    pub fn lsh(&self) -> Option<&LshIndex> {
-        self.lsh.as_ref()
     }
 
     /// An inequality rule's join index.
     pub fn join(&self) -> Option<&JoinIndex> {
-        self.join.as_ref()
+        match &self.index {
+            Index::Join(index) => Some(index),
+            Index::Runs(_) => None,
+        }
+    }
+
+    /// Number of records held.
+    pub fn len(&self) -> usize {
+        match &self.index {
+            Index::Runs(index) => index.len(),
+            Index::Join(index) => index.records().count(),
+        }
+    }
+
+    /// True when the store holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every Block bucket — its key and its members in table order — run
+    /// by run, a run that holds colliding keys split by key.
+    pub fn buckets(&self) -> impl Iterator<Item = (BlockKey, Vec<&Tuple>)> + '_ {
+        let index = self.runs().into_iter();
+        let runs = index.flat_map(|index| index.all().into_iter().map(|(s, at)| index.run(s, at)));
+        runs.flat_map(|run| self.bucketed(run))
+    }
+
+    /// The Block buckets of `run`, a run of the store's index, each with
+    /// its key.
+    fn bucketed<'s>(&'s self, run: &'s [Entry]) -> Vec<(BlockKey, Vec<&'s Tuple>)> {
+        let index = self.runs().expect("a run index");
+        let mut members: Vec<RunMember<'_>> = runs::members(&index.records, run).collect();
+        let mut buckets = Vec::new();
+        self.keying.split(&mut members, &mut buckets);
+        let bucket = |at: Range<usize>| {
+            let bucket: Vec<&Tuple> = members[at].iter().map(|m| m.1).collect();
+            (self.keying.key(bucket[0]), bucket)
+        };
+        buckets.into_iter().map(bucket).collect()
+    }
+
+    /// Every run, for a detect over the whole store.
+    pub fn all(&self) -> Pick {
+        Pick::Runs(self.runs().map_or_else(Vec::new, RunIndex::all))
     }
 
     /// Fold the change a [`BucketStore::reindex`] staged in the join
     /// index into it ([`JoinIndex::merge`]), once the change is joined
-    /// and before the next is staged; buckets and band runs take a
-    /// change as it comes, so this does nothing to them.
+    /// and before the next is staged; runs take a change as it comes, so
+    /// this does nothing to them.
     pub fn settle(&mut self, engine: &Engine) -> Result<()> {
-        self.join
-            .as_mut()
-            .map_or(Ok(()), |index| index.merge(engine))
-    }
-
-    fn get(&self, key: &BlockKey) -> Option<&Vec<Tuple>> {
-        self.shards.iter().find_map(|s| s.get(key))
+        match &mut self.index {
+            Index::Join(index) => index.merge(engine),
+            Index::Runs(_) => Ok(()),
+        }
     }
 
     /// Replace the indexed versions of the given tuples, each change an
-    /// id, the version the buckets hold (`None`: none) and its new
-    /// version (`None`: deleted). Each bucket the changes touch takes
-    /// one `retain` of the held versions and one ordered merge of the
-    /// new ones, so a change costs what its buckets hold, not what it
-    /// has changed. `seq_of` gives every live tuple's table-order
-    /// sequence number; members stay sorted by it.
+    /// id, the version the index holds (`None`: none) and its new
+    /// version (`None`: deleted). `seq_of` gives every live tuple's
+    /// table-order sequence number; run members stay sorted by it.
     ///
-    /// An LSH index computes the band hashes of the new versions' records
-    /// on `engine`'s workers, and merges each touched shard anew without
-    /// the held versions' entries and with the new ones ([`LshIndex`]).
+    /// A run index hashes the new versions' records on `engine`'s
+    /// workers, and merges each touched shard anew without the held
+    /// versions' entries and with the new ones ([`RunIndex`]), so a
+    /// change costs what its shards hold. A single-unit rule's index
+    /// keeps nothing.
     ///
     /// A join index instead stages the change, held versions stale and
     /// new ones fresh ([`JoinIndex::stage`]), until
@@ -309,194 +376,108 @@ impl BucketStore {
     ///
     /// # Panics
     ///
-    /// When a new version enters a bucket or index that still holds a
-    /// member with its id, or an index holds no held version: the change
-    /// did not name the version the store held.
+    /// When a new version enters an index that still holds its id: the
+    /// change did not name the version the store held.
     pub fn reindex<'a>(
         &mut self,
         engine: &Engine,
         changes: impl Iterator<Item = (TupleId, Option<&'a Tuple>, Option<&'a Tuple>)>,
         seq_of: impl Fn(TupleId) -> u64,
     ) -> Result<Reindexed> {
-        let mut gone: Vec<(TupleId, Tuple)> = Vec::new();
-        let mut news: Vec<((u64, u32), Tuple)> = Vec::new();
+        let (bands, keying) = (self.keying.bands(), &self.keying);
+        let (mut gone, mut held, mut news) = (Vec::new(), Vec::new(), Vec::new());
         for (id, old, new) in changes {
-            let held = old.map(|t| self.keying.records_of(t)).unwrap_or_default();
-            gone.extend(held.into_iter().map(|r| (id, r)));
+            match (&self.index, old) {
+                (Index::Join(_), Some(t)) => held.extend(keying.records_of(t)),
+                (Index::Runs(_), Some(_)) => gone.push(id),
+                (_, None) => {}
+            }
             if let Some(t) = new {
                 let seq = seq_of(id);
-                let reps = (0..).zip(self.keying.records_of(t));
+                let reps = (0..).zip(keying.records_of(t));
                 news.extend(reps.map(|(rep, s)| ((seq, rep), s)));
             }
         }
         news.sort_by_key(|(pos, _)| *pos);
-        if let (Some(index), Keying::Lone(lone)) = (&mut self.lsh, &self.keying) {
-            let names = lone.rule.name();
-            let label = format!("lsh-signature({names})");
-            // an LSH index finds a tuple's held records by its id
-            let mut ids: Vec<TupleId> = gone.iter().map(|(id, _)| *id).collect();
-            ids.dedup();
-            let runs = index.reindex(engine, lone.rule.as_ref(), &label, &ids, &news)?;
-            let news = news.into_iter().map(|(_, t)| t).collect();
-            let keys = Vec::new();
-            return Ok(Reindexed { news, keys, runs });
-        }
-        if let Some(index) = &mut self.join {
-            let touched = !gone.is_empty() || !news.is_empty();
-            let keys = touched.then(|| (BlockKey::new(), !news.is_empty()));
-            let news: Vec<Tuple> = news.into_iter().map(|(_, t)| t).collect();
-            index.stage(gone.iter().map(|(_, held)| held), news.clone());
-            let keys = keys.into_iter().collect();
-            return Ok(Reindexed {
-                news,
-                keys,
-                runs: Vec::new(),
-            });
-        }
-        let mut touched: BTreeMap<BlockKey, Touch> = BTreeMap::new();
-        for (id, held) in &gone {
-            if let Some(key) = self.keying.bucket_of(held) {
-                touched.entry(key).or_default().0.push(*id);
+        let runs = match &mut self.index {
+            Index::Join(index) => {
+                // the one global bucket the index stands in for
+                let global = (0, (0, key_hash([].iter())), !news.is_empty(), 0..0);
+                let touched = !held.is_empty() || !news.is_empty();
+                index.stage(held.iter(), news.iter().map(|(_, t)| t.clone()).collect());
+                touched.then_some(global).into_iter().collect()
             }
-        }
-        for ((seq, _), t) in &news {
-            if let Some(key) = self.keying.bucket_of(t) {
-                touched.entry(key).or_default().1.push((*seq, t.clone()));
+            Index::Runs(_) if bands == 0 => Vec::new(),
+            Index::Runs(index) => {
+                let hash = |t: &Tuple, out: &mut Vec<u64>| keying.hash_into(t, out);
+                let label = format!("{}({})", keying.ops().0, self.names);
+                index.reindex(engine, hash, (bands, &label), &gone, &news)?
             }
-        }
-        let mut keys = Vec::new();
-        for (key, (mut gone, adds)) in touched {
-            let gained = !adds.is_empty();
-            let at = self.shards.iter().position(|s| s.contains_key(&key));
-            let shard = &mut self.shards[at.unwrap_or(0)];
-            let slot = shard.entry(key.clone()).or_default();
-            if !gone.is_empty() {
-                gone.sort_unstable();
-                slot.retain(|m| gone.binary_search(&m.id()).is_err());
-            }
-            merge(slot, adds, &seq_of);
-            if slot.is_empty() {
-                shard.remove(&key);
-            }
-            keys.push((key, gained));
-        }
+        };
         let news = news.into_iter().map(|(_, t)| t).collect();
-        Ok(Reindexed {
-            news,
-            keys,
-            runs: Vec::new(),
-        })
-    }
-
-    /// Every bucket, for a detect over the whole store.
-    pub fn all(&self) -> Held {
-        let buckets = self.iter().map(|(_, bucket)| bucket.clone()).collect();
-        let scope = self.columns().is_some();
-        Held::Buckets { buckets, scope }
+        Ok(Reindexed { news, runs })
     }
 
     /// What the `members` of the store's group re-evaluate after a
     /// [`BucketStore::reindex`] — the union of what each one picks —
     /// or `None` when that is nothing. Single units pick the new
     /// records, and so does an inequality rule: they are the fresh side
-    /// its join index staged. A pair rule picks the buckets that gained
-    /// a member and hold a pair — an LSH rule the runs of its index that
-    /// did — and a list rule every bucket that changed and still has
-    /// members.
-    pub fn held(&self, members: &[&RulePipeline], change: &Reindexed) -> Option<Picked<'_>> {
-        let news = || change.news.iter().map(Tuple::id).collect();
-        match (&members[0].strategy, &self.lsh, &self.join) {
-            (_, _, Some(index)) => (!change.news.is_empty()).then(|| Picked {
-                pick: Pick::Join(index),
-                keys: Vec::new(),
-                ids: news(),
-            }),
-            (IterateStrategy::SingleUnits, ..) => (!change.news.is_empty()).then(|| Picked {
-                pick: Pick::Held(Held::Records(change.news.clone())),
-                keys: Vec::new(),
-                ids: news(),
-            }),
-            (_, Some(index), _) => {
-                let pairs = |touched: &Touched| touched.pairs.clone();
-                let runs: Vec<Vec<Range<usize>>> = change.runs.iter().map(pairs).collect();
-                let picked = runs.iter().enumerate().flat_map(|(shard, ranges)| {
-                    ranges
-                        .iter()
-                        .map(move |range| index.run(shard, range.clone()))
-                });
-                let picked: Vec<&[BandEntry]> = picked.collect();
-                let band = |run: &&[BandEntry]| {
-                    let (band, hash) = run[0].run();
-                    Bucket::Band(band, hash)
-                };
-                let keys: Vec<Bucket> = picked.iter().map(band).collect();
-                let ids = crate::lsh::member_ids(index.records(), picked);
-                (!keys.is_empty()).then_some(Picked {
-                    pick: Pick::Runs(index, runs),
-                    keys,
-                    ids,
-                })
+    /// its join index staged. A pair rule picks the runs that gained a
+    /// member and hold a pair, and a list rule every run that changed
+    /// and still has members.
+    pub fn held(&self, members: &[&RulePipeline], change: &Reindexed) -> Option<Picked> {
+        let news = |pick| Picked {
+            pick,
+            keys: Vec::new(),
+            ids: change.news.iter().map(Tuple::id).collect(),
+        };
+        let fresh = !change.news.is_empty();
+        let index = match &self.index {
+            Index::Join(_) => return fresh.then(|| news(Pick::Join)),
+            Index::Runs(_) if members[0].strategy == IterateStrategy::SingleUnits => {
+                return fresh.then(|| news(Pick::Records(change.news.clone())))
             }
-            _ => {
-                let (mut buckets, mut keys) = (Vec::new(), Vec::new());
-                for (key, gained) in &change.keys {
-                    let Some(bucket) = self.get(key) else {
-                        continue;
-                    };
-                    let (first, rest) = (&bucket[0], &bucket[1..]);
-                    let pairing = |r: PairRule| rest.iter().any(|m| r.admits(first, m));
-                    let picks = |p: &&RulePipeline| match p.strategy.pair_rule() {
-                        Some(r) => *gained && pairing(r),
-                        None => true,
-                    };
-                    if members.iter().any(picks) {
-                        buckets.push(bucket.clone());
-                        keys.push(Bucket::Block(key.clone()));
-                    }
-                }
-                let ids = buckets.iter().flatten().map(Tuple::id).collect();
-                let scope = self.columns().is_some();
-                let pick = Pick::Held(Held::Buckets { buckets, scope });
-                (!keys.is_empty()).then_some(Picked { pick, keys, ids })
+            Index::Runs(index) => index,
+        };
+        let unit = |e: &Entry| index.records.unit(e.slot);
+        // a pair rule picks a run that gained a member and holds a pair
+        let rules: Vec<Option<PairRule>> = members.iter().map(|p| p.strategy.pair_rule()).collect();
+        let picks = |run: &[Entry], gained: bool| {
+            let pairs = |r: &PairRule| run[1..].iter().any(|e| r.admits(unit(&run[0]), unit(e)));
+            let picks = |r: &Option<PairRule>| r.as_ref().is_none_or(|r| gained && pairs(r));
+            !run.is_empty() && rules.iter().any(picks)
+        };
+        let mut runs = Vec::new();
+        for (shard, _, gained, at) in &change.runs {
+            if picks(index.run(*shard, at.clone()), *gained) {
+                runs.push((*shard, at.clone()));
             }
         }
+        if runs.is_empty() {
+            return None;
+        }
+        let picked = || runs.iter().map(|(s, at)| index.run(*s, at.clone()));
+        let ids = runs::member_ids(&index.records, picked());
+        // a list rule's detections name their bucket by its key
+        let lists = members
+            .iter()
+            .any(|p| p.strategy == IterateStrategy::BlockList);
+        let keys = picked()
+            .filter(|_| lists)
+            .flat_map(|run| self.bucketed(run));
+        let (keys, pick) = (keys.map(|(key, _)| key).collect(), Pick::Runs(runs));
+        Some(Picked { pick, keys, ids })
     }
-}
-
-/// Merge `adds` — new members with their sequence numbers, in table
-/// order — into `slot`, whose members are in table order by `seq_of`:
-/// one binary search per new member, and one move of the members from
-/// the first insertion point on.
-fn merge(slot: &mut Vec<Tuple>, adds: Vec<(u64, Tuple)>, seq_of: impl Fn(TupleId) -> u64) {
-    let seq = |m: &Tuple| seq_of(m.id());
-    let place = |(at_seq, new): &(u64, Tuple)| {
-        let at = slot.partition_point(|m| seq(m) < *at_seq);
-        let held = slot.get(at).is_some_and(|m| seq(m) == *at_seq);
-        assert!(!held, "tuple {} enters a bucket holding it", new.id());
-        at
-    };
-    let ats: Vec<usize> = adds.iter().map(place).collect();
-    let Some(&first) = ats.first() else {
-        return;
-    };
-    let mut tail = slot.split_off(first).into_iter();
-    let mut moved = first;
-    for (at, (_, m)) in ats.into_iter().zip(adds) {
-        slot.extend(tail.by_ref().take(at - moved));
-        moved = at;
-        slot.push(m);
-    }
-    slot.extend(tail);
 }
 
 /// A table stored pre-grouped on the values of one attribute set
 /// (Appendix F (1)): content-based partitioning, built with
 /// [`BucketStore::on_columns`]. Block pushdown is
-/// [`crate::Executor::detect_held`] over every block
-/// ([`BucketStore::all`]) with the rule's pipeline: each rule scopes a
-/// block's full-width tuples, and its Block is *not* invoked — the
-/// store's grouping stands in for it, which is only sound when the
-/// store's [`BucketStore::columns`] are the rule's blocking attributes.
+/// [`crate::Executor::detect_runs`] over every run ([`BucketStore::all`])
+/// with the rule's pipeline: each rule scopes a bucket's full-width
+/// tuples, and its Block is *not* invoked — the store's grouping stands
+/// in for it, which is only sound when the store's
+/// [`BucketStore::columns`] are the rule's blocking attributes.
 pub type PartitionedStore = BucketStore;
 
 /// A dataset stored as several content-partitioned replicas, each on a
@@ -536,24 +517,44 @@ impl ReplicatedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::bucket_hash;
+    use crate::enumerate::{bucket_hash, Origin};
+    use crate::group::RuleGroup;
     use crate::physical::{pipeline_for_rule, pipelines};
+    use crate::Executor;
     use bigdansing_common::rng::{check, SplitMix64};
-    use bigdansing_common::{stable_hash_of, LshParams, Schema, Value};
-    use bigdansing_dataflow::Engine;
-    use bigdansing_rules::{DcRule, DedupRule, FdRule, Rule};
+    use bigdansing_common::{stable_hash_of, LshParams, Schema};
+    use bigdansing_dataflow::{IsolationOptions, PDataset};
+    use bigdansing_rules::{
+        DcRule, DedupRule, DetectUnit, FdRule, Rule, UdfRule, UnitKind, Violation,
+    };
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    /// A picked bucket store's buckets and their keys.
-    fn buckets(picked: Option<Picked<'_>>) -> (Vec<Vec<Tuple>>, bool, Vec<Bucket>) {
-        match picked {
-            Some(Picked {
-                pick: Pick::Held(Held::Buckets { buckets, scope }),
-                keys,
-                ..
-            }) => (buckets, scope, keys),
-            _ => unreachable!("a Block store holds buckets"),
-        }
+    fn show(t: &Tuple) -> String {
+        format!("{t:?}")
+    }
+
+    /// What a store holds, bucket for bucket: each member's tuple, in
+    /// bucket order.
+    fn shown(store: &BucketStore) -> BTreeMap<BlockKey, Vec<String>> {
+        let shown =
+            |(key, bucket): (BlockKey, Vec<&Tuple>)| (key, bucket.into_iter().map(show).collect());
+        store.buckets().map(shown).collect()
+    }
+
+    /// Every run of an index — its key, and its members in table order.
+    fn runs_in(index: &RunIndex) -> Vec<(Run, Vec<&Tuple>)> {
+        let run = |(s, at)| {
+            let run = index.run(s, at);
+            let units = run.iter().map(|e| index.records.unit(e.slot));
+            (run[0].run(), units.collect())
+        };
+        index.all().into_iter().map(run).collect()
+    }
+
+    /// The run a Block key's bucket sits in.
+    fn run_of(key: &BlockKey) -> Run {
+        (0, key_hash(key.values().iter()))
     }
 
     #[test]
@@ -567,11 +568,22 @@ mod tests {
             7,
             vec![Value::Int(90210), Value::str("LA"), Value::str("CA")],
         );
-        for rule in &rules {
+        let hashes = |keying: &Keying, t: &Tuple| {
+            let mut out = Vec::new();
+            keying.hash_into(t, &mut out);
+            out
+        };
+        for (rule, pipeline) in rules.iter().zip(&pipelines) {
             let unit = &rule.scope(&row)[0];
             let key = rule.block(unit).unwrap();
             assert_eq!(keying.key(&row), key);
             assert_eq!(bucket_hash(rule.as_ref(), unit), stable_hash_of(&key));
+            // one run for the shared columns and each member alone; the
+            // unit tests' key hash keeps one bit of the stable hash
+            let lone = Keying::of(&[pipeline]);
+            assert_eq!(hashes(&keying, &row), vec![run_of(&key).1]);
+            assert_eq!(hashes(&lone, unit), vec![run_of(&key).1]);
+            assert_eq!(run_of(&key).1, stable_hash_of(&key) & 1);
         }
     }
 
@@ -586,24 +598,42 @@ mod tests {
         let rows = [row(0, 1), row(1, 2), row(2, 1)];
         let inserts = rows.iter().map(|t| (t.id(), None, Some(t)));
         store.reindex(&e, inserts, |id| id).unwrap();
-        assert_eq!((store.iter().count(), store.len()), (2, 3));
+        assert_eq!((store.buckets().count(), store.len()), (2, 3));
         // tuple 1 moves into zip 1's bucket, between tuples 0 and 2
         let moved = row(1, 1);
         let update = [(1, Some(&rows[1]), Some(&moved))].into_iter();
         let change = store.reindex(&e, update, |id| id).unwrap();
         let zip = |z| BlockKey::single(Value::Int(z));
-        let touched = vec![(zip(1), true), (zip(2), false)];
-        assert_eq!(change.keys, touched);
-        let (buckets, _, names) = buckets(store.held(&[&pipeline], &change));
-        assert_eq!(names, vec![Bucket::Block(zip(1))]);
-        let ids: Vec<u64> = buckets[0].iter().map(Tuple::id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        let mut touched = BTreeMap::from([(run_of(&zip(2)), false)]);
+        touched.insert(run_of(&zip(1)), true);
+        assert_eq!(change.runs().collect::<BTreeMap<_, _>>(), touched);
+        let Some(Picked {
+            pick: Pick::Runs(runs),
+            ids,
+            ..
+        }) = store.held(&[&pipeline], &change)
+        else {
+            unreachable!("a Block store picks runs")
+        };
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            ids.into_iter().collect::<BTreeSet<_>>(),
+            BTreeSet::from([0, 1, 2])
+        );
+        let buckets = shown(&store);
+        let ids = |key| buckets[&key].len();
+        assert_eq!((ids(zip(1)), buckets.len()), (3, 1));
+        assert_eq!(buckets[&zip(1)], rows_shown(&[&rows[0], &moved, &rows[2]]));
     }
 
-    /// A store seeded from a lone FD's buckets of Scope outputs: a change
-    /// names the version its buckets hold, which moves the FD's scoped
-    /// record between buckets in table order, and a new version entering
-    /// a bucket that still holds its id is refused.
+    fn rows_shown(rows: &[&Tuple]) -> Vec<String> {
+        rows.iter().map(|t| show(t)).collect()
+    }
+
+    /// A store seeded by a lone FD's full pass over its Scope outputs: a
+    /// change names the version its index holds, which moves the FD's
+    /// scoped record between buckets in table order, and a new version
+    /// entering an index that still holds its id is refused.
     #[test]
     fn a_seeded_store_reindexes_the_held_version() {
         let schema = Schema::parse("zipcode,name,city");
@@ -612,175 +642,108 @@ mod tests {
         let row =
             |id, zip| Tuple::new(id, vec![Value::Int(zip), Value::str("n"), Value::str("LA")]);
         let mut table = [row(0, 1), row(1, 2), row(2, 1)];
-        let scoped =
-            |ts: &[&Tuple]| -> Vec<Tuple> { ts.iter().flat_map(|t| fd.scope(t)).collect() };
-        let zip = |z| BlockKey::single(Value::Int(z));
-        let seeded = HashMap::from([
-            (zip(1), scoped(&[&table[0], &table[2]])),
-            (zip(2), scoped(&[&table[1]])),
-        ]);
-        let mut store = BucketStore::seeded(Keying::of(&[&pipeline]), vec![seeded]);
-        let e = Engine::sequential();
+        let e = Engine::parallel(2);
+        let data = PDataset::from_vec(e.clone(), table.to_vec());
+        let (_, store) = Executor::new(e.clone())
+            .run_resident(data, &schema, &[&pipeline], None, &|id| id)
+            .unwrap();
+        let mut store = store.expect("a Block pass seeds a store");
+        assert_eq!(
+            store.columns(),
+            None,
+            "a lone rule's runs hold its scoped records"
+        );
         let old = std::mem::replace(&mut table[1], row(1, 1));
         let update = [(1, Some(&old), Some(&table[1]))].into_iter();
-        let change = store.reindex(&e, update, |id| id).unwrap();
-        let (buckets, scope, names) = buckets(store.held(&[&pipeline], &change));
-        assert!(!scope, "a lone rule's buckets hold its scoped records");
-        assert_eq!(names, vec![Bucket::Block(zip(1))]);
-        let all = scoped(&table.iter().collect::<Vec<_>>());
-        assert_eq!(format!("{:?}", buckets[0]), format!("{all:?}"));
+        store.reindex(&e, update, |id| id).unwrap();
+        let scoped: Vec<Tuple> = table.iter().flat_map(|t| fd.scope(t)).collect();
+        let zip = BlockKey::single(Value::Int(1));
+        assert_eq!(
+            shown(&store),
+            BTreeMap::from([(zip, rows_shown(&scoped.iter().collect::<Vec<_>>()))])
+        );
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.reindex(&e, [(0, None, Some(&table[0]))].into_iter(), |id| id)
         }));
-        assert!(refused.is_err(), "an insert into a bucket holding its id");
+        assert!(refused.is_err(), "an insert into an index holding its id");
     }
 
-    /// A bucket as the property compares it: each member's tuple, in
-    /// bucket order.
-    type Shown = BTreeMap<BlockKey, Vec<String>>;
-
-    fn show(t: &Tuple) -> String {
-        format!("{t:?}")
-    }
-
-    /// Random insert/update/delete batches, several changes per reindex
-    /// and several into one bucket, against every bucket keying (an LSH
-    /// group's index has its own property below): after each
-    /// reindex every bucket equals a from-scratch bucketing of the live
-    /// tuples in table order, and `keys` names exactly the buckets that
-    /// lost or gained a member.
-    #[test]
-    fn reindex_matches_a_rebuild_after_every_batch() {
-        let schema = Schema::parse("zipcode,name,city,salary,rate");
-        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
+    /// The groups the store properties run: two FDs sharing their key's
+    /// columns, a lone FD over its Scope outputs, a Block list rule, an
+    /// unblocked pair rule, an inequality rule and an LSH rule (a
+    /// collision-prone geometry: similar names share many bands).
+    fn groups(schema: &Schema) -> Vec<Vec<RulePipeline>> {
+        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, schema).unwrap()) };
         let dc = "t1.salary > t2.salary & t1.rate < t2.rate";
-        let dc: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, &schema).unwrap());
-        let fds = pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t");
+        let dc: Arc<dyn Rule> = Arc::new(DcRule::parse(dc, schema).unwrap());
+        // a zip whose bucket holds more than one city
+        let list =
+            UdfRule::builder("udf:zip-list", |unit| match unit {
+                DetectUnit::List(ts) if ts.iter().any(|t| t.value(2) != ts[0].value(2)) => {
+                    vec![Violation::new("udf:zip-list")
+                        .with_cell(ts[0].cell(2), ts[0].value(2).clone())]
+                }
+                _ => Vec::new(),
+            })
+            .unit_kind(UnitKind::List)
+            .block(|t| Some(BlockKey::single(t.value(0).clone())))
+            .build();
+        let geometry = LshParams {
+            bands: 4,
+            rows_per_band: 2,
+            shingle: 2,
+        };
+        let dedup = DedupRule::new("udf:dedup", 1, 0.6).with_lsh(geometry);
         let ucross = RulePipeline {
             strategy: IterateStrategy::UCrossProduct,
             ..pipeline_for_rule(fd("city -> rate"), "t")
         };
-        let lone = |rule| pipelines(&[rule], "t").remove(0);
-        let groups = [
-            vec![fds[0].clone(), fds[1].clone()],
-            vec![lone(fd("zipcode -> city"))],
+        let lone = |rule| pipelines(&[rule], "t");
+        let groups = vec![
+            pipelines(&[fd("zipcode -> city"), fd("zipcode -> rate")], "t"),
+            lone(fd("zipcode -> city")),
+            lone(Arc::new(list)),
             vec![ucross],
-            vec![lone(dc)],
+            lone(dc),
+            lone(Arc::new(dedup)),
         ];
-        assert!(matches!(groups[3][0].strategy, IterateStrategy::OcJoin(_)));
-        const NAMES: [&str; 4] = ["anne marie", "anna marie", "bob stone", "bobby stone"];
-        let draw_row = |g: &mut SplitMix64, id| {
-            let name = NAMES[g.range(0..NAMES.len())];
-            let city = ["LA", "SF"][g.range(0..2usize)];
-            let row = [g.range(0..3i64), 0, 0, g.range(0..4i64), g.range(0..4i64)];
-            let mut values: Vec<Value> = row.into_iter().map(Value::Int).collect();
-            (values[1], values[2]) = (Value::str(name), Value::str(city));
-            Tuple::new(id, values)
-        };
-        for group in &groups {
-            let members: Vec<&RulePipeline> = group.iter().collect();
-            check(24, |g| {
-                let keying = Keying::of(&members);
-                let bucketed = |t: &Tuple| {
-                    let records = keying.records_of(t).into_iter();
-                    records.flat_map(|r| keying.bucket_of(&r).map(|key| (r, key)))
-                };
-                let mut store = BucketStore::new(&members);
-                let e = Engine::sequential();
-                // id → (seq, live version)
-                let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
-                let (mut next_id, mut next_seq) = (0u64, 0u64);
-                for _ in 0..12 {
-                    let mut changes: BTreeMap<u64, (Option<Tuple>, Option<Tuple>)> =
-                        BTreeMap::new();
-                    for _ in 0..g.range(1..7usize) {
-                        let pick = (!live.is_empty()).then(|| {
-                            let at = g.range(0..live.len());
-                            *live.keys().nth(at).expect("in range")
-                        });
-                        let (id, new) = match (g.range(0..3u8), pick) {
-                            (1, Some(id)) => (id, Some(draw_row(g, id))),
-                            (2, Some(id)) => (id, None),
-                            _ => {
-                                next_id += 1;
-                                (next_id - 1, Some(draw_row(g, next_id - 1)))
-                            }
-                        };
-                        if changes.contains_key(&id) {
-                            continue;
-                        }
-                        let held = live.get(&id).map(|(_, t)| t.clone());
-                        match &new {
-                            Some(t) => {
-                                let seq = live.get(&id).map_or(next_seq, |(seq, _)| *seq);
-                                next_seq = next_seq.max(seq + 1);
-                                live.insert(id, (seq, t.clone()));
-                            }
-                            None => {
-                                live.remove(&id);
-                            }
-                        }
-                        changes.insert(id, (held, new));
-                    }
-                    let batch = changes
-                        .iter()
-                        .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
-                    let change = store.reindex(&e, batch, |id| live[&id].0).unwrap();
-                    let mut keys: BTreeMap<BlockKey, bool> = BTreeMap::new();
-                    for (old, new) in changes.values() {
-                        for (_, key) in old.iter().flat_map(bucketed) {
-                            keys.entry(key).or_insert(false);
-                        }
-                        for (_, key) in new.iter().flat_map(bucketed) {
-                            keys.insert(key, true);
-                        }
-                    }
-                    let keys: Vec<_> = keys.into_iter().collect();
-                    assert_eq!(
-                        change.keys, keys,
-                        "the buckets that lost or gained a member"
-                    );
-                    let mut scratch = Shown::new();
-                    let mut in_order: Vec<&(u64, Tuple)> = live.values().collect();
-                    in_order.sort_by_key(|(seq, _)| *seq);
-                    for (_, t) in in_order {
-                        for (r, key) in bucketed(t) {
-                            scratch.entry(key).or_default().push(show(&r));
-                        }
-                    }
-                    let mut held = shown(&store);
-                    // a join index stands in for the one global bucket,
-                    // in its own order
-                    store.settle(&e).unwrap();
-                    if let Some(index) = store.join() {
-                        let records = index.records().map(show);
-                        held.insert(BlockKey::new(), records.collect());
-                        held.values_mut().for_each(|b| b.sort());
-                        scratch.values_mut().for_each(|b| b.sort());
-                        held.retain(|_, b| !b.is_empty());
-                    }
-                    assert_eq!(held, scratch);
-                }
-            });
-        }
+        assert_eq!(groups[0].len(), 2, "the FDs share one group");
+        assert!(matches!(groups[2][0].strategy, IterateStrategy::BlockList));
+        assert!(matches!(groups[4][0].strategy, IterateStrategy::OcJoin(_)));
+        assert!(matches!(groups[5][0].strategy, IterateStrategy::LshBlocks));
+        groups
     }
 
-    /// An LSH group's band index under random insert/update/delete
-    /// batches — equal names, empty and `Null` names, case-only edits
-    /// (which keep every band hash) and names either side of the 22-byte
-    /// inline-string limit — on one worker and on two. After every batch
-    /// the index holds the runs a fresh build over the live table holds,
-    /// members in table order, and the Δ re-detect of the runs the batch
-    /// fed finds what a full LSH pass over the live table finds in the
-    /// units with a member the batch inserted or updated.
+    /// One detection as the property compares it: the member, the unit
+    /// it came from, the violation and its fixes.
+    fn found(outs: &[(usize, crate::DetectOutput)]) -> Vec<(usize, Origin, String)> {
+        let mut found = Vec::new();
+        for (m, out) in outs {
+            let each = out.origins.iter().zip(&out.detected);
+            found.extend(each.map(|(o, d)| (*m, *o, format!("{d:?}"))));
+        }
+        found
+    }
+
+    /// Random insert/update/delete batches — several changes per batch
+    /// and several into one bucket; equal, empty and `Null` names,
+    /// case-only edits (which keep every band hash) and names either
+    /// side of the 22-byte inline-string limit — re-detected through
+    /// every group's store, on one worker and on two. Unit tests key
+    /// every Block bucket by one of two hashes, so most runs hold
+    /// colliding keys. After every batch:
+    /// * a Block group's runs, split by key, equal a `HashMap` bucketing
+    ///   of the live records in table order; an LSH or cross-product
+    ///   group's runs, and a join index's records, equal what a full
+    ///   pass over the live table seeds;
+    /// * the change names exactly the runs that lost or gained a member;
+    /// * the detections kept the way a session keeps them — each batch
+    ///   retracts those whose unit holds a changed tuple and, of a list
+    ///   rule, those whose bucket's run changed, then adds what the
+    ///   re-detect found — equal a full pass over the live table.
     #[test]
-    fn lsh_index_matches_a_fresh_build_after_every_batch() {
-        use crate::enumerate::Origin;
-        use crate::group::RuleGroup;
-        use crate::Executor;
-        use bigdansing_dataflow::{IsolationOptions, PDataset};
-        use std::collections::HashSet;
-        let schema = Schema::parse("id,name");
+    fn the_store_matches_a_rebuild_after_every_batch() {
+        let schema = Schema::parse("zipcode,name,city,salary,rate");
         const NAMES: [&str; 8] = [
             "anne marie",
             "anna marie",
@@ -796,158 +759,200 @@ mod tests {
             Some(s) => Value::str(s.to_lowercase()),
             None => Value::Null,
         };
-        // a collision-prone geometry: similar names share many bands
-        let geometry = LshParams {
-            bands: 4,
-            rows_per_band: 2,
-            shingle: 2,
+        let draw = |g: &mut SplitMix64, id| {
+            let name = match g.range(0..10u8) {
+                0 => Value::Null,
+                _ => Value::str(NAMES[g.range(0..NAMES.len())]),
+            };
+            let city = Value::str(["LA", "SF"][g.range(0..2usize)]);
+            let ints = [g.range(0..5i64), g.range(0..4i64), g.range(0..4i64)].map(Value::Int);
+            let [zip, salary, rate] = ints;
+            Tuple::new(id, vec![zip, name, city, salary, rate])
         };
-        let dedup = DedupRule::new("udf:dedup", 1, 0.6).with_lsh(geometry);
-        let rules: Vec<Arc<dyn Rule>> = vec![Arc::new(dedup)];
-        let group = pipelines(&rules, "t");
-        let members: Vec<&RulePipeline> = group.iter().collect();
-        assert!(matches!(members[0].strategy, IterateStrategy::LshBlocks));
-        let runs = |index: &LshIndex| -> BTreeMap<(u32, u64), Vec<String>> {
-            let shown =
-                |(run, tuples): (_, Vec<&Tuple>)| (run, tuples.into_iter().map(show).collect());
-            index.buckets().map(shown).collect()
-        };
-        let found = |outs: Vec<(usize, crate::DetectOutput)>| -> Vec<String> {
-            let outs = outs
-                .into_iter()
-                .flat_map(|(_, out)| out.origins.into_iter().zip(out.detected));
-            outs.map(|found| format!("{found:?}")).collect()
-        };
-        for engine in [Engine::sequential(), Engine::parallel(2)] {
-            let executor = Executor::new(engine.clone());
-            check(24, |g| {
-                let draw = |g: &mut SplitMix64, id: u64| {
-                    let name = match g.range(0..10u8) {
-                        0 => Value::Null,
-                        _ => Value::str(NAMES[g.range(0..NAMES.len())]),
-                    };
-                    Tuple::new(id, vec![Value::Int(id as i64), name])
-                };
-                let iso = IsolationOptions::default();
-                let mut group = RuleGroup::of(&group, iso).remove(0);
-                // id → (seq, live version)
-                let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
-                let (mut next_id, mut next_seq) = (0u64, 0u64);
-                for _ in 0..8 {
-                    let mut changes: BTreeMap<u64, (Option<Tuple>, Option<Tuple>)> =
-                        BTreeMap::new();
-                    for _ in 0..g.range(1..12usize) {
-                        let pick = (!live.is_empty()).then(|| {
-                            let at = g.range(0..live.len());
-                            *live.keys().nth(at).expect("in range")
+        let mut collided = 0;
+        for group in groups(&schema) {
+            let members: Vec<&RulePipeline> = group.iter().collect();
+            let keying = Keying::of(&members);
+            let join = matches!(members[0].strategy, IterateStrategy::OcJoin(_));
+            let runs_of = |t: &Tuple| -> Vec<Run> {
+                let mut hashes = Vec::new();
+                let records = keying.records_of(t);
+                records
+                    .iter()
+                    .for_each(|r| keying.hash_into(r, &mut hashes));
+                let bands = keying.bands().max(1);
+                let runs = hashes.into_iter().enumerate();
+                runs.map(|(at, hash)| ((at % bands) as u32, hash)).collect()
+            };
+            for engine in [Engine::sequential(), Engine::parallel(2)] {
+                let executor = Executor::new(engine.clone());
+                check(16, |g| {
+                    let iso = IsolationOptions::default();
+                    let mut rule_group = RuleGroup::of(&group, iso).remove(0);
+                    // id → (seq, live version)
+                    let mut live: BTreeMap<u64, (u64, Tuple)> = BTreeMap::new();
+                    let (mut next_id, mut next_seq) = (0u64, 0u64);
+                    // the kept detections, a list unit's with its key
+                    let mut kept: Vec<((usize, Origin, String), Option<BlockKey>)> = Vec::new();
+                    for _ in 0..10 {
+                        let mut changes: BTreeMap<u64, (Option<Tuple>, Option<Tuple>)> =
+                            BTreeMap::new();
+                        for _ in 0..g.range(1..9usize) {
+                            let pick = (!live.is_empty()).then(|| {
+                                let at = g.range(0..live.len());
+                                *live.keys().nth(at).expect("in range")
+                            });
+                            let (id, new) = match (g.range(0..4u8), pick) {
+                                (1, Some(id)) => (id, Some(draw(g, id))),
+                                (2, Some(id)) => {
+                                    let mut values = live[&id].1.to_values();
+                                    values[1] = flip(&values[1]);
+                                    (id, Some(Tuple::new(id, values)))
+                                }
+                                (3, Some(id)) => (id, None),
+                                _ => {
+                                    next_id += 1;
+                                    (next_id - 1, Some(draw(g, next_id - 1)))
+                                }
+                            };
+                            if changes.contains_key(&id) {
+                                continue;
+                            }
+                            let held = live.get(&id).map(|(_, t)| t.clone());
+                            match &new {
+                                Some(t) => {
+                                    let seq = live.get(&id).map_or(next_seq, |(seq, _)| *seq);
+                                    next_seq = next_seq.max(seq + 1);
+                                    live.insert(id, (seq, t.clone()));
+                                }
+                                None => {
+                                    live.remove(&id);
+                                }
+                            }
+                            changes.insert(id, (held, new));
+                        }
+                        let batch = changes
+                            .iter()
+                            .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
+                        let seq_of = |id| live[&id].0;
+                        let done = rule_group.redetect(&executor, batch, seq_of).unwrap();
+                        // the runs that lost or gained a member
+                        let mut runs: BTreeMap<Run, bool> = BTreeMap::new();
+                        for (old, new) in changes.values() {
+                            for run in old.iter().flat_map(runs_of) {
+                                runs.entry(run).or_insert(false);
+                            }
+                            for run in new.iter().flat_map(runs_of) {
+                                runs.insert(run, true);
+                            }
+                        }
+                        if join {
+                            let touched = runs.values().any(|g| *g) || !runs.is_empty();
+                            let gained = changes.values().any(|(_, n)| n.is_some());
+                            runs = BTreeMap::new();
+                            if touched {
+                                runs.insert((0, key_hash([].iter())), gained);
+                            }
+                        }
+                        let named: BTreeMap<Run, bool> = done.change.runs().collect();
+                        assert_eq!(named, runs, "the runs that lost or gained a member");
+                        // the store against a rebuild of the live table
+                        let mut table: Vec<&(u64, Tuple)> = live.values().collect();
+                        table.sort_by_key(|(seq, _)| *seq);
+                        let table: Vec<Tuple> = table.into_iter().map(|(_, t)| t.clone()).collect();
+                        let data = || PDataset::from_vec(engine.clone(), table.clone());
+                        let store = rule_group.store.as_mut().unwrap();
+                        store.settle(executor.engine()).unwrap();
+                        if keying.columns().is_some() || members[0].strategy.blocks() {
+                            let mut scratch: BTreeMap<BlockKey, Vec<String>> = BTreeMap::new();
+                            for r in table.iter().flat_map(|t| keying.records_of(t)) {
+                                scratch.entry(keying.key(&r)).or_default().push(show(&r));
+                            }
+                            assert_eq!(shown(store), scratch);
+                            let runs = runs_in(store.runs().unwrap()).into_iter();
+                            collided += runs
+                                .filter(|(_, members)| {
+                                    let keys: BTreeSet<BlockKey> =
+                                        members.iter().map(|t| keying.key(t)).collect();
+                                    keys.len() > 1
+                                })
+                                .count();
+                        }
+                        let (_, fresh) = executor
+                            .run_resident(data(), &schema, &members, None, &seq_of)
+                            .unwrap();
+                        if let (Some(fresh), true) = (fresh, !table.is_empty()) {
+                            let runs = |s: &BucketStore| -> BTreeMap<Run, Vec<String>> {
+                                let runs = s.runs().into_iter().flat_map(runs_in);
+                                runs.map(|(run, ts)| (run, ts.into_iter().map(show).collect()))
+                                    .collect()
+                            };
+                            assert_eq!(runs(store), runs(&fresh));
+                            let records = |s: &BucketStore| -> BTreeSet<String> {
+                                s.join()
+                                    .into_iter()
+                                    .flat_map(|j| j.records().map(show))
+                                    .collect()
+                            };
+                            assert_eq!(records(store), records(&fresh));
+                        }
+                        // the detections kept as a session keeps them
+                        let ids: BTreeSet<u64> = changes.keys().copied().collect();
+                        let dirty: BTreeSet<u64> =
+                            done.change.runs().map(|((_, hash), _)| hash).collect();
+                        kept.retain(|((_, origin, _), key)| match (origin, key) {
+                            (Origin::Unit(a, b), _) => !ids.contains(a) && !ids.contains(b),
+                            (Origin::Bucket(_), Some(key)) => !dirty.contains(&run_of(key).1),
+                            (Origin::Bucket(_), None) => unreachable!("a list unit names its key"),
                         });
-                        let (id, new) = match (g.range(0..4u8), pick) {
-                            (1, Some(id)) => (id, Some(draw(g, id))),
-                            (2, Some(id)) => {
-                                let t = &live[&id].1;
-                                let name = flip(t.value(1));
-                                (id, Some(Tuple::new(id, vec![t.value(0).clone(), name])))
-                            }
-                            (3, Some(id)) => (id, None),
-                            _ => {
-                                next_id += 1;
-                                (next_id - 1, Some(draw(g, next_id - 1)))
-                            }
-                        };
-                        if changes.contains_key(&id) {
-                            continue;
+                        let keys: BTreeMap<u64, &BlockKey> =
+                            done.keys.iter().map(|k| (stable_hash_of(k), k)).collect();
+                        for (m, origin, d) in found(&done.outs) {
+                            let key = match origin {
+                                Origin::Bucket(hash) => Some(keys[&hash].clone()),
+                                Origin::Unit(..) => None,
+                            };
+                            kept.push(((m, origin, d), key));
                         }
-                        let held = live.get(&id).map(|(_, t)| t.clone());
-                        match &new {
-                            Some(t) => {
-                                let seq = live.get(&id).map_or(next_seq, |(seq, _)| *seq);
-                                next_seq = next_seq.max(seq + 1);
-                                live.insert(id, (seq, t.clone()));
-                            }
-                            None => {
-                                live.remove(&id);
-                            }
-                        }
-                        changes.insert(id, (held, new));
+                        let full = executor.run_group(data(), &schema, &members, None).unwrap();
+                        let full: Vec<(usize, crate::DetectOutput)> =
+                            full.into_iter().enumerate().collect();
+                        let mut full = found(&full);
+                        let mut held: Vec<_> = kept.iter().map(|(f, _)| f.clone()).collect();
+                        full.sort();
+                        held.sort();
+                        assert_eq!(held, full, "kept detections against a full pass");
                     }
-                    let news = changes.iter().filter(|(_, (_, new))| new.is_some());
-                    let news: HashSet<u64> = news.map(|(id, _)| *id).collect();
-                    let batch = changes
-                        .iter()
-                        .map(|(id, (o, n))| (*id, o.as_ref(), n.as_ref()));
-                    let seq_of = |id| live[&id].0;
-                    let done = group.redetect(&executor, batch, seq_of).unwrap();
-                    let mut table: Vec<&(u64, Tuple)> = live.values().collect();
-                    table.sort_by_key(|(seq, _)| *seq);
-                    let table: Vec<Tuple> = table.into_iter().map(|(_, t)| t.clone()).collect();
-                    let data = || PDataset::from_vec(engine.clone(), table.clone());
-                    let (_, fresh) = executor
-                        .run_resident(data(), &schema, &members, None, &seq_of)
-                        .unwrap();
-                    let (index, fresh) = (group.store.as_ref().unwrap().lsh(), fresh.unwrap());
-                    assert_eq!(runs(index.unwrap()), runs(fresh.lsh().unwrap()));
-                    let mut full = executor
-                        .run_group(data(), &schema, &members, None)
-                        .unwrap()
-                        .remove(0);
-                    let changed = |o: &Origin| match o {
-                        Origin::Unit(a, b) => news.contains(a) || news.contains(b),
-                        Origin::Bucket(_) => unreachable!("an LSH rule detects pairs"),
-                    };
-                    let keep: Vec<bool> = full.origins.iter().map(changed).collect();
-                    let mut kept = keep.iter();
-                    full.detected.retain(|_| *kept.next().unwrap());
-                    full.origins.retain(changed);
-                    assert_eq!(found(done.outs), found(vec![(0, full)]));
-                }
-            });
+                });
+            }
         }
+        assert!(collided > 0, "no run held colliding keys");
     }
 
-    /// What a store holds, bucket for bucket: each member's tuple, in
-    /// bucket order.
-    fn shown(store: &BucketStore) -> Shown {
-        let buckets = store
-            .iter()
-            .map(|(key, bucket)| (key.clone(), bucket.iter().map(show).collect()));
-        buckets.collect()
-    }
-
-    /// The buckets a full Block pass's shuffle hands over equal the store
-    /// a reindex of the same table as inserts builds: bucket for bucket,
+    /// The runs a full Block pass's shuffle hands over equal the store a
+    /// reindex of the same table as inserts builds: bucket for bucket,
     /// members in table order, on one worker and on two. Covers two FDs
-    /// sharing their key's columns, a lone FD over its Scope outputs, and
-    /// a list rule.
+    /// sharing their key's columns, a lone FD over its Scope outputs, a
+    /// list rule and an LSH rule.
     #[test]
     fn a_shuffled_store_matches_a_reindex_of_the_table() {
-        use crate::Executor;
-        use bigdansing_dataflow::PDataset;
-        use bigdansing_rules::{UdfRule, UnitKind};
-        let schema = Schema::parse("zipcode,city,state");
-        let fd = |spec| -> Arc<dyn Rule> { Arc::new(FdRule::parse(spec, &schema).unwrap()) };
-        let list = UdfRule::builder("udf:zip-list", |_| Vec::new())
-            .unit_kind(UnitKind::List)
-            .block(|t| Some(BlockKey::single(t.value(0).clone())))
-            .build();
-        let groups = [
-            pipelines(&[fd("zipcode -> city"), fd("zipcode -> state")], "t"),
-            pipelines(&[fd("zipcode -> city")], "t"),
-            pipelines(&[Arc::new(list)], "t"),
-        ];
-        assert!(matches!(groups[2][0].strategy, IterateStrategy::BlockList));
+        let schema = Schema::parse("zipcode,name,city,salary,rate");
+        let groups = groups(&schema);
         for engine in [Engine::sequential(), Engine::parallel(2)] {
             let executor = Executor::new(engine.clone());
-            for group in &groups {
+            for group in [&groups[0], &groups[1], &groups[2], &groups[5]] {
                 let members: Vec<&RulePipeline> = group.iter().collect();
                 check(16, |g| {
                     // ids run against table order, so that order by id is
                     // not order by position
-                    let n = g.range(1..48u64);
+                    let n = g.range(1..64u64);
                     let row = |at: u64| {
                         let zip = Value::Int(g.range(0..5i64));
+                        let name =
+                            Value::str(["anne marie", "anna marie", "bob"][g.range(0..3usize)]);
                         let city = Value::str(["LA", "SF", "NY"][g.range(0..3usize)]);
-                        let state = Value::str(["CA", "NY"][g.range(0..2usize)]);
-                        Tuple::new(n - at, vec![zip, city, state])
+                        let ints = [Value::Int(0), Value::Int(0)];
+                        Tuple::new(n - at, [vec![zip, name, city], ints.to_vec()].concat())
                     };
                     let rows: Vec<Tuple> = (0..n).map(row).collect();
                     let data = PDataset::from_vec(engine.clone(), rows.clone());
@@ -955,11 +960,19 @@ mod tests {
                     let (_, seeded) = executor
                         .run_resident(data, &schema, &members, None, &seq_of)
                         .unwrap();
-                    let seeded = seeded.expect("a Block pass seeds a store");
+                    let seeded = seeded.expect("a Block or LSH pass seeds a store");
                     let mut built = BucketStore::new(&members);
                     let inserts = rows.iter().map(|t| (t.id(), None, Some(t)));
                     built.reindex(&engine, inserts, seq_of).unwrap();
-                    assert_eq!(shown(&seeded), shown(&built));
+                    let runs = |s: &BucketStore| -> BTreeMap<Run, Vec<String>> {
+                        let runs = runs_in(s.runs().unwrap()).into_iter();
+                        runs.map(|(run, ts)| (run, ts.into_iter().map(show).collect()))
+                            .collect()
+                    };
+                    assert_eq!(runs(&seeded), runs(&built));
+                    if !matches!(members[0].strategy, IterateStrategy::LshBlocks) {
+                        assert_eq!(shown(&seeded), shown(&built));
+                    }
                 });
             }
         }
@@ -994,7 +1007,7 @@ mod tests {
         fn builds_blocks_by_content() {
             let t = table();
             let store = PartitionedStore::on_columns(&t, &[0]);
-            assert_eq!(store.iter().count(), 2);
+            assert_eq!(store.buckets().count(), 2);
             assert_eq!(store.len(), 4);
             assert_eq!(store.columns(), Some(&[0][..]));
         }
@@ -1010,7 +1023,7 @@ mod tests {
             let guard = RuleGuard::arm(rule.name(), &IsolationOptions::default());
             let guards = std::slice::from_ref(&guard);
             let pushed = pushdown
-                .detect_held(&[&pipeline], store.all(), None, guards)
+                .detect_picked(&[&pipeline], &store, &store.all(), None, guards)
                 .unwrap()
                 .remove(0);
             let metrics = pushdown.engine().metrics();
@@ -1032,7 +1045,8 @@ mod tests {
         fn blocks_hold_every_tuple_once() {
             let t = table();
             let store = PartitionedStore::on_columns(&t, &[0]);
-            let mut tuples: Vec<Tuple> = store.iter().flat_map(|(_, b)| b.clone()).collect();
+            let buckets = store.buckets().flat_map(|(_, b)| b);
+            let mut tuples: Vec<Tuple> = buckets.cloned().collect();
             tuples.sort_by_key(|t| t.id());
             let back = Table::new("t", t.schema().clone(), tuples);
             assert_eq!(t.diff_cells(&back), 0);
@@ -1051,7 +1065,7 @@ mod tests {
                 ],
             );
             let store = PartitionedStore::on_columns(&t, &[0]);
-            assert_eq!(store.iter().count(), 2);
+            assert_eq!(store.buckets().count(), 2);
         }
 
         fn three_columns() -> Table {
@@ -1073,8 +1087,8 @@ mod tests {
             assert!(store.replica_for(&[1]).is_some());
             assert!(store.replica_for(&[2]).is_none());
             assert!(store.replica_for(&[0, 1]).is_none());
-            assert_eq!(store.replica_for(&[0]).unwrap().iter().count(), 2);
-            assert_eq!(store.replica_for(&[1]).unwrap().iter().count(), 2);
+            assert_eq!(store.replica_for(&[0]).unwrap().buckets().count(), 2);
+            assert_eq!(store.replica_for(&[1]).unwrap().buckets().count(), 2);
         }
 
         #[test]

@@ -16,9 +16,8 @@ use bigdansing_common::{LshParams, Tuple, Value};
 /// `Clone` is instrumented: every deep copy bumps the process-wide
 /// deep-clone counter (see `bigdansing_common::metrics`), so the
 /// zero-copy regression tests can assert the detect hot path extracts
-/// each key exactly once and routes it by [`KeyId`] thereafter.
-///
-/// [`KeyId`]: bigdansing_common::KeyId
+/// each key exactly once, in the pass that hashes it into its run, and
+/// never copies it.
 #[derive(Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockKey(Vec<Value>);
 

@@ -31,7 +31,7 @@ fn pushdown(
     let pipeline = pipeline_for_rule(Arc::clone(rule), "");
     let guard = RuleGuard::arm(rule.name(), iso);
     let guards = std::slice::from_ref(&guard);
-    let out = exec.detect_held(&[&pipeline], store.all(), None, guards);
+    let out = exec.detect_picked(&[&pipeline], store, &store.all(), None, guards);
     let shuffled = Metrics::get(&exec.engine().metrics().records_shuffled);
     assert_eq!(shuffled, 0, "Block pushdown must not shuffle");
     (out.map(|mut outs| outs.remove(0)), guard)
